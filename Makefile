@@ -1,7 +1,7 @@
 # Development entry points. Everything is plain `go` underneath; the
 # targets just bundle the flags used by CI and the perf trajectory.
 
-.PHONY: all build test race test-noasm bench bench-smoke fmt vet clean-data
+.PHONY: all build test race test-noasm bench bench-smoke crnbench-quick fmt vet clean-data
 
 all: build test
 
@@ -61,6 +61,13 @@ bench-smoke:
 	go test ./internal/pool -run '^$$' -bench 'AddSaturated' -benchtime 1x -benchmem
 	go test ./internal/durable -run '^$$' -bench 'WALAppend|RecoveryReplay' -benchtime 1x -benchmem
 	go test . -run '^$$' -bench 'RecordFeedback' -benchtime 1x -benchmem
+
+# crnbench-quick checks that BENCHMARK.json matches the benchmark's
+# catalogue, then runs every crnbench workload at toy size (~10 s) with all
+# of its answer checks on: the gate that a library change still builds and
+# passes the benchmark, before anyone spends a measurement run on it.
+crnbench-quick:
+	go run ./cmd/crnbench -validate-only && go run ./cmd/crnbench -quick
 
 # clean-data removes local crnserve data directories (WAL segments and
 # checkpoints) created by ad-hoc -data-dir runs at the conventional ./data

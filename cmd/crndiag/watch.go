@@ -163,9 +163,12 @@ func renderFrame(cur, prev map[string]*telemetry.ParsedFamily, elapsed time.Dura
 	}
 	b.WriteByte('\n')
 
-	fmt.Fprintf(&b, "  cache rep %s hit  index %s indexed  coalesce %s avg batch\n",
+	fmt.Fprintf(&b, "  cache rep %s hit  memo %s hit (%.0f pairs)  index %s indexed  coalesce %s avg batch\n",
 		rate(counterDelta(cur, prev, "crn_repcache_lookups_total", "result", "hit"),
 			counterDelta(cur, prev, "crn_repcache_lookups_total", "result", "miss")),
+		rate(counterDelta(cur, prev, "crn_ratememo_lookups_total", "result", "hit"),
+			counterDelta(cur, prev, "crn_ratememo_lookups_total", "result", "miss")),
+		sampleOr(cur, "crn_ratememo_entries", "", ""),
 		rate(counterDelta(cur, prev, "crn_pool_selections_total", "path", "indexed"),
 			counterDelta(cur, prev, "crn_pool_selections_total", "path", "fallback")),
 		avgBatch(cur, prev))

@@ -77,8 +77,9 @@ func TestHealthzReportsRepCache(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).handler())
 	defer ts.Close()
 
-	// Two identical batch estimates: the second should hit the cache.
-	for i := 0; i < 2; i++ {
+	// Identical batch estimates: the second hits the cache, promotes the rows
+	// and memoizes their rates, the third is answered by the memo.
+	for i := 0; i < 3; i++ {
 		status, body, err := postJSONErr(ts.URL+"/estimate/batch", map[string]any{"queries": []string{
 			"SELECT * FROM title WHERE title.production_year > 1980",
 		}})
@@ -103,5 +104,8 @@ func TestHealthzReportsRepCache(t *testing.T) {
 	}
 	if hr.RepCache.Hits+hr.RepCache.Misses == 0 {
 		t.Errorf("rep_cache counters never moved: %+v", hr.RepCache)
+	}
+	if hr.RepCache.MemoHits == 0 || hr.RepCache.MemoMisses == 0 || hr.RepCache.MemoEntries == 0 {
+		t.Errorf("rep_cache memo counters: %+v", hr.RepCache)
 	}
 }

@@ -82,6 +82,8 @@ func TestMetricsExposition(t *testing.T) {
 		"crn_coalesce_batches_total",
 		"crn_pool_entries",
 		"crn_repcache_lookups_total",
+		"crn_ratememo_lookups_total",
+		"crn_ratememo_entries",
 		"crn_accuracy_qerror",
 		"crn_wire_requests_total",
 		"crn_http_requests_total",

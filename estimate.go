@@ -24,10 +24,15 @@ import (
 // pair-head partial products are memoized by canonical query key across
 // requests, the recurring working set held in a zero-copy resident tier —
 // so in steady state a single-query estimate computes only its own probe
-// side. The cache revalidates against the pool's version counter before
-// every estimate (a /record-style mutation flushes it by construction) and
-// can be flushed explicitly with InvalidateRepresentations; estimates with
-// and without the cache are bit-identical.
+// side — and the containment rate of two resident queries is memoized by
+// their row pair, so a recurring probe does not run the pair head at all.
+// The cache subscribes to its pool and absorbs mutations surgically: an
+// insert drops nothing, an eviction drops exactly the evicted entry's rows
+// (and with them its memoized rates). Revalidation against the pool's
+// version counter before every estimate is the safety net — it flushes only
+// on a mutation the cache did not witness — and InvalidateRepresentations
+// flushes explicitly; estimates with and without the cache are
+// bit-identical.
 //
 // With WithCoalescing, concurrent EstimateCardinality calls are
 // additionally micro-batched into shared estimation passes; coalesced
@@ -153,6 +158,15 @@ func (e *CardinalityEstimator) registerCollectors() {
 		func() float64 { return float64(e.CacheStats().Size) })
 	r.GaugeFunc("crn_repcache_resident", "Representations in the zero-copy resident tier.",
 		func() float64 { return float64(e.CacheStats().Resident) })
+	r.CollectCounter("crn_ratememo_lookups_total",
+		"Pair-rate memo lookups by result (attempted only for pairs of two resident rows).",
+		"result", func(emit telemetry.Emit) {
+			cs := e.CacheStats()
+			emit(float64(cs.MemoHits), "hit")
+			emit(float64(cs.MemoMisses), "miss")
+		})
+	r.GaugeFunc("crn_ratememo_entries", "Containment rates memoized by resident row pair.",
+		func() float64 { return float64(e.CacheStats().MemoEntries) })
 
 	// Request coalescer.
 	r.CollectCounter("crn_coalesce_calls_total",

@@ -2,8 +2,13 @@ package crn
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
+
+	"crn/internal/guard/failpoint"
 )
 
 // repCacheFixture builds a trained system with a seeded pool and returns it
@@ -279,5 +284,295 @@ func TestPoolEvictionInvalidatesRepCache(t *testing.T) {
 	if st.Misses > warm.Misses+4 {
 		t.Errorf("surgical eviction should not re-encode the surviving working set: misses %d -> %d",
 			warm.Misses, st.Misses)
+	}
+}
+
+// memoProbes are three probes over the seeded pool's busiest FROM clause.
+func memoProbes(t *testing.T, sys *System) []Query {
+	t.Helper()
+	var out []Query
+	for _, year := range []int{1950, 1960, 1975} {
+		q, err := sys.ParseQuery(fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d", year))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, q)
+	}
+	return out
+}
+
+// TestRateMemoEquivalence is the facade-level gate of the pair-rate memo:
+// an estimator with the cache (and so the memo) answers bit for bit what a
+// WithoutRepCache estimator answers, single and batch, while the memo goes
+// from cold to hit, through pool evictions (surgical removes, dead rows,
+// compaction), after InvalidateRepresentations and across a model
+// generation swap — and the memo does serve the repeats.
+func TestRateMemoEquivalence(t *testing.T) {
+	ctx := context.Background()
+	sys := testSystem(t)
+	model, err := sys.TrainContainmentModel(ctx, tinyTrainOptions()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const capacity = 12
+	p := sys.NewQueriesPool(WithPoolCap(capacity))
+	for i := 0; i < capacity; i++ {
+		recordSQL(t, sys, p, fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d", 1900+7*i))
+	}
+	probes := memoProbes(t, sys)
+	cached := sys.AdaptiveEstimator(model, p, WithRetrainInterval(-1))
+	defer cached.Close()
+
+	check := func(label string, reference *CardinalityEstimator) {
+		t.Helper()
+		for round := 0; round < 3; round++ { // cold, promoted and memoized, hit
+			for _, q := range probes {
+				want, err := reference.EstimateCardinality(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := cached.EstimateCardinality(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%s round %d: cached %v, uncached %v", label, round, got, want)
+				}
+			}
+			want, err := reference.EstimateCardinalityBatch(ctx, probes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := cached.EstimateCardinalityBatch(ctx, probes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s round %d batch[%d]: cached %v, uncached %v", label, round, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	hits := func() uint64 { return cached.CacheStats().MemoHits }
+	uncached := sys.CardinalityEstimator(model, p, WithoutRepCache())
+
+	check("warm-up", uncached)
+	if hits() == 0 || cached.CacheStats().MemoEntries == 0 {
+		t.Fatalf("repeated probes never hit the memo: %+v", cached.CacheStats())
+	}
+
+	// Evictions at the pool's capacity: each drops one resident row, and
+	// enough of them force a compaction that renumbers the survivors.
+	for i := 0; i < capacity/2; i++ {
+		recordSQL(t, sys, p, fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d", 1903+7*i))
+		before := hits()
+		check(fmt.Sprintf("after eviction %d", i), uncached)
+		if hits() == before {
+			t.Fatalf("memo stopped answering after eviction %d: %+v", i, cached.CacheStats())
+		}
+	}
+	if st := p.Stats(); st.Evictions != capacity/2 {
+		t.Fatalf("evictions = %d, want %d", st.Evictions, capacity/2)
+	}
+
+	cached.InvalidateRepresentations()
+	if st := cached.CacheStats(); st.MemoEntries != 0 {
+		t.Fatalf("InvalidateRepresentations left %d memo entries", st.MemoEntries)
+	}
+	check("after invalidate", uncached)
+
+	// Generation swap: the new generation has its own cache and memo, so no
+	// rate of the old weights can be served.
+	second, err := sys.TrainContainmentModel(ctx, append(tinyTrainOptions(), WithSeed(4))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached.box.Promote(second.model)
+	if st := cached.CacheStats(); st.MemoEntries != 0 || st.Resident != 0 {
+		t.Fatalf("a fresh generation must start with an empty cache: %+v", st)
+	}
+	check("after generation swap", sys.CardinalityEstimator(second, p, WithoutRepCache()))
+	if cached.CacheStats().MemoHits == 0 {
+		t.Fatal("the new generation's memo never answered")
+	}
+}
+
+// recordSQL parses and records one executed query into the pool.
+func recordSQL(t *testing.T, sys *System, p *QueriesPool, sql string) {
+	t.Helper()
+	q, err := sys.ParseQuery(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sys.RecordExecuted(context.Background(), p, q); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRateMemoConcurrentChurn runs estimates from several goroutines while
+// the pool adds at its capacity (every add evicts, every eviction tombstones
+// a resident row, compactions follow) and the cache is invalidated: the
+// -race gate of the resident tier at the facade. Estimates must stay finite
+// and non-negative throughout, and once the churn stops the cached
+// estimator must agree with an uncached one bit for bit.
+func TestRateMemoConcurrentChurn(t *testing.T) {
+	ctx := context.Background()
+	sys := testSystem(t)
+	model, err := sys.TrainContainmentModel(ctx, tinyTrainOptions()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const capacity = 16
+	p := sys.NewQueriesPool(WithPoolCap(capacity))
+	for i := 0; i < capacity; i++ {
+		recordSQL(t, sys, p, fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d", 1900+5*i))
+	}
+	probes := memoProbes(t, sys)
+	cached := sys.CardinalityEstimator(model, p)
+	defer cached.Close()
+
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		readers.Add(1)
+		go func(w int) {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var v float64
+				var err error
+				if i%8 == 7 {
+					var out []float64
+					if out, err = cached.EstimateCardinalityBatch(ctx, probes); err == nil {
+						v = out[0]
+					}
+				} else {
+					v, err = cached.EstimateCardinality(ctx, probes[(w+i)%len(probes)])
+				}
+				if err != nil || v < 0 || v != v {
+					t.Errorf("estimate under churn: %v, %v", v, err)
+					return
+				}
+			}
+		}(w)
+	}
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		for i := 0; i < 200; i++ {
+			q, err := sys.ParseQuery(fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d AND title.kind_id < %d", 1900+i%90, 2+i%5))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			p.Add(q, int64(10+i))
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		for i := 0; i < 20; i++ {
+			cached.InvalidateRepresentations()
+			cached.CacheStats()
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+
+	uncached := sys.CardinalityEstimator(model, p, WithoutRepCache())
+	for round := 0; round < 4; round++ {
+		for _, q := range probes {
+			want, err := uncached.EstimateCardinality(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := cached.EstimateCardinality(ctx, q); err != nil || got != want {
+				t.Fatalf("after churn, round %d: cached %v (%v), uncached %v", round, got, err, want)
+			}
+		}
+	}
+}
+
+// TestRateMemoUntouchedByFailedPass: an estimate that fails before or
+// inside the rate pass — the armed EstimateCards failpoint, a cancelled
+// context — leaves the memo exactly as it was, and the next healthy
+// estimate is still bit-identical to the uncached one.
+func TestRateMemoUntouchedByFailedPass(t *testing.T) {
+	t.Cleanup(failpoint.DisableAll)
+	ctx := context.Background()
+	sys, model, p, probe := repCacheFixture(t)
+	cached := sys.CardinalityEstimator(model, p)
+	uncached := sys.CardinalityEstimator(model, p, WithoutRepCache())
+	// First sighting: everything encoded and cached, nothing memoized yet.
+	if _, err := cached.EstimateCardinality(ctx, probe); err != nil {
+		t.Fatal(err)
+	}
+	if st := cached.CacheStats(); st.Size == 0 || st.MemoEntries != 0 {
+		t.Fatalf("fixture: %+v", st)
+	}
+
+	failpoint.EnableError(failpoint.EstimateCards, errors.New("injected estimate-path failure"))
+	if _, err := cached.EstimateCardinality(ctx, probe); err == nil {
+		t.Fatal("armed failpoint must fail the estimate")
+	}
+	failpoint.Disable(failpoint.EstimateCards)
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := cached.EstimateCardinality(cancelled, probe); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled estimate: %v", err)
+	}
+	if _, err := cached.EstimateCardinalityBatch(cancelled, []Query{probe, probe}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled batch: %v", err)
+	}
+	if st := cached.CacheStats(); st.MemoEntries != 0 || st.MemoHits != 0 || st.MemoMisses != 0 {
+		t.Fatalf("failed passes touched the memo: %+v", st)
+	}
+
+	want, err := uncached.EstimateCardinality(ctx, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // promoting and memoizing pass, then memo hit
+		if got, err := cached.EstimateCardinality(ctx, probe); err != nil || got != want {
+			t.Fatalf("healthy estimate %d after failures: %v (%v), want %v", i, got, err, want)
+		}
+	}
+	if st := cached.CacheStats(); st.MemoEntries == 0 || st.MemoHits == 0 {
+		t.Fatalf("memo never recovered: %+v", st)
+	}
+}
+
+// TestHotEstimateAllocs pins the allocation count of the steady-state
+// single-query estimate (every rate a memo hit) at what it was before the
+// rate memo existed: 11 at this fixture's pool size (crnbench's
+// facade.estimate_allocs, over a 300-entry pool, reads 18 for the same
+// path).
+func TestHotEstimateAllocs(t *testing.T) {
+	ctx := context.Background()
+	sys, model, p, probe := repCacheFixture(t)
+	base, err := sys.AnalyzeBaseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := sys.CardinalityEstimator(model, p, WithFallback(base), WithCoalescing(64, 0), WithTelemetry(NewTelemetry()))
+	run := func() {
+		if _, err := est.EstimateCardinality(ctx, probe); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		run()
+	}
+	if st := est.CacheStats(); st.MemoHits == 0 {
+		t.Fatalf("fixture never reached the memo-hit state: %+v", st)
+	}
+	if n := testing.AllocsPerRun(100, run); n > 11 {
+		t.Errorf("hot single estimate: %v allocs, want <= 11", n)
 	}
 }

@@ -419,16 +419,18 @@ func (m *Model) invalidateHeadFold() { m.foldCache.Store(nil) }
 // 64-probe batch mentions each pool entry up to 128 times, so per pair only
 // the sparse intersection term remains.
 //
-// Rows come from up to two sources: an optional resident base (the cache's
-// pool-resident precompute, rows [0, baseRows)) and the request-local extra
-// matrices (rows from baseRows up). The optional rowOf table translates
-// pair indices first, letting the serving path address cached rows in
-// place with no per-request copying.
+// Rows come from up to two sources: an optional resident view (the cache's
+// pool-resident precompute: row IDs [0, res.n), packed rows addressed in
+// place in the cache's block storage, valid for as long as the view is held)
+// and the request-local extra matrices (rows from res.n up). The optional
+// rowOf table translates pair indices first, letting the serving path
+// address cached rows in place with no per-request copying — and, since a
+// resident row ID names one query for the life of its storage, letting
+// Rates key its pair-rate memo by the translated pair.
 type PairPredictor struct {
-	f        *headFold
-	baseRows int
-	// resident base rows (nil matrices when baseRows == 0).
-	bR1, bR2, bP1, bP2 *nn.Matrix
+	f *headFold
+	// res, when non-nil, is the resident view rows below res.n resolve in.
+	res *residentSnap
 	// request-local rows.
 	reps1, reps2 *nn.Matrix
 	p1, p2       *nn.Matrix // reps1·(W1+W3), reps2·(W2+W3)
@@ -459,22 +461,22 @@ func (m *Model) NewPairPredictorWS(ws *nn.Workspace, reps1, reps2 *nn.Matrix) *P
 	}
 }
 
-// rows1 resolves row i of the MLP1 side against the base/extra split.
+// rows1 resolves row i of the MLP1 side against the resident/extra split.
 func (p *PairPredictor) rows1(i int) (rep, pp []float64) {
-	if i < p.baseRows {
-		return p.bR1.Row(i), p.bP1.Row(i)
+	if n := p.res.rows(); i >= n {
+		return p.reps1.Row(i - n), p.p1.Row(i - n)
 	}
-	i -= p.baseRows
-	return p.reps1.Row(i), p.p1.Row(i)
+	h, d := p.f.h, p.res.data(i)
+	return d[:h], d[2*h : 4*h]
 }
 
-// rows2 resolves row i of the MLP2 side against the base/extra split.
+// rows2 resolves row i of the MLP2 side against the resident/extra split.
 func (p *PairPredictor) rows2(i int) (rep, pp []float64) {
-	if i < p.baseRows {
-		return p.bR2.Row(i), p.bP2.Row(i)
+	if n := p.res.rows(); i >= n {
+		return p.reps2.Row(i - n), p.p2.Row(i - n)
 	}
-	i -= p.baseRows
-	return p.reps2.Row(i), p.p2.Row(i)
+	h, d := p.f.h, p.res.data(i)
+	return d[h : 2*h], d[4*h:]
 }
 
 // Predict evaluates the head for each pair (i, j) of representation

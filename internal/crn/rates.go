@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"unsafe"
 
 	"crn/internal/feature"
 	"crn/internal/nn"
@@ -99,19 +100,20 @@ func (r *Rates) EstimateRatesCtx(ctx context.Context, pairs [][2]query.Query) ([
 //
 //   - Resident-tier hits (the stable pool entries, in steady state) cost a
 //     map read — their representation and partial-product rows are
-//     referenced in place in the published snapshot, no lock, no copy, no
-//     arithmetic. This is the pool-resident head precompute: a single-query
-//     estimate computes only its own probe side.
+//     referenced in place in the view the request loaded, no lock, no copy,
+//     no arithmetic. This is the pool-resident head precompute: a
+//     single-query estimate computes only its own probe side.
 //   - Sharded-tier hits copy their packed entry into the request's extra
 //     rows and are promoted to the resident tier afterwards.
 //   - Misses are feature-encoded and pushed through the set modules in one
 //     batched pass, their partial products computed in two small matmuls,
-//     then inserted into the sharded tier.
+//     then inserted into the sharded tier — or, with warm set, promoted
+//     straight into the resident tier.
 //
 // Every resolved row is bit-identical with and without the cache because
 // each row depends only on its own query and the frozen weights, and no
 // kernel lets batch composition affect a row's summation order.
-func (r *Rates) pairPredictor(ws *nn.Workspace, queries []query.Query) (*PairPredictor, error) {
+func (r *Rates) pairPredictor(ws *nn.Workspace, queries []query.Query, warm bool) (*PairPredictor, error) {
 	if r.Cache == nil {
 		sets := make([][][]float64, len(queries))
 		for i, q := range queries {
@@ -142,18 +144,16 @@ func (r *Rates) pairPredictor(ws *nn.Workspace, queries []query.Query) (*PairPre
 	for i := range queries {
 		key := queries[i].Key()
 		keys[i] = key
-		if snap != nil {
-			if ri, ok := snap.byKey[key]; ok {
-				r.Cache.hitResident()
-				rowOf[i] = ri
-				extraSlot[i] = -1
-				continue
-			}
+		if ri, ok := snap.row(key); ok {
+			rowOf[i] = ri
+			extraSlot[i] = -1
+			continue
 		}
 		extraSlot[i] = nExtra
 		rowOf[i] = base + nExtra
 		nExtra++
 	}
+	r.Cache.hitResident(n - nExtra)
 
 	// Pass 2: fill the extra rows from the sharded tier or by computing.
 	reps1 := ws.Take(nExtra, h)
@@ -163,6 +163,13 @@ func (r *Rates) pairPredictor(ws *nn.Workspace, queries []query.Query) (*PairPre
 	var missSets [][][]float64
 	var missQ []int // query positions of the misses
 	var promos []promotion
+	promo := func(i, k int) promotion {
+		return promotion{
+			key:  keys[i],
+			rep1: reps1.Row(k), rep2: reps2.Row(k),
+			pp1: p1.Row(k), pp2: p2.Row(k),
+		}
+	}
 	for i := range queries {
 		k := extraSlot[i]
 		if k < 0 {
@@ -171,11 +178,7 @@ func (r *Rates) pairPredictor(ws *nn.Workspace, queries []query.Query) (*PairPre
 		if r.Cache.lookup(keys[i], reps1.Row(k), reps2.Row(k), p1.Row(k), p2.Row(k)) {
 			// Second sighting: promote so the next request reads it from
 			// the resident tier in place.
-			promos = append(promos, promotion{
-				key:  keys[i],
-				rep1: reps1.Row(k), rep2: reps2.Row(k),
-				pp1: p1.Row(k), pp2: p2.Row(k),
-			})
+			promos = append(promos, promo(i, k))
 			continue
 		}
 		v, err := r.Enc.EncodeQuery(queries[i])
@@ -197,55 +200,70 @@ func (r *Rates) pairPredictor(ws *nn.Workspace, queries []query.Query) (*PairPre
 			copy(reps2.Row(k), m2.Row(j))
 			copy(p1.Row(k), mp1.Row(j))
 			copy(p2.Row(k), mp2.Row(j))
-			r.Cache.insert(gen, keys[i], reps1.Row(k), reps2.Row(k), p1.Row(k), p2.Row(k))
+			if warm {
+				promos = append(promos, promo(i, k))
+			} else {
+				r.Cache.insert(gen, keys[i], reps1.Row(k), reps2.Row(k), p1.Row(k), p2.Row(k))
+			}
 		}
 	}
 	r.Cache.promote(gen, promos)
+	if next := r.Cache.resident.Load(); len(promos) > 0 && !warm && next != nil && r.Cache.gen.Load() == gen {
+		// Adopt the view that includes the rows just promoted, so this very
+		// pass memoizes their rates and the next sighting is a memo hit.
+		// Every key must resolve in it — a row it lost to a concurrent
+		// eviction exists in snap only — or the pass stays on snap.
+		moved, ok := ws.TakeInts(n), true
+		for i := 0; i < n && ok; i++ {
+			if ri, resident := next.row(keys[i]); resident {
+				moved[i] = ri
+			} else {
+				moved[i] = next.n + extraSlot[i]
+				ok = extraSlot[i] >= 0
+			}
+		}
+		if ok {
+			snap, rowOf = next, moved
+		}
+	}
 
-	pred := &PairPredictor{
-		f:        f,
-		baseRows: base,
-		reps1:    reps1, reps2: reps2,
+	return &PairPredictor{
+		f:     f,
+		res:   snap,
+		reps1: reps1, reps2: reps2,
 		p1: p1, p2: p2,
 		rowOf: rowOf,
-	}
-	if snap != nil {
-		pred.bR1, pred.bR2 = snap.reps1, snap.reps2
-		pred.bP1, pred.bP2 = snap.pp1, snap.pp2
-	}
-	return pred, nil
+	}, nil
 }
 
-// Warm precomputes and caches the serving-side state for the given
-// queries: set-module representations and factorized-head partial
-// products, inserted into the sharded tier on the first pass and promoted
-// into the zero-copy resident tier on the second. A freshly promoted model
-// generation warms its cache with the pool's working set off the hot path,
-// so the first estimates after a hot-swap already run at steady-state cost
-// instead of re-encoding the whole pool. A Rates without a cache is a
-// no-op.
+// Warm precomputes the serving-side state for the given queries — set-module
+// representations and factorized-head partial products — and promotes it
+// straight into the zero-copy resident tier, skipping the second-sighting
+// rule the serving path applies. A freshly promoted model generation warms
+// its cache with the pool's working set off the hot path, so the first
+// estimates after a hot-swap already run at steady-state cost instead of
+// re-encoding the whole pool. A Rates without a cache is a no-op.
 func (r *Rates) Warm(queries []query.Query) error {
 	if r.Cache == nil || len(queries) == 0 {
 		return nil
 	}
 	ws := r.M.getWS()
 	defer r.M.putWS(ws)
-	if _, err := r.pairPredictor(ws, queries); err != nil {
-		return err
-	}
-	ws.Reset()
-	_, err := r.pairPredictor(ws, queries)
+	_, err := r.pairPredictor(ws, queries, true)
 	return err
 }
 
 // EstimateRatesIndexed implements contain.IndexedRateEstimator: one
 // set-module pass over the cache-missing queries (resident cache hits cost
-// a map read, see pairPredictor), then head passes in chunks of headChunk
-// pairs, parallelized over GOMAXPROCS goroutines and checking ctx before
-// every chunk. All request-local scratch — encoded sets, extra
-// representation rows, per-chunk accumulators — lives in pooled workspaces,
-// so the steady-state serving hot path spends its time in the pair-head
-// math, not in the allocator or the precompute.
+// a map read, see pairPredictor), then the pair-rate memo answers every
+// pair of two resident rows it has seen, and only the rest goes through the
+// head, in chunks of headChunk pairs, parallelized over GOMAXPROCS
+// goroutines and checking ctx before every chunk. All request-local scratch
+// — encoded sets, extra representation rows, the memo's miss list,
+// per-chunk accumulators — lives in pooled workspaces, so a steady-state
+// pass over a recurring working set is a few hundred lookups, and a pass
+// the memo cannot help spends its time in the pair-head math, not in the
+// allocator or the precompute.
 func (r *Rates) EstimateRatesIndexed(ctx context.Context, queries []query.Query, idx [][2]int) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -262,7 +280,7 @@ func (r *Rates) EstimateRatesIndexed(ctx context.Context, queries []query.Query,
 	// One precomputation — weight fold (memoized on the model),
 	// representations and partial products (resolved against the serving
 	// cache) — shared by every chunk below.
-	pred, err := r.pairPredictor(ws, queries)
+	pred, err := r.pairPredictor(ws, queries, false)
 	if err != nil {
 		return nil, err
 	}
@@ -274,60 +292,116 @@ func (r *Rates) EstimateRatesIndexed(ctx context.Context, queries []query.Query,
 	}
 
 	out := make([]float64, len(idx))
-	nChunks := (len(idx) + headChunk - 1) / headChunk
+	pairs, dst, miss, unmemoized := r.fromMemo(ws, pred, idx, out)
+
+	nChunks := (len(pairs) + headChunk - 1) / headChunk
 	workers := runtime.GOMAXPROCS(0)
 	if workers > nChunks {
 		workers = nChunks
 	}
 	if workers <= 1 {
-		for lo := 0; lo < len(idx); lo += headChunk {
+		for lo := 0; lo < len(pairs); lo += headChunk {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			hi := lo + headChunk
-			if hi > len(idx) {
-				hi = len(idx)
+			if hi > len(pairs) {
+				hi = len(pairs)
 			}
-			pred.PredictInto(out[lo:hi], idx[lo:hi], ws)
+			pred.PredictInto(dst[lo:hi], pairs[lo:hi], ws)
 		}
-		if r.Stages != nil {
-			st.Mark(r.Stages.NNForward)
+	} else {
+		// The head pass only reads trained weights, so chunks evaluate
+		// concurrently without synchronization; each worker borrows its own
+		// scratch workspace.
+		var wg sync.WaitGroup
+		next := make(chan int)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cws := nn.GetWorkspace()
+				defer nn.PutWorkspace(cws)
+				for lo := range next {
+					if ctx.Err() != nil {
+						continue
+					}
+					hi := lo + headChunk
+					if hi > len(pairs) {
+						hi = len(pairs)
+					}
+					pred.PredictInto(dst[lo:hi], pairs[lo:hi], cws)
+				}
+			}()
 		}
-		return out, ctx.Err()
+		for lo := 0; lo < len(pairs); lo += headChunk {
+			next <- lo
+		}
+		close(next)
+		wg.Wait()
 	}
-	// The head pass only reads trained weights, so chunks evaluate
-	// concurrently without synchronization; each worker borrows its own
-	// scratch workspace.
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cws := nn.GetWorkspace()
-			defer nn.PutWorkspace(cws)
-			for lo := range next {
-				if ctx.Err() != nil {
-					continue
-				}
-				hi := lo + headChunk
-				if hi > len(idx) {
-					hi = len(idx)
-				}
-				pred.PredictInto(out[lo:hi], idx[lo:hi], cws)
-			}
-		}()
-	}
-	for lo := 0; lo < len(idx); lo += headChunk {
-		next <- lo
-	}
-	close(next)
-	wg.Wait()
 	if r.Stages != nil {
 		st.Mark(r.Stages.NNForward)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// Every pair was computed: only now may results enter the memo, and
+	// only into the one the row IDs were issued for.
+	if len(pairs) < len(idx) {
+		for j, i := range miss {
+			out[i] = dst[j]
+		}
+	}
+	if unmemoized > 0 {
+		pred.res.memo.put(pairs, pred.rowOf, pred.res.n, dst)
+	}
 	return out, nil
+}
+
+// fromMemo answers from the pair-rate memo every pair of idx it can, into
+// out, and returns what the head still has to compute: pairs with their
+// destination dst — idx and out themselves, or, when the memo answered
+// some, the missing pairs compacted into workspace scratch, dst[j]
+// belonging at out[miss[j]] — and how many of them were looked up and not
+// found, i.e. what this pass will add to the memo.
+func (r *Rates) fromMemo(ws *nn.Workspace, pred *PairPredictor, idx [][2]int, out []float64) (pairs [][2]int, dst []float64, miss []int, unmemoized int) {
+	res := pred.res
+	if res == nil {
+		return idx, out, nil, 0
+	}
+	miss = ws.TakeInts(len(idx))[:0]
+	memo, looked := res.memo.tab.Load(), 0
+	for i, p := range idx {
+		// A pair with a request-local side was never memoized: no lookup.
+		if r1, r2 := pred.rowOf[p[0]], pred.rowOf[p[1]]; r1 < res.n && r2 < res.n {
+			looked++
+			if v, ok := memo.get(pairKey(r1, r2)); ok {
+				out[i] = v
+				continue
+			}
+		}
+		miss = append(miss, i)
+	}
+	hits := len(idx) - len(miss)
+	unmemoized = looked - hits
+	r.Cache.memoHits.Add(uint64(hits))
+	r.Cache.memoMisses.Add(uint64(unmemoized))
+	if hits == 0 {
+		return idx, out, miss, unmemoized
+	}
+	pairs, dst = takePairs(ws, len(miss)), ws.Take(1, len(miss)).Data
+	for j, i := range miss {
+		pairs[j] = idx[i]
+	}
+	return pairs, dst, miss, unmemoized
+}
+
+// takePairs returns a recycled pair list of length n (contents
+// unspecified), carved out of the workspace's int scratch.
+func takePairs(ws *nn.Workspace, n int) [][2]int {
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*[2]int)(unsafe.Pointer(unsafe.SliceData(ws.TakeInts(2*n)))), n)
 }

@@ -3,8 +3,6 @@ package crn
 import (
 	"sync"
 	"sync/atomic"
-
-	"crn/internal/nn"
 )
 
 // RepCache is the serving cache of the §5.2 deployment: it memoizes, per
@@ -21,11 +19,12 @@ import (
 // The cache is organized in two tiers:
 //
 //   - A resident tier for the recurring working set (in steady state: the
-//     pool entries, plus repeated probes). It is an immutable snapshot —
-//     four matrices with one row per resident query plus a key→row index —
-//     republished copy-on-write when entries are promoted. The serving hot
-//     path reads it with one atomic load and references rows in place:
-//     no lock, no copy, O(1) per query.
+//     pool entries, plus repeated probes): append-only row storage, a
+//     key→row index and the pair-rate memo, published as immutable
+//     residentSnap views. The serving hot path reads it with one atomic
+//     load and references rows in place: no lock, no copy, O(1) per query.
+//     A row ID stays valid for as long as its storage lives, which is what
+//     lets rates be memoized by (row1, row2) — see residentSnap, rateMemo.
 //   - A sharded tier for queries seen once. It is a lock-striped map
 //     (repShards power-of-two shards, selected by a hash of the canonical
 //     key), so concurrent misses and first-sightings never contend on a
@@ -55,12 +54,14 @@ import (
 //   - Invalidate() clears unconditionally, for model or encoder swaps.
 //
 // Capacity is bounded per tier: the resident tier stops promoting at the
-// configured capacity, and each shard evicts an arbitrary eighth of its
-// entries when its share of the capacity fills (the serving working set is
-// orders of magnitude below any sensible capacity, so eviction is a safety
-// valve, not a tuning knob). All methods are safe for concurrent use, and
-// cached values are bit-identical to recomputation because every kernel's
-// per-row result is independent of batch composition (see package nn).
+// configured capacity (and its memo at memoPerRow slots per unit of it), and
+// each shard evicts an arbitrary eighth of its entries when its share of
+// the capacity fills (the serving working set is orders of magnitude below
+// any sensible capacity, so eviction is a safety valve, not a tuning knob).
+// All methods are safe for concurrent use, and cached values are
+// bit-identical to recomputation because every kernel's per-row result is
+// independent of batch composition (see package nn) and a memoized rate is
+// the float64 the head produced for that very pair.
 type RepCache struct {
 	shards   [repShards]repShard
 	resident atomic.Pointer[residentSnap]
@@ -68,8 +69,8 @@ type RepCache struct {
 	// flushMu serializes version transitions and full flushes; the
 	// unchanged-version fast path never takes it.
 	flushMu sync.Mutex
-	// promoteMu serializes copy-on-write republications of the resident
-	// snapshot.
+	// promoteMu serializes resident-tier writers: appends, tombstones,
+	// compactions and the flush's reset.
 	promoteMu sync.Mutex
 
 	version atomic.Uint64
@@ -85,6 +86,7 @@ type RepCache struct {
 	size atomic.Int64
 
 	hits, misses, promoted atomic.Uint64
+	memoHits, memoMisses   atomic.Uint64
 }
 
 // repShards is the lock-stripe count of the sharded tier. Power of two so
@@ -104,36 +106,67 @@ type repEntry struct {
 	data []float64
 }
 
-// residentSnap is one immutable publication of the resident tier. byKey
-// maps canonical query keys to row indices valid in all four matrices.
-// Never mutated after publication — readers hold it without locks.
-// Surgical eviction republishes the map without the evicted key while
-// sharing the matrices (the dead row is tombstoned, not reclaimed); the
-// next promotion compacts tombstones away.
+// residentSnap is one immutable view of the resident tier. Rows live in
+// fixed-size blocks, each row packed like a repEntry (rep1 | rep2 | pp1 |
+// pp2), and are only ever appended: a writer fills row n behind the
+// published count, then publishes a view with n+1, so a reader — who never
+// looks past the n of the view it loaded — needs no lock, and a row ID stays
+// valid in every later view of the same storage. The key→row index is an
+// immutable base map plus a small delta that shadows it (a negative row is
+// a tombstone); a writer copies only the delta, and folds it into a new
+// base once it outgrows a fixed fraction of it. Eviction tombstones the key
+// and leaves the row dead in place; when dead rows pass a quarter of the
+// storage, the next promotion compacts the live ones into fresh storage —
+// the only event short of a flush that renumbers rows, and the memo is
+// remapped with them.
 type residentSnap struct {
-	byKey map[string]int
-	reps1 *nn.Matrix // n×h rows through MLP1
-	reps2 *nn.Matrix // n×h rows through MLP2
-	pp1   *nn.Matrix // n×2h rows: reps1·(W1+W3)
-	pp2   *nn.Matrix // n×2h rows: reps2·(W2+W3)
-	dead  int        // tombstoned rows not reachable through byKey
+	blocks      [][]float64 // residentBlock rows of 6h floats each
+	n, h        int         // published rows (dead included); hidden width
+	base, delta map[string]int
+	overrides   int // delta keys that shadow a base key
+	dead        int // rows no key reaches any more
+	memo        *rateMemo
 }
 
-// rows returns the number of resident rows (live and tombstoned alike):
-// the base-row offset request-local extras are addressed past.
+const (
+	// residentBlock is the row count of one storage block.
+	residentBlock = 128
+	// The delta is folded into the base when it exceeds residentDeltaMin
+	// plus 1/residentDeltaShare of the base: at the capacities served
+	// (thousands of rows) this balances the per-publication delta copy
+	// against the per-fold base copy.
+	residentDeltaMin   = 32
+	residentDeltaShare = 32
+)
+
+// rows returns the number of published rows (live and dead alike): the
+// offset request-local extras are addressed past.
 func (s *residentSnap) rows() int {
 	if s == nil {
 		return 0
 	}
-	return s.reps1.Rows
+	return s.n
 }
 
-// deadRows returns the number of tombstoned rows.
-func (s *residentSnap) deadRows() int {
+// row resolves a key to its resident row ID.
+func (s *residentSnap) row(key string) (int, bool) {
 	if s == nil {
-		return 0
+		return 0, false
 	}
-	return s.dead
+	r, ok := s.base[key]
+	if !ok || s.overrides > 0 {
+		if d, shadowed := s.delta[key]; shadowed {
+			return d, d >= 0
+		}
+	}
+	return r, ok
+}
+
+// data returns row i's packed storage.
+func (s *residentSnap) data(i int) []float64 {
+	w := 6 * s.h
+	off := i % residentBlock * w
+	return s.blocks[i/residentBlock][off : off+w : off+w]
 }
 
 // DefaultRepCacheSize is the default entry bound of a serving cache.
@@ -222,9 +255,9 @@ func (c *RepCache) PoolMutated(version uint64, evictedKey string) {
 }
 
 // remove drops one key from both tiers: a sharded-tier delete, and a
-// copy-on-write republication of the resident key map that tombstones the
-// row (matrices are shared, the row's storage is reclaimed by the next
-// promotion's compaction). Unknown keys are a no-op.
+// resident view whose delta tombstones the key (the row stays in storage,
+// dead, until a compaction; its memo entries die with it because no lookup
+// yields its ID again). Unknown keys are a no-op.
 func (c *RepCache) remove(key string) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -237,24 +270,45 @@ func (c *RepCache) remove(key string) {
 	c.promoteMu.Lock()
 	defer c.promoteMu.Unlock()
 	old := c.resident.Load()
-	if old == nil {
+	if _, ok := old.row(key); !ok {
 		return
 	}
-	if _, ok := old.byKey[key]; !ok {
-		return
-	}
-	next := &residentSnap{
-		byKey: make(map[string]int, len(old.byKey)-1),
-		reps1: old.reps1, reps2: old.reps2,
-		pp1: old.pp1, pp2: old.pp2,
-		dead: old.dead + 1,
-	}
-	for k, v := range old.byKey {
-		if k != key {
-			next.byKey[k] = v
+	next := *old
+	next.cloneDelta(1)
+	next.dead++
+	if _, inBase := next.base[key]; !inBase {
+		delete(next.delta, key)
+	} else {
+		if _, shadowed := next.delta[key]; !shadowed {
+			next.overrides++
 		}
+		next.delta[key] = -1
 	}
-	c.resident.Store(next)
+	c.resident.Store(&next)
+}
+
+// cloneDelta gives a view under construction its own delta with room for
+// extra more keys, folding it into a new base first once it outgrows a
+// fixed fraction of the base: a writer copies O(delta) per publication and
+// O(base) once per base/residentDeltaShare publications.
+func (s *residentSnap) cloneDelta(extra int) {
+	old := s.delta
+	if len(old) > residentDeltaMin+len(s.base)/residentDeltaShare {
+		base := make(map[string]int, len(s.base)+len(old)+extra)
+		for k, r := range s.base {
+			base[k] = r
+		}
+		for k, r := range old {
+			if base[k] = r; r < 0 {
+				delete(base, k)
+			}
+		}
+		s.base, old, s.overrides = base, nil, 0
+	}
+	s.delta = make(map[string]int, len(old)+extra)
+	for k, r := range old {
+		s.delta[k] = r
+	}
 }
 
 // Invalidate unconditionally discards every cached entry in both tiers.
@@ -295,6 +349,11 @@ type RepCacheStats struct {
 	Promoted uint64 `json:"promoted"` // lifetime promotions into the resident tier
 	Capacity int    `json:"capacity"`
 	Shards   int    `json:"shards"`
+	// Pair-rate memo: lookups (attempted only for pairs of two resident
+	// rows) by result, and pairs currently memoized.
+	MemoHits    uint64 `json:"memo_hits"`
+	MemoMisses  uint64 `json:"memo_misses"`
+	MemoEntries int    `json:"memo_entries"`
 }
 
 // Stats returns hit/miss counters and tier occupancy. Safe on a nil cache
@@ -309,9 +368,14 @@ func (c *RepCache) Stats() RepCacheStats {
 		Promoted: c.promoted.Load(),
 		Capacity: c.cap,
 		Shards:   repShards,
+
+		MemoHits:   c.memoHits.Load(),
+		MemoMisses: c.memoMisses.Load(),
 	}
-	snap := c.resident.Load()
-	st.Resident = snap.rows() - snap.deadRows()
+	if snap := c.resident.Load(); snap != nil {
+		st.Resident = snap.n - snap.dead
+		st.MemoEntries = int(snap.memo.entries.Load())
+	}
 	st.Size = st.Resident
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -349,9 +413,9 @@ func (c *RepCache) lookup(key string, rep1, rep2, pp1, pp2 []float64) bool {
 	return ok
 }
 
-// hitResident records a resident-tier hit (the lookup itself is the
-// caller's map read on the snapshot).
-func (c *RepCache) hitResident() { c.hits.Add(1) }
+// hitResident records n resident-tier hits (the lookups themselves are the
+// caller's reads of the view it loaded).
+func (c *RepCache) hitResident(n int) { c.hits.Add(uint64(n)) }
 
 // insert stores a first-seen entry in the sharded tier, cloning all four
 // slices into one packed buffer. gen is the generation the caller captured
@@ -415,13 +479,14 @@ type promotion struct {
 	rep1, rep2, pp1, pp2 []float64
 }
 
-// promote republishes the resident snapshot with the given entries
-// appended (copy-on-write). gen is the generation the caller captured
-// before reading the cache: promotions gathered before a flush are
-// discarded, so stale rows cannot resurrect into a freshly flushed tier.
-// Keys already resident — promoted concurrently by another request — and
-// keys duplicated within the batch are skipped, as is everything beyond
-// the capacity bound. Promoted keys are removed from the sharded tier.
+// promote appends the given entries to the resident tier and publishes the
+// view that includes them. gen is the generation the caller captured before
+// reading the cache: promotions gathered before a flush are discarded, so
+// stale rows cannot resurrect into a freshly flushed tier. Keys already
+// resident — promoted concurrently by another request — and keys duplicated
+// within the batch are skipped, as is everything beyond the capacity bound.
+// Promoted keys are removed from the sharded tier. The cost is O(entries +
+// delta), never O(resident rows), except when it first compacts.
 func (c *RepCache) promote(gen uint64, promos []promotion) {
 	if len(promos) == 0 {
 		return
@@ -431,77 +496,49 @@ func (c *RepCache) promote(gen uint64, promos []promotion) {
 		c.promoteMu.Unlock()
 		return
 	}
+	h := len(promos[0].rep1)
 	old := c.resident.Load()
-	oldLive := old.rows() - old.deadRows()
-	fresh := promos[:0]
-	seen := make(map[string]bool, len(promos))
-	for _, p := range promos {
-		if seen[p.key] {
-			continue
-		}
-		if old != nil {
-			if _, ok := old.byKey[p.key]; ok {
-				continue
-			}
-		}
-		if oldLive+len(fresh) >= c.cap {
-			break
-		}
-		seen[p.key] = true
-		fresh = append(fresh, p)
-	}
-	if len(fresh) == 0 {
-		c.promoteMu.Unlock()
-		return
-	}
-	h := len(fresh[0].rep1)
-	cols := len(fresh[0].pp1)
-	if old != nil && old.reps1.Cols != h {
-		// Layout changed underneath a stale snapshot (model swap without
+	compacted := false
+	switch {
+	case old == nil:
+		old = &residentSnap{h: h, memo: newRateMemo(c.cap * memoPerRow)}
+	case old.h != h:
+		// Layout changed underneath a stale view (model swap without
 		// Invalidate): refuse to mix row widths.
 		c.promoteMu.Unlock()
 		return
+	case old.dead > old.n/4:
+		old, compacted = old.compact(), true
 	}
-	n := oldLive + len(fresh)
-	next := &residentSnap{
-		byKey: make(map[string]int, n),
-		reps1: nn.NewMatrix(n, h),
-		reps2: nn.NewMatrix(n, h),
-		pp1:   nn.NewMatrix(n, cols),
-		pp2:   nn.NewMatrix(n, cols),
-	}
-	row := 0
-	if old != nil && old.dead == 0 {
-		// No tombstones: one bulk copy, old row numbering preserved.
-		for k, v := range old.byKey {
-			next.byKey[k] = v
+	next := *old
+	next.cloneDelta(len(promos))
+	fresh := promos[:0]
+	for _, p := range promos {
+		if _, ok := next.row(p.key); ok {
+			continue
 		}
-		copy(next.reps1.Data, old.reps1.Data)
-		copy(next.reps2.Data, old.reps2.Data)
-		copy(next.pp1.Data, old.pp1.Data)
-		copy(next.pp2.Data, old.pp2.Data)
-		row = old.rows()
-	} else if old != nil {
-		// Surgical evictions tombstoned rows: compact live rows only, so the
-		// dead rows' storage is reclaimed here.
-		for k, v := range old.byKey {
-			next.byKey[k] = row
-			copy(next.reps1.Row(row), old.reps1.Row(v))
-			copy(next.reps2.Row(row), old.reps2.Row(v))
-			copy(next.pp1.Row(row), old.pp1.Row(v))
-			copy(next.pp2.Row(row), old.pp2.Row(v))
-			row++
+		if next.n-next.dead >= c.cap {
+			break
 		}
+		if next.n == len(next.blocks)*residentBlock {
+			// Appending writes past the block table's published length, so
+			// a backing array shared with earlier views never changes under
+			// their readers.
+			next.blocks = append(next.blocks, make([]float64, residentBlock*6*h))
+		}
+		row := next.data(next.n)
+		copy(row, p.rep1)
+		copy(row[h:], p.rep2)
+		copy(row[2*h:], p.pp1)
+		copy(row[4*h:], p.pp2)
+		// A tombstone this replaces is already counted in overrides.
+		next.delta[p.key] = next.n
+		next.n++
+		fresh = append(fresh, p)
 	}
-	for _, p := range fresh {
-		next.byKey[p.key] = row
-		copy(next.reps1.Row(row), p.rep1)
-		copy(next.reps2.Row(row), p.rep2)
-		copy(next.pp1.Row(row), p.pp1)
-		copy(next.pp2.Row(row), p.pp2)
-		row++
+	if len(fresh) > 0 || compacted {
+		c.resident.Store(&next)
 	}
-	c.resident.Store(next)
 	c.promoted.Add(uint64(len(fresh)))
 	c.promoteMu.Unlock()
 
@@ -514,4 +551,36 @@ func (c *RepCache) promote(gen uint64, promos []promotion) {
 		}
 		s.mu.Unlock()
 	}
+}
+
+// compact returns an unpublished view of fresh storage holding only the
+// live rows, renumbered densely under a single base map, with the memo's
+// surviving pairs carried over under their new IDs.
+func (s *residentSnap) compact() *residentSnap {
+	live := s.n - s.dead
+	next := &residentSnap{h: s.h, base: make(map[string]int, live)}
+	newRow := make([]int, s.n)
+	for i := range newRow {
+		newRow[i] = -1
+	}
+	add := func(key string, r int) {
+		if next.n%residentBlock == 0 {
+			next.blocks = append(next.blocks, make([]float64, residentBlock*6*s.h))
+		}
+		copy(next.data(next.n), s.data(r))
+		next.base[key], newRow[r] = next.n, next.n
+		next.n++
+	}
+	for key, r := range s.delta {
+		if r >= 0 {
+			add(key, r)
+		}
+	}
+	for key, r := range s.base {
+		if _, shadowed := s.delta[key]; !shadowed {
+			add(key, r)
+		}
+	}
+	next.memo = s.memo.remap(newRow)
+	return next
 }

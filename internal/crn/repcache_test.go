@@ -23,6 +23,17 @@ func lookupRow(c *RepCache, key string) (bool, [6]float64) {
 	return ok, [6]float64{r1[0], r2[0], p1[0], p1[1], p2[0], p2[1]}
 }
 
+// residentRow reads a key's packed resident row (rep1 | rep2 | pp1 | pp2)
+// through the currently published view.
+func residentRow(c *RepCache, key string) ([]float64, bool) {
+	snap := c.resident.Load()
+	ri, ok := snap.row(key)
+	if !ok {
+		return nil, false
+	}
+	return snap.data(ri), true
+}
+
 func TestRepCacheLookupInsertStats(t *testing.T) {
 	c := NewRepCache(64)
 	if ok, _ := lookupRow(c, "a"); ok {
@@ -87,13 +98,13 @@ func TestRepCachePromotion(t *testing.T) {
 	if snap == nil || snap.rows() != 1 {
 		t.Fatalf("promotion did not publish: %+v", snap)
 	}
-	ri, ok := snap.byKey["a"]
-	if !ok || snap.reps1.Row(ri)[0] != 7 || snap.pp2.Row(ri)[1] != 12 {
-		t.Fatalf("resident row wrong: %v", snap)
+	row, ok := residentRow(c, "a")
+	if !ok || row[0] != 7 || row[5] != 12 {
+		t.Fatalf("resident row wrong: %v", row)
 	}
-	// Promotion copies: mutating the source must not reach the snapshot.
+	// Promotion copies: mutating the source must not reach the storage.
 	r1[0] = -1
-	if snap.reps1.Row(ri)[0] != 7 {
+	if row[0] != 7 {
 		t.Error("promote must copy its inputs")
 	}
 	// Promoting a resident key again is a no-op (no duplicate rows).
@@ -104,9 +115,15 @@ func TestRepCachePromotion(t *testing.T) {
 	// A second key appends while the first row's values survive.
 	q1, q2, q3, q4 := cacheRow(20)
 	c.promote(c.gen.Load(), []promotion{{key: "b", rep1: q1, rep2: q2, pp1: q3, pp2: q4}})
-	snap = c.resident.Load()
-	if snap.rows() != 2 || snap.reps1.Row(snap.byKey["a"])[0] != 7 || snap.reps1.Row(snap.byKey["b"])[0] != 20 {
-		t.Fatalf("append lost rows: %+v", snap.byKey)
+	rowA, _ := residentRow(c, "a")
+	rowB, _ := residentRow(c, "b")
+	if c.resident.Load().rows() != 2 || rowA[0] != 7 || rowB[0] != 20 {
+		t.Fatalf("append lost rows: a=%v b=%v", rowA, rowB)
+	}
+	// Row IDs are stable: the view loaded before the append still resolves
+	// "a" to the same storage.
+	if ri, ok := snap.row("a"); !ok || &snap.data(ri)[0] != &rowA[0] {
+		t.Error("appending moved an existing row")
 	}
 	// Promotion removes the entry from the sharded tier.
 	y1, y2, y3, y4 := cacheRow(30)
@@ -156,9 +173,8 @@ func TestRepCachePromotionDedupsWithinBatch(t *testing.T) {
 		{key: "a", rep1: r1, rep2: r2, pp1: p1, pp2: p2},
 		{key: "a", rep1: r1, rep2: r2, pp1: p1, pp2: p2},
 	})
-	snap := c.resident.Load()
-	if snap.rows() != 1 || len(snap.byKey) != 1 {
-		t.Fatalf("duplicate promotion created %d rows (%d keys)", snap.rows(), len(snap.byKey))
+	if st := c.Stats(); c.resident.Load().rows() != 1 || st.Resident != 1 || st.Promoted != 1 {
+		t.Fatalf("duplicate promotion created %d rows: %+v", c.resident.Load().rows(), st)
 	}
 }
 
@@ -287,12 +303,10 @@ func TestRepCacheConcurrentUse(t *testing.T) {
 			p1, p2 := make([]float64, 2), make([]float64, 2)
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", (w*7+i)%40)
-				if snap := c.resident.Load(); snap != nil {
-					if ri, ok := snap.byKey[key]; ok {
-						_ = snap.reps1.Row(ri)[0]
-						c.hitResident()
-						continue
-					}
+				if row, ok := residentRow(c, key); ok {
+					_ = row[0]
+					c.hitResident(1)
+					continue
 				}
 				if c.lookup(key, r1, r2, p1, p2) {
 					c.promote(c.gen.Load(), []promotion{{key: key, rep1: r1, rep2: r2, pp1: p1, pp2: p2}})
@@ -316,8 +330,9 @@ func TestRepCacheConcurrentUse(t *testing.T) {
 // TestRepCacheSurgicalRemove pins the PR 5 surgical-invalidation path: a
 // pool eviction delivered through PoolMutated drops exactly the evicted
 // key's rows from both tiers, leaves every other entry warm, raises the
-// absorbed version so the next Validate does not flush, and the next
-// promotion compacts tombstoned resident rows away.
+// absorbed version so the next Validate does not flush, and — dead rows
+// being more than a quarter of the storage here — the next promotion
+// compacts them away.
 func TestRepCacheSurgicalRemove(t *testing.T) {
 	c := NewRepCache(8)
 	c.Validate(1)
@@ -342,14 +357,13 @@ func TestRepCacheSurgicalRemove(t *testing.T) {
 
 	// Evict a resident key: one tombstone, the other row stays readable.
 	c.PoolMutated(3, "a")
-	snap := c.resident.Load()
-	if _, ok := snap.byKey["a"]; ok {
-		t.Fatal("evicted key must leave the resident map")
+	if _, ok := residentRow(c, "a"); ok {
+		t.Fatal("evicted key must leave the resident index")
 	}
 	if st := c.Stats(); st.Resident != 1 || st.Size != 2 {
 		t.Fatalf("stats after resident eviction = %+v", st)
 	}
-	if snap.reps1.Row(snap.byKey["b"])[0] != 2 {
+	if row, ok := residentRow(c, "b"); !ok || row[0] != 2 {
 		t.Fatal("surviving resident row corrupted")
 	}
 
@@ -369,11 +383,13 @@ func TestRepCacheSurgicalRemove(t *testing.T) {
 	// rows, values intact.
 	d1, d2, d3, d4 := cacheRow(9)
 	c.promote(c.gen.Load(), []promotion{{key: "d", rep1: d1, rep2: d2, pp1: d3, pp2: d4}})
-	snap = c.resident.Load()
-	if snap.rows() != 2 || snap.deadRows() != 0 {
-		t.Fatalf("promotion should compact tombstones: rows=%d dead=%d", snap.rows(), snap.deadRows())
+	snap := c.resident.Load()
+	if snap.rows() != 2 || snap.dead != 0 {
+		t.Fatalf("promotion should compact tombstones: rows=%d dead=%d", snap.rows(), snap.dead)
 	}
-	if snap.reps1.Row(snap.byKey["b"])[0] != 2 || snap.reps1.Row(snap.byKey["d"])[0] != 9 {
+	rowB, _ := residentRow(c, "b")
+	rowD, _ := residentRow(c, "d")
+	if rowB[0] != 2 || rowD[0] != 9 {
 		t.Fatal("compaction scrambled rows")
 	}
 }
