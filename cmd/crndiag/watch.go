@@ -13,11 +13,12 @@ import (
 
 // The -watch dashboard: poll a crnserve /metrics endpoint, parse the
 // Prometheus text exposition with the telemetry package's own reader, and
-// render one compact frame per tick — QPS and outcome mix, per-stage
-// latency quantiles, cache/index hit rates, breaker state, and the live
-// per-arm q-error distributions. Rates and stage quantiles are windowed
-// between consecutive polls (the first frame shows cumulative values);
-// q-error is cumulative, since feedback joins arrive sparsely.
+// render one compact frame per tick — QPS and outcome mix, per-request SQL
+// parse time and per-stage latency quantiles, cache/index hit rates, breaker
+// state, and the live per-arm q-error distributions. Rates and stage
+// quantiles are windowed between consecutive polls (the first frame shows
+// cumulative values); q-error is cumulative, since feedback joins arrive
+// sparsely.
 
 // watchStages is the render order of the stage breakdown.
 var watchStages = []string{
@@ -153,6 +154,11 @@ func renderFrame(cur, prev map[string]*telemetry.ParsedFamily, elapsed time.Dura
 	b.WriteByte('\n')
 
 	b.WriteString("  stages µs")
+	if h := windowHist(cur, prev, "crn_parse_duration_seconds", "", ""); h != nil && h.Count > 0 {
+		// Per request, ahead of the estimator's own spans: a batch parses all
+		// its queries in one observation.
+		fmt.Fprintf(&b, "  parse p50 %.1f p99 %.1f", h.Quantile(0.50)*1e6, h.Quantile(0.99)*1e6)
+	}
 	for _, stage := range watchStages {
 		h := windowHist(cur, prev, "crn_estimate_stage_duration_seconds", "stage", stage)
 		if h == nil || h.Count == 0 {

@@ -85,19 +85,6 @@ func TestBinaryBatchErrors(t *testing.T) {
 	if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
 		t.Errorf("error body not JSON: %s (%v)", body, err)
 	}
-
-	// Kill switch: binary gets 415, JSON keeps working.
-	srv.binaryBatch = false
-	defer func() { srv.binaryBatch = true }()
-	frame := wire.AppendRequest(nil, []string{"SELECT * FROM title"})
-	if status, _ := postBinary(t, ts.URL+"/estimate/batch", frame); status != http.StatusUnsupportedMediaType {
-		t.Errorf("disabled: status %d, want 415", status)
-	}
-	resp, _ := postJSON(t, ts.URL+"/estimate/batch",
-		map[string]any{"queries": []string{"SELECT * FROM title"}})
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("json with binary disabled: status %d", resp.StatusCode)
-	}
 }
 
 func TestHealthzWireSection(t *testing.T) {
@@ -125,9 +112,6 @@ func TestHealthzWireSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := hz.Wire
-	if !w.BinaryEnabled {
-		t.Error("binary_enabled = false")
-	}
 	if w.Binary.Requests < 3 || w.JSON.Requests < 1 {
 		t.Errorf("request counts: binary=%d json=%d", w.Binary.Requests, w.JSON.Requests)
 	}

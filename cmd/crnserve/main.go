@@ -27,10 +27,8 @@
 // application/x-crn-batch — a length-prefixed little-endian binary frame
 // protocol (format spec in the README and internal/wire) that skips JSON
 // reflection entirely and runs on pooled buffers; cardinalities are
-// bit-identical to the JSON path. JSON stays the default, and
-// -binary-batch=false is the kill switch: binary requests then get 415
-// while JSON is unaffected. /healthz reports per-codec traffic and the
-// buffer reuse rate under "wire".
+// bit-identical to the JSON path. JSON stays the default. /healthz reports
+// per-codec traffic and the buffer reuse rate under "wire".
 //
 // Concurrent single-query /estimate requests are coalesced into shared
 // batched passes (bit-identical results, one pool scan per batch instead of
@@ -138,7 +136,6 @@ func main() {
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (profiling opt-in)")
 	telemetryOn := flag.Bool("telemetry", true, "enable the serving telemetry layer: per-stage timers, /metrics Prometheus exposition, live q-error tracking (=false removes even the nanosecond clock reads)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this separate listener so operational endpoints stay off the public port (empty: /metrics rides -addr)")
-	binaryBatch := flag.Bool("binary-batch", true, "serve the application/x-crn-batch binary frame protocol on /estimate/batch (=false answers binary requests with 415; JSON unaffected)")
 	adapt := flag.Bool("adapt", true, "enable the online-adaptation loop (/feedback ingestion, background retraining, model hot-swap)")
 	feedbackBuffer := flag.Int("feedback-buffer", 1024, "staged execution-feedback records before /feedback rejects (adaptation)")
 	feedbackMinBatch := flag.Int("feedback-min-batch", 16, "staged records that make a scheduled retrain worthwhile (adaptation)")
@@ -317,7 +314,6 @@ func main() {
 	handler := newServer(sys, model, pool, est, logger)
 	handler.adaptive = adaptive
 	handler.pprof = *pprofFlag
-	handler.binaryBatch = *binaryBatch
 	handler.setIngestLimit(*maxInflight)
 	handler.setTelemetry(tel)
 	handler.metricsOnMain = *metricsAddr == ""

@@ -43,8 +43,10 @@ func drive(t *testing.T, url string) {
 // serve, pool, and wire subsystems plus the estimate path, and the moving
 // counters actually moved.
 func TestMetricsExposition(t *testing.T) {
-	ts := httptest.NewServer(testServer(t).handler())
+	srv := testServer(t)
+	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
+	parsedBefore := srv.parseDur.Snapshot().Total()
 	drive(t, ts.URL)
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -77,6 +79,7 @@ func TestMetricsExposition(t *testing.T) {
 		"crn_estimate_requests_total",
 		"crn_estimate_duration_seconds",
 		"crn_estimate_stage_duration_seconds",
+		"crn_parse_duration_seconds",
 		"crn_gate_inflight",
 		"crn_breaker_state",
 		"crn_coalesce_batches_total",
@@ -100,6 +103,11 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if h := fams["crn_estimate_duration_seconds"].Hist("", ""); h == nil || h.Count < 3 {
 		t.Errorf("crn_estimate_duration_seconds count = %+v, want >= 3", h)
+	}
+	// Parse time is observed once per /estimate or /estimate/batch request,
+	// not per query: drive posted three singles and one batch of two.
+	if h := fams["crn_parse_duration_seconds"].Hist("", ""); h == nil || h.Count != parsedBefore+4 {
+		t.Errorf("crn_parse_duration_seconds count = %+v, want %d", h, parsedBefore+4)
 	}
 	// The stage decomposition: the per-pass stages must have recorded at
 	// least one span each by now.

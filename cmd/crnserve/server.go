@@ -57,22 +57,20 @@ type server struct {
 	// exhaust the server even while /estimate is protected. Nil: unlimited.
 	ingestGate *guard.Gate
 
-	// binaryBatch serves the application/x-crn-batch protocol on
-	// /estimate/batch (the -binary-batch flag; default on). When off,
-	// binary requests get 415 and JSON is unaffected — the operational kill
-	// switch if a client misencodes frames.
-	binaryBatch bool
-	wireIO      wireStats
-	bufPool     wire.BufferPool
+	wireIO  wireStats
+	bufPool wire.BufferPool
 
 	// tel, when non-nil, is the serving telemetry bundle shared with the
 	// estimator (the -telemetry flag, default on): GET /metrics serves its
 	// registry, /healthz renders latency/stage/accuracy sections from one
-	// snapshot of it, and the frame-size histogram children below record
-	// /estimate/batch body sizes per codec. Set via setTelemetry before
-	// serving.
+	// snapshot of it, the frame-size histogram children below record
+	// /estimate/batch body sizes per codec, and parseDur the time each
+	// /estimate or /estimate/batch request spent turning its SQL into
+	// canonical queries (one observation per request, however many queries).
+	// Set via setTelemetry before serving.
 	tel           *crn.Telemetry
 	metricsOnMain bool // mount /metrics on the public mux (no -metrics-addr)
+	parseDur      *telemetry.Histogram
 	jsonReqBytes  *telemetry.Histogram
 	jsonRespBytes *telemetry.Histogram
 	binReqBytes   *telemetry.Histogram
@@ -88,7 +86,7 @@ type server struct {
 }
 
 func newServer(sys *crn.System, model *crn.ContainmentModel, pool *crn.QueriesPool, est *crn.CardinalityEstimator, logger *log.Logger) *server {
-	return &server{sys: sys, model: model, pool: pool, est: est, started: time.Now(), logger: logger, binaryBatch: true, metricsOnMain: true}
+	return &server{sys: sys, model: model, pool: pool, est: est, started: time.Now(), logger: logger, metricsOnMain: true}
 }
 
 // setReady flips the /readyz gate; main sets it once construction (training
@@ -235,7 +233,6 @@ type wireCodecSnapshot struct {
 // wireSnapshot is the "wire" section of /healthz: per-codec batch traffic
 // plus the pooled-buffer reuse rate of the binary path.
 type wireSnapshot struct {
-	BinaryEnabled   bool              `json:"binary_enabled"`
 	JSON            wireCodecSnapshot `json:"json"`
 	Binary          wireCodecSnapshot `json:"binary"`
 	BufferGets      uint64            `json:"buffer_gets"`
@@ -246,7 +243,6 @@ type wireSnapshot struct {
 func (s *server) wireSnapshot() wireSnapshot {
 	gets, misses := s.bufPool.Stats()
 	snap := wireSnapshot{
-		BinaryEnabled: s.binaryBatch,
 		JSON: wireCodecSnapshot{
 			Requests: s.wireIO.jsonRequests.Load(),
 			BytesIn:  s.wireIO.jsonBytesIn.Load(),
@@ -425,12 +421,14 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case req.Query != "" && req.Q1 == "" && req.Q2 == "":
+		parseStart := time.Now()
 		q, err := s.sys.ParseQuery(req.Query)
+		start := time.Now()
+		s.parseDur.ObserveDuration(start.Sub(parseStart))
 		if err != nil {
 			s.writeError(w, statusFor(err), err)
 			return
 		}
-		start := time.Now()
 		card, err := s.est.EstimateCardinality(r.Context(), q)
 		s.estimateLatency.observe(time.Since(start))
 		if err != nil {
@@ -439,12 +437,13 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 		s.writeJSON(w, http.StatusOK, estimateResponse{Cardinality: &card})
 	case req.Query == "" && req.Q1 != "" && req.Q2 != "":
+		parseStart := time.Now()
 		q1, err := s.sys.ParseQuery(req.Q1)
-		if err != nil {
-			s.writeError(w, statusFor(err), err)
-			return
+		var q2 crn.Query
+		if err == nil {
+			q2, err = s.sys.ParseQuery(req.Q2)
 		}
-		q2, err := s.sys.ParseQuery(req.Q2)
+		s.parseDur.ObserveDuration(time.Since(parseStart))
 		if err != nil {
 			s.writeError(w, statusFor(err), err)
 			return
@@ -511,14 +510,17 @@ func (s *server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 // same queries.
 func (s *server) estimateBatchSQL(ctx context.Context, sqls []string) ([]float64, int, error) {
 	queries := make([]crn.Query, len(sqls))
+	parseStart := time.Now()
 	for i, sql := range sqls {
 		q, err := s.sys.ParseQuery(sql)
 		if err != nil {
+			s.parseDur.ObserveDuration(time.Since(parseStart))
 			return nil, statusFor(err), fmt.Errorf("queries[%d]: %w", i, err)
 		}
 		queries[i] = q
 	}
 	start := time.Now()
+	s.parseDur.ObserveDuration(start.Sub(parseStart))
 	cards, err := s.est.EstimateCardinalityBatch(ctx, queries)
 	s.batchLatency.observe(time.Since(start))
 	if err != nil {
@@ -539,11 +541,6 @@ const maxBatchQueries = 1 << 16
 // still reported as JSON bodies with the usual status mapping — a client
 // that speaks the protocol can always read them.
 func (s *server) handleEstimateBatchBinary(w http.ResponseWriter, r *http.Request) {
-	if !s.binaryBatch {
-		s.writeError(w, http.StatusUnsupportedMediaType,
-			errors.New("binary batch protocol disabled (-binary-batch=false); use application/json"))
-		return
-	}
 	s.wireIO.binaryRequests.Add(1)
 	body, err := readAllInto(s.bufPool.Get(), http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {

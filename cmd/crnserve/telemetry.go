@@ -18,17 +18,23 @@ import (
 // switches to when telemetry is on.
 
 // setTelemetry attaches the telemetry bundle the estimator records into
-// and registers the server-level families on its registry: per-route HTTP
-// outcomes, the ingest gate, /estimate/batch codec traffic with frame-size
-// histograms, and process uptime. Call once, after setIngestLimit and
-// before serving; a nil bundle (the -telemetry=false path) leaves every
-// instrument nil and /metrics unrouted.
+// and registers the server-level families on its registry: per-request SQL
+// parse time, per-route HTTP outcomes, the ingest gate, /estimate/batch codec
+// traffic with frame-size histograms, and process uptime. Call once, after
+// setIngestLimit and before serving; a nil bundle (the -telemetry=false path)
+// leaves every instrument nil and /metrics unrouted.
 func (s *server) setTelemetry(t *crn.Telemetry) {
 	if t == nil {
 		return
 	}
 	s.tel = t
 	reg := t.Registry()
+
+	// SQL front end: the span between request decode and the estimator's own
+	// end-to-end timer, per request so a 64-query batch is one observation.
+	s.parseDur = reg.Histogram("crn_parse_duration_seconds",
+		"Time one /estimate or /estimate/batch request spent parsing its SQL into canonical queries.",
+		telemetry.DurationOpts)
 
 	// Wire layer: frame sizes as histograms (the shape of batch traffic),
 	// request/byte totals as collector families over the counters the
@@ -63,15 +69,6 @@ func (s *server) setTelemetry(t *crn.Telemetry) {
 			gets, misses := s.bufPool.Stats()
 			emit(float64(gets), "get")
 			emit(float64(misses), "miss")
-		})
-	reg.CollectGauge("crn_wire_binary_enabled",
-		"Whether the application/x-crn-batch protocol is being served (the -binary-batch kill switch).",
-		"", func(emit telemetry.Emit) {
-			v := 0.0
-			if s.binaryBatch {
-				v = 1
-			}
-			emit(v, "")
 		})
 
 	// HTTP layer: per-route outcome counters, gathered from the atomics

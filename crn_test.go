@@ -178,6 +178,36 @@ func TestDialectSentinel(t *testing.T) {
 	}
 }
 
+// TestKeyColumnPredicateIsAccepted pins the status quo query.New documents:
+// the paper's generator draws predicates from non-key columns only, but a
+// predicate on a key column is a valid query — it parses, and both the exact
+// executor and the estimator answer it.
+func TestKeyColumnPredicateIsAccepted(t *testing.T) {
+	ctx := context.Background()
+	sys, model, pool := adaptFixture(t)
+	base, err := sys.AnalyzeBaseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := sys.CardinalityEstimator(model, pool, WithFallback(base))
+	for _, sql := range []string{
+		"SELECT * FROM title WHERE title.id = 5",
+		"SELECT * FROM title, cast_info WHERE title.id = cast_info.movie_id AND cast_info.movie_id < 50",
+	} {
+		q, err := sys.ParseQuery(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if _, err := sys.TrueCardinality(ctx, q); err != nil {
+			t.Errorf("%s: exact execution: %v", sql, err)
+		}
+		card, err := est.EstimateCardinality(ctx, q)
+		if err != nil || math.IsNaN(card) || math.IsInf(card, 0) || card < 0 {
+			t.Errorf("%s: estimate %v, err %v; want finite and non-negative", sql, card, err)
+		}
+	}
+}
+
 func TestEstimateContainmentValidatesFROM(t *testing.T) {
 	ctx := context.Background()
 	sys := testSystem(t)

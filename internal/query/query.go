@@ -8,6 +8,7 @@ package query
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,10 +65,13 @@ type Query struct {
 	Joins  []Join      // canonicalized, sorted join clauses
 	Preds  []Predicate // sorted column predicates
 
-	// key is the canonical SQL rendering, precomputed by New so the serving
-	// hot path (cache lookups, pool dedup) never re-renders it. Literal-built
-	// values leave it empty and fall back to rendering on demand.
-	key string
+	// key is the canonical SQL rendering and fromKey the canonical FROM key,
+	// precomputed by New so the serving hot path (cache lookups, pool dedup,
+	// per-selection FROM matching) never re-renders them; they share one
+	// backing string. Literal-built values leave them empty and fall back to
+	// rendering on demand.
+	key     string
+	fromKey string
 
 	// sig is the predicate signature, precomputed like key so the pool's
 	// candidate selection never recomputes it per probe. Immutable once set;
@@ -77,83 +81,156 @@ type Query struct {
 }
 
 // New assembles a Query, canonicalizing table, join and predicate order and
-// validating every reference against the schema. Join clauses must be edges
-// of the schema join graph and predicates must name non-key columns of
-// tables present in the FROM clause.
+// validating every reference against the schema: tables must exist and be
+// distinct, join clauses must be distinct edges of the schema join graph, and
+// predicates must name an existing column — key or not; the paper's generator
+// draws from non-key columns only, but `title.id = 5` is a valid query — with
+// one of the operators <, = and >. Joins and predicates may only touch tables
+// present in the FROM clause.
+//
+// Canonical order is byte-wise string order of table names, of join
+// schema.EdgeKeys and of (qualified column, operator, value). New gets it from
+// the ranks the schema precomputed instead of building and comparing those
+// strings, and the returned query's strings are the schema's own.
 func New(s *schema.Schema, tables []string, joins []Join, preds []Predicate) (Query, error) {
-	q := Query{
-		Tables: append([]string(nil), tables...),
-		Joins:  make([]Join, len(joins)),
-		Preds:  append([]Predicate(nil), preds...),
-	}
-	sort.Strings(q.Tables)
-	for i := 1; i < len(q.Tables); i++ {
-		if q.Tables[i] == q.Tables[i-1] {
-			return Query{}, fmt.Errorf("query: duplicate table %q", q.Tables[i])
+	var q Query
+
+	// FROM clause as a mask over table ranks: membership tests for the
+	// clauses below, and ascending bit order is the canonical table order.
+	var from uint64
+	for _, t := range tables {
+		id, ok := s.TableID(t)
+		if !ok {
+			return Query{}, tablesError(s, tables)
 		}
-	}
-	inFrom := make(map[string]bool, len(q.Tables))
-	for _, t := range q.Tables {
-		if _, ok := s.Table(t); !ok {
-			return Query{}, fmt.Errorf("query: unknown table %q", t)
+		bit := uint64(1) << s.TableRank(id)
+		if from&bit != 0 {
+			return Query{}, tablesError(s, tables)
 		}
-		inFrom[t] = true
+		from |= bit
 	}
-	for i, j := range joins {
-		cj := j.Canonical()
-		if _, ok := s.JoinID(cj.Left, cj.Right); !ok {
-			return Query{}, fmt.Errorf("query: %v is not a join edge of the schema", cj)
-		}
-		if !inFrom[cj.Left.Table] || !inFrom[cj.Right.Table] {
-			return Query{}, fmt.Errorf("query: join %v references table outside FROM clause", cj)
-		}
-		q.Joins[i] = cj
-	}
-	sort.Slice(q.Joins, func(a, b int) bool { return joinKey(q.Joins[a]) < joinKey(q.Joins[b]) })
-	for i := 1; i < len(q.Joins); i++ {
-		if q.Joins[i] == q.Joins[i-1] {
-			return Query{}, fmt.Errorf("query: duplicate join %v", q.Joins[i])
+	if len(tables) > 0 {
+		q.Tables = make([]string, 0, len(tables))
+		for m := from; m != 0; m &= m - 1 {
+			q.Tables = append(q.Tables, s.TableAtRank(bits.TrailingZeros64(m)))
 		}
 	}
-	for _, p := range q.Preds {
-		if !s.HasColumn(p.Col) {
-			return Query{}, fmt.Errorf("query: unknown column %v", p.Col)
+
+	// Joins likewise: a mask over edge ranks, duplicates noted on the way.
+	var edges, dupEdges uint64
+	for _, j := range joins {
+		e, ok := s.JoinID(j.Left, j.Right)
+		if !ok {
+			return Query{}, fmt.Errorf("query: %v is not a join edge of the schema", j.Canonical())
 		}
-		if !inFrom[p.Col.Table] {
-			return Query{}, fmt.Errorf("query: predicate on %v references table outside FROM clause", p.Col)
+		ei := s.EdgeInfo(e)
+		if from&ei.Tables != ei.Tables {
+			return Query{}, fmt.Errorf("query: join %v references table outside FROM clause", Join{Left: ei.Lo, Right: ei.Hi})
 		}
-		if _, ok := s.OperatorID(p.Op); !ok {
-			return Query{}, fmt.Errorf("query: unsupported operator %q", p.Op)
-		}
+		bit := uint64(1) << ei.Rank
+		dupEdges |= edges & bit
+		edges |= bit
 	}
-	sortPreds(q.Preds)
+	if dupEdges != 0 {
+		ei := s.EdgeAtRank(bits.TrailingZeros64(dupEdges))
+		return Query{}, fmt.Errorf("query: duplicate join %v", Join{Left: ei.Lo, Right: ei.Hi})
+	}
+	var sig Signature
+	q.Joins = make([]Join, 0, len(joins))
+	for m := edges; m != 0; m &= m - 1 {
+		ei := s.EdgeAtRank(bits.TrailingZeros64(m))
+		q.Joins = append(q.Joins, Join{Left: ei.Lo, Right: ei.Hi})
+		sig.addJoin(ei.Hash)
+	}
+
+	// Predicates: an insertion sort of (column rank, operator ordinal, value)
+	// — the operator ordinals are in the operators' string order — over small
+	// keys on the stack, the predicates themselves written once, in order.
 	// P is a set (§3.2.1): conjunction is idempotent, so exact duplicates
 	// collapse (they would otherwise double-weight the vector in the mean
 	// pooling of the set encoders).
-	q.Preds = dedupPreds(q.Preds)
-	q.key = q.render()
-	q.cacheSignature()
+	type predKey struct {
+		key uint32 // column rank<<2 | operator ordinal
+		src uint32 // index into preds, for the value
+	}
+	var ordBuf [16]predKey
+	ord := ordBuf[:0]
+	for src, p := range preds {
+		id, ok := s.ColumnID(p.Col)
+		if !ok {
+			return Query{}, fmt.Errorf("query: unknown column %v", p.Col)
+		}
+		ci := s.ColumnInfo(id)
+		if from&(1<<ci.TableRank) == 0 {
+			return Query{}, fmt.Errorf("query: predicate on %v references table outside FROM clause", p.Col)
+		}
+		op, ok := s.OperatorID(p.Op)
+		if !ok {
+			return Query{}, fmt.Errorf("query: unsupported operator %q", p.Op)
+		}
+		k := uint32(ci.Rank)<<2 | uint32(op)
+		i := len(ord)
+		for i > 0 && (ord[i-1].key > k || ord[i-1].key == k && preds[ord[i-1].src].Val > p.Val) {
+			i--
+		}
+		if i > 0 && ord[i-1].key == k && preds[ord[i-1].src].Val == p.Val {
+			continue
+		}
+		ord = append(ord, predKey{})
+		copy(ord[i+1:], ord[i:])
+		ord[i] = predKey{key: k, src: uint32(src)}
+	}
+	if len(ord) > 0 {
+		// Same-column predicates are adjacent, so the distinct columns — the
+		// signature's ranges — can be counted and allocated exactly.
+		distinct := 1
+		for i := 1; i < len(ord); i++ {
+			if ord[i].key>>2 != ord[i-1].key>>2 {
+				distinct++
+			}
+		}
+		sig.Ranges = make([]ColRange, 0, distinct)
+		q.Preds = make([]Predicate, len(ord))
+		for i, o := range ord {
+			ci := s.ColumnAtRank(int(o.key >> 2))
+			q.Preds[i] = Predicate{Col: ci.Ref, Op: operators[o.key&3], Val: preds[o.src].Val}
+			sig.addPred(ci.Hash, q.Preds[i])
+		}
+	}
+	sortRanges(sig.Ranges)
+	q.sig = &sig
+	q.renderKeys()
 	return q, nil
 }
 
-// cacheSignature precomputes and pins the query's predicate signature.
-func (q *Query) cacheSignature() {
-	sig := computeSignature(*q)
-	q.sig = &sig
-}
+// operators maps a schema operator ordinal back to its (constant) string, so
+// a canonical predicate never pins the text it was parsed from.
+var operators = [schema.NumOperators]string{schema.OpLT, schema.OpEQ, schema.OpGT}
 
-// dedupPreds removes adjacent duplicates from a sorted predicate slice.
-func dedupPreds(preds []Predicate) []Predicate {
-	if len(preds) < 2 {
-		return preds
-	}
-	out := preds[:1]
-	for _, p := range preds[1:] {
-		if p != out[len(out)-1] {
-			out = append(out, p)
+// tablesError reports what is wrong with a FROM list New rejected: the first
+// duplicate, else the first unknown table, in sorted order.
+func tablesError(s *schema.Schema, tables []string) error {
+	sorted := append([]string(nil), tables...)
+	sort.Strings(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return fmt.Errorf("query: duplicate table %q", sorted[i])
 		}
 	}
-	return out
+	for _, t := range sorted {
+		if _, ok := s.TableID(t); !ok {
+			return fmt.Errorf("query: unknown table %q", t)
+		}
+	}
+	panic("query: tablesError called on a valid FROM list")
+}
+
+// finish precomputes the canonical keys and the signature of a query whose
+// clauses are already in canonical order.
+func (q *Query) finish() {
+	q.renderKeys()
+	sig := computeSignature(*q)
+	q.sig = &sig
 }
 
 func sortPreds(preds []Predicate) {
@@ -178,7 +255,12 @@ func (q Query) NumJoins() int { return len(q.Joins) }
 // FROMKey returns the canonical key of the FROM clause. Two queries are
 // containment-comparable exactly when their FROMKeys are equal (§2). It also
 // serves as the hash key of the queries pool (§5.2).
-func (q Query) FROMKey() string { return strings.Join(q.Tables, ",") }
+func (q Query) FROMKey() string {
+	if q.fromKey != "" {
+		return q.fromKey
+	}
+	return strings.Join(q.Tables, ",")
+}
 
 // Key returns a canonical string uniquely identifying the whole query; used
 // for deduplication and label caching.
@@ -195,23 +277,63 @@ func (q Query) SQL() string {
 
 // render builds the canonical SQL string.
 func (q Query) render() string {
-	var b strings.Builder
-	b.WriteString("SELECT * FROM ")
-	b.WriteString(strings.Join(q.Tables, ", "))
-	var where []string
-	for _, j := range q.Joins {
-		where = append(where, j.String())
+	var buf [256]byte
+	return string(q.appendSQL(buf[:0]))
+}
+
+// renderKeys renders the canonical SQL and the FROM key into one string and
+// pins both.
+func (q *Query) renderKeys() {
+	var buf [512]byte
+	b := q.appendSQL(buf[:0])
+	n := len(b)
+	for i, t := range q.Tables {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, t...)
 	}
-	for _, p := range q.Preds {
-		where = append(where, p.String())
+	both := string(b)
+	q.key, q.fromKey = both[:n], both[n:]
+}
+
+func (q Query) appendSQL(b []byte) []byte {
+	b = append(b, "SELECT * FROM "...)
+	for i, t := range q.Tables {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, t...)
 	}
-	if len(where) > 0 {
-		b.WriteString(" WHERE ")
-		b.WriteString(strings.Join(where, " AND "))
-	} else {
-		b.WriteString(" WHERE TRUE")
+	b = append(b, " WHERE "...)
+	if len(q.Joins) == 0 && len(q.Preds) == 0 {
+		return append(b, "TRUE"...)
 	}
-	return b.String()
+	for i, j := range q.Joins {
+		if i > 0 {
+			b = append(b, " AND "...)
+		}
+		b = appendColumn(b, j.Left)
+		b = append(b, " = "...)
+		b = appendColumn(b, j.Right)
+	}
+	for i, p := range q.Preds {
+		if i > 0 || len(q.Joins) > 0 {
+			b = append(b, " AND "...)
+		}
+		b = appendColumn(b, p.Col)
+		b = append(b, ' ')
+		b = append(b, p.Op...)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, p.Val, 10)
+	}
+	return b
+}
+
+func appendColumn(b []byte, c schema.ColumnRef) []byte {
+	b = append(b, c.Table...)
+	b = append(b, '.')
+	return append(b, c.Column...)
 }
 
 // String implements fmt.Stringer.
@@ -247,8 +369,7 @@ func (q Query) Intersect(other Query) (Query, error) {
 		}
 	}
 	sortPreds(out.Preds)
-	out.key = out.render()
-	out.cacheSignature()
+	out.finish()
 	return out, nil
 }
 
@@ -267,11 +388,12 @@ func (q Query) PredsOn(table string) []Predicate {
 // the original untouched.
 func (q Query) Clone() Query {
 	return Query{
-		Tables: append([]string(nil), q.Tables...),
-		Joins:  append([]Join(nil), q.Joins...),
-		Preds:  append([]Predicate(nil), q.Preds...),
-		key:    q.key,
-		sig:    q.sig,
+		Tables:  append([]string(nil), q.Tables...),
+		Joins:   append([]Join(nil), q.Joins...),
+		Preds:   append([]Predicate(nil), q.Preds...),
+		key:     q.key,
+		fromKey: q.fromKey,
+		sig:     q.sig,
 	}
 }
 
@@ -284,8 +406,7 @@ func (q Query) WithPredicate(p Predicate) Query {
 	out := q.Clone()
 	out.Preds = append(out.Preds, p)
 	sortPreds(out.Preds)
-	out.key = out.render()
-	out.cacheSignature()
+	out.finish()
 	return out
 }
 

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -244,5 +245,37 @@ func TestKeyStableUnderConstructionOrder(t *testing.T) {
 	}
 	if !a.Equal(b) {
 		t.Error("Equal should hold for canonically identical queries")
+	}
+}
+
+// TestDerivedQueriesKeepKeysAndSignature: every way of obtaining a query —
+// New, Intersect, WithPredicate, Clone, a struct literal — yields the same
+// SQL, FROM key and signature for the same clauses, whether the values were
+// precomputed (from the schema's ranks and hashes, or from the strings) or
+// are rendered on demand.
+func TestDerivedQueriesKeepKeysAndSignature(t *testing.T) {
+	p1 := Predicate{Col: ref("title", "kind_id"), Op: schema.OpEQ, Val: 3}
+	p2 := Predicate{Col: ref("cast_info", "nr_order"), Op: schema.OpLT, Val: 4}
+	want := titleCast(t, p1, p2)
+	literal := Query{Tables: want.Tables, Joins: want.Joins, Preds: want.Preds}
+	inter, err := titleCast(t, p1).Intersect(titleCast(t, p2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]Query{
+		"literal":       literal,
+		"Intersect":     inter,
+		"WithPredicate": titleCast(t, p2).WithPredicate(p1),
+		"Clone":         want.Clone(),
+	} {
+		if got.SQL() != want.SQL() || got.FROMKey() != want.FROMKey() {
+			t.Errorf("%s: %q / %q, want %q / %q", name, got.SQL(), got.FROMKey(), want.SQL(), want.FROMKey())
+		}
+		if !reflect.DeepEqual(got.Signature(), want.Signature()) {
+			t.Errorf("%s: signature %+v, want %+v", name, got.Signature(), want.Signature())
+		}
+	}
+	if want.FROMKey() != "cast_info,title" {
+		t.Errorf("FROMKey = %q", want.FROMKey())
 	}
 }

@@ -68,21 +68,6 @@ func opClass(op string) int {
 	}
 }
 
-// hashString is FNV-1a, the same mixing the rep cache uses for sharding;
-// signatures only need stable, well-spread identities.
-func hashString(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}
-
 // Signature returns the query's predicate signature: precomputed for
 // queries built by New, Intersect or WithPredicate (the serving hot path
 // never recomputes it — one pointer read per TopK probe), computed on
@@ -94,19 +79,16 @@ func (q Query) Signature() Signature {
 	return computeSignature(q)
 }
 
-// computeSignature summarizes q. It is pure and deterministic: equal
-// canonical queries yield equal signatures.
+// computeSignature summarizes q from its strings. It is pure and
+// deterministic: equal canonical queries yield equal signatures. New builds
+// the same value from the hashes the schema precomputed.
 func computeSignature(q Query) Signature {
 	var sig Signature
 	for _, j := range q.Joins {
-		sig.Joins |= 1 << (hashString(schema.EdgeKey(j.Left, j.Right)) & 63)
+		sig.addJoin(schema.Hash(schema.EdgeKey(j.Left, j.Right)))
 	}
 	for _, p := range q.Preds {
-		col := hashString(p.Col.String())
-		bit := uint64(1) << (col & 63)
-		sig.Cols |= bit
-		sig.Ops[opClass(p.Op)] |= bit
-		sig.Ranges = tightenRange(sig.Ranges, col, p)
+		sig.addPred(schema.Hash(p.Col.String()), p)
 	}
 	// Canonical predicate order sorts by column STRING; the merge-join in
 	// Similarity walks intervals by column HASH.
@@ -114,21 +96,28 @@ func computeSignature(q Query) Signature {
 	return sig
 }
 
-// tightenRange intersects predicate p into the interval of its column,
-// appending a fresh interval for a first-seen column. Predicates arrive in
-// canonical order (sorted by column string), so ranges stay grouped by
-// column; the final slice is re-sorted by hash before use.
-func tightenRange(ranges []ColRange, col uint64, p Predicate) []ColRange {
+// addJoin records a join edge by the hash of its schema.EdgeKey.
+func (sig *Signature) addJoin(edge uint64) { sig.Joins |= 1 << (edge & 63) }
+
+// addPred records predicate p, col being the hash of its qualified column
+// name: the column and operator-class masks, and p intersected into the
+// interval of its column (a fresh interval for a first-seen column).
+// Predicates arrive in canonical order (sorted by column string), so ranges
+// stay grouped by column; the final slice is re-sorted by hash before use.
+func (sig *Signature) addPred(col uint64, p Predicate) {
+	bit := uint64(1) << (col & 63)
+	sig.Cols |= bit
+	sig.Ops[opClass(p.Op)] |= bit
 	var r *ColRange
-	for i := range ranges {
-		if ranges[i].Col == col {
-			r = &ranges[i]
+	for i := range sig.Ranges {
+		if sig.Ranges[i].Col == col {
+			r = &sig.Ranges[i]
 			break
 		}
 	}
 	if r == nil {
-		ranges = append(ranges, ColRange{Col: col})
-		r = &ranges[len(ranges)-1]
+		sig.Ranges = append(sig.Ranges, ColRange{Col: col})
+		r = &sig.Ranges[len(sig.Ranges)-1]
 	}
 	switch p.Op {
 	case schema.OpLT: // col < v  =>  hi = min(hi, v-1)
@@ -150,7 +139,6 @@ func tightenRange(ranges []ColRange, col uint64, p Predicate) []ColRange {
 	if r.HasLo && r.HasHi && r.Lo > r.Hi {
 		r.Conflict = true
 	}
-	return ranges
 }
 
 // sortRanges orders a signature's intervals by column hash (insertion sort:

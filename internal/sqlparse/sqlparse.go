@@ -8,6 +8,15 @@
 // comma-separated FROM lists, and WHERE clauses that are conjunctions of
 // equi-joins (column = column) and column predicates (column {<,=,>}
 // integer). Keywords are case-insensitive; a trailing semicolon is allowed.
+//
+// Parsing is one pass over the input string: a cursor scans one token of
+// lookahead at a time (no token slice, byte classes from a 256-entry table),
+// identifiers are resolved to the schema's own name strings as they are read,
+// and query.New validates and canonicalises the clauses collected on the
+// scanner's stack. A well-formed query costs a handful of allocations — the
+// canonical query's own slices, key and signature — and none of them retains
+// the input text. The accept set and every error message are those of the
+// token-slice parser this replaced, which the tests keep as their oracle.
 package sqlparse
 
 import (
@@ -45,8 +54,9 @@ func Parse(s *schema.Schema, sql string) (query.Query, error) {
 // the database). Order comparisons on strings are rejected, as interned
 // codes carry no order (§9).
 func ParseWith(s *schema.Schema, dict StringInterner, sql string) (query.Query, error) {
-	p := &parser{toks: lex(sql), dict: dict}
-	q, err := p.parse(s)
+	p := scanner{s: s, dict: dict, src: sql}
+	p.advance()
+	q, err := p.parse()
 	if err != nil {
 		return query.Query{}, fmt.Errorf("sqlparse: %w: %w", ErrDialect, err)
 	}
@@ -63,141 +73,200 @@ func MustParse(s *schema.Schema, sql string) query.Query {
 	return q
 }
 
-type tokKind int
+type tokenKind uint8
 
 const (
-	tokIdent tokKind = iota
-	tokNumber
-	tokString // 'quoted literal'
-	tokSymbol // * , . ; < = >
-	tokEOF
+	kIdent tokenKind = iota
+	kNumber
+	kString // 'quoted literal'
+	kSymbol // * , . ; < = > and any other single byte
+	kEOF
 )
 
-type token struct {
-	kind tokKind
-	text string
-	pos  int
+// span is one token of the input: src[lo:hi] is its text (without the quotes
+// of a kString), pos where it starts.
+type span struct {
+	kind   tokenKind
+	pos    int
+	lo, hi int
 }
 
-func lex(input string) []token {
-	var toks []token
-	i := 0
-	for i < len(input) {
-		c := rune(input[i])
+// byteClass says what token a byte starts. Identifiers and numbers are
+// scanned bytewise — a byte >= 0x80 is classified as the Latin-1 code point
+// of the same value — so the classes come from the unicode predicates, and
+// are disjoint: no byte passes two of them.
+type byteClass uint8
+
+const (
+	clsSymbol byteClass = iota // a one-byte token: * , . ; < = > or a byte the grammar has no use for
+	clsSpace                   // skipped
+	clsQuote                   // opens a string literal
+	clsMinus                   // starts a number
+	clsDigit                   // starts or continues a number, continues an identifier
+	clsLetter                  // letter or _: starts or continues an identifier
+)
+
+var classOf = func() (t [256]byteClass) {
+	for b := range t {
+		c := rune(b)
 		switch {
 		case unicode.IsSpace(c):
-			i++
-		case c == '*' || c == ',' || c == '.' || c == ';' || c == '<' || c == '=' || c == '>':
-			toks = append(toks, token{tokSymbol, string(c), i})
-			i++
+			t[b] = clsSpace
 		case c == '\'':
-			j := i + 1
-			for j < len(input) && input[j] != '\'' {
-				j++
-			}
-			if j >= len(input) {
-				toks = append(toks, token{tokSymbol, "'", i}) // unterminated
-				i++
-				continue
-			}
-			toks = append(toks, token{tokString, input[i+1 : j], i})
-			i = j + 1
-		case c == '-' || unicode.IsDigit(c):
-			j := i + 1
-			for j < len(input) && unicode.IsDigit(rune(input[j])) {
-				j++
-			}
-			toks = append(toks, token{tokNumber, input[i:j], i})
-			i = j
+			t[b] = clsQuote
+		case c == '-':
+			t[b] = clsMinus
+		case unicode.IsDigit(c):
+			t[b] = clsDigit
 		case unicode.IsLetter(c) || c == '_':
-			j := i + 1
-			for j < len(input) && (unicode.IsLetter(rune(input[j])) || unicode.IsDigit(rune(input[j])) || input[j] == '_') {
-				j++
-			}
-			toks = append(toks, token{tokIdent, input[i:j], i})
-			i = j
-		default:
-			toks = append(toks, token{tokSymbol, string(c), i})
-			i++
+			t[b] = clsLetter
 		}
 	}
-	toks = append(toks, token{tokEOF, "", len(input)})
-	return toks
-}
+	return t
+}()
 
-type parser struct {
-	toks []token
-	pos  int
+// scanner is a cursor over src with one token of lookahead.
+type scanner struct {
+	s    *schema.Schema
 	dict StringInterner
+	src  string
+	off  int  // where scanning resumes
+	tok  span // the lookahead
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+// advance scans the next token into p.tok.
+func (p *scanner) advance() {
+	src, i := p.src, p.off
+	for i < len(src) && classOf[src[i]] == clsSpace {
+		i++
+	}
+	if i >= len(src) {
+		p.off = i
+		p.tok = span{kind: kEOF, pos: len(src), lo: len(src), hi: len(src)}
+		return
+	}
+	j := i + 1
+	kind := kSymbol
+	lo, hi := i, j
+	switch classOf[src[i]] {
+	case clsQuote:
+		for j < len(src) && src[j] != '\'' {
+			j++
+		}
+		if j < len(src) {
+			kind, lo, hi = kString, i+1, j
+			j++
+		} else {
+			j = i + 1 // unterminated: the quote is a stray symbol
+		}
+	case clsMinus, clsDigit:
+		for j < len(src) && classOf[src[j]] == clsDigit {
+			j++
+		}
+		kind, hi = kNumber, j
+	case clsLetter:
+		for j < len(src) && (classOf[src[j]] == clsLetter || classOf[src[j]] == clsDigit) {
+			j++
+		}
+		kind, hi = kIdent, j
+	}
+	p.off = j
+	p.tok = span{kind: kind, pos: i, lo: lo, hi: hi}
+}
 
-func (p *parser) next() token {
-	t := p.toks[p.pos]
-	if t.kind != tokEOF {
-		p.pos++
+func (p *scanner) peek() span { return p.tok }
+
+func (p *scanner) next() span {
+	t := p.tok
+	if t.kind != kEOF {
+		p.advance()
 	}
 	return t
 }
 
-func (p *parser) expectKeyword(kw string) error {
+// text returns the token's text as error messages quote it; a symbol byte
+// >= 0x80 reads as its Latin-1 code point.
+func (p *scanner) text(t span) string {
+	if t.kind == kSymbol && p.src[t.lo] >= 0x80 {
+		return string(rune(p.src[t.lo]))
+	}
+	return p.src[t.lo:t.hi]
+}
+
+func (p *scanner) isKeyword(t span, kw string) bool {
+	return t.kind == kIdent && strings.EqualFold(p.src[t.lo:t.hi], kw)
+}
+
+func (p *scanner) isSymbol(t span, sym byte) bool {
+	return t.kind == kSymbol && p.src[t.lo] == sym
+}
+
+func (p *scanner) expectKeyword(kw string) error {
 	t := p.next()
-	if t.kind != tokIdent || !strings.EqualFold(t.text, kw) {
-		return fmt.Errorf("expected %s at position %d, got %q", kw, t.pos, t.text)
+	if !p.isKeyword(t, kw) {
+		return fmt.Errorf("expected %s at position %d, got %q", kw, t.pos, p.text(t))
 	}
 	return nil
 }
 
-func (p *parser) expectSymbol(sym string) error {
+func (p *scanner) expectSymbol(sym byte) error {
 	t := p.next()
-	if t.kind != tokSymbol || t.text != sym {
-		return fmt.Errorf("expected %q at position %d, got %q", sym, t.pos, t.text)
+	if !p.isSymbol(t, sym) {
+		return fmt.Errorf("expected %q at position %d, got %q", string(sym), t.pos, p.text(t))
 	}
 	return nil
 }
 
-func (p *parser) parse(s *schema.Schema) (query.Query, error) {
+func (p *scanner) parse() (query.Query, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return query.Query{}, err
 	}
-	if err := p.expectSymbol("*"); err != nil {
+	if err := p.expectSymbol('*'); err != nil {
 		return query.Query{}, fmt.Errorf("only SELECT * queries are supported: %w", err)
 	}
 	if err := p.expectKeyword("FROM"); err != nil {
 		return query.Query{}, err
 	}
-	tables, err := p.tableList()
+	// A typical query's clauses are collected on the stack; query.New copies
+	// what it keeps.
+	var (
+		tableBuf [8]string
+		joinBuf  [8]query.Join
+		predBuf  [8]query.Predicate
+	)
+	tables, err := p.tableList(tableBuf[:0])
 	if err != nil {
 		return query.Query{}, err
 	}
-	var joins []query.Join
-	var preds []query.Predicate
-	if t := p.peek(); t.kind == tokIdent && strings.EqualFold(t.text, "WHERE") {
+	joins, preds := joinBuf[:0], predBuf[:0]
+	if p.isKeyword(p.peek(), "WHERE") {
 		p.next()
-		joins, preds, err = p.whereClause()
+		joins, preds, err = p.whereClause(joins, preds)
 		if err != nil {
 			return query.Query{}, err
 		}
 	}
-	if t := p.peek(); t.kind == tokSymbol && t.text == ";" {
+	if p.isSymbol(p.peek(), ';') {
 		p.next()
 	}
-	if t := p.peek(); t.kind != tokEOF {
-		return query.Query{}, fmt.Errorf("unexpected trailing input %q at position %d", t.text, t.pos)
+	if t := p.peek(); t.kind != kEOF {
+		return query.Query{}, fmt.Errorf("unexpected trailing input %q at position %d", p.text(t), t.pos)
 	}
-	return query.New(s, tables, joins, preds)
+	return query.New(p.s, tables, joins, preds)
 }
 
-func (p *parser) tableList() ([]string, error) {
-	var tables []string
+func (p *scanner) tableList(tables []string) ([]string, error) {
 	for {
 		t := p.next()
-		if t.kind != tokIdent {
-			return nil, fmt.Errorf("expected table name at position %d, got %q", t.pos, t.text)
+		if t.kind != kIdent {
+			return nil, fmt.Errorf("expected table name at position %d, got %q", t.pos, p.text(t))
 		}
-		tables = append(tables, strings.ToLower(t.text))
-		if nxt := p.peek(); nxt.kind == tokSymbol && nxt.text == "," {
+		name, ok := p.s.FoldTable(p.src[t.lo:t.hi])
+		if !ok {
+			name = strings.ToLower(p.src[t.lo:t.hi]) // unknown, or not ASCII: query.New decides
+		}
+		tables = append(tables, name)
+		if p.isSymbol(p.peek(), ',') {
 			p.next()
 			continue
 		}
@@ -205,24 +274,18 @@ func (p *parser) tableList() ([]string, error) {
 	}
 }
 
-func (p *parser) whereClause() ([]query.Join, []query.Predicate, error) {
-	var joins []query.Join
-	var preds []query.Predicate
+func (p *scanner) whereClause(joins []query.Join, preds []query.Predicate) ([]query.Join, []query.Predicate, error) {
 	for {
-		if t := p.peek(); t.kind == tokIdent && strings.EqualFold(t.text, "TRUE") {
+		if p.isKeyword(p.peek(), "TRUE") {
 			p.next()
 		} else {
-			j, pr, isJoin, err := p.condition()
+			var err error
+			joins, preds, err = p.condition(joins, preds)
 			if err != nil {
 				return nil, nil, err
 			}
-			if isJoin {
-				joins = append(joins, j)
-			} else {
-				preds = append(preds, pr)
-			}
 		}
-		if t := p.peek(); t.kind == tokIdent && strings.EqualFold(t.text, "AND") {
+		if p.isKeyword(p.peek(), "AND") {
 			p.next()
 			continue
 		}
@@ -230,64 +293,73 @@ func (p *parser) whereClause() ([]query.Join, []query.Predicate, error) {
 	}
 }
 
-func (p *parser) condition() (query.Join, query.Predicate, bool, error) {
+// condition parses one conjunct and appends it to joins or preds.
+func (p *scanner) condition(joins []query.Join, preds []query.Predicate) ([]query.Join, []query.Predicate, error) {
 	left, err := p.columnRef()
 	if err != nil {
-		return query.Join{}, query.Predicate{}, false, err
+		return nil, nil, err
 	}
 	opTok := p.next()
-	if opTok.kind != tokSymbol || (opTok.text != "<" && opTok.text != "=" && opTok.text != ">") {
-		return query.Join{}, query.Predicate{}, false,
-			fmt.Errorf("expected operator <,=,> at position %d, got %q", opTok.pos, opTok.text)
+	var op string
+	switch {
+	case p.isSymbol(opTok, '<'):
+		op = schema.OpLT
+	case p.isSymbol(opTok, '='):
+		op = schema.OpEQ
+	case p.isSymbol(opTok, '>'):
+		op = schema.OpGT
+	default:
+		return nil, nil, fmt.Errorf("expected operator <,=,> at position %d, got %q", opTok.pos, p.text(opTok))
 	}
 	rhs := p.peek()
-	if rhs.kind == tokNumber {
+	if rhs.kind == kNumber {
 		p.next()
-		v, err := strconv.ParseInt(rhs.text, 10, 64)
+		v, err := strconv.ParseInt(p.src[rhs.lo:rhs.hi], 10, 64)
 		if err != nil {
-			return query.Join{}, query.Predicate{}, false,
-				fmt.Errorf("bad integer literal %q at position %d", rhs.text, rhs.pos)
+			return nil, nil, fmt.Errorf("bad integer literal %q at position %d", p.text(rhs), rhs.pos)
 		}
-		return query.Join{}, query.Predicate{Col: left, Op: opTok.text, Val: v}, false, nil
+		return joins, append(preds, query.Predicate{Col: left, Op: op, Val: v}), nil
 	}
-	if rhs.kind == tokString {
+	if rhs.kind == kString {
 		p.next()
 		if p.dict == nil {
-			return query.Join{}, query.Predicate{}, false,
-				fmt.Errorf("string literal %q at position %d requires a dictionary (use ParseWith)", rhs.text, rhs.pos)
+			return nil, nil, fmt.Errorf("string literal %q at position %d requires a dictionary (use ParseWith)", p.text(rhs), rhs.pos)
 		}
-		if opTok.text != "=" {
-			return query.Join{}, query.Predicate{}, false,
-				fmt.Errorf("string predicates support only = at position %d (interned codes carry no order)", opTok.pos)
+		if op != schema.OpEQ {
+			return nil, nil, fmt.Errorf("string predicates support only = at position %d (interned codes carry no order)", opTok.pos)
 		}
-		code, ok := p.dict.Code(left, rhs.text)
+		code, ok := p.dict.Code(left, p.text(rhs))
 		if !ok {
 			code = 0 // absent literal: matches nothing
 		}
-		return query.Join{}, query.Predicate{Col: left, Op: opTok.text, Val: code}, false, nil
+		return joins, append(preds, query.Predicate{Col: left, Op: op, Val: code}), nil
 	}
 	right, err := p.columnRef()
 	if err != nil {
-		return query.Join{}, query.Predicate{}, false, err
+		return nil, nil, err
 	}
-	if opTok.text != "=" {
-		return query.Join{}, query.Predicate{}, false,
-			fmt.Errorf("joins must use = at position %d", opTok.pos)
+	if op != schema.OpEQ {
+		return nil, nil, fmt.Errorf("joins must use = at position %d", opTok.pos)
 	}
-	return query.Join{Left: left, Right: right}, query.Predicate{}, true, nil
+	return append(joins, query.Join{Left: left, Right: right}), preds, nil
 }
 
-func (p *parser) columnRef() (schema.ColumnRef, error) {
+func (p *scanner) columnRef() (schema.ColumnRef, error) {
 	t := p.next()
-	if t.kind != tokIdent {
-		return schema.ColumnRef{}, fmt.Errorf("expected column reference at position %d, got %q", t.pos, t.text)
+	if t.kind != kIdent {
+		return schema.ColumnRef{}, fmt.Errorf("expected column reference at position %d, got %q", t.pos, p.text(t))
 	}
-	if err := p.expectSymbol("."); err != nil {
+	if err := p.expectSymbol('.'); err != nil {
 		return schema.ColumnRef{}, fmt.Errorf("column references must be table-qualified: %w", err)
 	}
 	c := p.next()
-	if c.kind != tokIdent {
-		return schema.ColumnRef{}, fmt.Errorf("expected column name at position %d, got %q", c.pos, c.text)
+	if c.kind != kIdent {
+		return schema.ColumnRef{}, fmt.Errorf("expected column name at position %d, got %q", c.pos, p.text(c))
 	}
-	return schema.ColumnRef{Table: strings.ToLower(t.text), Column: strings.ToLower(c.text)}, nil
+	table, column := p.src[t.lo:t.hi], p.src[c.lo:c.hi]
+	if ref, ok := p.s.FoldColumn(table, column); ok {
+		return ref, nil
+	}
+	// Unknown, or not ASCII: query.New decides.
+	return schema.ColumnRef{Table: strings.ToLower(table), Column: strings.ToLower(column)}, nil
 }

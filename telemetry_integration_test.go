@@ -2,6 +2,7 @@ package crn
 
 import (
 	"context"
+	"sort"
 	"strings"
 	"testing"
 
@@ -20,6 +21,13 @@ import (
 // allocation) can only make the stage sum FALL SHORT of e2e, while
 // sampling noise and ApproxSum's geometric-midpoint error (≤12% per
 // histogram) cut both ways.
+//
+// The clock is the real one, and one scheduling stall is as long as a whole
+// block of 240 estimates: landing in a sampled span it counts SampleRate
+// times over in the stage sum, landing in an unsampled one only in e2e, and
+// either way that block's ratio leaves the band (1–2 blocks in 100 do). So
+// the invariant is checked on the median of several independent blocks — a
+// stall spoils the block it hits, a broken span spoils them all.
 func TestStageSpansSumToE2E(t *testing.T) {
 	ctx := context.Background()
 	sys, model, pool := adaptFixture(t)
@@ -41,30 +49,36 @@ func TestStageSpansSumToE2E(t *testing.T) {
 		s.Admission, s.CoalesceWait, s.CacheLookup,
 		s.CandidateSelection, s.NNForward, s.Finalize,
 	}
-	e2eBefore := tel.E2E.Snapshot()
-	stagesBefore := make([]telemetry.HistSnapshot, len(stages))
-	for i, h := range stages {
-		stagesBefore[i] = h.Snapshot()
-	}
 
-	probes := labeledWorkload(t, sys, 22, 240)
-	for _, lq := range probes {
-		if _, err := est.EstimateCardinality(ctx, lq.Q); err != nil {
-			t.Fatal(err)
+	const blocks = 9
+	ratios := make([]float64, blocks)
+	for b := range ratios {
+		e2eBefore := tel.E2E.Snapshot()
+		stagesBefore := make([]telemetry.HistSnapshot, len(stages))
+		for i, h := range stages {
+			stagesBefore[i] = h.Snapshot()
 		}
-	}
 
-	e2e := tel.E2E.Snapshot().Sub(e2eBefore)
-	if got := e2e.Total(); got != uint64(len(probes)) {
-		t.Fatalf("e2e count = %d, want %d", got, len(probes))
+		probes := labeledWorkload(t, sys, 22+int64(b), 240)
+		for _, lq := range probes {
+			if _, err := est.EstimateCardinality(ctx, lq.Q); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		e2e := tel.E2E.Snapshot().Sub(e2eBefore)
+		if got := e2e.Total(); got != uint64(len(probes)) {
+			t.Fatalf("block %d: e2e count = %d, want %d", b, got, len(probes))
+		}
+		var stageSum float64
+		for i, h := range stages {
+			stageSum += h.Snapshot().Sub(stagesBefore[i]).ApproxSum()
+		}
+		ratios[b] = stageSum / e2e.ApproxSum()
 	}
-	var stageSum float64
-	for i, h := range stages {
-		stageSum += h.Snapshot().Sub(stagesBefore[i]).ApproxSum()
-	}
-	if ratio := stageSum / e2e.ApproxSum(); ratio < 0.4 || ratio > 1.6 {
-		t.Errorf("stage sum / e2e = %.3f (stages %.6fs, e2e %.6fs), want within [0.4, 1.6]",
-			ratio, stageSum, e2e.ApproxSum())
+	sort.Float64s(ratios)
+	if median := ratios[blocks/2]; median < 0.4 || median > 1.6 {
+		t.Errorf("median stage sum / e2e = %.3f over blocks %.3f, want within [0.4, 1.6]", median, ratios)
 	}
 }
 
