@@ -14,11 +14,11 @@ import (
 // The -watch dashboard: poll a crnserve /metrics endpoint, parse the
 // Prometheus text exposition with the telemetry package's own reader, and
 // render one compact frame per tick — QPS and outcome mix, per-request SQL
-// parse time and per-stage latency quantiles, cache/index hit rates, breaker
-// state, and the live per-arm q-error distributions. Rates and stage
-// quantiles are windowed between consecutive polls (the first frame shows
-// cumulative values); q-error is cumulative, since feedback joins arrive
-// sparsely.
+// parse time and per-stage latency quantiles, statement-cache, rep-cache,
+// memo and index hit rates, breaker state, and the live per-arm q-error
+// distributions. Rates and stage quantiles are windowed between consecutive
+// polls (the first frame shows cumulative values); q-error is cumulative,
+// since feedback joins arrive sparsely.
 
 // watchStages is the render order of the stage breakdown.
 var watchStages = []string{
@@ -169,7 +169,9 @@ func renderFrame(cur, prev map[string]*telemetry.ParsedFamily, elapsed time.Dura
 	}
 	b.WriteByte('\n')
 
-	fmt.Fprintf(&b, "  cache rep %s hit  memo %s hit (%.0f pairs)  index %s indexed  coalesce %s avg batch\n",
+	fmt.Fprintf(&b, "  cache stmt %s hit  rep %s hit  memo %s hit (%.0f pairs)  index %s indexed  coalesce %s avg batch\n",
+		rate(counterDelta(cur, prev, "crn_stmtcache_lookups_total", "result", "hit"),
+			counterDelta(cur, prev, "crn_stmtcache_lookups_total", "result", "miss")),
 		rate(counterDelta(cur, prev, "crn_repcache_lookups_total", "result", "hit"),
 			counterDelta(cur, prev, "crn_repcache_lookups_total", "result", "miss")),
 		rate(counterDelta(cur, prev, "crn_ratememo_lookups_total", "result", "hit"),

@@ -31,6 +31,8 @@ func fakeExposition(n uint64) string {
 	fmt.Fprintf(&b, "# HELP crn_parse_duration_seconds Parse time per request.\n# TYPE crn_parse_duration_seconds histogram\n")
 	fmt.Fprintf(&b, "crn_parse_duration_seconds_bucket{le=\"0.0001\"} %d\ncrn_parse_duration_seconds_bucket{le=\"+Inf\"} %d\n", 95*n, 100*n)
 	fmt.Fprintf(&b, "crn_parse_duration_seconds_sum %f\ncrn_parse_duration_seconds_count %d\n", float64(n)/100, 100*n)
+	fmt.Fprintf(&b, "# HELP crn_stmtcache_lookups_total Statement-cache lookups.\n# TYPE crn_stmtcache_lookups_total counter\n")
+	fmt.Fprintf(&b, "crn_stmtcache_lookups_total{result=\"hit\"} %d\ncrn_stmtcache_lookups_total{result=\"miss\"} %d\n", 99*n, n)
 	fmt.Fprintf(&b, "# HELP crn_repcache_lookups_total Cache lookups.\n# TYPE crn_repcache_lookups_total counter\n")
 	fmt.Fprintf(&b, "crn_repcache_lookups_total{result=\"hit\"} %d\ncrn_repcache_lookups_total{result=\"miss\"} %d\n", 75*n, 25*n)
 	fmt.Fprintf(&b, "# HELP crn_ratememo_lookups_total Memo lookups.\n# TYPE crn_ratememo_lookups_total counter\n")
@@ -69,7 +71,7 @@ func TestWatchLoopFrames(t *testing.T) {
 	if !strings.Contains(frames[1], "window)") || !strings.Contains(frames[1], "qps ") {
 		t.Errorf("second frame not windowed:\n%s", frames[1])
 	}
-	for _, want := range []string{"breaker closed", "ok 100", "parse p50", "nn_forward p50", "rep 75.0% hit", "memo 90.0% hit (1280 pairs)", "crn p50"} {
+	for _, want := range []string{"breaker closed", "ok 100", "parse p50", "nn_forward p50", "stmt 99.0% hit", "rep 75.0% hit", "memo 90.0% hit (1280 pairs)", "crn p50"} {
 		if !strings.Contains(frames[1], want) {
 			t.Errorf("second frame missing %q:\n%s", want, frames[1])
 		}

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"crn/internal/wire"
 )
 
 // TestRecordInvalidatesAndEstimateSeesNewEntry drives the serving-side
@@ -107,5 +109,43 @@ func TestHealthzReportsRepCache(t *testing.T) {
 	}
 	if hr.RepCache.MemoHits == 0 || hr.RepCache.MemoMisses == 0 || hr.RepCache.MemoEntries == 0 {
 		t.Errorf("rep_cache memo counters: %+v", hr.RepCache)
+	}
+}
+
+// TestHealthzReportsStatementCache: a request text posted twice is parsed
+// once — over either codec, since both go through System.ParseQuery — a
+// malformed one is parsed every time, and /healthz says so under stmt_cache.
+func TestHealthzReportsStatementCache(t *testing.T) {
+	srv := testServer(t)
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	before := srv.sys.StatementCacheStats()
+
+	text := "SELECT   *   FROM title WHERE title.production_year > 1983" // a spelling no other test posts
+	if status, body, err := postJSONErr(ts.URL+"/estimate", map[string]string{"query": text}); err != nil || status != http.StatusOK {
+		t.Fatalf("estimate: status %d err %v body %s", status, err, body)
+	}
+	if status, body := postBinary(t, ts.URL+"/estimate/batch", wire.AppendRequest(nil, []string{text, text})); status != http.StatusOK {
+		t.Fatalf("binary batch: status %d body %s", status, body)
+	}
+	for i := 0; i < 2; i++ {
+		if status, _, err := postJSONErr(ts.URL+"/estimate", map[string]string{"query": "SELECT * FROM ghost"}); err != nil || status != http.StatusBadRequest {
+			t.Fatalf("malformed estimate: status %d err %v", status, err)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var hr healthzResponse
+	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
+		t.Fatal(err)
+	}
+	got := hr.StmtCache
+	if got.Hits-before.Hits != 2 || got.Misses-before.Misses != 3 || got.Entries-before.Entries != 1 ||
+		got.Capacity == 0 || got.RejectedOversize != before.RejectedOversize {
+		t.Errorf("stmt_cache moved from %+v to %+v, want +2 hits, +3 misses, +1 entry", before, got)
 	}
 }

@@ -106,6 +106,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -350,12 +351,18 @@ func main() {
 			Handler:           handler.metricsHandler(),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
-		go func() {
+		// Bound here, not in the goroutine: a client that saw /readyz on the
+		// serving port may scrape /metrics at once.
+		if ln, err := net.Listen("tcp", *metricsAddr); err != nil {
+			logger.Printf("metrics listener: %v", err)
+		} else {
 			logger.Printf("operational listener on %s (/metrics + /debug/pprof/)", *metricsAddr)
-			if err := metricsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Printf("metrics listener: %v", err)
-			}
-		}()
+			go func() {
+				if err := metricsSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+					logger.Printf("metrics listener: %v", err)
+				}
+			}()
+		}
 	}
 	drained := make(chan struct{})
 	go func() {

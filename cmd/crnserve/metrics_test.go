@@ -80,6 +80,8 @@ func TestMetricsExposition(t *testing.T) {
 		"crn_estimate_duration_seconds",
 		"crn_estimate_stage_duration_seconds",
 		"crn_parse_duration_seconds",
+		"crn_stmtcache_lookups_total",
+		"crn_stmtcache_entries",
 		"crn_gate_inflight",
 		"crn_breaker_state",
 		"crn_coalesce_batches_total",
@@ -108,6 +110,16 @@ func TestMetricsExposition(t *testing.T) {
 	// not per query: drive posted three singles and one batch of two.
 	if h := fams["crn_parse_duration_seconds"].Hist("", ""); h == nil || h.Count != parsedBefore+4 {
 		t.Errorf("crn_parse_duration_seconds count = %+v, want %d", h, parsedBefore+4)
+	}
+	// drive posts one estimate text three times: parsed at most once.
+	if v, ok := fams["crn_stmtcache_lookups_total"].Sample("result", "hit"); !ok || v < 2 {
+		t.Errorf("crn_stmtcache_lookups_total{result=hit} = %v (ok=%v), want >= 2", v, ok)
+	}
+	if v, ok := fams["crn_stmtcache_lookups_total"].Sample("result", "miss"); !ok || v < 1 {
+		t.Errorf("crn_stmtcache_lookups_total{result=miss} = %v (ok=%v), want >= 1", v, ok)
+	}
+	if v, ok := fams["crn_stmtcache_entries"].Sample("", ""); !ok || v < 1 {
+		t.Errorf("crn_stmtcache_entries = %v (ok=%v), want >= 1", v, ok)
 	}
 	// The stage decomposition: the per-pass stages must have recorded at
 	// least one span each by now.

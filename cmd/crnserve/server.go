@@ -9,8 +9,10 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -59,6 +61,8 @@ type server struct {
 
 	wireIO  wireStats
 	bufPool wire.BufferPool
+	// queryBufs recycles estimateBatchSQL's parsed-query slice (*[]crn.Query).
+	queryBufs sync.Pool
 
 	// tel, when non-nil, is the serving telemetry bundle shared with the
 	// estimator (the -telemetry flag, default on): GET /metrics serves its
@@ -86,7 +90,8 @@ type server struct {
 }
 
 func newServer(sys *crn.System, model *crn.ContainmentModel, pool *crn.QueriesPool, est *crn.CardinalityEstimator, logger *log.Logger) *server {
-	return &server{sys: sys, model: model, pool: pool, est: est, started: time.Now(), logger: logger, metricsOnMain: true}
+	return &server{sys: sys, model: model, pool: pool, est: est, started: time.Now(), logger: logger, metricsOnMain: true,
+		queryBufs: sync.Pool{New: func() any { return new([]crn.Query) }}}
 }
 
 // setReady flips the /readyz gate; main sets it once construction (training
@@ -237,11 +242,12 @@ type wireSnapshot struct {
 	Binary          wireCodecSnapshot `json:"binary"`
 	BufferGets      uint64            `json:"buffer_gets"`
 	BufferMisses    uint64            `json:"buffer_misses"`
+	BufferDrops     uint64            `json:"buffer_drops"` // oversize, not pooled
 	BufferReuseRate float64           `json:"buffer_reuse_rate"`
 }
 
 func (s *server) wireSnapshot() wireSnapshot {
-	gets, misses := s.bufPool.Stats()
+	gets, misses, drops := s.bufPool.Stats()
 	snap := wireSnapshot{
 		JSON: wireCodecSnapshot{
 			Requests: s.wireIO.jsonRequests.Load(),
@@ -255,6 +261,7 @@ func (s *server) wireSnapshot() wireSnapshot {
 		},
 		BufferGets:   gets,
 		BufferMisses: misses,
+		BufferDrops:  drops,
 	}
 	if gets > 0 {
 		snap.BufferReuseRate = float64(gets-misses) / float64(gets)
@@ -370,6 +377,10 @@ type healthzResponse struct {
 	// zero when -max-candidates is 0.
 	Pool     crn.PoolStats     `json:"pool"`
 	RepCache crn.RepCacheStats `json:"rep_cache"`
+	// StmtCache reports ParseQuery's statement cache: request texts answered
+	// without parsing (hits) vs parsed (misses), statements held, and
+	// well-formed texts too long to be admitted.
+	StmtCache crn.StatementCacheStats `json:"stmt_cache"`
 	// Selection reports batch-level candidate sharing: candidate selections
 	// requested vs answered by reusing an earlier selection of the same
 	// batch. Shared stays zero without -share-candidates.
@@ -509,7 +520,17 @@ func (s *server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 // funnel through it, so JSON and binary responses are bit-identical for the
 // same queries.
 func (s *server) estimateBatchSQL(ctx context.Context, sqls []string) ([]float64, int, error) {
-	queries := make([]crn.Query, len(sqls))
+	buf := s.queryBufs.Get().(*[]crn.Query)
+	queries := slices.Grow((*buf)[:0], len(sqls))[:len(sqls)]
+	defer func() {
+		// Cleared, so a parked buffer pins no query; dropped when a rare
+		// large frame grew it (maxBatchQueries of them are ~7 MB).
+		clear(queries)
+		if cap(queries) <= maxPooledQueries {
+			*buf = queries
+			s.queryBufs.Put(buf)
+		}
+	}()
 	parseStart := time.Now()
 	for i, sql := range sqls {
 		q, err := s.sys.ParseQuery(sql)
@@ -528,6 +549,10 @@ func (s *server) estimateBatchSQL(ctx context.Context, sqls []string) ([]float64
 	}
 	return cards, http.StatusOK, nil
 }
+
+// maxPooledQueries is the largest parsed-query buffer estimateBatchSQL keeps
+// between requests (~450 KB).
+const maxPooledQueries = 4096
 
 // maxBatchQueries bounds a binary batch's declared query count before any
 // per-query work happens (the JSON path is equivalently bounded by
@@ -669,6 +694,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds:   time.Since(s.started).Seconds(),
 		Pool:            s.pool.Stats(),
 		RepCache:        s.est.CacheStats(),
+		StmtCache:       s.sys.StatementCacheStats(),
 		Selection:       s.est.SelectionStats(),
 		Coalescer:       s.est.CoalescerStats(),
 		EstimateLatency: s.estimateLatency.snapshot(),

@@ -19,10 +19,11 @@ import (
 
 // setTelemetry attaches the telemetry bundle the estimator records into
 // and registers the server-level families on its registry: per-request SQL
-// parse time, per-route HTTP outcomes, the ingest gate, /estimate/batch codec
-// traffic with frame-size histograms, and process uptime. Call once, after
-// setIngestLimit and before serving; a nil bundle (the -telemetry=false path)
-// leaves every instrument nil and /metrics unrouted.
+// parse time, statement-cache lookups, per-route HTTP outcomes, the ingest
+// gate, /estimate/batch codec traffic with frame-size histograms, and process
+// uptime. Call once, after setIngestLimit and before serving; a nil bundle
+// (the -telemetry=false path) leaves every instrument nil and /metrics
+// unrouted.
 func (s *server) setTelemetry(t *crn.Telemetry) {
 	if t == nil {
 		return
@@ -35,6 +36,15 @@ func (s *server) setTelemetry(t *crn.Telemetry) {
 	s.parseDur = reg.Histogram("crn_parse_duration_seconds",
 		"Time one /estimate or /estimate/batch request spent parsing its SQL into canonical queries.",
 		telemetry.DurationOpts)
+	reg.CollectCounter("crn_stmtcache_lookups_total",
+		"Statement-cache lookups by result: request texts answered without parsing vs parsed.",
+		"result", func(emit telemetry.Emit) {
+			cs := s.sys.StatementCacheStats()
+			emit(float64(cs.Hits), "hit")
+			emit(float64(cs.Misses), "miss")
+		})
+	reg.GaugeFunc("crn_stmtcache_entries", "Request texts held by the statement cache.",
+		func() float64 { return float64(s.sys.StatementCacheStats().Entries) })
 
 	// Wire layer: frame sizes as histograms (the shape of batch traffic),
 	// request/byte totals as collector families over the counters the
@@ -65,10 +75,11 @@ func (s *server) setTelemetry(t *crn.Telemetry) {
 			emit(float64(s.wireIO.binaryBytesOut.Load()), "binary")
 		})
 	reg.CollectCounter("crn_wire_buffer_ops_total",
-		"Binary-path pooled buffer operations (get, miss).", "op", func(emit telemetry.Emit) {
-			gets, misses := s.bufPool.Stats()
+		"Binary-path pooled buffer operations (get, miss, oversize drop).", "op", func(emit telemetry.Emit) {
+			gets, misses, drops := s.bufPool.Stats()
 			emit(float64(gets), "get")
 			emit(float64(misses), "miss")
+			emit(float64(drops), "drop")
 		})
 
 	// HTTP layer: per-route outcome counters, gathered from the atomics

@@ -75,6 +75,7 @@ type System struct {
 	db     *db.Database
 	exec   *exec.Executor
 	enc    *feature.Encoder
+	stmts  *sqlparse.Cache
 }
 
 // OpenSynthetic generates a synthetic IMDb-like database (see
@@ -132,7 +133,7 @@ func Open(d *db.Database) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{schema: d.Schema, db: d, exec: ex, enc: enc}, nil
+	return &System{schema: d.Schema, db: d, exec: ex, enc: enc, stmts: sqlparse.NewCache(d.Schema)}, nil
 }
 
 // Schema returns the database schema.
@@ -144,9 +145,36 @@ func (s *System) DB() *db.Database { return s.db }
 // ParseQuery parses the supported conjunctive SQL dialect, e.g.
 // "SELECT * FROM title, cast_info WHERE title.id = cast_info.movie_id AND
 // cast_info.role_id = 2". Failures wrap ErrDialect.
+//
+// A recurring request is recognised instead of re-derived: the System keeps
+// a statement cache keyed by the exact bytes of sql (another spelling of the
+// same query is another entry), so a text parsed before costs one hash and a
+// string compare and allocates nothing. The contract:
+//
+//   - The returned Query may be the very value an earlier call returned. It
+//     is shared and immutable: do not modify its Tables, Joins or Preds in
+//     place. Appending to them is safe — they carry no spare capacity, so an
+//     append copies.
+//   - Only successful parses are cached; every error comes from the parser.
+//   - The cache is bounded and never invalidated (a System's schema is
+//     immutable): at most 8192 statements, each retaining an owned copy of
+//     its text — never the caller's bytes — plus its canonical Query. Texts
+//     longer than 1024 bytes are parsed and answered but not retained. An
+//     entry is ~1 KB for the generated 0–2-join workload, so a full cache is
+//     ~8 MB; the worst case (every text a maximal conjunction of distinct
+//     minimal predicates) is under 50 MB.
+//
+// StatementCacheStats reports hits, misses and occupancy.
 func (s *System) ParseQuery(sql string) (Query, error) {
-	return sqlparse.Parse(s.schema, sql)
+	return s.stmts.Parse(sql)
 }
+
+// StatementCacheStats reports ParseQuery's statement cache: lookups by
+// result, statements held, and well-formed texts too long to be admitted.
+type StatementCacheStats = sqlparse.CacheStats
+
+// StatementCacheStats returns a snapshot of the statement-cache counters.
+func (s *System) StatementCacheStats() StatementCacheStats { return s.stmts.Stats() }
 
 // TrueCardinality executes the query exactly and returns its result
 // cardinality. The exact scan honors ctx cancellation.

@@ -549,10 +549,11 @@ func TestRateMemoUntouchedByFailedPass(t *testing.T) {
 }
 
 // TestHotEstimateAllocs pins the allocation count of the steady-state
-// single-query estimate (every rate a memo hit) at what it was before the
-// rate memo existed: 11 at this fixture's pool size (crnbench's
-// facade.estimate_allocs, over a 300-entry pool, reads 18 for the same
-// path).
+// single-query estimate (every rate a memo hit): 5 — the coalescer's solo
+// call, the result, the rate slice, the rate pass's key list and its pair
+// predictor — now that card.Estimator's working memory is pooled scratch (it
+// was 11; crnbench's facade.estimate_allocs reads the same path over a
+// 300-entry pool).
 func TestHotEstimateAllocs(t *testing.T) {
 	ctx := context.Background()
 	sys, model, p, probe := repCacheFixture(t)
@@ -572,7 +573,7 @@ func TestHotEstimateAllocs(t *testing.T) {
 	if st := est.CacheStats(); st.MemoHits == 0 {
 		t.Fatalf("fixture never reached the memo-hit state: %+v", st)
 	}
-	if n := testing.AllocsPerRun(100, run); n > 11 {
-		t.Errorf("hot single estimate: %v allocs, want <= 11", n)
+	if n := testing.AllocsPerRun(100, run); n > 5 && !raceEnabled {
+		t.Errorf("hot single estimate: %v allocs, want <= 5", n)
 	}
 }

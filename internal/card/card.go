@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -130,6 +131,87 @@ func shareKey(q query.Query, bounded bool) string {
 	return q.FROMKey() + "\x00" + sig.PatternKey()
 }
 
+// span locates one query of a batch in the scratch: its usable candidates
+// arena[lo:hi] and its first pair index in the flat rate list.
+type span struct {
+	lo, hi int
+	off    int
+}
+
+// scratch is the working memory of one EstimateCards call. It is pooled at
+// package level — an Estimator built as a struct literal gets it too — and
+// holds, between calls, no pool entry and no query: release clears what the
+// call wrote before the scratch goes back.
+type scratch struct {
+	spans   []span
+	arena   []pool.Entry     // every query's candidates, back to back
+	list    []query.Query    // indexed rate path: probes and distinct candidates
+	idx     [][2]int         // indexed rate path: pairs as indices into list
+	seen    map[int64]int    // indexed rate path: entry ID -> index in list
+	pairs   [][2]query.Query // query-valued rate path
+	share   map[string]int   // ShareCandidates: share key -> first probe
+	results []float64        // one query's per-candidate estimates
+}
+
+// maxScratchEntries bounds what a pooled scratch may retain, per slice (the
+// pair lists hold two elements per candidate). A call that grew any of them
+// beyond it — a 65 536-query frame gathers ~90 MB — drops its scratch instead
+// of parking it in the pool; at the bound one scratch is ~2.5 MB.
+const maxScratchEntries = 8192
+
+// maxScratchMapEntries bounds the two maps separately and much lower: a map
+// never shrinks and clear(map) costs its capacity, not its length, so one
+// call that met a few thousand distinct pool entries would leave every later
+// call on that scratch — a 3 µs single estimate included — clearing ~280 KB.
+// A map a call filled beyond the bound is replaced instead of cleared; at the
+// bound clearing one is ~35 KB.
+const maxScratchMapEntries = 1024
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{seen: make(map[int64]int), share: make(map[string]int)}
+}}
+
+// oversize reports whether a call grew the scratch beyond what the pool may
+// retain.
+func (s *scratch) oversize() bool {
+	return cap(s.spans) > maxScratchEntries || cap(s.arena) > maxScratchEntries ||
+		cap(s.list) > maxScratchEntries || cap(s.idx) > 2*maxScratchEntries ||
+		cap(s.pairs) > 2*maxScratchEntries || cap(s.results) > maxScratchEntries
+}
+
+// reset empties the scratch for its next call: every element a call wrote is
+// zeroed, the slices keep their capacity, the maps theirs up to
+// maxScratchMapEntries.
+func (s *scratch) reset() {
+	clear(s.arena)
+	clear(s.list)
+	clear(s.pairs)
+	// A call only inserts, so a map's length here is that call's peak, and
+	// no earlier call's peak was above the bound or the map would be gone.
+	if len(s.seen) > maxScratchMapEntries {
+		s.seen = make(map[int64]int)
+	} else {
+		clear(s.seen)
+	}
+	if len(s.share) > maxScratchMapEntries {
+		s.share = make(map[string]int)
+	} else {
+		clear(s.share)
+	}
+	s.spans, s.arena, s.list, s.idx = s.spans[:0], s.arena[:0], s.list[:0], s.idx[:0]
+	s.pairs, s.results = s.pairs[:0], s.results[:0]
+}
+
+// release resets the scratch and returns it to the pool, or drops it when
+// the call outgrew maxScratchEntries.
+func (s *scratch) release() {
+	if s.oversize() {
+		return
+	}
+	s.reset()
+	scratchPool.Put(s)
+}
+
 // New creates a pool-based estimator with the paper's defaults (Median
 // final function, ε = 1e-3, serial scan).
 func New(rates contain.RateEstimator, qp *pool.Pool) *Estimator {
@@ -188,22 +270,20 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 
 	// Gather every query's pool candidates into one arena and lay their
 	// rate pairs out in one flat list: (Qold, Qnew) then (Qnew, Qold) per
-	// candidate. The arena amortizes the per-probe copy Matching would
-	// make — under request coalescing this path runs for every single-query
-	// estimate, so its allocation count is serving-hot.
-	type span struct {
-		lo, hi int // usable entries in arena[lo:hi]
-		off    int // first pair index in the flat list
-	}
-	spans := make([]span, len(queries))
-	arena := make([]pool.Entry, 0, 8*len(queries))
+	// candidate. Under request coalescing this path runs for every
+	// single-query estimate, so all of its working memory is pooled scratch:
+	// the call allocates its result and nothing else.
+	s := scratchPool.Get().(*scratch)
+	defer s.release()
+	spans := slices.Grow(s.spans, len(queries))[:len(queries)]
+	arena := s.arena
 	total := 0
 	// Batch-level candidate sharing: one pool selection per share bucket,
 	// reused by every later probe of the same bucket (rate pairs stay
 	// per-probe — only the selection is shared). See ShareCandidates.
 	var shareIdx map[string]int
 	if e.ShareCandidates && len(queries) > 1 {
-		shareIdx = make(map[string]int, len(queries))
+		shareIdx = s.share
 	}
 	for i, qnew := range queries {
 		atomic.AddUint64(&e.selections, 1)
@@ -228,12 +308,15 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 		// containment rate of an empty query is 0 by definition (§2), so
 		// x_rate/y_rate·0 degenerates to 0 regardless of the rates.
 		w := lo
-		for _, m := range arena[lo:] {
-			if m.Card > 0 {
-				arena[w] = m
+		for r := lo; r < len(arena); r++ {
+			if arena[r].Card > 0 {
+				if w != r {
+					arena[w] = arena[r]
+				}
 				w++
 			}
 		}
+		clear(arena[w:]) // the scratch must not pin what the scan dropped
 		arena = arena[:w]
 		spans[i] = span{lo: lo, hi: w, off: 2 * total}
 		total += w - lo
@@ -241,6 +324,7 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 			shareIdx[sk] = i
 		}
 	}
+	s.spans, s.arena = spans, arena
 	if e.Tel != nil {
 		st.Mark(e.Tel.Stages.CandidateSelection)
 	}
@@ -252,13 +336,12 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 		// each pool entry once per batch (recognized by its stable ID when
 		// several probes share a FROM clause); pairs are index tuples. No
 		// canonical keys are rendered anywhere on this path.
-		list := make([]query.Query, 0, len(queries)+total)
-		idx := make([][2]int, 0, 2*total)
-		seen := make(map[int64]int, total)
+		list, idx, seen := s.list, s.idx, s.seen
 		for i, qnew := range queries {
 			qi := len(list)
 			list = append(list, qnew)
-			for _, m := range arena[spans[i].lo:spans[i].hi] {
+			for k := spans[i].lo; k < spans[i].hi; k++ {
+				m := &arena[k] // an Entry is 128 bytes: no per-candidate copy
 				mi, ok := seen[m.ID]
 				if !ok {
 					mi = len(list)
@@ -268,14 +351,16 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 				idx = append(idx, [2]int{mi, qi}, [2]int{qi, mi})
 			}
 		}
+		s.list, s.idx = list, idx
 		rates, err = idxEst.EstimateRatesIndexed(ctx, list, idx)
 	} else {
-		pairs := make([][2]query.Query, 0, 2*total)
+		pairs := s.pairs
 		for i, qnew := range queries {
 			for _, m := range arena[spans[i].lo:spans[i].hi] {
 				pairs = append(pairs, [2]query.Query{m.Q, qnew}, [2]query.Query{qnew, m.Q})
 			}
 		}
+		s.pairs = pairs
 		rates, err = e.estimateRates(ctx, pairs)
 	}
 	// The rate model times its own cache-lookup and forward spans (see
@@ -286,18 +371,18 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 	}
 
 	out := make([]float64, len(queries))
-	var results []float64 // reused across queries; final() must not retain it
 	for i, qnew := range queries {
 		sp := spans[i]
-		results = results[:0]
-		for mi, m := range arena[sp.lo:sp.hi] {
+		results := s.results[:0] // reused across queries; final() must not retain it
+		for mi := range arena[sp.lo:sp.hi] {
 			xRate := rates[sp.off+2*mi]   // Qold ⊂% Qnew
 			yRate := rates[sp.off+2*mi+1] // Qnew ⊂% Qold
 			if yRate <= eps {
 				continue
 			}
-			results = append(results, xRate/yRate*float64(m.Card))
+			results = append(results, xRate/yRate*float64(arena[sp.lo+mi].Card))
 		}
+		s.results = results
 		if len(results) == 0 {
 			est, err := e.fallbackCard(ctx, qnew)
 			if err != nil {

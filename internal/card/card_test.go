@@ -1,9 +1,12 @@
 package card
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"crn/internal/contain"
@@ -235,6 +238,206 @@ func TestOracleExactnessSweep(t *testing.T) {
 		}
 		if math.Abs(got-float64(truth)) > 1e-6*float64(truth) {
 			t.Errorf("year %d: got %v want %d", year, got, truth)
+		}
+	}
+}
+
+// indexed serves a rate model through the zero-copy indexed interface, the
+// path the CRN adapter takes.
+type indexed struct{ contain.RateEstimator }
+
+func (r indexed) EstimateRatesIndexed(_ context.Context, queries []query.Query, pairs [][2]int) ([]float64, error) {
+	out := make([]float64, len(pairs))
+	for i, p := range pairs {
+		v, err := r.EstimateRate(queries[p[0]], queries[p[1]])
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// pooledScratch runs call until the package's scratch pool hands back a
+// scratch a call has used (under -race sync.Pool drops Puts at random).
+func pooledScratch(t *testing.T, call func()) *scratch {
+	t.Helper()
+	for try := 0; try < 100; try++ {
+		call()
+		if sc := scratchPool.Get().(*scratch); cap(sc.arena) > 0 {
+			return sc
+		}
+	}
+	t.Fatal("no used scratch came back from the pool")
+	return nil
+}
+
+// TestScratchPinsNothingBetweenCalls: a released scratch keeps its capacity
+// and nothing else — no pool entry, no query, no map key — over the whole
+// backing arrays, whichever rate interface and selection mode the call used.
+func TestScratchPinsNothingBetweenCalls(t *testing.T) {
+	ex, qp := fixture(t)
+	qp.Add(sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id = 99"), 0) // dropped by the Card > 0 filter
+	probes := []query.Query{
+		sqlparse.MustParse(s, "SELECT * FROM title WHERE title.production_year > 1960"),
+		sqlparse.MustParse(s, "SELECT * FROM title, cast_info WHERE title.id = cast_info.movie_id AND cast_info.role_id < 4"),
+		sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id < 4"),
+	}
+	for name, rates := range map[string]contain.RateEstimator{
+		"indexed": indexed{contain.TruthRate{T: ex}},
+		"pairs":   contain.TruthRate{T: ex},
+	} {
+		for _, share := range []bool{false, true} {
+			est := New(rates, qp)
+			est.ShareCandidates = share
+			sc := pooledScratch(t, func() {
+				if _, err := est.EstimateCards(context.Background(), probes); err != nil {
+					t.Fatal(err)
+				}
+			})
+			what := fmt.Sprintf("%s share=%v", name, share)
+			for i, e := range sc.arena[:cap(sc.arena)] {
+				if !reflect.ValueOf(e).IsZero() {
+					t.Fatalf("%s: arena[%d] still holds %v", what, i, e.Q)
+				}
+			}
+			for i, q := range sc.list[:cap(sc.list)] {
+				if !reflect.ValueOf(q).IsZero() {
+					t.Fatalf("%s: list[%d] still holds %v", what, i, q)
+				}
+			}
+			for i, p := range sc.pairs[:cap(sc.pairs)] {
+				if !reflect.ValueOf(p).IsZero() {
+					t.Fatalf("%s: pairs[%d] still holds %v", what, i, p)
+				}
+			}
+			if len(sc.seen) != 0 || len(sc.share) != 0 || len(sc.arena)+len(sc.list)+len(sc.idx)+len(sc.pairs)+len(sc.spans)+len(sc.results) != 0 {
+				t.Fatalf("%s: released scratch is not empty: %d seen, %d share keys", what, len(sc.seen), len(sc.share))
+			}
+		}
+	}
+}
+
+// TestOversizeScratchIsDropped: a frame far above maxScratchEntries grows the
+// scratch it was handed and must not park it — whatever the pool holds
+// afterwards is within the bound — and the answers are those of a small call.
+func TestOversizeScratchIsDropped(t *testing.T) {
+	_, qp := fixture(t)
+	half := contain.RateFunc(func(q1, q2 query.Query) (float64, error) { return 0.5, nil })
+	probe := sqlparse.MustParse(s, "SELECT * FROM title WHERE title.production_year > 1960")
+	for name, rates := range map[string]contain.RateEstimator{
+		"indexed": indexed{half},
+		"pairs":   half,
+	} {
+		est := New(rates, qp)
+		want, err := est.EstimateCard(probe) // also leaves a small scratch for the big call to grow
+		if err != nil {
+			t.Fatal(err)
+		}
+		big := make([]query.Query, 2*maxScratchEntries)
+		for i := range big {
+			big[i] = probe
+		}
+		got, err := est.EstimateCards(context.Background(), big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			if v != want {
+				t.Fatalf("%s: big[%d] = %v, want %v", name, i, v, want)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			if sc := scratchPool.Get().(*scratch); sc.oversize() {
+				t.Fatalf("%s: the pool retained an oversize scratch: %d spans, %d entries, %d queries, %d+%d pairs", name,
+					cap(sc.spans), cap(sc.arena), cap(sc.list), cap(sc.idx), cap(sc.pairs))
+			}
+		}
+	}
+}
+
+// mapHasRoomFor reports whether m takes n new keys without allocating, i.e.
+// still has the capacity of a map that once held that many.
+func mapHasRoomFor(m map[int64]int, n int) bool {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		m[int64(i)] = i
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs == before.Mallocs
+}
+
+// TestScratchMapsDoNotStayLarge: clear(map) costs the map's capacity, so a
+// call that met thousands of distinct pool entries — well inside
+// maxScratchEntries, the scratch is pooled — must not leave every later call
+// on that scratch clearing a map of that size.
+func TestScratchMapsDoNotStayLarge(t *testing.T) {
+	// reset itself: a map is kept up to the bound and replaced beyond it.
+	sc := &scratch{seen: make(map[int64]int), share: make(map[string]int)}
+	for i := 0; i < maxScratchMapEntries; i++ {
+		sc.seen[int64(i)] = i
+		sc.share[fmt.Sprint(i)] = i
+	}
+	sc.reset()
+	if len(sc.seen) != 0 || len(sc.share) != 0 {
+		t.Fatalf("reset left %d seen, %d share keys", len(sc.seen), len(sc.share))
+	}
+	if !mapHasRoomFor(sc.seen, maxScratchMapEntries) {
+		t.Fatal("reset replaced a seen map at the bound: a hot batch would re-make it on every call")
+	}
+	sc.share["over"] = 0
+	for i := 0; i < maxScratchMapEntries; i++ {
+		sc.share[fmt.Sprint(i)] = i
+	}
+	sc.seen[maxScratchMapEntries] = 0
+	sc.reset()
+	if len(sc.seen) != 0 || len(sc.share) != 0 {
+		t.Fatalf("reset left %d seen, %d share keys", len(sc.seen), len(sc.share))
+	}
+	if mapHasRoomFor(sc.seen, maxScratchMapEntries) {
+		t.Fatal("reset kept a seen map that had grown above the bound")
+	}
+
+	// Through EstimateCards: one probe against 3000 pooled queries of its
+	// FROM clause, then single estimates against a small pool.
+	const entries = 3000
+	bigPool := pool.New()
+	for i := 0; i < entries; i++ {
+		bigPool.Add(sqlparse.MustParse(s, fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d", i)), int64(i+1))
+	}
+	_, qp := fixture(t)
+	half := indexed{contain.RateFunc(func(q1, q2 query.Query) (float64, error) { return 0.5, nil })}
+	big, small := New(half, bigPool), New(half, qp)
+	probe := sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id < 4")
+	want, err := small.EstimateCard(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for try := 0; ; try++ {
+		if try == 100 {
+			t.Fatal("the big call's scratch never came back from the pool")
+		}
+		if _, err := big.EstimateCard(probe); err != nil {
+			t.Fatal(err)
+		}
+		got := scratchPool.Get().(*scratch)
+		if cap(got.arena) < entries { // under -race sync.Pool drops Puts at random
+			continue
+		}
+		if got.oversize() {
+			t.Fatalf("%d candidates made the scratch oversize: the test no longer reaches the pooled path", entries)
+		}
+		if mapHasRoomFor(got.seen, entries) {
+			t.Fatalf("the pooled scratch kept a seen map sized for %d entries", entries)
+		}
+		got.reset()
+		scratchPool.Put(got)
+		break
+	}
+	for i := 0; i < 3; i++ {
+		if got, err := small.EstimateCard(probe); err != nil || got != want {
+			t.Fatalf("single estimate after the big call = %v, %v; want %v", got, err, want)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package guard
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -351,7 +351,7 @@ func (b *Breaker) p99Locked() time.Duration {
 	for i := 0; i < b.ringLen; i++ {
 		b.sortSpace = append(b.sortSpace, b.ring[i].latency)
 	}
-	sort.Slice(b.sortSpace, func(i, j int) bool { return b.sortSpace[i] < b.sortSpace[j] })
+	slices.Sort(b.sortSpace)
 	idx := (len(b.sortSpace)*99 + 99) / 100
 	if idx > len(b.sortSpace) {
 		idx = len(b.sortSpace)

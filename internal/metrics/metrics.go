@@ -115,9 +115,13 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 50th percentile of an unsorted sample.
+// Median returns the 50th percentile of an unsorted sample, which it does
+// not modify. It is the final function of every served estimate, so samples
+// of up to 128 values — a FROM clause's worth of pool candidates — are sorted
+// in a stack buffer, not a heap copy.
 func Median(values []float64) float64 {
-	sorted := append([]float64(nil), values...)
+	var buf [128]float64
+	sorted := append(buf[:0], values...)
 	sort.Float64s(sorted)
 	return Percentile(sorted, 50)
 }

@@ -55,7 +55,10 @@
 // linear scan and reports it in Stats.IndexFallbacks.
 package pool
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 const (
 	// minIndexEntries is the FROM-clause size below which the density guard
@@ -186,7 +189,7 @@ func (p *Pool) selectIndexedLocked(idx *fromIndex, probe Signature, k int) (refs
 		ub, flat := probe.SimilarityBound(c.pat)
 		classes = append(classes, classRef{c: c, ub: ub, flat: flat})
 	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i].ub > classes[j].ub })
+	slices.SortFunc(classes, func(a, b classRef) int { return cmp.Compare(b.ub, a.ub) })
 	heap := newTopKHeap(k)
 	for _, cr := range classes {
 		if heap.full() && cr.ub < heap.refs[0].score {

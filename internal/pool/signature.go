@@ -1,7 +1,7 @@
 package pool
 
 import (
-	"sort"
+	"slices"
 
 	"crn/internal/query"
 )
@@ -110,6 +110,14 @@ func (h *topKHeap) down(i int) {
 // ascending on ties) — the deterministic output order of TopK.
 func (h *topKHeap) sorted() []scoredRef {
 	refs := h.refs
-	sort.Slice(refs, func(i, j int) bool { return refs[i].better(refs[j]) })
+	slices.SortFunc(refs, func(a, b scoredRef) int {
+		switch {
+		case a.better(b):
+			return -1
+		case b.better(a):
+			return 1
+		}
+		return 0
+	})
 	return refs
 }

@@ -60,6 +60,13 @@ func checkQuery(t *testing.T, what string, got query.Query, want oracleQuery) {
 func checkParse(t *testing.T, s *schema.Schema, dict StringInterner, sql string) (accepted bool) {
 	t.Helper()
 	got, err := ParseWith(s, dict, sql)
+	return checkOutcome(t, s, dict, sql, got, err)
+}
+
+// checkOutcome holds one parse outcome for sql — from the scanner directly or
+// through a statement cache — to the oracle's.
+func checkOutcome(t *testing.T, s *schema.Schema, dict StringInterner, sql string, got query.Query, err error) (accepted bool) {
+	t.Helper()
 	want, wantErr := oracleParseWith(s, dict, sql)
 	if (err == nil) != (wantErr == nil) {
 		t.Errorf("%q: error %v, oracle error %v", sql, err, wantErr)
@@ -244,20 +251,22 @@ func TestParseMatchesOracle(t *testing.T) {
 // apart.
 func TestParseMatchesOracleOnPrefixSchema(t *testing.T) {
 	ps := prefixSchema()
-	base := []string{
-		"SELECT * FROM tx, t, t_x, t0 WHERE tx.id = t.id AND t_x.t_id = t.id AND t.id = t0.id AND t_x.id = t0.id0 AND t.x_id < 3 AND t.x = 3 AND t.id > 3 AND tx.i = 1 AND tx.id_x = 1 AND t0.id0 = 2 AND t0.id = 2 AND t_x.id = 9",
-		"SELECT * FROM t0, t_x WHERE t0.id0 = t_x.id AND t_x.t_id = 4 AND t_x.id < 4",
-		"SELECT * FROM T, TX WHERE T.ID = TX.ID AND TX.I > -7 AND T.X_ID = 0",
-		"SELECT * FROM t, t0 WHERE t.id = t0.id0", "SELECT * FROM t_, t", "SELECT * FROM t WHERE t.i = 1",
-		"SELECT * FROM t0 WHERE t0.id0 < 5 AND t0.id0 < 4 AND t0.id > 4 AND t0.id = 4",
-	}
 	rng := rand.New(rand.NewSource(9))
-	for _, sql := range base {
+	for _, sql := range prefixBase {
 		checkParse(t, ps, nil, sql)
 		for k := 0; k < 300; k++ {
 			checkParse(t, ps, nil, mutate(rng, sql))
 		}
 	}
+}
+
+// prefixBase are the hand-written inputs over prefixSchema.
+var prefixBase = []string{
+	"SELECT * FROM tx, t, t_x, t0 WHERE tx.id = t.id AND t_x.t_id = t.id AND t.id = t0.id AND t_x.id = t0.id0 AND t.x_id < 3 AND t.x = 3 AND t.id > 3 AND tx.i = 1 AND tx.id_x = 1 AND t0.id0 = 2 AND t0.id = 2 AND t_x.id = 9",
+	"SELECT * FROM t0, t_x WHERE t0.id0 = t_x.id AND t_x.t_id = 4 AND t_x.id < 4",
+	"SELECT * FROM T, TX WHERE T.ID = TX.ID AND TX.I > -7 AND T.X_ID = 0",
+	"SELECT * FROM t, t0 WHERE t.id = t0.id0", "SELECT * FROM t_, t", "SELECT * FROM t WHERE t.i = 1",
+	"SELECT * FROM t0 WHERE t0.id0 < 5 AND t0.id0 < 4 AND t0.id > 4 AND t0.id = 4",
 }
 
 // TestNewMatchesOracle feeds query.New clause lists no SQL text can spell —

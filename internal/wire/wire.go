@@ -148,12 +148,19 @@ func DecodeResponse(data []byte) ([]float64, error) {
 	return out, nil
 }
 
+// maxPooledBuffer is the largest buffer a BufferPool keeps. A batch of 64
+// probes is ~15 KB either way; without the bound one 1 MiB body would park
+// 1 MiB in the pool for as long as it stays warm.
+const maxPooledBuffer = 64 << 10
+
 // BufferPool recycles byte buffers for frame encoding and request-body
-// reads, counting gets and pool misses so servers can report a reuse rate.
+// reads, counting gets, pool misses and oversize drops so servers can report
+// a reuse rate.
 type BufferPool struct {
-	pool sync.Pool
-	gets atomic.Uint64
-	news atomic.Uint64
+	pool  sync.Pool
+	gets  atomic.Uint64
+	news  atomic.Uint64
+	drops atomic.Uint64
 }
 
 // Get returns a zero-length buffer with whatever capacity the pool had on
@@ -168,17 +175,23 @@ func (p *BufferPool) Get() []byte {
 }
 
 // Put returns a buffer to the pool. Buffers that never grew are not worth
-// keeping.
+// keeping, and buffers above maxPooledBuffer are dropped (and counted) so a
+// rare large frame does not stay resident.
 func (p *BufferPool) Put(b []byte) {
 	if cap(b) == 0 {
+		return
+	}
+	if cap(b) > maxPooledBuffer {
+		p.drops.Add(1)
 		return
 	}
 	b = b[:0]
 	p.pool.Put(&b)
 }
 
-// Stats reports total Get calls and how many missed the pool (allocated
-// fresh). Reuse rate is (gets-misses)/gets.
-func (p *BufferPool) Stats() (gets, misses uint64) {
-	return p.gets.Load(), p.news.Load()
+// Stats reports total Get calls, how many missed the pool (allocated
+// fresh), and how many buffers Put dropped as oversize. Reuse rate is
+// (gets-misses)/gets.
+func (p *BufferPool) Stats() (gets, misses, drops uint64) {
+	return p.gets.Load(), p.news.Load(), p.drops.Load()
 }
