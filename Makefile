@@ -1,7 +1,7 @@
 # Development entry points. Everything is plain `go` underneath; the
-# targets just bundle the flags used by CI and the perf trajectory.
+# targets just bundle the flags used by CI.
 
-.PHONY: all build test race test-noasm bench bench-smoke crnbench-quick fmt vet clean-data
+.PHONY: all build test race test-noasm bench-smoke crnbench-quick fmt vet clean-data
 
 all: build test
 
@@ -22,31 +22,14 @@ test-noasm:
 	go build -tags noasm ./...
 	go test -tags noasm ./...
 
-# bench runs the nn-kernel, wire-codec, compute-core and serving benchmarks
-# (including the concurrent serving benchmarks at -cpu 1,4, the large-pool
-# top-K benchmarks with the inverted index on AND off plus batch-level
-# candidate sharing, the saturated-pool eviction benchmarks, the
-# feedback-loop trainer-idle/active benchmarks, the PR 6 durability
-# benchmarks, the PR 7 guarded serving benchmark with its <= 5% overhead
-# gate, the PR 8 index gate, the PR 9 gates — dispatched MatMul128 >= 2x
-# the noasm build where AVX2+FMA was selected, binary batch codec allocs
-# <= 20% of JSON — and the PR 10 telemetry gate: the fully instrumented
-# estimator <= 3% over the bare one on the parallel serving point) with
-# -benchmem and records results (plus the frozen pre-PR baseline and the
-# per-stage latency breakdown of the HTTP estimate path) in BENCH_10.json.
-# Kernel and wire rows record minima over repeated runs — see the noise
-# policy note in BENCH_10.json.
-bench:
-	scripts/bench.sh
-
 # bench-smoke compiles and runs every perf-critical benchmark exactly once
 # (no timing assertions): a fast CI gate that kernel, workspace, cache,
 # coalescer, pool-index, adaptation-loop or durability changes still
 # execute. The parallel serving benchmarks run at -cpu 1,4 so both the
 # single- and multi-GOMAXPROCS dispatch paths execute; the large-pool
-# benchmarks exercise inverted-index selection, the index-off linear scan,
-# the unbounded full scan and batch-level candidate sharing once per size
-# point; the trainer benchmarks run one whole retrain/promotion cycle under
+# benchmarks exercise inverted-index selection, the index-off linear scan
+# and the unbounded full scan once per size point, plus the 8-probe top-K
+# batch at 50k entries; the trainer benchmarks run one whole retrain/promotion cycle under
 # estimate traffic, the pool benchmarks one heap eviction per size, the
 # WAL benchmarks one append per sync policy plus a full 10k-record
 # recovery replay, the feedback-path benchmarks one journaled record

@@ -12,7 +12,6 @@ import (
 	"crn/internal/contain"
 	icrn "crn/internal/crn"
 	"crn/internal/durable"
-	"crn/internal/guard"
 	"crn/internal/online"
 	"crn/internal/pool"
 	"crn/internal/telemetry"
@@ -116,15 +115,8 @@ func (s *System) AdaptiveEstimator(m *ContainmentModel, p *QueriesPool, opts ...
 // crn.HasCheckpoint). Without a data dir the construction is identical to
 // PR-era AdaptiveEstimator and the only error is a nil model.
 func (s *System) OpenAdaptiveEstimator(m *ContainmentModel, p *QueriesPool, opts ...EstimatorOption) (*AdaptiveEstimator, error) {
-	set := estimatorSettings{cacheSize: icrn.DefaultRepCacheSize}
 	est := card.New(nil, p)
-	if m != nil {
-		est.Rates = m.rates
-	}
-	set.est = est
-	for _, o := range opts {
-		o(&set)
-	}
+	set := newSettings(est, opts)
 
 	var (
 		store *durable.Store
@@ -185,28 +177,24 @@ func (s *System) OpenAdaptiveEstimator(m *ContainmentModel, p *QueriesPool, opts
 			box.Restore(model, ck.Generation)
 		}
 	}
-	est.Rates = box
-	ce := &CardinalityEstimator{est: est, pool: p, box: box}
-	ce.initCoalescer(set)
-	ce.applyGuards(set)
-	ce.applyTelemetry(set)
-
 	cfg := set.adapt
-	ae := &AdaptiveEstimator{
-		CardinalityEstimator: ce,
-		sys:                  s,
-		col:                  online.NewCollector(p, cfg.BufferCap),
-		drift:                online.NewDriftMonitor(cfg.DriftThreshold, cfg.DriftWindow, cfg.DriftMinSamples),
-		store:                store,
-	}
+	drift := online.NewDriftMonitor(cfg.DriftThreshold, cfg.DriftWindow, cfg.DriftMinSamples)
 	if set.breaker != nil && set.breaker.Alarm == nil {
 		// The adaptive deployment has a live unreliability signal the plain
 		// estimator lacks: wire the drift monitor's alarm bit into the
 		// breaker, so a drifted model diverts to the fallback immediately
-		// instead of waiting for the error window to fill.
+		// instead of waiting for the error window to fill. (A copy: the
+		// option's config may configure other estimators.)
 		bc := *set.breaker
-		bc.Alarm = ae.drift.Drifted
-		ce.breaker = guard.NewBreaker(bc)
+		bc.Alarm = drift.Drifted
+		set.breaker = &bc
+	}
+	ae := &AdaptiveEstimator{
+		CardinalityEstimator: newEstimator(est, p, box, set),
+		sys:                  s,
+		col:                  online.NewCollector(p, cfg.BufferCap),
+		drift:                drift,
+		store:                store,
 	}
 	if ck != nil {
 		ae.drift.Restore(ck.Drift)

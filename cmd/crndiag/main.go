@@ -11,7 +11,7 @@
 //
 // With -kernels it instead prints the inner-loop kernel set package nn
 // selected for this host ("avx2+fma" or "generic") and exits — used by
-// scripts/bench.sh to decide whether the SIMD kernel gate applies.
+// the CI SIMD kernel gate to decide whether it applies.
 //
 // With -watch it instead becomes a terminal dashboard over a running
 // crnserve: it polls the server's /metrics exposition (-metrics URL) every

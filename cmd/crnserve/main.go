@@ -30,27 +30,27 @@
 // bit-identical to the JSON path. JSON stays the default. /healthz reports
 // per-codec traffic and the buffer reuse rate under "wire".
 //
-// Concurrent single-query /estimate requests are coalesced into shared
-// batched passes (bit-identical results, one pool scan per batch instead of
-// one per request); tune with -coalesce-batch / -coalesce-wait, observe on
-// /healthz ("coalescer", "estimate_latency", "batch_latency", "rep_cache").
-// A coalesced request that disconnects abandons its slot immediately, but
-// the shared batch — work other callers still need — runs to completion
-// (disable coalescing with -coalesce-batch 1 to get strict per-request
-// cancellation back). -pprof mounts net/http/pprof under /debug/pprof/.
+// Every estimate — /estimate is a batch of one — runs the estimator's one
+// pipeline: admission gate, deadline, breaker, cache revalidation, the
+// learned pass, the degraded fallback, telemetry. The learned pass of a
+// single-query /estimate is the coalescer: concurrent requests are coalesced
+// into shared batched passes (bit-identical results, one pool scan per batch
+// instead of one per request); tune with -coalesce-batch / -coalesce-wait,
+// observe on /healthz ("coalescer", "estimate_latency", "batch_latency",
+// "rep_cache"). A coalesced request that disconnects abandons its slot
+// immediately, but the shared batch — work other callers still need — runs
+// to completion (disable coalescing with -coalesce-batch 1 to get strict
+// per-request cancellation back). -pprof mounts net/http/pprof under
+// /debug/pprof/.
 //
 // Large pools: -max-candidates K bounds every estimate to the K most
 // containment-comparable pool entries, keeping per-request latency flat as
 // /record grows the pool. Bounded selection runs through the pool's inverted
-// signature-class index by default — bit-identical candidates at sublinear
-// cost, falling back to the linear scan on clauses with too many distinct
-// signature patterns (disable with -indexed-selection=false to force the
-// scan). -pool-cap N bounds the pool itself with LRU-by-last-match eviction.
-// -share-candidates additionally reuses one candidate selection per (batch,
-// FROM clause, signature pattern) across each coalesced batch — exact for
-// unbounded scans, approximate under -max-candidates. /healthz reports the
-// index, scan-split and eviction counters under "pool" and the sharing
-// counters under "selection".
+// signature-class index — bit-identical candidates at sublinear cost — and
+// the pool itself falls back to the linear scan on clauses with too many
+// distinct signature patterns. -pool-cap N bounds the pool with
+// LRU-by-last-match eviction. /healthz reports the index, scan-split and
+// eviction counters under "pool".
 //
 // Online adaptation (on by default, disable with -adapt=false): /feedback
 // ingests execution feedback — a query the workload actually ran and its
@@ -129,8 +129,6 @@ func main() {
 	poolSeed := flag.Int64("pool-seed", 7, "queries-pool generation seed")
 	poolCap := flag.Int("pool-cap", 0, "queries-pool capacity; /record evicts the least-recently-matched entry once full (0: unbounded)")
 	maxCandidates := flag.Int("max-candidates", 0, "bound each estimate to the K most comparable pool entries via the signature index (0: full scan)")
-	indexedSelection := flag.Bool("indexed-selection", true, "serve bounded candidate selection through the pool's inverted signature-class index (bit-identical results; =false restores the full linear scan)")
-	shareCandidates := flag.Bool("share-candidates", false, "reuse one candidate selection per (batch, FROM clause, signature pattern) across coalesced batches; approximate when -max-candidates binds")
 	noFallback := flag.Bool("no-fallback", false, "fail pool misses with 422 instead of using the PostgreSQL-style baseline")
 	coalesceBatch := flag.Int("coalesce-batch", 64, "max concurrent /estimate requests coalesced into one batched pass (< 2 disables coalescing)")
 	coalesceWait := flag.Duration("coalesce-wait", 0, "how long to hold a non-full coalescing batch open for stragglers (0: adaptive, never waits)")
@@ -217,10 +215,6 @@ func main() {
 		poolOpts = append(poolOpts, crn.WithPoolCap(*poolCap))
 		logger.Printf("pool capacity bounded to %d entries (LRU-by-last-match eviction)", *poolCap)
 	}
-	if !*indexedSelection {
-		poolOpts = append(poolOpts, crn.WithIndexedSelection(false))
-		logger.Printf("indexed candidate selection off (full linear scan per bounded selection)")
-	}
 	pool := sys.NewQueriesPool(poolOpts...)
 	if *poolSize > 0 && !resume {
 		logger.Printf("seeding queries pool (n=%d)", *poolSize)
@@ -249,10 +243,6 @@ func main() {
 	if *maxCandidates > 0 {
 		opts = append(opts, crn.WithMaxCandidates(*maxCandidates))
 		logger.Printf("candidate selection bounded to top-%d pool entries per estimate", *maxCandidates)
-	}
-	if *shareCandidates {
-		opts = append(opts, crn.WithSharedSelection(true))
-		logger.Printf("batch-level candidate sharing on (one pool selection per batch share bucket)")
 	}
 	if *maxInflight > 0 {
 		opts = append(opts, crn.WithMaxInflight(*maxInflight))

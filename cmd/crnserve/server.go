@@ -381,10 +381,6 @@ type healthzResponse struct {
 	// without parsing (hits) vs parsed (misses), statements held, and
 	// well-formed texts too long to be admitted.
 	StmtCache crn.StatementCacheStats `json:"stmt_cache"`
-	// Selection reports batch-level candidate sharing: candidate selections
-	// requested vs answered by reusing an earlier selection of the same
-	// batch. Shared stays zero without -share-candidates.
-	Selection crn.SelectionStats `json:"selection"`
 	// Coalescer reports request-coalescing effectiveness: calls vs batch
 	// executions, average and max batch size (batched_items / batches),
 	// dedup hits, and abandons. All zeros when -coalesce-batch < 2.
@@ -695,7 +691,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Pool:            s.pool.Stats(),
 		RepCache:        s.est.CacheStats(),
 		StmtCache:       s.sys.StatementCacheStats(),
-		Selection:       s.est.SelectionStats(),
 		Coalescer:       s.est.CoalescerStats(),
 		EstimateLatency: s.estimateLatency.snapshot(),
 		BatchLatency:    s.batchLatency.snapshot(),

@@ -16,9 +16,9 @@ import (
 // codec, gate, coalescer, estimator — under parallel load and, when the
 // CRN_STAGE_REPORT environment variable names a file, writes the
 // per-stage latency breakdown observed during the run there as JSON.
-// scripts/bench.sh runs it once to produce the "stage_latency" section of
-// the bench report; the quantiles come from a windowed snapshot delta so
-// traffic from other tests sharing the package server is excluded.
+// CI runs it once and prints the report; the quantiles come from a
+// windowed snapshot delta so traffic from other tests sharing the package
+// server is excluded.
 func BenchmarkServeStages(b *testing.B) {
 	srv := testServer(b)
 	ts := httptest.NewServer(srv.handler())

@@ -101,28 +101,6 @@ func OpenSynthetic(ctx context.Context, opts ...OpenOption) (*System, error) {
 	return Open(d)
 }
 
-// DataConfig sizes the synthetic IMDb-like database.
-//
-// Deprecated: use OpenSynthetic with WithTitles / WithDataSeed options.
-type DataConfig struct {
-	Titles int   // rows in the fact table `title` (0 = 4000)
-	Seed   int64 // generation seed (0 = 1)
-}
-
-// OpenSyntheticConfig is the config-struct form of OpenSynthetic.
-//
-// Deprecated: use OpenSynthetic with options.
-func OpenSyntheticConfig(cfg DataConfig) (*System, error) {
-	var opts []OpenOption
-	if cfg.Titles > 0 {
-		opts = append(opts, WithTitles(cfg.Titles))
-	}
-	if cfg.Seed != 0 {
-		opts = append(opts, WithDataSeed(cfg.Seed))
-	}
-	return OpenSynthetic(context.Background(), opts...)
-}
-
 // Open wraps an existing frozen database.
 func Open(d *db.Database) (*System, error) {
 	ex, err := exec.New(d)

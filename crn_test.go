@@ -87,34 +87,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestDeprecatedConfigShims(t *testing.T) {
-	sys, err := OpenSyntheticConfig(DataConfig{Titles: 300, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mcfg := DefaultModelConfig()
-	mcfg.Hidden = 8
-	mcfg.Epochs = 2
-	mcfg.Patience = 1
-	model, err := sys.TrainContainmentModelConfig(TrainConfig{Pairs: 120, Seed: 3, Model: mcfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := sys.NewQueriesPool()
-	if err := sys.SeedPool(context.Background(), p, 20, 5); err != nil {
-		t.Fatal(err)
-	}
-	base, err := sys.AnalyzeBaseline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := sys.CardinalityEstimator(model, p).WithFallback(base)
-	q, _ := sys.ParseQuery("SELECT * FROM title")
-	if _, err := est.EstimateCardinality(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFacadeSaveLoad(t *testing.T) {
 	ctx := context.Background()
 	sys := testSystem(t)

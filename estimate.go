@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"crn/internal/card"
-	"crn/internal/contain"
 	icrn "crn/internal/crn"
 	"crn/internal/guard"
 	"crn/internal/online"
@@ -19,34 +18,42 @@ import (
 // safe for concurrent use on a trained model; the pool may grow
 // concurrently via RecordExecuted.
 //
-// CRN-backed estimators carry a serving cache: for every stable pool entry
-// (and any recurring probe) the set-module encodings AND the precomputed
-// pair-head partial products are memoized by canonical query key across
-// requests, the recurring working set held in a zero-copy resident tier —
-// so in steady state a single-query estimate computes only its own probe
-// side — and the containment rate of two resident queries is memoized by
-// their row pair, so a recurring probe does not run the pair head at all.
-// The cache subscribes to its pool and absorbs mutations surgically: an
-// insert drops nothing, an eviction drops exactly the evicted entry's rows
-// (and with them its memoized rates). Revalidation against the pool's
-// version counter before every estimate is the safety net — it flushes only
-// on a mutation the cache did not witness — and InvalidateRepresentations
-// flushes explicitly; estimates with and without the cache are
-// bit-identical.
+// Every estimate — a single query is a batch of one — runs one pipeline:
+// admission gate (WithMaxInflight), deadline (WithRequestTimeout), circuit
+// breaker (WithBreaker; an open breaker diverts to the fallback), cache
+// revalidation, the learned pass, the degraded fallback answer on a failure
+// the breaker counts, the breaker's outcome record, and telemetry. The
+// learned pass is the coalescer for a single call on a coalescing estimator
+// (WithCoalescing) and card.Estimator's batch pass otherwise; both give the
+// same bits.
 //
-// With WithCoalescing, concurrent EstimateCardinality calls are
-// additionally micro-batched into shared estimation passes; coalesced
-// results are bit-identical to uncoalesced calls.
+// A CRN-backed estimator reads its rate model through an online.ModelBox:
+// a frozen estimator is generation 1 of a box nobody promotes, an
+// AdaptiveEstimator's trainer promotes its box under live traffic. Each
+// generation carries a serving cache: for every stable pool entry (and any
+// recurring probe) the set-module encodings AND the precomputed pair-head
+// partial products are memoized by canonical query key across requests, the
+// recurring working set held in a zero-copy resident tier — so in steady
+// state a single-query estimate computes only its own probe side — and the
+// containment rate of two resident queries is memoized by their row pair, so
+// a recurring probe does not run the pair head at all. The cache subscribes
+// to its pool and absorbs mutations surgically: an insert drops nothing, an
+// eviction drops exactly the evicted entry's rows (and with them its
+// memoized rates). Revalidation against the pool's version counter before
+// every estimate is the safety net — it flushes only on a mutation the cache
+// did not witness — and InvalidateRepresentations flushes explicitly;
+// estimates with and without the cache are bit-identical.
 type CardinalityEstimator struct {
-	est   *card.Estimator
-	cache *icrn.RepCache
-	pool  *QueriesPool
-	coal  *serve.Coalescer[Query, float64]
+	est  *card.Estimator
+	pool *QueriesPool
+	coal *serve.Coalescer[Query, float64]
 
-	// box, when non-nil, is the atomic model-generation indirection of an
-	// AdaptiveEstimator: the rate model and its representation cache are
-	// read through one atomic pointer load per estimation pass, so a
-	// background promotion swaps both coherently under live traffic.
+	// box is the model-generation indirection: the rate model and its
+	// representation cache are read through one atomic pointer load per
+	// estimation pass, so a promotion swaps both coherently under live
+	// traffic. Nil for ImproveBaseline, whose wrapped model has no
+	// set-module representations (the box's methods used here are
+	// nil-safe).
 	box *online.ModelBox
 
 	// Operational guards (all optional, all nil-safe): gate sheds load
@@ -68,44 +75,42 @@ type CardinalityEstimator struct {
 	tel *telemetry.Telemetry
 }
 
-// applyGuards wires the admission gate, request timeout and circuit
-// breaker from the collected options.
-func (e *CardinalityEstimator) applyGuards(set estimatorSettings) {
+// newEstimator is the one constructor body behind CardinalityEstimator,
+// ImproveBaseline and OpenAdaptiveEstimator: est reads its rates through box
+// when there is one, and the coalescer, the guards and the telemetry are
+// wired from set once, before any traffic.
+func newEstimator(est *card.Estimator, p *QueriesPool, box *online.ModelBox, set estimatorSettings) *CardinalityEstimator {
+	e := &CardinalityEstimator{est: est, pool: p, box: box}
+	if box != nil {
+		est.Rates = box
+	}
+	if set.coalesceBatch >= 2 {
+		// Shared batches run under the background context the coalescer
+		// supplies, because the batch outlives any single caller; a solo
+		// fast-path run receives its one caller's context. Every caller
+		// revalidated the cache before joining, so the runner is the batch
+		// pass itself.
+		e.coal = serve.NewCoalescer(set.coalesceBatch, set.coalesceWait, Query.Key, est.EstimateCards)
+	}
 	e.gate = guard.NewGate(set.maxInflight)
 	e.reqTimeout = set.reqTimeout
 	e.wheel = guard.NewDeadlineWheel(set.reqTimeout)
 	if set.breaker != nil {
 		e.breaker = guard.NewBreaker(*set.breaker)
 	}
-}
-
-// applyTelemetry threads the telemetry bundle through every layer the
-// estimator owns — stage histograms into the coalescer, card estimator,
-// rate adapter and pool; collector families over the guard, cache,
-// coalescer and pool stats the facade already keeps. Called once at
-// construction, before any traffic, because the subsystem telemetry
-// fields are read without synchronization.
-func (e *CardinalityEstimator) applyTelemetry(set estimatorSettings) {
-	t := set.tel
-	if t == nil {
-		return
+	if t := set.tel; t != nil {
+		// The subsystem telemetry fields are read without synchronization,
+		// hence before any traffic.
+		e.tel = t
+		est.Tel = t
+		e.coal.SetTelemetry(t.Stages.CoalesceWait, t.CoalesceBatch)
+		if p != nil {
+			p.SetTelemetry(t.TopKScanned, t.TopKPruned)
+		}
+		box.SetStages(t.Stages)
+		e.registerCollectors()
 	}
-	e.tel = t
-	e.est.Tel = t
-	e.coal.SetTelemetry(t.Stages.CoalesceWait, t.CoalesceBatch)
-	if e.pool != nil {
-		e.pool.SetTelemetry(t.TopKScanned, t.TopKPruned)
-	}
-	if e.box != nil {
-		e.box.SetStages(t.Stages)
-	} else if r, ok := e.est.Rates.(*icrn.Rates); ok {
-		// Stage-instrument a private copy so sibling estimators sharing the
-		// model's adapter stay untouched.
-		r2 := *r
-		r2.Stages = t.Stages
-		e.est.Rates = &r2
-	}
-	e.registerCollectors()
+	return e
 }
 
 // registerCollectors bridges the estimator's existing stats atomics onto
@@ -202,21 +207,12 @@ func (e *CardinalityEstimator) registerCollectors() {
 				emit(float64(ps.ScannedFallback), "fallback")
 			})
 	}
-
-	// Batch-level candidate sharing.
-	r.CollectCounter("crn_candidate_selections_total",
-		"Per-probe candidate gatherings: requested across all batches, and the subset answered by reusing an earlier selection of the same batch.",
-		"kind", func(emit telemetry.Emit) {
-			ss := e.est.SelectionStats()
-			emit(float64(ss.Selections), "requested")
-			emit(float64(ss.Shared), "shared")
-		})
 }
 
 // finish closes out one request's telemetry: end-to-end latency (into the
 // batch histogram when batch is set) and the outcome counter. fellBack
 // marks answers diverted to the fallback estimator (breaker-open routing
-// or the degraded-answer path).
+// or the degraded-answer path); ErrOverloaded is the admission gate's shed.
 func (e *CardinalityEstimator) finish(st telemetry.StageTimer, batch bool, err error, fellBack bool) {
 	if e.tel == nil {
 		return
@@ -229,24 +225,13 @@ func (e *CardinalityEstimator) finish(st telemetry.StageTimer, batch bool, err e
 	switch {
 	case fellBack && err == nil:
 		e.tel.ReqFallback.Inc()
+	case err == guard.ErrOverloaded:
+		e.tel.ReqShed.Inc()
 	case err != nil:
 		e.tel.ReqError.Inc()
 	default:
 		e.tel.ReqOK.Inc()
 	}
-}
-
-// shed counts one request shed at the admission gate.
-func (e *CardinalityEstimator) shed(st telemetry.StageTimer, batch bool) {
-	if e.tel == nil {
-		return
-	}
-	hist := e.tel.E2E
-	if batch {
-		hist = e.tel.BatchE2E
-	}
-	hist.ObserveDuration(st.Total())
-	e.tel.ReqShed.Inc()
 }
 
 // withTimeout applies the configured per-request deadline (a no-op cancel
@@ -263,17 +248,6 @@ func (e *CardinalityEstimator) withTimeout(ctx context.Context) (context.Context
 	return context.WithTimeout(ctx, e.reqTimeout)
 }
 
-// activeCache resolves the representation cache estimates run against: the
-// current generation's cache for an adaptive estimator, the fixed one
-// otherwise. May be nil (ImproveBaseline, WithoutRepCache); RepCache
-// methods are nil-safe.
-func (e *CardinalityEstimator) activeCache() *icrn.RepCache {
-	if e.box != nil {
-		return e.box.Current().Rates.Cache
-	}
-	return e.cache
-}
-
 // RepCacheStats reports representation-cache effectiveness (see
 // CardinalityEstimator.CacheStats).
 type RepCacheStats = icrn.RepCacheStats
@@ -283,82 +257,26 @@ type RepCacheStats = icrn.RepCacheStats
 type CoalescerStats = serve.Stats
 
 // CardinalityEstimator builds the paper's Cnt2Crd(CRN) estimator from a
-// trained containment model and a queries pool. Options tune the Figure 8
-// algorithm (WithFinal, WithEpsilon, WithFallback, WithWorkers) and the
-// serving-side representation cache (WithRepCacheSize, WithoutRepCache).
+// trained containment model and a queries pool: generation 1 of a model
+// box nobody promotes. Options tune the Figure 8 algorithm (WithFinal,
+// WithFallback, WithMaxCandidates), the serving-side representation cache
+// (WithRepCacheSize, WithoutRepCache), coalescing, the guards and telemetry.
 func (s *System) CardinalityEstimator(m *ContainmentModel, p *QueriesPool, opts ...EstimatorOption) *CardinalityEstimator {
-	set := estimatorSettings{cacheSize: icrn.DefaultRepCacheSize}
-	est := card.New(m.rates, p)
-	set.est = est
-	for _, o := range opts {
-		o(&set)
-	}
-	ce := &CardinalityEstimator{est: est, pool: p}
-	if set.cacheSize > 0 {
-		// Bind a private cached view of the rate adapter, leaving the
-		// model's own adapter (and any sibling estimator) untouched.
-		ce.cache = icrn.NewRepCache(set.cacheSize)
-		rates := *m.rates
-		rates.Cache = ce.cache
-		est.Rates = &rates
-		if p != nil {
-			// Surgical invalidation: the cache absorbs pool mutations as they
-			// happen (an eviction drops one cached row, an insert none), so
-			// record/feedback traffic no longer flushes the warm working set.
-			p.Subscribe(ce.cache)
-			// Callers predating Close never call it; when such an estimator
-			// is garbage collected, reclaim the subscription so discarded
-			// estimators cannot pin their caches in the pool's listener list
-			// forever. (Close does this deterministically; the cleanup's
-			// duplicate Unsubscribe is a no-op.)
-			runtime.AddCleanup(ce, func(s poolSub) { s.pool.Unsubscribe(s.cache) },
-				poolSub{pool: p, cache: ce.cache})
-		}
-	}
-	ce.initCoalescer(set)
-	ce.applyGuards(set)
-	ce.applyTelemetry(set)
-	return ce
-}
-
-// poolSub is the GC-cleanup payload releasing a discarded estimator's
-// pool subscription; it must not reference the estimator itself.
-type poolSub struct {
-	pool  *QueriesPool
-	cache *icrn.RepCache
+	est := card.New(nil, p)
+	set := newSettings(est, opts)
+	e := newEstimator(est, p, online.NewModelBox(m.model, m.rates.Enc, set.cacheSize, p), set)
+	// Callers predating Close never call it; when such an estimator is
+	// garbage collected, release its pool subscription so a discarded
+	// estimator's cache is not notified of pool mutations forever. (Close
+	// does this deterministically; a second Close is a no-op.)
+	runtime.AddCleanup(e, (*online.ModelBox).Close, e.box)
+	return e
 }
 
 // Close releases the estimator's pool subscription (the surgical cache
 // invalidation hook). Estimators are usually process-lived; call Close when
 // discarding one while its pool lives on.
-func (e *CardinalityEstimator) Close() {
-	if e.box != nil {
-		e.box.Close()
-		return
-	}
-	if e.cache != nil && e.pool != nil {
-		e.pool.Unsubscribe(e.cache)
-	}
-}
-
-// initCoalescer wires the request micro-batcher when WithCoalescing asked
-// for one. The batch runner revalidates the cache and answers through the
-// same indexed batch pass as EstimateCardinalityBatch, so coalesced results
-// are bit-identical to direct calls. Shared batches run under the
-// background context the coalescer supplies, because the batch outlives any
-// single caller (individual callers that cancel abandon their slot without
-// cancelling the shared work); a solo fast-path run receives its one
-// caller's context, so an uncontended request stays fully cancellable.
-func (e *CardinalityEstimator) initCoalescer(set estimatorSettings) {
-	if set.coalesceBatch < 2 {
-		return
-	}
-	e.coal = serve.NewCoalescer(set.coalesceBatch, set.coalesceWait, Query.Key,
-		func(ctx context.Context, qs []Query) ([]float64, error) {
-			e.revalidate()
-			return e.est.EstimateCards(ctx, qs)
-		})
-}
+func (e *CardinalityEstimator) Close() { e.box.Close() }
 
 // ImproveBaseline wraps an existing cardinality model with the paper's §7
 // construction — Cnt2Crd(Crd2Cnt(M)) over the pool — without changing M.
@@ -368,15 +286,7 @@ func (e *CardinalityEstimator) initCoalescer(set estimatorSettings) {
 // is honored: request micro-batching is model-agnostic.
 func (s *System) ImproveBaseline(m BaselineEstimator, p *QueriesPool, opts ...EstimatorOption) *CardinalityEstimator {
 	est := card.Improved(m, p)
-	set := estimatorSettings{est: est}
-	for _, o := range opts {
-		o(&set)
-	}
-	ce := &CardinalityEstimator{est: est, pool: p}
-	ce.initCoalescer(set)
-	ce.applyGuards(set)
-	ce.applyTelemetry(set)
-	return ce
+	return newEstimator(est, p, nil, newSettings(est, opts))
 }
 
 // revalidate flushes the representation cache when the pool has mutated
@@ -385,7 +295,7 @@ func (s *System) ImproveBaseline(m BaselineEstimator, p *QueriesPool, opts ...Es
 // report as an error.
 func (e *CardinalityEstimator) revalidate() {
 	if e.pool != nil {
-		e.activeCache().Validate(e.pool.Version())
+		e.box.Cache().Validate(e.pool.Version())
 	}
 }
 
@@ -393,23 +303,38 @@ func (e *CardinalityEstimator) revalidate() {
 // Queries without a usable pool match fail with an error wrapping
 // ErrNoPoolMatch unless a fallback is configured.
 //
-// On a coalescing estimator (WithCoalescing) the call may share one
-// batched estimation pass with other concurrent callers — same results,
-// bit for bit, at a fraction of the per-request cost. A shared batch fails
-// as a whole, so on a coalesced error the query is transparently re-run
-// alone and the caller sees its own error (or its own success when another
-// query in the batch was the one that failed). A request that ran on the
-// coalescer's solo fast path already executed alone, so its error is
-// returned directly without the redundant retry.
+// The call is EstimateCardinalityBatch over the batch {q}, through the same
+// pipeline (see CardinalityEstimator), with two differences: its latency is
+// recorded as a single estimate, and on a coalescing estimator
+// (WithCoalescing) its learned pass is the coalescer, so it may share one
+// batched pass with other concurrent callers — same results, bit for bit,
+// at a fraction of the per-request cost. A shared batch fails as a whole,
+// so on a coalesced error the query is transparently re-run alone and the
+// caller sees its own error (or its own success when another query in the
+// batch was the one that failed); a request that ran on the coalescer's
+// solo fast path already ran alone, so its error is returned directly.
 // Operational guards apply when configured: WithMaxInflight sheds the call
 // with ErrOverloaded before any work happens, WithRequestTimeout bounds it
 // with a deadline, and an open WithBreaker diverts it to the fallback
 // estimator (ErrBreakerOpen without one).
 func (e *CardinalityEstimator) EstimateCardinality(ctx context.Context, q Query) (float64, error) {
+	qs, one := [1]Query{q}, [1]float64{}
+	out, err := e.estimate(ctx, qs[:], one[:])
+	if err != nil {
+		return 0, err
+	}
+	return out[0], nil
+}
+
+// estimate is the one guarded pipeline, in the order CardinalityEstimator's
+// doc comment states. one is a single call's result storage; nil marks a
+// batch call.
+func (e *CardinalityEstimator) estimate(ctx context.Context, qs []Query, one []float64) ([]float64, error) {
+	batch := one == nil
 	st := e.tel.StartTimer()
 	if err := e.gate.Acquire(); err != nil {
-		e.shed(st, false)
-		return 0, err
+		e.finish(st, batch, err, false)
+		return nil, err
 	}
 	defer e.gate.Release()
 	ctx, cancel := e.withTimeout(ctx)
@@ -417,99 +342,79 @@ func (e *CardinalityEstimator) EstimateCardinality(ctx context.Context, q Query)
 	if e.tel != nil {
 		st.Mark(e.tel.Stages.Admission)
 	}
-	if e.breaker == nil {
-		v, err := e.estimatePrimary(ctx, q)
-		e.finish(st, false, err, false)
-		return v, err
-	}
 	allowed, probe := e.breaker.Allow()
 	if !allowed {
-		v, err := e.fallbackOne(ctx, q)
-		e.finish(st, false, err, true)
-		return v, err
+		out, err := e.fallback(ctx, qs, one)
+		e.finish(st, batch, err, true)
+		return out, err
 	}
 	var start time.Time
 	if e.breaker.TracksLatency() {
 		start = time.Now()
 	}
-	v, err := e.estimatePrimary(ctx, q)
-	failed := breakerCountable(ctx, err)
-	var lat time.Duration
-	if !start.IsZero() {
-		lat = time.Since(start)
-	}
-	if probe {
-		e.breaker.RecordProbe(lat, failed)
-	} else {
-		e.breaker.Record(lat, failed)
-	}
-	if failed {
-		// A countable primary failure with a fallback available: answer
-		// degraded instead of erroring — the same routing an open breaker
-		// applies, one request early.
-		if fv, ferr := e.fallbackOne(ctx, q); ferr == nil {
-			e.finish(st, false, nil, true)
-			return fv, nil
+	e.revalidate()
+	out, err := e.primary(ctx, qs, one)
+	if e.breaker != nil {
+		failed := breakerCountable(ctx, err)
+		var lat time.Duration
+		if !start.IsZero() {
+			lat = time.Since(start)
+		}
+		if probe {
+			e.breaker.RecordProbe(lat, failed)
+		} else {
+			e.breaker.Record(lat, failed)
+		}
+		if failed {
+			// A countable primary failure with a fallback available: answer
+			// degraded instead of erroring — the same routing an open
+			// breaker applies, one request early.
+			if fout, ferr := e.fallback(ctx, qs, one); ferr == nil {
+				e.finish(st, batch, nil, true)
+				return fout, nil
+			}
 		}
 	}
-	e.finish(st, false, err, false)
-	return v, err
+	e.finish(st, batch, err, false)
+	return out, err
 }
 
-// estimatePrimary is the learned estimate path (pre-guard
-// EstimateCardinality): coalesced when configured, with the solo-error
-// unwrap and the retry-alone fallback on shared-batch failure.
-func (e *CardinalityEstimator) estimatePrimary(ctx context.Context, q Query) (float64, error) {
-	e.revalidate()
-	if e.coal == nil {
-		return e.est.EstimateCardCtx(ctx, q)
+// primary is the learned pass: the coalescer for a single call on a
+// coalescing estimator, with the solo-error unwrap and the retry alone after
+// a shared-batch failure; card.Estimator's batch pass otherwise.
+func (e *CardinalityEstimator) primary(ctx context.Context, qs []Query, one []float64) ([]float64, error) {
+	if one == nil || e.coal == nil {
+		return e.est.EstimateCards(ctx, qs)
 	}
-	v, err := e.coal.Do(ctx, q)
+	v, err := e.coal.Do(ctx, qs[0])
 	if err == nil {
-		return v, nil
+		one[0] = v
+		return one, nil
 	}
 	var solo *serve.SoloError
 	if errors.As(err, &solo) {
-		return 0, solo.Err
+		return nil, solo.Err
 	}
 	if ctx.Err() != nil {
-		return 0, ctx.Err()
+		return nil, ctx.Err()
 	}
-	return e.est.EstimateCardCtx(ctx, q)
+	return e.est.EstimateCards(ctx, qs)
 }
 
-// fallbackOne answers one query from the configured fallback estimator —
-// the breaker's divert target. Mirrors card.Estimator's own fallback
-// dispatch (context-aware when the fallback supports it).
-func (e *CardinalityEstimator) fallbackOne(ctx context.Context, q Query) (float64, error) {
-	fb := e.est.Fallback
-	if fb == nil {
-		return 0, guard.ErrBreakerOpen
+// fallback answers every query from the fallback estimator through
+// card.Estimator.FallbackCard — the breaker's divert target and the degraded
+// answer — failing as a whole like the learned pass, and with
+// ErrBreakerOpen when no fallback is configured. out, when non-nil, is the
+// result storage.
+func (e *CardinalityEstimator) fallback(ctx context.Context, qs []Query, out []float64) ([]float64, error) {
+	if e.est.Fallback == nil {
+		return nil, guard.ErrBreakerOpen
 	}
-	var v float64
-	var err error
-	if cfb, ok := fb.(contain.CtxCardEstimator); ok {
-		v, err = cfb.EstimateCardCtx(ctx, q)
-	} else if cerr := ctx.Err(); cerr != nil {
-		return 0, cerr
-	} else {
-		v, err = fb.EstimateCard(q)
+	if out == nil {
+		out = make([]float64, len(qs))
 	}
-	if err == nil && e.tel != nil {
-		// The divert path bypasses card.EstimateCards, which notes every
-		// estimate it serves; note the fallback answer here so execution
-		// feedback still joins it into the fallback arm's q-error.
-		e.tel.Accuracy.Note(q.Key(), v, telemetry.ArmFallback)
-	}
-	return v, err
-}
-
-// fallbackBatch is fallbackOne over a batch; it fails as a whole like the
-// primary batch path.
-func (e *CardinalityEstimator) fallbackBatch(ctx context.Context, queries []Query) ([]float64, error) {
-	out := make([]float64, len(queries))
-	for i, q := range queries {
-		v, err := e.fallbackOne(ctx, q)
+	for i, q := range qs {
+		v, err := e.est.FallbackCard(ctx, q)
 		if err != nil {
 			return nil, err
 		}
@@ -546,53 +451,7 @@ func breakerCountable(ctx context.Context, err error) bool {
 // The operational guards apply per batch call: one admission slot, one
 // deadline, one breaker outcome — a batch is one unit of serving work.
 func (e *CardinalityEstimator) EstimateCardinalityBatch(ctx context.Context, queries []Query) ([]float64, error) {
-	st := e.tel.StartTimer()
-	if err := e.gate.Acquire(); err != nil {
-		e.shed(st, true)
-		return nil, err
-	}
-	defer e.gate.Release()
-	ctx, cancel := e.withTimeout(ctx)
-	defer cancel()
-	if e.tel != nil {
-		st.Mark(e.tel.Stages.Admission)
-	}
-	if e.breaker == nil {
-		e.revalidate()
-		out, err := e.est.EstimateCards(ctx, queries)
-		e.finish(st, true, err, false)
-		return out, err
-	}
-	allowed, probe := e.breaker.Allow()
-	if !allowed {
-		out, err := e.fallbackBatch(ctx, queries)
-		e.finish(st, true, err, true)
-		return out, err
-	}
-	var start time.Time
-	if e.breaker.TracksLatency() {
-		start = time.Now()
-	}
-	e.revalidate()
-	out, err := e.est.EstimateCards(ctx, queries)
-	failed := breakerCountable(ctx, err)
-	var lat time.Duration
-	if !start.IsZero() {
-		lat = time.Since(start)
-	}
-	if probe {
-		e.breaker.RecordProbe(lat, failed)
-	} else {
-		e.breaker.Record(lat, failed)
-	}
-	if failed {
-		if fout, ferr := e.fallbackBatch(ctx, queries); ferr == nil {
-			e.finish(st, true, nil, true)
-			return fout, nil
-		}
-	}
-	e.finish(st, true, err, false)
-	return out, err
+	return e.estimate(ctx, queries, nil)
 }
 
 // InvalidateRepresentations explicitly discards every cached set-module
@@ -601,7 +460,7 @@ func (e *CardinalityEstimator) EstimateCardinalityBatch(ctx context.Context, que
 // a long-lived estimator, or from a serving write path that wants the flush
 // to happen eagerly rather than on the next estimate.
 func (e *CardinalityEstimator) InvalidateRepresentations() {
-	e.activeCache().Invalidate()
+	e.box.Cache().Invalidate()
 }
 
 // CacheStats reports representation-cache hits, misses and tier occupancy.
@@ -609,21 +468,13 @@ func (e *CardinalityEstimator) InvalidateRepresentations() {
 // under WithoutRepCache — report all zeros (the nil cache's Stats is a
 // guarded no-op, so this is safe to call unconditionally).
 func (e *CardinalityEstimator) CacheStats() RepCacheStats {
-	return e.activeCache().Stats()
+	return e.box.Cache().Stats()
 }
 
 // CoalescerStats reports request-coalescing counters; all zeros for an
 // estimator without WithCoalescing.
 func (e *CardinalityEstimator) CoalescerStats() CoalescerStats {
 	return e.coal.Stats()
-}
-
-// SelectionStats reports batch-level candidate-sharing counters: how many
-// per-probe candidate selections the estimator performed and how many were
-// answered by reusing an earlier selection of the same batch. Shared stays
-// zero without WithSharedSelection.
-func (e *CardinalityEstimator) SelectionStats() SelectionStats {
-	return e.est.SelectionStats()
 }
 
 // GateStats reports admission-gate counters (see GuardStats).
@@ -650,14 +501,4 @@ func (e *CardinalityEstimator) GuardStats() GuardStats {
 // WithBreaker.
 func (e *CardinalityEstimator) BreakerOpen() bool {
 	return e.breaker.State() == guard.BreakerOpen
-}
-
-// WithFallback sets a fallback estimator for queries without a usable pool
-// match and returns the receiver.
-//
-// Deprecated: pass the WithFallback EstimatorOption to CardinalityEstimator
-// or ImproveBaseline instead.
-func (e *CardinalityEstimator) WithFallback(fb BaselineEstimator) *CardinalityEstimator {
-	e.est.Fallback = fb
-	return e
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+
+	"crn/internal/pool"
 )
 
 // rebuildPool re-adds every entry of src into a fresh pool built with opts,
@@ -20,14 +22,14 @@ func rebuildPool(sys *System, src *QueriesPool, opts ...PoolOption) *QueriesPool
 	return dst
 }
 
-// TestIndexedSelectionEquivalence pins the PR 8 acceptance contract at the
-// facade: with a binding candidate bound, estimates over the default
+// TestIndexedSelectionEquivalence pins the indexed-selection contract at
+// the facade: with a binding candidate bound, estimates over the default
 // (indexed) pool are bit-identical to estimates over the same entries with
-// WithIndexedSelection(false) — the exact PR 4 linear-scan behavior.
+// pool.WithIndexedSelection(false) — the linear-scan reference.
 func TestIndexedSelectionEquivalence(t *testing.T) {
 	ctx := context.Background()
 	sys, model, p, probes := topKFixture(t)
-	linear := rebuildPool(sys, p, WithIndexedSelection(false))
+	linear := rebuildPool(sys, p, pool.WithIndexedSelection(false))
 
 	indexed := sys.CardinalityEstimator(model, p, WithMaxCandidates(4))
 	reference := sys.CardinalityEstimator(model, linear, WithMaxCandidates(4))
@@ -65,136 +67,6 @@ func TestIndexedSelectionEquivalence(t *testing.T) {
 	}
 }
 
-// TestSharedSelectionUnboundedExact pins the exact half of batch-level
-// candidate sharing: with an unbounded scan, probes sharing a FROM clause
-// receive the identical candidate set whether or not selection is shared,
-// so shared batch estimates are bit-identical to unshared ones — and the
-// sharing counters show the reuse actually happened.
-func TestSharedSelectionUnboundedExact(t *testing.T) {
-	ctx := context.Background()
-	sys, model, p, probes := topKFixture(t)
-
-	plain := sys.CardinalityEstimator(model, p)
-	shared := sys.CardinalityEstimator(model, p, WithSharedSelection(true))
-
-	want, err := plain.EstimateCardinalityBatch(ctx, probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := shared.EstimateCardinalityBatch(ctx, probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("shared batch[%d] = %v, want %v (unbounded sharing must be exact)", i, got[i], want[i])
-		}
-	}
-	st := shared.SelectionStats()
-	if st.Selections != uint64(len(probes)) {
-		t.Errorf("selections = %d, want %d", st.Selections, len(probes))
-	}
-	// Three of the four fixture probes share FROM "title": the first selects,
-	// the other two reuse.
-	if st.Shared != 2 {
-		t.Errorf("shared = %d, want 2 (probes sharing the title clause): %+v", st.Shared, st)
-	}
-	if ps := plain.SelectionStats(); ps.Shared != 0 {
-		t.Errorf("unshared estimator must never share: %+v", ps)
-	}
-}
-
-// TestSharedSelectionBounded exercises the approximate half: under a
-// binding top-K bound, probes sharing a FROM clause AND a signature pattern
-// reuse one ranked selection. The first probe of each share bucket must
-// still match the unshared estimate exactly, repeats must be deterministic,
-// and the stats must count one selection per bucket.
-func TestSharedSelectionBounded(t *testing.T) {
-	ctx := context.Background()
-	sys, model, p, _ := topKFixture(t)
-
-	// Five probes, two signature patterns: year-gt (x4, distinct values) and
-	// kind-eq (x1). Bounded sharing buckets the year-gt probes together.
-	probes := make([]Query, 0, 5)
-	for _, sql := range []string{
-		"SELECT * FROM title WHERE title.production_year > 1935",
-		"SELECT * FROM title WHERE title.production_year > 1950",
-		"SELECT * FROM title WHERE title.kind_id = 2",
-		"SELECT * FROM title WHERE title.production_year > 1961",
-		"SELECT * FROM title WHERE title.production_year > 1977",
-	} {
-		q, err := sys.ParseQuery(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		probes = append(probes, q)
-	}
-
-	plain := sys.CardinalityEstimator(model, p, WithMaxCandidates(4))
-	shared := sys.CardinalityEstimator(model, p, WithMaxCandidates(4), WithSharedSelection(true))
-
-	want, err := plain.EstimateCardinalityBatch(ctx, probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := shared.EstimateCardinalityBatch(ctx, probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bucket leaders (first of each pattern) run their own selection and must
-	// agree exactly with the unshared estimator.
-	for _, i := range []int{0, 2} {
-		if got[i] != want[i] {
-			t.Errorf("bucket-leader probe %d: shared %v != unshared %v", i, got[i], want[i])
-		}
-	}
-	for i, v := range got {
-		if v < 0 {
-			t.Errorf("probe %d: negative estimate %v", i, v)
-		}
-	}
-	again, err := shared.EstimateCardinalityBatch(ctx, probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != again[i] {
-			t.Errorf("shared bounded estimate not deterministic: probe %d %v vs %v", i, got[i], again[i])
-		}
-	}
-	st := shared.SelectionStats()
-	if st.Selections != 2*uint64(len(probes)) {
-		t.Errorf("selections = %d, want %d", st.Selections, 2*len(probes))
-	}
-	// Per batch: 5 probes, 2 buckets -> 3 reuses; two batches ran.
-	if st.Shared != 6 {
-		t.Errorf("shared = %d, want 6: %+v", st.Shared, st)
-	}
-}
-
-// TestSharedSelectionSingleProbe: sharing must not change the solo path —
-// a one-probe batch has nothing to share and takes no share bookkeeping.
-func TestSharedSelectionSingleProbe(t *testing.T) {
-	ctx := context.Background()
-	sys, model, p, probes := topKFixture(t)
-	plain := sys.CardinalityEstimator(model, p)
-	shared := sys.CardinalityEstimator(model, p, WithSharedSelection(true))
-	want, err := plain.EstimateCardinality(ctx, probes[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := shared.EstimateCardinality(ctx, probes[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("solo shared estimate %v != %v", got, want)
-	}
-	if st := shared.SelectionStats(); st.Shared != 0 {
-		t.Errorf("solo estimate must not share: %+v", st)
-	}
-}
-
 // TestIndexedSelectionCoexistsWithEviction drives the facade loop the
 // serving deployment runs — record, estimate, record — on a bounded
 // indexed pool and checks against the same loop over a linear pool.
@@ -203,7 +75,7 @@ func TestIndexedSelectionCoexistsWithEviction(t *testing.T) {
 	sys, model, p, probes := topKFixture(t)
 	// Two bounded twins seeded with the fixture pool's entries.
 	idxPool := rebuildPool(sys, p, WithPoolCap(30))
-	linPool := rebuildPool(sys, p, WithPoolCap(30), WithIndexedSelection(false))
+	linPool := rebuildPool(sys, p, WithPoolCap(30), pool.WithIndexedSelection(false))
 
 	indexed := sys.CardinalityEstimator(model, idxPool, WithMaxCandidates(4))
 	reference := sys.CardinalityEstimator(model, linPool, WithMaxCandidates(4))

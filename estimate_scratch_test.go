@@ -96,8 +96,7 @@ func TestHotBatchAllocs(t *testing.T) {
 // TestScratchReuseIsInvisible: consecutive calls reuse one scratch, so a
 // large batch is followed by a small one, then by single estimates, from
 // several goroutines at once (run under -race) — and every answer, batched
-// or single, cached or not, with candidate sharing on and off, carries the
-// bits of a fresh single estimate.
+// or single, cached or not, carries the bits of a fresh single estimate.
 func TestScratchReuseIsInvisible(t *testing.T) {
 	ctx := context.Background()
 	sys, model, p, _ := repCacheFixture(t)
@@ -111,41 +110,39 @@ func TestScratchReuseIsInvisible(t *testing.T) {
 		}
 		want[i] = math.Float64bits(v)
 	}
-	for _, share := range []bool{false, true} {
-		cached := sys.CardinalityEstimator(model, p, WithSharedSelection(share))
-		uncached := sys.CardinalityEstimator(model, p, WithSharedSelection(share), WithoutRepCache())
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				check := func(what string, lo int, got []float64, err error) bool {
-					if err != nil {
-						t.Errorf("share=%v %s: %v", share, what, err)
+	cached := sys.CardinalityEstimator(model, p)
+	uncached := sys.CardinalityEstimator(model, p, WithoutRepCache())
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			check := func(what string, lo int, got []float64, err error) bool {
+				if err != nil {
+					t.Errorf("%s: %v", what, err)
+					return false
+				}
+				for i, v := range got {
+					if math.Float64bits(v) != want[lo+i] {
+						t.Errorf("%s: probe %d = %v, want %v", what, lo+i, v, math.Float64frombits(want[lo+i]))
 						return false
 					}
-					for i, v := range got {
-						if math.Float64bits(v) != want[lo+i] {
-							t.Errorf("share=%v %s: probe %d = %v, want %v", share, what, lo+i, v, math.Float64frombits(want[lo+i]))
-							return false
-						}
-					}
-					return true
 				}
-				for round := 0; round < 3; round++ {
-					for _, est := range []*CardinalityEstimator{cached, uncached} {
-						lo := (7*g + 5*round) % (len(probes) - 3)
-						all, err := est.EstimateCardinalityBatch(ctx, probes)
-						few, ferr := est.EstimateCardinalityBatch(ctx, probes[lo:lo+3])
-						one, oerr := est.EstimateCardinality(ctx, probes[lo])
-						if !check("batch of 64", 0, all, err) || !check("batch of 3", lo, few, ferr) ||
-							!check("single", lo, []float64{one}, oerr) {
-							return
-						}
+				return true
+			}
+			for round := 0; round < 3; round++ {
+				for _, est := range []*CardinalityEstimator{cached, uncached} {
+					lo := (7*g + 5*round) % (len(probes) - 3)
+					all, err := est.EstimateCardinalityBatch(ctx, probes)
+					few, ferr := est.EstimateCardinalityBatch(ctx, probes[lo:lo+3])
+					one, oerr := est.EstimateCardinality(ctx, probes[lo])
+					if !check("batch of 64", 0, all, err) || !check("batch of 3", lo, few, ferr) ||
+						!check("single", lo, []float64{one}, oerr) {
+						return
 					}
 				}
-			}(g)
-		}
-		wg.Wait()
+			}
+		}(g)
 	}
+	wg.Wait()
 }

@@ -25,7 +25,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"crn/internal/contain"
 	"crn/internal/guard/failpoint"
@@ -77,66 +76,17 @@ type Estimator struct {
 	// least the matching count is likewise bit-identical, because TopK
 	// degenerates to the full scan in original order.
 	MaxCandidates int
-	// ShareCandidates deduplicates candidate selection across one
-	// EstimateCards batch: probes that provably (unbounded gathering — same
-	// FROM clause) or plausibly (bounded TopK — same FROM clause AND same
-	// probe-signature pattern) select the same candidate set reuse the first
-	// probe's selection instead of re-probing the pool. Containment rates
-	// are still estimated per (probe, candidate) pair, so with
-	// MaxCandidates = 0 results are bit-identical to unshared estimation;
-	// with a binding MaxCandidates, same-pattern probes with different
-	// predicate values reuse a top-K ranked for the first probe's values —
-	// an approximation, so sharing is opt-in (default off).
-	ShareCandidates bool
-
 	// Tel, when non-nil, receives the estimator's stage spans (candidate
 	// selection, finalize) and notes every served estimate with its arm
 	// (CRN vs fallback) into the live accuracy ring. Set before serving;
 	// nil keeps the path free of clock reads.
 	Tel *telemetry.Telemetry
-
-	// selections / sharedSels count candidate selections performed and
-	// reused across all EstimateCards calls (atomics; see SelectionStats).
-	selections uint64
-	sharedSels uint64
-}
-
-// SelectionStats is a point-in-time snapshot of batch candidate selection.
-type SelectionStats struct {
-	// Selections counts per-probe candidate gatherings requested across all
-	// batches; Shared counts how many of them were answered by reusing an
-	// earlier selection of the same batch instead of probing the pool.
-	Selections uint64 `json:"selections"`
-	Shared     uint64 `json:"shared"`
-}
-
-// SelectionStats returns the estimator's candidate-selection counters.
-func (e *Estimator) SelectionStats() SelectionStats {
-	return SelectionStats{
-		Selections: atomic.LoadUint64(&e.selections),
-		Shared:     atomic.LoadUint64(&e.sharedSels),
-	}
-}
-
-// shareKey buckets one batch's probes into groups whose candidate selection
-// is reusable: the FROM clause alone for unbounded gathering (AppendMatching
-// returns every clause entry in pool order for any probe — sharing is
-// exact), plus the probe signature's value-free pattern (query PatternKey)
-// for bounded TopK selection.
-func shareKey(q query.Query, bounded bool) string {
-	if !bounded {
-		return q.FROMKey()
-	}
-	sig := q.Signature()
-	return q.FROMKey() + "\x00" + sig.PatternKey()
 }
 
 // span locates one query of a batch in the scratch: its usable candidates
-// arena[lo:hi] and its first pair index in the flat rate list.
-type span struct {
-	lo, hi int
-	off    int
-}
+// arena[lo:hi], whose rate pairs sit at 2*lo through 2*hi in the flat rate
+// list.
+type span struct{ lo, hi int }
 
 // scratch is the working memory of one EstimateCards call. It is pooled at
 // package level — an Estimator built as a struct literal gets it too — and
@@ -149,7 +99,6 @@ type scratch struct {
 	idx     [][2]int         // indexed rate path: pairs as indices into list
 	seen    map[int64]int    // indexed rate path: entry ID -> index in list
 	pairs   [][2]query.Query // query-valued rate path
-	share   map[string]int   // ShareCandidates: share key -> first probe
 	results []float64        // one query's per-candidate estimates
 }
 
@@ -159,16 +108,16 @@ type scratch struct {
 // of parking it in the pool; at the bound one scratch is ~2.5 MB.
 const maxScratchEntries = 8192
 
-// maxScratchMapEntries bounds the two maps separately and much lower: a map
+// maxScratchMapEntries bounds the seen map separately and much lower: a map
 // never shrinks and clear(map) costs its capacity, not its length, so one
 // call that met a few thousand distinct pool entries would leave every later
 // call on that scratch — a 3 µs single estimate included — clearing ~280 KB.
 // A map a call filled beyond the bound is replaced instead of cleared; at the
-// bound clearing one is ~35 KB.
+// bound clearing it is ~35 KB.
 const maxScratchMapEntries = 1024
 
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{seen: make(map[int64]int), share: make(map[string]int)}
+	return &scratch{seen: make(map[int64]int)}
 }}
 
 // oversize reports whether a call grew the scratch beyond what the pool may
@@ -180,23 +129,18 @@ func (s *scratch) oversize() bool {
 }
 
 // reset empties the scratch for its next call: every element a call wrote is
-// zeroed, the slices keep their capacity, the maps theirs up to
+// zeroed, the slices keep their capacity, the map its up to
 // maxScratchMapEntries.
 func (s *scratch) reset() {
 	clear(s.arena)
 	clear(s.list)
 	clear(s.pairs)
-	// A call only inserts, so a map's length here is that call's peak, and
+	// A call only inserts, so the map's length here is that call's peak, and
 	// no earlier call's peak was above the bound or the map would be gone.
 	if len(s.seen) > maxScratchMapEntries {
 		s.seen = make(map[int64]int)
 	} else {
 		clear(s.seen)
-	}
-	if len(s.share) > maxScratchMapEntries {
-		s.share = make(map[string]int)
-	} else {
-		clear(s.share)
 	}
 	s.spans, s.arena, s.list, s.idx = s.spans[:0], s.arena[:0], s.list[:0], s.idx[:0]
 	s.pairs, s.results = s.pairs[:0], s.results[:0]
@@ -277,27 +221,7 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 	defer s.release()
 	spans := slices.Grow(s.spans, len(queries))[:len(queries)]
 	arena := s.arena
-	total := 0
-	// Batch-level candidate sharing: one pool selection per share bucket,
-	// reused by every later probe of the same bucket (rate pairs stay
-	// per-probe — only the selection is shared). See ShareCandidates.
-	var shareIdx map[string]int
-	if e.ShareCandidates && len(queries) > 1 {
-		shareIdx = s.share
-	}
 	for i, qnew := range queries {
-		atomic.AddUint64(&e.selections, 1)
-		var sk string
-		if shareIdx != nil {
-			sk = shareKey(qnew, e.MaxCandidates > 0)
-			if j, ok := shareIdx[sk]; ok {
-				sp := spans[j]
-				spans[i] = span{lo: sp.lo, hi: sp.hi, off: 2 * total}
-				total += sp.hi - sp.lo
-				atomic.AddUint64(&e.sharedSels, 1)
-				continue
-			}
-		}
 		lo := len(arena)
 		if e.MaxCandidates > 0 {
 			arena = e.Pool.AppendTopK(arena, qnew, e.MaxCandidates)
@@ -318,11 +242,7 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 		}
 		clear(arena[w:]) // the scratch must not pin what the scan dropped
 		arena = arena[:w]
-		spans[i] = span{lo: lo, hi: w, off: 2 * total}
-		total += w - lo
-		if shareIdx != nil {
-			shareIdx[sk] = i
-		}
+		spans[i] = span{lo: lo, hi: w}
 	}
 	s.spans, s.arena = spans, arena
 	if e.Tel != nil {
@@ -372,24 +292,22 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 
 	out := make([]float64, len(queries))
 	for i, qnew := range queries {
-		sp := spans[i]
 		results := s.results[:0] // reused across queries; final() must not retain it
-		for mi := range arena[sp.lo:sp.hi] {
-			xRate := rates[sp.off+2*mi]   // Qold ⊂% Qnew
-			yRate := rates[sp.off+2*mi+1] // Qnew ⊂% Qold
+		for k := spans[i].lo; k < spans[i].hi; k++ {
+			xRate := rates[2*k]   // Qold ⊂% Qnew
+			yRate := rates[2*k+1] // Qnew ⊂% Qold
 			if yRate <= eps {
 				continue
 			}
-			results = append(results, xRate/yRate*float64(arena[sp.lo+mi].Card))
+			results = append(results, xRate/yRate*float64(arena[k].Card))
 		}
 		s.results = results
 		if len(results) == 0 {
-			est, err := e.fallbackCard(ctx, qnew)
+			est, err := e.FallbackCard(ctx, qnew)
 			if err != nil {
 				return nil, err
 			}
 			out[i] = est
-			acc.Note(qnew.Key(), est, telemetry.ArmFallback)
 			continue
 		}
 		out[i] = final(results)
@@ -469,18 +387,29 @@ func (e *Estimator) estimateRates(ctx context.Context, pairs [][2]query.Query) (
 	return out, nil
 }
 
-// fallbackCard answers a query without a usable pool match.
-func (e *Estimator) fallbackCard(ctx context.Context, qnew query.Query) (float64, error) {
+// FallbackCard answers qnew from the Fallback estimator alone — the answer
+// EstimateCards gives a query without a usable pool match, and the one a
+// serving layer gives when it diverts the learned path — and notes it in the
+// fallback arm of the live accuracy ring. Without a Fallback it fails with
+// ErrNoPoolMatch.
+func (e *Estimator) FallbackCard(ctx context.Context, qnew query.Query) (float64, error) {
 	if e.Fallback == nil {
 		return 0, fmt.Errorf("%w for FROM %q", ErrNoPoolMatch, qnew.FROMKey())
 	}
+	var est float64
+	var err error
 	if fb, ok := e.Fallback.(contain.CtxCardEstimator); ok {
-		return fb.EstimateCardCtx(ctx, qnew)
+		est, err = fb.EstimateCardCtx(ctx, qnew)
+	} else if err = ctx.Err(); err == nil {
+		est, err = e.Fallback.EstimateCard(qnew)
 	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return 0, err
 	}
-	return e.Fallback.EstimateCard(qnew)
+	if e.Tel != nil {
+		e.Tel.Accuracy.Note(qnew.Key(), est, telemetry.ArmFallback)
+	}
+	return est, nil
 }
 
 // Cnt2Crd is the transformation of §5.1 as a function: it converts a

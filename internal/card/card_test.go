@@ -274,7 +274,7 @@ func pooledScratch(t *testing.T, call func()) *scratch {
 
 // TestScratchPinsNothingBetweenCalls: a released scratch keeps its capacity
 // and nothing else — no pool entry, no query, no map key — over the whole
-// backing arrays, whichever rate interface and selection mode the call used.
+// backing arrays, whichever rate interface the call used.
 func TestScratchPinsNothingBetweenCalls(t *testing.T) {
 	ex, qp := fixture(t)
 	qp.Add(sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id = 99"), 0) // dropped by the Card > 0 filter
@@ -287,33 +287,29 @@ func TestScratchPinsNothingBetweenCalls(t *testing.T) {
 		"indexed": indexed{contain.TruthRate{T: ex}},
 		"pairs":   contain.TruthRate{T: ex},
 	} {
-		for _, share := range []bool{false, true} {
-			est := New(rates, qp)
-			est.ShareCandidates = share
-			sc := pooledScratch(t, func() {
-				if _, err := est.EstimateCards(context.Background(), probes); err != nil {
-					t.Fatal(err)
-				}
-			})
-			what := fmt.Sprintf("%s share=%v", name, share)
-			for i, e := range sc.arena[:cap(sc.arena)] {
-				if !reflect.ValueOf(e).IsZero() {
-					t.Fatalf("%s: arena[%d] still holds %v", what, i, e.Q)
-				}
+		est := New(rates, qp)
+		sc := pooledScratch(t, func() {
+			if _, err := est.EstimateCards(context.Background(), probes); err != nil {
+				t.Fatal(err)
 			}
-			for i, q := range sc.list[:cap(sc.list)] {
-				if !reflect.ValueOf(q).IsZero() {
-					t.Fatalf("%s: list[%d] still holds %v", what, i, q)
-				}
+		})
+		for i, e := range sc.arena[:cap(sc.arena)] {
+			if !reflect.ValueOf(e).IsZero() {
+				t.Fatalf("%s: arena[%d] still holds %v", name, i, e.Q)
 			}
-			for i, p := range sc.pairs[:cap(sc.pairs)] {
-				if !reflect.ValueOf(p).IsZero() {
-					t.Fatalf("%s: pairs[%d] still holds %v", what, i, p)
-				}
+		}
+		for i, q := range sc.list[:cap(sc.list)] {
+			if !reflect.ValueOf(q).IsZero() {
+				t.Fatalf("%s: list[%d] still holds %v", name, i, q)
 			}
-			if len(sc.seen) != 0 || len(sc.share) != 0 || len(sc.arena)+len(sc.list)+len(sc.idx)+len(sc.pairs)+len(sc.spans)+len(sc.results) != 0 {
-				t.Fatalf("%s: released scratch is not empty: %d seen, %d share keys", what, len(sc.seen), len(sc.share))
+		}
+		for i, p := range sc.pairs[:cap(sc.pairs)] {
+			if !reflect.ValueOf(p).IsZero() {
+				t.Fatalf("%s: pairs[%d] still holds %v", name, i, p)
 			}
+		}
+		if len(sc.seen) != 0 || len(sc.arena)+len(sc.list)+len(sc.idx)+len(sc.pairs)+len(sc.spans)+len(sc.results) != 0 {
+			t.Fatalf("%s: released scratch is not empty: %d seen", name, len(sc.seen))
 		}
 	}
 }
@@ -373,27 +369,22 @@ func mapHasRoomFor(m map[int64]int, n int) bool {
 // maxScratchEntries, the scratch is pooled — must not leave every later call
 // on that scratch clearing a map of that size.
 func TestScratchMapsDoNotStayLarge(t *testing.T) {
-	// reset itself: a map is kept up to the bound and replaced beyond it.
-	sc := &scratch{seen: make(map[int64]int), share: make(map[string]int)}
+	// reset itself: the map is kept up to the bound and replaced beyond it.
+	sc := &scratch{seen: make(map[int64]int)}
 	for i := 0; i < maxScratchMapEntries; i++ {
 		sc.seen[int64(i)] = i
-		sc.share[fmt.Sprint(i)] = i
 	}
 	sc.reset()
-	if len(sc.seen) != 0 || len(sc.share) != 0 {
-		t.Fatalf("reset left %d seen, %d share keys", len(sc.seen), len(sc.share))
+	if len(sc.seen) != 0 {
+		t.Fatalf("reset left %d seen keys", len(sc.seen))
 	}
 	if !mapHasRoomFor(sc.seen, maxScratchMapEntries) {
 		t.Fatal("reset replaced a seen map at the bound: a hot batch would re-make it on every call")
 	}
-	sc.share["over"] = 0
-	for i := 0; i < maxScratchMapEntries; i++ {
-		sc.share[fmt.Sprint(i)] = i
-	}
 	sc.seen[maxScratchMapEntries] = 0
 	sc.reset()
-	if len(sc.seen) != 0 || len(sc.share) != 0 {
-		t.Fatalf("reset left %d seen, %d share keys", len(sc.seen), len(sc.share))
+	if len(sc.seen) != 0 {
+		t.Fatalf("reset left %d seen keys", len(sc.seen))
 	}
 	if mapHasRoomFor(sc.seen, maxScratchMapEntries) {
 		t.Fatal("reset kept a seen map that had grown above the bound")

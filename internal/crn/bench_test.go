@@ -7,7 +7,7 @@ package crn
 //
 //	go test ./internal/crn -run '^$' -bench 'TrainEpoch|PredictBatch' -benchmem
 //
-// `make bench` records the whole suite into BENCH_2.json.
+// `make bench-smoke` runs the whole suite once.
 
 import (
 	"math/rand"

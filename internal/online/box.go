@@ -33,7 +33,10 @@ type Generation struct {
 //
 // The box implements the contain rate-estimator interfaces by delegating
 // to the current generation, which lets it stand wherever a *crn.Rates
-// does (in particular as card.Estimator.Rates).
+// does (in particular as card.Estimator.Rates). A box nobody promotes is a
+// frozen model: generation 1 forever, read at the cost of one atomic load.
+// The cache accessors, SetStages and Close are nil-safe, so an estimator
+// without a CRN model can hold a nil box.
 type ModelBox struct {
 	cur atomic.Pointer[Generation]
 
@@ -62,6 +65,9 @@ func NewModelBox(m *icrn.Model, enc *feature.Encoder, cacheSize int, p *pool.Poo
 // is read without synchronization when generations are built, and the
 // current generation is re-pointed immediately.
 func (b *ModelBox) SetStages(s *telemetry.StageSet) {
+	if b == nil {
+		return
+	}
 	b.stages = s
 	b.cur.Load().Rates.Stages = s
 }
@@ -85,6 +91,15 @@ func (b *ModelBox) Current() *Generation { return b.cur.Load() }
 // Generation returns the live generation number (monotonically increasing
 // from 1).
 func (b *ModelBox) Generation() uint64 { return b.cur.Load().Gen }
+
+// Cache returns the live generation's representation cache: nil on a nil
+// box or a box built with cacheSize 0 (RepCache methods are nil-safe).
+func (b *ModelBox) Cache() *icrn.RepCache {
+	if b == nil {
+		return nil
+	}
+	return b.cur.Load().Rates.Cache
+}
 
 // Promote atomically publishes m as the next generation and returns it.
 // The old generation's cache is unsubscribed from the pool; estimates that
@@ -138,8 +153,12 @@ func (b *ModelBox) Restore(m *icrn.Model, gen uint64) *Generation {
 	return next
 }
 
-// Close unsubscribes the live generation's cache from the pool.
+// Close unsubscribes the live generation's cache from the pool. Idempotent
+// and nil-safe.
 func (b *ModelBox) Close() {
+	if b == nil {
+		return
+	}
 	b.promoteMu.Lock()
 	defer b.promoteMu.Unlock()
 	if g := b.cur.Load(); b.pool != nil && g.Rates.Cache != nil {

@@ -10,14 +10,9 @@
 // estimator's batched entry points are bit-identical to per-item calls by
 // construction), so coalesced answers equal uncoalesced answers exactly.
 //
-// The batches a Coalescer forms are also the unit downstream batch-level
-// optimizations work over: the estimator's batched pass amortizes its rate
-// inference across the batch, and with candidate sharing enabled
-// (card.Estimator.ShareCandidates) probes of one batch that share a FROM
-// clause and signature pattern reuse a single pool selection — so larger
-// coalesced batches directly raise selection reuse. The Coalescer itself
-// stays result-agnostic; sharing semantics (and the exactness caveat under
-// a bounded top-K) live entirely in internal/card.
+// The batches a Coalescer forms are also the unit the estimator's batched
+// pass amortizes its rate inference over. The Coalescer itself stays
+// result-agnostic.
 package serve
 
 import (

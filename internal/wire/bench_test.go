@@ -29,7 +29,7 @@ func benchQueries(n int) []string {
 // BenchmarkBatchWire measures one server round of body work for a 64-query
 // batch under each codec. The binary path reuses pooled buffers exactly as
 // the handler does; the JSON path pays the reflection-driven decode/encode
-// it always pays. The bench.sh wire gate pins binary allocs/op at ≤20% of
+// it always pays. The CI wire gate pins binary allocs/op at ≤20% of
 // JSON's.
 func BenchmarkBatchWire(b *testing.B) {
 	queries := benchQueries(64)

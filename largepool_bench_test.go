@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"crn/internal/pool"
 )
 
 // largePoolSizes are the entries-per-FROM-key points of the bench grid.
@@ -29,8 +31,7 @@ var largePoolSizes = []int{1000, 10000, 50000}
 type largePoolEnv struct {
 	full   *CardinalityEstimator // unbounded scan
 	topK   *CardinalityEstimator // MaxCandidates = 64, indexed selection
-	noIdx  *CardinalityEstimator // MaxCandidates = 64, WithIndexedSelection(false)
-	shared *CardinalityEstimator // MaxCandidates = 64, batch-level candidate sharing
+	noIdx  *CardinalityEstimator // MaxCandidates = 64, pool.WithIndexedSelection(false)
 	pool   *QueriesPool
 	probes []Query
 }
@@ -77,7 +78,7 @@ func largePoolBenchEnv(b *testing.B, n int) *largePoolEnv {
 	}
 	// Twin pool with the inverted index disabled: the PR 4 linear-scan
 	// baseline, kept in the grid so the speedup is measured in-run.
-	lin := rebuildPool(sys, p, WithIndexedSelection(false))
+	lin := rebuildPool(sys, p, pool.WithIndexedSelection(false))
 
 	probes := make([]Query, 0, 8)
 	for i := 0; i < 8; i++ {
@@ -104,15 +105,12 @@ func largePoolBenchEnv(b *testing.B, n int) *largePoolEnv {
 			WithFallback(base), WithRepCacheSize(2*n+1024), WithMaxCandidates(64)),
 		noIdx: sys.CardinalityEstimator(model, lin,
 			WithFallback(base), WithRepCacheSize(2*n+1024), WithMaxCandidates(64)),
-		shared: sys.CardinalityEstimator(model, p,
-			WithFallback(base), WithRepCacheSize(2*n+1024), WithMaxCandidates(64),
-			WithSharedSelection(true)),
 		pool:   p,
 		probes: probes,
 	}
 	// Warm each estimator to resident steady state: sighting, promotion,
 	// resident read.
-	for _, est := range []*CardinalityEstimator{env.full, env.topK, env.noIdx, env.shared} {
+	for _, est := range []*CardinalityEstimator{env.full, env.topK, env.noIdx} {
 		for pass := 0; pass < 3; pass++ {
 			for _, q := range probes {
 				if _, err := est.EstimateCardinality(ctx, q); err != nil {
@@ -157,24 +155,17 @@ func BenchmarkEstimateCardinalityLargePool(b *testing.B) {
 }
 
 // BenchmarkEstimateCardinalityLargePoolBatch measures an 8-probe batch
-// against the 50k-entry pool with top-64 selection, with and without
-// batch-level candidate sharing. ns/op is the whole batch; shared=on
-// collapses same-FROM same-pattern probes onto one ranked selection.
+// against the 50k-entry pool with top-64 selection. ns/op is the whole
+// batch.
 func BenchmarkEstimateCardinalityLargePoolBatch(b *testing.B) {
-	for _, mode := range []string{"shared=off", "shared=on"} {
-		b.Run(fmt.Sprintf("entries=50000/%s", mode), func(b *testing.B) {
-			env := largePoolBenchEnv(b, 50000)
-			est := env.topK
-			if mode == "shared=on" {
-				est = env.shared
+	b.Run("entries=50000", func(b *testing.B) {
+		env := largePoolBenchEnv(b, 50000)
+		ctx := context.Background()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := env.topK.EstimateCardinalityBatch(ctx, env.probes); err != nil {
+				b.Fatal(err)
 			}
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := est.EstimateCardinalityBatch(ctx, env.probes); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -56,38 +56,30 @@ func DefaultModelConfig() ModelConfig { return icrn.DefaultConfig() }
 func PaperModelConfig() ModelConfig { return icrn.PaperConfig() }
 
 // TrainOption configures TrainContainmentModel.
-type TrainOption func(*TrainConfig)
+type TrainOption func(*trainConfig)
 
 // WithPairs sets the number of training pairs to generate and label
 // (default 5000; the paper's §3.1.2 workload uses 0-2 joins).
 func WithPairs(n int) TrainOption {
-	return func(c *TrainConfig) { c.Pairs = n }
+	return func(c *trainConfig) { c.Pairs = n }
 }
 
 // WithSeed sets the workload-generation seed (default 1).
 func WithSeed(seed int64) TrainOption {
-	return func(c *TrainConfig) { c.Seed = seed }
+	return func(c *trainConfig) { c.Seed = seed }
 }
 
 // WithModelConfig overrides the CRN hyperparameters (default
 // DefaultModelConfig).
 func WithModelConfig(cfg ModelConfig) TrainOption {
-	return func(c *TrainConfig) { c.Model = cfg }
+	return func(c *trainConfig) { c.Model = cfg }
 }
 
 // WithProgress installs a per-epoch callback (epoch number, validation mean
 // q-error). The callback may cancel the training context; the next epoch
 // boundary observes it.
 func WithProgress(fn func(epoch int, valQError float64)) TrainOption {
-	return func(c *TrainConfig) { c.Progress = fn }
-}
-
-// WithTrainConfig replaces the whole configuration with a legacy config
-// struct.
-//
-// Deprecated: migrate to the individual options.
-func WithTrainConfig(cfg TrainConfig) TrainOption {
-	return func(c *TrainConfig) { *c = cfg }
+	return func(c *trainConfig) { c.Progress = fn }
 }
 
 // --- Queries pool -----------------------------------------------------------
@@ -104,26 +96,9 @@ type PoolOption = pool.Option
 // the workload).
 func WithPoolCap(n int) PoolOption { return pool.WithCap(n) }
 
-// WithIndexedSelection toggles the pool's inverted signature-class index
-// behind top-K candidate selection (default on). Indexed selection returns
-// exactly the candidates the PR 4 linear scan would — bit-identical scores,
-// set and order — while visiting only the signature classes that can still
-// beat the current top K, so bounded selection cost depends on the clause's
-// predicate-structure diversity instead of its entry count. Clauses too
-// diverse to profit (more than one distinct signature pattern per four
-// entries at 1024+ entries) automatically fall back to the linear scan;
-// PoolStats splits the traffic (IndexHits / IndexFallbacks) and the cost
-// (ScannedIndexed / ScannedFallback). Off restores the unconditional linear
-// scan — an A/B reference and a memory dial.
-func WithIndexedSelection(on bool) PoolOption { return pool.WithIndexedSelection(on) }
-
 // PoolStats reports pool occupancy plus candidate-index and eviction
 // counters (see QueriesPool.Stats).
 type PoolStats = pool.Stats
-
-// SelectionStats reports batch-level candidate-sharing counters (see
-// CardinalityEstimator.SelectionStats and WithSharedSelection).
-type SelectionStats = card.SelectionStats
 
 // --- Cardinality estimation -------------------------------------------------
 
@@ -161,11 +136,14 @@ type estimatorSettings struct {
 // EstimatorOption configures CardinalityEstimator and ImproveBaseline.
 type EstimatorOption func(*estimatorSettings)
 
-// WithWorkers sets the parallelism of the pool scan for rate models without
-// a batch interface (0 = GOMAXPROCS, 1 = serial; batch-capable models —
-// the CRN included — parallelize internally instead).
-func WithWorkers(n int) EstimatorOption {
-	return func(s *estimatorSettings) { s.est.Workers = n }
+// newSettings applies opts over the defaults; est receives the Figure 8
+// knobs.
+func newSettings(est *card.Estimator, opts []EstimatorOption) estimatorSettings {
+	set := estimatorSettings{est: est, cacheSize: icrn.DefaultRepCacheSize}
+	for _, o := range opts {
+		o(&set)
+	}
+	return set
 }
 
 // WithFinal sets the final function F collapsing per-old-query estimates
@@ -179,12 +157,6 @@ func WithFinal(f FinalFunc) EstimatorOption {
 // falling back to a basic cardinality model).
 func WithFallback(fb BaselineEstimator) EstimatorOption {
 	return func(s *estimatorSettings) { s.est.Fallback = fb }
-}
-
-// WithEpsilon sets the y_rate guard ε of Figure 8 (default 1e-3): pool
-// matches with Qnew ⊂% Qold ≤ ε are skipped to avoid exploding the ratio.
-func WithEpsilon(eps float64) EstimatorOption {
-	return func(s *estimatorSettings) { s.est.Epsilon = eps }
 }
 
 // WithMaxCandidates bounds every estimate's pool scan to the k most
@@ -207,21 +179,6 @@ func WithMaxCandidates(k int) EstimatorOption {
 		// must be able to override an earlier bound.
 		s.est.MaxCandidates = k
 	}
-}
-
-// WithSharedSelection deduplicates candidate selection across each batch
-// (coalesced or explicit): probes sharing a FROM clause — and, under a
-// WithMaxCandidates bound, a predicate-signature pattern — reuse one pool
-// selection per batch instead of probing the pool per query. Containment
-// rates are still estimated per (probe, candidate) pair. With an unbounded
-// scan (MaxCandidates 0) sharing is exact: every probe of a FROM clause
-// receives the identical candidate set either way. With a binding bound it
-// is an approximation — same-pattern probes with different predicate values
-// reuse a top-K ranked for the first probe's values — hence opt-in
-// (default off; the Median final function is robust to near-miss candidate
-// sets, and SelectionStats reports how often sharing fired).
-func WithSharedSelection(on bool) EstimatorOption {
-	return func(s *estimatorSettings) { s.est.ShareCandidates = on }
 }
 
 // WithRepCacheSize bounds the representation cache of a CRN-backed

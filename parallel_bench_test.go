@@ -63,8 +63,8 @@ func BenchmarkEstimateCardinalityParallelNoCoalesce(b *testing.B) {
 
 // BenchmarkEstimateCardinalitySoloCoalesced measures an UNcontended
 // coalescing estimator: one request at a time, serially — the traffic shape
-// where coalescing used to cost pure overhead (BENCH_3: 6.9µs uncoalesced
-// vs 8.3µs coalesced at -cpu 1). The solo fast path must serve every one of
+// where coalescing used to cost pure overhead (6.9µs uncoalesced vs 8.3µs
+// coalesced at -cpu 1 before the solo fast path). The solo fast path must serve every one of
 // these calls without batching machinery; the post-run assertion is the
 // regression gate.
 func BenchmarkEstimateCardinalitySoloCoalesced(b *testing.B) {
@@ -88,7 +88,7 @@ func BenchmarkEstimateCardinalitySoloCoalesced(b *testing.B) {
 // with the full operational-guard stack armed — admission gate, per-request
 // deadline, circuit breaker — on healthy traffic. The delta against the
 // unguarded parallel benchmark is the guard overhead on the happy path,
-// pinned at <= 5% in CI (BENCH_7); the post-run assertions prove the guards
+// pinned at <= 5% in CI; the post-run assertions prove the guards
 // stayed out of the way (nothing shed, breaker closed) so the measurement
 // really is overhead, not divergence onto the fallback path.
 func BenchmarkEstimateCardinalityGuarded(b *testing.B) {
@@ -187,7 +187,7 @@ var (
 // with the full telemetry bundle armed — per-request stage timing, outcome
 // counters, latency histograms, accuracy ring. The delta against the
 // uninstrumented parallel benchmark is the telemetry overhead on the hot
-// path, pinned at <= 3% in CI (BENCH_10).
+// path, pinned at <= 3% in CI.
 func BenchmarkEstimateCardinalityTelemetry(b *testing.B) {
 	est, queries := telemetryBenchEnv(b)
 	var next atomic.Int64

@@ -10,12 +10,9 @@ import (
 	"crn/internal/workload"
 )
 
-// TrainConfig controls containment-model training. The zero value uses the
+// trainConfig is what TrainOption values set. The zero value uses the
 // defaults (5000 pairs, seed 1, DefaultModelConfig).
-//
-// Deprecated: configure TrainContainmentModel with TrainOption values; this
-// struct remains as the carrier for WithTrainConfig.
-type TrainConfig struct {
+type trainConfig struct {
 	Pairs    int         // training pairs to generate (0 = 5000)
 	Seed     int64       // generator seed (0 = 1)
 	Model    ModelConfig // zero value = crn defaults
@@ -34,22 +31,10 @@ type ContainmentModel struct {
 // executed query and training checks it per epoch, so cancelling aborts
 // promptly with the context's error.
 func (s *System) TrainContainmentModel(ctx context.Context, opts ...TrainOption) (*ContainmentModel, error) {
-	var cfg TrainConfig
+	var cfg trainConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return s.trainWithConfig(ctx, cfg)
-}
-
-// TrainContainmentModelConfig is the config-struct form of
-// TrainContainmentModel.
-//
-// Deprecated: use TrainContainmentModel with options.
-func (s *System) TrainContainmentModelConfig(cfg TrainConfig) (*ContainmentModel, error) {
-	return s.trainWithConfig(context.Background(), cfg)
-}
-
-func (s *System) trainWithConfig(ctx context.Context, cfg TrainConfig) (*ContainmentModel, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
