@@ -278,11 +278,11 @@ func (e *AdaptiveEstimator) registerAdaptiveCollectors() {
 			emit(float64(cs.Invalid), "invalid")
 			emit(float64(cs.Overflow), "overflow")
 		})
-	r.GaugeFunc("crn_drift_score", "Windowed median q-error of live estimates against arriving truths.",
+	r.GaugeFunc("crn_drift_score", "Windowed median q-error of live estimates against arriving truths (histogram bucket resolution).",
 		func() float64 { return e.drift.Stats().QError.P50 })
 	r.GaugeFunc("crn_drift_alarm", "1 while the drift monitor is tripped, else 0.",
 		func() float64 {
-			if e.drift.Stats().Drifted {
+			if e.drift.Drifted() {
 				return 1
 			}
 			return 0

@@ -1,8 +1,13 @@
 package crn
 
 import (
+	"bytes"
 	"context"
+	"slices"
 	"testing"
+	"time"
+
+	"crn/internal/durable"
 )
 
 // TestDurableKillAndRestart is the acceptance test of the durability
@@ -122,6 +127,87 @@ func TestDurableKillAndRestart(t *testing.T) {
 	}
 	if got := ae2.ModelGeneration(); got != gen+1 {
 		t.Fatalf("post-restart promotion reached generation %d, want %d", got, gen+1)
+	}
+}
+
+// TestDurableResumesRawDriftCheckpoint pins drift.json compatibility in
+// both directions. A checkpoint whose drift state is raw q-errors (the form
+// the window was persisted in while it was a ring of samples) restores with
+// exact counts, and the window a resumed deployment checkpoints — bucket
+// lower edges — restores again into identical bucket counts.
+func TestDurableResumesRawDriftCheckpoint(t *testing.T) {
+	sys, model, p := adaptFixture(t)
+	dir := t.TempDir()
+	blob, err := model.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var poolBuf bytes.Buffer
+	if err := p.Save(&poolBuf); err != nil {
+		t.Fatal(err)
+	}
+	// Raw q-errors straddling the 1.05 threshold, one past the histogram
+	// ceiling (2^20).
+	raw := []float64{1, 1, 1.04, 1.05, 1.06, 1.3, 2.7, 40, 900, 3e6, 1.2, 17}
+	store, err := durable.Open(dir, durable.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = store.Checkpoint(&durable.Checkpoint{
+		Generation: 3, Model: blob, Pool: poolBuf.Bytes(), Drift: raw, WrittenAt: time.Now().UTC(),
+	})
+	if cerr := store.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	open := func() *AdaptiveEstimator {
+		t.Helper()
+		ae, err := sys.OpenAdaptiveEstimator(nil, sys.NewQueriesPool(),
+			WithRetrainInterval(-1), WithDriftTrigger(1.05, 256), WithDataDir(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ae
+	}
+	ae := open()
+	if got := ae.ModelGeneration(); got != 3 {
+		t.Fatalf("resumed generation = %d, want 3", got)
+	}
+	d := ae.AdaptationStats().Drift
+	above := 0
+	for _, q := range raw {
+		if q > 1.05 {
+			above++
+		}
+	}
+	if d.Drifted || d.QError.Count != len(raw) || d.QError.Total != uint64(len(raw)) || d.QError.AboveThreshold != above {
+		t.Fatalf("restored drift window = %+v, want count %d, above %d, not drifted", d, len(raw), above)
+	}
+	// Every checkpointed value is its raw value's bucket lower edge.
+	sorted := slices.Sorted(slices.Values(raw))
+	edges := ae.drift.Values()
+	if len(edges) != len(sorted) {
+		t.Fatalf("Values() has %d entries, want %d", len(edges), len(sorted))
+	}
+	for i, e := range edges {
+		if q := sorted[i]; e > q || (q < 1<<20 && q >= 1.25*e) {
+			t.Errorf("value %d: edge %v does not bound raw %v", i, e, q)
+		}
+	}
+	ae.Close() // writes the resumed window back in bucket-edge form
+
+	ae2 := open()
+	defer ae2.Close()
+	d2 := ae2.AdaptationStats().Drift
+	if d2.QError.Count != d.QError.Count || d2.QError.P50 != d.QError.P50 || d2.QError.P99 != d.QError.P99 ||
+		d2.QError.Max != d.QError.Max || d2.QError.Mean != d.QError.Mean {
+		t.Fatalf("bucket-edge round trip changed the window: %+v, was %+v", d2.QError, d.QError)
+	}
+	if !slices.Equal(ae2.drift.Values(), edges) {
+		t.Fatalf("bucket-edge round trip changed Values: %v, was %v", ae2.drift.Values(), edges)
 	}
 }
 

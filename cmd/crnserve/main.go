@@ -58,8 +58,8 @@
 // background trainer that incrementally retrains the containment model and
 // atomically hot-swaps improved generations under live traffic, gated on
 // validation q-error (-promote-tolerance). The drift monitor compares live
-// estimates against arriving truths; when the windowed median q-error
-// exceeds -drift-threshold, a retrain is kicked early. Tune with
+// estimates against arriving truths; when more than half the windowed
+// q-errors exceed -drift-threshold, a retrain is kicked early. Tune with
 // -feedback-buffer, -feedback-min-batch, -retrain-interval,
 // -retrain-epochs; observe on /healthz ("online": generation, collector,
 // trainer, drift).
@@ -75,13 +75,14 @@
 // reports guard and per-endpoint counters ("guard", "ingest_gate",
 // "endpoints").
 //
-// Telemetry (on by default, disable with -telemetry=false): the serving
-// stack records per-stage latency histograms (admission → coalesce-wait →
-// cache-lookup → candidate-selection → NN-forward → finalize), request
-// outcomes, subsystem counters, and live per-arm q-error (feedback truths
-// joined against recent estimates), all exposed on GET /metrics in
-// Prometheus text format with no external dependency. /healthz renders its
-// latency, stage and accuracy sections from the same registry.
+// Telemetry (always on): the serving stack records per-stage latency
+// histograms (admission → coalesce-wait → cache-lookup → candidate-selection
+// → NN-forward → finalize), request outcomes, subsystem counters, and live
+// per-arm q-error (feedback truths joined against recent estimates), all
+// exposed on GET /metrics in Prometheus text format with no external
+// dependency. /healthz renders its latency, stage and accuracy sections from
+// the same registry — request latency comes only from the end-to-end
+// histograms.
 // -metrics-addr moves /metrics plus /debug/pprof onto a separate listener
 // so operational endpoints stay off the public serving port. `crndiag
 // -watch` renders a terminal dashboard over /metrics.
@@ -133,7 +134,6 @@ func main() {
 	coalesceBatch := flag.Int("coalesce-batch", 64, "max concurrent /estimate requests coalesced into one batched pass (< 2 disables coalescing)")
 	coalesceWait := flag.Duration("coalesce-wait", 0, "how long to hold a non-full coalescing batch open for stragglers (0: adaptive, never waits)")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (profiling opt-in)")
-	telemetryOn := flag.Bool("telemetry", true, "enable the serving telemetry layer: per-stage timers, /metrics Prometheus exposition, live q-error tracking (=false removes even the nanosecond clock reads)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this separate listener so operational endpoints stay off the public port (empty: /metrics rides -addr)")
 	adapt := flag.Bool("adapt", true, "enable the online-adaptation loop (/feedback ingestion, background retraining, model hot-swap)")
 	feedbackBuffer := flag.Int("feedback-buffer", 1024, "staged execution-feedback records before /feedback rejects (adaptation)")
@@ -141,8 +141,8 @@ func main() {
 	retrainInterval := flag.Duration("retrain-interval", 5*time.Second, "background trainer polling period; negative disables scheduled retraining (adaptation)")
 	retrainEpochs := flag.Int("retrain-epochs", 8, "incremental training epochs per retrain cycle (adaptation)")
 	promoteTolerance := flag.Float64("promote-tolerance", 0.05, "promotion gate: candidate validation q-error may exceed live by this fraction (adaptation)")
-	driftThreshold := flag.Float64("drift-threshold", 0, "windowed median q-error of live estimates vs feedback truths that kicks an early retrain (0: observe only)")
-	driftWindow := flag.Int("drift-window", 256, "rolling window size of the drift monitor (adaptation)")
+	driftThreshold := flag.Float64("drift-threshold", 0, "q-error of live estimates vs feedback truths that, exceeded by more than half the drift window, kicks an early retrain (0: observe only)")
+	driftWindow := flag.Int("drift-window", 256, "drift monitor window: two tumbling halves of N/2 feedback q-errors, so the last N/2..N (adaptation)")
 	labelFree := flag.Bool("label-free", false, "label feedback training pairs from the cardinality identity when possible instead of executing the truth oracle (adaptation)")
 	dataDir := flag.String("data-dir", "", "durable state directory: feedback WAL + promotion checkpoints, recovered on restart (empty: memory-only)")
 	walSync := flag.String("wal-sync", "interval", "feedback WAL sync policy: interval (batched fsync), always (fsync per record), none")
@@ -151,7 +151,7 @@ func main() {
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request estimation deadline (0: none)")
 	breakerErrorRate := flag.Float64("breaker-error-rate", 0, "windowed error rate that trips the circuit breaker onto the fallback path (0 with -breaker-p99 0: breaker off)")
 	breakerP99 := flag.Duration("breaker-p99", 0, "windowed p99 estimate latency that trips the circuit breaker (0: latency trip off)")
-	breakerWindow := flag.Int("breaker-window", 128, "outcome window size of the circuit breaker")
+	breakerWindow := flag.Int("breaker-window", 128, "outcomes per tumbling circuit-breaker window (error-rate and p99 trips both count over it)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open time before the breaker half-opens and probes the primary path")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 5*time.Second, "graceful shutdown drain deadline for in-flight requests")
 	flag.Parse()
@@ -223,12 +223,8 @@ func main() {
 		}
 	}
 
-	opts := []crn.EstimatorOption{}
-	var tel *crn.Telemetry
-	if *telemetryOn {
-		tel = crn.NewTelemetry()
-		opts = append(opts, crn.WithTelemetry(tel))
-	}
+	tel := crn.NewTelemetry()
+	opts := []crn.EstimatorOption{crn.WithTelemetry(tel)}
 	if !*noFallback {
 		base, err := sys.AnalyzeBaseline()
 		if err != nil {
@@ -311,13 +307,10 @@ func main() {
 	if *pprofFlag {
 		logger.Printf("pprof enabled under /debug/pprof/")
 	}
-	switch {
-	case tel != nil && *metricsAddr == "":
+	if *metricsAddr == "" {
 		logger.Printf("telemetry on (/metrics on the serving port; stage timers and live q-error tracking armed)")
-	case tel != nil:
+	} else {
 		logger.Printf("telemetry on (stage timers and live q-error tracking armed)")
-	case *metricsAddr != "":
-		logger.Printf("warning: -telemetry=false leaves the %s listener with /debug/pprof only (no /metrics)", *metricsAddr)
 	}
 	// Construction is done: model published (trained, loaded, or recovered)
 	// and any WAL replay absorbed — flip /readyz before the listener opens.

@@ -64,14 +64,14 @@ type server struct {
 	// queryBufs recycles estimateBatchSQL's parsed-query slice (*[]crn.Query).
 	queryBufs sync.Pool
 
-	// tel, when non-nil, is the serving telemetry bundle shared with the
-	// estimator (the -telemetry flag, default on): GET /metrics serves its
-	// registry, /healthz renders latency/stage/accuracy sections from one
-	// snapshot of it, the frame-size histogram children below record
-	// /estimate/batch body sizes per codec, and parseDur the time each
-	// /estimate or /estimate/batch request spent turning its SQL into
-	// canonical queries (one observation per request, however many queries).
-	// Set via setTelemetry before serving.
+	// tel is the serving telemetry bundle shared with the estimator: GET
+	// /metrics serves its registry, /healthz renders its latency, stage and
+	// accuracy sections from one snapshot of it, the frame-size histogram
+	// children below record /estimate/batch body sizes per codec, and
+	// parseDur the time each /estimate or /estimate/batch request spent
+	// turning its SQL into canonical queries (one observation per request,
+	// however many queries). Set via setTelemetry before serving; a server
+	// built without a bundle serves no /metrics and zero latency sections.
 	tel           *crn.Telemetry
 	metricsOnMain bool // mount /metrics on the public mux (no -metrics-addr)
 	parseDur      *telemetry.Histogram
@@ -79,9 +79,6 @@ type server struct {
 	jsonRespBytes *telemetry.Histogram
 	binReqBytes   *telemetry.Histogram
 	binRespBytes  *telemetry.Histogram
-
-	estimateLatency latencyStats // single-query /estimate (cardinality mode)
-	batchLatency    latencyStats // /estimate/batch
 
 	epEstimate endpointCounters
 	epBatch    endpointCounters
@@ -127,40 +124,12 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-// latencyStats tracks request latencies with lock-free counters cheap
-// enough for the hot path; /healthz renders a snapshot.
-type latencyStats struct {
-	count   atomic.Int64
-	totalNs atomic.Int64
-	maxNs   atomic.Int64
-}
-
-func (l *latencyStats) observe(d time.Duration) {
-	ns := d.Nanoseconds()
-	l.count.Add(1)
-	l.totalNs.Add(ns)
-	for {
-		m := l.maxNs.Load()
-		if ns <= m || l.maxNs.CompareAndSwap(m, ns) {
-			return
-		}
-	}
-}
-
-// latencySnapshot is the wire form of latencyStats.
+// latencySnapshot is a request-latency summary in /healthz, rendered from
+// the estimator's end-to-end histogram (see latencyFromHist).
 type latencySnapshot struct {
 	Count     int64   `json:"count"`
 	AvgMicros float64 `json:"avg_micros"`
 	MaxMicros float64 `json:"max_micros"`
-}
-
-func (l *latencyStats) snapshot() latencySnapshot {
-	n := l.count.Load()
-	out := latencySnapshot{Count: n, MaxMicros: float64(l.maxNs.Load()) / 1e3}
-	if n > 0 {
-		out.AvgMicros = float64(l.totalNs.Load()) / float64(n) / 1e3
-	}
-	return out
 }
 
 // --- Per-endpoint accounting ------------------------------------------------
@@ -410,7 +379,7 @@ type healthzResponse struct {
 	Endpoints map[string]endpointSnapshot `json:"endpoints"`
 	// Telemetry reports the serving telemetry bundle — request outcomes,
 	// per-stage latency quantiles, live per-arm q-error — rendered from one
-	// registry gather shared with /metrics. Omitted with -telemetry=false.
+	// registry gather shared with /metrics.
 	Telemetry *telemetrySummary `json:"telemetry,omitempty"`
 }
 
@@ -430,14 +399,12 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	case req.Query != "" && req.Q1 == "" && req.Q2 == "":
 		parseStart := time.Now()
 		q, err := s.sys.ParseQuery(req.Query)
-		start := time.Now()
-		s.parseDur.ObserveDuration(start.Sub(parseStart))
+		s.parseDur.ObserveDuration(time.Since(parseStart))
 		if err != nil {
 			s.writeError(w, statusFor(err), err)
 			return
 		}
 		card, err := s.est.EstimateCardinality(r.Context(), q)
-		s.estimateLatency.observe(time.Since(start))
 		if err != nil {
 			s.writeError(w, statusFor(err), err)
 			return
@@ -512,7 +479,7 @@ func (s *server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // estimateBatchSQL is the codec-independent core of /estimate/batch: parse
-// every query, run the batched estimate, record latency. Both content types
+// every query, then run the batched estimate. Both content types
 // funnel through it, so JSON and binary responses are bit-identical for the
 // same queries.
 func (s *server) estimateBatchSQL(ctx context.Context, sqls []string) ([]float64, int, error) {
@@ -536,10 +503,8 @@ func (s *server) estimateBatchSQL(ctx context.Context, sqls []string) ([]float64
 		}
 		queries[i] = q
 	}
-	start := time.Now()
-	s.parseDur.ObserveDuration(start.Sub(parseStart))
+	s.parseDur.ObserveDuration(time.Since(parseStart))
 	cards, err := s.est.EstimateCardinalityBatch(ctx, queries)
-	s.batchLatency.observe(time.Since(start))
 	if err != nil {
 		return nil, statusFor(err), err
 	}
@@ -672,8 +637,9 @@ func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, statusFor(err), err)
 		return
 	}
-	// Lightweight accessors, not AdaptationStats: the full snapshot sorts
-	// the whole drift window, which has no place on a per-request path.
+	// Lightweight accessors, not AdaptationStats: the full snapshot merges
+	// and walks the drift window's histograms and reads every collector and
+	// trainer counter, which has no place on a per-request path.
 	s.writeJSON(w, http.StatusOK, feedbackResponse{
 		Accepted:   accepted,
 		Staged:     s.adaptive.StagedFeedback(),
@@ -684,19 +650,17 @@ func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := healthzResponse{
-		Status:          "ok",
-		PoolSize:        s.pool.Len(),
-		Recorded:        s.recorded.Load(),
-		UptimeSeconds:   time.Since(s.started).Seconds(),
-		Pool:            s.pool.Stats(),
-		RepCache:        s.est.CacheStats(),
-		StmtCache:       s.sys.StatementCacheStats(),
-		Coalescer:       s.est.CoalescerStats(),
-		EstimateLatency: s.estimateLatency.snapshot(),
-		BatchLatency:    s.batchLatency.snapshot(),
-		Wire:            s.wireSnapshot(),
-		Guard:           s.est.GuardStats(),
-		IngestGate:      s.ingestGate.Stats(),
+		Status:        "ok",
+		PoolSize:      s.pool.Len(),
+		Recorded:      s.recorded.Load(),
+		UptimeSeconds: time.Since(s.started).Seconds(),
+		Pool:          s.pool.Stats(),
+		RepCache:      s.est.CacheStats(),
+		StmtCache:     s.sys.StatementCacheStats(),
+		Coalescer:     s.est.CoalescerStats(),
+		Wire:          s.wireSnapshot(),
+		Guard:         s.est.GuardStats(),
+		IngestGate:    s.ingestGate.Stats(),
 		Endpoints: map[string]endpointSnapshot{
 			"estimate":       s.epEstimate.snapshot(),
 			"estimate_batch": s.epBatch.snapshot(),

@@ -14,20 +14,16 @@ import (
 // GET /metrics (Prometheus text exposition over the estimator's registry),
 // the server-level collector families (HTTP routes, ingest gate, wire
 // codec traffic and frame sizes), the optional separate operational
-// listener (-metrics-addr), and the registry-snapshot rendering /healthz
-// switches to when telemetry is on.
+// listener (-metrics-addr), and the registry-snapshot rendering of the
+// /healthz latency, stage and accuracy sections.
 
 // setTelemetry attaches the telemetry bundle the estimator records into
 // and registers the server-level families on its registry: per-request SQL
 // parse time, statement-cache lookups, per-route HTTP outcomes, the ingest
 // gate, /estimate/batch codec traffic with frame-size histograms, and process
-// uptime. Call once, after setIngestLimit and before serving; a nil bundle
-// (the -telemetry=false path) leaves every instrument nil and /metrics
-// unrouted.
+// uptime. Call once, after setIngestLimit and before serving; a server never
+// given a bundle keeps every instrument nil and /metrics unrouted.
 func (s *server) setTelemetry(t *crn.Telemetry) {
-	if t == nil {
-		return
-	}
 	s.tel = t
 	reg := t.Registry()
 
@@ -144,7 +140,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // metricsHandler builds the route table of the separate operational
-// listener (-metrics-addr): /metrics (when telemetry is on) plus
+// listener (-metrics-addr): /metrics (given a telemetry bundle) plus
 // /debug/pprof unconditionally — the point of the second listener is that
 // neither is exposed on the public serving port.
 func (s *server) metricsHandler() http.Handler {

@@ -58,7 +58,8 @@ type Checkpoint struct {
 	Model []byte
 	// Pool is the serialized queries pool.
 	Pool []byte
-	// Drift is the drift-window sample history, oldest first.
+	// Drift is the drift window's q-errors, oldest first (raw values or
+	// histogram bucket edges; the drift monitor restores either).
 	Drift []float64
 	// WrittenAt records when the checkpoint was persisted.
 	WrittenAt time.Time

@@ -2,7 +2,7 @@ package guard
 
 import (
 	"errors"
-	"slices"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,8 +42,9 @@ func (s BreakerState) String() string {
 // BreakerConfig tunes the circuit breaker. Zero fields take the defaults
 // documented per field.
 type BreakerConfig struct {
-	// Window is how many recent outcomes the rolling window holds
-	// (default 128).
+	// Window is how many outcomes one tumbling window counts (default 128,
+	// at most 1<<20): the first outcome after the window fills starts a
+	// fresh one.
 	Window int
 	// MinSamples is the minimum outcomes in the window before the
 	// error-rate and latency trips can fire (default Window/4), so a
@@ -53,7 +54,9 @@ type BreakerConfig struct {
 	// fraction reaches it (default 0.5).
 	ErrorRate float64
 	// LatencyP99 trips the breaker when the windowed p99 latency reaches
-	// it. Zero disables the latency trip.
+	// it. The p99 is counted, not sorted: the nearest-rank p99 of n
+	// outcomes reaches the threshold exactly when at least
+	// n − ⌊0.99·(n+1)⌋ + 1 of them do. Zero disables the latency trip.
 	LatencyP99 time.Duration
 	// Cooldown is how long the breaker stays open before probing
 	// (default 5s).
@@ -71,6 +74,9 @@ type BreakerConfig struct {
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Window <= 0 {
 		c.Window = 128
+	}
+	if c.Window > maxWindow {
+		c.Window = maxWindow
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = c.Window / 4
@@ -90,11 +96,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	return c
 }
 
-type outcome struct {
-	latency time.Duration
-	failed  bool
-}
-
 // Breaker is a three-state circuit breaker over the learned estimate
 // path. It trips on windowed error rate, windowed p99 latency, or an
 // external alarm (the drift monitor); while open it diverts traffic for a
@@ -102,19 +103,21 @@ type outcome struct {
 // path before closing again. A nil *Breaker always allows.
 //
 // The closed-state happy path is lock-free: Allow is an atomic state load
-// (plus the alarm poll), and without a latency trip Record accounts
-// outcomes in atomic tumbling-window counters — serving goroutines never
-// serialize on the breaker while it is healthy. The mutex guards state
-// transitions, the open/half-open paths, and — only when LatencyP99 is
-// configured — an exact outcome ring for the p99 computation (that mode
-// pays one short critical section per request, noise against a
-// millisecond-scale latency threshold).
+// (plus the alarm poll), and Record accounts each outcome with one atomic
+// add on a tumbling window of counters — a p99 threshold is a count of
+// slow outcomes, so no latency is ever stored or sorted, and serving
+// goroutines never serialize on the breaker while it is healthy. The mutex
+// guards state transitions and the open/half-open paths.
 type Breaker struct {
 	cfg BreakerConfig
 
-	// Closed-state accounting without a latency trip: a tumbling window in
-	// ONE atomic — samples in the low 32 bits, failures in the high 32 —
-	// so a record is a single RMW whose return value already carries both
+	// slowAt is the latency at which an outcome counts as slow:
+	// cfg.LatencyP99, or never when the latency trip is off.
+	slowAt time.Duration
+
+	// Closed-state accounting: a tumbling window in ONE atomic — samples,
+	// failures and slow outcomes packed side by side (see fieldBits) — so a
+	// record is a single RMW whose return value already carries all three
 	// counts. Reset (by one CAS winner) on the first record after samples
 	// reaches cfg.Window. Approximate at the boundary under concurrency,
 	// which a trip threshold tolerates by design.
@@ -122,15 +125,10 @@ type Breaker struct {
 
 	state atomic.Int32 // BreakerState; written under mu, read lock-free
 
-	mu        sync.Mutex
-	ring      []outcome
-	ringLen   int
-	ringPos   int
-	failures  int
-	openedAt  time.Time
-	probing   int // half-open probes currently outstanding
-	probeOKs  int // consecutive successful probes this half-open episode
-	sortSpace []time.Duration
+	mu       sync.Mutex
+	openedAt time.Time
+	probing  int // half-open probes currently outstanding
+	probeOKs int // consecutive successful probes this half-open episode
 
 	trips      uint64
 	alarmTrips uint64
@@ -140,6 +138,17 @@ type Breaker struct {
 	now func() time.Time // test hook
 }
 
+// winPacked layout: three fieldBits-wide counts — samples lowest, then
+// failures, then slow outcomes. maxWindow leaves each field room for the
+// concurrent records that land past a full window before it tumbles.
+const (
+	fieldBits    = 21
+	fieldMask    = 1<<fieldBits - 1
+	failureShift = fieldBits
+	slowShift    = 2 * fieldBits
+	maxWindow    = 1 << 20
+)
+
 func (b *Breaker) loadState() BreakerState {
 	return BreakerState(b.state.Load())
 }
@@ -147,12 +156,11 @@ func (b *Breaker) loadState() BreakerState {
 // NewBreaker returns a breaker with cfg's zero fields defaulted.
 func NewBreaker(cfg BreakerConfig) *Breaker {
 	cfg = cfg.withDefaults()
-	return &Breaker{
-		cfg:       cfg,
-		ring:      make([]outcome, cfg.Window),
-		sortSpace: make([]time.Duration, 0, cfg.Window),
-		now:       time.Now,
+	slowAt := cfg.LatencyP99
+	if slowAt <= 0 {
+		slowAt = math.MaxInt64
 	}
+	return &Breaker{cfg: cfg, slowAt: slowAt, now: time.Now}
 }
 
 // Allow reports whether the primary path may serve this request, and
@@ -213,66 +221,48 @@ func (b *Breaker) Record(latency time.Duration, failed bool) {
 	if b == nil {
 		return
 	}
-	if b.cfg.LatencyP99 > 0 {
-		b.recordRing(latency, failed)
-		return
-	}
 	if b.loadState() != BreakerClosed {
 		// An in-flight request from before a trip; its outcome no longer
 		// describes the closed-state window.
 		return
 	}
-	// Tumble: the first record after the window fills resets the counters
-	// (one CAS winner; losers just account into the fresh epoch).
-	if v := b.winPacked.Load(); v&samplesMask >= uint64(b.cfg.Window) {
-		b.winPacked.CompareAndSwap(v, 0)
+	// Tumble: the first record after the window fills resets the counters.
+	// A CAS loser retries only while the window still reads full, so the
+	// samples never run more than one record per goroutine past Window.
+	for v := b.winPacked.Load(); v&fieldMask >= uint64(b.cfg.Window); v = b.winPacked.Load() {
+		if b.winPacked.CompareAndSwap(v, 0) {
+			break
+		}
 	}
 	delta := uint64(1)
 	if failed {
-		delta = 1<<failureShift | 1
+		delta |= 1 << failureShift
 	}
-	v := b.winPacked.Add(delta)
-	n, f := v&samplesMask, v>>failureShift
-	if n >= uint64(b.cfg.MinSamples) && float64(f) >= b.cfg.ErrorRate*float64(n) {
+	if latency >= b.slowAt {
+		delta |= 1 << slowShift
+	}
+	if b.tripping(b.winPacked.Add(delta)) {
 		b.mu.Lock()
 		// Re-verify under the lock: a concurrent trip or tumble may have
 		// invalidated the lock-free read.
-		v = b.winPacked.Load()
-		n, f = v&samplesMask, v>>failureShift
-		if b.loadState() == BreakerClosed &&
-			n >= uint64(b.cfg.MinSamples) && float64(f) >= b.cfg.ErrorRate*float64(n) {
+		if b.loadState() == BreakerClosed && b.tripping(b.winPacked.Load()) {
 			b.tripLocked(false)
 		}
 		b.mu.Unlock()
 	}
 }
 
-// winPacked layout: samples in the low 32 bits, failures in the high 32.
-const (
-	failureShift = 32
-	samplesMask  = 1<<failureShift - 1
-)
-
-// recordRing is the exact, mutex-guarded Record used when a latency trip
-// is configured: every outcome lands in the ring so the windowed p99 is
-// computed over real samples.
-func (b *Breaker) recordRing(latency time.Duration, failed bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.loadState() != BreakerClosed {
-		return
+// tripping reports whether the packed window counts call for a trip: at
+// least MinSamples outcomes, and either the failure fraction reaches
+// ErrorRate or the nearest-rank p99 reaches LatencyP99. That p99 is the
+// r-th smallest of the n latencies, r = ⌊0.99·(n+1)⌋, so it is slow exactly
+// when fewer than r outcomes are fast: slow + r > n.
+func (b *Breaker) tripping(v uint64) bool {
+	n, f, s := v&fieldMask, v>>failureShift&fieldMask, v>>slowShift
+	if n < uint64(b.cfg.MinSamples) {
+		return false
 	}
-	b.pushLocked(outcome{latency: latency, failed: failed})
-	if b.ringLen < b.cfg.MinSamples {
-		return
-	}
-	if float64(b.failures)/float64(b.ringLen) >= b.cfg.ErrorRate {
-		b.tripLocked(false)
-		return
-	}
-	if b.p99Locked() >= b.cfg.LatencyP99 {
-		b.tripLocked(false)
-	}
+	return float64(f) >= b.cfg.ErrorRate*float64(n) || s+99*(n+1)/100 > n
 }
 
 // RecordProbe reports the outcome of a half-open probe admitted by Allow.
@@ -298,7 +288,7 @@ func (b *Breaker) RecordProbe(latency time.Duration, failed bool) {
 	if b.probeOKs >= b.cfg.ProbeQuota {
 		b.state.Store(int32(BreakerClosed))
 		b.closes++
-		b.resetWindowLocked()
+		b.winPacked.Store(0)
 	}
 }
 
@@ -321,42 +311,7 @@ func (b *Breaker) tripLocked(byAlarm bool) {
 	if byAlarm {
 		b.alarmTrips++
 	}
-	b.resetWindowLocked()
-}
-
-func (b *Breaker) resetWindowLocked() {
-	b.ringLen = 0
-	b.ringPos = 0
-	b.failures = 0
 	b.winPacked.Store(0)
-}
-
-func (b *Breaker) pushLocked(o outcome) {
-	if b.ringLen == len(b.ring) {
-		if b.ring[b.ringPos].failed {
-			b.failures--
-		}
-	} else {
-		b.ringLen++
-	}
-	b.ring[b.ringPos] = o
-	if o.failed {
-		b.failures++
-	}
-	b.ringPos = (b.ringPos + 1) % len(b.ring)
-}
-
-func (b *Breaker) p99Locked() time.Duration {
-	b.sortSpace = b.sortSpace[:0]
-	for i := 0; i < b.ringLen; i++ {
-		b.sortSpace = append(b.sortSpace, b.ring[i].latency)
-	}
-	slices.Sort(b.sortSpace)
-	idx := (len(b.sortSpace)*99 + 99) / 100
-	if idx > len(b.sortSpace) {
-		idx = len(b.sortSpace)
-	}
-	return b.sortSpace[idx-1]
 }
 
 // TracksLatency reports whether Record uses the latency argument (a
@@ -379,10 +334,12 @@ func (b *Breaker) State() BreakerState {
 type BreakerStats struct {
 	// State is the current state name: closed, open, or half-open.
 	State string `json:"state"`
-	// WindowSamples / WindowFailures describe the closed-state rolling
-	// window right now.
+	// WindowSamples / WindowFailures / WindowSlow describe the
+	// closed-state tumbling window right now: outcomes, failed outcomes,
+	// and outcomes at or over LatencyP99 (always 0 without a latency trip).
 	WindowSamples  int `json:"window_samples"`
 	WindowFailures int `json:"window_failures"`
+	WindowSlow     int `json:"window_slow"`
 	// Trips counts transitions into the open state; AlarmTrips the subset
 	// caused by the external alarm (drift monitor).
 	Trips      uint64 `json:"trips"`
@@ -402,14 +359,11 @@ func (b *Breaker) Stats() BreakerStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	v := b.winPacked.Load()
-	samples, fails := int(v&samplesMask), int(v>>failureShift)
-	if b.cfg.LatencyP99 > 0 {
-		samples, fails = b.ringLen, b.failures
-	}
 	return BreakerStats{
 		State:          b.loadState().String(),
-		WindowSamples:  samples,
-		WindowFailures: fails,
+		WindowSamples:  int(v & fieldMask),
+		WindowFailures: int(v >> failureShift & fieldMask),
+		WindowSlow:     int(v >> slowShift),
 		Trips:          b.trips,
 		AlarmTrips:     b.alarmTrips,
 		Closes:         b.closes,

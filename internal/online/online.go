@@ -24,9 +24,10 @@
 //     neighbors, labeled by the truth oracle), continues training on a
 //     clone of the live model, and promotes the clone only when its
 //     validation q-error does not regress beyond a configured tolerance.
-//   - DriftMonitor keeps windowed quantiles of the q-error between live
-//     estimates and arriving truths; crossing the drift threshold kicks
-//     the trainer ahead of its schedule.
+//   - DriftMonitor keeps a windowed q-error histogram between live
+//     estimates and arriving truths, plus an exact count above the drift
+//     threshold; a majority above it kicks the trainer ahead of its
+//     schedule.
 //
 // The package deliberately depends only on internal building blocks
 // (crn, pool, workload, feature, metrics); the facade wires it to the
@@ -70,12 +71,14 @@ type Config struct {
 	// must not contend with serving for every core; raise it for faster
 	// retrains on machines with headroom).
 	Workers int
-	// DriftThreshold is the windowed median q-error beyond which the
-	// workload is considered drifted and a retrain is kicked early
-	// (default 0: drift monitoring records statistics but never trips).
+	// DriftThreshold is the q-error beyond which more than half the
+	// windowed observations mark the workload as drifted, kicking a
+	// retrain early (default 0: drift monitoring records statistics but
+	// never trips).
 	DriftThreshold float64
-	// DriftWindow is the rolling-window size of the drift monitor
-	// (default 256).
+	// DriftWindow is the drift monitor's window size N (default 256): two
+	// tumbling halves of N/2 observations, so the window covers the last
+	// N/2..N observations.
 	DriftWindow int
 	// DriftMinSamples is the minimum windowed sample count before the
 	// threshold can trip (default 32).

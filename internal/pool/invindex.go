@@ -58,6 +58,8 @@ package pool
 import (
 	"cmp"
 	"slices"
+
+	"crn/internal/query"
 )
 
 const (
@@ -87,16 +89,16 @@ type sigBucket struct {
 // sigClass is one value-free signature pattern (see PatternKey): members
 // share every mask and range shape, differing only in range bound values.
 type sigClass struct {
-	pat     Signature // representative member signature; pattern part read
-	all     []int64   // every member ID, ascending, tombstones included
-	dead    int       // tombstones in all
-	live    int       // live members
+	pat     query.Signature // representative member signature; pattern part read
+	all     []int64         // every member ID, ascending, tombstones included
+	dead    int             // tombstones in all
+	live    int             // live members
 	buckets map[string]*sigBucket
 }
 
 // indexAdd registers a just-appended entry with the class index. The caller
 // holds the write lock and has already inserted the entry into byID.
-func (idx *fromIndex) indexAdd(sig Signature, id int64) {
+func (idx *fromIndex) indexAdd(sig query.Signature, id int64) {
 	if idx.classes == nil {
 		idx.classes = make(map[string]*sigClass)
 	}
@@ -119,7 +121,7 @@ func (idx *fromIndex) indexAdd(sig Signature, id int64) {
 
 // indexRemove records an entry's eviction. The caller holds the write lock
 // and has already deleted the entry from byID (compaction relies on that).
-func (idx *fromIndex) indexRemove(sig Signature, id int64) {
+func (idx *fromIndex) indexRemove(sig query.Signature, id int64) {
 	if idx.classes == nil {
 		return
 	}
@@ -177,7 +179,7 @@ type classRef struct {
 // refs and usable count are bit-identical to selectLinearLocked's, and
 // visited reports how many candidates the class walk actually scored (the
 // per-call pruning signal behind the scanned/pruned histograms).
-func (p *Pool) selectIndexedLocked(idx *fromIndex, probe Signature, k int) (refs []scoredRef, usable int, visited uint64, ok bool) {
+func (p *Pool) selectIndexedLocked(idx *fromIndex, probe query.Signature, k int) (refs []scoredRef, usable int, visited uint64, ok bool) {
 	if idx.classes == nil {
 		return nil, 0, 0, false
 	}
@@ -215,7 +217,7 @@ func (p *Pool) selectIndexedLocked(idx *fromIndex, probe Signature, k int) (refs
 // rejected member — within the uniform-score run, IDs ascend, so every later
 // member loses the same comparison. Returns the number of candidates
 // visited (the scanned-counter contribution).
-func (p *Pool) offerClassFlat(heap *topKHeap, idx *fromIndex, c *sigClass, probe Signature) uint64 {
+func (p *Pool) offerClassFlat(heap *topKHeap, idx *fromIndex, c *sigClass, probe query.Signature) uint64 {
 	var visited uint64
 	scored := false
 	var score float64
@@ -245,7 +247,7 @@ func (p *Pool) offerClassFlat(heap *topKHeap, idx *fromIndex, c *sigClass, probe
 // members share their full signature, so one Similarity call covers the
 // bucket with the same uniform-score early break as the flat case. Bucket
 // visit order is irrelevant (the heap's kept set is order-independent).
-func (p *Pool) offerClassBuckets(heap *topKHeap, idx *fromIndex, c *sigClass, probe Signature) uint64 {
+func (p *Pool) offerClassBuckets(heap *topKHeap, idx *fromIndex, c *sigClass, probe query.Signature) uint64 {
 	var visited uint64
 	for _, b := range c.buckets {
 		scored := false

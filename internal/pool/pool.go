@@ -6,10 +6,10 @@
 // the Cnt2Crd technique can use for a new query.
 //
 // A production pool grows with the workload, so the package also bounds the
-// estimator's per-probe cost: every entry carries a predicate Signature
-// computed once at Add, and TopK ranks a FROM clause's candidates by
-// signature similarity to return only the K most containment-comparable old
-// queries (see Signature). WithCap additionally bounds the pool itself,
+// estimator's per-probe cost: every entry carries a predicate signature
+// (query.Signature) read once at Add, and TopK ranks a FROM clause's
+// candidates by signature similarity to return only the K most
+// containment-comparable old queries. WithCap additionally bounds the pool itself,
 // evicting the least-recently-matched entry once full.
 //
 // The package also provides the final functions F of §5.3.1 (Median, Mean,
@@ -47,7 +47,7 @@ type Entry struct {
 // them under the read lock.
 type fromIndex struct {
 	entries []Entry
-	sigs    []Signature
+	sigs    []query.Signature
 	lastHit []int64
 	byID    map[int64]int
 
@@ -157,7 +157,7 @@ func (p *Pool) Add(q query.Query, card int64) bool {
 		return false
 	}
 	key := q.Key()
-	sig := ComputeSignature(q) // outside the lock: pure function of q
+	sig := q.Signature() // outside the lock: pure function of q
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, ok := p.byKey[key]; ok {
@@ -280,7 +280,7 @@ func (p *Pool) AppendMatching(dst []Entry, q query.Query) []Entry {
 }
 
 // TopK returns the k most containment-comparable pooled candidates for q,
-// ranked by signature similarity (see Signature). The returned slice is a
+// ranked by signature similarity (see query.Signature). The returned slice is a
 // copy and safe to retain.
 func (p *Pool) TopK(q query.Query, k int) []Entry {
 	return p.AppendTopK(nil, q, k)
@@ -294,7 +294,7 @@ func (p *Pool) TopK(q query.Query, k int) []Entry {
 // information — the estimator drops them anyway) and the k best-scoring
 // survivors are appended best-first, ties broken by insertion ID.
 func (p *Pool) AppendTopK(dst []Entry, q query.Query, k int) []Entry {
-	probe := ComputeSignature(q) // outside the lock: pure function of q
+	probe := q.Signature() // outside the lock: pure function of q
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	idx := p.byFrom[q.FROMKey()]
@@ -347,7 +347,7 @@ func (p *Pool) AppendTopK(dst []Entry, q query.Query, k int) []Entry {
 // the FROM clause against the probe. Callers hold at least the read lock
 // and have checked 0 < k < len(entries). The second return is the usable
 // (Card > 0) candidate count, the reference for truncation accounting.
-func (p *Pool) selectLinearLocked(idx *fromIndex, probe Signature, k int) ([]scoredRef, int) {
+func (p *Pool) selectLinearLocked(idx *fromIndex, probe query.Signature, k int) ([]scoredRef, int) {
 	p.scannedFall.Add(uint64(len(idx.entries)))
 	heap := newTopKHeap(k)
 	usable := 0

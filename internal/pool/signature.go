@@ -1,28 +1,6 @@
 package pool
 
-import (
-	"slices"
-
-	"crn/internal/query"
-)
-
-// Signature is the compact predicate-structure summary scanned during
-// candidate selection. Its definition lived here through PR 7 and moved to
-// internal/query in PR 8 so a query.Query can carry its signature
-// precomputed alongside the canonical key (the coalesced batch path probes
-// the pool once per query — recomputing the signature per probe was the
-// last redundant work on that path). The pool-side name is kept as an alias
-// for the package's own files and tests.
-type Signature = query.Signature
-
-// numOpClass is the number of predicate operator classes (<, =, >).
-const numOpClass = query.NumOpClass
-
-// ComputeSignature summarizes q: the cached signature for queries built by
-// query.New / Intersect / WithPredicate (one pointer read), a fresh
-// computation for literal-built values. Pure and deterministic: equal
-// canonical queries yield equal signatures.
-func ComputeSignature(q query.Query) Signature { return q.Signature() }
+import "slices"
 
 // scoredRef is one candidate during top-K selection: its index in the FROM
 // index plus its score. Ordering: better = higher score, ties broken by

@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"testing"
 
+	"crn/internal/query"
 	"crn/internal/sqlparse"
 )
 
-func sig(t *testing.T, sql string) Signature {
+func sig(t *testing.T, sql string) query.Signature {
 	t.Helper()
-	return ComputeSignature(sqlparse.MustParse(s, sql))
+	return sqlparse.MustParse(s, sql).Signature()
 }
 
 func TestSignatureDeterministic(t *testing.T) {

@@ -43,9 +43,10 @@ var (
 	QErrorOpts   = HistogramOpts{MinExp: 0, MaxExp: 20}
 )
 
-// newHistogram builds a histogram with the given layout. Histograms are
-// created through a Registry so they appear in /metrics.
-func newHistogram(o HistogramOpts) *Histogram {
+// NewHistogram builds a histogram with the given layout. Histograms meant
+// for /metrics are created through a Registry; one built here directly is
+// private to its owner (the drift monitor's window halves).
+func NewHistogram(o HistogramOpts) *Histogram {
 	if o.MaxExp <= o.MinExp {
 		panic("telemetry: histogram MaxExp must exceed MinExp")
 	}
@@ -129,6 +130,13 @@ type HistSnapshot struct {
 // is the overflow threshold 2^MaxExp.
 func bucketEdge(minExp, i int) float64 {
 	return math.Ldexp(1+float64(i%4)/4, minExp+i/4)
+}
+
+// LowerBound returns bucket i's exact lower edge — a value that maps back
+// into bucket i, so re-observing it reproduces the bucket count (the
+// overflow bucket's edge is the ceiling 2^MaxExp).
+func (s HistSnapshot) LowerBound(i int) float64 {
+	return bucketEdge(s.Opts.MinExp, i)
 }
 
 // upperBound returns bucket i's upper edge; the overflow bucket reports

@@ -11,7 +11,7 @@ import (
 )
 
 func TestHistogramBucketEdges(t *testing.T) {
-	h := newHistogram(HistogramOpts{MinExp: 0, MaxExp: 4})
+	h := NewHistogram(HistogramOpts{MinExp: 0, MaxExp: 4})
 	cases := []struct {
 		v    float64
 		want int
@@ -40,7 +40,7 @@ func TestHistogramBucketEdges(t *testing.T) {
 }
 
 func TestHistogramQuantileVsSortedReference(t *testing.T) {
-	h := newHistogram(DurationOpts)
+	h := NewHistogram(DurationOpts)
 	rng := rand.New(rand.NewSource(7))
 	n := 20000
 	vals := make([]float64, n)
@@ -80,7 +80,7 @@ func TestHistogramQuantileVsSortedReference(t *testing.T) {
 // Observe and Snapshot from many goroutines (run under -race): snapshot
 // totals must be monotone, and the final counts exact.
 func TestHistogramConcurrencyStorm(t *testing.T) {
-	h := newHistogram(DurationOpts)
+	h := NewHistogram(DurationOpts)
 	const (
 		writers = 8
 		perW    = 50000
@@ -131,8 +131,8 @@ func TestHistogramConcurrencyStorm(t *testing.T) {
 }
 
 func TestHistogramMergeSub(t *testing.T) {
-	a := newHistogram(SizeOpts)
-	b := newHistogram(SizeOpts)
+	a := NewHistogram(SizeOpts)
+	b := NewHistogram(SizeOpts)
 	for i := 0; i < 100; i++ {
 		a.Observe(float64(i))
 		b.Observe(float64(i * 3))
@@ -161,7 +161,7 @@ func TestHistogramNilSafe(t *testing.T) {
 }
 
 func TestHistogramMaxAndOverflow(t *testing.T) {
-	h := newHistogram(HistogramOpts{MinExp: 0, MaxExp: 4})
+	h := NewHistogram(HistogramOpts{MinExp: 0, MaxExp: 4})
 	h.Observe(3)
 	s := h.Snapshot()
 	if m := s.Max(); m < 3 || m > 3.5 {

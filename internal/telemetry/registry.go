@@ -226,7 +226,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 
 // Histogram registers and returns an unlabeled histogram.
 func (r *Registry) Histogram(name, help string, o HistogramOpts) *Histogram {
-	h := newHistogram(o)
+	h := NewHistogram(o)
 	f := &family{name: name, help: help, typ: typeHistogram, histOpts: o,
 		hists: map[string]*Histogram{"": h}, order: []string{""}}
 	r.register(f)
@@ -299,7 +299,7 @@ func (v *HistogramVec) With(labelValue string) *Histogram {
 	defer v.f.mu.Unlock()
 	h, ok := v.f.hists[key]
 	if !ok {
-		h = newHistogram(v.f.histOpts)
+		h = NewHistogram(v.f.histOpts)
 		v.f.hists[key] = h
 	}
 	return h

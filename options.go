@@ -162,7 +162,7 @@ func WithFallback(fb BaselineEstimator) EstimatorOption {
 // WithMaxCandidates bounds every estimate's pool scan to the k most
 // containment-comparable old queries, selected by the pool's signature
 // index (column overlap, operator classes, range intersection; see
-// internal/pool.Signature). Estimate latency becomes O(k) in pool size
+// internal/query.Signature). Estimate latency becomes O(k) in pool size
 // instead of O(pool) — the knob that keeps tail latency flat as the §5.2
 // deployment pools its whole workload. k = 0 (the default) scans every
 // FROM-clause match, the paper's exact algorithm; any k at least the match
@@ -245,9 +245,10 @@ func WithFeedbackPairs(n int) EstimatorOption {
 	return func(s *estimatorSettings) { s.adapt.PairsPerRecord = n }
 }
 
-// WithDriftTrigger arms the drift monitor: when the median q-error of live
-// estimates against arriving feedback truths over the last window
-// observations exceeds threshold, a retrain is kicked ahead of schedule.
+// WithDriftTrigger arms the drift monitor: when more than half the q-errors
+// of live estimates against arriving feedback truths over the drift window
+// (the last window/2..window observations) exceed threshold, a retrain is
+// kicked ahead of schedule.
 // The default (threshold 0) records drift statistics without ever
 // triggering.
 func WithDriftTrigger(threshold float64, window int) EstimatorOption {
