@@ -1,17 +1,20 @@
 package crn
 
-// Benchmarks for the compute core on the two hot paths: one full training
-// epoch (forward + backward + Adam over a shuffled sample set) and the
-// serving-side PredictBatch. Shapes mirror the repository-scale model
-// (H=64, feature dimension ~70, 1-3 element sets per query). Run with
+// Benchmarks for the compute core on the hot paths: one full training epoch
+// (forward + backward + Adam over a shuffled sample set), the serving-side
+// PredictBatch and the pair head of a cache miss. Shapes mirror the
+// repository-scale model (H=64, feature dimension ~70, 1-3 element sets per
+// query). Run with
 //
-//	go test ./internal/crn -run '^$' -bench 'TrainEpoch|PredictBatch' -benchmem
+//	go test ./internal/crn -run '^$' -bench 'TrainEpoch|PredictBatch|PairHead' -benchmem
 //
 // `make bench-smoke` runs the whole suite once.
 
 import (
 	"math/rand"
 	"testing"
+
+	"crn/internal/nn"
 )
 
 const (
@@ -87,4 +90,34 @@ func BenchmarkPredictShared(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.PredictShared(sets, pairs)
 	}
+}
+
+// BenchmarkPairHead measures the pair head on a never-seen probe's shape:
+// one request-local probe row against 32 resident rows in both directions,
+// 64 pairs per call, as a bounded top-32 selection lays out a cache miss.
+func BenchmarkPairHead(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	const resident = 32
+	p := splitPredictor(rng, benchModel(), resident, 1)
+	var probe int
+	for q, row := range p.rowOf {
+		if row == resident {
+			probe = q
+		}
+	}
+	var pairs [][2]int
+	for q := range p.rowOf {
+		if q != probe {
+			pairs = append(pairs, [2]int{q, probe}, [2]int{probe, q})
+		}
+	}
+	out := make([]float64, len(pairs))
+	ws := nn.NewWorkspace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ws.Reset()
+		p.PredictInto(out, pairs, ws)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/pair")
 }

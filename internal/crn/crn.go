@@ -491,44 +491,56 @@ func (p *PairPredictor) Predict(pairs [][2]int) []float64 {
 // PredictInto is Predict writing into a caller-owned slice (len(dst) must
 // be ≥ len(pairs)) with workspace-backed scratch, so concurrent chunk
 // evaluations stay allocation-free: give each goroutine its own workspace.
+//
+// Pairs go through the head nn.PairHeadRows at a time, so W3/W4 — the
+// bulk of the per-pair work — are read once per block instead of once per
+// pair. A coordinate where either representation is zero is not skipped: the
+// representations are finite and non-negative, so its coefficients
+// −2·min(a,b) and a·b are ±0, and with finite weights adding the ±0 products
+// changes at most the sign of a zero pre-activation, which the ReLU epilogue
+// maps to the same +0. Every rate therefore equals the one-pair-at-a-time
+// evaluation that skips those coordinates, bit for bit (pinned by the
+// equivalence tests). Rows of a short last block are padding: zero
+// coefficients, results discarded.
 func (p *PairPredictor) PredictInto(dst []float64, pairs [][2]int, ws *nn.Workspace) {
+	const R = nn.PairHeadRows
 	h := p.f.h
 	cols := 2 * h
 	out := dst[:len(pairs)]
-	z := ws.Take(1, cols).Data
-	for i, pair := range pairs {
-		i1, i2 := pair[0], pair[1]
-		if p.rowOf != nil {
-			i1, i2 = p.rowOf[i1], p.rowOf[i2]
+	z := ws.Take(R, cols).Data
+	coef := ws.Take(h, 2*R).Data
+	for lo := 0; lo < len(pairs); lo += R {
+		block := pairs[lo:min(lo+R, len(pairs))]
+		if len(block) < R {
+			clear(z)
+			clear(coef)
 		}
-		r1, q1 := p.rows1(i1)
-		r2, q2 := p.rows2(i2)
-		q1 = q1[:cols]
-		q2 = q2[:cols]
-		zz := z[:cols]
-		for j := range zz {
-			zz[j] = q1[j] + q2[j]
-		}
-		for k := 0; k < h; k++ {
-			a, b := r1[k], r2[k]
-			if a == 0 || b == 0 {
-				continue
+		for r, pair := range block {
+			zz := z[r*cols : (r+1)*cols]
+			i1, i2 := pair[0], pair[1]
+			if p.rowOf != nil {
+				i1, i2 = p.rowOf[i1], p.rowOf[i2]
 			}
-			mn := a
-			if b < a {
-				mn = b
+			r1, q1 := p.rows1(i1)
+			r2, q2 := p.rows2(i2)
+			q1 = q1[:cols]
+			q2 = q2[:cols]
+			for j := range zz {
+				zz[j] = q1[j] + q2[j]
 			}
-			mn *= -2
-			pr := a * b
-			// This is the serving hot loop (every pair pays it h times);
-			// nn.Axpy2 routes it through the dispatched kernel set, so it
-			// vectorizes with the rest of the model on AVX2 hosts.
-			nn.Axpy2(zz, p.f.w3[k*cols:(k+1)*cols], p.f.w4[k*cols:(k+1)*cols], mn, pr)
+			r2 = r2[:h]
+			for k, a := range r1[:h] {
+				b := r2[k]
+				coef[k*2*R+r], coef[k*2*R+R+r] = -2*min(a, b), a*b
+			}
 		}
+		nn.PairHead(z, coef, p.f.w3, p.f.w4)
 		// Bias, ReLU, second layer, sigmoid — scalar output per pair, with
 		// the hidden-layer contraction fused in one dispatched pass.
-		s := p.f.b2 + nn.BiasReLUDot(zz, p.f.b1, p.f.w2)
-		out[i] = 1 / (1 + math.Exp(-s))
+		for r := range block {
+			s := p.f.b2 + nn.BiasReLUDot(z[r*cols:(r+1)*cols], p.f.b1, p.f.w2)
+			out[lo+r] = 1 / (1 + math.Exp(-s))
+		}
 	}
 }
 

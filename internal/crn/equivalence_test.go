@@ -148,3 +148,115 @@ func TestTrainingMatchesAcrossWorkspaceReuse(t *testing.T) {
 		}
 	}
 }
+
+// referencePredict is the pair head one pair at a time: one Axpy2 per
+// coordinate where both representations are nonzero. It is the serving loop
+// PredictInto's row-blocked kernel replaced, kept as its oracle.
+func referencePredict(p *PairPredictor, pairs [][2]int) []float64 {
+	h := p.f.h
+	cols := 2 * h
+	out := make([]float64, len(pairs))
+	z := make([]float64, cols)
+	for i, pair := range pairs {
+		i1, i2 := pair[0], pair[1]
+		if p.rowOf != nil {
+			i1, i2 = p.rowOf[i1], p.rowOf[i2]
+		}
+		r1, q1 := p.rows1(i1)
+		r2, q2 := p.rows2(i2)
+		for j := range z {
+			z[j] = q1[j] + q2[j]
+		}
+		for k := 0; k < h; k++ {
+			a, b := r1[k], r2[k]
+			if a == 0 || b == 0 {
+				continue
+			}
+			mn := a
+			if b < a {
+				mn = b
+			}
+			mn *= -2
+			nn.Axpy2(z, p.f.w3[k*cols:(k+1)*cols], p.f.w4[k*cols:(k+1)*cols], mn, a*b)
+		}
+		s := p.f.b2 + nn.BiasReLUDot(z, p.f.b1, p.f.w2)
+		out[i] = 1 / (1 + math.Exp(-s))
+	}
+	return out
+}
+
+// splitPredictor builds the serving-shaped predictor over nRes resident rows
+// and nExtra request-local rows, addressed through a shuffled rowOf the way
+// Rates.pairPredictor lays a request out. Representations are non-negative,
+// like the set modules' pooled ReLU outputs, with one coordinate in seven an
+// exact zero (a trained model's representations run at 13–15%; an untrained
+// one's at about half), and one representation zero everywhere.
+func splitPredictor(rng *rand.Rand, m *Model, nRes, nExtra int) *PairPredictor {
+	encode := func(n int) (*nn.Matrix, *nn.Matrix) {
+		reps1, reps2 := nn.NewMatrix(n, m.cfg.Hidden), nn.NewMatrix(n, m.cfg.Hidden)
+		for _, reps := range []*nn.Matrix{reps1, reps2} {
+			for i := range reps.Data {
+				if rng.Intn(7) != 0 {
+					reps.Data[i] = math.Abs(rng.NormFloat64())
+				}
+			}
+		}
+		return reps1, reps2
+	}
+	h := m.cfg.Hidden
+	res1, res2 := encode(nRes)
+	clear(res1.Row(0))
+	resPP := m.NewPairPredictor(res1, res2)
+	snap := &residentSnap{h: h, n: nRes}
+	for i := 0; i < nRes; i++ {
+		if i%residentBlock == 0 {
+			snap.blocks = append(snap.blocks, make([]float64, residentBlock*6*h))
+		}
+		row := snap.data(i)
+		copy(row, res1.Row(i))
+		copy(row[h:], res2.Row(i))
+		copy(row[2*h:], resPP.p1.Row(i))
+		copy(row[4*h:], resPP.p2.Row(i))
+	}
+	p := m.NewPairPredictor(encode(nExtra))
+	p.res = snap
+	p.rowOf = rng.Perm(nRes + nExtra)
+	return p
+}
+
+// TestPredictIntoMatchesPerPairReference pins the row-blocked head to the
+// one-pair-at-a-time loop bit for bit: every pair count from one to two
+// blocks plus one and a full chunk, rows drawn from the resident tier and
+// the request-local extras alike, representations with exact zeros, and a
+// workspace whose recycled scratch holds the previous call's values.
+func TestPredictIntoMatchesPerPairReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, hidden := range []int{3, 64} {
+		cfg := DefaultConfig()
+		cfg.Hidden = hidden
+		m := NewModel(cfg, 11)
+		p := splitPredictor(rng, m, residentBlock+5, 37)
+		nq := len(p.rowOf)
+		ws := nn.NewWorkspace()
+		counts := []int{headChunk}
+		for n := 1; n <= 2*nn.PairHeadRows+1; n++ {
+			counts = append(counts, n)
+		}
+		for _, n := range counts {
+			pairs := make([][2]int, n)
+			for i := range pairs {
+				pairs[i] = [2]int{rng.Intn(nq), rng.Intn(nq)}
+			}
+			want := referencePredict(p, pairs)
+			got := make([]float64, n)
+			ws.Reset()
+			p.PredictInto(got, pairs, ws)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("h=%d n=%d pair %d %v: blocked %v, per-pair %v",
+						hidden, n, i, pairs[i], got[i], want[i])
+				}
+			}
+		}
+	}
+}

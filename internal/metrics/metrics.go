@@ -111,19 +111,89 @@ func Percentile(sorted []float64, p float64) float64 {
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return lerp(sorted[lo], sorted[hi], rank-float64(lo))
+}
+
+// lerp interpolates between two closest-rank values. The conversions round
+// each product, so no platform fuses the expression differently for
+// Percentile and Median.
+func lerp(lo, hi, frac float64) float64 {
+	return float64(lo*(1-frac)) + float64(hi*frac)
 }
 
 // Median returns the 50th percentile of an unsorted sample, which it does
-// not modify. It is the final function of every served estimate, so samples
-// of up to 128 values — a FROM clause's worth of pool candidates — are sorted
-// in a stack buffer, not a heap copy.
+// not modify: exactly Percentile(sorted, 50), in the order sort.Float64s
+// sorts (NaNs first). It is the final function of every served estimate, so
+// it selects the middle values instead of sorting, in a stack buffer for
+// samples of up to 128 values — a FROM clause's worth of pool candidates.
 func Median(values []float64) float64 {
+	n := len(values)
+	if n == 0 {
+		return 0
+	}
 	var buf [128]float64
-	sorted := append(buf[:0], values...)
-	sort.Float64s(sorted)
-	return Percentile(sorted, 50)
+	s := append(buf[:0], values...)
+	mid := n / 2
+	selectNth(s, mid)
+	if n%2 == 1 {
+		return s[mid]
+	}
+	// The lower middle value is the largest of the part below mid.
+	lo := s[0]
+	for _, v := range s[1:mid] {
+		if floatLess(lo, v) {
+			lo = v
+		}
+	}
+	return lerp(lo, s[mid], 0.5)
+}
+
+// floatLess is sort.Float64s's order: ascending, NaNs first.
+func floatLess(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// selectNth reorders s so that s[k] holds the value sort.Float64s would put
+// there, with no larger value before it and no smaller one after it
+// (quickselect with three-way partitioning, so runs of equal values cost
+// one pass).
+func selectNth(s []float64, k int) {
+	lo, hi := 0, len(s)
+	for hi-lo > 1 {
+		// Median-of-three pivot.
+		a, b, c := s[lo], s[lo+(hi-lo)/2], s[hi-1]
+		if floatLess(b, a) {
+			a, b = b, a
+		}
+		if floatLess(c, b) {
+			b = c
+			if floatLess(b, a) {
+				b = a
+			}
+		}
+		pivot := b
+		// [lo,lt) < pivot, [lt,i) = pivot, [gt,hi) > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := s[i]; {
+			case floatLess(v, pivot):
+				s[lt], s[i] = v, s[lt]
+				lt++
+				i++
+			case floatLess(pivot, v):
+				gt--
+				s[i], s[gt] = s[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
 }
 
 // Mean returns the arithmetic mean, or 0 for empty input.

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -147,6 +149,41 @@ func TestMeanMedianTrimmed(t *testing.T) {
 	}
 	if Mean(nil) != 0 || TrimmedMean(nil, 0.1) != 0 {
 		t.Error("empty aggregates should be 0")
+	}
+}
+
+// TestMedianMatchesSortedPercentile pins Median's selection to its
+// definition, sort.Float64s then Percentile(sorted, 50), bit for bit: random
+// lengths 0..200 (past the 128-value stack buffer too) over a small value
+// alphabet, so duplicates are common, with ±Inf, NaN and both zeros mixed
+// in. Zeros compare by value: sort.Float64s does not order -0 and +0.
+func TestMedianMatchesSortedPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	alphabet := []float64{math.Inf(-1), -3.5, -1, math.Copysign(0, -1), 0, 0.25, 1, 2, 7.75, 1e300, math.Inf(1), math.NaN()}
+	for trial := 0; trial < 3000; trial++ {
+		vals := make([]float64, rng.Intn(201))
+		for i := range vals {
+			if rng.Intn(2) == 0 {
+				vals[i] = alphabet[rng.Intn(len(alphabet))]
+			} else {
+				vals[i] = rng.NormFloat64()
+			}
+		}
+		in := append([]float64(nil), vals...)
+		got := Median(vals)
+		sorted := append([]float64(nil), vals...)
+		sort.Float64s(sorted)
+		want := Percentile(sorted, 50)
+		same := math.Float64bits(got) == math.Float64bits(want) || (got == 0 && want == 0)
+		if !same {
+			t.Fatalf("len %d: Median = %v (%x), sorted Percentile = %v (%x); sorted %v",
+				len(vals), got, math.Float64bits(got), want, math.Float64bits(want), sorted)
+		}
+		for i := range in {
+			if math.Float64bits(in[i]) != math.Float64bits(vals[i]) {
+				t.Fatalf("Median modified its input at %d", i)
+			}
+		}
 	}
 }
 

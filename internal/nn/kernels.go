@@ -17,15 +17,23 @@ package nn
 // bitwise — exactly the contract the register-blocked kernels already have
 // against the naive references. addBiasReLU and reluMask perform no
 // reassociation (elementwise add, compare, mask) and are pinned
-// bit-identical to the generic loops.
+// bit-identical to the generic loops. pairHead is pinned bit-identical to
+// the same set's axpy2 (TestPairHeadMatchesAxpy2), and through it within
+// tolerance of the generic set.
 
 var (
 	// axpy computes dst[j] += a·x[j]. len(x) must be ≥ len(dst).
 	axpy func(dst []float64, a float64, x []float64) = axpyGeneric
 
-	// axpy2 computes dst[j] += a0·b0[j] + a1·b1[j] — the CRN head's
-	// per-hidden-unit update (see Axpy2). Both b slices must be ≥ len(dst).
+	// axpy2 computes dst[j] += a0·b0[j] + a1·b1[j] — one hidden unit's
+	// update of one CRN head row (see Axpy2). Both b slices must be ≥
+	// len(dst).
 	axpy2 func(dst, b0, b1 []float64, a0, a1 float64) = axpy2Generic
+
+	// pairHead is the CRN head's row-blocked update (see PairHead): each of
+	// the PairHeadRows rows of z receives, for k in order, exactly the axpy2
+	// of the same ISA. The caller guarantees the shapes PairHead checks.
+	pairHead func(z, coef, w3, w4 []float64) = pairHeadGeneric
 
 	// axpy4 computes dst[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j] —
 	// the quad-row update of MatMul's dense path and MatMulTransAAcc. Every
@@ -72,10 +80,36 @@ var (
 func KernelISA() string { return kernelISA }
 
 // Axpy2 computes dst[j] += a0·b0[j] + a1·b1[j] through the dispatched
-// kernel set — exported for the CRN head's serving loop in internal/crn,
-// which runs outside this package's matrix types. Both b slices must be at
-// least len(dst) long.
+// kernel set — one row of the CRN head's update, the operation PairHead is
+// defined by: internal/crn's one-pair-at-a-time reference loop and kernel
+// timing call it from outside this package's matrix types. Both b slices
+// must be at least len(dst) long.
 func Axpy2(dst, b0, b1 []float64, a0, a1 float64) { axpy2(dst, b0, b1, a0, a1) }
+
+// PairHeadRows is R, the number of head rows PairHead updates per pass over
+// the weights.
+const PairHeadRows = 4
+
+// PairHead updates PairHeadRows rows of CRN head pre-activations in one pass
+// over the weights:
+//
+//	z[r][j] += Σ_k mn[r][k]·w3[k][j] + pr[r][k]·w4[k][j]
+//
+// z is PairHeadRows×cols row-major; coef is h×(2·PairHeadRows) row-major,
+// row k holding mn[0..R) then pr[0..R); w3 and w4 are h×cols row-major
+// (longer slices are cut). Each element of z goes through exactly the
+// operation sequence Axpy2(z[r], w3[k], w4[k], mn[r][k], pr[r][k]) applies
+// for k = 0, 1, …, so the result equals that loop bit for bit on the
+// dispatched kernel set; reading every weight row once per R rows instead of
+// once per row is the whole difference. It panics on inconsistent shapes.
+func PairHead(z, coef, w3, w4 []float64) {
+	cols := len(z) / PairHeadRows
+	h := len(coef) / (2 * PairHeadRows)
+	if len(z) != cols*PairHeadRows || len(coef) != 2*PairHeadRows*h || len(w3) < h*cols || len(w4) < h*cols {
+		panic("nn: PairHead shape mismatch")
+	}
+	pairHead(z, coef, w3[:h*cols], w4[:h*cols])
+}
 
 // BiasReLUDot computes Σ_j max(0, z[j]+bias[j])·w[j] through the dispatched
 // kernel set — the CRN head's fused bias + ReLU + output-layer contraction.
@@ -102,6 +136,19 @@ func axpy2Generic(dst, b0, b1 []float64, a0, a1 float64) {
 	b1 = b1[:len(dst)]
 	for j, v := range b0 {
 		dst[j] += a0*v + a1*b1[j]
+	}
+}
+
+// pairHeadGeneric is axpy2Generic row by row and k by k, which makes it the
+// generic axpy2's operation sequence by construction.
+func pairHeadGeneric(z, coef, w3, w4 []float64) {
+	cols := len(z) / PairHeadRows
+	for k := 0; k < len(coef)/(2*PairHeadRows); k++ {
+		c := coef[k*2*PairHeadRows : (k+1)*2*PairHeadRows]
+		b0, b1 := w3[k*cols:(k+1)*cols], w4[k*cols:(k+1)*cols]
+		for r := 0; r < PairHeadRows; r++ {
+			axpy2Generic(z[r*cols:(r+1)*cols], b0, b1, c[r], c[PairHeadRows+r])
+		}
 	}
 }
 

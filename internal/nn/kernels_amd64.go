@@ -27,6 +27,9 @@ func axpyAVX2(dst []float64, a float64, x []float64)
 func axpy2AVX2(dst, b0, b1 []float64, a0, a1 float64)
 
 //go:noescape
+func pairHeadAVX2(z, coef, w3, w4 []float64)
+
+//go:noescape
 func axpy4AVX2(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64)
 
 //go:noescape
@@ -53,6 +56,7 @@ func init() {
 	}
 	axpy = axpyAVX2
 	axpy2 = axpy2AVX2
+	pairHead = pairHeadAVX2
 	axpy4 = axpy4AVX2
 	vecMat = vecMatAVX2
 	dot = dotAVX2

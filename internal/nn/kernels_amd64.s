@@ -725,3 +725,200 @@ brdot_done:
 	VMOVSD X8, ret+72(FP)
 	VZEROUPPER
 	RET
+
+// func pairHeadAVX2(z, coef, w3, w4 []float64)
+//
+// The CRN head's row-blocked update (PairHead): PairHeadRows = 4 rows of z
+// against one pass over W3/W4. Columns go in register tiles of 4 rows × 8
+// (Y8..Y15), then 4 rows × 4 (Y8, Y10, Y12, Y14), then 4 rows × 1 (X8, X10,
+// X12, X14). A tile stays live across the whole k loop, so z is loaded and
+// stored once per tile and every weight vector loaded serves four rows. Per
+// element and per k the operations are axpy2AVX2's: an FMA with the W3 term,
+// then an FMA with the W4 term. cols = len(z)/4 and h = len(coef)/8; z and
+// the weight matrices share the row stride cols·8 bytes.
+TEXT ·pairHeadAVX2(SB), NOSPLIT, $0-96
+	MOVQ z_base+0(FP), DI
+	MOVQ z_len+8(FP), CX
+	SHRQ $2, CX          // cols
+	MOVQ coef_base+24(FP), SI
+	MOVQ coef_len+32(FP), BX
+	SHRQ $3, BX          // h
+	MOVQ w3_base+48(FP), R8
+	MOVQ w4_base+72(FP), R9
+	MOVQ CX, R10
+	SHLQ $3, R10         // row stride in bytes
+
+ph_chunk8:
+	CMPQ CX, $8
+	JLT  ph_chunk4
+	LEAQ (DI)(R10*2), R11
+	VMOVUPD (DI), Y8
+	VMOVUPD 32(DI), Y9
+	VMOVUPD (DI)(R10*1), Y10
+	VMOVUPD 32(DI)(R10*1), Y11
+	VMOVUPD (R11), Y12
+	VMOVUPD 32(R11), Y13
+	VMOVUPD (R11)(R10*1), Y14
+	VMOVUPD 32(R11)(R10*1), Y15
+	MOVQ R8, R12
+	MOVQ R9, R13
+	MOVQ SI, DX
+	MOVQ BX, AX
+
+ph_k8:
+	TESTQ AX, AX
+	JEQ   ph_store8
+	VMOVUPD (R12), Y0
+	VMOVUPD 32(R12), Y1
+	VBROADCASTSD (DX), Y2
+	VBROADCASTSD 8(DX), Y3
+	VBROADCASTSD 16(DX), Y4
+	VBROADCASTSD 24(DX), Y5
+	VFMADD231PD Y0, Y2, Y8
+	VFMADD231PD Y1, Y2, Y9
+	VFMADD231PD Y0, Y3, Y10
+	VFMADD231PD Y1, Y3, Y11
+	VFMADD231PD Y0, Y4, Y12
+	VFMADD231PD Y1, Y4, Y13
+	VFMADD231PD Y0, Y5, Y14
+	VFMADD231PD Y1, Y5, Y15
+	VMOVUPD (R13), Y0
+	VMOVUPD 32(R13), Y1
+	VBROADCASTSD 32(DX), Y2
+	VBROADCASTSD 40(DX), Y3
+	VBROADCASTSD 48(DX), Y4
+	VBROADCASTSD 56(DX), Y5
+	VFMADD231PD Y0, Y2, Y8
+	VFMADD231PD Y1, Y2, Y9
+	VFMADD231PD Y0, Y3, Y10
+	VFMADD231PD Y1, Y3, Y11
+	VFMADD231PD Y0, Y4, Y12
+	VFMADD231PD Y1, Y4, Y13
+	VFMADD231PD Y0, Y5, Y14
+	VFMADD231PD Y1, Y5, Y15
+	ADDQ R10, R12
+	ADDQ R10, R13
+	ADDQ $64, DX
+	DECQ AX
+	JMP  ph_k8
+
+ph_store8:
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y9, 32(DI)
+	VMOVUPD Y10, (DI)(R10*1)
+	VMOVUPD Y11, 32(DI)(R10*1)
+	VMOVUPD Y12, (R11)
+	VMOVUPD Y13, 32(R11)
+	VMOVUPD Y14, (R11)(R10*1)
+	VMOVUPD Y15, 32(R11)(R10*1)
+	ADDQ $64, DI
+	ADDQ $64, R8
+	ADDQ $64, R9
+	SUBQ $8, CX
+	JMP  ph_chunk8
+
+ph_chunk4:
+	CMPQ CX, $4
+	JLT  ph_cols1
+	LEAQ (DI)(R10*2), R11
+	VMOVUPD (DI), Y8
+	VMOVUPD (DI)(R10*1), Y10
+	VMOVUPD (R11), Y12
+	VMOVUPD (R11)(R10*1), Y14
+	MOVQ R8, R12
+	MOVQ R9, R13
+	MOVQ SI, DX
+	MOVQ BX, AX
+
+ph_k4:
+	TESTQ AX, AX
+	JEQ   ph_store4
+	VMOVUPD (R12), Y0
+	VBROADCASTSD (DX), Y2
+	VBROADCASTSD 8(DX), Y3
+	VBROADCASTSD 16(DX), Y4
+	VBROADCASTSD 24(DX), Y5
+	VFMADD231PD Y0, Y2, Y8
+	VFMADD231PD Y0, Y3, Y10
+	VFMADD231PD Y0, Y4, Y12
+	VFMADD231PD Y0, Y5, Y14
+	VMOVUPD (R13), Y1
+	VBROADCASTSD 32(DX), Y2
+	VBROADCASTSD 40(DX), Y3
+	VBROADCASTSD 48(DX), Y4
+	VBROADCASTSD 56(DX), Y5
+	VFMADD231PD Y1, Y2, Y8
+	VFMADD231PD Y1, Y3, Y10
+	VFMADD231PD Y1, Y4, Y12
+	VFMADD231PD Y1, Y5, Y14
+	ADDQ R10, R12
+	ADDQ R10, R13
+	ADDQ $64, DX
+	DECQ AX
+	JMP  ph_k4
+
+ph_store4:
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y10, (DI)(R10*1)
+	VMOVUPD Y12, (R11)
+	VMOVUPD Y14, (R11)(R10*1)
+	ADDQ $32, DI
+	ADDQ $32, R8
+	ADDQ $32, R9
+	SUBQ $4, CX
+	JMP  ph_chunk4
+
+ph_cols1:
+	TESTQ CX, CX
+	JEQ   ph_done
+	LEAQ (DI)(R10*2), R11
+	VMOVSD (DI), X8
+	VMOVSD (DI)(R10*1), X10
+	VMOVSD (R11), X12
+	VMOVSD (R11)(R10*1), X14
+	MOVQ R8, R12
+	MOVQ R9, R13
+	MOVQ SI, DX
+	MOVQ BX, AX
+
+ph_k1:
+	TESTQ AX, AX
+	JEQ   ph_store1
+	VMOVSD (R12), X0
+	VMOVSD (DX), X2
+	VMOVSD 8(DX), X3
+	VMOVSD 16(DX), X4
+	VMOVSD 24(DX), X5
+	VFMADD231SD X0, X2, X8
+	VFMADD231SD X0, X3, X10
+	VFMADD231SD X0, X4, X12
+	VFMADD231SD X0, X5, X14
+	VMOVSD (R13), X1
+	VMOVSD 32(DX), X2
+	VMOVSD 40(DX), X3
+	VMOVSD 48(DX), X4
+	VMOVSD 56(DX), X5
+	VFMADD231SD X1, X2, X8
+	VFMADD231SD X1, X3, X10
+	VFMADD231SD X1, X4, X12
+	VFMADD231SD X1, X5, X14
+	ADDQ R10, R12
+	ADDQ R10, R13
+	ADDQ $64, DX
+	DECQ AX
+	JMP  ph_k1
+
+ph_store1:
+	VMOVSD X8, (DI)
+	VMOVSD X10, (DI)(R10*1)
+	VMOVSD X12, (R11)
+	VMOVSD X14, (R11)(R10*1)
+	ADDQ $8, DI
+	ADDQ $8, R8
+	ADDQ $8, R9
+	DECQ CX
+	JMP  ph_cols1
+
+ph_done:
+	VZEROUPPER
+	RET

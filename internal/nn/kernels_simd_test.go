@@ -83,6 +83,19 @@ func checkKernelsOnce(t *testing.T, rng *rand.Rand, n int, zeroOut bool) {
 		t.Errorf("axpy2 n=%d: max diff %g", n, d)
 	}
 
+	// pairHead: PairHeadRows rows of n columns against h weight rows.
+	for _, h := range []int{0, 1, 3, 8} {
+		coef := draw(2*PairHeadRows*h + 1)[:2*PairHeadRows*h]
+		w3, w4 := draw((h+1)*n), draw((h+1)*n)
+		zA := draw(PairHeadRows*n + 1)[:PairHeadRows*n]
+		zB := append([]float64(nil), zA...)
+		pairHead(zA, coef, w3, w4)
+		pairHeadGeneric(zB, coef, w3, w4)
+		if d := maxAbsDiffSlice(zA, zB); d > simdTol {
+			t.Errorf("pairHead n=%d h=%d: max diff %g", n, h, d)
+		}
+	}
+
 	// axpy4
 	dstA = draw(0)
 	dstB = append([]float64(nil), dstA...)
@@ -168,6 +181,47 @@ func TestSIMDKernelsMatchGeneric(t *testing.T) {
 	for _, n := range kernelLens {
 		checkKernelsOnce(t, rng, n, false)
 		checkKernelsOnce(t, rng, n, true) // sparsity: ~half the entries zero
+	}
+}
+
+// TestPairHeadMatchesAxpy2 pins PairHead to its definition on the dispatched
+// set, bit for bit: axpy2 applied row by row and k by k. The shapes are the
+// CRN head's (cols = 2h, every lane-tail residue of the 8/4/1 column tiles),
+// blocks whose trailing rows carry all-zero coefficients (a pair count that
+// is not a multiple of PairHeadRows), and coefficient rows with exact zeros
+// (coordinates where one representation is zero).
+func TestPairHeadMatchesAxpy2(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, h := range []int{1, 3, 8, 64} {
+		cols := 2 * h
+		for live := 1; live <= PairHeadRows; live++ {
+			w3, w4 := randSlice(rng, h*cols), randSlice(rng, h*cols)
+			coef := make([]float64, 2*PairHeadRows*h)
+			for k := 0; k < h; k++ {
+				for r := 0; r < live; r++ {
+					if rng.Intn(3) == 0 {
+						continue // exact zero coefficients
+					}
+					coef[k*2*PairHeadRows+r] = -2 * math.Abs(rng.NormFloat64())
+					coef[k*2*PairHeadRows+PairHeadRows+r] = math.Abs(rng.NormFloat64())
+				}
+			}
+			z := randSlice(rng, PairHeadRows*cols)
+			want := append([]float64(nil), z...)
+			for r := 0; r < PairHeadRows; r++ {
+				for k := 0; k < h; k++ {
+					axpy2(want[r*cols:(r+1)*cols], w3[k*cols:(k+1)*cols], w4[k*cols:(k+1)*cols],
+						coef[k*2*PairHeadRows+r], coef[k*2*PairHeadRows+PairHeadRows+r])
+				}
+			}
+			PairHead(z, coef, w3, w4)
+			for i := range z {
+				if math.Float64bits(z[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("h=%d live=%d: z[%d][%d] = %x, axpy2 gives %x",
+						h, live, i/cols, i%cols, math.Float64bits(z[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
 	}
 }
 

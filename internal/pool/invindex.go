@@ -48,11 +48,13 @@
 // a tombstone (membership is "still present in byID") plus a dead counter,
 // and lists compact when tombstones outnumber live members — O(1) amortized
 // per mutation, no rebuild, no extra Version() semantics (the PR 3 rep-cache
-// interplay is untouched). Selection degenerates when every entry has a
-// distinct pattern (one class per entry: the bound sort would cost more than
-// the scan it avoids), so past a density threshold — more than one class per
-// classDensityDiv entries on a large FROM clause — TopK falls back to the
-// linear scan and reports it in Stats.IndexFallbacks.
+// interplay is untouched). Selection pays for itself only where classes
+// recur: each class costs a bound computation and a place in the bound sort,
+// so with nearly one class per entry the index does the scan's work twice.
+// Past a density threshold — more than one class per classDensityDiv
+// entries, on a FROM clause of any size — TopK takes the linear scan instead
+// and reports it in Stats.IndexFallbacks. Both paths select bit-identically,
+// so the choice moves only time.
 package pool
 
 import (
@@ -62,19 +64,11 @@ import (
 	"crn/internal/query"
 )
 
-const (
-	// minIndexEntries is the FROM-clause size below which the density guard
-	// never triggers: on small clauses the index is at worst comparable to
-	// the linear scan, and always exercising it keeps the equivalence
-	// properties continuously tested by every suite that touches TopK.
-	minIndexEntries = 1024
-	// classDensityDiv is the density threshold divisor: a FROM clause with
-	// more than len(entries)/classDensityDiv classes (average class smaller
-	// than classDensityDiv members) gains too little from class-at-a-time
-	// scoring to pay for ranking the classes, so selection falls back to the
-	// linear scan.
-	classDensityDiv = 4
-)
+// classDensityDiv is the density threshold divisor: a FROM clause with more
+// than len(entries)/classDensityDiv classes (average class smaller than
+// classDensityDiv members) gains too little from class-at-a-time scoring to
+// pay for ranking the classes, so selection falls back to the linear scan.
+const classDensityDiv = 4
 
 // sigBucket groups the members of one signature class whose signatures are
 // fully identical (equal range values). ids is ascending and append-only
@@ -172,20 +166,21 @@ type classRef struct {
 	flat bool
 }
 
+// indexWorthwhile is the density guard: bounded selection on this FROM
+// clause goes through the class index only if the index exists and the
+// clause has at most one class per classDensityDiv entries. Callers hold at
+// least the read lock.
+func (idx *fromIndex) indexWorthwhile() bool {
+	return idx.classes != nil && len(idx.classes)*classDensityDiv <= len(idx.entries)
+}
+
 // selectIndexedLocked runs bounded selection through the class index.
-// Callers hold at least the read lock and have checked 0 < k < len(entries).
-// ok=false means the density guard rejected the index for this FROM clause
-// and the caller must fall back to the linear scan; on success the returned
-// refs and usable count are bit-identical to selectLinearLocked's, and
-// visited reports how many candidates the class walk actually scored (the
-// per-call pruning signal behind the scanned/pruned histograms).
-func (p *Pool) selectIndexedLocked(idx *fromIndex, probe query.Signature, k int) (refs []scoredRef, usable int, visited uint64, ok bool) {
-	if idx.classes == nil {
-		return nil, 0, 0, false
-	}
-	if len(idx.entries) >= minIndexEntries && len(idx.classes)*classDensityDiv > len(idx.entries) {
-		return nil, 0, 0, false
-	}
+// Callers hold at least the read lock and have checked 0 < k < len(entries)
+// and that the index exists. The returned refs and usable count are
+// bit-identical to selectLinearLocked's, and visited reports how many
+// candidates the class walk actually scored (the per-call pruning signal
+// behind the scanned/pruned histograms).
+func (p *Pool) selectIndexedLocked(idx *fromIndex, probe query.Signature, k int) (refs []scoredRef, usable int, visited uint64) {
 	classes := make([]classRef, 0, len(idx.classes))
 	for _, c := range idx.classes {
 		ub, flat := probe.SimilarityBound(c.pat)
@@ -208,7 +203,7 @@ func (p *Pool) selectIndexedLocked(idx *fromIndex, probe query.Signature, k int)
 	}
 	p.indexHits.Add(1)
 	p.scannedIdx.Add(visited)
-	return heap.sorted(), idx.nPos, visited, true
+	return heap.sorted(), idx.nPos, visited
 }
 
 // offerClassFlat offers a flat class's members: every member scores

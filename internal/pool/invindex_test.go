@@ -12,27 +12,56 @@ import (
 	"crn/internal/sqlparse"
 )
 
-// randIndexSQL generates a random conjunctive query over the star schema
-// with deliberately overlapping predicate structure: a small column set,
-// tight value range and occasional joins, so pools built from it contain
-// recurring signature classes, value buckets, conflicts and join variants —
-// the full case surface of the inverted index.
-func randIndexSQL(r *rand.Rand) string {
+// randIndexShape draws a conjunctive query shape over the star schema with
+// deliberately overlapping predicate structure — a small column set and
+// occasional joins — with its constants left as %d verbs.
+func randIndexShape(r *rand.Rand) string {
 	cols := []string{"title.kind_id", "title.production_year", "title.season_nr", "title.episode_nr"}
 	ops := []string{"<", "=", ">"}
 	var preds []string
 	for n := 1 + r.Intn(3); n > 0; n-- {
-		preds = append(preds, fmt.Sprintf("%s %s %d",
-			cols[r.Intn(len(cols))], ops[r.Intn(len(ops))], r.Intn(40)))
+		preds = append(preds, cols[r.Intn(len(cols))]+" "+ops[r.Intn(len(ops))]+" %d")
 	}
 	if r.Intn(4) == 0 {
 		preds = append(preds, "title.id = cast_info.movie_id")
 		if r.Intn(2) == 0 {
-			preds = append(preds, fmt.Sprintf("cast_info.role_id = %d", r.Intn(6)))
+			preds = append(preds, "cast_info.role_id = %d")
 		}
 		return "SELECT * FROM cast_info, title WHERE " + strings.Join(preds, " AND ")
 	}
 	return "SELECT * FROM title WHERE " + strings.Join(preds, " AND ")
+}
+
+// fillShape instantiates a shape with constants from a tight range, so one
+// shape recurs with equal values (buckets), distinct values and conflicting
+// ranges — the full case surface of the inverted index.
+func fillShape(r *rand.Rand, shape string) string {
+	args := make([]any, strings.Count(shape, "%d"))
+	for i := range args {
+		args[i] = r.Intn(40)
+	}
+	return fmt.Sprintf(shape, args...)
+}
+
+// randIndexSQL draws a query of a fresh random shape. A pool of these has
+// nearly one signature class per entry, which the density guard sends to
+// the linear scan, so they serve as probes.
+func randIndexSQL(r *rand.Rand) string { return fillShape(r, randIndexShape(r)) }
+
+// indexShapes draws the shapes of a templated workload: a pool drawn from a
+// dozen shapes (templatedSQL) holds far fewer classes than entries, so its
+// bounded selections go through the index.
+func indexShapes(r *rand.Rand) []string {
+	shapes := make([]string, 12)
+	for i := range shapes {
+		shapes[i] = randIndexShape(r)
+	}
+	return shapes
+}
+
+// templatedSQL draws a query of one of the given shapes.
+func templatedSQL(r *rand.Rand, shapes []string) string {
+	return fillShape(r, shapes[r.Intn(len(shapes))])
 }
 
 // mustTopKEqual asserts two TopK results are fully identical: same entries,
@@ -51,7 +80,7 @@ func mustTopKEqual(t *testing.T, ctx string, got, want []Entry) {
 }
 
 // TestIndexedTopKMatchesLinearScan pins the tentpole equivalence: for
-// random pools and probes, selection through the signature-class index
+// templated pools and random probes, selection through the signature-class index
 // returns exactly — same set, same order, bit for bit — what the linear
 // scan returns, across every k regime (unbound, non-binding, binding,
 // k = 1).
@@ -59,8 +88,9 @@ func TestIndexedTopKMatchesLinearScan(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	idxPool := New()
 	linPool := New(WithIndexedSelection(false))
+	shapes := indexShapes(r)
 	for n := 0; n < 400; n++ {
-		q := sqlparse.MustParse(s, randIndexSQL(r))
+		q := sqlparse.MustParse(s, templatedSQL(r, shapes))
 		card := int64(r.Intn(50)) // includes 0: dead entries both paths skip
 		idxPool.Add(q, card)
 		linPool.Add(q, card)
@@ -79,6 +109,7 @@ func TestIndexedTopKMatchesLinearScan(t *testing.T) {
 	}
 	if ist.IndexHits == 0 || ist.ScannedIndexed == 0 {
 		t.Errorf("indexed pool never used the index: %+v", ist)
+
 	}
 	if ist.ScannedIndexed >= lst.ScannedFallback {
 		t.Errorf("index scanned %d candidates, linear scanned %d — no pruning happened",
@@ -97,10 +128,11 @@ func TestIndexCoherenceUnderMutation(t *testing.T) {
 	idxPool := New(WithCap(120))
 	linPool := New(WithCap(120), WithIndexedSelection(false))
 	var added []query.Query
+	shapes := indexShapes(r)
 	for step := 0; step < 4000; step++ {
 		switch r.Intn(5) {
 		case 0, 1: // add (evicts once full)
-			q := sqlparse.MustParse(s, randIndexSQL(r))
+			q := sqlparse.MustParse(s, templatedSQL(r, shapes))
 			card := int64(r.Intn(40))
 			if idxPool.Add(q, card) != linPool.Add(q, card) {
 				t.Fatalf("step %d: add outcome diverged for %s", step, q.SQL())
@@ -143,8 +175,9 @@ func TestIndexCoherenceUnderMutation(t *testing.T) {
 func TestIndexedTopKAfterSaveLoad(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	p := New(WithCap(150))
+	shapes := indexShapes(r)
 	for n := 0; n < 300; n++ {
-		p.Add(sqlparse.MustParse(s, randIndexSQL(r)), int64(r.Intn(40)))
+		p.Add(sqlparse.MustParse(s, templatedSQL(r, shapes)), int64(r.Intn(40)))
 	}
 	var buf bytes.Buffer
 	if err := p.Save(&buf); err != nil {
@@ -164,53 +197,86 @@ func TestIndexedTopKAfterSaveLoad(t *testing.T) {
 		mustTopKEqual(t, fmt.Sprintf("probe %d k=%d", probeN, k),
 			idxPool.TopK(probe, k), linPool.TopK(probe, k))
 	}
+	if st := idxPool.Stats(); st.IndexHits == 0 {
+		t.Errorf("reloaded pool never used the index: %+v", st)
+	}
 }
 
-// TestIndexDensityFallback pins the density guard: a large FROM clause
-// whose entries nearly all carry distinct signature patterns gains nothing
-// from class-at-a-time scoring, so bounded selection must fall back to the
-// linear scan and say so in the stats.
+// TestIndexDensityFallback pins the density guard on a serving-sized
+// clause: ~135 entries in ~120 signature classes gain nothing from
+// class-at-a-time scoring, so bounded selection takes the linear scan, says
+// so in the stats, and selects exactly what the index would have.
 func TestIndexDensityFallback(t *testing.T) {
 	p := New()
 	cols := []string{"title.kind_id", "title.production_year", "title.season_nr", "title.episode_nr"}
 	ops := []string{"<", "=", ">"}
-	// Mixed-radix enumeration of per-column shapes: each column absent or
-	// constrained by one operator class, every combination a distinct
-	// pattern... 4^4-1 = 255 single-op patterns, extended past the density
-	// threshold by two-column-two-op combinations.
-	n := 0
-	for code := 1; n < minIndexEntries; code++ {
+	// Mixed-radix enumeration of per-column shapes: each column absent,
+	// constrained by one operator class, or by two predicates (both-bounded
+	// and conflicting shapes) — every code a distinct pattern. shift moves
+	// every constant without changing the pattern.
+	shape := func(code, shift int) string {
 		var preds []string
-		c := code
-		for i := 0; i < len(cols) && c > 0; i, c = i+1, c/7 {
+		for i, c := 0, code; i < len(cols) && c > 0; i, c = i+1, c/7 {
 			switch d := c % 7; {
 			case d == 0: // column absent
 			case d <= 3:
-				preds = append(preds, fmt.Sprintf("%s %s %d", cols[i], ops[d-1], 10+i))
-			default: // two predicates: both-bounded / conflicting shapes
-				preds = append(preds, fmt.Sprintf("%s %s %d", cols[i], ops[(d-4)%3], 5+i),
-					fmt.Sprintf("%s %s %d", cols[i], ops[(d-3)%3], 25+i))
+				preds = append(preds, fmt.Sprintf("%s %s %d", cols[i], ops[d-1], 10+i+shift))
+			default:
+				preds = append(preds, fmt.Sprintf("%s %s %d", cols[i], ops[(d-4)%3], 5+i+shift),
+					fmt.Sprintf("%s %s %d", cols[i], ops[(d-3)%3], 25+i+shift))
 			}
 		}
 		if len(preds) == 0 {
-			continue
+			return ""
 		}
-		if p.Add(sqlparse.MustParse(s, "SELECT * FROM title WHERE "+strings.Join(preds, " AND ")), 10) {
-			n++
+		return "SELECT * FROM title WHERE " + strings.Join(preds, " AND ")
+	}
+	var codes []int
+	for code := 1; len(codes) < 120; code++ {
+		if q := shape(code, 0); q != "" && p.Add(sqlparse.MustParse(s, q), 10) {
+			codes = append(codes, code)
 		}
 	}
-	probe := sqlparse.MustParse(s, "SELECT * FROM title WHERE title.production_year > 11")
-	lin := New(WithIndexedSelection(false))
-	for _, e := range p.Entries() {
-		lin.Add(e.Q, e.Card)
+	for _, code := range codes[:15] { // a second member in 15 of the classes
+		if !p.Add(sqlparse.MustParse(s, shape(code, 1)), 10) {
+			t.Fatalf("shifted shape %d collided with an entry", code)
+		}
 	}
-	mustTopKEqual(t, "fallback selection", p.TopK(probe, 16), lin.TopK(probe, 16))
+	idx := p.byFrom[sqlparse.MustParse(s, "SELECT * FROM title").FROMKey()]
+	if len(idx.entries) != 135 || idx.indexWorthwhile() {
+		t.Fatalf("%d entries in %d classes: want 135 entries past the density guard", len(idx.entries), len(idx.classes))
+	}
+
+	probes := []query.Query{
+		sqlparse.MustParse(s, "SELECT * FROM title WHERE title.production_year > 11"),
+		sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id = 10 AND title.season_nr < 30"),
+		sqlparse.MustParse(s, "SELECT * FROM title WHERE title.episode_nr > 6 AND title.episode_nr < 20"),
+	}
+	ks := []int{1, 4, 16, 60}
+	var scanned [][]Entry
+	for _, probe := range probes {
+		for _, k := range ks {
+			scanned = append(scanned, p.TopK(probe, k))
+		}
+	}
 	st := p.Stats()
-	if st.IndexFallbacks != 1 || st.IndexHits != 0 {
-		t.Errorf("density guard did not trigger: %+v", st)
+	if calls := uint64(len(scanned)); st.IndexFallbacks != calls || st.IndexHits != 0 {
+		t.Errorf("density guard did not send all %d selections to the scan: %+v", calls, st)
 	}
 	if st.ScannedFallback == 0 || st.ScannedIndexed != 0 {
 		t.Errorf("fallback selection misattributed its scan: %+v", st)
+	}
+	for i, probe := range probes {
+		for j, k := range ks {
+			p.mu.RLock()
+			refs, _, _ := p.selectIndexedLocked(idx, probe.Signature(), k)
+			indexed := make([]Entry, len(refs))
+			for n, r := range refs {
+				indexed[n] = idx.entries[r.idx]
+			}
+			p.mu.RUnlock()
+			mustTopKEqual(t, fmt.Sprintf("probe %d k=%d", i, k), scanned[i*len(ks)+j], indexed)
+		}
 	}
 }
 
@@ -223,8 +289,9 @@ func TestConcurrentIndexedTopKEvictionUpdate(t *testing.T) {
 	p := New(WithCap(capacity))
 	queries := make([]query.Query, 600)
 	r := rand.New(rand.NewSource(3))
+	shapes := indexShapes(r)
 	for i := range queries {
-		queries[i] = sqlparse.MustParse(s, randIndexSQL(r))
+		queries[i] = sqlparse.MustParse(s, templatedSQL(r, shapes))
 	}
 	probes := make([]query.Query, 16)
 	for i := range probes {
@@ -293,6 +360,9 @@ func TestConcurrentIndexedTopKEvictionUpdate(t *testing.T) {
 					i, j, got[j].Q.SQL(), got[j].Card, want[j].Q.SQL(), want[j].Card)
 			}
 		}
+	}
+	if st := p.Stats(); st.IndexHits == 0 {
+		t.Errorf("storm never used the index: %+v", st)
 	}
 }
 

@@ -18,7 +18,9 @@
 package pool
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -309,14 +311,13 @@ func (p *Pool) AppendTopK(dst []Entry, q query.Query, k int) []Entry {
 	var refs []scoredRef
 	var usable int
 	var scanned uint64
-	indexed := false
-	if p.indexOn {
-		refs, usable, scanned, indexed = p.selectIndexedLocked(idx, probe, k)
-		if !indexed {
+	indexed := p.indexOn && idx.indexWorthwhile()
+	if indexed {
+		refs, usable, scanned = p.selectIndexedLocked(idx, probe, k)
+	} else {
+		if p.indexOn {
 			p.indexFallbacks.Add(1)
 		}
-	}
-	if !indexed {
 		refs, usable = p.selectLinearLocked(idx, probe, k)
 		scanned = uint64(len(idx.entries))
 	}
@@ -494,11 +495,11 @@ func (p *Pool) HotEntries(n int) []Entry {
 		}
 	}
 	p.mu.RUnlock()
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].tick != all[j].tick {
-			return all[i].tick > all[j].tick
+	slices.SortFunc(all, func(a, b stamped) int {
+		if c := cmp.Compare(b.tick, a.tick); c != 0 {
+			return c
 		}
-		return all[i].e.ID > all[j].e.ID
+		return cmp.Compare(b.e.ID, a.e.ID)
 	})
 	if n > 0 && n < len(all) {
 		all = all[:n]

@@ -213,4 +213,18 @@ func TestHotEntriesRecencyOrder(t *testing.T) {
 	if all := p.HotEntries(0); len(all) != 3 {
 		t.Fatalf("HotEntries(0) = %d entries, want all 3", len(all))
 	}
+
+	// An unbounded match stamps every entry of its FROM clause with one
+	// tick: equal ticks order by insertion ID, newest first.
+	qa2 := sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id = 2")
+	p.Add(qa2, 4)
+	p.Matching(sqlparse.MustParse(s, "SELECT * FROM title"))
+	hot = p.HotEntries(3)
+	if len(hot) != 3 || hot[0].Q.Key() != qa2.Key() || hot[1].Q.Key() != qa.Key() || hot[2].Q.Key() != qc.Key() {
+		keys := make([]string, len(hot))
+		for i, e := range hot {
+			keys[i] = e.Q.Key()
+		}
+		t.Fatalf("HotEntries(3) after an equal-tick match = %v, want [qa2 qa qc]", keys)
+	}
 }

@@ -64,9 +64,8 @@ type Coalescer[T, R any] struct {
 	// span, so the per-request cost of the extra clock read amortizes;
 	// sizeHist records executed batch sizes. Set before serving traffic
 	// (SetTelemetry).
-	waitHist   *telemetry.Histogram
-	sizeHist   *telemetry.Histogram
-	waitSample telemetry.Sampler
+	waitHist *telemetry.Histogram
+	sizeHist *telemetry.Histogram
 }
 
 // group is one batch shared by all its callers: items are appended under
@@ -139,7 +138,7 @@ func (c *Coalescer[T, R]) Do(ctx context.Context, v T) (R, error) {
 	var submitNs int64
 	var submitW uint64
 	if c.waitHist != nil {
-		if submitW = c.waitSample.Next(); submitW != 0 {
+		if submitW = telemetry.SampleWeight(); submitW != 0 {
 			submitNs = telemetry.Now()
 		}
 	}

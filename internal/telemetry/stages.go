@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"sync/atomic"
+	"math/rand/v2"
 	"time"
 )
 
@@ -32,18 +32,16 @@ const (
 // not divide).
 const SampleRate = 8
 
-// Sampler deals out inverse-probability weights for 1-in-SampleRate
-// sampling: Next returns SampleRate on every SampleRate-th call (starting
-// with the first, so short-lived tests still see data) and 0 otherwise.
-// Safe for concurrent use; the zero value is ready.
-type Sampler struct {
-	ctr atomic.Uint64
-}
-
-// Next draws one sampling decision: the weight to record with, or 0 to
-// skip. Cost is one atomic add.
-func (s *Sampler) Next() uint64 {
-	if s.ctr.Add(1)&(SampleRate-1) == 1 {
+// SampleWeight draws one sampling decision: SampleRate (the weight to
+// record with) with probability 1/SampleRate, else 0 (skip). Decisions are
+// independent pseudo-random draws, not a shared counter: every estimate
+// draws several times (request timer, estimation pass, rate pass), so a
+// counter's residue would lock onto any traffic that repeats with a period
+// sharing a factor with SampleRate — a workload alternating cheap and
+// expensive passes would have its expensive passes sampled never, or always.
+// Safe for concurrent use; the cost is one per-thread generator step.
+func SampleWeight() uint64 {
+	if rand.Uint64()&(SampleRate-1) == 0 {
 		return SampleRate
 	}
 	return 0
@@ -51,9 +49,9 @@ func (s *Sampler) Next() uint64 {
 
 // StageSet holds the resolved per-stage histogram children so the hot path
 // records through direct pointers — no map lookup, no label resolution.
-// A nil StageSet (telemetry off) makes every span a no-op. The embedded
-// sampler is shared by every component timing passes against this set, so
-// each stage family is sampled at the same 1-in-SampleRate rate.
+// A nil StageSet (telemetry off) makes every span a no-op. Every component
+// timing passes against this set samples through SampleWeight, so each
+// stage family is sampled at the same 1-in-SampleRate rate.
 type StageSet struct {
 	Admission          *Histogram
 	CoalesceWait       *Histogram
@@ -61,8 +59,6 @@ type StageSet struct {
 	CandidateSelection *Histogram
 	NNForward          *Histogram
 	Finalize           *Histogram
-
-	sampler Sampler
 }
 
 // newStageSet resolves the six stage children of the stage histogram
@@ -87,7 +83,7 @@ func (s *StageSet) Sample() StageTimer {
 	if s == nil {
 		return StageTimer{}
 	}
-	w := s.sampler.Next()
+	w := SampleWeight()
 	if w == 0 {
 		return StageTimer{}
 	}

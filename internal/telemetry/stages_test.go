@@ -99,13 +99,14 @@ func TestStageTimerDisabled(t *testing.T) {
 }
 
 // TestStageTimerSampling: request timers from a live bundle always carry
-// the e2e start, but only one in SampleRate arms its stage marks — and a
-// sampled mark lands with weight SampleRate, so stage counts estimate the
+// the e2e start, but only about one in SampleRate arms its stage marks — and
+// a sampled mark lands with weight SampleRate, so stage counts estimate the
 // full request population.
 func TestStageTimerSampling(t *testing.T) {
 	tel := New()
+	const n = 64 * 1024
 	sampled := 0
-	for i := 0; i < 3*SampleRate; i++ {
+	for i := 0; i < n; i++ {
 		st := tel.StartTimer()
 		if !st.Armed() {
 			t.Fatal("request timer from a live bundle must be armed for e2e")
@@ -115,40 +116,70 @@ func TestStageTimerSampling(t *testing.T) {
 			t.Fatal("armed timer must report a positive total")
 		}
 		if st.w != 0 {
+			if st.w != SampleRate {
+				t.Fatalf("sampled timer weight %d, want %d", st.w, SampleRate)
+			}
 			sampled++
 		}
 	}
-	if sampled != 3 {
-		t.Fatalf("sampled %d of %d request timers, want %d", sampled, 3*SampleRate, 3)
+	// Binomial(n, 1/SampleRate): mean 8192, sd ≈ 85; ±6 sd.
+	if want := n / SampleRate; sampled < want-512 || sampled > want+512 {
+		t.Fatalf("sampled %d of %d request timers, want %d ± 512", sampled, n, want)
 	}
-	if got := tel.Stages.Admission.Snapshot().Total(); got != 3*SampleRate {
-		t.Fatalf("weighted admission count %d, want %d (3 samples × weight %d)",
-			got, 3*SampleRate, SampleRate)
+	if got := tel.Stages.Admission.Snapshot().Total(); got != uint64(sampled)*SampleRate {
+		t.Fatalf("weighted admission count %d, want %d (%d samples × weight %d)",
+			got, sampled*SampleRate, sampled, SampleRate)
 	}
 }
 
 // TestStageSetSample: pass timers from StageSet.Sample follow the same
-// 1-in-SampleRate schedule; unsampled passes come back disabled (no clock
+// 1-in-SampleRate sampling; unsampled passes come back disabled (no clock
 // read, no recording), and a nil stage set is always disabled.
 func TestStageSetSample(t *testing.T) {
 	tel := New()
+	const n = 64 * 1024
 	armed := 0
-	for i := 0; i < 2*SampleRate; i++ {
+	for i := 0; i < n; i++ {
 		st := tel.Stages.Sample()
 		st.Mark(tel.Stages.Finalize)
 		if st.Armed() {
 			armed++
 		}
 	}
-	if armed != 2 {
-		t.Fatalf("armed %d of %d pass timers, want 2", armed, 2*SampleRate)
+	if want := n / SampleRate; armed < want-512 || armed > want+512 {
+		t.Fatalf("armed %d of %d pass timers, want %d ± 512", armed, n, want)
 	}
-	if got := tel.Stages.Finalize.Snapshot().Total(); got != 2*SampleRate {
-		t.Fatalf("weighted finalize count %d, want %d", got, 2*SampleRate)
+	if got := tel.Stages.Finalize.Snapshot().Total(); got != uint64(armed)*SampleRate {
+		t.Fatalf("weighted finalize count %d, want %d", got, armed*SampleRate)
 	}
 	var nilSet *StageSet
 	if st := nilSet.Sample(); st.Armed() {
 		t.Fatal("nil stage set must yield a disabled timer")
+	}
+}
+
+// TestSamplingUnbiasedOnPeriodicTraffic: the estimate path draws three
+// sampling decisions per request (request timer, estimation pass, rate
+// pass), and a workload can repeat with a short period — three cheap
+// requests, then one 20× more expensive. The weighted stage sum must still
+// estimate the true sum: a sampler whose decisions follow a shared counter
+// lands the expensive pass's draw on the same residues every cycle and
+// either never samples it or always does.
+func TestSamplingUnbiasedOnPeriodicTraffic(t *testing.T) {
+	const passes = 64 * 1024
+	var truth, estimate float64
+	for i := 0; i < passes; i++ {
+		cost := 1.0
+		if i%4 == 3 {
+			cost = 20
+		}
+		SampleWeight() // request timer
+		SampleWeight() // estimation pass
+		truth += cost
+		estimate += cost * float64(SampleWeight()) // rate pass: the costly span
+	}
+	if r := estimate / truth; r < 0.9 || r > 1.1 {
+		t.Fatalf("weighted stage sum / true sum = %.3f, want within ±10%%", r)
 	}
 }
 

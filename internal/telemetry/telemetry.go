@@ -108,7 +108,7 @@ func (t *Telemetry) StartTimer() StageTimer {
 	if t == nil {
 		return StageTimer{}
 	}
-	w := t.Stages.sampler.Next()
+	w := SampleWeight()
 	now := Now()
 	return StageTimer{start: now, last: now, w: uint32(w)}
 }
