@@ -1,18 +1,19 @@
 package crn
 
 // The benchmark harness regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §3 for the experiment index). All benchmarks
-// share one trained environment, built lazily on first use at the Small
-// scale; each benchmark iteration re-runs its experiment's predictions from
-// scratch (the memoization cache is reset), so ns/op reflects honest
-// end-to-end evaluation cost. Headline q-errors are attached as custom
-// benchmark metrics.
+// evaluation: BenchmarkPaper/<id> runs one artifact of the declared table in
+// internal/experiments (`go run ./cmd/repro -list` prints the IDs; the
+// README's "Reproducing the paper" section maps them to the paper). All
+// benchmarks share one trained environment, built lazily on first use at
+// BenchConfig scale; each iteration re-runs its experiment's predictions from
+// scratch, so ns/op reflects honest end-to-end evaluation cost. Headline
+// q-errors are attached as custom benchmark metrics.
 //
 // Run a single experiment with e.g.
 //
-//	go test -bench BenchmarkTable07 -benchtime 1x
+//	go test -run '^$' -bench 'BenchmarkPaper/table7$' -benchtime 1x
 //
-// and the whole suite with `go test -bench . -benchtime 1x`.
+// and the whole suite with `go test -run '^$' -bench BenchmarkPaper -benchtime 1x`.
 
 import (
 	"strconv"
@@ -42,23 +43,25 @@ func benchEnvironment(b *testing.B) *experiments.Env {
 	return benchEnv
 }
 
-// runExperiment executes one experiment per iteration and reports its
+// BenchmarkPaper executes one experiment per iteration and reports its
 // headline metrics (the mean and median q-error of the last table row,
 // which by construction is the paper's proposed model).
-func runExperiment(b *testing.B, id string) {
+func BenchmarkPaper(b *testing.B) {
 	env := benchEnvironment(b)
-	b.ResetTimer()
-	var last experiments.Result
-	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
-		r, err := experiments.Run(env, id, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
+	for _, id := range experiments.ExperimentIDs() {
+		b.Run(id, func(b *testing.B) {
+			var last experiments.Result
+			for i := 0; i < b.N; i++ {
+				r, err := experiments.Run(env, id, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = r
+			}
+			b.StopTimer()
+			reportHeadline(b, last)
+		})
 	}
-	b.StopTimer()
-	reportHeadline(b, last)
 }
 
 // reportHeadline attaches the final row's summary columns as custom metrics
@@ -76,72 +79,6 @@ func reportHeadline(b *testing.B, r experiments.Result) {
 			b.ReportMetric(v, "qmean")
 		}
 	}
-}
-
-// --- One benchmark per paper artifact --------------------------------------
-
-func BenchmarkTable02_JoinDistributionCnt(b *testing.B)  { runExperiment(b, "table2") }
-func BenchmarkFigure04_Convergence(b *testing.B)         { runExperiment(b, "fig4") }
-func BenchmarkTable03_ContainmentCntTest1(b *testing.B)  { runExperiment(b, "table3") }
-func BenchmarkFigure05_BoxesCntTest1(b *testing.B)       { runExperiment(b, "fig5") }
-func BenchmarkTable04_ContainmentCntTest2(b *testing.B)  { runExperiment(b, "table4") }
-func BenchmarkFigure06_BoxesCntTest2(b *testing.B)       { runExperiment(b, "fig6") }
-func BenchmarkTable05_JoinDistributionCrd(b *testing.B)  { runExperiment(b, "table5") }
-func BenchmarkTable06_CardinalityCrdTest1(b *testing.B)  { runExperiment(b, "table6") }
-func BenchmarkFigure09_BoxesCrdTest1(b *testing.B)       { runExperiment(b, "fig9") }
-func BenchmarkTable07_CardinalityCrdTest2(b *testing.B)  { runExperiment(b, "table7") }
-func BenchmarkFigure10_BoxesCrdTest2(b *testing.B)       { runExperiment(b, "fig10") }
-func BenchmarkTable08_CardinalityHighJoins(b *testing.B) { runExperiment(b, "table8") }
-func BenchmarkTable09_PerJoinBreakdown(b *testing.B)     { runExperiment(b, "table9") }
-func BenchmarkFigure11_PerJoinMedians(b *testing.B)      { runExperiment(b, "fig11") }
-func BenchmarkTable10_ScaleWorkload(b *testing.B)        { runExperiment(b, "table10") }
-func BenchmarkFigure12_BoxesScale(b *testing.B)          { runExperiment(b, "fig12") }
-func BenchmarkFigure13_AllModels(b *testing.B)           { runExperiment(b, "fig13") }
-func BenchmarkTable11_ImprovedPostgres(b *testing.B)     { runExperiment(b, "table11") }
-func BenchmarkTable12_ImprovedMSCN(b *testing.B)         { runExperiment(b, "table12") }
-func BenchmarkTable13_ImprovedVsCRN(b *testing.B)        { runExperiment(b, "table13") }
-func BenchmarkTable14_PoolSizeSweep(b *testing.B)        { runExperiment(b, "table14") }
-func BenchmarkTable15_PredictionTime(b *testing.B)       { runExperiment(b, "table15") }
-
-// Ablation benches: the design choices DESIGN.md calls out.
-
-func BenchmarkTopKCandidateSweep(b *testing.B)    { runExperiment(b, "topk") }
-func BenchmarkAblationFinalFunction(b *testing.B) { runExperiment(b, "ablation_final") }
-func BenchmarkAblationEpsilonGuard(b *testing.B)  { runExperiment(b, "ablation_eps") }
-func BenchmarkAblationPoolAnchors(b *testing.B)   { runExperiment(b, "ablation_anchor") }
-func BenchmarkAblationWorkers(b *testing.B)       { runExperiment(b, "ablation_workers") }
-func BenchmarkAblationOracleRates(b *testing.B)   { runExperiment(b, "ablation_oracle") }
-func BenchmarkPlanQuality(b *testing.B)           { runExperiment(b, "planquality") }
-func BenchmarkSamplingBaselines(b *testing.B)     { runExperiment(b, "baselines") }
-
-// BenchmarkFigure03_HiddenSizeSweep retrains the CRN at a few hidden sizes
-// per iteration (the §3.4 hyperparameter search); it is the most expensive
-// benchmark in the suite.
-func BenchmarkFigure03_HiddenSizeSweep(b *testing.B) {
-	env := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure3(env, []int{16, 32}, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCRN_TrainingCosts reproduces §3.5's cost accounting: epoch time,
-// prediction latency, parameter count, serialized size.
-func BenchmarkCRN_TrainingCosts(b *testing.B) {
-	env := benchEnvironment(b)
-	b.ResetTimer()
-	var last experiments.Result
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Costs(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	b.StopTimer()
-	_ = last
 }
 
 // BenchmarkContainmentPrediction measures the paper's §3.5.2 single-pair

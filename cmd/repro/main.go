@@ -5,10 +5,12 @@
 //
 //	repro [-scale tiny|small|full] [-exp all|table3|fig10|...] [-v] [-o results.txt]
 //
-// The -scale flag selects the environment size (DESIGN.md §1 documents how
-// the Small scale maps to the paper's setup); -exp runs one experiment or
-// the full suite; -v streams build/training progress; -o additionally
-// writes the rendered tables to a file.
+// The -scale flag selects the environment size (the README's "Reproducing
+// the paper" section documents how the Small scale maps to the paper's setup
+// and which table or figure each experiment ID regenerates); -exp runs one
+// experiment or the full suite; -list prints the IDs; -v streams
+// build/training progress; -o additionally writes the rendered tables to a
+// file.
 package main
 
 import (
@@ -23,7 +25,7 @@ import (
 
 func main() {
 	scale := flag.String("scale", "small", "environment scale: tiny, small or full")
-	exp := flag.String("exp", "all", "experiment id (see DESIGN.md) or 'all'")
+	exp := flag.String("exp", "all", "experiment id (see repro -list) or 'all'")
 	verbose := flag.Bool("v", false, "stream build and training progress")
 	out := flag.String("o", "", "also write rendered tables to this file")
 	seed := flag.Int64("seed", 0, "override the environment seed")

@@ -97,5 +97,5 @@ func main() {
 	fmt.Println("The base model is embedded unchanged; only the estimation")
 	fmt.Println("path around it differs (paper §7.1). Workload-level results —")
 	fmt.Println("including the much larger Improved-MSCN gain — are Tables 11-12")
-	fmt.Println("of `go run ./cmd/repro` (see EXPERIMENTS.md).")
+	fmt.Println("of `go run ./cmd/repro` (`repro -list` prints every artifact ID).")
 }

@@ -84,5 +84,6 @@ func main() {
 	fmt.Println()
 	fmt.Println("Note: this demo trains for seconds on a toy database; estimates are")
 	fmt.Println("rough. The evaluation-grade pipeline (20k pairs, 12k-title database)")
-	fmt.Println("lives behind `go run ./cmd/repro -scale small` — see EXPERIMENTS.md.")
+	fmt.Println("lives behind `go run ./cmd/repro -scale small` — see the README's")
+	fmt.Println("\"Reproducing the paper\" section.")
 }

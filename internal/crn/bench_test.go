@@ -88,7 +88,8 @@ func BenchmarkPredictShared(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.PredictShared(sets, pairs)
+		reps1, reps2 := m.EncodeSets(sets)
+		m.PredictPairsFrom(reps1, reps2, pairs)
 	}
 }
 

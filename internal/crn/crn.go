@@ -552,14 +552,6 @@ func (m *Model) PredictPairsFrom(reps1, reps2 *nn.Matrix, pairs [][2]int) []floa
 	return m.NewPairPredictor(reps1, reps2).Predict(pairs)
 }
 
-// PredictShared estimates rates for pairs expressed as indices into a list
-// of unique query encodings: one set-module pass over the unique sets, one
-// matrix-batched head pass over the pairs.
-func (m *Model) PredictShared(sets [][][]float64, pairs [][2]int) []float64 {
-	reps1, reps2 := m.EncodeSets(sets)
-	return m.PredictPairsFrom(reps1, reps2, pairs)
-}
-
 // Train fits the model on train, early-stopping on val, and returns the
 // per-epoch statistics. progress, if non-nil, is invoked after every epoch.
 func (m *Model) Train(train, val []Sample, progress func(EpochStats)) ([]EpochStats, error) {

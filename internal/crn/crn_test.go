@@ -363,7 +363,8 @@ func TestPredictSharedMatchesReferenceForward(t *testing.T) {
 			samples = append(samples, Sample{V1: sets[a], V2: sets[b]})
 		}
 	}
-	shared := m.PredictShared(sets, pairs)
+	reps1, reps2 := m.EncodeSets(sets)
+	shared := m.PredictPairsFrom(reps1, reps2, pairs)
 	reference := m.PredictBatch(samples)
 	for i := range shared {
 		if math.Abs(shared[i]-reference[i]) > 1e-9 {

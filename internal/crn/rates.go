@@ -10,6 +10,7 @@ import (
 	"crn/internal/nn"
 	"crn/internal/query"
 	"crn/internal/telemetry"
+	"crn/internal/workload"
 )
 
 // headChunk bounds the number of pairs per head forward pass; chunking keeps
@@ -48,6 +49,23 @@ type Rates struct {
 // the facade, which wires one per estimator).
 func NewRates(m *Model, enc *feature.Encoder) *Rates {
 	return &Rates{M: m, Enc: enc}
+}
+
+// EncodePairs featurizes labeled pairs into training samples, in order.
+func EncodePairs(enc *feature.Encoder, pairs []workload.LabeledPair) ([]Sample, error) {
+	out := make([]Sample, len(pairs))
+	for i, lp := range pairs {
+		v1, err := enc.EncodeQuery(lp.Q1)
+		if err != nil {
+			return nil, err
+		}
+		v2, err := enc.EncodeQuery(lp.Q2)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = Sample{V1: v1, V2: v2, Rate: lp.Rate}
+	}
+	return out, nil
 }
 
 // EstimateRate implements contain.RateEstimator.

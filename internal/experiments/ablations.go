@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"crn/internal/card"
+	"crn/internal/contain"
 	"crn/internal/metrics"
 	"crn/internal/pool"
-	"crn/internal/query"
 )
 
 // Ablations isolate the design choices the paper makes informally: the
@@ -14,148 +14,86 @@ import (
 // empty-predicate anchor queries in the pool (§5.2), and the q-error
 // training objective (§3.2.4).
 
-// AblationFinalFuncs compares the final functions F on crd_test2 with the
-// environment's Cnt2Crd(CRN) estimator (the paper reports Median best).
-func AblationFinalFuncs(env *Env) (Result, error) {
-	t := metrics.Table{
-		Title:  "Ablation: final function F on crd_test2 (Cnt2Crd(CRN))",
-		Header: metrics.SummaryHeader("final function"),
+// A variant is one labeled estimator of an ablation on crd_test2.
+type variant struct {
+	label string
+	est   contain.CardEstimator
+}
+
+// variantRows adds one summary row per variant, evaluated over crd_test2.
+func (s *session) variantRows(r *Result, col string, variants []variant) error {
+	r.Table.Header = metrics.SummaryHeader(col)
+	for _, v := range variants {
+		errs, err := CardErrors(v.est, s.env.CrdTest2)
+		if err != nil {
+			return err
+		}
+		r.Table.AddRow(metrics.SummaryRow(v.label, metrics.Summarize(errs))...)
 	}
+	return nil
+}
+
+// ablationFinal compares the final functions F with the environment's
+// Cnt2Crd(CRN) estimator (the paper reports Median best).
+func ablationFinal(s *session, r *Result) error {
+	var vs []variant
 	for _, f := range []struct {
 		name string
 		fn   pool.FinalFunc
 	}{{"median", pool.Median}, {"mean", pool.Mean}, {"trimmed mean", pool.TrimmedMean}} {
-		est := env.Cnt2CrdCRN()
+		est := s.env.Cnt2CrdCRN()
 		est.Final = f.fn
-		errs, err := CardErrors(est, env.CrdTest2)
-		if err != nil {
-			return Result{}, err
-		}
-		t.AddRow(metrics.SummaryRow(f.name, metrics.Summarize(errs))...)
+		vs = append(vs, variant{f.name, est})
 	}
-	return Result{ID: "ablation_final", Caption: "Final function ablation (§5.3.1)", Table: t}, nil
+	return s.variantRows(r, "final function", vs)
 }
 
-// AblationEpsilon sweeps the y_rate guard ε of the Figure 8 algorithm.
-func AblationEpsilon(env *Env) (Result, error) {
-	t := metrics.Table{
-		Title:  "Ablation: y_rate guard ε on crd_test2 (Cnt2Crd(CRN))",
-		Header: metrics.SummaryHeader("epsilon"),
-	}
+// ablationEpsilon sweeps the y_rate guard ε of the Figure 8 algorithm.
+func ablationEpsilon(s *session, r *Result) error {
+	var vs []variant
 	for _, eps := range []float64{1e-4, 1e-3, 1e-2, 5e-2} {
-		est := env.Cnt2CrdCRN()
+		est := s.env.Cnt2CrdCRN()
 		est.Epsilon = eps
-		errs, err := CardErrors(est, env.CrdTest2)
-		if err != nil {
-			return Result{}, err
-		}
-		t.AddRow(metrics.SummaryRow(fmt.Sprintf("%g", eps), metrics.Summarize(errs))...)
+		vs = append(vs, variant{fmt.Sprintf("%g", eps), est})
 	}
-	return Result{ID: "ablation_eps", Caption: "Epsilon guard ablation (Fig. 8)", Table: t}, nil
+	return s.variantRows(r, "epsilon", vs)
 }
 
-// AblationPoolAnchor removes the empty-predicate anchor queries from the
-// pool, quantifying the §5.2 guarantee that every probe finds a usable
-// match.
-func AblationPoolAnchor(env *Env) (Result, error) {
-	t := metrics.Table{
-		Title:  "Ablation: pool anchor queries on crd_test2 (Cnt2Crd(CRN))",
-		Header: metrics.SummaryHeader("pool"),
-	}
-	full := env.Cnt2CrdCRN()
-	errs, err := CardErrors(full, env.CrdTest2)
-	if err != nil {
-		return Result{}, err
-	}
-	t.AddRow(metrics.SummaryRow("with anchors", metrics.Summarize(errs))...)
-
+// ablationAnchor removes the empty-predicate anchor queries from the pool,
+// quantifying the §5.2 guarantee that every probe finds a usable match.
+func ablationAnchor(s *session, r *Result) error {
 	noAnchor := pool.New()
-	for _, e := range env.Pool.Entries() {
+	for _, e := range s.env.Pool.Entries() {
 		if len(e.Q.Preds) > 0 {
 			noAnchor.Add(e.Q, e.Card)
 		}
 	}
-	est := env.Cnt2CrdCRN()
+	est := s.env.Cnt2CrdCRN()
 	est.Pool = noAnchor
-	errs, err = CardErrors(est, env.CrdTest2)
-	if err != nil {
-		return Result{}, err
-	}
-	t.AddRow(metrics.SummaryRow("without anchors", metrics.Summarize(errs))...)
-	return Result{ID: "ablation_anchor", Caption: "Pool anchor ablation (§5.2)", Table: t}, nil
-}
-
-// AblationLoss retrains the CRN under the paper's three candidate
-// objectives (§3.2.4) and reports validation quality; q-error should win.
-func AblationLoss(env *Env, log Logf) (Result, error) {
-	t := metrics.Table{
-		Title:  "Ablation: CRN training objective (validation mean q-error)",
-		Header: []string{"loss", "best val q-error", "epochs"},
-	}
-	for _, loss := range []string{"q-error", "mse", "mae"} {
-		cfg := env.Cfg.CRN
-		cfg.Loss = loss
-		log.logf("ablation: training CRN with %s loss...", loss)
-		_, stats, err := TrainCRN(env, cfg, env.TrainPairs, env.ValPairs, nil)
-		if err != nil {
-			return Result{}, err
-		}
-		best := stats[0].ValQError
-		for _, st := range stats {
-			if st.ValQError < best {
-				best = st.ValQError
-			}
-		}
-		t.AddRow(loss, metrics.FormatQ(best), fmt.Sprintf("%d", len(stats)))
-	}
-	return Result{ID: "ablation_loss", Caption: "Training-objective ablation (§3.2.4)", Table: t}, nil
-}
-
-// AblationWorkers verifies that parallelizing the pool scan (§5.3) does not
-// change estimates while reducing latency; reported as a correctness table.
-func AblationWorkers(env *Env) (Result, error) {
-	t := metrics.Table{
-		Title:  "Ablation: pool-scan parallelism on crd_test2 (Cnt2Crd(CRN))",
-		Header: []string{"workers", "median q-error", "mean q-error"},
-	}
-	for _, w := range []int{1, 2, 4} {
-		est := card.New(env.CRNRates, env.Pool)
-		est.Fallback = env.PG
-		est.Workers = w
-		errs, err := CardErrors(est, env.CrdTest2)
-		if err != nil {
-			return Result{}, err
-		}
-		t.AddRow(fmt.Sprintf("%d", w), metrics.FormatQ(metrics.Median(errs)), metrics.FormatQ(metrics.Mean(errs)))
-	}
-	return Result{ID: "ablation_workers", Caption: "Parallel pool scan (§5.3)", Table: t}, nil
+	return s.variantRows(r, "pool", []variant{{"with anchors", s.env.Cnt2CrdCRN()}, {"without anchors", est}})
 }
 
 // oracleCeiling evaluates the technique with exact containment rates — the
 // accuracy ceiling of Cnt2Crd given this pool (model error removed).
-func OracleCeiling(env *Env) (Result, error) {
-	t := metrics.Table{
-		Title:  "Ablation: Cnt2Crd with oracle rates vs CRN rates (crd_test2)",
-		Header: metrics.SummaryHeader("rates"),
-	}
-	oracle := card.New(truthRates{env}, env.Pool)
-	oracle.Fallback = env.PG
-	errs, err := CardErrors(oracle, env.CrdTest2)
-	if err != nil {
-		return Result{}, err
-	}
-	t.AddRow(metrics.SummaryRow("oracle rates", metrics.Summarize(errs))...)
-	crnErrs, err := env.cardErrs(cardModel{"Cnt2Crd(CRN)", env.Cnt2CrdCRN()}, "crd_test2", env.CrdTest2)
-	if err != nil {
-		return Result{}, err
-	}
-	t.AddRow(metrics.SummaryRow("CRN rates", metrics.Summarize(crnErrs))...)
-	return Result{ID: "ablation_oracle", Caption: "Oracle-rate ceiling of the technique", Table: t}, nil
+func oracleCeiling(s *session, r *Result) error {
+	oracle := card.New(contain.TruthRate{T: s.env.Exec}, s.env.Pool)
+	oracle.Fallback = s.env.PG
+	return s.variantRows(r, "rates", []variant{{"oracle rates", oracle}, {"CRN rates", s.cards["Cnt2Crd(CRN)"]}})
 }
 
-// truthRates adapts the executor to the rate interface.
-type truthRates struct{ env *Env }
-
-func (t truthRates) EstimateRate(q1, q2 query.Query) (float64, error) {
-	return t.env.Exec.ContainmentRate(q1, q2)
+// ablationLoss retrains the CRN under the paper's three candidate
+// objectives (§3.2.4) and reports validation quality; q-error should win.
+func ablationLoss(s *session, r *Result) error {
+	r.Table.Header = []string{"loss", "best val q-error", "epochs"}
+	for _, loss := range []string{"q-error", "mse", "mae"} {
+		cfg := s.env.Cfg.CRN
+		cfg.Loss = loss
+		s.log.logf("ablation: training CRN with %s loss...", loss)
+		_, stats, err := trainCRN(s.env, cfg, nil)
+		if err != nil {
+			return err
+		}
+		r.Table.AddRow(loss, metrics.FormatQ(bestVal(stats)), fmt.Sprint(len(stats)))
+	}
+	return nil
 }

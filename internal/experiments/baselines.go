@@ -1,44 +1,24 @@
 package experiments
 
-import (
-	"crn/internal/metrics"
-	"crn/internal/sampling"
-)
+import "crn/internal/sampling"
 
-// Baselines adds the sampling estimators the paper's related work cites
+// baselines adds the sampling estimators the paper's related work cites
 // (Random Sampling and Index-Based Join Sampling, §4.1/§8) to the
 // cardinality comparison on crd_test1 — the workload MSCN was originally
 // shown to dominate them on.
-func Baselines(env *Env) (Result, error) {
-	k := env.Cfg.MSCN1000Samples
+func baselines(s *session, r *Result) error {
+	k := s.env.Cfg.MSCN1000Samples
 	if k <= 0 {
 		k = 64
 	}
-	rs, err := sampling.NewRS(env.DB, k, env.Cfg.Seed+700)
+	rs, err := sampling.NewRS(s.env.DB, k, s.env.Cfg.Seed+700)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
-	ibjs, err := sampling.NewIBJS(env.DB, k, env.Cfg.Seed+701)
+	ibjs, err := sampling.NewIBJS(s.env.DB, k, s.env.Cfg.Seed+701)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
-	models := []cardModel{
-		{"RandomSampling", rs},
-		{"IBJS", ibjs},
-		{"PostgreSQL", env.PG},
-		{"MSCN", env.MSCN},
-		{"Cnt2Crd(CRN)", env.Cnt2CrdCRN()},
-	}
-	t := metrics.Table{
-		Title:  "Baselines: sampling estimators vs learned models (crd_test1)",
-		Header: metrics.SummaryHeader("model"),
-	}
-	for _, m := range models {
-		errs, err := env.cardErrs(m, "crd_test1", env.CrdTest1)
-		if err != nil {
-			return Result{}, err
-		}
-		t.AddRow(metrics.SummaryRow(m.name, metrics.Summarize(errs))...)
-	}
-	return Result{ID: "baselines", Caption: "Sampling baselines (RS, IBJS) on crd_test1", Table: t}, nil
+	s.cards["RandomSampling"], s.cards["IBJS"] = rs, ibjs
+	return s.qerrors(r, "crd_test1", summary, []string{"RandomSampling", "IBJS", "PostgreSQL", "MSCN", "Cnt2Crd(CRN)"})
 }

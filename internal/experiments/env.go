@@ -1,7 +1,8 @@
 // Package experiments wires every subsystem together and regenerates the
-// paper's evaluation: one runner per table and figure (Tables 2-15, Figures
-// 3-13), all driven from a single trained Environment. DESIGN.md carries the
-// experiment index mapping each runner to its paper artifact.
+// paper's evaluation (Tables 2-15, Figures 3-13) from a single trained
+// Environment. The artifacts are one declared table (experiments.go); the
+// README's "Reproducing the paper" section maps each ID to its paper table
+// or figure, and `repro -list` prints them.
 package experiments
 
 import (
@@ -58,7 +59,7 @@ type Config struct {
 	CrdTest2Size int
 	ScaleSize    int
 
-	// Parallelism for labeling and pool scans.
+	// Parallelism for labeling.
 	Workers int
 }
 
@@ -114,7 +115,7 @@ func FullConfig() Config {
 // relative model ordering is visible, small enough that the whole suite
 // (environment build plus every table and figure) runs in minutes. The
 // headline reproduction numbers come from `cmd/repro -scale small`
-// (SmallConfig); see EXPERIMENTS.md.
+// (SmallConfig); see the README's "Reproducing the paper" section.
 func BenchConfig() Config {
 	c := SmallConfig()
 	c.DBTitles = 3000
@@ -184,13 +185,6 @@ type Env struct {
 	BuildTime time.Duration
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Logf is a printf-style progress sink; nil discards.
 type Logf func(format string, args ...any)
 
@@ -231,10 +225,10 @@ func Build(cfg Config, log Logf) (*Env, error) {
 	pgCfg.MCVEntries = cfg.PGMCVs
 	if pgCfg.HistogramBins <= 0 {
 		// Hold the paper's bucket density (100 buckets per 2.5M titles).
-		pgCfg.HistogramBins = maxInt(8, cfg.DBTitles/400)
+		pgCfg.HistogramBins = max(8, cfg.DBTitles/400)
 	}
 	if pgCfg.MCVEntries <= 0 {
-		pgCfg.MCVEntries = maxInt(5, pgCfg.HistogramBins/2)
+		pgCfg.MCVEntries = max(5, pgCfg.HistogramBins/2)
 	}
 	env.PG, err = pg.Analyze(d, pgCfg)
 	if err != nil {
@@ -259,7 +253,7 @@ func Build(cfg Config, log Logf) (*Env, error) {
 
 	// CRN.
 	log.logf("training CRN (H=%d, up to %d epochs)...", cfg.CRN.Hidden, cfg.CRN.Epochs)
-	env.CRN, env.CRNStats, err = TrainCRN(env, cfg.CRN, env.TrainPairs, env.ValPairs, log)
+	env.CRN, env.CRNStats, err = trainCRN(env, cfg.CRN, log)
 	if err != nil {
 		return nil, err
 	}
@@ -347,29 +341,14 @@ func Build(cfg Config, log Logf) (*Env, error) {
 	return env, nil
 }
 
-// TrainCRN encodes labeled pairs and trains a CRN with the given config;
-// exposed separately for the hyperparameter sweep (Figure 3).
-func TrainCRN(env *Env, cfg crn.Config, train, val []workload.LabeledPair, log Logf) (*crn.Model, []crn.EpochStats, error) {
-	encodePairs := func(in []workload.LabeledPair) ([]crn.Sample, error) {
-		out := make([]crn.Sample, len(in))
-		for i, lp := range in {
-			v1, err := env.Enc.EncodeQuery(lp.Q1)
-			if err != nil {
-				return nil, err
-			}
-			v2, err := env.Enc.EncodeQuery(lp.Q2)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = crn.Sample{V1: v1, V2: v2, Rate: lp.Rate}
-		}
-		return out, nil
-	}
-	trainS, err := encodePairs(train)
+// trainCRN trains a CRN with the given config on the environment's training
+// pairs; the Figure 3 sweep and the loss ablation retrain through it too.
+func trainCRN(env *Env, cfg crn.Config, log Logf) (*crn.Model, []crn.EpochStats, error) {
+	trainS, err := crn.EncodePairs(env.Enc, env.TrainPairs)
 	if err != nil {
 		return nil, nil, err
 	}
-	valS, err := encodePairs(val)
+	valS, err := crn.EncodePairs(env.Enc, env.ValPairs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -491,32 +470,13 @@ func trainMSCN1000(env *Env, log Logf) (*mscn.Estimator, error) {
 func (env *Env) Cnt2CrdCRN() *card.Estimator {
 	est := card.New(env.CRNRates, env.Pool)
 	est.Fallback = env.PG
-	est.Workers = env.Cfg.Workers
 	return est
 }
 
-// ImprovedPG returns Improved PostgreSQL = Cnt2Crd(Crd2Cnt(PostgreSQL)).
-func (env *Env) ImprovedPG() *card.Estimator {
-	est := card.Improved(env.PG, env.Pool)
+// improved returns Improved X = Cnt2Crd(Crd2Cnt(X)) over the environment's
+// pool (§7), with the same fallback as Cnt2CrdCRN.
+func (env *Env) improved(m contain.CardEstimator) *card.Estimator {
+	est := card.Improved(m, env.Pool)
 	est.Fallback = env.PG
-	est.Workers = env.Cfg.Workers
 	return est
-}
-
-// ImprovedMSCN returns Improved MSCN = Cnt2Crd(Crd2Cnt(MSCN)).
-func (env *Env) ImprovedMSCN() *card.Estimator {
-	est := card.Improved(env.MSCN, env.Pool)
-	est.Fallback = env.PG
-	est.Workers = env.Cfg.Workers
-	return est
-}
-
-// Crd2CntPG returns Crd2Cnt(PostgreSQL), the containment baseline of §4.1.3.
-func (env *Env) Crd2CntPG() contain.RateEstimator {
-	return contain.Crd2Cnt{M: env.PG, Name: "Crd2Cnt(PostgreSQL)"}
-}
-
-// Crd2CntMSCN returns Crd2Cnt(MSCN), the containment baseline of §4.1.2.
-func (env *Env) Crd2CntMSCN() contain.RateEstimator {
-	return contain.Crd2Cnt{M: env.MSCN, Name: "Crd2Cnt(MSCN)"}
 }

@@ -9,18 +9,18 @@ import (
 	"crn/internal/workload"
 )
 
-// PlanQuality makes the paper's motivation quantitative: it optimizes the
+// planQuality makes the paper's motivation quantitative: it optimizes the
 // multi-join crd_test2 queries with each cardinality estimator, then
 // evaluates the chosen join orders under the *true* C_out cost. The figure
 // of merit is the ratio of a plan's true cost to the optimal plan's true
 // cost (1.0 = the estimator picked an optimal join order); the paper's
 // argument is that better multi-join estimates yield better plans.
-func PlanQuality(env *Env, log Logf) (Result, error) {
-	queries := multiJoinQueries(env.CrdTest2, 2, 120)
+func planQuality(s *session, r *Result) error {
+	queries := multiJoinQueries(s.env.CrdTest2, 2, 120)
 	if len(queries) == 0 {
-		return Result{}, fmt.Errorf("experiments: no multi-join queries for plan quality")
+		return fmt.Errorf("experiments: no multi-join queries for plan quality")
 	}
-	truth := contain.TruthCard{T: env.Exec}
+	truth := contain.TruthCard{T: s.env.Exec}
 	oracleOpt := optimizer.New(truth)
 
 	// Optimal true costs per query.
@@ -28,28 +28,26 @@ func PlanQuality(env *Env, log Logf) (Result, error) {
 	for i, lq := range queries {
 		p, err := oracleOpt.Optimize(lq.Q)
 		if err != nil {
-			return Result{}, err
+			return err
 		}
 		optimal[i] = p.EstimatedCost // oracle estimate == true cost
 	}
 
-	t := metrics.Table{
-		Title:  fmt.Sprintf("Plan quality on crd_test2 (%d queries with 2+ joins): true-cost ratio to optimal plan", len(queries)),
-		Header: []string{"estimator", "p50", "p90", "max", "mean", "optimal plans"},
-	}
-	for _, m := range env.cardinalityModels() {
-		log.logf("plan quality: optimizing with %s...", m.name)
-		opt := optimizer.New(m.est)
+	r.Table.Title = fmt.Sprintf(r.Table.Title, len(queries))
+	r.Table.Header = []string{"estimator", "p50", "p90", "max", "mean", "optimal plans"}
+	for _, m := range cardinality {
+		s.log.logf("plan quality: optimizing with %s...", m)
+		opt := optimizer.New(s.cards[m])
 		ratios := make([]float64, 0, len(queries))
 		optimalCount := 0
 		for i, lq := range queries {
 			p, err := opt.Optimize(lq.Q)
 			if err != nil {
-				return Result{}, err
+				return err
 			}
 			trueCost, err := optimizer.Cost(truth, lq.Q, p.Order)
 			if err != nil {
-				return Result{}, err
+				return err
 			}
 			ratio := 1.0
 			if optimal[i] > 0 {
@@ -63,13 +61,13 @@ func PlanQuality(env *Env, log Logf) (Result, error) {
 			}
 			ratios = append(ratios, ratio)
 		}
-		s := metrics.Summarize(ratios)
-		t.AddRow(m.name,
-			metrics.FormatQ(s.P50), metrics.FormatQ(s.P90), metrics.FormatQ(s.Max),
-			metrics.FormatQ(s.Mean),
+		sum := metrics.Summarize(ratios)
+		r.Table.AddRow(m,
+			metrics.FormatQ(sum.P50), metrics.FormatQ(sum.P90), metrics.FormatQ(sum.Max),
+			metrics.FormatQ(sum.Mean),
 			fmt.Sprintf("%d/%d", optimalCount, len(queries)))
 	}
-	return Result{ID: "planquality", Caption: "Join-order quality per estimator (C_out ratio)", Table: t}, nil
+	return nil
 }
 
 // multiJoinQueries selects up to max labeled queries with at least minJoins

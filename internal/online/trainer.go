@@ -384,7 +384,7 @@ func (t *Trainer) labelRecords(ctx context.Context, recs []Record) ([]icrn.Sampl
 		// Mirror couples stay adjacent in both groups, so the downstream
 		// couple-aware splits keep working under mixed labeling.
 		labeled = append(labeled, free...)
-		samples, err := t.encodePairs(labeled)
+		samples, err := icrn.EncodePairs(t.box.enc, labeled)
 		if err != nil {
 			t.labelErrors.Add(1)
 			continue
@@ -440,24 +440,6 @@ func identityRate(inter, card int64) float64 {
 		return 1
 	}
 	return rate
-}
-
-// encodePairs featurizes labeled pairs into training samples.
-func (t *Trainer) encodePairs(labeled []workload.LabeledPair) ([]icrn.Sample, error) {
-	enc := t.box.enc
-	out := make([]icrn.Sample, 0, len(labeled))
-	for _, lp := range labeled {
-		v1, err := enc.EncodeQuery(lp.Q1)
-		if err != nil {
-			return nil, err
-		}
-		v2, err := enc.EncodeQuery(lp.Q2)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, icrn.Sample{V1: v1, V2: v2, Rate: lp.Rate})
-	}
-	return out, nil
 }
 
 // splitSamples carves a deterministic validation slice out of one cycle's

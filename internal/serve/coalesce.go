@@ -437,14 +437,6 @@ type Stats struct {
 	Solo         uint64 `json:"solo"`          // calls served on the idle fast path (no batching machinery)
 }
 
-// AvgBatch returns the mean executed batch size (0 before any batch).
-func (s Stats) AvgBatch() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.BatchedItems) / float64(s.Batches)
-}
-
 // Stats returns the coalescer's counters. Safe on a nil coalescer (all
 // zeros), so callers can expose stats without checking whether coalescing
 // is configured.

@@ -63,26 +63,11 @@ func (s *System) TrainContainmentModel(ctx context.Context, opts ...TrainOption)
 		labeled[i], labeled[j] = labeled[j], labeled[i]
 	})
 	train, val := workload.SplitPairs(labeled, 0.8)
-	encode := func(in []workload.LabeledPair) ([]icrn.Sample, error) {
-		out := make([]icrn.Sample, len(in))
-		for i, lp := range in {
-			v1, err := s.enc.EncodeQuery(lp.Q1)
-			if err != nil {
-				return nil, err
-			}
-			v2, err := s.enc.EncodeQuery(lp.Q2)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = icrn.Sample{V1: v1, V2: v2, Rate: lp.Rate}
-		}
-		return out, nil
-	}
-	trainS, err := encode(train)
+	trainS, err := icrn.EncodePairs(s.enc, train)
 	if err != nil {
 		return nil, err
 	}
-	valS, err := encode(val)
+	valS, err := icrn.EncodePairs(s.enc, val)
 	if err != nil {
 		return nil, err
 	}
