@@ -36,9 +36,10 @@ test-noasm:
 # per variant, the guarded serving benchmark one pass through the
 # admission gate + breaker + deadline stack, the telemetry benchmark
 # one pass through the fully instrumented estimator, the SQL front-end
-# benchmark one parse of a generated 0/1/2-join query, and the batch-handler
+# benchmark one parse of a generated 0/1/2-join query, the batch-handler
 # benchmark one recurring 64-probe request per codec through crnserve's
-# handler stack.
+# handler stack, and the exact-executor benchmarks one uncached evaluation
+# per join count 0–5 plus one uncached containment rate.
 bench-smoke:
 	go test ./internal/nn ./internal/crn ./internal/wire -run '^$$' -bench . -benchtime 1x -benchmem
 	go test . -run '^$$' -bench 'EstimateCardinality(Parallel|SoloCoalesced|Guarded|Telemetry)' -cpu 1,4 -benchtime 1x -benchmem
@@ -49,6 +50,7 @@ bench-smoke:
 	go test . -run '^$$' -bench 'RecordFeedback' -benchtime 1x -benchmem
 	go test ./internal/sqlparse -run '^$$' -bench 'Parse' -benchtime 1x -benchmem
 	go test ./cmd/crnserve -run '^$$' -bench 'BatchHandler64' -benchtime 1x -benchmem
+	go test ./internal/exec -run '^$$' -bench . -benchtime 1x -benchmem
 
 # crnbench-quick checks that BENCHMARK.json matches the benchmark's
 # catalogue, then runs every crnbench workload at toy size (~10 s) with all

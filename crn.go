@@ -220,11 +220,7 @@ func (s *System) RecordExecuted(ctx context.Context, p *QueriesPool, q Query) (c
 func (s *System) SeedPool(ctx context.Context, p *QueriesPool, n int, seed int64) error {
 	gen := workload.NewGenerator(s.schema, s.db, seed)
 	oracle := ctxOracle{ctx: ctx, ex: s.exec}
-	qs, err := gen.NonEmptyPoolQueries(oracle, n)
-	if err != nil {
-		return err
-	}
-	labeled, err := workload.LabelQueries(oracle, qs, 0)
+	labeled, err := gen.NonEmptyPoolQueries(oracle, n)
 	if err != nil {
 		return err
 	}

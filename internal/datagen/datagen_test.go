@@ -118,7 +118,10 @@ func TestJoinCrossingCorrelation(t *testing.T) {
 	d := mustGenerate(t, cfg)
 	title := d.Table(schema.Title)
 	years := title.Column("production_year")
-	idx := d.KeyIndex(schema.ColumnRef{Table: schema.MovieCompany, Column: "movie_id"})
+	idx := make(map[int64][]int) // movie_id -> movie_companies rows
+	for row, id := range d.Table(schema.MovieCompany).Column("movie_id") {
+		idx[id] = append(idx[id], row)
+	}
 	companies := d.Table(schema.MovieCompany).Column("company_id")
 
 	blockOf := func(companyID int64) int {

@@ -1,13 +1,15 @@
 // Package db implements the in-memory column store that backs the
-// reproduction: typed integer columns, per-column statistics and foreign-key
-// adjacency indexes. A Database is an immutable snapshot once Freeze has been
+// reproduction: typed integer columns, per-column statistics and the two
+// indexes the exact executor runs on — dense join codes and value-sorted row
+// permutations. A Database is an immutable snapshot once Freeze has been
 // called — exactly the "immutable snapshot of the database" on which the
 // paper trains and evaluates its models (§3.3).
 package db
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"crn/internal/schema"
 )
@@ -90,8 +92,18 @@ type Database struct {
 
 	frozen bool
 	stats  map[string]ColumnStats // "table.column" -> stats
-	// fkIndex maps a key column ("table.column") to join-value -> row ids.
-	fkIndex map[string]map[Value][]int32
+
+	// Built by Freeze, indexed by schema column ordinal (Schema.ColumnID).
+	cols [][]Value // the column's values (shared with its Table)
+	// codes holds, for every column of a schema join edge, one dense join
+	// code per row, drawn from one dictionary over all join-key values:
+	// equal values carry equal codes on both sides of every edge, and codes
+	// lie in [0, joinDomain). nil for every other column.
+	codes      [][]int32
+	joinDomain int
+	// sorted holds, for every non-key column, its row ids in ascending value
+	// order (ties by row id). nil for key columns.
+	sorted [][]int32
 }
 
 // NewDatabase creates an empty database with one table per schema table.
@@ -122,30 +134,63 @@ func (d *Database) AppendRow(table string, values ...Value) error {
 	return t.AppendRow(values...)
 }
 
-// Freeze finalizes the database: computes per-column statistics and builds
-// hash indexes on every key column. After Freeze the database is immutable
-// and safe for concurrent readers.
+// Freeze finalizes the database: computes per-column statistics, the join
+// codes of every join-edge column and the sorted row permutation of every
+// non-key column. After Freeze the database is immutable and safe for
+// concurrent readers.
 func (d *Database) Freeze() {
 	if d.frozen {
 		return
 	}
-	d.stats = make(map[string]ColumnStats)
-	d.fkIndex = make(map[string]map[Value][]int32)
-	for _, td := range d.Schema.Tables {
-		t := d.tables[td.Name]
-		for _, c := range td.Columns {
-			col := t.Column(c.Name)
-			d.stats[c.Qualified()] = computeStats(col)
-			if c.Key {
-				idx := make(map[Value][]int32)
-				for i, v := range col {
-					idx[v] = append(idx[v], int32(i))
-				}
-				d.fkIndex[c.Qualified()] = idx
-			}
+	s := d.Schema
+	n := s.NumColumns()
+	d.stats = make(map[string]ColumnStats, n)
+	d.cols = make([][]Value, n)
+	d.codes = make([][]int32, n)
+	d.sorted = make([][]int32, n)
+	for id := range n {
+		c := s.ColumnByID(id)
+		col := d.tables[c.Table].Column(c.Name)
+		perm := sortedRows(col)
+		d.cols[id] = col
+		d.stats[c.Qualified()] = computeStats(col, perm)
+		if !c.Key {
+			d.sorted[id] = perm
 		}
 	}
+	dict := make(map[Value]int32)
+	for _, e := range s.Joins {
+		for _, ref := range [2]schema.ColumnRef{e.Left, e.Right} {
+			id, _ := s.ColumnID(ref)
+			if d.codes[id] != nil {
+				continue
+			}
+			codes := make([]int32, len(d.cols[id]))
+			for i, v := range d.cols[id] {
+				code, ok := dict[v]
+				if !ok {
+					code = int32(len(dict))
+					dict[v] = code
+				}
+				codes[i] = code
+			}
+			d.codes[id] = codes
+		}
+	}
+	d.joinDomain = len(dict)
 	d.frozen = true
+}
+
+// sortedRows returns col's row ids in ascending value order, ties by row id.
+func sortedRows(col []Value) []int32 {
+	perm := make([]int32, len(col))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(col[a], col[b]), cmp.Compare(a, b))
+	})
+	return perm
 }
 
 // Frozen reports whether Freeze has been called.
@@ -158,11 +203,23 @@ func (d *Database) Stats(ref schema.ColumnRef) (ColumnStats, bool) {
 	return s, ok
 }
 
-// KeyIndex returns the row-id index of a key column (join-value -> rows),
-// or nil if none exists.
-func (d *Database) KeyIndex(ref schema.ColumnRef) map[Value][]int32 {
-	return d.fkIndex[ref.String()]
-}
+// The accessors below take a schema column ordinal (Schema.ColumnID), are
+// valid on frozen databases only and return shared slices: do not mutate.
+
+// ColumnByID returns the values of the column.
+func (d *Database) ColumnByID(id int) []Value { return d.cols[id] }
+
+// JoinCodes returns the column's dense join codes, one per row, or nil if the
+// column is in no schema join edge. Two rows of any two join-edge columns
+// carry equal codes exactly when they carry equal values.
+func (d *Database) JoinCodes(id int) []int32 { return d.codes[id] }
+
+// JoinDomain returns the number of distinct join codes: every code is below it.
+func (d *Database) JoinDomain() int { return d.joinDomain }
+
+// SortedRows returns the column's row ids in ascending value order (ties by
+// row id), or nil for key columns.
+func (d *Database) SortedRows(id int) []int32 { return d.sorted[id] }
 
 // NumRows returns the row count of the named table (0 for unknown tables).
 func (d *Database) NumRows(table string) int {
@@ -181,19 +238,18 @@ func (d *Database) TotalRows() int {
 	return n
 }
 
-func computeStats(col []Value) ColumnStats {
+// computeStats summarizes col given its rows in ascending value order.
+func computeStats(col []Value, perm []int32) ColumnStats {
 	if len(col) == 0 {
 		return ColumnStats{}
 	}
-	sorted := append([]Value(nil), col...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	nd := 1
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] != sorted[i-1] {
+	for i := 1; i < len(perm); i++ {
+		if col[perm[i]] != col[perm[i-1]] {
 			nd++
 		}
 	}
-	return ColumnStats{Min: sorted[0], Max: sorted[len(sorted)-1], NDistinct: nd, NumRows: len(col)}
+	return ColumnStats{Min: col[perm[0]], Max: col[perm[len(perm)-1]], NDistinct: nd, NumRows: len(col)}
 }
 
 // SortedValues returns an ascending copy of the referenced column's values;
@@ -204,7 +260,16 @@ func (d *Database) SortedValues(ref schema.ColumnRef) []Value {
 		return nil
 	}
 	col := t.Column(ref.Column)
-	sorted := append([]Value(nil), col...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted
+	var perm []int32
+	if id, ok := d.Schema.ColumnID(ref); ok && d.frozen {
+		perm = d.sorted[id]
+	}
+	if perm == nil {
+		perm = sortedRows(col)
+	}
+	out := make([]Value, len(perm))
+	for i, r := range perm {
+		out[i] = col[r]
+	}
+	return out
 }

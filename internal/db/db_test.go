@@ -1,6 +1,7 @@
 package db
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -118,24 +119,60 @@ func TestNormalizeInUnitIntervalProperty(t *testing.T) {
 	}
 }
 
+// TestKeyIndex checks the join-code index: both sides of the join edge share
+// one code dictionary, so equal values carry equal codes across the edge.
 func TestKeyIndex(t *testing.T) {
 	d := NewDatabase(testSchema())
+	for _, id := range []int64{7, 3, 5} {
+		if err := d.AppendRow("t", id, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := int64(0); i < 6; i++ {
-		if err := d.AppendRow("c", i%2, i); err != nil {
+		if err := d.AppendRow("c", []int64{3, 9}[i%2], i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	d.Freeze()
-	idx := d.KeyIndex(schema.ColumnRef{Table: "c", Column: "tid"})
-	if idx == nil {
-		t.Fatal("missing key index")
+	s := d.Schema
+	tid, _ := s.ColumnID(schema.ColumnRef{Table: "t", Column: "id"})
+	ctid, _ := s.ColumnID(schema.ColumnRef{Table: "c", Column: "tid"})
+	if got := d.JoinDomain(); got != 4 {
+		t.Errorf("JoinDomain = %d, want 4 distinct join values (3, 5, 7, 9)", got)
 	}
-	if len(idx[0]) != 3 || len(idx[1]) != 3 {
-		t.Errorf("index buckets = %d,%d want 3,3", len(idx[0]), len(idx[1]))
+	// A join map built locally from the codes: code -> rows of c.tid.
+	idx := make(map[int32][]int)
+	for row, code := range d.JoinCodes(ctid) {
+		idx[code] = append(idx[code], row)
 	}
-	// Non-key columns have no index.
-	if d.KeyIndex(schema.ColumnRef{Table: "c", Column: "b"}) != nil {
-		t.Error("non-key column should have no index")
+	if len(idx) != 2 {
+		t.Fatalf("c.tid codes form %d buckets, want 2", len(idx))
+	}
+	for code, rows := range idx {
+		if len(rows) != 3 {
+			t.Errorf("code %d has %d rows, want 3", code, len(rows))
+		}
+	}
+	// Codes agree with values across the edge, and lie below the domain.
+	cols := []int{tid, ctid}
+	for _, a := range cols {
+		for i, ca := range d.JoinCodes(a) {
+			if int(ca) >= d.JoinDomain() || ca < 0 {
+				t.Fatalf("code %d outside [0,%d)", ca, d.JoinDomain())
+			}
+			for _, b := range cols {
+				for j, cb := range d.JoinCodes(b) {
+					if (ca == cb) != (d.ColumnByID(a)[i] == d.ColumnByID(b)[j]) {
+						t.Fatalf("codes %d,%d disagree with values %d,%d", ca, cb, d.ColumnByID(a)[i], d.ColumnByID(b)[j])
+					}
+				}
+			}
+		}
+	}
+	// Columns in no join edge have no codes.
+	b, _ := s.ColumnID(schema.ColumnRef{Table: "c", Column: "b"})
+	if d.JoinCodes(b) != nil {
+		t.Error("non-join column should have no join codes")
 	}
 }
 
@@ -146,6 +183,11 @@ func TestSortedValues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for _, b := range []int64{5, -1, 5, 2} {
+		if err := d.AppendRow("c", 1, b); err != nil {
+			t.Fatal(err)
+		}
+	}
 	d.Freeze()
 	got := d.SortedValues(schema.ColumnRef{Table: "t", Column: "a"})
 	want := []int64{10, 20, 30}
@@ -153,6 +195,17 @@ func TestSortedValues(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("SortedValues = %v, want %v", got, want)
 		}
+	}
+	// Sorted rows: ascending values, ties by row id; key columns have none.
+	cb, _ := d.Schema.ColumnID(schema.ColumnRef{Table: "c", Column: "b"})
+	if got, want := d.SortedRows(cb), []int32{1, 3, 0, 2}; !slices.Equal(got, want) {
+		t.Errorf("SortedRows(c.b) = %v, want %v", got, want)
+	}
+	if id, _ := d.Schema.ColumnID(schema.ColumnRef{Table: "t", Column: "id"}); d.SortedRows(id) != nil {
+		t.Error("key column should have no sorted rows")
+	}
+	if got := d.SortedValues(schema.ColumnRef{Table: "t", Column: "id"}); !slices.Equal(got, []int64{1, 2, 3}) {
+		t.Errorf("SortedValues(t.id) = %v, want [1 2 3]", got)
 	}
 	if d.SortedValues(schema.ColumnRef{Table: "zzz", Column: "a"}) != nil {
 		t.Error("unknown table should return nil")

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"math/rand"
+	"context"
 	"testing"
 
 	"crn/internal/datagen"
@@ -9,7 +9,10 @@ import (
 	"crn/internal/schema"
 )
 
-func benchFixture(b *testing.B, titles int) (*Executor, []query.Query) {
+// benchFixture returns an executor over a generated database and, per join
+// count 0..5, the star query over title and that many satellites with a
+// `title.production_year > v` predicate for each v in 1880..2009.
+func benchFixture(b *testing.B, titles int) (*Executor, [][]query.Query) {
 	b.Helper()
 	cfg := datagen.DefaultConfig()
 	cfg.Titles = titles
@@ -21,10 +24,9 @@ func benchFixture(b *testing.B, titles int) (*Executor, []query.Query) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
 	sats := []string{schema.MovieCompany, schema.CastInfo, schema.MovieInfo, schema.MovieInfoIdx, schema.MovieKeyword}
-	var queries []query.Query
-	for joins := 0; joins <= 5; joins++ {
+	variants := make([][]query.Query, len(sats)+1)
+	for joins := range variants {
 		tables := []string{schema.Title}
 		var js []query.Join
 		for k := 0; k < joins; k++ {
@@ -34,48 +36,57 @@ func benchFixture(b *testing.B, titles int) (*Executor, []query.Query) {
 				Right: schema.ColumnRef{Table: sats[k], Column: "movie_id"},
 			})
 		}
-		preds := []query.Predicate{{
-			Col: schema.ColumnRef{Table: schema.Title, Column: "production_year"},
-			Op:  schema.OpGT,
-			Val: int64(1900 + rng.Intn(100)),
-		}}
-		q, err := query.New(schema.IMDB(), tables, js, preds)
-		if err != nil {
-			b.Fatal(err)
+		for v := int64(1880); v < 2010; v++ {
+			preds := []query.Predicate{{
+				Col: schema.ColumnRef{Table: schema.Title, Column: "production_year"},
+				Op:  schema.OpGT,
+				Val: v,
+			}}
+			q, err := query.New(schema.IMDB(), tables, js, preds)
+			if err != nil {
+				b.Fatal(err)
+			}
+			variants[joins] = append(variants[joins], q)
 		}
-		queries = append(queries, q)
 	}
-	return e, queries
+	return e, variants
 }
 
+var sinkCard int64
+
 // BenchmarkCardinality measures exact evaluation cost per join count — the
-// labeling substrate behind every training set.
+// labeling substrate behind every training set. It calls the evaluator
+// directly: through Cardinality the memo would answer every repeat.
 func BenchmarkCardinality(b *testing.B) {
-	e, queries := benchFixture(b, 4000)
-	for joins, q := range queries {
-		q := q
+	e, variants := benchFixture(b, 4000)
+	ctx := context.Background()
+	for joins, qs := range variants {
 		b.Run(joinName(joins), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// Vary the predicate to defeat the memoization cache.
-				qq := q.Clone()
-				qq.Preds[0].Val = int64(1880 + i%130)
-				if _, err := e.Cardinality(qq); err != nil {
+			for i := 0; b.Loop(); i++ {
+				c, err := e.compute(ctx, qs[i%len(qs)])
+				if err != nil {
 					b.Fatal(err)
 				}
+				sinkCard += c
 			}
 		})
 	}
 }
 
+var sinkRate float64
+
+// BenchmarkContainmentRateTruth measures one exact containment rate, |Q1| and
+// |Q1∩Q2| both evaluated: the memo is emptied before every call.
 func BenchmarkContainmentRateTruth(b *testing.B) {
-	e, queries := benchFixture(b, 4000)
-	q1 := queries[2]
-	for i := 0; i < b.N; i++ {
-		q2 := q1.Clone()
-		q2.Preds[0].Val = int64(1880 + i%130)
-		if _, err := e.ContainmentRate(q1, q2); err != nil {
+	e, variants := benchFixture(b, 4000)
+	qs := variants[2]
+	for i := 0; b.Loop(); i++ {
+		clear(e.cache)
+		r, err := e.ContainmentRate(qs[0], qs[i%len(qs)])
+		if err != nil {
 			b.Fatal(err)
 		}
+		sinkRate += r
 	}
 }
 

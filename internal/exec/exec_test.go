@@ -13,7 +13,11 @@ import (
 // bruteForce evaluates q by enumerating all row combinations — the reference
 // semantics the executor must reproduce.
 func bruteForce(d *db.Database, q query.Query) int64 {
-	tables := q.Tables
+	tables := joinOrder(q)
+	preds := make([][]query.Predicate, len(tables))
+	for i, t := range tables {
+		preds[i] = q.PredsOn(t)
+	}
 	var count int64
 	rowIdx := make([]int, len(tables))
 	var recurse func(depth int)
@@ -26,7 +30,7 @@ func bruteForce(d *db.Database, q query.Query) int64 {
 	rows:
 		for i := 0; i < t.NumRows(); i++ {
 			rowIdx[depth] = i
-			for _, p := range q.PredsOn(tables[depth]) {
+			for _, p := range preds[depth] {
 				if !p.Matches(t.Column(p.Col.Column)[i]) {
 					continue rows
 				}
@@ -48,6 +52,32 @@ func bruteForce(d *db.Database, q query.Query) int64 {
 	}
 	recurse(0)
 	return count
+}
+
+// joinOrder lists q's tables so that each table joined to another comes after
+// one it joins: bruteForce then tests every join as soon as both sides are
+// bound, instead of enumerating the full cross product first.
+func joinOrder(q query.Query) []string {
+	var out []string
+	placed := make(map[string]bool, len(q.Tables))
+	for _, start := range q.Tables {
+		if placed[start] {
+			continue
+		}
+		placed[start] = true
+		out = append(out, start)
+		for i := len(out) - 1; i < len(out); i++ {
+			for _, j := range q.Joins {
+				for _, e := range [][2]string{{j.Left.Table, j.Right.Table}, {j.Right.Table, j.Left.Table}} {
+					if e[0] == out[i] && !placed[e[1]] {
+						placed[e[1]] = true
+						out = append(out, e[1])
+					}
+				}
+			}
+		}
+	}
+	return out
 }
 
 func indexOf(xs []string, x string) (int, bool) {
@@ -75,7 +105,7 @@ func tinyDB(t *testing.T) *db.Database {
 	return d
 }
 
-func newExec(t *testing.T, d *db.Database) *Executor {
+func newExec(t testing.TB, d *db.Database) *Executor {
 	t.Helper()
 	e, err := New(d)
 	if err != nil {
@@ -159,13 +189,19 @@ func TestCardinalityFullJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reference: per title, product of per-satellite fan-outs.
+	fanout := make(map[string]map[int64]int64, len(sats))
+	for _, s := range sats {
+		fanout[s] = make(map[int64]int64)
+		for _, id := range d.Table(s).Column("movie_id") {
+			fanout[s][id]++
+		}
+	}
 	var want int64
 	titleIDs := d.Table(schema.Title).Column("id")
 	for _, id := range titleIDs {
 		m := int64(1)
 		for _, s := range sats {
-			idx := d.KeyIndex(ref(s, "movie_id"))
-			m *= int64(len(idx[id]))
+			m *= fanout[s][id]
 			if m == 0 {
 				break
 			}

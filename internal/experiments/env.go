@@ -281,11 +281,7 @@ func Build(cfg Config, log Logf) (*Env, error) {
 	// test workloads (different seed).
 	log.logf("building queries pool (%d queries)...", cfg.PoolSize)
 	poolGen := workload.NewGenerator(s, d, cfg.Seed+200)
-	poolQueries, err := poolGen.NonEmptyPoolQueries(ex, cfg.PoolSize)
-	if err != nil {
-		return nil, err
-	}
-	poolLabeled, err := workload.LabelQueries(ex, poolQueries, cfg.Workers)
+	poolLabeled, err := poolGen.NonEmptyPoolQueries(ex, cfg.PoolSize)
 	if err != nil {
 		return nil, err
 	}

@@ -148,11 +148,7 @@ func TestTopKAccuracyGate(t *testing.T) {
 	// A dense pool: the same §6.2 construction as the environment's own
 	// pool, but sized so FROM clauses carry well over 64 candidates.
 	gen := workload.NewGenerator(env.Schema, env.DB, 987)
-	qs, err := gen.NonEmptyPoolQueries(env.Exec, 3200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labeled, err := workload.LabelQueries(env.Exec, qs, env.Cfg.Workers)
+	labeled, err := gen.NonEmptyPoolQueries(env.Exec, 3200)
 	if err != nil {
 		t.Fatal(err)
 	}

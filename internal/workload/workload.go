@@ -435,13 +435,14 @@ func (g *Generator) PoolQueries(n int) ([]query.Query, error) {
 // technique (an empty old query anchors nothing), so the pool is built from
 // executed queries with non-zero cardinalities. The one empty-predicate
 // query per FROM clause is kept unconditionally (it guarantees a usable
-// match for every probe, §5.2).
-func (g *Generator) NonEmptyPoolQueries(ex Oracle, n int) ([]query.Query, error) {
+// match for every probe, §5.2). Each kept query comes labeled with the
+// cardinality its rejection test computed.
+func (g *Generator) NonEmptyPoolQueries(ex Oracle, n int) ([]LabeledQuery, error) {
 	candidates, err := g.PoolQueries(n)
 	if err != nil {
 		return nil, err
 	}
-	var out []query.Query
+	var out []LabeledQuery
 	seen := make(map[string]bool)
 	keep := func(q query.Query) error {
 		if seen[q.Key()] {
@@ -455,7 +456,7 @@ func (g *Generator) NonEmptyPoolQueries(ex Oracle, n int) ([]query.Query, error)
 			return nil
 		}
 		seen[q.Key()] = true
-		out = append(out, q)
+		out = append(out, LabeledQuery{Q: q, Card: card})
 		return nil
 	}
 	for _, q := range candidates {

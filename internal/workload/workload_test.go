@@ -6,6 +6,7 @@ import (
 	"crn/internal/datagen"
 	"crn/internal/db"
 	"crn/internal/exec"
+	"crn/internal/query"
 	"crn/internal/schema"
 )
 
@@ -268,6 +269,53 @@ func TestLabelQueries(t *testing.T) {
 		want, _ := ex.Cardinality(lq.Q)
 		if lq.Card != want {
 			t.Fatalf("label %d != executor %d", lq.Card, want)
+		}
+	}
+}
+
+// countingOracle counts the cardinality executions per query key.
+type countingOracle struct {
+	*exec.Executor
+	calls map[string]int
+}
+
+func (o countingOracle) Cardinality(q query.Query) (int64, error) {
+	o.calls[q.Key()]++
+	return o.Executor.Cardinality(q)
+}
+
+// TestNonEmptyPoolQueriesLabels: the pool comes labeled by the executions its
+// rejection sampling made, one per distinct query, and no label needs a
+// second pass.
+func TestNonEmptyPoolQueriesLabels(t *testing.T) {
+	d := testDB(t)
+	ex, err := exec.New(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := countingOracle{Executor: ex, calls: make(map[string]int)}
+	labeled, err := NewGenerator(s, d, 11).NonEmptyPoolQueries(o, 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(labeled) != 120 {
+		t.Fatalf("got %d pool queries, want 120", len(labeled))
+	}
+	for _, lq := range labeled {
+		if o.calls[lq.Q.Key()] != 1 {
+			t.Fatalf("%s executed %d times, want once", lq.Q, o.calls[lq.Q.Key()])
+		}
+		want, _ := ex.Cardinality(lq.Q)
+		if lq.Card != want {
+			t.Fatalf("%s: label %d != executor %d", lq.Q, lq.Card, want)
+		}
+		if lq.Card == 0 && len(lq.Q.Preds) > 0 {
+			t.Fatalf("%s: empty result kept", lq.Q)
+		}
+	}
+	for key, n := range o.calls {
+		if n != 1 {
+			t.Fatalf("%s executed %d times", key, n)
 		}
 	}
 }
