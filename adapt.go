@@ -79,41 +79,30 @@ type AdaptationStats struct {
 	Drift      DriftStats     `json:"drift"`
 }
 
-// AdaptiveEstimator builds the paper's Cnt2Crd(CRN) estimator with the
+// OpenAdaptiveEstimator builds the paper's Cnt2Crd(CRN) estimator with the
 // online-adaptation loop attached. It accepts every CardinalityEstimator
 // option plus the adaptation options (WithFeedbackBuffer, WithRetrainBatch,
 // WithRetrainInterval, WithRetrainEpochs, WithPromoteTolerance,
-// WithFeedbackPairs, WithDriftTrigger).
+// WithFeedbackPairs, WithDriftTrigger) and the durability options
+// (WithDataDir, WithWALSync, WithCheckpointRetain).
 //
 // The returned estimator owns a background trainer goroutine and a pool
 // subscription; call Close when discarding it. The supplied model is
 // generation 1; the model handle itself is never mutated (retraining works
 // on clones), so it remains valid for containment estimation throughout.
 //
-// With WithDataDir the construction can fail (I/O, corrupt state, sync
-// policy); this legacy constructor panics on those errors — durable
-// deployments should call OpenAdaptiveEstimator instead.
-func (s *System) AdaptiveEstimator(m *ContainmentModel, p *QueriesPool, opts ...EstimatorOption) *AdaptiveEstimator {
-	ae, err := s.OpenAdaptiveEstimator(m, p, opts...)
-	if err != nil {
-		panic(fmt.Sprintf("crn: AdaptiveEstimator: %v (use OpenAdaptiveEstimator to handle durability errors)", err))
-	}
-	return ae
-}
-
-// OpenAdaptiveEstimator is AdaptiveEstimator with an error return and, with
-// WithDataDir, crash recovery: the newest valid checkpoint (model
-// generation, queries pool with recency, drift window) is restored — older
-// checkpoints are fallbacks when the newest is corrupt — and the feedback
-// WAL is replayed from the checkpoint's applied LSN so un-checkpointed
-// feedback re-enters the training pipeline. A torn WAL tail (crash
-// mid-append) is truncated silently; unparseable replayed records are
-// skipped and counted, never fatal.
+// With WithDataDir, construction recovers a crashed deployment: the newest
+// valid checkpoint (model generation, queries pool with recency, drift
+// window) is restored — older checkpoints are fallbacks when the newest is
+// corrupt — and the feedback WAL is replayed from the checkpoint's applied
+// LSN so un-checkpointed feedback re-enters the training pipeline. A torn
+// WAL tail (crash mid-append) is truncated silently; unparseable replayed
+// records are skipped and counted, never fatal. It fails on I/O errors, a
+// corrupt state directory or an unknown sync policy.
 //
 // When a checkpoint exists, its model supersedes m; m may then be nil (a
 // resumed deployment needs no retraining from scratch — see
-// crn.HasCheckpoint). Without a data dir the construction is identical to
-// PR-era AdaptiveEstimator and the only error is a nil model.
+// crn.HasCheckpoint). Without a data dir the only error is a nil model.
 func (s *System) OpenAdaptiveEstimator(m *ContainmentModel, p *QueriesPool, opts ...EstimatorOption) (*AdaptiveEstimator, error) {
 	est := card.New(nil, p)
 	set := newSettings(est, opts)
@@ -164,21 +153,19 @@ func (s *System) OpenAdaptiveEstimator(m *ContainmentModel, p *QueriesPool, opts
 		return fail(errors.New("crn: adaptive estimator needs a model or a recoverable checkpoint"))
 	}
 
-	box := online.NewModelBox(model, s.enc, set.cacheSize, p)
+	gen := uint64(1)
 	if ck != nil {
 		if _, err := pool.LoadInto(p, s.schema, bytes.NewReader(ck.Pool)); err != nil {
 			return fail(fmt.Errorf("crn: recover pool snapshot: %w", err))
 		}
-		if ck.Generation > 1 {
-			// Resume the recorded generation number so the sequence stays
-			// continuous across restarts (done after the pool restore: the
-			// restored generation's cache subscription then sees the final
-			// pool, not a stream of replay mutations).
-			box.Restore(model, ck.Generation)
-		}
+		// Resume the recorded generation. The box is built after the pool
+		// restore, so its cache subscription sees the final pool, not a
+		// stream of replay mutations.
+		gen = max(ck.Generation, 1)
 	}
+	box := online.NewModelBox(model, s.enc, set.cacheSize, p, gen)
 	cfg := set.adapt
-	drift := online.NewDriftMonitor(cfg.DriftThreshold, cfg.DriftWindow, cfg.DriftMinSamples)
+	drift := online.NewDriftMonitor(cfg.DriftThreshold, cfg.DriftWindow, 0)
 	if set.breaker != nil && set.breaker.Alarm == nil {
 		// The adaptive deployment has a live unreliability signal the plain
 		// estimator lacks: wire the drift monitor's alarm bit into the
@@ -204,14 +191,11 @@ func (s *System) OpenAdaptiveEstimator(m *ContainmentModel, p *QueriesPool, opts
 		// Write-ahead ordering: feedback reaches the WAL before the staging
 		// buffer, so everything the collector ever accepted is recoverable.
 		ae.col.SetJournal(store.Append)
-		since := uint64(0)
-		if ck != nil {
-			since = ck.AppliedLSN
-		}
-		// Re-stage journaled feedback the checkpoint does not cover. A
-		// corrupt record ends the usable log right there (everything before
-		// it was delivered); anything else is a real I/O failure.
-		_, err := store.Replay(since, func(rec durable.FeedbackRecord) error {
+		// Re-stage journaled feedback the checkpoint does not cover (its
+		// applied LSN is 0 without one). A corrupt record ends the usable log
+		// right there (everything before it was delivered); anything else is
+		// a real I/O failure.
+		_, err := store.Replay(ae.col.AppliedLSN(), func(rec durable.FeedbackRecord) error {
 			q, perr := s.ParseQuery(rec.SQL)
 			if perr != nil {
 				ae.replaySkipped.Add(1)

@@ -68,7 +68,7 @@ func adaptBenchEnv(b *testing.B) (*AdaptiveEstimator, []Query, []struct {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ae := batchSys.AdaptiveEstimator(batchModel, pool,
+	ae := openAdaptive(b, batchSys, batchModel, pool,
 		WithFallback(base),
 		WithCoalescing(64, 0),
 		WithRetrainInterval(-1), // the active benchmark drives cycles itself

@@ -291,35 +291,3 @@ func TestOpenWithoutModelOrCheckpointFails(t *testing.T) {
 		t.Fatal("open with nil model and no data dir must fail")
 	}
 }
-
-// TestLabelFreeFeedbackSavesOracleCalls exercises satellite (a): with
-// WithLabelFreeFeedback enabled, containment rates for feedback pairs
-// whose intersection cardinality is already known — |Q1∩Q2|/|Q1| — are
-// derived from journaled truths instead of oracle executions, and the
-// split is visible in AdaptationStats.
-func TestLabelFreeFeedbackSavesOracleCalls(t *testing.T) {
-	ctx := context.Background()
-	sys, model, p := adaptFixture(t)
-	ae, err := sys.OpenAdaptiveEstimator(model, p,
-		WithRetrainInterval(-1), WithRetrainEpochs(1), WithFeedbackPairs(4),
-		WithPromoteTolerance(100), WithLabelFreeFeedback(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ae.Close()
-
-	for _, lq := range driftedWorkload(t, sys, 0, 24) {
-		if _, err := ae.RecordFeedbackQuery(ctx, lq.Q, lq.Card); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := ae.Retrain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	st := ae.AdaptationStats()
-	if st.Trainer.LabelFreePairs == 0 {
-		t.Fatalf("label-free labeling never fired: %+v", st.Trainer)
-	}
-	t.Logf("pairs labeled without the oracle: %d (oracle pairs: %d)",
-		st.Trainer.LabelFreePairs, st.Trainer.OraclePairs)
-}

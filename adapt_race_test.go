@@ -34,7 +34,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
 			sys, model, p := adaptFixture(t)
-			ae := sys.AdaptiveEstimator(model, p, append(tc.opts,
+			ae := openAdaptive(t, sys, model, p, append(tc.opts,
 				WithRetrainInterval(-1), // promotions driven by this test
 				WithRetrainEpochs(1),
 				WithFeedbackPairs(2),

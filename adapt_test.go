@@ -35,6 +35,17 @@ func adaptFixture(t *testing.T) (*System, *ContainmentModel, *QueriesPool) {
 	return sys, model, p
 }
 
+// openAdaptive is OpenAdaptiveEstimator for tests that expect construction
+// to succeed.
+func openAdaptive(tb testing.TB, sys *System, m *ContainmentModel, p *QueriesPool, opts ...EstimatorOption) *AdaptiveEstimator {
+	tb.Helper()
+	ae, err := sys.OpenAdaptiveEstimator(m, p, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ae
+}
+
 // labeledWorkload generates n mixed 0-2-join queries with their true
 // cardinalities.
 func labeledWorkload(t *testing.T, sys *System, seed int64, n int) []workload.LabeledQuery {
@@ -122,7 +133,7 @@ func medianQError(t *testing.T, est *CardinalityEstimator, probes []workload.Lab
 func TestAdaptationImprovesDriftedModel(t *testing.T) {
 	ctx := context.Background()
 	sys, model, p := adaptFixture(t)
-	ae := sys.AdaptiveEstimator(model, p,
+	ae := openAdaptive(t, sys, model, p,
 		WithRetrainInterval(-1), // the test drives retraining explicitly
 		WithRetrainEpochs(16),
 		WithFeedbackPairs(8),
@@ -240,7 +251,7 @@ func TestAdaptationImprovesDriftedModel(t *testing.T) {
 func TestServingNeverBlocksOnRetraining(t *testing.T) {
 	ctx := context.Background()
 	sys, model, p := adaptFixture(t)
-	ae := sys.AdaptiveEstimator(model, p,
+	ae := openAdaptive(t, sys, model, p,
 		WithRetrainInterval(-1), WithRetrainEpochs(4), WithFeedbackPairs(4))
 	defer ae.Close()
 
@@ -290,7 +301,7 @@ func TestServingNeverBlocksOnRetraining(t *testing.T) {
 func TestDriftTriggerKicksEarlyRetrain(t *testing.T) {
 	ctx := context.Background()
 	sys, model, p := adaptFixture(t)
-	ae := sys.AdaptiveEstimator(model, p,
+	ae := openAdaptive(t, sys, model, p,
 		WithRetrainInterval(-1), // no schedule: only the drift kick can retrain
 		WithRetrainEpochs(1),
 		WithFeedbackPairs(2),

@@ -29,6 +29,7 @@ import (
 	"sort"
 	"time"
 
+	"crn/internal/card"
 	"crn/internal/experiments"
 	"crn/internal/metrics"
 	"crn/internal/nn"
@@ -121,7 +122,7 @@ func dumpEntry(env *experiments.Env, qnew, qold query.Query, oldCard int64) {
 		fail("truth: %v", err)
 	}
 	contrib := "skipped (y<=eps)"
-	if yHat > 1e-3 {
+	if yHat > card.DefaultEpsilon {
 		contrib = fmt.Sprintf("%.1f", xHat/yHat*float64(oldCard))
 	}
 	fmt.Printf("    |Qold|=%-8d x̂=%.4f (true %.4f)  ŷ=%.4f (true %.4f)  -> %s\n",

@@ -143,7 +143,6 @@ func main() {
 	promoteTolerance := flag.Float64("promote-tolerance", 0.05, "promotion gate: candidate validation q-error may exceed live by this fraction (adaptation)")
 	driftThreshold := flag.Float64("drift-threshold", 0, "q-error of live estimates vs feedback truths that, exceeded by more than half the drift window, kicks an early retrain (0: observe only)")
 	driftWindow := flag.Int("drift-window", 256, "drift monitor window: two tumbling halves of N/2 feedback q-errors, so the last N/2..N (adaptation)")
-	labelFree := flag.Bool("label-free", false, "label feedback training pairs from the cardinality identity when possible instead of executing the truth oracle (adaptation)")
 	dataDir := flag.String("data-dir", "", "durable state directory: feedback WAL + promotion checkpoints, recovered on restart (empty: memory-only)")
 	walSync := flag.String("wal-sync", "interval", "feedback WAL sync policy: interval (batched fsync), always (fsync per record), none")
 	checkpointRetain := flag.Int("checkpoint-retain", 3, "checkpoints kept on disk; older ones and fully-covered WAL segments are pruned")
@@ -269,7 +268,6 @@ func main() {
 			crn.WithRetrainEpochs(*retrainEpochs),
 			crn.WithPromoteTolerance(*promoteTolerance),
 			crn.WithDriftTrigger(*driftThreshold, *driftWindow),
-			crn.WithLabelFreeFeedback(*labelFree),
 		)
 		if *dataDir != "" {
 			adaptOpts = append(adaptOpts,
@@ -284,8 +282,8 @@ func main() {
 		}
 		defer adaptive.Close()
 		est = adaptive.CardinalityEstimator
-		logger.Printf("online adaptation on (buffer=%d min-batch=%d interval=%v epochs=%d tolerance=%.2f drift-threshold=%g label-free=%v)",
-			*feedbackBuffer, *feedbackMinBatch, *retrainInterval, *retrainEpochs, *promoteTolerance, *driftThreshold, *labelFree)
+		logger.Printf("online adaptation on (buffer=%d min-batch=%d interval=%v epochs=%d tolerance=%.2f drift-threshold=%g)",
+			*feedbackBuffer, *feedbackMinBatch, *retrainInterval, *retrainEpochs, *promoteTolerance, *driftThreshold)
 		if ds := adaptive.DurabilityStats(); ds != nil {
 			logger.Printf("durable state on under %s (wal-sync=%s retain=%d): generation=%d pool=%d staged=%d replayed=%d",
 				*dataDir, *walSync, *checkpointRetain,

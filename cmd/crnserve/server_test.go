@@ -441,11 +441,14 @@ func adaptiveServer(t *testing.T) *server {
 	if err := base.sys.SeedPool(ctx, pool, 10, 13); err != nil {
 		t.Fatal(err)
 	}
-	ae := base.sys.AdaptiveEstimator(base.model, pool,
+	ae, err := base.sys.OpenAdaptiveEstimator(base.model, pool,
 		crn.WithRetrainInterval(-1),
 		crn.WithRetrainEpochs(1),
 		crn.WithFeedbackPairs(2),
 		crn.WithPromoteTolerance(10))
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(ae.Close)
 	srv := newServer(base.sys, base.model, pool, ae.CardinalityEstimator, nil)
 	srv.adaptive = ae

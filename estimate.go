@@ -264,7 +264,7 @@ type CoalescerStats = serve.Stats
 func (s *System) CardinalityEstimator(m *ContainmentModel, p *QueriesPool, opts ...EstimatorOption) *CardinalityEstimator {
 	est := card.New(nil, p)
 	set := newSettings(est, opts)
-	e := newEstimator(est, p, online.NewModelBox(m.model, m.rates.Enc, set.cacheSize, p), set)
+	e := newEstimator(est, p, online.NewModelBox(m.model, m.rates.Enc, set.cacheSize, p, 1), set)
 	// Callers predating Close never call it; when such an estimator is
 	// garbage collected, release its pool subscription so a discarded
 	// estimator's cache is not notified of pool mutations forever. (Close

@@ -320,7 +320,7 @@ func TestRateMemoEquivalence(t *testing.T) {
 		recordSQL(t, sys, p, fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d", 1900+7*i))
 	}
 	probes := memoProbes(t, sys)
-	cached := sys.AdaptiveEstimator(model, p, WithRetrainInterval(-1))
+	cached := openAdaptive(t, sys, model, p, WithRetrainInterval(-1))
 	defer cached.Close()
 
 	check := func(label string, reference *CardinalityEstimator) {
@@ -388,7 +388,7 @@ func TestRateMemoEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached.box.Promote(second.model)
+	cached.box.Publish(cached.box.Prepare(second.model))
 	if st := cached.CacheStats(); st.MemoEntries != 0 || st.Resident != 0 {
 		t.Fatalf("a fresh generation must start with an empty cache: %+v", st)
 	}

@@ -325,7 +325,7 @@ func TestTrainerPanicKeepsServingBitIdentical(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
 	sys, model, p := adaptFixture(t)
 	ctx := context.Background()
-	ae := sys.AdaptiveEstimator(model, p,
+	ae := openAdaptive(t, sys, model, p,
 		WithRetrainInterval(-1), WithRetrainEpochs(1),
 		WithFeedbackPairs(2), WithPromoteTolerance(10))
 	defer ae.Close()

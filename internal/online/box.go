@@ -50,13 +50,16 @@ type ModelBox struct {
 	promoteMu sync.Mutex
 }
 
-// NewModelBox publishes generation 1 over the given model. cacheSize > 0
-// equips every generation with its own representation cache of that
-// capacity; p, when non-nil, gets each generation's cache subscribed for
-// surgical invalidation (and the previous one unsubscribed on promotion).
-func NewModelBox(m *icrn.Model, enc *feature.Encoder, cacheSize int, p *pool.Pool) *ModelBox {
+// NewModelBox publishes the given model as generation gen: 1 for a fresh
+// deployment, while a recovered one resumes the generation it promoted
+// before the crash, so generation numbers stay one continuous sequence
+// across restarts. cacheSize > 0 equips every generation with its own
+// representation cache of that capacity; p, when non-nil, gets each
+// generation's cache subscribed for surgical invalidation (and the previous
+// one unsubscribed on promotion).
+func NewModelBox(m *icrn.Model, enc *feature.Encoder, cacheSize int, p *pool.Pool, gen uint64) *ModelBox {
 	b := &ModelBox{enc: enc, cacheSize: cacheSize, pool: p}
-	b.cur.Store(b.newGeneration(m, 1))
+	b.cur.Store(b.newGeneration(m, gen))
 	return b
 }
 
@@ -101,14 +104,6 @@ func (b *ModelBox) Cache() *icrn.RepCache {
 	return b.cur.Load().Rates.Cache
 }
 
-// Promote atomically publishes m as the next generation and returns it.
-// The old generation's cache is unsubscribed from the pool; estimates that
-// already loaded the old generation finish on it unharmed (its model,
-// cache and weight fold all stay internally consistent).
-func (b *ModelBox) Promote(m *icrn.Model) *Generation {
-	return b.Publish(b.Prepare(m))
-}
-
 // Prepare builds the successor generation without publishing it: the
 // model is bound to fresh rates with its own cache, already subscribed to
 // the pool (mutations between Prepare and Publish are absorbed). The
@@ -121,31 +116,15 @@ func (b *ModelBox) Prepare(m *icrn.Model) *Generation {
 }
 
 // Publish atomically flips traffic onto a generation built by Prepare and
-// returns it (with its generation number assigned).
+// returns it (with its generation number assigned). The superseded
+// generation's cache is unsubscribed from the pool; estimates that already
+// loaded it finish on it unharmed (its model, cache and weight fold all
+// stay internally consistent).
 func (b *ModelBox) Publish(next *Generation) *Generation {
 	b.promoteMu.Lock()
 	defer b.promoteMu.Unlock()
 	old := b.cur.Load()
 	next.Gen = old.Gen + 1
-	b.cur.Store(next)
-	if b.pool != nil && old.Rates.Cache != nil {
-		b.pool.Unsubscribe(old.Rates.Cache)
-	}
-	return next
-}
-
-// Restore republishes a recovered model AT a recorded generation number —
-// the boot-time counterpart of Publish. A restarted deployment resumes the
-// generation it promoted before the crash instead of renumbering from 1,
-// so operators correlating generations across restarts (and the
-// kill-and-restart acceptance test) see one continuous sequence. The
-// superseded boot generation's cache is unsubscribed exactly as in a
-// promotion.
-func (b *ModelBox) Restore(m *icrn.Model, gen uint64) *Generation {
-	b.promoteMu.Lock()
-	defer b.promoteMu.Unlock()
-	old := b.cur.Load()
-	next := b.newGeneration(m, gen)
 	b.cur.Store(next)
 	if b.pool != nil && old.Rates.Cache != nil {
 		b.pool.Unsubscribe(old.Rates.Cache)

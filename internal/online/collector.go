@@ -76,8 +76,8 @@ func NewCollector(p *pool.Pool, capacity int) *Collector {
 }
 
 // SetJournal installs the durable journal hook: every record Offer accepts
-// is appended through it — and rejected with the journal's error when the
-// append fails — before it is staged (write-ahead ordering). Install before
+// is appended through it before it is staged (write-ahead ordering); a
+// failed append degrades the collector instead (see Offer). Install before
 // feedback starts flowing; nil disables journaling.
 func (c *Collector) SetJournal(j JournalFunc) {
 	c.mu.Lock()
@@ -107,13 +107,30 @@ func (c *Collector) AppliedLSN() uint64 { return c.appliedLSN.Load() }
 // truth is fresh training signal, and without staging it a
 // corrections-dominated drift could never feed the retrainer.
 func (c *Collector) Offer(q query.Query, card int64, observedAt time.Time) (bool, error) {
-	if card < 0 {
+	return c.admit(Record{Q: q, Card: card, ObservedAt: observedAt}, true)
+}
+
+// Restage re-stages one journaled record during recovery replay. It is
+// Offer without the journal — the record is already durable, and
+// re-appending it would double-log every replayed record on every boot —
+// and the record keeps its journaled LSN. The pool-correction path is
+// intentionally shared: a replayed correction record re-corrects the
+// checkpointed pool entry, converging on the pre-crash state.
+func (c *Collector) Restage(q query.Query, card int64, observedAt time.Time, lsn uint64) (bool, error) {
+	return c.admit(Record{Q: q, Card: card, ObservedAt: observedAt, LSN: lsn}, false)
+}
+
+// admit is the one staging body behind Offer and Restage: validation, pool
+// correction, dedup against the buffer and the overflow bound, then — when
+// journal is set — the write-ahead append, then staging.
+func (c *Collector) admit(r Record, journal bool) (bool, error) {
+	if r.Card < 0 {
 		c.invalid.Add(1)
-		return false, fmt.Errorf("online: feedback cardinality must be non-negative, got %d", card)
+		return false, fmt.Errorf("online: feedback cardinality must be non-negative, got %d", r.Card)
 	}
-	key := q.Key()
-	if c.pool != nil && c.pool.Contains(q) {
-		if !c.pool.UpdateCard(q, card) {
+	key := r.Q.Key()
+	if c.pool != nil && c.pool.Contains(r.Q) {
+		if !c.pool.UpdateCard(r.Q, r.Card) {
 			c.duplicates.Add(1)
 			return false, nil
 		}
@@ -130,10 +147,9 @@ func (c *Collector) Offer(q query.Query, card int64, observedAt time.Time) (bool
 		c.overflow.Add(1)
 		return false, nil
 	}
-	var lsn uint64
 	switch {
-	case c.journal == nil:
-		// In-memory deployment: nothing to journal.
+	case !journal || c.journal == nil:
+		// Replayed (already durable) or in-memory: nothing to journal.
 	case c.degraded.Load():
 		// Durability already degraded: don't hammer the broken disk on the
 		// feedback hot path — ReJournal's backoff loop owns the re-probe.
@@ -146,51 +162,16 @@ func (c *Collector) Offer(q query.Query, card int64, observedAt time.Time) (bool
 		// up — a bounded, flagged narrowing of the durability contract) and
 		// the degraded flag routes future feedback past the disk until a
 		// re-probe succeeds.
-		var err error
-		if lsn, err = c.journal(q.SQL(), card, observedAt); err != nil {
+		if lsn, err := c.journal(r.Q.SQL(), r.Card, r.ObservedAt); err == nil {
+			r.LSN = lsn
+		} else {
 			c.journalErrs.Add(1)
 			c.degraded.Store(true)
 			c.degradedRecs.Add(1)
-			lsn = 0
 		}
 	}
 	c.keys[key] = true
-	c.staged = append(c.staged, Record{Q: q, Card: card, ObservedAt: observedAt, LSN: lsn})
-	c.accepted.Add(1)
-	return true, nil
-}
-
-// Restage re-stages one journaled record during recovery replay, bypassing
-// the journal (the record is already durable — re-appending it would
-// double-log every replayed record on every boot) but keeping the
-// validation and dedup semantics of Offer. The pool-correction path is
-// intentionally shared: a replayed correction record re-corrects the
-// checkpointed pool entry, converging on the pre-crash state.
-func (c *Collector) Restage(q query.Query, card int64, observedAt time.Time, lsn uint64) (bool, error) {
-	if card < 0 {
-		c.invalid.Add(1)
-		return false, fmt.Errorf("online: feedback cardinality must be non-negative, got %d", card)
-	}
-	key := q.Key()
-	if c.pool != nil && c.pool.Contains(q) {
-		if !c.pool.UpdateCard(q, card) {
-			c.duplicates.Add(1)
-			return false, nil
-		}
-		c.corrected.Add(1)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.keys[key] {
-		c.duplicates.Add(1)
-		return false, nil
-	}
-	if len(c.staged) >= c.cap {
-		c.overflow.Add(1)
-		return false, nil
-	}
-	c.keys[key] = true
-	c.staged = append(c.staged, Record{Q: q, Card: card, ObservedAt: observedAt, LSN: lsn})
+	c.staged = append(c.staged, r)
 	c.accepted.Add(1)
 	return true, nil
 }
@@ -234,32 +215,19 @@ func (c *Collector) ReJournal() (journaled int, err error) {
 	return journaled, nil
 }
 
-// Drain removes and returns up to max staged records, oldest first
-// (max <= 0 drains everything).
-func (c *Collector) Drain(max int) []Record {
+// Drain removes and returns every staged record, oldest first.
+func (c *Collector) Drain() []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := len(c.staged)
-	if n == 0 {
-		return nil
-	}
-	if max > 0 && max < n {
-		n = max
-	}
-	out := make([]Record, n)
-	copy(out, c.staged[:n])
-	rest := copy(c.staged, c.staged[n:])
-	for i := rest; i < len(c.staged); i++ {
-		c.staged[i] = Record{} // release retained queries
-	}
-	c.staged = c.staged[:rest]
+	out := c.staged
+	c.staged = nil
 	for _, r := range out {
 		delete(c.keys, r.Q.Key())
 		if r.LSN > c.appliedLSN.Load() {
 			c.appliedLSN.Store(r.LSN)
 		}
 	}
-	c.drained.Add(uint64(n))
+	c.drained.Add(uint64(len(out)))
 	return out
 }
 

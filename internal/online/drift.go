@@ -49,13 +49,18 @@ func newDriftHalf() driftHalf {
 
 // NewDriftMonitor creates a monitor over the last window/2..window
 // observations that trips when more than half of them exceed threshold
-// (threshold <= 0 observes without ever tripping).
+// (threshold <= 0 observes without ever tripping). window <= 0 and
+// minSamples <= 0 select the defaults; the sample floor is clamped to the
+// window, which could otherwise never trip.
 func NewDriftMonitor(threshold float64, window, minSamples int) *DriftMonitor {
-	cfg := Config{DriftWindow: window, DriftMinSamples: minSamples}.withDefaults()
+	window = Config{DriftWindow: window}.withDefaults().DriftWindow
+	if minSamples <= 0 {
+		minSamples = driftMinSamples
+	}
 	return &DriftMonitor{
 		threshold:  threshold,
-		minSamples: cfg.DriftMinSamples,
-		half:       max(cfg.DriftWindow/2, 1),
+		minSamples: min(minSamples, window),
+		half:       max(window/2, 1),
 		cur:        newDriftHalf(),
 	}
 }

@@ -20,8 +20,8 @@
 //     promoted one.
 //   - Trainer drains staged feedback off the hot path, adds it to the
 //     pool, derives fresh containment-rate training pairs from it (each
-//     feedback query paired with its most containment-comparable pool
-//     neighbors, labeled by the truth oracle), continues training on a
+//     feedback query paired with a stride sample of its FROM-clause pool
+//     partners, labeled by the truth oracle), continues training on a
 //     clone of the live model, and promotes the clone only when its
 //     validation q-error does not regress beyond a configured tolerance.
 //   - DriftMonitor keeps a windowed q-error histogram between live
@@ -35,6 +35,21 @@
 package online
 
 import "time"
+
+// Fixed adaptation settings no deployment tunes.
+const (
+	// lrScale scales the model's learning rate for fine-tuning: at the full
+	// rate a small adaptation set drags well-fit weights off the bulk
+	// distribution — the tail improves, the typical pair regresses.
+	lrScale = 0.2
+	// maxValSet bounds the promotion gate's rolling validation set.
+	maxValSet = 256
+	// labelWorkers is 1: background labeling must not contend with serving.
+	labelWorkers = 1
+	// driftMinSamples is the windowed sample floor below which the drift
+	// threshold cannot trip (clamped to the drift window).
+	driftMinSamples = 32
+)
 
 // Config collects the adaptation knobs with serving-grade defaults; the
 // zero value of any field selects its default.
@@ -51,26 +66,14 @@ type Config struct {
 	Interval time.Duration
 	// Epochs is the incremental-training budget per retrain (default 8).
 	Epochs int
-	// LRScale multiplies the model's training learning rate for
-	// incremental fine-tuning (default 0.2). Fine-tuning at the full rate
-	// lets a small adaptation set drag well-fit weights away from the bulk
-	// distribution — the tail improves, the typical pair regresses.
-	LRScale float64
 	// Tolerance is the promotion gate: the candidate is promoted when its
 	// validation q-error is at most (1+Tolerance)× the live model's
 	// (default 0.05). Negative demands strict improvement.
 	Tolerance float64
 	// PairsPerRecord bounds how many pool partners each feedback record is
-	// paired with for labeling (default 8); the partners are the record's
-	// most containment-comparable pool entries (signature top-K).
+	// paired with for labeling (default 8); the partners are a stride
+	// sample across all of the record's FROM-clause pool matches.
 	PairsPerRecord int
-	// MaxValSet bounds the held-out validation sample set accumulated
-	// across retrains for the promotion gate (default 256).
-	MaxValSet int
-	// Workers is the labeling parallelism (default 1: background labeling
-	// must not contend with serving for every core; raise it for faster
-	// retrains on machines with headroom).
-	Workers int
 	// DriftThreshold is the q-error beyond which more than half the
 	// windowed observations mark the workload as drifted, kicking a
 	// retrain early (default 0: drift monitoring records statistics but
@@ -80,17 +83,6 @@ type Config struct {
 	// tumbling halves of N/2 observations, so the window covers the last
 	// N/2..N observations.
 	DriftWindow int
-	// DriftMinSamples is the minimum windowed sample count before the
-	// threshold can trip (default 32).
-	DriftMinSamples int
-	// LabelFree derives containment labels from the cardinality identity
-	// rate(Q1 ⊂% Q2) = |Q1∩Q2|/|Q1| whenever all three cardinalities are
-	// already known (the feedback truth, the partner's pooled truth, and
-	// the intersection query's truth when it is itself one of the two or
-	// pooled) instead of executing the intersection against the truth
-	// oracle. Pairs the identity cannot resolve still go to the oracle.
-	// Default off: the oracle path is the paper's exact labeling.
-	LabelFree bool
 }
 
 // withDefaults resolves zero fields to the documented defaults.
@@ -107,30 +99,14 @@ func (c Config) withDefaults() Config {
 	if c.Epochs <= 0 {
 		c.Epochs = 8
 	}
-	if c.LRScale <= 0 {
-		c.LRScale = 0.2
-	}
 	if c.Tolerance == 0 {
 		c.Tolerance = 0.05
 	}
 	if c.PairsPerRecord <= 0 {
 		c.PairsPerRecord = 8
 	}
-	if c.MaxValSet <= 0 {
-		c.MaxValSet = 256
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
 	if c.DriftWindow <= 0 {
 		c.DriftWindow = 256
-	}
-	if c.DriftMinSamples <= 0 {
-		c.DriftMinSamples = 32
-	}
-	if c.DriftMinSamples > c.DriftWindow {
-		// A window smaller than the sample floor could never trip.
-		c.DriftMinSamples = c.DriftWindow
 	}
 	return c
 }

@@ -97,27 +97,27 @@ func TestCollectorValidateDedupBound(t *testing.T) {
 	}
 
 	// Drain oldest-first; keys free up for re-offering.
-	recs := c.Drain(1)
-	if len(recs) != 1 || recs[0].Card != 10 {
+	recs := c.Drain()
+	if len(recs) != 2 || recs[0].Card != 10 || recs[1].Card != 20 {
 		t.Fatalf("drain = %+v", recs)
 	}
-	if c.Staged() != 1 {
+	if c.Staged() != 0 {
 		t.Fatalf("staged after drain = %d", c.Staged())
 	}
 	if ok, _ := c.Offer(qa, 11, now); !ok {
 		t.Fatal("drained key must be offerable again")
 	}
-	if got := c.Stats().Drained; got != 1 {
+	if got := c.Stats().Drained; got != 2 {
 		t.Fatalf("drained = %d", got)
 	}
-	if recs := c.Drain(0); len(recs) != 2 {
-		t.Fatalf("drain-all = %d records", len(recs))
+	if recs := c.Drain(); len(recs) != 1 {
+		t.Fatalf("drain = %d records", len(recs))
 	}
 }
 
 func TestModelBoxPromoteGenerations(t *testing.T) {
 	_, enc, m, qp := fixture(t)
-	box := NewModelBox(m, enc, 64, qp)
+	box := NewModelBox(m, enc, 64, qp, 1)
 	defer box.Close()
 	if box.Generation() != 1 {
 		t.Fatalf("initial generation = %d", box.Generation())
@@ -139,7 +139,7 @@ func TestModelBoxPromoteGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2 := box.Promote(clone)
+	g2 := box.Publish(box.Prepare(clone))
 	if g2.Gen != 2 || box.Generation() != 2 || box.Current().Model != clone {
 		t.Fatalf("promotion did not publish generation 2: %+v", g2)
 	}
@@ -191,7 +191,7 @@ func TestDriftMonitorTripsAndResets(t *testing.T) {
 
 func TestRetrainNowPromotesThroughGate(t *testing.T) {
 	ex, enc, m, qp := fixture(t)
-	box := NewModelBox(m, enc, 64, qp)
+	box := NewModelBox(m, enc, 64, qp, 1)
 	defer box.Close()
 	col := NewCollector(qp, 64)
 	cfg := Config{Epochs: 2, Tolerance: 10, PairsPerRecord: 4, Interval: -1}
@@ -245,7 +245,7 @@ func TestRetrainNowPromotesThroughGate(t *testing.T) {
 
 func TestRetrainNowRejectsOnStrictGate(t *testing.T) {
 	ex, enc, m, qp := fixture(t)
-	box := NewModelBox(m, enc, 64, qp)
+	box := NewModelBox(m, enc, 64, qp, 1)
 	defer box.Close()
 	col := NewCollector(qp, 64)
 	// Tolerance -0.999: the candidate must be ~1000x better than live —
@@ -277,7 +277,7 @@ func TestRetrainNowRejectsOnStrictGate(t *testing.T) {
 
 func TestTrainerKickDrivesBackgroundRetrain(t *testing.T) {
 	ex, enc, m, qp := fixture(t)
-	box := NewModelBox(m, enc, 64, qp)
+	box := NewModelBox(m, enc, 64, qp, 1)
 	defer box.Close()
 	col := NewCollector(qp, 64)
 	cfg := Config{Epochs: 1, Tolerance: 10, PairsPerRecord: 2, Interval: -1} // no scheduled retrains
@@ -344,7 +344,7 @@ func TestOfferCorrectsStalePooledCardinality(t *testing.T) {
 	if m := qp.Matching(q); len(m) == 0 || m[0].Card != truth+50 {
 		t.Fatalf("pool entry not corrected: %+v", m)
 	}
-	recs := c.Drain(0)
+	recs := c.Drain()
 	if len(recs) != 1 || recs[0].Card != truth+50 {
 		t.Fatalf("drained corrected record = %+v", recs)
 	}

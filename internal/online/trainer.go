@@ -36,15 +36,18 @@ type Trainer struct {
 	// explicit RetrainNow callers).
 	trainMu sync.Mutex
 
-	// valMu guards the held-out validation set accumulated across retrains
-	// for the promotion gate.
-	valMu  sync.Mutex
+	// valSet is the held-out validation set accumulated across retrains
+	// for the promotion gate, touched only under trainMu; valN mirrors its
+	// size for Stats.
 	valSet []icrn.Sample
+	valN   atomic.Int64
 
+	// ctx is cancelled by Stop: it ends the loop and aborts a scheduled
+	// cycle's labeling.
+	ctx     context.Context
+	stop    context.CancelFunc
 	kick    chan struct{}
-	stop    chan struct{}
 	done    chan struct{}
-	once    sync.Once
 	started atomic.Bool
 
 	// onPromote, when set (before Start), runs after every promotion with
@@ -53,18 +56,17 @@ type Trainer struct {
 	// half-promoted cycle.
 	onPromote func(*Generation)
 
-	retrains       atomic.Uint64
-	panics         atomic.Uint64
-	promotions     atomic.Uint64
-	rejections     atomic.Uint64
-	driftRetrains  atomic.Uint64
-	trainErrors    atomic.Uint64
-	labelErrors    atomic.Uint64
-	warmErrors     atomic.Uint64
-	oraclePairs    atomic.Uint64
-	labelFreePairs atomic.Uint64
-	lastLiveErr    atomic.Uint64 // math.Float64bits
-	lastCandErr    atomic.Uint64 // math.Float64bits
+	retrains      atomic.Uint64
+	panics        atomic.Uint64
+	promotions    atomic.Uint64
+	rejections    atomic.Uint64
+	driftRetrains atomic.Uint64
+	trainErrors   atomic.Uint64
+	labelErrors   atomic.Uint64
+	warmErrors    atomic.Uint64
+	oraclePairs   atomic.Uint64
+	lastLiveErr   atomic.Uint64 // math.Float64bits
+	lastCandErr   atomic.Uint64 // math.Float64bits
 }
 
 // NewTrainer wires a trainer over the box, collector, pool and truth
@@ -78,9 +80,9 @@ func NewTrainer(cfg Config, box *ModelBox, col *Collector, p *pool.Pool, oracle 
 		oracle: oracle,
 		drift:  drift,
 		kick:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
+	t.ctx, t.stop = context.WithCancel(context.Background())
 	t.lastLiveErr.Store(math.Float64bits(math.NaN()))
 	t.lastCandErr.Store(math.Float64bits(math.NaN()))
 	return t
@@ -110,7 +112,7 @@ func (t *Trainer) Start() {
 // Stop terminates the background loop and waits for an in-flight retrain
 // cycle to finish. Idempotent; safe on a never-started trainer.
 func (t *Trainer) Stop() {
-	t.once.Do(func() { close(t.stop) })
+	t.stop()
 	if t.started.Load() {
 		<-t.done
 	}
@@ -130,26 +132,16 @@ func (t *Trainer) Kick() {
 // It reports true on clean shutdown; a recovered panic reports false so
 // Start's wrapper restarts it.
 func (t *Trainer) loop() (clean bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			clean = false
-		}
-	}()
+	defer func() { _ = recover() }() // a recovered panic leaves clean false
 	var tick <-chan time.Time
 	if t.cfg.Interval > 0 {
 		ticker := time.NewTicker(t.cfg.Interval)
 		defer ticker.Stop()
 		tick = ticker.C
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		<-t.stop
-		cancel()
-	}()
 	for {
 		select {
-		case <-t.stop:
+		case <-t.ctx.Done():
 			return true
 		case <-tick:
 			// A drifted window lowers the bar to "anything staged": the
@@ -159,14 +151,14 @@ func (t *Trainer) loop() (clean bool) {
 			staged := t.col.Staged()
 			if staged >= t.cfg.MinBatch ||
 				(staged > 0 && t.drift != nil && t.drift.Drifted()) {
-				_, _ = t.RetrainNow(ctx)
+				_, _ = t.RetrainNow(t.ctx)
 			}
 		case <-t.kick:
 			// Count only kicks that produced a real cycle: an empty-buffer
 			// kick (or a duplicate kick after a drain) is a no-op, and
 			// counting it would let drift_retrains exceed retrains.
 			before := t.retrains.Load()
-			_, _ = t.RetrainNow(ctx)
+			_, _ = t.RetrainNow(t.ctx)
 			if t.retrains.Load() > before {
 				t.driftRetrains.Add(1)
 			}
@@ -200,7 +192,7 @@ func (t *Trainer) RetrainNow(ctx context.Context) (promoted bool, err error) {
 		t.trainErrors.Add(1)
 		return false, fmt.Errorf("online: trainer requires a queries pool")
 	}
-	recs := t.col.Drain(0)
+	recs := t.col.Drain()
 	if len(recs) == 0 {
 		return false, nil
 	}
@@ -224,9 +216,6 @@ func (t *Trainer) RetrainNow(ctx context.Context) (promoted bool, err error) {
 		// isolated and counted); a cancelled cycle is not a train error.
 		return false, err
 	}
-	if len(samples) == 0 {
-		return false, nil
-	}
 	train, freshVal := splitSamples(samples)
 	valSet := t.extendValSet(freshVal)
 	if len(train) == 0 || len(valSet) == 0 {
@@ -249,7 +238,7 @@ func (t *Trainer) RetrainNow(ctx context.Context) (promoted bool, err error) {
 	// epoch selection grade itself on the same samples — the bias the gate
 	// exists to block. A degenerate split falls back to the whole set
 	// (small first cycles), accepting the bias over gating on nothing.
-	tuneVal, gateVal := splitCouples(valSet)
+	tuneVal, gateVal := splitCouples(valSet, 2)
 	if len(tuneVal) == 0 || len(gateVal) == 0 {
 		tuneVal, gateVal = valSet, valSet
 	}
@@ -259,7 +248,7 @@ func (t *Trainer) RetrainNow(ctx context.Context) (promoted bool, err error) {
 	// any synchronization beyond the box's pointer. Fine-tuning runs at a
 	// reduced learning rate so the small adaptation set nudges the weights
 	// instead of dragging them off the bulk distribution.
-	clone.SetLR(clone.LR() * t.cfg.LRScale)
+	clone.SetLR(clone.LR() * lrScale)
 	if _, err := clone.ContinueTraining(train, tuneVal, t.cfg.Epochs, nil); err != nil {
 		t.trainErrors.Add(1)
 		return false, fmt.Errorf("online: continue training: %w", err)
@@ -337,109 +326,40 @@ func (t *Trainer) labelRecords(ctx context.Context, recs []Record) ([]icrn.Sampl
 	var out []icrn.Sample
 	var partners []pool.Entry
 	var pairs []workload.Pair
-	var free []workload.LabeledPair
 	for _, r := range recs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		partners = t.pool.AppendMatching(partners[:0], r.Q)
-		stride := 1
-		if k := t.cfg.PairsPerRecord; len(partners) > k {
-			stride = len(partners) / k
-		}
+		stride := max(len(partners)/t.cfg.PairsPerRecord, 1)
 		pairs = pairs[:0]
-		free = free[:0]
-		taken := 0
-		for i := 0; i < len(partners) && taken < t.cfg.PairsPerRecord; i += stride {
+		for i := 0; i < len(partners) && len(pairs) < 2*t.cfg.PairsPerRecord; i += stride {
 			p := partners[i]
 			if p.Q.Key() == r.Q.Key() || p.Card <= 0 {
 				continue
 			}
-			taken++
-			if t.cfg.LabelFree {
-				if r1, r2, ok := t.labelFreeRates(r, p); ok {
-					free = append(free,
-						workload.LabeledPair{Q1: r.Q, Q2: p.Q, Rate: r1},
-						workload.LabeledPair{Q1: p.Q, Q2: r.Q, Rate: r2})
-					continue
-				}
-			}
 			pairs = append(pairs, workload.Pair{Q1: r.Q, Q2: p.Q}, workload.Pair{Q1: p.Q, Q2: r.Q})
 		}
-		if len(pairs) == 0 && len(free) == 0 {
+		if len(pairs) == 0 {
 			continue
 		}
-		var labeled []workload.LabeledPair
-		if len(pairs) > 0 {
-			var err error
-			labeled, err = workload.LabelPairs(t.oracle, pairs, t.cfg.Workers)
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				t.labelErrors.Add(1)
-				continue
+		labeled, err := workload.LabelPairs(t.oracle, pairs, labelWorkers)
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
 			}
+			t.labelErrors.Add(1)
+			continue
 		}
-		// Mirror couples stay adjacent in both groups, so the downstream
-		// couple-aware splits keep working under mixed labeling.
-		labeled = append(labeled, free...)
 		samples, err := icrn.EncodePairs(t.box.enc, labeled)
 		if err != nil {
 			t.labelErrors.Add(1)
 			continue
 		}
 		t.oraclePairs.Add(uint64(len(pairs)))
-		t.labelFreePairs.Add(uint64(len(free)))
 		out = append(out, samples...)
 	}
 	return out, nil
-}
-
-// labelFreeRates labels both directions of a (feedback record, pool
-// partner) pair from the cardinality identity rate(Q1 ⊂% Q2) = |Q1∩Q2|/|Q1|
-// (§2) — no oracle execution. All three cardinalities must already be
-// known: the record's truth, the partner's pooled truth, and the
-// intersection's, which is free when the intersection collapses onto one of
-// the two queries (the containment-ordered case) and otherwise needs the
-// intersection itself to be pooled. Residual pairs report ok=false and fall
-// back to the oracle.
-func (t *Trainer) labelFreeRates(r Record, p pool.Entry) (recToPartner, partnerToRec float64, ok bool) {
-	qi, err := r.Q.Intersect(p.Q)
-	if err != nil {
-		return 0, 0, false
-	}
-	var ci int64
-	switch qi.Key() {
-	case r.Q.Key():
-		ci = r.Card
-	case p.Q.Key():
-		ci = p.Card
-	default:
-		var found bool
-		if ci, found = t.pool.CardOf(qi); !found {
-			return 0, 0, false
-		}
-	}
-	return identityRate(ci, r.Card), identityRate(ci, p.Card), true
-}
-
-// identityRate computes |Q1∩Q2|/|Q1| with the empty-Q1 and clamping
-// conventions of the executor's ContainmentRate (internal/exec): an empty
-// Q1 is contained nowhere (rate 0), and noise in independently observed
-// cardinalities must not push the rate outside [0,1].
-func identityRate(inter, card int64) float64 {
-	if card <= 0 {
-		return 0
-	}
-	rate := float64(inter) / float64(card)
-	if rate < 0 {
-		return 0
-	}
-	if rate > 1 {
-		return 1
-	}
-	return rate
 }
 
 // splitSamples carves a deterministic validation slice out of one cycle's
@@ -449,13 +369,7 @@ func identityRate(inter, card int64) float64 {
 // the training set would leak the gate, letting an overfit candidate
 // score as if its training pairs were held out.
 func splitSamples(all []icrn.Sample) (train, val []icrn.Sample) {
-	for i, s := range all {
-		if (i/2)%4 == 3 {
-			val = append(val, s)
-		} else {
-			train = append(train, s)
-		}
-	}
+	train, val = splitCouples(all, 4)
 	if len(val) == 0 && len(all) > 2 {
 		val = all[len(all)-2:]
 		train = all[:len(all)-2]
@@ -463,33 +377,31 @@ func splitSamples(all []icrn.Sample) (train, val []icrn.Sample) {
 	return train, val
 }
 
-// splitCouples deals a sample list's mirror-couples alternately into two
-// halves (couples stay whole, as in splitSamples).
-func splitCouples(all []icrn.Sample) (a, b []icrn.Sample) {
+// splitCouples deals a sample list's mirror-couples into two groups: every
+// nth couple to b, the rest to a (couples stay whole, as in splitSamples).
+func splitCouples(all []icrn.Sample, n int) (a, b []icrn.Sample) {
 	for i, s := range all {
-		if (i/2)%2 == 0 {
-			a = append(a, s)
-		} else {
+		if (i/2)%n == n-1 {
 			b = append(b, s)
+		} else {
+			a = append(a, s)
 		}
 	}
 	return a, b
 }
 
 // extendValSet folds fresh validation samples into the rolling held-out
-// set (FIFO-bounded to MaxValSet) and returns a snapshot for this cycle's
-// gate. Keeping validation samples across cycles stops the gate from
-// judging the candidate only on the data it was just trained around.
+// set (FIFO-bounded to maxValSet) and returns it for this cycle's gate; the
+// caller holds trainMu, so no other cycle moves it meanwhile. Keeping
+// validation samples across cycles stops the gate from judging the
+// candidate only on the data it was just trained around.
 func (t *Trainer) extendValSet(fresh []icrn.Sample) []icrn.Sample {
-	t.valMu.Lock()
-	defer t.valMu.Unlock()
 	t.valSet = append(t.valSet, fresh...)
-	if over := len(t.valSet) - t.cfg.MaxValSet; over > 0 {
+	if over := len(t.valSet) - maxValSet; over > 0 {
 		t.valSet = append(t.valSet[:0], t.valSet[over:]...)
 	}
-	out := make([]icrn.Sample, len(t.valSet))
-	copy(out, t.valSet)
-	return out
+	t.valN.Store(int64(len(t.valSet)))
+	return t.valSet
 }
 
 // cloneModel duplicates a model's configuration and weights through its
@@ -519,11 +431,8 @@ type TrainerStats struct {
 	TrainErrors uint64 `json:"train_errors"`
 	LabelErrors uint64 `json:"label_errors"`
 	WarmErrors  uint64 `json:"warm_errors"`
-	// OraclePairs counts feedback pairs labeled by executing the truth
-	// oracle; LabelFreePairs counts pairs labeled from the cardinality
-	// identity instead — each one is an oracle execution saved.
-	OraclePairs    uint64 `json:"oracle_pairs"`
-	LabelFreePairs uint64 `json:"label_free_pairs"`
+	// OraclePairs counts feedback pairs labeled by the truth oracle.
+	OraclePairs uint64 `json:"oracle_pairs"`
 	// LastLiveQError / LastCandidateQError are the promotion gate's most
 	// recent measurements (0 until the first gated cycle).
 	LastLiveQError      float64 `json:"last_live_q_error"`
@@ -533,21 +442,17 @@ type TrainerStats struct {
 
 // Stats returns the retraining counters.
 func (t *Trainer) Stats() TrainerStats {
-	t.valMu.Lock()
-	valN := len(t.valSet)
-	t.valMu.Unlock()
 	st := TrainerStats{
-		Retrains:       t.retrains.Load(),
-		Promotions:     t.promotions.Load(),
-		Rejections:     t.rejections.Load(),
-		Panics:         t.panics.Load(),
-		DriftRetrains:  t.driftRetrains.Load(),
-		TrainErrors:    t.trainErrors.Load(),
-		LabelErrors:    t.labelErrors.Load(),
-		WarmErrors:     t.warmErrors.Load(),
-		OraclePairs:    t.oraclePairs.Load(),
-		LabelFreePairs: t.labelFreePairs.Load(),
-		ValSamples:     valN,
+		Retrains:      t.retrains.Load(),
+		Promotions:    t.promotions.Load(),
+		Rejections:    t.rejections.Load(),
+		Panics:        t.panics.Load(),
+		DriftRetrains: t.driftRetrains.Load(),
+		TrainErrors:   t.trainErrors.Load(),
+		LabelErrors:   t.labelErrors.Load(),
+		WarmErrors:    t.warmErrors.Load(),
+		OraclePairs:   t.oraclePairs.Load(),
+		ValSamples:    int(t.valN.Load()),
 	}
 	if v := math.Float64frombits(t.lastLiveErr.Load()); !math.IsNaN(v) {
 		st.LastLiveQError = v

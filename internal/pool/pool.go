@@ -426,28 +426,6 @@ func (p *Pool) Contains(q query.Query) bool {
 	return ok
 }
 
-// CardOf returns the pooled true cardinality of the exact query, when
-// pooled. It backs label-free feedback labeling: the identity
-// rate = |Q1∩Q2|/|Q1| needs the intersection query's cardinality, and the
-// pool is where known truths live.
-func (p *Pool) CardOf(q query.Query) (int64, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	id, ok := p.byKey[q.Key()]
-	if !ok {
-		return 0, false
-	}
-	idx := p.byFrom[q.FROMKey()]
-	if idx == nil {
-		return 0, false
-	}
-	pos, ok := idx.byID[id]
-	if !ok {
-		return 0, false
-	}
-	return idx.entries[pos].Card, true
-}
-
 // Len returns the number of pooled queries.
 func (p *Pool) Len() int {
 	p.mu.RLock()

@@ -117,7 +117,7 @@ var (
 // estimatorSettings collects everything EstimatorOption values can tune:
 // the Figure 8 algorithm knobs on the underlying estimator plus the
 // serving-side representation cache, request coalescing, and — for
-// AdaptiveEstimator — the online-adaptation configuration.
+// OpenAdaptiveEstimator — the online-adaptation configuration.
 type estimatorSettings struct {
 	est           *card.Estimator
 	cacheSize     int
@@ -199,7 +199,7 @@ func WithoutRepCache() EstimatorOption {
 // --- Online adaptation (AdaptiveEstimator only) ------------------------------
 //
 // The options below configure the execution-feedback loop of
-// System.AdaptiveEstimator; on a plain CardinalityEstimator or
+// System.OpenAdaptiveEstimator; on a plain CardinalityEstimator or
 // ImproveBaseline they are accepted and ignored (those estimators have no
 // adaptation machinery).
 
@@ -239,8 +239,9 @@ func WithPromoteTolerance(tol float64) EstimatorOption {
 }
 
 // WithFeedbackPairs bounds how many pool partners each feedback record is
-// paired with when deriving training pairs (default 8; the partners are
-// the record's most containment-comparable pool entries).
+// paired with when deriving training pairs (default 8; the partners are a
+// stride sample across all of the record's FROM-clause pool matches, so
+// retraining sees dissimilar, low-rate pairs as serving does).
 func WithFeedbackPairs(n int) EstimatorOption {
 	return func(s *estimatorSettings) { s.adapt.PairsPerRecord = n }
 }
@@ -256,19 +257,6 @@ func WithDriftTrigger(threshold float64, window int) EstimatorOption {
 		s.adapt.DriftThreshold = threshold
 		s.adapt.DriftWindow = window
 	}
-}
-
-// WithLabelFreeFeedback derives containment labels for feedback training
-// pairs from the cardinality identity rate(Q1 ⊂% Q2) = |Q1∩Q2|/|Q1|
-// whenever all three cardinalities are already known (both queries' truths
-// plus the intersection's — free when the intersection collapses onto one
-// of the pair, otherwise looked up in the pool), skipping the truth-oracle
-// execution for those pairs. Pairs the identity cannot resolve still run
-// through the oracle; AdaptationStats reports the split (every label-free
-// pair is one oracle execution saved). Default off — the oracle path is the
-// paper's exact labeling.
-func WithLabelFreeFeedback(on bool) EstimatorOption {
-	return func(s *estimatorSettings) { s.adapt.LabelFree = on }
 }
 
 // --- Durability (AdaptiveEstimator only) -------------------------------------

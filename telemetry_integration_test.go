@@ -95,7 +95,7 @@ func TestAccuracyJoinsFeedback(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := NewTelemetry()
-	ae := sys.AdaptiveEstimator(model, pool,
+	ae := openAdaptive(t, sys, model, pool,
 		WithFallback(base),
 		WithTelemetry(tel),
 		WithDataDir(t.TempDir()),
