@@ -81,7 +81,7 @@ type AdaptationStats struct {
 
 // OpenAdaptiveEstimator builds the paper's Cnt2Crd(CRN) estimator with the
 // online-adaptation loop attached. It accepts every CardinalityEstimator
-// option plus the adaptation options (WithFeedbackBuffer, WithRetrainBatch,
+// option plus the adaptation options (WithFeedbackBuffer,
 // WithRetrainInterval, WithRetrainEpochs, WithPromoteTolerance,
 // WithFeedbackPairs, WithDriftTrigger) and the durability options
 // (WithDataDir, WithWALSync, WithCheckpointRetain).

@@ -15,10 +15,7 @@ import (
 // flushes the representation cache), and the very next /estimate must
 // reflect that entry (200 with a cardinality).
 func TestRecordInvalidatesAndEstimateSeesNewEntry(t *testing.T) {
-	base := testServer(t)
-	empty := base.sys.NewQueriesPool()
-	srv := newServer(base.sys, base.model, empty,
-		base.sys.CardinalityEstimator(base.model, empty), nil)
+	srv := newTestServer(t, testServer(t).sys.NewQueriesPool())
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 

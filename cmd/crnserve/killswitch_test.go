@@ -9,7 +9,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,8 +26,7 @@ import (
 // process serves HTTP; /readyz tracks the serving lifecycle (unready until
 // startup completes, unready again once shutdown begins).
 func TestLivezReadyzLifecycle(t *testing.T) {
-	base := testServer(t)
-	srv := newServer(base.sys, base.model, base.pool, base.est, nil)
+	srv := newTestServer(t, testServer(t).sys.NewQueriesPool())
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -71,9 +69,7 @@ func TestOverloadMapsTo429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := base.sys.CardinalityEstimator(base.model, base.pool,
-		crn.WithFallback(fb), crn.WithMaxInflight(1))
-	srv := newServer(base.sys, base.model, base.pool, est, nil)
+	srv := newTestServer(t, base.pool, crn.WithFallback(fb), crn.WithMaxInflight(1))
 	srv.setReady(true)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
@@ -158,21 +154,11 @@ func TestOverloadMapsTo429(t *testing.T) {
 // durability and a closed breaker on its own.
 func TestKillSwitch(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
-	base := testServer(t)
-	ctx := context.Background()
-	pool := base.sys.NewQueriesPool()
-	if err := base.sys.SeedPool(ctx, pool, 10, 13); err != nil {
-		t.Fatal(err)
-	}
-	fb, err := base.sys.AnalyzeBaseline()
+	fb, err := testServer(t).sys.AnalyzeBaseline()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ae, err := base.sys.OpenAdaptiveEstimator(base.model, pool,
-		crn.WithRetrainInterval(-1),
-		crn.WithRetrainEpochs(1),
-		crn.WithFeedbackPairs(2),
-		crn.WithPromoteTolerance(10),
+	srv := newTestServer(t, seededPool(t), append(retrainOpts,
 		crn.WithDataDir(t.TempDir()),
 		crn.WithWALSync("always"),
 		crn.WithFallback(fb),
@@ -180,13 +166,7 @@ func TestKillSwitch(t *testing.T) {
 		crn.WithBreaker(crn.BreakerConfig{
 			Window: 16, MinSamples: 4, ErrorRate: 0.5,
 			Cooldown: 50 * time.Millisecond, ProbeQuota: 2,
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ae.Close)
-	srv := newServer(base.sys, base.model, pool, ae.CardinalityEstimator, nil)
-	srv.adaptive = ae
+		}))...)
 	srv.setIngestLimit(8)
 	srv.setReady(true)
 	ts := httptest.NewServer(srv.handler())

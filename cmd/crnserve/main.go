@@ -3,8 +3,12 @@
 // queries, appends them to the queries pool with their actual
 // cardinalities, and answers estimation requests concurrently.
 //
-// At startup it opens the synthetic database, loads (or trains) a CRN
-// containment model, seeds the queries pool, and listens. Endpoints:
+// At startup it opens the synthetic database, loads the CRN containment
+// model crntrain wrote (-model), seeds the queries pool, and listens. A
+// -data-dir holding a checkpoint resumes the previous deployment instead:
+// the checkpoint's model generation and grown pool win over -model and
+// pool seeding, and the -model file is not read. With neither a model nor
+// a checkpoint crnserve exits non-zero. Endpoints:
 //
 //	POST /estimate        {"query": "SELECT ..."}              -> {"cardinality": 123.0}
 //	POST /estimate        {"q1": "...", "q2": "..."}           -> {"containment": 0.42}
@@ -40,8 +44,7 @@
 // "rep_cache"). A coalesced request that disconnects abandons its slot
 // immediately, but the shared batch — work other callers still need — runs
 // to completion (disable coalescing with -coalesce-batch 1 to get strict
-// per-request cancellation back). -pprof mounts net/http/pprof under
-// /debug/pprof/.
+// per-request cancellation back).
 //
 // Large pools: -max-candidates K bounds every estimate to the K most
 // containment-comparable pool entries, keeping per-request latency flat as
@@ -52,17 +55,16 @@
 // LRU-by-last-match eviction. /healthz reports the index, scan-split and
 // eviction counters under "pool".
 //
-// Online adaptation (on by default, disable with -adapt=false): /feedback
-// ingests execution feedback — a query the workload actually ran and its
-// observed true cardinality. Feedback grows the queries pool and feeds a
-// background trainer that incrementally retrains the containment model and
-// atomically hot-swaps improved generations under live traffic, gated on
-// validation q-error (-promote-tolerance). The drift monitor compares live
-// estimates against arriving truths; when more than half the windowed
-// q-errors exceed -drift-threshold, a retrain is kicked early. Tune with
-// -feedback-buffer, -feedback-min-batch, -retrain-interval,
-// -retrain-epochs; observe on /healthz ("online": generation, collector,
-// trainer, drift).
+// Online adaptation (always on): /feedback ingests execution feedback — a
+// query the workload actually ran and its observed true cardinality.
+// Feedback grows the queries pool and feeds a background trainer that
+// incrementally retrains the containment model and atomically hot-swaps
+// improved generations under live traffic, gated on validation q-error
+// (-promote-tolerance). The drift monitor compares live estimates against
+// arriving truths; when more than half the windowed q-errors exceed
+// -drift-threshold, a retrain is kicked early. Tune with -feedback-buffer,
+// -retrain-interval, -retrain-epochs; observe on /healthz ("online":
+// generation, collector, trainer, drift).
 //
 // Operational guards: -max-inflight sheds estimation requests beyond a
 // concurrency ceiling with 429 + Retry-After (and independently bounds
@@ -80,12 +82,12 @@
 // → NN-forward → finalize), request outcomes, subsystem counters, and live
 // per-arm q-error (feedback truths joined against recent estimates), all
 // exposed on GET /metrics in Prometheus text format with no external
-// dependency. /healthz renders its latency, stage and accuracy sections from
-// the same registry — request latency comes only from the end-to-end
-// histograms.
-// -metrics-addr moves /metrics plus /debug/pprof onto a separate listener
-// so operational endpoints stay off the public serving port. `crndiag
-// -watch` renders a terminal dashboard over /metrics.
+// dependency. /healthz renders its latency, stage, accuracy, endpoint and
+// wire sections from the same registry instruments.
+// -metrics-addr moves /metrics onto a separate listener and serves
+// /debug/pprof there — the only place profiling is served — so operational
+// endpoints stay off the public serving port. `crndiag -watch` renders a
+// terminal dashboard over /metrics.
 //
 // Errors map typed facade sentinels to statuses: unparseable dialect -> 400,
 // no usable pool match (estimator without fallback) -> 422, shed by
@@ -94,11 +96,11 @@
 //
 // Usage:
 //
-//	crnserve -addr :8080 -titles 4000 -pairs 5000 -pool 300
-//	crnserve -addr :8080 -model crn.model   # skip training, load weights
-//	crnserve -addr :8080 -coalesce-batch 128 -coalesce-wait 200us -pprof
-//	crnserve -addr :8080 -pool-cap 100000 -max-candidates 64
-//	crnserve -addr :8080 -retrain-interval 30s -drift-threshold 16
+//	crntrain -titles 4000 -pairs 5000 -o crn.model
+//	crnserve -addr :8080 -model crn.model -pool 300
+//	crnserve -addr :8080 -model crn.model -metrics-addr 127.0.0.1:9090   # /metrics + /debug/pprof
+//	crnserve -addr :8080 -model crn.model -pool-cap 100000 -max-candidates 64
+//	crnserve -addr :8080 -model crn.model -data-dir state -retrain-interval 30s -drift-threshold 16
 package main
 
 import (
@@ -121,11 +123,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	titles := flag.Int("titles", 4000, "synthetic database size (title rows)")
 	dbSeed := flag.Int64("db-seed", 1, "database generation seed")
-	modelPath := flag.String("model", "", "serialized model from crntrain (empty: train at startup)")
-	pairs := flag.Int("pairs", 5000, "training pairs when training at startup")
-	trainSeed := flag.Int64("train-seed", 1, "workload generation seed for startup training")
-	hidden := flag.Int("hidden", 64, "hidden layer size H for startup training")
-	epochs := flag.Int("epochs", 30, "training epochs for startup training")
+	modelPath := flag.String("model", "", "serialized model from crntrain (required unless -data-dir holds a checkpoint, whose model then wins and this file is not read)")
 	poolSize := flag.Int("pool", 300, "initial queries-pool size (0: start empty)")
 	poolSeed := flag.Int64("pool-seed", 7, "queries-pool generation seed")
 	poolCap := flag.Int("pool-cap", 0, "queries-pool capacity; /record evicts the least-recently-matched entry once full (0: unbounded)")
@@ -133,16 +131,13 @@ func main() {
 	noFallback := flag.Bool("no-fallback", false, "fail pool misses with 422 instead of using the PostgreSQL-style baseline")
 	coalesceBatch := flag.Int("coalesce-batch", 64, "max concurrent /estimate requests coalesced into one batched pass (< 2 disables coalescing)")
 	coalesceWait := flag.Duration("coalesce-wait", 0, "how long to hold a non-full coalescing batch open for stragglers (0: adaptive, never waits)")
-	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (profiling opt-in)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this separate listener so operational endpoints stay off the public port (empty: /metrics rides -addr)")
-	adapt := flag.Bool("adapt", true, "enable the online-adaptation loop (/feedback ingestion, background retraining, model hot-swap)")
-	feedbackBuffer := flag.Int("feedback-buffer", 1024, "staged execution-feedback records before /feedback rejects (adaptation)")
-	feedbackMinBatch := flag.Int("feedback-min-batch", 16, "staged records that make a scheduled retrain worthwhile (adaptation)")
-	retrainInterval := flag.Duration("retrain-interval", 5*time.Second, "background trainer polling period; negative disables scheduled retraining (adaptation)")
-	retrainEpochs := flag.Int("retrain-epochs", 8, "incremental training epochs per retrain cycle (adaptation)")
-	promoteTolerance := flag.Float64("promote-tolerance", 0.05, "promotion gate: candidate validation q-error may exceed live by this fraction (adaptation)")
+	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this separate listener so operational endpoints stay off the public port (empty: /metrics rides -addr, pprof is not served)")
+	feedbackBuffer := flag.Int("feedback-buffer", 1024, "staged execution-feedback records before /feedback rejects")
+	retrainInterval := flag.Duration("retrain-interval", 5*time.Second, "background trainer polling period; negative disables scheduled retraining")
+	retrainEpochs := flag.Int("retrain-epochs", 8, "incremental training epochs per retrain cycle")
+	promoteTolerance := flag.Float64("promote-tolerance", 0.05, "promotion gate: candidate validation q-error may exceed live by this fraction")
 	driftThreshold := flag.Float64("drift-threshold", 0, "q-error of live estimates vs feedback truths that, exceeded by more than half the drift window, kicks an early retrain (0: observe only)")
-	driftWindow := flag.Int("drift-window", 256, "drift monitor window: two tumbling halves of N/2 feedback q-errors, so the last N/2..N (adaptation)")
+	driftWindow := flag.Int("drift-window", 256, "drift monitor window: two tumbling halves of N/2 feedback q-errors, so the last N/2..N")
 	dataDir := flag.String("data-dir", "", "durable state directory: feedback WAL + promotion checkpoints, recovered on restart (empty: memory-only)")
 	walSync := flag.String("wal-sync", "interval", "feedback WAL sync policy: interval (batched fsync), always (fsync per record), none")
 	checkpointRetain := flag.Int("checkpoint-retain", 3, "checkpoints kept on disk; older ones and fully-covered WAL segments are pruned")
@@ -156,6 +151,16 @@ func main() {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "crnserve: ", log.LstdFlags)
+
+	// A data dir with a completed checkpoint is a resumable deployment: the
+	// checkpoint's model generation and grown pool supersede -model and pool
+	// seeding (OpenAdaptiveEstimator restores both), so the model file is
+	// not read.
+	resume := *dataDir != "" && crn.HasCheckpoint(*dataDir)
+	if !resume && *modelPath == "" {
+		logger.Fatalf("no model: train one with crntrain (crntrain -o crn.model) and pass -model crn.model, or resume from a -data-dir checkpoint")
+	}
+
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -165,48 +170,18 @@ func main() {
 		logger.Fatalf("open database: %v", err)
 	}
 
-	// A data dir with a completed checkpoint is a resumable deployment: the
-	// checkpoint's model generation and grown pool supersede startup
-	// training and seeding (an explicit -model still loads, as the escape
-	// hatch for swapping weights under a kept data dir).
-	resume := *adapt && *dataDir != "" && crn.HasCheckpoint(*dataDir)
-	if resume {
-		logger.Printf("data dir %s holds a checkpoint: resuming previous deployment (skipping startup training and pool seeding)", *dataDir)
-	}
-
 	var model *crn.ContainmentModel
-	if resume && *modelPath == "" {
-		// The checkpoint carries the model; OpenAdaptiveEstimator restores it.
-	} else if *modelPath != "" {
+	if resume {
+		logger.Printf("data dir %s holds a checkpoint: resuming previous deployment (its model wins over -model; skipping pool seeding)", *dataDir)
+	} else {
 		blob, err := os.ReadFile(*modelPath)
 		if err != nil {
 			logger.Fatalf("read model: %v", err)
 		}
-		model, err = sys.LoadContainmentModel(blob)
-		if err != nil {
+		if model, err = sys.LoadContainmentModel(blob); err != nil {
 			logger.Fatalf("load model: %v", err)
 		}
 		logger.Printf("loaded model from %s", *modelPath)
-	} else {
-		mcfg := crn.DefaultModelConfig()
-		mcfg.Hidden = *hidden
-		mcfg.Epochs = *epochs
-		logger.Printf("training containment model (pairs=%d hidden=%d epochs=%d)", *pairs, *hidden, *epochs)
-		start := time.Now()
-		model, err = sys.TrainContainmentModel(ctx,
-			crn.WithPairs(*pairs),
-			crn.WithSeed(*trainSeed),
-			crn.WithModelConfig(mcfg),
-			crn.WithProgress(func(epoch int, valQ float64) {
-				if epoch%5 == 0 {
-					logger.Printf("  epoch %3d: validation mean q-error %.3f", epoch, valQ)
-				}
-			}),
-		)
-		if err != nil {
-			logger.Fatalf("train: %v", err)
-		}
-		logger.Printf("trained in %v", time.Since(start).Round(time.Second))
 	}
 
 	var poolOpts []crn.PoolOption
@@ -223,7 +198,14 @@ func main() {
 	}
 
 	tel := crn.NewTelemetry()
-	opts := []crn.EstimatorOption{crn.WithTelemetry(tel)}
+	opts := []crn.EstimatorOption{
+		crn.WithTelemetry(tel),
+		crn.WithFeedbackBuffer(*feedbackBuffer),
+		crn.WithRetrainInterval(*retrainInterval),
+		crn.WithRetrainEpochs(*retrainEpochs),
+		crn.WithPromoteTolerance(*promoteTolerance),
+		crn.WithDriftTrigger(*driftThreshold, *driftWindow),
+	}
 	if !*noFallback {
 		base, err := sys.AnalyzeBaseline()
 		if err != nil {
@@ -257,61 +239,31 @@ func main() {
 		logger.Printf("circuit breaker armed (window=%d error-rate=%g p99=%v cooldown=%v)",
 			*breakerWindow, *breakerErrorRate, *breakerP99, *breakerCooldown)
 	}
-
-	var est *crn.CardinalityEstimator
-	var adaptive *crn.AdaptiveEstimator
-	if *adapt {
-		adaptOpts := append(opts,
-			crn.WithFeedbackBuffer(*feedbackBuffer),
-			crn.WithRetrainBatch(*feedbackMinBatch),
-			crn.WithRetrainInterval(*retrainInterval),
-			crn.WithRetrainEpochs(*retrainEpochs),
-			crn.WithPromoteTolerance(*promoteTolerance),
-			crn.WithDriftTrigger(*driftThreshold, *driftWindow),
+	if *dataDir != "" {
+		opts = append(opts,
+			crn.WithDataDir(*dataDir),
+			crn.WithWALSync(*walSync),
+			crn.WithCheckpointRetain(*checkpointRetain),
 		)
-		if *dataDir != "" {
-			adaptOpts = append(adaptOpts,
-				crn.WithDataDir(*dataDir),
-				crn.WithWALSync(*walSync),
-				crn.WithCheckpointRetain(*checkpointRetain),
-			)
-		}
-		adaptive, err = sys.OpenAdaptiveEstimator(model, pool, adaptOpts...)
-		if err != nil {
-			logger.Fatalf("open adaptive estimator: %v", err)
-		}
-		defer adaptive.Close()
-		est = adaptive.CardinalityEstimator
-		logger.Printf("online adaptation on (buffer=%d min-batch=%d interval=%v epochs=%d tolerance=%.2f drift-threshold=%g)",
-			*feedbackBuffer, *feedbackMinBatch, *retrainInterval, *retrainEpochs, *promoteTolerance, *driftThreshold)
-		if ds := adaptive.DurabilityStats(); ds != nil {
-			logger.Printf("durable state on under %s (wal-sync=%s retain=%d): generation=%d pool=%d staged=%d replayed=%d",
-				*dataDir, *walSync, *checkpointRetain,
-				adaptive.ModelGeneration(), pool.Len(), adaptive.StagedFeedback(), ds.ReplayedRecords)
-		}
-	} else {
-		if *dataDir != "" {
-			logger.Printf("warning: -data-dir is ignored with -adapt=false (durability rides the adaptation loop)")
-		}
-		est = sys.CardinalityEstimator(model, pool, opts...)
 	}
 
-	handler := newServer(sys, model, pool, est, logger)
-	handler.adaptive = adaptive
-	handler.pprof = *pprofFlag
+	est, err := sys.OpenAdaptiveEstimator(model, pool, opts...)
+	if err != nil {
+		logger.Fatalf("open adaptive estimator: %v", err)
+	}
+	logger.Printf("online adaptation on (buffer=%d interval=%v epochs=%d tolerance=%.2f drift-threshold=%g)",
+		*feedbackBuffer, *retrainInterval, *retrainEpochs, *promoteTolerance, *driftThreshold)
+	if ds := est.DurabilityStats(); ds != nil {
+		logger.Printf("durable state on under %s (wal-sync=%s retain=%d): generation=%d pool=%d staged=%d replayed=%d",
+			*dataDir, *walSync, *checkpointRetain,
+			est.ModelGeneration(), pool.Len(), est.StagedFeedback(), ds.ReplayedRecords)
+	}
+
+	handler := newServer(sys, pool, est, tel, logger)
 	handler.setIngestLimit(*maxInflight)
-	handler.setTelemetry(tel)
 	handler.metricsOnMain = *metricsAddr == ""
-	if *pprofFlag {
-		logger.Printf("pprof enabled under /debug/pprof/")
-	}
-	if *metricsAddr == "" {
-		logger.Printf("telemetry on (/metrics on the serving port; stage timers and live q-error tracking armed)")
-	} else {
-		logger.Printf("telemetry on (stage timers and live q-error tracking armed)")
-	}
-	// Construction is done: model published (trained, loaded, or recovered)
-	// and any WAL replay absorbed — flip /readyz before the listener opens.
+	// Construction is done: model published (loaded or recovered) and any
+	// WAL replay absorbed — flip /readyz before the listener opens.
 	handler.setReady(true)
 	srv := &http.Server{
 		Addr:    *addr,
@@ -366,16 +318,14 @@ func main() {
 	// ListenAndServe returns as soon as the listener closes; wait for
 	// Shutdown to finish draining in-flight requests before exiting.
 	<-drained
-	if adaptive != nil {
-		// Graceful teardown: the listener has drained, so no new feedback
-		// arrives; stop the trainer and — with -data-dir — flush the WAL and
-		// write the final checkpoint (staged feedback stays journaled past
-		// the checkpoint LSN and is re-staged on the next boot).
-		if adaptive.DurabilityStats() != nil {
-			logger.Printf("flushing durable state (generation=%d staged=%d)",
-				adaptive.ModelGeneration(), adaptive.StagedFeedback())
-		}
-		adaptive.Close()
+	// Graceful teardown: the listener has drained, so no new feedback
+	// arrives; stop the trainer and — with -data-dir — flush the WAL and
+	// write the final checkpoint (staged feedback stays journaled past the
+	// checkpoint LSN and is re-staged on the next boot).
+	if est.DurabilityStats() != nil {
+		logger.Printf("flushing durable state (generation=%d staged=%d)",
+			est.ModelGeneration(), est.StagedFeedback())
 	}
+	est.Close()
 	fmt.Fprintln(os.Stderr, "crnserve: shut down")
 }

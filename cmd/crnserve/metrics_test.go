@@ -10,6 +10,7 @@ import (
 
 	"crn"
 	"crn/internal/telemetry"
+	"crn/internal/wire"
 )
 
 // drive pushes a little traffic through every instrumented route so the
@@ -149,10 +150,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestHealthzTelemetrySection: with telemetry on, /healthz carries the
-// registry-snapshot section — request outcomes, stage quantiles, q-error
-// arms — and its latency snapshots come from the same histograms /metrics
-// serves.
+// TestHealthzTelemetrySection: /healthz carries the registry-snapshot
+// section — request outcomes, stage quantiles, q-error arms — and its
+// latency snapshots come from the same histograms /metrics serves.
 func TestHealthzTelemetrySection(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).handler())
 	defer ts.Close()
@@ -166,9 +166,6 @@ func TestHealthzTelemetrySection(t *testing.T) {
 	var hr healthzResponse
 	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
 		t.Fatal(err)
-	}
-	if hr.Telemetry == nil {
-		t.Fatal("healthz telemetry section missing with telemetry on")
 	}
 	if hr.Telemetry.Requests["ok"] < 3 {
 		t.Errorf("telemetry.requests.ok = %d, want >= 3", hr.Telemetry.Requests["ok"])
@@ -186,23 +183,24 @@ func TestHealthzTelemetrySection(t *testing.T) {
 }
 
 // TestMetricsAddrSplit: with metricsOnMain off (the -metrics-addr
-// configuration), the public mux stops serving /metrics while the
-// operational mux serves /metrics and /debug/pprof.
+// configuration), the public mux stops serving /metrics and never serves
+// /debug/pprof, while the operational mux serves both. The server gets its
+// own estimator and bundle: family names are unique per registry.
 func TestMetricsAddrSplit(t *testing.T) {
-	base := testServer(t)
-	split := newServer(base.sys, base.model, base.pool, base.est, nil)
-	split.tel = base.tel // reuse the bundle; collectors already registered
+	split := newTestServer(t, testServer(t).sys.NewQueriesPool())
 	split.metricsOnMain = false
 
 	pub := httptest.NewServer(split.handler())
 	defer pub.Close()
-	resp, err := http.Get(pub.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("public /metrics with -metrics-addr: status %d, want 404", resp.StatusCode)
+	for _, path := range []string{"/metrics", "/debug/pprof/"} {
+		resp, err := http.Get(pub.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("public %s with -metrics-addr: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 
 	ops := httptest.NewServer(split.metricsHandler())
@@ -216,5 +214,101 @@ func TestMetricsAddrSplit(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("operational %s: status %d, want 200", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestHealthzMatchesMetrics: /healthz "endpoints", "wire" and "recorded"
+// read the very counters /metrics exposes, so after traffic over every
+// counted route — single estimates, a JSON and a binary batch, /record,
+// /feedback and one 400 — the two agree exactly.
+func TestHealthzMatchesMetrics(t *testing.T) {
+	fb, err := testServer(t).sys.AnalyzeBaseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, seededPool(t), crn.WithFallback(fb))
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+
+	drive(t, ts.URL) // three estimates, one JSON batch, one /record
+	if status, body := postBinary(t, ts.URL+"/estimate/batch",
+		wire.AppendRequest(nil, []string{"SELECT * FROM title WHERE title.kind_id = 2"})); status != http.StatusOK {
+		t.Fatalf("binary batch: status %d body %s", status, body)
+	}
+	if status, body, err := postJSONErr(ts.URL+"/feedback", map[string]any{
+		"query": "SELECT * FROM title WHERE title.production_year > 1944", "cardinality": 12,
+	}); err != nil || status != http.StatusOK {
+		t.Fatalf("feedback: status %d err %v body %s", status, err, body)
+	}
+	if status, _, err := postJSONErr(ts.URL+"/estimate", map[string]string{}); err != nil || status != http.StatusBadRequest {
+		t.Fatalf("empty estimate: status %d err %v, want 400", status, err)
+	}
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hr healthzResponse
+	err = json.NewDecoder(resp.Body).Decode(&hr)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := telemetry.ParseText(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := func(family, key, value string) uint64 {
+		t.Helper()
+		f := fams[family]
+		if f == nil {
+			t.Fatalf("family %s missing from /metrics", family)
+		}
+		v, ok := f.Sample(key, value)
+		if !ok {
+			t.Fatalf("%s{%s=%q} missing from /metrics", family, key, value)
+		}
+		return uint64(v)
+	}
+
+	want := map[string]endpointSnapshot{
+		"estimate":       {Requests: 4, Failed: 1},
+		"estimate_batch": {Requests: 2},
+		"record":         {Requests: 1},
+		"feedback":       {Requests: 1},
+	}
+	for route, ep := range hr.Endpoints {
+		scraped := endpointSnapshot{
+			Requests: sample("crn_http_requests_total", "route", route),
+			Shed:     sample("crn_http_shed_total", "route", route),
+			Failed:   sample("crn_http_failures_total", "route", route),
+		}
+		if ep != scraped || ep != want[route] {
+			t.Errorf("endpoints[%s]: healthz %+v, metrics %+v, want %+v", route, ep, scraped, want[route])
+		}
+	}
+	if len(hr.Endpoints) != len(want) {
+		t.Errorf("healthz endpoints = %v, want the %d counted routes", hr.Endpoints, len(want))
+	}
+	for codec, c := range map[string]wireCodecSnapshot{"json": hr.Wire.JSON, "binary": hr.Wire.Binary} {
+		scraped := wireCodecSnapshot{
+			Requests: sample("crn_wire_requests_total", "codec", codec),
+			BytesIn:  sample("crn_wire_in_bytes_total", "codec", codec),
+			BytesOut: sample("crn_wire_out_bytes_total", "codec", codec),
+		}
+		if c != scraped || c.Requests != 1 || c.BytesIn == 0 || c.BytesOut == 0 {
+			t.Errorf("wire.%s: healthz %+v, metrics %+v, want one request with bytes both ways", codec, c, scraped)
+		}
+	}
+	if got := sample("crn_wire_buffer_ops_total", "op", "get"); got != hr.Wire.BufferGets || got == 0 {
+		t.Errorf("buffer gets: healthz %d, metrics %d", hr.Wire.BufferGets, got)
+	}
+	if got := sample("crn_recorded_queries_total", "", ""); got != hr.Recorded {
+		t.Errorf("recorded: healthz %d, metrics %d", hr.Recorded, got)
 	}
 }

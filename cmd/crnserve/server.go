@@ -8,7 +8,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"net/http/pprof"
 	"slices"
 	"strconv"
 	"strings"
@@ -22,34 +21,24 @@ import (
 	"crn/internal/wire"
 )
 
-// server is the HTTP front end over the estimation facade: a trained
-// containment model, a live queries pool, and a batch-first cardinality
-// estimator. All handlers are safe for concurrent use — the pool accepts
-// concurrent /record appends while /estimate reads — and every estimation
-// runs under the request context, so a disconnecting client cancels its
-// work.
+// server is the HTTP front end over the estimation facade: a live queries
+// pool and the adaptive cardinality estimator serving it. All handlers are
+// safe for concurrent use — the pool accepts concurrent /record and
+// /feedback appends while /estimate reads — and every estimation runs under
+// the request context, so a disconnecting client cancels its work.
 type server struct {
-	sys   *crn.System
-	model *crn.ContainmentModel
-	pool  *crn.QueriesPool
-	est   *crn.CardinalityEstimator
+	sys  *crn.System
+	pool *crn.QueriesPool
+	// est answers every estimate on the live model generation; /feedback
+	// ingests execution feedback through it and /healthz reports the
+	// adaptation loop's counters.
+	est *crn.AdaptiveEstimator
 
-	// adaptive, when non-nil, is the online-adaptation view of est:
-	// /feedback ingests execution feedback through it and /healthz reports
-	// the loop's counters. est aliases its CardinalityEstimator, so the
-	// estimate handlers need no branching.
-	adaptive *crn.AdaptiveEstimator
+	started time.Time
+	logger  *log.Logger
 
-	started  time.Time
-	recorded atomic.Int64 // queries appended via /record
-	logger   *log.Logger
-
-	// pprof mounts net/http/pprof under /debug/pprof/ when set (the -pprof
-	// flag); off by default so production profiling is an explicit opt-in.
-	pprof bool
-
-	// ready gates /readyz: set once startup (training or recovery replay,
-	// model publication) completes, cleared when shutdown starts so load
+	// ready gates /readyz: set once startup (model load or checkpoint
+	// recovery, WAL replay) completes, cleared when shutdown starts so load
 	// balancers stop routing here before the listener closes.
 	ready atomic.Bool
 
@@ -59,26 +48,24 @@ type server struct {
 	// exhaust the server even while /estimate is protected. Nil: unlimited.
 	ingestGate *guard.Gate
 
-	wireIO  wireStats
 	bufPool wire.BufferPool
 	// queryBufs recycles estimateBatchSQL's parsed-query slice (*[]crn.Query).
 	queryBufs sync.Pool
 
-	// tel is the serving telemetry bundle shared with the estimator: GET
-	// /metrics serves its registry, /healthz renders its latency, stage and
-	// accuracy sections from one snapshot of it, the frame-size histogram
-	// children below record /estimate/batch body sizes per codec, and
-	// parseDur the time each /estimate or /estimate/batch request spent
-	// turning its SQL into canonical queries (one observation per request,
-	// however many queries). Set via setTelemetry before serving; a server
-	// built without a bundle serves no /metrics and zero latency sections.
+	// tel is the telemetry bundle est records into: GET /metrics serves its
+	// registry and /healthz renders its latency, stage and accuracy sections
+	// from one snapshot of it. The server's own instruments below are
+	// registered on the same registry (see registerMetrics), so /healthz
+	// and /metrics read one source.
 	tel           *crn.Telemetry
 	metricsOnMain bool // mount /metrics on the public mux (no -metrics-addr)
-	parseDur      *telemetry.Histogram
-	jsonReqBytes  *telemetry.Histogram
-	jsonRespBytes *telemetry.Histogram
-	binReqBytes   *telemetry.Histogram
-	binRespBytes  *telemetry.Histogram
+	// parseDur is the time each /estimate or /estimate/batch request spent
+	// turning its SQL into canonical queries (one observation per request,
+	// however many queries).
+	parseDur *telemetry.Histogram
+	recorded *telemetry.Counter // queries appended via /record
+	jsonIO   codecCounters
+	binaryIO codecCounters
 
 	epEstimate endpointCounters
 	epBatch    endpointCounters
@@ -86,40 +73,34 @@ type server struct {
 	epFeedback endpointCounters
 }
 
-func newServer(sys *crn.System, model *crn.ContainmentModel, pool *crn.QueriesPool, est *crn.CardinalityEstimator, logger *log.Logger) *server {
-	return &server{sys: sys, model: model, pool: pool, est: est, started: time.Now(), logger: logger, metricsOnMain: true,
+// newServer builds the front end over est and registers the server-level
+// families on tel, the bundle est records into.
+func newServer(sys *crn.System, pool *crn.QueriesPool, est *crn.AdaptiveEstimator, tel *crn.Telemetry, logger *log.Logger) *server {
+	s := &server{sys: sys, pool: pool, est: est, tel: tel, started: time.Now(), logger: logger, metricsOnMain: true,
 		queryBufs: sync.Pool{New: func() any { return new([]crn.Query) }}}
+	s.registerMetrics()
+	return s
 }
 
-// setReady flips the /readyz gate; main sets it once construction (training
-// or checkpoint recovery, model publication) finishes and clears it when
-// shutdown begins.
+// setReady flips the /readyz gate; main sets it once construction (model
+// load or checkpoint recovery) finishes and clears it when shutdown begins.
 func (s *server) setReady(ready bool) { s.ready.Store(ready) }
 
 // setIngestLimit bounds concurrent /record + /feedback requests (0: off).
 func (s *server) setIngestLimit(n int) { s.ingestGate = guard.NewGate(n) }
 
-// handler builds the route table.
+// handler builds the route table of the public serving port.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /estimate", s.counted(&s.epEstimate, s.handleEstimate))
 	mux.HandleFunc("POST /estimate/batch", s.counted(&s.epBatch, s.handleEstimateBatch))
 	mux.HandleFunc("POST /record", s.counted(&s.epRecord, s.handleRecord))
-	if s.adaptive != nil {
-		mux.HandleFunc("POST /feedback", s.counted(&s.epFeedback, s.handleFeedback))
-	}
+	mux.HandleFunc("POST /feedback", s.counted(&s.epFeedback, s.handleFeedback))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /livez", s.handleLivez)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	if s.tel != nil && s.metricsOnMain {
+	if s.metricsOnMain {
 		mux.HandleFunc("GET /metrics", s.handleMetrics)
-	}
-	if s.pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
 }
@@ -134,12 +115,11 @@ type latencySnapshot struct {
 
 // --- Per-endpoint accounting ------------------------------------------------
 
-// endpointCounters tracks outcomes per route with lock-free counters: total
-// requests, requests shed with 429 (admission control), and other failures.
+// endpointCounters are one route's children of the crn_http_* families:
+// total requests, requests shed with 429 (admission control), and other
+// failures.
 type endpointCounters struct {
-	requests atomic.Uint64
-	shed     atomic.Uint64
-	failed   atomic.Uint64
+	requests, shed, failed *telemetry.Counter
 }
 
 // endpointSnapshot is the wire form of endpointCounters.
@@ -172,29 +152,26 @@ func (w *statusWriter) WriteHeader(code int) {
 // counted wraps a handler with per-endpoint outcome accounting.
 func (s *server) counted(ep *endpointCounters, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		ep.requests.Add(1)
+		ep.requests.Inc()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r)
 		switch {
 		case sw.status == http.StatusTooManyRequests:
-			ep.shed.Add(1)
+			ep.shed.Inc()
 		case sw.status >= 400:
-			ep.failed.Add(1)
+			ep.failed.Inc()
 		}
 	}
 }
 
 // --- Batch wire accounting ---------------------------------------------------
 
-// wireStats tracks /estimate/batch traffic per codec with lock-free
-// counters; /healthz renders the snapshot under "wire".
-type wireStats struct {
-	jsonRequests   atomic.Uint64
-	jsonBytesIn    atomic.Uint64
-	jsonBytesOut   atomic.Uint64
-	binaryRequests atomic.Uint64
-	binaryBytesIn  atomic.Uint64
-	binaryBytesOut atomic.Uint64
+// codecCounters are one codec's /estimate/batch instruments, children of
+// the crn_wire_* families: request and byte totals (rendered under "wire"
+// on /healthz) plus frame-size histograms.
+type codecCounters struct {
+	requests, bytesIn, bytesOut *telemetry.Counter
+	reqBytes, respBytes         *telemetry.Histogram
 }
 
 // wireCodecSnapshot is one codec's traffic counters.
@@ -202,6 +179,14 @@ type wireCodecSnapshot struct {
 	Requests uint64 `json:"requests"`
 	BytesIn  uint64 `json:"bytes_in"`
 	BytesOut uint64 `json:"bytes_out"`
+}
+
+func (c *codecCounters) snapshot() wireCodecSnapshot {
+	return wireCodecSnapshot{
+		Requests: c.requests.Load(),
+		BytesIn:  c.bytesIn.Load(),
+		BytesOut: c.bytesOut.Load(),
+	}
 }
 
 // wireSnapshot is the "wire" section of /healthz: per-codec batch traffic
@@ -218,16 +203,8 @@ type wireSnapshot struct {
 func (s *server) wireSnapshot() wireSnapshot {
 	gets, misses, drops := s.bufPool.Stats()
 	snap := wireSnapshot{
-		JSON: wireCodecSnapshot{
-			Requests: s.wireIO.jsonRequests.Load(),
-			BytesIn:  s.wireIO.jsonBytesIn.Load(),
-			BytesOut: s.wireIO.jsonBytesOut.Load(),
-		},
-		Binary: wireCodecSnapshot{
-			Requests: s.wireIO.binaryRequests.Load(),
-			BytesIn:  s.wireIO.binaryBytesIn.Load(),
-			BytesOut: s.wireIO.binaryBytesOut.Load(),
-		},
+		JSON:         s.jsonIO.snapshot(),
+		Binary:       s.binaryIO.snapshot(),
 		BufferGets:   gets,
 		BufferMisses: misses,
 		BufferDrops:  drops,
@@ -336,7 +313,7 @@ type feedbackResponse struct {
 type healthzResponse struct {
 	Status        string  `json:"status"`
 	PoolSize      int     `json:"pool_size"`
-	Recorded      int64   `json:"recorded"`
+	Recorded      uint64  `json:"recorded"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Pool reports the candidate index and capacity bound: entries and FROM
 	// keys, configured capacity (0: unbounded), LRU evictions, bounded
@@ -360,10 +337,9 @@ type healthzResponse struct {
 	// application/x-crn-batch binary protocol) and the binary path's
 	// pooled-buffer reuse rate.
 	Wire wireSnapshot `json:"wire"`
-	// Online reports the adaptation loop — live model generation, feedback
-	// ingestion, background retraining and drift monitoring — and is
-	// omitted when the server runs with -adapt=false.
-	Online *crn.AdaptationStats `json:"online,omitempty"`
+	// Online reports the adaptation loop: live model generation, feedback
+	// ingestion, background retraining and drift monitoring.
+	Online crn.AdaptationStats `json:"online"`
 	// Durable reports the durability layer — WAL appends/syncs/segments,
 	// checkpoint history, recovery replay counters — and is omitted without
 	// -data-dir.
@@ -380,7 +356,7 @@ type healthzResponse struct {
 	// Telemetry reports the serving telemetry bundle — request outcomes,
 	// per-stage latency quantiles, live per-arm q-error — rendered from one
 	// registry gather shared with /metrics.
-	Telemetry *telemetrySummary `json:"telemetry,omitempty"`
+	Telemetry telemetrySummary `json:"telemetry"`
 }
 
 type errorResponse struct {
@@ -422,18 +398,7 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, statusFor(err), err)
 			return
 		}
-		// Containment runs on the live generation when adaptation is on (and
-		// is the only path for a deployment resumed from a checkpoint, where
-		// there is no standalone model handle at all).
-		var rate float64
-		switch {
-		case s.adaptive != nil:
-			rate, err = s.adaptive.EstimateContainment(r.Context(), q1, q2)
-		case s.model != nil:
-			rate, err = s.model.EstimateContainment(r.Context(), q1, q2)
-		default:
-			err = errors.New("containment estimation unavailable: no model loaded")
-		}
+		rate, err := s.est.EstimateContainment(r.Context(), q1, q2)
 		if err != nil {
 			s.writeError(w, statusFor(err), err)
 			return
@@ -451,15 +416,15 @@ func (s *server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		s.handleEstimateBatchBinary(w, r)
 		return
 	}
-	s.wireIO.jsonRequests.Add(1)
+	s.jsonIO.requests.Inc()
 	cr := &countingReader{ReadCloser: r.Body}
 	r.Body = cr
 	cw := &countingWriter{ResponseWriter: w}
 	defer func() {
-		s.wireIO.jsonBytesIn.Add(cr.n)
-		s.wireIO.jsonBytesOut.Add(cw.n)
-		s.jsonReqBytes.Observe(float64(cr.n))
-		s.jsonRespBytes.Observe(float64(cw.n))
+		s.jsonIO.bytesIn.Add(cr.n)
+		s.jsonIO.bytesOut.Add(cw.n)
+		s.jsonIO.reqBytes.Observe(float64(cr.n))
+		s.jsonIO.respBytes.Observe(float64(cw.n))
 	}()
 	var req batchRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -527,7 +492,7 @@ const maxBatchQueries = 1 << 16
 // still reported as JSON bodies with the usual status mapping — a client
 // that speaks the protocol can always read them.
 func (s *server) handleEstimateBatchBinary(w http.ResponseWriter, r *http.Request) {
-	s.wireIO.binaryRequests.Add(1)
+	s.binaryIO.requests.Inc()
 	body, err := readAllInto(s.bufPool.Get(), http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		s.bufPool.Put(body)
@@ -539,8 +504,8 @@ func (s *server) handleEstimateBatchBinary(w http.ResponseWriter, r *http.Reques
 		s.writeError(w, status, err)
 		return
 	}
-	s.wireIO.binaryBytesIn.Add(uint64(len(body)))
-	s.binReqBytes.Observe(float64(len(body)))
+	s.binaryIO.bytesIn.Add(uint64(len(body)))
+	s.binaryIO.reqBytes.Observe(float64(len(body)))
 	sqls, err := wire.DecodeRequest(body, maxBatchQueries)
 	s.bufPool.Put(body) // decoded strings live in their own arena, not body
 	if err != nil {
@@ -567,8 +532,8 @@ func (s *server) handleEstimateBatchBinary(w http.ResponseWriter, r *http.Reques
 	if _, err := w.Write(out); err != nil && s.logger != nil {
 		s.logger.Printf("write response: %v", err)
 	}
-	s.wireIO.binaryBytesOut.Add(uint64(len(out)))
-	s.binRespBytes.Observe(float64(len(out)))
+	s.binaryIO.bytesOut.Add(uint64(len(out)))
+	s.binaryIO.respBytes.Observe(float64(len(out)))
 	s.bufPool.Put(out)
 }
 
@@ -594,7 +559,7 @@ func (s *server) handleRecord(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if added {
-		s.recorded.Add(1)
+		s.recorded.Inc()
 		// No cache flush here: the estimator's representation cache is
 		// subscribed to the pool and absorbs the mutation surgically (an
 		// insert invalidates nothing, an eviction drops exactly the
@@ -632,7 +597,7 @@ func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 			errors.New(`"cardinality" must be a non-negative observed row count`))
 		return
 	}
-	accepted, err := s.adaptive.RecordFeedback(r.Context(), req.Query, *req.Cardinality)
+	accepted, err := s.est.RecordFeedback(r.Context(), req.Query, *req.Cardinality)
 	if err != nil {
 		s.writeError(w, statusFor(err), err)
 		return
@@ -642,8 +607,8 @@ func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	// trainer counter, which has no place on a per-request path.
 	s.writeJSON(w, http.StatusOK, feedbackResponse{
 		Accepted:   accepted,
-		Staged:     s.adaptive.StagedFeedback(),
-		Generation: s.adaptive.ModelGeneration(),
+		Staged:     s.est.StagedFeedback(),
+		Generation: s.est.ModelGeneration(),
 		PoolSize:   s.pool.Len(),
 	})
 }
@@ -661,6 +626,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Wire:          s.wireSnapshot(),
 		Guard:         s.est.GuardStats(),
 		IngestGate:    s.ingestGate.Stats(),
+		Online:        s.est.AdaptationStats(),
+		Durable:       s.est.DurabilityStats(),
 		Endpoints: map[string]endpointSnapshot{
 			"estimate":       s.epEstimate.snapshot(),
 			"estimate_batch": s.epBatch.snapshot(),
@@ -668,18 +635,11 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"feedback":       s.epFeedback.snapshot(),
 		},
 	}
-	if s.adaptive != nil {
-		st := s.adaptive.AdaptationStats()
-		resp.Online = &st
-		resp.Durable = s.adaptive.DurabilityStats()
-	}
-	if s.tel != nil {
-		// One coherent gather: every telemetry-backed section — the latency
-		// snapshots included — comes from a single pass over the registry's
-		// histograms and counters (the same instruments /metrics exposes)
-		// instead of field-by-field reads interleaved with the render.
-		resp.Telemetry, resp.EstimateLatency, resp.BatchLatency = s.telemetrySnapshot()
-	}
+	// One coherent gather: every telemetry-backed section — the latency
+	// snapshots included — comes from a single pass over the registry's
+	// histograms and counters (the same instruments /metrics exposes)
+	// instead of field-by-field reads interleaved with the render.
+	resp.Telemetry, resp.EstimateLatency, resp.BatchLatency = s.telemetrySnapshot()
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -690,8 +650,8 @@ func (s *server) handleLivez(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "alive"})
 }
 
-// handleReadyz answers readiness: startup (training or recovery replay,
-// model publication) completed, shutdown has not begun, and the circuit
+// handleReadyz answers readiness: startup (model load or checkpoint
+// recovery, WAL replay) completed, shutdown has not begun, and the circuit
 // breaker is not open. An open breaker means primary estimates are being
 // diverted — still correct via the fallback, but a load balancer with a
 // healthy replica should prefer it.

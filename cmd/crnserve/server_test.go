@@ -14,41 +14,39 @@ import (
 )
 
 var (
-	envOnce sync.Once
-	envSrv  *server
-	envErr  error
+	envOnce  sync.Once
+	envSys   *crn.System
+	envModel *crn.ContainmentModel
+	envSrv   *server
+	envErr   error
 )
 
 // testServer builds one tiny trained serving stack for the whole test
 // package; individual tests get fresh httptest servers over its handler but
 // share the model (training dominates setup time). Benchmarks share it too
 // (TB), which is why BenchmarkServeStages reports quantiles from a windowed
-// snapshot delta rather than the cumulative histograms.
+// snapshot delta rather than the cumulative histograms. The shared server
+// lives as long as the test binary, so its estimator is never closed.
 func testServer(t testing.TB) *server {
 	t.Helper()
 	envOnce.Do(func() {
 		ctx := context.Background()
-		sys, err := crn.OpenSynthetic(ctx, crn.WithTitles(300), crn.WithDataSeed(7))
-		if err != nil {
-			envErr = err
+		if envSys, envErr = crn.OpenSynthetic(ctx, crn.WithTitles(300), crn.WithDataSeed(7)); envErr != nil {
 			return
 		}
 		mcfg := crn.DefaultModelConfig()
 		mcfg.Hidden = 8
 		mcfg.Epochs = 2
 		mcfg.Patience = 1
-		model, err := sys.TrainContainmentModel(ctx,
-			crn.WithPairs(150), crn.WithSeed(3), crn.WithModelConfig(mcfg))
-		if err != nil {
-			envErr = err
+		if envModel, envErr = envSys.TrainContainmentModel(ctx,
+			crn.WithPairs(150), crn.WithSeed(3), crn.WithModelConfig(mcfg)); envErr != nil {
 			return
 		}
-		pool := sys.NewQueriesPool()
-		if err := sys.SeedPool(ctx, pool, 30, 11); err != nil {
-			envErr = err
+		pool := envSys.NewQueriesPool()
+		if envErr = envSys.SeedPool(ctx, pool, 30, 11); envErr != nil {
 			return
 		}
-		base, err := sys.AnalyzeBaseline()
+		base, err := envSys.AnalyzeBaseline()
 		if err != nil {
 			envErr = err
 			return
@@ -56,18 +54,38 @@ func testServer(t testing.TB) *server {
 		// Coalescing on, as in the default serving configuration: the
 		// equivalence assertions below (batch == single) therefore also pin
 		// the coalesced path to the batched path through the HTTP surface.
-		// Telemetry on too, so every handler test also exercises the
-		// instrumented path and /healthz renders from the registry snapshot.
-		tel := crn.NewTelemetry()
-		est := sys.CardinalityEstimator(model, pool,
-			crn.WithFallback(base), crn.WithCoalescing(16, 0), crn.WithTelemetry(tel))
-		envSrv = newServer(sys, model, pool, est, nil)
-		envSrv.setTelemetry(tel)
+		envSrv, envErr = openServer(pool, crn.WithFallback(base), crn.WithCoalescing(16, 0))
 	})
 	if envErr != nil {
 		t.Fatal(envErr)
 	}
 	return envSrv
+}
+
+// openServer builds a server over pool the way main does — an adaptive
+// estimator on the shared model recording into its own telemetry bundle —
+// with scheduled retraining off, so tests drive promotion explicitly.
+func openServer(pool *crn.QueriesPool, opts ...crn.EstimatorOption) (*server, error) {
+	tel := crn.NewTelemetry()
+	est, err := envSys.OpenAdaptiveEstimator(envModel, pool,
+		append([]crn.EstimatorOption{crn.WithTelemetry(tel), crn.WithRetrainInterval(-1)}, opts...)...)
+	if err != nil {
+		return nil, err
+	}
+	return newServer(envSys, pool, est, tel, nil), nil
+}
+
+// newTestServer is openServer for one test: its estimator closes when the
+// test ends.
+func newTestServer(t testing.TB, pool *crn.QueriesPool, opts ...crn.EstimatorOption) *server {
+	t.Helper()
+	testServer(t) // trains the shared model
+	srv, err := openServer(pool, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.est.Close)
+	return srv
 }
 
 func postJSONErr(url string, body any) (int, []byte, error) {
@@ -192,12 +210,9 @@ func TestErrorMapping(t *testing.T) {
 }
 
 func TestNoPoolMatchMapsTo422(t *testing.T) {
-	base := testServer(t)
 	// An estimator without fallback over an empty pool: every estimate
 	// misses.
-	empty := base.sys.NewQueriesPool()
-	bare := newServer(base.sys, base.model, empty,
-		base.sys.CardinalityEstimator(base.model, empty), nil)
+	bare := newTestServer(t, testServer(t).sys.NewQueriesPool())
 	ts := httptest.NewServer(bare.handler())
 	defer ts.Close()
 
@@ -265,44 +280,6 @@ func TestHealthzServingStats(t *testing.T) {
 	}
 	if hr.BatchLatency.Count < 1 || hr.BatchLatency.AvgMicros <= 0 {
 		t.Errorf("batch latency counters wrong: %+v", hr.BatchLatency)
-	}
-}
-
-// TestPprofFlagGatesDebugRoutes: the profiling endpoints exist exactly when
-// the -pprof flag is set.
-func TestPprofFlagGatesDebugRoutes(t *testing.T) {
-	base := testServer(t)
-
-	off := httptest.NewServer(base.handler())
-	defer off.Close()
-	resp, err := http.Get(off.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("pprof off: /debug/pprof/ status %d, want 404", resp.StatusCode)
-	}
-
-	withPprof := newServer(base.sys, base.model, base.pool, base.est, nil)
-	withPprof.pprof = true
-	on := httptest.NewServer(withPprof.handler())
-	defer on.Close()
-	resp, err = http.Get(on.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("pprof on: /debug/pprof/ status %d, want 200", resp.StatusCode)
-	}
-	resp, err = http.Get(on.URL + "/debug/pprof/cmdline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("pprof on: /debug/pprof/cmdline status %d, want 200", resp.StatusCode)
 	}
 }
 
@@ -384,9 +361,7 @@ func TestBoundedPoolConfigAndHealthz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := base.sys.CardinalityEstimator(base.model, bounded,
-		crn.WithFallback(fb), crn.WithMaxCandidates(2))
-	srv := newServer(base.sys, base.model, bounded, est, nil)
+	srv := newTestServer(t, bounded, crn.WithFallback(fb), crn.WithMaxCandidates(2))
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -430,29 +405,28 @@ func TestBoundedPoolConfigAndHealthz(t *testing.T) {
 	}
 }
 
-// adaptiveServer builds a server with the online-adaptation loop attached
-// (manual retraining: interval -1, so tests drive promotion explicitly)
-// over the shared trained model and a fresh seeded pool.
+// seededPool returns a fresh 10-entry pool, so a test's feedback and
+// retraining leave the shared server's pool alone.
+func seededPool(t testing.TB) *crn.QueriesPool {
+	t.Helper()
+	sys := testServer(t).sys
+	pool := sys.NewQueriesPool()
+	if err := sys.SeedPool(context.Background(), pool, 10, 13); err != nil {
+		t.Fatal(err)
+	}
+	return pool
+}
+
+// retrainOpts make a manual retrain cheap and its promotion certain.
+var retrainOpts = []crn.EstimatorOption{
+	crn.WithRetrainEpochs(1), crn.WithFeedbackPairs(2), crn.WithPromoteTolerance(10),
+}
+
+// adaptiveServer builds a server over a fresh seeded pool whose manual
+// retrains promote.
 func adaptiveServer(t *testing.T) *server {
 	t.Helper()
-	base := testServer(t)
-	ctx := context.Background()
-	pool := base.sys.NewQueriesPool()
-	if err := base.sys.SeedPool(ctx, pool, 10, 13); err != nil {
-		t.Fatal(err)
-	}
-	ae, err := base.sys.OpenAdaptiveEstimator(base.model, pool,
-		crn.WithRetrainInterval(-1),
-		crn.WithRetrainEpochs(1),
-		crn.WithFeedbackPairs(2),
-		crn.WithPromoteTolerance(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ae.Close)
-	srv := newServer(base.sys, base.model, pool, ae.CardinalityEstimator, nil)
-	srv.adaptive = ae
-	return srv
+	return newTestServer(t, seededPool(t), retrainOpts...)
 }
 
 // TestFeedbackEndpoint drives /feedback end to end: ingestion, validation
@@ -512,12 +486,12 @@ func TestFeedbackEndpoint(t *testing.T) {
 	}); err != nil || status != http.StatusOK {
 		t.Fatalf("second feedback: status %d err %v", status, err)
 	}
-	promoted, err := srv.adaptive.Retrain(context.Background())
+	promoted, err := srv.est.Retrain(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !promoted {
-		t.Fatalf("retrain did not promote: %+v", srv.adaptive.AdaptationStats())
+		t.Fatalf("retrain did not promote: %+v", srv.est.AdaptationStats())
 	}
 	if got := srv.pool.Len(); got != poolBefore+2 {
 		t.Errorf("pool size = %d, want %d (feedback becomes pool entries)", got, poolBefore+2)
@@ -539,9 +513,6 @@ func TestFeedbackEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
 		t.Fatal(err)
 	}
-	if hr.Online == nil {
-		t.Fatal("healthz must report the online section when adaptation is on")
-	}
 	if hr.Online.Generation != 2 {
 		t.Errorf("generation = %d, want 2", hr.Online.Generation)
 	}
@@ -559,58 +530,12 @@ func TestFeedbackEndpoint(t *testing.T) {
 	}
 }
 
-// TestFeedbackDisabledWithoutAdaptation pins that a server without the
-// adaptation loop does not expose /feedback and omits the online health
-// section.
-func TestFeedbackDisabledWithoutAdaptation(t *testing.T) {
-	srv := testServer(t)
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
-	status, _, err := postJSONErr(ts.URL+"/feedback",
-		map[string]any{"query": "SELECT * FROM title", "cardinality": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != http.StatusNotFound {
-		t.Errorf("/feedback on a non-adaptive server = %d, want 404", status)
-	}
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var hr healthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
-	}
-	if hr.Online != nil {
-		t.Errorf("online section must be omitted without adaptation: %+v", hr.Online)
-	}
-}
-
 // TestHealthzDurableSection drives a durable adaptive server through the
 // HTTP surface: /feedback journals to the WAL, /healthz exposes the
 // "durable" section, and a non-durable server omits it.
 func TestHealthzDurableSection(t *testing.T) {
-	base := testServer(t)
-	ctx := context.Background()
-	pool := base.sys.NewQueriesPool()
-	if err := base.sys.SeedPool(ctx, pool, 10, 13); err != nil {
-		t.Fatal(err)
-	}
-	ae, err := base.sys.OpenAdaptiveEstimator(base.model, pool,
-		crn.WithRetrainInterval(-1),
-		crn.WithRetrainEpochs(1),
-		crn.WithFeedbackPairs(2),
-		crn.WithPromoteTolerance(10),
-		crn.WithDataDir(t.TempDir()),
-		crn.WithWALSync("always"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ae.Close)
-	srv := newServer(base.sys, base.model, pool, ae.CardinalityEstimator, nil)
-	srv.adaptive = ae
+	srv := newTestServer(t, seededPool(t), append(retrainOpts,
+		crn.WithDataDir(t.TempDir()), crn.WithWALSync("always"))...)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 

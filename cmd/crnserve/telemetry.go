@@ -12,20 +12,19 @@ import (
 
 // This file wires the serving telemetry bundle into the HTTP front end:
 // GET /metrics (Prometheus text exposition over the estimator's registry),
-// the server-level collector families (HTTP routes, ingest gate, wire
-// codec traffic and frame sizes), the optional separate operational
-// listener (-metrics-addr), and the registry-snapshot rendering of the
-// /healthz latency, stage and accuracy sections.
+// the server-level families (HTTP routes, ingest gate, wire codec traffic
+// and frame sizes), the separate operational listener (-metrics-addr), and
+// the registry-snapshot rendering of the /healthz latency, stage and
+// accuracy sections.
 
-// setTelemetry attaches the telemetry bundle the estimator records into
-// and registers the server-level families on its registry: per-request SQL
-// parse time, statement-cache lookups, per-route HTTP outcomes, the ingest
-// gate, /estimate/batch codec traffic with frame-size histograms, and process
-// uptime. Call once, after setIngestLimit and before serving; a server never
-// given a bundle keeps every instrument nil and /metrics unrouted.
-func (s *server) setTelemetry(t *crn.Telemetry) {
-	s.tel = t
-	reg := t.Registry()
+// registerMetrics registers the server-level families on the bundle's
+// registry: per-request SQL parse time, statement-cache lookups, per-route
+// HTTP outcomes, the ingest gate, /estimate/batch codec traffic with
+// frame-size histograms, recorded queries, and process uptime. The counters
+// the handlers bump are the registry's own children, so /healthz and
+// /metrics read one source.
+func (s *server) registerMetrics() {
+	reg := s.tel.Registry()
 
 	// SQL front end: the span between request decode and the estimator's own
 	// end-to-end timer, per request so a 64-query batch is one observation.
@@ -42,34 +41,26 @@ func (s *server) setTelemetry(t *crn.Telemetry) {
 	reg.GaugeFunc("crn_stmtcache_entries", "Request texts held by the statement cache.",
 		func() float64 { return float64(s.sys.StatementCacheStats().Entries) })
 
-	// Wire layer: frame sizes as histograms (the shape of batch traffic),
-	// request/byte totals as collector families over the counters the
-	// handlers already maintain — /healthz and /metrics read one source.
+	// Wire layer: frame sizes as histograms (the shape of batch traffic)
+	// plus request and byte totals, one child of each per codec.
 	reqBytes := reg.HistogramVec("crn_wire_request_bytes",
 		"Request body size of /estimate/batch calls, per codec.",
 		"codec", telemetry.SizeOpts)
 	respBytes := reg.HistogramVec("crn_wire_response_bytes",
 		"Response body size of /estimate/batch calls, per codec.",
 		"codec", telemetry.SizeOpts)
-	s.jsonReqBytes = reqBytes.With("json")
-	s.jsonRespBytes = respBytes.With("json")
-	s.binReqBytes = reqBytes.With("binary")
-	s.binRespBytes = respBytes.With("binary")
-	reg.CollectCounter("crn_wire_requests_total",
-		"Batch estimate requests by codec.", "codec", func(emit telemetry.Emit) {
-			emit(float64(s.wireIO.jsonRequests.Load()), "json")
-			emit(float64(s.wireIO.binaryRequests.Load()), "binary")
-		})
-	reg.CollectCounter("crn_wire_in_bytes_total",
-		"Batch request bytes read by codec.", "codec", func(emit telemetry.Emit) {
-			emit(float64(s.wireIO.jsonBytesIn.Load()), "json")
-			emit(float64(s.wireIO.binaryBytesIn.Load()), "binary")
-		})
-	reg.CollectCounter("crn_wire_out_bytes_total",
-		"Batch response bytes written by codec.", "codec", func(emit telemetry.Emit) {
-			emit(float64(s.wireIO.jsonBytesOut.Load()), "json")
-			emit(float64(s.wireIO.binaryBytesOut.Load()), "binary")
-		})
+	requests := reg.CounterVec("crn_wire_requests_total", "Batch estimate requests by codec.", "codec")
+	bytesIn := reg.CounterVec("crn_wire_in_bytes_total", "Batch request bytes read by codec.", "codec")
+	bytesOut := reg.CounterVec("crn_wire_out_bytes_total", "Batch response bytes written by codec.", "codec")
+	for _, c := range []struct {
+		name string
+		io   *codecCounters
+	}{{"json", &s.jsonIO}, {"binary", &s.binaryIO}} {
+		*c.io = codecCounters{
+			requests: requests.With(c.name), bytesIn: bytesIn.With(c.name), bytesOut: bytesOut.With(c.name),
+			reqBytes: reqBytes.With(c.name), respBytes: respBytes.With(c.name),
+		}
+	}
 	reg.CollectCounter("crn_wire_buffer_ops_total",
 		"Binary-path pooled buffer operations (get, miss, oversize drop).", "op", func(emit telemetry.Emit) {
 			gets, misses, drops := s.bufPool.Stats()
@@ -78,9 +69,12 @@ func (s *server) setTelemetry(t *crn.Telemetry) {
 			emit(float64(drops), "drop")
 		})
 
-	// HTTP layer: per-route outcome counters, gathered from the atomics
-	// the counted middleware maintains.
-	routes := []struct {
+	// HTTP layer: per-route outcome counters the counted middleware bumps.
+	httpRequests := reg.CounterVec("crn_http_requests_total", "HTTP requests by route.", "route")
+	httpShed := reg.CounterVec("crn_http_shed_total", "HTTP requests shed with 429 by route.", "route")
+	httpFailed := reg.CounterVec("crn_http_failures_total",
+		"HTTP requests failed with a non-shed 4xx/5xx by route.", "route")
+	for _, rt := range []struct {
 		name string
 		ep   *endpointCounters
 	}{
@@ -88,25 +82,11 @@ func (s *server) setTelemetry(t *crn.Telemetry) {
 		{"estimate_batch", &s.epBatch},
 		{"record", &s.epRecord},
 		{"feedback", &s.epFeedback},
+	} {
+		*rt.ep = endpointCounters{
+			requests: httpRequests.With(rt.name), shed: httpShed.With(rt.name), failed: httpFailed.With(rt.name),
+		}
 	}
-	reg.CollectCounter("crn_http_requests_total",
-		"HTTP requests by route.", "route", func(emit telemetry.Emit) {
-			for _, rt := range routes {
-				emit(float64(rt.ep.requests.Load()), rt.name)
-			}
-		})
-	reg.CollectCounter("crn_http_shed_total",
-		"HTTP requests shed with 429 by route.", "route", func(emit telemetry.Emit) {
-			for _, rt := range routes {
-				emit(float64(rt.ep.shed.Load()), rt.name)
-			}
-		})
-	reg.CollectCounter("crn_http_failures_total",
-		"HTTP requests failed with a non-shed 4xx/5xx by route.", "route", func(emit telemetry.Emit) {
-			for _, rt := range routes {
-				emit(float64(rt.ep.failed.Load()), rt.name)
-			}
-		})
 
 	// Ingest gate: the server-level admission bound over /record and
 	// /feedback (the endpoints that execute the truth oracle).
@@ -121,10 +101,7 @@ func (s *server) setTelemetry(t *crn.Telemetry) {
 			emit(float64(gs.Admitted), "admitted")
 			emit(float64(gs.Shed), "shed")
 		})
-	reg.CollectCounter("crn_recorded_queries_total",
-		"Queries appended to the pool via /record.", "", func(emit telemetry.Emit) {
-			emit(float64(s.recorded.Load()), "")
-		})
+	s.recorded = reg.Counter("crn_recorded_queries_total", "Queries appended to the pool via /record.")
 	reg.GaugeFunc("crn_process_uptime_seconds",
 		"Seconds since the server started.", func() float64 {
 			return time.Since(s.started).Seconds()
@@ -140,14 +117,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // metricsHandler builds the route table of the separate operational
-// listener (-metrics-addr): /metrics (given a telemetry bundle) plus
-// /debug/pprof unconditionally — the point of the second listener is that
-// neither is exposed on the public serving port.
+// listener (-metrics-addr): /metrics plus /debug/pprof, the only place
+// profiling is served — the point of the second listener is that neither
+// is exposed on the public serving port.
 func (s *server) metricsHandler() http.Handler {
 	mux := http.NewServeMux()
-	if s.tel != nil {
-		mux.HandleFunc("GET /metrics", s.handleMetrics)
-	}
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -215,7 +190,7 @@ func latencyFromHist(snap telemetry.HistSnapshot) latencySnapshot {
 // instead of field-by-field reads spread across the render. Returns the
 // summary section plus the estimate/batch latency snapshots derived from
 // the same end-to-end histograms /metrics exposes.
-func (s *server) telemetrySnapshot() (*telemetrySummary, latencySnapshot, latencySnapshot) {
+func (s *server) telemetrySnapshot() (telemetrySummary, latencySnapshot, latencySnapshot) {
 	t := s.tel
 	stageHists := map[string]*telemetry.Histogram{
 		telemetry.StageAdmission:          t.Stages.Admission,
@@ -225,7 +200,7 @@ func (s *server) telemetrySnapshot() (*telemetrySummary, latencySnapshot, latenc
 		telemetry.StageNNForward:          t.Stages.NNForward,
 		telemetry.StageFinalize:           t.Stages.Finalize,
 	}
-	sum := &telemetrySummary{
+	sum := telemetrySummary{
 		Requests: map[string]uint64{
 			telemetry.OutcomeOK:       t.ReqOK.Load(),
 			telemetry.OutcomeError:    t.ReqError.Load(),

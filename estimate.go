@@ -260,7 +260,7 @@ type CoalescerStats = serve.Stats
 // trained containment model and a queries pool: generation 1 of a model
 // box nobody promotes. Options tune the Figure 8 algorithm (WithFinal,
 // WithFallback, WithMaxCandidates), the serving-side representation cache
-// (WithRepCacheSize, WithoutRepCache), coalescing, the guards and telemetry.
+// (WithRepCacheSize), coalescing, the guards and telemetry.
 func (s *System) CardinalityEstimator(m *ContainmentModel, p *QueriesPool, opts ...EstimatorOption) *CardinalityEstimator {
 	est := card.New(nil, p)
 	set := newSettings(est, opts)
@@ -281,8 +281,8 @@ func (e *CardinalityEstimator) Close() { e.box.Close() }
 // ImproveBaseline wraps an existing cardinality model with the paper's §7
 // construction — Cnt2Crd(Crd2Cnt(M)) over the pool — without changing M.
 // Representation caching does not apply (the wrapped model has no
-// set-module representations), so the cache options WithRepCacheSize and
-// WithoutRepCache are ignored and CacheStats reports zeros. WithCoalescing
+// set-module representations), so WithRepCacheSize is ignored and
+// CacheStats reports zeros. WithCoalescing
 // is honored: request micro-batching is model-agnostic.
 func (s *System) ImproveBaseline(m BaselineEstimator, p *QueriesPool, opts ...EstimatorOption) *CardinalityEstimator {
 	est := card.Improved(m, p)
@@ -465,7 +465,7 @@ func (e *CardinalityEstimator) InvalidateRepresentations() {
 
 // CacheStats reports representation-cache hits, misses and tier occupancy.
 // Estimators without a cache — ImproveBaseline always, CardinalityEstimator
-// under WithoutRepCache — report all zeros (the nil cache's Stats is a
+// under WithRepCacheSize(0) — report all zeros (the nil cache's Stats is a
 // guarded no-op, so this is safe to call unconditionally).
 func (e *CardinalityEstimator) CacheStats() RepCacheStats {
 	return e.box.Cache().Stats()

@@ -39,7 +39,7 @@ func TestRepCacheEquivalence(t *testing.T) {
 	sys, model, p, probe := repCacheFixture(t)
 
 	cached := sys.CardinalityEstimator(model, p)
-	uncached := sys.CardinalityEstimator(model, p, WithoutRepCache())
+	uncached := sys.CardinalityEstimator(model, p, WithRepCacheSize(0))
 
 	want, err := uncached.EstimateCardinality(ctx, probe)
 	if err != nil {
@@ -97,7 +97,7 @@ func TestRepCacheInvalidationOnPoolMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := sys.CardinalityEstimator(model, p, WithoutRepCache())
+	fresh := sys.CardinalityEstimator(model, p, WithRepCacheSize(0))
 	want, err := fresh.EstimateCardinality(ctx, probe)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestPoolEvictionInvalidatesRepCache(t *testing.T) {
 	}
 
 	cached := sys.CardinalityEstimator(model, p)
-	uncached := sys.CardinalityEstimator(model, p, WithoutRepCache())
+	uncached := sys.CardinalityEstimator(model, p, WithRepCacheSize(0))
 	probe, err := sys.ParseQuery("SELECT * FROM title WHERE title.production_year > 1955")
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func memoProbes(t *testing.T, sys *System) []Query {
 
 // TestRateMemoEquivalence is the facade-level gate of the pair-rate memo:
 // an estimator with the cache (and so the memo) answers bit for bit what a
-// WithoutRepCache estimator answers, single and batch, while the memo goes
+// WithRepCacheSize(0) estimator answers, single and batch, while the memo goes
 // from cold to hit, through pool evictions (surgical removes, dead rows,
 // compaction), after InvalidateRepresentations and across a model
 // generation swap — and the memo does serve the repeats.
@@ -355,7 +355,7 @@ func TestRateMemoEquivalence(t *testing.T) {
 		}
 	}
 	hits := func() uint64 { return cached.CacheStats().MemoHits }
-	uncached := sys.CardinalityEstimator(model, p, WithoutRepCache())
+	uncached := sys.CardinalityEstimator(model, p, WithRepCacheSize(0))
 
 	check("warm-up", uncached)
 	if hits() == 0 || cached.CacheStats().MemoEntries == 0 {
@@ -392,7 +392,7 @@ func TestRateMemoEquivalence(t *testing.T) {
 	if st := cached.CacheStats(); st.MemoEntries != 0 || st.Resident != 0 {
 		t.Fatalf("a fresh generation must start with an empty cache: %+v", st)
 	}
-	check("after generation swap", sys.CardinalityEstimator(second, p, WithoutRepCache()))
+	check("after generation swap", sys.CardinalityEstimator(second, p, WithRepCacheSize(0)))
 	if cached.CacheStats().MemoHits == 0 {
 		t.Fatal("the new generation's memo never answered")
 	}
@@ -485,7 +485,7 @@ func TestRateMemoConcurrentChurn(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	uncached := sys.CardinalityEstimator(model, p, WithoutRepCache())
+	uncached := sys.CardinalityEstimator(model, p, WithRepCacheSize(0))
 	for round := 0; round < 4; round++ {
 		for _, q := range probes {
 			want, err := uncached.EstimateCardinality(ctx, q)
@@ -508,7 +508,7 @@ func TestRateMemoUntouchedByFailedPass(t *testing.T) {
 	ctx := context.Background()
 	sys, model, p, probe := repCacheFixture(t)
 	cached := sys.CardinalityEstimator(model, p)
-	uncached := sys.CardinalityEstimator(model, p, WithoutRepCache())
+	uncached := sys.CardinalityEstimator(model, p, WithRepCacheSize(0))
 	// First sighting: everything encoded and cached, nothing memoized yet.
 	if _, err := cached.EstimateCardinality(ctx, probe); err != nil {
 		t.Fatal(err)

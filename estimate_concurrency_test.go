@@ -166,7 +166,7 @@ func TestFacadeConcurrentMixedTraffic(t *testing.T) {
 
 	// The pool stopped mutating: concurrent-path answers must now equal a
 	// fresh uncached sequential estimator over the final pool.
-	fresh := sys.CardinalityEstimator(model, p, WithoutRepCache())
+	fresh := sys.CardinalityEstimator(model, p, WithRepCacheSize(0))
 	for i, q := range probes {
 		want, err := fresh.EstimateCardinality(ctx, q)
 		if err != nil {

@@ -184,7 +184,7 @@ func TestSingleIsBatchOfOne(t *testing.T) {
 func TestFrozenIsGenerationOne(t *testing.T) {
 	ctx := context.Background()
 	sys, model, _, _ := repCacheFixture(t)
-	for _, extra := range [][]EstimatorOption{nil, {WithoutRepCache()}} {
+	for _, extra := range [][]EstimatorOption{nil, {WithRepCacheSize(0)}} {
 		name := fmt.Sprintf("cache=%v", extra == nil)
 		const capacity = 16
 		p := sys.NewQueriesPool(WithPoolCap(capacity))

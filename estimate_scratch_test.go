@@ -101,7 +101,7 @@ func TestScratchReuseIsInvisible(t *testing.T) {
 	ctx := context.Background()
 	sys, model, p, _ := repCacheFixture(t)
 	probes := hotProbes(t, sys, 64)
-	reference := sys.CardinalityEstimator(model, p, WithoutRepCache())
+	reference := sys.CardinalityEstimator(model, p, WithRepCacheSize(0))
 	want := make([]uint64, len(probes))
 	for i, q := range probes {
 		v, err := reference.EstimateCardinality(ctx, q)
@@ -111,7 +111,7 @@ func TestScratchReuseIsInvisible(t *testing.T) {
 		want[i] = math.Float64bits(v)
 	}
 	cached := sys.CardinalityEstimator(model, p)
-	uncached := sys.CardinalityEstimator(model, p, WithoutRepCache())
+	uncached := sys.CardinalityEstimator(model, p, WithRepCacheSize(0))
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -121,7 +121,7 @@ func TestMaxCandidatesBounded(t *testing.T) {
 
 	// The bounded estimator composes with the representation cache: cached
 	// and uncached bounded estimates agree exactly.
-	uncached := sys.CardinalityEstimator(model, p, WithMaxCandidates(4), WithoutRepCache())
+	uncached := sys.CardinalityEstimator(model, p, WithMaxCandidates(4), WithRepCacheSize(0))
 	raw, err := uncached.EstimateCardinalityBatch(ctx, probes)
 	if err != nil {
 		t.Fatal(err)

@@ -49,6 +49,10 @@ const (
 	// driftMinSamples is the windowed sample floor below which the drift
 	// threshold cannot trip (clamped to the drift window).
 	driftMinSamples = 32
+	// minBatch is the number of staged records that makes a scheduled
+	// retrain worthwhile. Drift-triggered retrains run with whatever is
+	// staged.
+	minBatch = 16
 )
 
 // Config collects the adaptation knobs with serving-grade defaults; the
@@ -56,10 +60,6 @@ const (
 type Config struct {
 	// BufferCap bounds the collector's staging buffer (default 1024).
 	BufferCap int
-	// MinBatch is the number of staged records that makes a scheduled
-	// retrain worthwhile (default 16). Drift-triggered retrains run with
-	// whatever is staged.
-	MinBatch int
 	// Interval is the trainer's polling period (default 5s). Zero keeps
 	// the default; negative disables scheduled retraining (drift kicks and
 	// explicit RetrainNow calls still work).
@@ -89,9 +89,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BufferCap <= 0 {
 		c.BufferCap = 1024
-	}
-	if c.MinBatch <= 0 {
-		c.MinBatch = 16
 	}
 	if c.Interval == 0 {
 		c.Interval = 5 * time.Second

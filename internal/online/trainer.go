@@ -149,7 +149,7 @@ func (t *Trainer) loop() (clean bool) {
 			// drift is handled here, on the schedule, without waiting for
 			// a full batch the drifted workload may never deliver.
 			staged := t.col.Staged()
-			if staged >= t.cfg.MinBatch ||
+			if staged >= minBatch ||
 				(staged > 0 && t.drift != nil && t.drift.Drifted()) {
 				_, _ = t.RetrainNow(t.ctx)
 			}

@@ -189,13 +189,6 @@ func WithRepCacheSize(n int) EstimatorOption {
 	return func(s *estimatorSettings) { s.cacheSize = n }
 }
 
-// WithoutRepCache disables the representation cache, re-encoding every
-// query on every estimate (the pre-cache behavior; useful for equivalence
-// testing and memory-constrained deployments).
-func WithoutRepCache() EstimatorOption {
-	return func(s *estimatorSettings) { s.cacheSize = 0 }
-}
-
 // --- Online adaptation (AdaptiveEstimator only) ------------------------------
 //
 // The options below configure the execution-feedback loop of
@@ -208,13 +201,6 @@ func WithoutRepCache() EstimatorOption {
 // queued — until the trainer drains.
 func WithFeedbackBuffer(n int) EstimatorOption {
 	return func(s *estimatorSettings) { s.adapt.BufferCap = n }
-}
-
-// WithRetrainBatch sets how many staged feedback records make a scheduled
-// retrain worthwhile (default 16). Drift-triggered retrains ignore the
-// floor and run with whatever is staged.
-func WithRetrainBatch(n int) EstimatorOption {
-	return func(s *estimatorSettings) { s.adapt.MinBatch = n }
 }
 
 // WithRetrainInterval sets the background trainer's polling period.
