@@ -418,11 +418,7 @@ func (e *AdaptiveEstimator) EstimateContainment(ctx context.Context, q1, q2 Quer
 	if err := contain.Validate(q1, q2); err != nil {
 		return 0, err
 	}
-	out, err := e.box.EstimateRatesCtx(ctx, [][2]Query{{q1, q2}})
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
+	return contain.Rate(ctx, e.box, q1, q2)
 }
 
 // Retrain runs one synchronous retrain cycle over the staged feedback and

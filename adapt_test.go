@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"crn/internal/contain"
 	"crn/internal/metrics"
 	"crn/internal/workload"
 )
@@ -226,7 +227,8 @@ func TestAdaptationImprovesDriftedModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	promotedRates, err := ae.box.Current().Rates.EstimateRatesCtx(ctx, qpairs)
+	qs, idx := contain.IndexPairs(qpairs)
+	promotedRates, err := ae.box.Current().Rates.EstimateRatesIndexed(ctx, qs, idx)
 	if err != nil {
 		t.Fatal(err)
 	}

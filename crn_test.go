@@ -6,6 +6,8 @@ import (
 	"math"
 	"testing"
 
+	"crn/internal/card"
+	"crn/internal/contain"
 	icrn "crn/internal/crn"
 )
 
@@ -373,7 +375,51 @@ func TestContextCancellation(t *testing.T) {
 	if err := sys.SeedPool(cancelled, sys.NewQueriesPool(), 10, 3); !errors.Is(err, context.Canceled) {
 		t.Errorf("SeedPool: want context.Canceled, got %v", err)
 	}
+
+	// Cancelled mid-batch: the rate pass checks ctx between its units of
+	// work, so the model cancelling on its 2nd call is not called again.
+	mp := sys.NewQueriesPool()
+	for _, sql := range []string{
+		"SELECT * FROM title",
+		"SELECT * FROM title WHERE title.kind_id < 5",
+		"SELECT * FROM title WHERE title.production_year > 1950",
+	} {
+		pq, _ := sys.ParseQuery(sql)
+		c, err := sys.TrueCardinality(context.Background(), pq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp.Add(pq, c)
+	}
+	midCtx, cancelMid := context.WithCancel(context.Background())
+	m := &cancelOnCall{n: 2, cancel: cancelMid}
+	if _, err := sys.ImproveBaseline(m, mp).EstimateCardinality(midCtx, q); !errors.Is(err, context.Canceled) || m.calls != m.n {
+		t.Errorf("ImproveBaseline mid-batch: want context.Canceled after %d calls, got %v after %d", m.n, err, m.calls)
+	}
+	midCtx, cancelMid = context.WithCancel(context.Background())
+	m = &cancelOnCall{n: 2, cancel: cancelMid}
+	if _, err := card.New(contain.TruthRate{T: m}, mp).EstimateCards(midCtx, []Query{q, q}); !errors.Is(err, context.Canceled) || m.calls != m.n {
+		t.Errorf("TruthRate estimator mid-batch: want context.Canceled after %d calls, got %v after %d", m.n, err, m.calls)
+	}
 }
+
+// cancelOnCall is a cardinality model and containment oracle that cancels
+// its context on its nth call.
+type cancelOnCall struct {
+	n, calls int
+	cancel   context.CancelFunc
+}
+
+func (c *cancelOnCall) tick() {
+	c.calls++
+	if c.calls == c.n {
+		c.cancel()
+	}
+}
+
+func (c *cancelOnCall) EstimateCard(Query) (float64, error) { c.tick(); return 100, nil }
+
+func (c *cancelOnCall) ContainmentRate(_, _ Query) (float64, error) { c.tick(); return 0.5, nil }
 
 func TestCompoundExpressions(t *testing.T) {
 	ctx := context.Background()

@@ -22,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -47,7 +46,8 @@ const DefaultEpsilon = 1e-3
 var ErrNoPoolMatch = errors.New("card: no matching pool query")
 
 // Estimator estimates cardinalities with the pool-based technique. It
-// implements contain.CardEstimator and contain.CtxCardEstimator.
+// implements contain.CardEstimator; EstimateCardCtx and EstimateCards add
+// cancellation and batching.
 type Estimator struct {
 	// Rates estimates containment rates between query pairs.
 	Rates contain.RateEstimator
@@ -63,10 +63,7 @@ type Estimator struct {
 	// falling back to a basic cardinality model (§5.2). A nil Fallback
 	// makes such queries an error.
 	Fallback contain.CardEstimator
-	// Workers sets the parallelism of the pool scan when the rate model has
-	// no batch interface (Figure 8's loop is embarrassingly parallel,
-	// §5.3); 0 means GOMAXPROCS, 1 is serial. Batch-capable rate models
-	// parallelize internally instead.
+	// Deprecated: not read; every rate model batches internally.
 	Workers int
 	// MaxCandidates bounds the per-query pool scan: when positive, only the
 	// MaxCandidates most containment-comparable old queries (Pool.TopK's
@@ -94,12 +91,11 @@ type span struct{ lo, hi int }
 // call wrote before the scratch goes back.
 type scratch struct {
 	spans   []span
-	arena   []pool.Entry     // every query's candidates, back to back
-	list    []query.Query    // indexed rate path: probes and distinct candidates
-	idx     [][2]int         // indexed rate path: pairs as indices into list
-	seen    map[int64]int    // indexed rate path: entry ID -> index in list
-	pairs   [][2]query.Query // query-valued rate path
-	results []float64        // one query's per-candidate estimates
+	arena   []pool.Entry  // every query's candidates, back to back
+	list    []query.Query // probes and distinct candidates
+	idx     [][2]int      // rate pairs as indices into list
+	seen    map[int64]int // entry ID -> index in list
+	results []float64     // one query's per-candidate estimates
 }
 
 // maxScratchEntries bounds what a pooled scratch may retain, per slice (the
@@ -125,7 +121,7 @@ var scratchPool = sync.Pool{New: func() any {
 func (s *scratch) oversize() bool {
 	return cap(s.spans) > maxScratchEntries || cap(s.arena) > maxScratchEntries ||
 		cap(s.list) > maxScratchEntries || cap(s.idx) > 2*maxScratchEntries ||
-		cap(s.pairs) > 2*maxScratchEntries || cap(s.results) > maxScratchEntries
+		cap(s.results) > maxScratchEntries
 }
 
 // reset empties the scratch for its next call: every element a call wrote is
@@ -134,7 +130,6 @@ func (s *scratch) oversize() bool {
 func (s *scratch) reset() {
 	clear(s.arena)
 	clear(s.list)
-	clear(s.pairs)
 	// A call only inserts, so the map's length here is that call's peak, and
 	// no earlier call's peak was above the bound or the map would be gone.
 	if len(s.seen) > maxScratchMapEntries {
@@ -142,8 +137,8 @@ func (s *scratch) reset() {
 	} else {
 		clear(s.seen)
 	}
-	s.spans, s.arena, s.list, s.idx = s.spans[:0], s.arena[:0], s.list[:0], s.idx[:0]
-	s.pairs, s.results = s.pairs[:0], s.results[:0]
+	s.spans, s.arena, s.list = s.spans[:0], s.arena[:0], s.list[:0]
+	s.idx, s.results = s.idx[:0], s.results[:0]
 }
 
 // release resets the scratch and returns it to the pool, or drops it when
@@ -157,9 +152,9 @@ func (s *scratch) release() {
 }
 
 // New creates a pool-based estimator with the paper's defaults (Median
-// final function, ε = 1e-3, serial scan).
+// final function, ε = 1e-3).
 func New(rates contain.RateEstimator, qp *pool.Pool) *Estimator {
-	return &Estimator{Rates: rates, Pool: qp, Final: pool.Median, Epsilon: DefaultEpsilon, Workers: 1}
+	return &Estimator{Rates: rates, Pool: qp, Final: pool.Median, Epsilon: DefaultEpsilon}
 }
 
 // EstimateCard runs the EstimateCardinality algorithm of Figure 8.
@@ -167,8 +162,7 @@ func (e *Estimator) EstimateCard(qnew query.Query) (float64, error) {
 	return e.EstimateCardCtx(context.Background(), qnew)
 }
 
-// EstimateCardCtx is EstimateCard with cancellation; it implements
-// contain.CtxCardEstimator.
+// EstimateCardCtx is EstimateCard with cancellation.
 func (e *Estimator) EstimateCardCtx(ctx context.Context, qnew query.Query) (float64, error) {
 	out, err := e.EstimateCards(ctx, []query.Query{qnew})
 	if err != nil {
@@ -249,40 +243,26 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 		st.Mark(e.Tel.Stages.CandidateSelection)
 	}
 
-	var rates []float64
-	var err error
-	if idxEst, ok := e.Rates.(contain.IndexedRateEstimator); ok {
-		// Zero-copy layout: each probe enters the shared query list once,
-		// each pool entry once per batch (recognized by its stable ID when
-		// several probes share a FROM clause); pairs are index tuples. No
-		// canonical keys are rendered anywhere on this path.
-		list, idx, seen := s.list, s.idx, s.seen
-		for i, qnew := range queries {
-			qi := len(list)
-			list = append(list, qnew)
-			for k := spans[i].lo; k < spans[i].hi; k++ {
-				m := &arena[k] // an Entry is 128 bytes: no per-candidate copy
-				mi, ok := seen[m.ID]
-				if !ok {
-					mi = len(list)
-					list = append(list, m.Q)
-					seen[m.ID] = mi
-				}
-				idx = append(idx, [2]int{mi, qi}, [2]int{qi, mi})
+	// Each probe enters the shared query list once, each pool entry once per
+	// batch (recognized by its stable ID when several probes share a FROM
+	// clause); pairs are index tuples, so no canonical key is rendered here.
+	list, idx, seen := s.list, s.idx, s.seen
+	for i, qnew := range queries {
+		qi := len(list)
+		list = append(list, qnew)
+		for k := spans[i].lo; k < spans[i].hi; k++ {
+			m := &arena[k] // an Entry is 128 bytes: no per-candidate copy
+			mi, ok := seen[m.ID]
+			if !ok {
+				mi = len(list)
+				list = append(list, m.Q)
+				seen[m.ID] = mi
 			}
+			idx = append(idx, [2]int{mi, qi}, [2]int{qi, mi})
 		}
-		s.list, s.idx = list, idx
-		rates, err = idxEst.EstimateRatesIndexed(ctx, list, idx)
-	} else {
-		pairs := s.pairs
-		for i, qnew := range queries {
-			for _, m := range arena[spans[i].lo:spans[i].hi] {
-				pairs = append(pairs, [2]query.Query{m.Q, qnew}, [2]query.Query{qnew, m.Q})
-			}
-		}
-		s.pairs = pairs
-		rates, err = e.estimateRates(ctx, pairs)
 	}
+	s.list, s.idx = list, idx
+	rates, err := e.Rates.EstimateRatesIndexed(ctx, list, idx)
 	// The rate model times its own cache-lookup and forward spans (see
 	// crn.Rates.Stages); Touch excludes that interval from finalize.
 	st.Touch()
@@ -319,74 +299,6 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 	return out, nil
 }
 
-// estimateRates dispatches one flat pair list to the richest interface the
-// rate model offers: cancellable batch, plain batch, or a per-pair loop
-// parallelized over Workers goroutines.
-func (e *Estimator) estimateRates(ctx context.Context, pairs [][2]query.Query) ([]float64, error) {
-	if len(pairs) == 0 {
-		return nil, nil
-	}
-	switch r := e.Rates.(type) {
-	case contain.CtxBatchRateEstimator:
-		return r.EstimateRatesCtx(ctx, pairs)
-	case contain.BatchRateEstimator:
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return r.EstimateRates(pairs)
-	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	out := make([]float64, len(pairs))
-	if workers <= 1 {
-		for i, p := range pairs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r, err := e.Rates.EstimateRate(p[0], p[1])
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-	errs := make([]error, len(pairs))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					continue
-				}
-				out[i], errs[i] = e.Rates.EstimateRate(pairs[i][0], pairs[i][1])
-			}
-		}()
-	}
-	for i := range pairs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // FallbackCard answers qnew from the Fallback estimator alone — the answer
 // EstimateCards gives a query without a usable pool match, and the one a
 // serving layer gives when it diverts the learned path — and notes it in the
@@ -396,13 +308,10 @@ func (e *Estimator) FallbackCard(ctx context.Context, qnew query.Query) (float64
 	if e.Fallback == nil {
 		return 0, fmt.Errorf("%w for FROM %q", ErrNoPoolMatch, qnew.FROMKey())
 	}
-	var est float64
-	var err error
-	if fb, ok := e.Fallback.(contain.CtxCardEstimator); ok {
-		est, err = fb.EstimateCardCtx(ctx, qnew)
-	} else if err = ctx.Err(); err == nil {
-		est, err = e.Fallback.EstimateCard(qnew)
+	if err := ctx.Err(); err != nil {
+		return 0, err
 	}
+	est, err := e.Fallback.EstimateCard(qnew)
 	if err != nil {
 		return 0, err
 	}
@@ -425,7 +334,4 @@ func Improved(m contain.CardEstimator, qp *pool.Pool) *Estimator {
 	return New(contain.Crd2Cnt{M: m}, qp)
 }
 
-var (
-	_ contain.CardEstimator    = (*Estimator)(nil)
-	_ contain.CtxCardEstimator = (*Estimator)(nil)
-)
+var _ contain.CardEstimator = (*Estimator)(nil)

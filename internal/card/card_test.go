@@ -132,27 +132,6 @@ func TestEpsilonGuardSkipsDisjointOldQueries(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSerial(t *testing.T) {
-	ex, qp := fixture(t)
-	serial := New(contain.TruthRate{T: ex}, qp)
-	parallel := New(contain.TruthRate{T: ex}, qp)
-	parallel.Workers = 4
-	for _, sql := range []string{
-		"SELECT * FROM title WHERE title.production_year > 1930",
-		"SELECT * FROM title, cast_info WHERE title.id = cast_info.movie_id AND cast_info.person_id > 600",
-	} {
-		q := sqlparse.MustParse(s, sql)
-		a, errA := serial.EstimateCard(q)
-		b, errB := parallel.EstimateCard(q)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("error mismatch: %v vs %v", errA, errB)
-		}
-		if errA == nil && math.Abs(a-b) > 1e-9 {
-			t.Errorf("parallel %v != serial %v", b, a)
-		}
-	}
-}
-
 func TestFinalFunctionChoice(t *testing.T) {
 	// Rates model that yields a known spread of per-old estimates.
 	ex, qp := fixture(t)
@@ -179,11 +158,6 @@ func TestErrorPropagation(t *testing.T) {
 	q := sqlparse.MustParse(s, "SELECT * FROM title")
 	if _, err := est.EstimateCard(q); !errors.Is(err, boom) {
 		t.Errorf("expected boom, got %v", err)
-	}
-	// Parallel path propagates too.
-	est.Workers = 4
-	if _, err := est.EstimateCard(q); !errors.Is(err, boom) {
-		t.Errorf("parallel: expected boom, got %v", err)
 	}
 }
 
@@ -242,22 +216,6 @@ func TestOracleExactnessSweep(t *testing.T) {
 	}
 }
 
-// indexed serves a rate model through the zero-copy indexed interface, the
-// path the CRN adapter takes.
-type indexed struct{ contain.RateEstimator }
-
-func (r indexed) EstimateRatesIndexed(_ context.Context, queries []query.Query, pairs [][2]int) ([]float64, error) {
-	out := make([]float64, len(pairs))
-	for i, p := range pairs {
-		v, err := r.EstimateRate(queries[p[0]], queries[p[1]])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // pooledScratch runs call until the package's scratch pool hands back a
 // scratch a call has used (under -race sync.Pool drops Puts at random).
 func pooledScratch(t *testing.T, call func()) *scratch {
@@ -274,7 +232,7 @@ func pooledScratch(t *testing.T, call func()) *scratch {
 
 // TestScratchPinsNothingBetweenCalls: a released scratch keeps its capacity
 // and nothing else — no pool entry, no query, no map key — over the whole
-// backing arrays, whichever rate interface the call used.
+// backing arrays.
 func TestScratchPinsNothingBetweenCalls(t *testing.T) {
 	ex, qp := fixture(t)
 	qp.Add(sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id = 99"), 0) // dropped by the Card > 0 filter
@@ -283,34 +241,24 @@ func TestScratchPinsNothingBetweenCalls(t *testing.T) {
 		sqlparse.MustParse(s, "SELECT * FROM title, cast_info WHERE title.id = cast_info.movie_id AND cast_info.role_id < 4"),
 		sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id < 4"),
 	}
-	for name, rates := range map[string]contain.RateEstimator{
-		"indexed": indexed{contain.TruthRate{T: ex}},
-		"pairs":   contain.TruthRate{T: ex},
-	} {
-		est := New(rates, qp)
-		sc := pooledScratch(t, func() {
-			if _, err := est.EstimateCards(context.Background(), probes); err != nil {
-				t.Fatal(err)
-			}
-		})
-		for i, e := range sc.arena[:cap(sc.arena)] {
-			if !reflect.ValueOf(e).IsZero() {
-				t.Fatalf("%s: arena[%d] still holds %v", name, i, e.Q)
-			}
+	est := New(contain.TruthRate{T: ex}, qp)
+	sc := pooledScratch(t, func() {
+		if _, err := est.EstimateCards(context.Background(), probes); err != nil {
+			t.Fatal(err)
 		}
-		for i, q := range sc.list[:cap(sc.list)] {
-			if !reflect.ValueOf(q).IsZero() {
-				t.Fatalf("%s: list[%d] still holds %v", name, i, q)
-			}
+	})
+	for i, e := range sc.arena[:cap(sc.arena)] {
+		if !reflect.ValueOf(e).IsZero() {
+			t.Fatalf("arena[%d] still holds %v", i, e.Q)
 		}
-		for i, p := range sc.pairs[:cap(sc.pairs)] {
-			if !reflect.ValueOf(p).IsZero() {
-				t.Fatalf("%s: pairs[%d] still holds %v", name, i, p)
-			}
+	}
+	for i, q := range sc.list[:cap(sc.list)] {
+		if !reflect.ValueOf(q).IsZero() {
+			t.Fatalf("list[%d] still holds %v", i, q)
 		}
-		if len(sc.seen) != 0 || len(sc.arena)+len(sc.list)+len(sc.idx)+len(sc.pairs)+len(sc.spans)+len(sc.results) != 0 {
-			t.Fatalf("%s: released scratch is not empty: %d seen", name, len(sc.seen))
-		}
+	}
+	if len(sc.seen) != 0 || len(sc.arena)+len(sc.list)+len(sc.idx)+len(sc.spans)+len(sc.results) != 0 {
+		t.Fatalf("released scratch is not empty: %d seen", len(sc.seen))
 	}
 }
 
@@ -321,33 +269,28 @@ func TestOversizeScratchIsDropped(t *testing.T) {
 	_, qp := fixture(t)
 	half := contain.RateFunc(func(q1, q2 query.Query) (float64, error) { return 0.5, nil })
 	probe := sqlparse.MustParse(s, "SELECT * FROM title WHERE title.production_year > 1960")
-	for name, rates := range map[string]contain.RateEstimator{
-		"indexed": indexed{half},
-		"pairs":   half,
-	} {
-		est := New(rates, qp)
-		want, err := est.EstimateCard(probe) // also leaves a small scratch for the big call to grow
-		if err != nil {
-			t.Fatal(err)
+	est := New(half, qp)
+	want, err := est.EstimateCard(probe) // also leaves a small scratch for the big call to grow
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := make([]query.Query, 2*maxScratchEntries)
+	for i := range big {
+		big[i] = probe
+	}
+	got, err := est.EstimateCards(context.Background(), big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != want {
+			t.Fatalf("big[%d] = %v, want %v", i, v, want)
 		}
-		big := make([]query.Query, 2*maxScratchEntries)
-		for i := range big {
-			big[i] = probe
-		}
-		got, err := est.EstimateCards(context.Background(), big)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range got {
-			if v != want {
-				t.Fatalf("%s: big[%d] = %v, want %v", name, i, v, want)
-			}
-		}
-		for i := 0; i < 4; i++ {
-			if sc := scratchPool.Get().(*scratch); sc.oversize() {
-				t.Fatalf("%s: the pool retained an oversize scratch: %d spans, %d entries, %d queries, %d+%d pairs", name,
-					cap(sc.spans), cap(sc.arena), cap(sc.list), cap(sc.idx), cap(sc.pairs))
-			}
+	}
+	for i := 0; i < 4; i++ {
+		if sc := scratchPool.Get().(*scratch); sc.oversize() {
+			t.Fatalf("the pool retained an oversize scratch: %d spans, %d entries, %d queries, %d pairs",
+				cap(sc.spans), cap(sc.arena), cap(sc.list), cap(sc.idx))
 		}
 	}
 }
@@ -398,7 +341,7 @@ func TestScratchMapsDoNotStayLarge(t *testing.T) {
 		bigPool.Add(sqlparse.MustParse(s, fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d", i)), int64(i+1))
 	}
 	_, qp := fixture(t)
-	half := indexed{contain.RateFunc(func(q1, q2 query.Query) (float64, error) { return 0.5, nil })}
+	half := contain.RateFunc(func(q1, q2 query.Query) (float64, error) { return 0.5, nil })
 	big, small := New(half, bigPool), New(half, qp)
 	probe := sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id < 4")
 	want, err := small.EstimateCard(probe)

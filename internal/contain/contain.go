@@ -8,6 +8,15 @@
 // clauses). The inverse direction — Cnt2Crd, turning a containment model
 // into a cardinality model with the help of a queries pool — lives in
 // package card.
+//
+// There are three interfaces. CardEstimator estimates one cardinality;
+// BatchCardEstimator adds a batched call that Crd2Cnt uses when M offers it.
+// RateEstimator is the only rate interface: one cancellable call over a
+// batch of pairs that index a shared query list, so a query recurring in
+// many pairs — the probe of a pool scan appears in two pairs per candidate —
+// is listed, and encoded, once. Two helpers serve callers that hold queries
+// rather than indices: IndexPairs lays query-valued pairs out as such a
+// batch, and Rate asks for a single pair.
 package contain
 
 import (
@@ -30,49 +39,52 @@ type CardEstimator interface {
 	EstimateCard(q query.Query) (float64, error)
 }
 
-// RateEstimator estimates containment rates Q1 ⊂% Q2 as fractions in [0,1].
-// Implemented by the CRN adapter and by Crd2Cnt-wrapped cardinality models.
-type RateEstimator interface {
-	EstimateRate(q1, q2 query.Query) (float64, error)
-}
-
-// BatchRateEstimator is an optional fast path for rate estimators that can
-// amortize work over many pairs at once (neural models batch their forward
-// passes). Pairs are (Q1, Q2) with the rate Q1 ⊂% Q2 returned per pair.
-type BatchRateEstimator interface {
-	RateEstimator
-	EstimateRates(pairs [][2]query.Query) ([]float64, error)
-}
-
-// BatchCardEstimator is the cardinality analogue of BatchRateEstimator.
+// BatchCardEstimator is a cardinality estimator that can amortize work over
+// many queries at once (neural models batch their forward passes).
 type BatchCardEstimator interface {
 	CardEstimator
 	EstimateCards(queries []query.Query) ([]float64, error)
 }
 
-// CtxBatchRateEstimator is the serving-grade rate interface: batched AND
-// cancellable. Implementations check ctx between internal chunks so a
-// cancelled request stops consuming CPU promptly.
-type CtxBatchRateEstimator interface {
-	BatchRateEstimator
-	EstimateRatesCtx(ctx context.Context, pairs [][2]query.Query) ([]float64, error)
-}
-
-// CtxCardEstimator is a cardinality estimator that honors cancellation.
-// Estimators dispatch on it before falling back to the plain interface.
-type CtxCardEstimator interface {
-	CardEstimator
-	EstimateCardCtx(ctx context.Context, q query.Query) (float64, error)
-}
-
-// IndexedRateEstimator is the zero-copy batch interface: pairs reference a
-// shared query list by index, so a query recurring in many pairs — the
-// probe of a pool scan appears in two pairs per candidate — is encoded once
-// and never re-keyed. The pool-based estimator prefers it over the
-// query-valued batch interfaces, whose per-pair canonical-key deduplication
-// costs more than the neural forward pass at serving batch sizes.
-type IndexedRateEstimator interface {
+// RateEstimator estimates containment rates Q1 ⊂% Q2 as fractions in [0,1].
+// Each pair names its Q1 and Q2 by index into queries, and the rate of
+// pairs[i] is returned at position i. Implementations honour ctx between
+// units of work, so a cancelled request stops consuming CPU promptly.
+// Implemented by the CRN adapter, Crd2Cnt-wrapped cardinality models and the
+// exact oracle.
+type RateEstimator interface {
 	EstimateRatesIndexed(ctx context.Context, queries []query.Query, pairs [][2]int) ([]float64, error)
+}
+
+// Rate estimates the single rate q1 ⊂% q2.
+func Rate(ctx context.Context, r RateEstimator, q1, q2 query.Query) (float64, error) {
+	out, err := r.EstimateRatesIndexed(ctx, []query.Query{q1, q2}, [][2]int{{0, 1}})
+	if err != nil {
+		return 0, err
+	}
+	return out[0], nil
+}
+
+// IndexPairs lays query-valued pairs out as an indexed batch: every distinct
+// query, recognized by its canonical key, is listed once, in order of first
+// appearance, and each pair becomes the indices of its two sides.
+func IndexPairs(pairs [][2]query.Query) ([]query.Query, [][2]int) {
+	index := make(map[string]int)
+	var queries []query.Query
+	idx := make([][2]int, len(pairs))
+	for i, p := range pairs {
+		for side, q := range p {
+			key := q.Key()
+			j, ok := index[key]
+			if !ok {
+				j = len(queries)
+				index[key] = j
+				queries = append(queries, q)
+			}
+			idx[i][side] = j
+		}
+	}
+	return queries, idx
 }
 
 // Crd2Cnt wraps a cardinality estimator into a containment-rate estimator
@@ -86,87 +98,70 @@ type Crd2Cnt struct {
 	Name string
 }
 
-// EstimateRate implements RateEstimator.
-func (c Crd2Cnt) EstimateRate(q1, q2 query.Query) (float64, error) {
-	qi, err := q1.Intersect(q2)
-	if err != nil {
-		return 0, err
+// EstimateRatesIndexed implements RateEstimator. M is evaluated once per
+// listed query and once per pair's intersection Q1∩Q2 — in two batched
+// calls when M is a BatchCardEstimator.
+func (c Crd2Cnt) EstimateRatesIndexed(ctx context.Context, queries []query.Query, pairs [][2]int) ([]float64, error) {
+	if len(pairs) == 0 {
+		return nil, nil
 	}
-	c1, err := c.M.EstimateCard(q1)
-	if err != nil {
-		return 0, err
-	}
-	if c1 <= 0 {
-		// By definition Q1 ⊂% Q2 = 0 when |Q1| = 0 (§2).
-		return 0, nil
-	}
-	ci, err := c.M.EstimateCard(qi)
-	if err != nil {
-		return 0, err
-	}
-	rate := ci / c1
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	return rate, nil
-}
-
-// EstimateRates implements BatchRateEstimator: when the wrapped model
-// supports batched cardinality estimation, both per-pair cardinalities are
-// computed in two batched calls.
-func (c Crd2Cnt) EstimateRates(pairs [][2]query.Query) ([]float64, error) {
-	bm, ok := c.M.(BatchCardEstimator)
-	if !ok {
-		out := make([]float64, len(pairs))
-		for i, p := range pairs {
-			r, err := c.EstimateRate(p[0], p[1])
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-	q1s := make([]query.Query, len(pairs))
-	qis := make([]query.Query, len(pairs))
+	inter := make([]query.Query, len(pairs))
 	for i, p := range pairs {
-		qi, err := p[0].Intersect(p[1])
+		qi, err := queries[p[0]].Intersect(queries[p[1]])
 		if err != nil {
 			return nil, err
 		}
-		q1s[i] = p[0]
-		qis[i] = qi
+		inter[i] = qi
 	}
-	c1s, err := bm.EstimateCards(q1s)
+	cards, err := c.cards(ctx, queries)
 	if err != nil {
 		return nil, err
 	}
-	cis, err := bm.EstimateCards(qis)
+	interCards, err := c.cards(ctx, inter)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(pairs))
-	for i := range pairs {
-		if c1s[i] <= 0 {
-			out[i] = 0
+	for i, p := range pairs {
+		c1 := cards[p[0]]
+		if c1 <= 0 {
+			// By definition Q1 ⊂% Q2 = 0 when |Q1| = 0 (§2).
 			continue
 		}
-		r := cis[i] / c1s[i]
-		if r < 0 {
-			r = 0
+		rate := interCards[i] / c1
+		if rate < 0 {
+			rate = 0
 		}
-		if r > 1 {
-			r = 1
+		if rate > 1 {
+			rate = 1
 		}
-		out[i] = r
+		out[i] = rate
 	}
 	return out, nil
 }
 
-var _ BatchRateEstimator = Crd2Cnt{}
+// cards evaluates M on every query: in one call when M batches, otherwise
+// one query at a time, checking ctx before each.
+func (c Crd2Cnt) cards(ctx context.Context, queries []query.Query) ([]float64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if bm, ok := c.M.(BatchCardEstimator); ok {
+		return bm.EstimateCards(queries)
+	}
+	out := make([]float64, len(queries))
+	for i, q := range queries {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		v, err := c.M.EstimateCard(q)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
 
 // CardFunc adapts a plain function to CardEstimator.
 type CardFunc func(q query.Query) (float64, error)
@@ -174,11 +169,13 @@ type CardFunc func(q query.Query) (float64, error)
 // EstimateCard implements CardEstimator.
 func (f CardFunc) EstimateCard(q query.Query) (float64, error) { return f(q) }
 
-// RateFunc adapts a plain function to RateEstimator.
+// RateFunc adapts a plain per-pair function to RateEstimator.
 type RateFunc func(q1, q2 query.Query) (float64, error)
 
-// EstimateRate implements RateEstimator.
-func (f RateFunc) EstimateRate(q1, q2 query.Query) (float64, error) { return f(q1, q2) }
+// EstimateRatesIndexed implements RateEstimator, one pair at a time.
+func (f RateFunc) EstimateRatesIndexed(ctx context.Context, queries []query.Query, pairs [][2]int) ([]float64, error) {
+	return eachPair(ctx, queries, pairs, f)
+}
 
 // TruthCard adapts an exact oracle (the executor) to CardEstimator; used in
 // tests and to bound achievable accuracy in ablations.
@@ -204,10 +201,33 @@ type TruthRate struct {
 	}
 }
 
-// EstimateRate implements RateEstimator.
-func (t TruthRate) EstimateRate(q1, q2 query.Query) (float64, error) {
-	return t.T.ContainmentRate(q1, q2)
+// EstimateRatesIndexed implements RateEstimator, one pair at a time.
+func (t TruthRate) EstimateRatesIndexed(ctx context.Context, queries []query.Query, pairs [][2]int) ([]float64, error) {
+	return eachPair(ctx, queries, pairs, t.T.ContainmentRate)
 }
+
+// eachPair answers an indexed batch with a per-pair rate function, checking
+// ctx before each pair.
+func eachPair(ctx context.Context, queries []query.Query, pairs [][2]int, rate func(q1, q2 query.Query) (float64, error)) ([]float64, error) {
+	out := make([]float64, len(pairs))
+	for i, p := range pairs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		r, err := rate(queries[p[0]], queries[p[1]])
+		if err != nil {
+			return nil, err
+		}
+		out[i] = r
+	}
+	return out, nil
+}
+
+var (
+	_ RateEstimator = Crd2Cnt{}
+	_ RateEstimator = RateFunc(nil)
+	_ RateEstimator = TruthRate{}
+)
 
 // Validate sanity-checks that two queries are containment-comparable,
 // returning a descriptive error otherwise. Estimators use it to fail fast

@@ -1,6 +1,7 @@
 package contain
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -13,7 +14,10 @@ import (
 	"crn/internal/sqlparse"
 )
 
-var s = schema.IMDB()
+var (
+	s   = schema.IMDB()
+	ctx = context.Background()
+)
 
 func oracle(t *testing.T) *exec.Executor {
 	t.Helper()
@@ -48,7 +52,7 @@ func TestCrd2CntOnOracleIsExact(t *testing.T) {
 	for _, p := range pairs {
 		q1 := sqlparse.MustParse(s, p[0])
 		q2 := sqlparse.MustParse(s, p[1])
-		got, err := rates.EstimateRate(q1, q2)
+		got, err := Rate(ctx, rates, q1, q2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +74,7 @@ func TestCrd2CntClampsToUnitInterval(t *testing.T) {
 	rates := Crd2Cnt{M: bad}
 	q1 := sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id = 1")
 	q2 := sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id = 2")
-	rate, err := rates.EstimateRate(q1, q2)
+	rate, err := Rate(ctx, rates, q1, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +87,7 @@ func TestCrd2CntZeroCardinality(t *testing.T) {
 	zero := CardFunc(func(q query.Query) (float64, error) { return 0, nil })
 	rates := Crd2Cnt{M: zero}
 	q := sqlparse.MustParse(s, "SELECT * FROM title")
-	rate, err := rates.EstimateRate(q, q)
+	rate, err := Rate(ctx, rates, q, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +100,7 @@ func TestCrd2CntDifferentFROMFails(t *testing.T) {
 	rates := Crd2Cnt{M: CardFunc(func(query.Query) (float64, error) { return 1, nil })}
 	q1 := sqlparse.MustParse(s, "SELECT * FROM title")
 	q2 := sqlparse.MustParse(s, "SELECT * FROM cast_info")
-	if _, err := rates.EstimateRate(q1, q2); err == nil {
+	if _, err := Rate(ctx, rates, q1, q2); err == nil {
 		t.Error("different FROM clauses should fail")
 	}
 }
@@ -105,7 +109,7 @@ func TestCrd2CntPropagatesModelError(t *testing.T) {
 	boom := errors.New("boom")
 	rates := Crd2Cnt{M: CardFunc(func(query.Query) (float64, error) { return 0, boom })}
 	q := sqlparse.MustParse(s, "SELECT * FROM title")
-	if _, err := rates.EstimateRate(q, q); !errors.Is(err, boom) {
+	if _, err := Rate(ctx, rates, q, q); !errors.Is(err, boom) {
 		t.Errorf("error not propagated: %v", err)
 	}
 }
@@ -121,7 +125,7 @@ func TestTruthAdapters(t *testing.T) {
 	if card != float64(want) {
 		t.Errorf("TruthCard = %v, want %d", card, want)
 	}
-	rate, err := TruthRate{T: ex}.EstimateRate(q, q)
+	rate, err := Rate(ctx, TruthRate{T: ex}, q, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,63 +145,114 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// countingCard counts EstimateCard calls and supports the batch interface.
+// countingCard is a batch-capable cardinality model that counts its calls
+// and the queries it evaluated.
 type countingCard struct {
-	singles int
-	batches int
+	card      func(query.Query) float64
+	singles   int
+	batches   int
+	evaluated int
 }
 
 func (c *countingCard) EstimateCard(q query.Query) (float64, error) {
 	c.singles++
-	return float64(10 + len(q.Preds)), nil
+	c.evaluated++
+	return c.card(q), nil
 }
 
 func (c *countingCard) EstimateCards(qs []query.Query) ([]float64, error) {
 	c.batches++
+	c.evaluated += len(qs)
 	out := make([]float64, len(qs))
 	for i, q := range qs {
-		out[i] = float64(10 + len(q.Preds))
+		out[i] = c.card(q)
 	}
 	return out, nil
 }
 
-func TestCrd2CntBatchedPathMatchesSingle(t *testing.T) {
-	q1 := sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id = 1")
-	q2 := sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id < 5")
-	q3 := sqlparse.MustParse(s, "SELECT * FROM title WHERE title.production_year > 1950")
-	pairs := [][2]query.Query{{q1, q2}, {q2, q3}, {q3, q1}}
-
-	batched := &countingCard{}
-	viaBatch, err := Crd2Cnt{M: batched}.EstimateRates(pairs)
+// crd2CntReference is the per-pair formula, evaluated independently of the
+// indexed batch: clamp(M(Q1∩Q2)/M(Q1)), and 0 when M(Q1) ≤ 0.
+func crd2CntReference(card func(query.Query) float64, q1, q2 query.Query) (float64, error) {
+	qi, err := q1.Intersect(q2)
 	if err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
-	if batched.batches != 2 || batched.singles != 0 {
-		t.Errorf("batched path not used: %d batches, %d singles", batched.batches, batched.singles)
+	c1 := card(q1)
+	if c1 <= 0 {
+		return 0, nil
 	}
-	// Same values through the per-pair path.
-	single := Crd2Cnt{M: CardFunc(func(q query.Query) (float64, error) {
-		return float64(10 + len(q.Preds)), nil
-	})}
-	for i, p := range pairs {
-		want, err := single.EstimateRate(p[0], p[1])
+	rate := card(qi) / c1
+	if rate < 0 {
+		rate = 0
+	}
+	if rate > 1 {
+		rate = 1
+	}
+	return rate, nil
+}
+
+func TestCrd2CntIndexedMatchesPerPair(t *testing.T) {
+	queries := []query.Query{
+		sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id = 1"),
+		sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id < 5"),
+		sqlparse.MustParse(s, "SELECT * FROM title WHERE title.production_year > 1950"),
+		sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id = 1 AND title.production_year > 1950 AND title.production_year < 2000"),
+		sqlparse.MustParse(s, "SELECT * FROM title"),
+	}
+	// An unsound model, by predicate count, so that the pairs below cover a
+	// ratio above 1, one inside (0,1), a zero Q1 (once over -5, once over 0),
+	// a negative ratio, a query with itself and an exact 1.
+	card := func(q query.Query) float64 {
+		switch len(q.Preds) {
+		case 0:
+			return 1000
+		case 1:
+			return 17
+		case 2:
+			return 40
+		case 3:
+			return 0
+		case 4:
+			return -5
+		}
+		return 3
+	}
+	pairs := [][2]int{{0, 1}, {4, 0}, {3, 1}, {3, 4}, {1, 3}, {2, 2}, {0, 4}}
+	plainCalls := 0
+	plain := CardFunc(func(q query.Query) (float64, error) { plainCalls++; return card(q), nil })
+	batched := &countingCard{card: card}
+	for name, m := range map[string]CardEstimator{"batched": batched, "plain": plain} {
+		got, err := Crd2Cnt{M: m}.EstimateRatesIndexed(ctx, queries, pairs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(viaBatch[i]-want) > 1e-12 {
-			t.Errorf("pair %d: batch %v, single %v", i, viaBatch[i], want)
+		for i, p := range pairs {
+			want, err := crd2CntReference(card, queries[p[0]], queries[p[1]])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Errorf("%s pair %d: indexed %v, per-pair reference %v", name, i, got[i], want)
+			}
 		}
 	}
-	// A non-batch model falls back to per-pair estimation inside
-	// EstimateRates.
-	fallback, err := single.EstimateRates(pairs)
-	if err != nil {
-		t.Fatal(err)
+	// M is evaluated once per listed query and once per pair's intersection.
+	if want := len(queries) + len(pairs); batched.evaluated != want || plainCalls != want {
+		t.Errorf("M evaluated %d (batched) and %d (plain) times, want %d", batched.evaluated, plainCalls, want)
 	}
-	for i := range pairs {
-		if math.Abs(fallback[i]-viaBatch[i]) > 1e-12 {
-			t.Errorf("fallback pair %d differs", i)
-		}
+	if batched.batches != 2 || batched.singles != 0 {
+		t.Errorf("batched M: %d batch calls and %d single calls, want 2 and 0", batched.batches, batched.singles)
+	}
+
+	boom := errors.New("boom")
+	failing := CardFunc(func(query.Query) (float64, error) { return 0, boom })
+	if _, err := (Crd2Cnt{M: failing}).EstimateRatesIndexed(ctx, queries, pairs); !errors.Is(err, boom) {
+		t.Errorf("model error not propagated: %v", err)
+	}
+	other := sqlparse.MustParse(s, "SELECT * FROM cast_info")
+	_, err := Crd2Cnt{M: plain}.EstimateRatesIndexed(ctx, append(queries, other), [][2]int{{0, 1}, {0, len(queries)}})
+	if _, want := queries[0].Intersect(other); err == nil || err.Error() != want.Error() {
+		t.Errorf("Intersect error not propagated: got %v, want %v", err, want)
 	}
 }
 
@@ -225,7 +280,7 @@ func TestCrd2CntOracleProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rates.EstimateRate(q1, q2)
+		got, err := Rate(ctx, rates, q1, q2)
 		if err != nil {
 			t.Fatal(err)
 		}

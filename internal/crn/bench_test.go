@@ -89,7 +89,7 @@ func BenchmarkPredictShared(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reps1, reps2 := m.EncodeSets(sets)
-		m.PredictPairsFrom(reps1, reps2, pairs)
+		m.NewPairPredictor(reps1, reps2).Predict(pairs)
 	}
 }
 

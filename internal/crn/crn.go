@@ -327,7 +327,7 @@ func (m *Model) PredictBatchInto(dst []float64, pairs []Sample) {
 
 // EncodeSets runs both set modules (MLP1, MLP2) once over a list of unique
 // feature-vector sets, returning one representative vector per set and per
-// module. Together with PredictPairsFrom it factors the forward pass so a
+// module. Together with PairPredictor it factors the forward pass so a
 // query recurring in many pairs — every pool entry does, twice per probe —
 // is pushed through the set modules once per batch instead of once per pair.
 // Safe for concurrent use on a trained model.
@@ -542,14 +542,6 @@ func (p *PairPredictor) PredictInto(dst []float64, pairs [][2]int, ws *nn.Worksp
 			out[lo+r] = 1 / (1 + math.Exp(-s))
 		}
 	}
-}
-
-// PredictPairsFrom evaluates the CRN head for each pair of precomputed
-// representative vectors; see PairPredictor for the factorization. All
-// estimation paths — single and batch — share this routine, so their
-// results are bit-identical.
-func (m *Model) PredictPairsFrom(reps1, reps2 *nn.Matrix, pairs [][2]int) []float64 {
-	return m.NewPairPredictor(reps1, reps2).Predict(pairs)
 }
 
 // Train fits the model on train, early-stopping on val, and returns the

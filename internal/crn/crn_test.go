@@ -364,7 +364,7 @@ func TestPredictSharedMatchesReferenceForward(t *testing.T) {
 		}
 	}
 	reps1, reps2 := m.EncodeSets(sets)
-	shared := m.PredictPairsFrom(reps1, reps2, pairs)
+	shared := m.NewPairPredictor(reps1, reps2).Predict(pairs)
 	reference := m.PredictBatch(samples)
 	for i := range shared {
 		if math.Abs(shared[i]-reference[i]) > 1e-9 {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"crn/internal/contain"
 	"crn/internal/feature"
 	"crn/internal/nn"
 	"crn/internal/query"
@@ -18,14 +19,14 @@ import (
 // bounded-latency hook between passes.
 const headChunk = 2048
 
-// Rates adapts a trained Model and a feature Encoder to the query-level
-// containment-rate interface used by the cardinality technique. Each batch
-// call runs the set modules once per listed query and evaluates the pair
-// head in matrix-batched chunks — the amortization that makes batched
-// serving profitable (a pool entry occurs in two pairs per probe, and
-// across every probe of a batch). Rates is stateless apart from the frozen
-// model and encoder (and the optional representation cache, which is itself
-// concurrency-safe), so it is safe for concurrent use.
+// Rates adapts a trained Model and a feature Encoder to
+// contain.RateEstimator, the containment-rate interface of the cardinality
+// technique. Each batch call runs the set modules once per listed query and
+// evaluates the pair head in matrix-batched chunks — the amortization that
+// makes batched serving profitable (a pool entry occurs in two pairs per
+// probe, and across every probe of a batch). Rates is stateless apart from
+// the frozen model and encoder (and the optional representation cache, which
+// is itself concurrency-safe), so it is safe for concurrent use.
 type Rates struct {
 	M   *Model
 	Enc *feature.Encoder
@@ -68,47 +69,9 @@ func EncodePairs(enc *feature.Encoder, pairs []workload.LabeledPair) ([]Sample, 
 	return out, nil
 }
 
-// EstimateRate implements contain.RateEstimator.
+// EstimateRate estimates the single rate q1 ⊂% q2.
 func (r *Rates) EstimateRate(q1, q2 query.Query) (float64, error) {
-	out, err := r.EstimateRates([][2]query.Query{{q1, q2}})
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
-}
-
-// EstimateRates implements contain.BatchRateEstimator.
-func (r *Rates) EstimateRates(pairs [][2]query.Query) ([]float64, error) {
-	return r.EstimateRatesCtx(context.Background(), pairs)
-}
-
-// EstimateRatesCtx implements contain.CtxBatchRateEstimator: queries are
-// deduplicated across all pairs by canonical key, then estimated through
-// the indexed path.
-func (r *Rates) EstimateRatesCtx(ctx context.Context, pairs [][2]query.Query) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(pairs) == 0 {
-		return nil, nil
-	}
-	index := make(map[string]int)
-	var queries []query.Query
-	idx := make([][2]int, len(pairs))
-	for i, p := range pairs {
-		for side := 0; side < 2; side++ {
-			q := p[side]
-			key := q.Key()
-			j, ok := index[key]
-			if !ok {
-				j = len(queries)
-				index[key] = j
-				queries = append(queries, q)
-			}
-			idx[i][side] = j
-		}
-	}
-	return r.EstimateRatesIndexed(ctx, queries, idx)
+	return contain.Rate(context.Background(), r, q1, q2)
 }
 
 // pairPredictor builds the precomputed serving head for one request's query
@@ -271,7 +234,7 @@ func (r *Rates) Warm(queries []query.Query) error {
 	return err
 }
 
-// EstimateRatesIndexed implements contain.IndexedRateEstimator: one
+// EstimateRatesIndexed implements contain.RateEstimator: one
 // set-module pass over the cache-missing queries (resident cache hits cost
 // a map read, see pairPredictor), then the pair-rate memo answers every
 // pair of two resident rows it has seen, and only the rest goes through the

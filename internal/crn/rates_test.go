@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"crn/internal/contain"
 	"crn/internal/datagen"
 	"crn/internal/feature"
 	"crn/internal/query"
@@ -40,7 +41,8 @@ func TestRatesSingleMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := r.EstimateRates([][2]query.Query{{q1, q2}, {q2, q3}, {q3, q1}})
+	qs, idx := contain.IndexPairs([][2]query.Query{{q1, q2}, {q2, q3}, {q3, q1}})
+	batch, err := r.EstimateRatesIndexed(context.Background(), qs, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +61,13 @@ func TestRatesIndexedMatchesBatch(t *testing.T) {
 	q1 := sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id = 1")
 	q2 := sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id < 5")
 	q3 := sqlparse.MustParse(s, "SELECT * FROM title WHERE title.production_year > 1950")
-	batch, err := r.EstimateRates([][2]query.Query{{q1, q2}, {q2, q3}, {q3, q1}, {q1, q1}})
+	qs, idx := contain.IndexPairs([][2]query.Query{{q1, q2}, {q2, q3}, {q3, q1}, {q1, q1}})
+	batch, err := r.EstimateRatesIndexed(context.Background(), qs, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The same pairs expressed as indices into a shared list — including a
-	// duplicated listing of q1, which must not change any estimate.
+	// The same pairs over a list with a duplicated listing of q1, which must
+	// not change any estimate.
 	indexed, err := r.EstimateRatesIndexed(context.Background(),
 		[]query.Query{q1, q2, q3, q1},
 		[][2]int{{0, 1}, {1, 2}, {2, 0}, {0, 3}})

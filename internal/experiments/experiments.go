@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -210,30 +211,21 @@ func (s *session) errs(model, set string) ([]float64, error) {
 // returns per-pair q-errors.
 func RateErrors(rates contain.RateEstimator, pairs []workload.LabeledPair) ([]float64, error) {
 	out := make([]float64, len(pairs))
-	if batch, ok := rates.(contain.BatchRateEstimator); ok {
-		const chunk = 256
-		for lo := 0; lo < len(pairs); lo += chunk {
-			hi := min(lo+chunk, len(pairs))
-			qp := make([][2]query.Query, hi-lo)
-			for i := lo; i < hi; i++ {
-				qp[i-lo] = [2]query.Query{pairs[i].Q1, pairs[i].Q2}
-			}
-			rs, err := batch.EstimateRates(qp)
-			if err != nil {
-				return nil, err
-			}
-			for i := lo; i < hi; i++ {
-				out[i] = metrics.RateQError(pairs[i].Rate, rs[i-lo])
-			}
+	const chunk = 256
+	for lo := 0; lo < len(pairs); lo += chunk {
+		hi := min(lo+chunk, len(pairs))
+		qp := make([][2]query.Query, hi-lo)
+		for i := lo; i < hi; i++ {
+			qp[i-lo] = [2]query.Query{pairs[i].Q1, pairs[i].Q2}
 		}
-		return out, nil
-	}
-	for i, p := range pairs {
-		r, err := rates.EstimateRate(p.Q1, p.Q2)
+		queries, idx := contain.IndexPairs(qp)
+		rs, err := rates.EstimateRatesIndexed(context.Background(), queries, idx)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = metrics.RateQError(p.Rate, r)
+		for i := lo; i < hi; i++ {
+			out[i] = metrics.RateQError(pairs[i].Rate, rs[i-lo])
+		}
 	}
 	return out, nil
 }

@@ -31,11 +31,11 @@ type Generation struct {
 // arriving after a promotion see the new one — no locks on the hot path,
 // no torn state, no blocking on retraining.
 //
-// The box implements the contain rate-estimator interfaces by delegating
-// to the current generation, which lets it stand wherever a *crn.Rates
-// does (in particular as card.Estimator.Rates). A box nobody promotes is a
-// frozen model: generation 1 forever, read at the cost of one atomic load.
-// The cache accessors, SetStages and Close are nil-safe, so an estimator
+// The box implements contain.RateEstimator by delegating to the current
+// generation, which lets it stand wherever a *crn.Rates does (in particular
+// as card.Estimator.Rates). A box nobody promotes is a frozen model:
+// generation 1 forever, read at the cost of one atomic load. The cache
+// accessors, SetStages and Close are nil-safe, so an estimator
 // without a CRN model can hold a nil box.
 type ModelBox struct {
 	cur atomic.Pointer[Generation]
@@ -145,35 +145,11 @@ func (b *ModelBox) Close() {
 	}
 }
 
-// --- contain interface delegation -------------------------------------------
-
-// EstimateRate implements contain.RateEstimator on the live generation.
-func (b *ModelBox) EstimateRate(q1, q2 query.Query) (float64, error) {
-	return b.cur.Load().Rates.EstimateRate(q1, q2)
-}
-
-// EstimateRates implements contain.BatchRateEstimator on the live
-// generation.
-func (b *ModelBox) EstimateRates(pairs [][2]query.Query) ([]float64, error) {
-	return b.cur.Load().Rates.EstimateRates(pairs)
-}
-
-// EstimateRatesCtx implements contain.CtxBatchRateEstimator on the live
-// generation.
-func (b *ModelBox) EstimateRatesCtx(ctx context.Context, pairs [][2]query.Query) ([]float64, error) {
-	return b.cur.Load().Rates.EstimateRatesCtx(ctx, pairs)
-}
-
-// EstimateRatesIndexed implements contain.IndexedRateEstimator on the live
-// generation — the interface the pool-based estimator actually serves
-// through, so the whole indexed batch pass (and its cache reads) runs on
-// one consistent generation resolved by a single atomic load.
+// EstimateRatesIndexed implements contain.RateEstimator on the live
+// generation: the whole batch pass, and its cache reads, runs on one
+// consistent generation resolved by a single atomic load.
 func (b *ModelBox) EstimateRatesIndexed(ctx context.Context, queries []query.Query, idx [][2]int) ([]float64, error) {
 	return b.cur.Load().Rates.EstimateRatesIndexed(ctx, queries, idx)
 }
 
-var (
-	_ contain.RateEstimator         = (*ModelBox)(nil)
-	_ contain.CtxBatchRateEstimator = (*ModelBox)(nil)
-	_ contain.IndexedRateEstimator  = (*ModelBox)(nil)
-)
+var _ contain.RateEstimator = (*ModelBox)(nil)

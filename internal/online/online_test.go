@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"crn/internal/contain"
 	icrn "crn/internal/crn"
 	"crn/internal/datagen"
 	"crn/internal/exec"
@@ -130,7 +131,7 @@ func TestModelBoxPromoteGenerations(t *testing.T) {
 	// Delegated estimation works and stays in [0,1].
 	q1 := mustParse(t, "SELECT * FROM title WHERE title.kind_id = 1")
 	q2 := mustParse(t, "SELECT * FROM title WHERE title.kind_id < 5")
-	rate, err := box.EstimateRate(q1, q2)
+	rate, err := contain.Rate(context.Background(), box, q1, q2)
 	if err != nil || rate < 0 || rate > 1 {
 		t.Fatalf("rate = %v err = %v", rate, err)
 	}
@@ -147,7 +148,7 @@ func TestModelBoxPromoteGenerations(t *testing.T) {
 		t.Fatal("each generation must own its cache")
 	}
 	// The clone serves identically (same weights): delegation reads gen 2.
-	rate2, err := box.EstimateRate(q1, q2)
+	rate2, err := contain.Rate(context.Background(), box, q1, q2)
 	if err != nil || rate2 != rate {
 		t.Fatalf("cloned generation must serve identically: %v vs %v (err %v)", rate2, rate, err)
 	}

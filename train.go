@@ -84,11 +84,10 @@ func (s *System) TrainContainmentModel(ctx context.Context, opts ...TrainOption)
 
 // EstimateContainment estimates q1 ⊂% q2 in [0,1].
 func (m *ContainmentModel) EstimateContainment(ctx context.Context, q1, q2 Query) (float64, error) {
-	out, err := m.EstimateContainmentBatch(ctx, [][2]Query{{q1, q2}})
-	if err != nil {
+	if err := contain.Validate(q1, q2); err != nil {
 		return 0, err
 	}
-	return out[0], nil
+	return contain.Rate(ctx, m.rates, q1, q2)
 }
 
 // EstimateContainmentBatch estimates q1 ⊂% q2 for every pair with one
@@ -101,7 +100,8 @@ func (m *ContainmentModel) EstimateContainmentBatch(ctx context.Context, pairs [
 			return nil, err
 		}
 	}
-	return m.rates.EstimateRatesCtx(ctx, pairs)
+	queries, idx := contain.IndexPairs(pairs)
+	return m.rates.EstimateRatesIndexed(ctx, queries, idx)
 }
 
 // Save serializes the trained model weights.
