@@ -159,8 +159,6 @@ func (e *CardinalityEstimator) registerCollectors() {
 			emit(float64(cs.Hits), "hit")
 			emit(float64(cs.Misses), "miss")
 		})
-	r.GaugeFunc("crn_repcache_entries", "Cached representations across both tiers.",
-		func() float64 { return float64(e.CacheStats().Size) })
 	r.GaugeFunc("crn_repcache_resident", "Representations in the zero-copy resident tier.",
 		func() float64 { return float64(e.CacheStats().Resident) })
 	r.CollectCounter("crn_ratememo_lookups_total",
@@ -463,7 +461,7 @@ func (e *CardinalityEstimator) InvalidateRepresentations() {
 	e.box.Cache().Invalidate()
 }
 
-// CacheStats reports representation-cache hits, misses and tier occupancy.
+// CacheStats reports representation-cache hits, misses and resident occupancy.
 // Estimators without a cache — ImproveBaseline always, CardinalityEstimator
 // under WithRepCacheSize(0) — report all zeros (the nil cache's Stats is a
 // guarded no-op, so this is safe to call unconditionally).

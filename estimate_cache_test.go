@@ -130,8 +130,8 @@ func TestRepCacheSizeOption(t *testing.T) {
 	if st.Capacity != 4 {
 		t.Fatalf("capacity = %d, want 4", st.Capacity)
 	}
-	if st.Size > 4 {
-		t.Fatalf("size %d exceeds capacity", st.Size)
+	if st.Resident > 4 {
+		t.Fatalf("%d resident entries exceed capacity", st.Resident)
 	}
 }
 
@@ -509,11 +509,11 @@ func TestRateMemoUntouchedByFailedPass(t *testing.T) {
 	sys, model, p, probe := repCacheFixture(t)
 	cached := sys.CardinalityEstimator(model, p)
 	uncached := sys.CardinalityEstimator(model, p, WithRepCacheSize(0))
-	// First sighting: everything encoded and cached, nothing memoized yet.
+	// First sighting: everything computed, nothing resident or memoized yet.
 	if _, err := cached.EstimateCardinality(ctx, probe); err != nil {
 		t.Fatal(err)
 	}
-	if st := cached.CacheStats(); st.Size == 0 || st.MemoEntries != 0 {
+	if st := cached.CacheStats(); st.Misses == 0 || st.Resident != 0 || st.MemoEntries != 0 {
 		t.Fatalf("fixture: %+v", st)
 	}
 

@@ -4,7 +4,7 @@ package crn
 // EstimateCardinality / EstimateCardinalityBatch / RecordExecuted hammered
 // from many goroutines (run under -race in CI), with every concurrent
 // answer checked against the sequential answer over the same pool state —
-// coalesced, cache-resident and sharded paths must all stay bit-identical
+// coalesced, cache-resident and first-sighting paths must all stay bit-identical
 // to a plain per-query estimator.
 
 import (

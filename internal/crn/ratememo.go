@@ -19,7 +19,9 @@ import (
 // The table is open-addressed (linear probing) and insert-only: a slot's key
 // is written once, after its value, so the lock-free reader that sees the key
 // sees the value. Writers serialize on mu; growth republishes a rehashed
-// table and leaves the old one to the readers still holding it.
+// table and leaves the old one to the readers still holding it. The same
+// table, keyed by a hash of the canonical query key, is RepCache's sighting
+// filter (see sight).
 type rateMemo struct {
 	tab      atomic.Pointer[memoTable]
 	entries  atomic.Int64
@@ -105,18 +107,33 @@ func (s *memoSlot) fill(key, bits uint64) {
 	s.key.Store(key)
 }
 
-// set stores one pair; callers hold mu. A table about to pass three
-// quarters full is replaced first.
-func (m *rateMemo) set(key, bits uint64) {
+// set stores one pair unless its key is present, and reports whether it
+// was; callers hold mu. A table about to pass three quarters full is
+// replaced first.
+func (m *rateMemo) set(key, bits uint64) (found bool) {
 	t := m.tab.Load()
 	if int(m.entries.Load()) >= len(t.slots)/4*3 {
 		t = m.successor(t)
 		m.tab.Store(t)
 	}
-	if s, found := t.slot(key); !found {
+	s, found := t.slot(key)
+	if !found {
 		s.fill(key, bits)
 		m.entries.Add(1)
 	}
+	return found
+}
+
+// sight reports whether key is in the table, inserting it if not: the
+// RepCache sighting filter's one operation. A key already present costs a
+// lock-free probe.
+func (m *rateMemo) sight(key uint64) bool {
+	if _, found := m.tab.Load().slot(key); found {
+		return true
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.set(key, 0)
 }
 
 // successor returns the table that replaces a filled-up t: twice the size

@@ -40,9 +40,10 @@ type Rates struct {
 	Cache *RepCache
 
 	// Stages, when non-nil, receives the adapter's per-pass stage spans:
-	// cache resolution (pairPredictor — cache tiers plus the set-module
-	// pass over misses) and the matrix-batched head forward. Set before
-	// serving traffic; nil keeps the hot path free of clock reads.
+	// cache resolution (pairPredictor — resident lookups plus the
+	// set-module pass over misses) and the matrix-batched head forward.
+	// Set before serving traffic; nil keeps the hot path free of clock
+	// reads.
 	Stages *telemetry.StageSet
 }
 
@@ -77,19 +78,19 @@ func (r *Rates) EstimateRate(q1, q2 query.Query) (float64, error) {
 // pairPredictor builds the precomputed serving head for one request's query
 // list. Without a cache it encodes every query and multiplies out the
 // partial products; with a cache it resolves as much as possible from the
-// two cache tiers:
+// resident tier:
 //
-//   - Resident-tier hits (the stable pool entries, in steady state) cost a
-//     map read — their representation and partial-product rows are
-//     referenced in place in the view the request loaded, no lock, no copy,
-//     no arithmetic. This is the pool-resident head precompute: a
+//   - Resident hits (the stable pool entries, in steady state) cost a map
+//     read — their representation and partial-product rows are referenced
+//     in place in the view the request loaded, no lock, no copy, no
+//     arithmetic. This is the pool-resident head precompute: a
 //     single-query estimate computes only its own probe side.
-//   - Sharded-tier hits copy their packed entry into the request's extra
-//     rows and are promoted to the resident tier afterwards.
 //   - Misses are feature-encoded and pushed through the set modules in one
-//     batched pass, their partial products computed in two small matmuls,
-//     then inserted into the sharded tier — or, with warm set, promoted
-//     straight into the resident tier.
+//     batched pass, their partial products computed in two small matmuls;
+//     those outputs are the request's extra rows as they stand. A miss the
+//     sighting filter has seen before (or, with warm set, every miss) is
+//     then promoted into the resident tier; a first sighting only leaves
+//     its key's hash in the filter.
 //
 // Every resolved row is bit-identical with and without the cache because
 // each row depends only on its own query and the frozen weights, and no
@@ -108,8 +109,6 @@ func (r *Rates) pairPredictor(ws *nn.Workspace, queries []query.Query, warm bool
 		return r.M.NewPairPredictorWS(ws, reps1, reps2), nil
 	}
 
-	f := r.M.headFold()
-	h, cols := f.h, 2*f.h
 	n := len(queries)
 	// Capture the flush generation before any cache read: values computed
 	// in this request are written back only if no flush intervenes.
@@ -117,75 +116,42 @@ func (r *Rates) pairPredictor(ws *nn.Workspace, queries []query.Query, warm bool
 	snap := r.Cache.resident.Load()
 	base := snap.rows()
 
-	// Pass 1: resolve resident rows and assign extra slots.
+	// Resolve resident rows; each miss is encoded and addressed as the
+	// extra row past the view's rows that its set-module output will fill.
 	rowOf := ws.TakeInts(n)
-	extraSlot := ws.TakeInts(n) // -1: resident; otherwise row in the extras
 	keys := make([]string, n)
-	nExtra := 0
-	for i := range queries {
-		key := queries[i].Key()
-		keys[i] = key
-		if ri, ok := snap.row(key); ok {
-			rowOf[i] = ri
-			extraSlot[i] = -1
-			continue
-		}
-		extraSlot[i] = nExtra
-		rowOf[i] = base + nExtra
-		nExtra++
-	}
-	r.Cache.hitResident(n - nExtra)
-
-	// Pass 2: fill the extra rows from the sharded tier or by computing.
-	reps1 := ws.Take(nExtra, h)
-	reps2 := ws.Take(nExtra, h)
-	p1 := ws.Take(nExtra, cols)
-	p2 := ws.Take(nExtra, cols)
 	var missSets [][][]float64
 	var missQ []int // query positions of the misses
-	var promos []promotion
-	promo := func(i, k int) promotion {
-		return promotion{
-			key:  keys[i],
-			rep1: reps1.Row(k), rep2: reps2.Row(k),
-			pp1: p1.Row(k), pp2: p2.Row(k),
-		}
-	}
 	for i := range queries {
-		k := extraSlot[i]
-		if k < 0 {
-			continue
-		}
-		if r.Cache.lookup(keys[i], reps1.Row(k), reps2.Row(k), p1.Row(k), p2.Row(k)) {
-			// Second sighting: promote so the next request reads it from
-			// the resident tier in place.
-			promos = append(promos, promo(i, k))
+		keys[i] = queries[i].Key()
+		if ri, ok := snap.row(keys[i]); ok {
+			rowOf[i] = ri
 			continue
 		}
 		v, err := r.Enc.EncodeQuery(queries[i])
 		if err != nil {
 			return nil, err
 		}
+		rowOf[i] = base + len(missQ)
 		missSets = append(missSets, v)
 		missQ = append(missQ, i)
 	}
-	if len(missSets) > 0 {
-		m1, m2 := r.M.EncodeSetsWS(ws, missSets)
-		mp1 := ws.Take(len(missSets), cols)
-		nn.MatMul(mp1, m1, f.w13)
-		mp2 := ws.Take(len(missSets), cols)
-		nn.MatMul(mp2, m2, f.w23)
-		for j, i := range missQ {
-			k := extraSlot[i]
-			copy(reps1.Row(k), m1.Row(j))
-			copy(reps2.Row(k), m2.Row(j))
-			copy(p1.Row(k), mp1.Row(j))
-			copy(p2.Row(k), mp2.Row(j))
-			if warm {
-				promos = append(promos, promo(i, k))
-			} else {
-				r.Cache.insert(gen, keys[i], reps1.Row(k), reps2.Row(k), p1.Row(k), p2.Row(k))
-			}
+	r.Cache.count(n-len(missQ), len(missQ))
+	if len(missQ) == 0 {
+		return &PairPredictor{f: r.M.headFold(), res: snap, rowOf: rowOf}, nil
+	}
+	reps1, reps2 := r.M.EncodeSetsWS(ws, missSets)
+	pred := r.M.NewPairPredictorWS(ws, reps1, reps2)
+	pred.res, pred.rowOf = snap, rowOf
+
+	var promos []promotion
+	for k, i := range missQ {
+		if warm || r.Cache.sighted(keys[i]) {
+			promos = append(promos, promotion{
+				key:  keys[i],
+				rep1: reps1.Row(k), rep2: reps2.Row(k),
+				pp1: pred.p1.Row(k), pp2: pred.p2.Row(k),
+			})
 		}
 	}
 	r.Cache.promote(gen, promos)
@@ -199,29 +165,22 @@ func (r *Rates) pairPredictor(ws *nn.Workspace, queries []query.Query, warm bool
 			if ri, resident := next.row(keys[i]); resident {
 				moved[i] = ri
 			} else {
-				moved[i] = next.n + extraSlot[i]
-				ok = extraSlot[i] >= 0
+				moved[i] = next.n + rowOf[i] - base
+				ok = rowOf[i] >= base
 			}
 		}
 		if ok {
-			snap, rowOf = next, moved
+			pred.res, pred.rowOf = next, moved
 		}
 	}
-
-	return &PairPredictor{
-		f:     f,
-		res:   snap,
-		reps1: reps1, reps2: reps2,
-		p1: p1, p2: p2,
-		rowOf: rowOf,
-	}, nil
+	return pred, nil
 }
 
 // Warm precomputes the serving-side state for the given queries — set-module
 // representations and factorized-head partial products — and promotes it
-// straight into the zero-copy resident tier, skipping the second-sighting
-// rule the serving path applies. A freshly promoted model generation warms
-// its cache with the pool's working set off the hot path, so the first
+// straight into the zero-copy resident tier, skipping the sighting rule the
+// serving path applies. A freshly promoted model generation warms its
+// cache with the pool's working set off the hot path, so the first
 // estimates after a hot-swap already run at steady-state cost instead of
 // re-encoding the whole pool. A Rates without a cache is a no-op.
 func (r *Rates) Warm(queries []query.Query) error {

@@ -1,6 +1,7 @@
 package crn
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -16,21 +17,20 @@ import (
 // once per pool version and a single-query estimate computes only its own
 // probe side.
 //
-// The cache is organized in two tiers:
+// The cache has one tier of values, the resident tier: append-only row
+// storage, a key→row index and the pair-rate memo, published as immutable
+// residentSnap views. The serving hot path reads it with one atomic load
+// and references rows in place: no lock, no copy, O(1) per query. A row ID
+// stays valid for as long as its storage lives, which is what lets rates be
+// memoized by (row1, row2) — see residentSnap, rateMemo.
 //
-//   - A resident tier for the recurring working set (in steady state: the
-//     pool entries, plus repeated probes): append-only row storage, a
-//     key→row index and the pair-rate memo, published as immutable
-//     residentSnap views. The serving hot path reads it with one atomic
-//     load and references rows in place: no lock, no copy, O(1) per query.
-//     A row ID stays valid for as long as its storage lives, which is what
-//     lets rates be memoized by (row1, row2) — see residentSnap, rateMemo.
-//   - A sharded tier for queries seen once. It is a lock-striped map
-//     (repShards power-of-two shards, selected by a hash of the canonical
-//     key), so concurrent misses and first-sightings never contend on a
-//     single mutex. Hits copy the entry out; an entry hit in the sharded
-//     tier has recurred, so it is promoted to the resident tier and the
-//     next request reads it lock- and copy-free.
+// Admission follows a sighting rule. The first computation of a
+// non-resident key stores only a hash of the key, in a bounded sighting
+// filter (a rateMemo table of sightingsPerRow slots per unit of capacity,
+// 16 bytes a slot: 512 KiB at DefaultRepCacheSize, emptied when three
+// quarters full). The next computation of a sighted key has recurred and
+// promotes it into the resident tier, so a stream of never-repeating probes
+// costs filter slots, not rows. Rates.Warm promotes without the rule.
 //
 // Correctness model: a cached entry depends only on the query's canonical
 // text, the feature encoder's statistics and the frozen model weights.
@@ -47,24 +47,23 @@ import (
 //   - PoolMutated(version, evictedKey) — the pool.MutationListener hook —
 //     absorbs mutations surgically for a cache subscribed to its pool (the
 //     facade subscribes every estimator cache): an eviction drops exactly
-//     the evicted entry's cached rows, an insert drops nothing, and the
+//     the evicted entry's cached row, an insert drops nothing, and the
 //     absorbed version keeps the next Validate on its no-flush fast path.
 //     Under sustained record/feedback traffic the cached working set
 //     therefore stays warm instead of re-encoding after every mutation.
 //   - Invalidate() clears unconditionally, for model or encoder swaps.
 //
-// Capacity is bounded per tier: the resident tier stops promoting at the
-// configured capacity (and its memo at memoPerRow slots per unit of it), and
-// each shard evicts an arbitrary eighth of its entries when its share of
-// the capacity fills (the serving working set is orders of magnitude below
-// any sensible capacity, so eviction is a safety valve, not a tuning knob).
-// All methods are safe for concurrent use, and cached values are
-// bit-identical to recomputation because every kernel's per-row result is
-// independent of batch composition (see package nn) and a memoized rate is
-// the float64 the head produced for that very pair.
+// A flush empties the resident tier and the sighting filter together.
+// Capacity bounds the resident tier (promotion stops at it) and its memo
+// (memoPerRow slots per unit of it); the serving working set is orders of
+// magnitude below any sensible capacity. All methods are safe for
+// concurrent use, and cached values are bit-identical to recomputation
+// because every kernel's per-row result is independent of batch
+// composition (see package nn) and a memoized rate is the float64 the head
+// produced for that very pair.
 type RepCache struct {
-	shards   [repShards]repShard
-	resident atomic.Pointer[residentSnap]
+	resident  atomic.Pointer[residentSnap]
+	sightings atomic.Pointer[rateMemo]
 
 	// flushMu serializes version transitions and full flushes; the
 	// unchanged-version fast path never takes it.
@@ -77,48 +76,36 @@ type RepCache struct {
 	started atomic.Bool // version observed at least once
 	cap     int
 	// gen counts flushes. Requests capture it before reading the cache and
-	// hand it back with their insert/promote writebacks; a mismatch means a
-	// flush (pool mutation, model swap) happened mid-request, and values
-	// computed against the pre-flush state must not re-enter the cache.
+	// hand it back with their promotions; a mismatch means a flush (pool
+	// mutation, model swap) happened mid-request, and values computed
+	// against the pre-flush state must not re-enter the cache.
 	gen atomic.Uint64
-	// size counts sharded-tier entries across all shards, so admission
-	// control enforces the global capacity without locking every shard.
-	size atomic.Int64
 
 	hits, misses, promoted atomic.Uint64
 	memoHits, memoMisses   atomic.Uint64
 }
 
-// repShards is the lock-stripe count of the sharded tier. Power of two so
-// shard selection is a mask; 16 stripes keep the probability of two
-// concurrent requests contending on one mutex low at any realistic core
-// count without bloating the struct.
-const repShards = 16
+// sightingsPerRow sizes the sighting filter per unit of cache capacity. The
+// filter empties at three quarters full, so it remembers up to three times
+// the capacity's worth of keys seen once.
+const sightingsPerRow = 4
 
-type repShard struct {
-	mu      sync.RWMutex
-	entries map[string]repEntry
-}
-
-// repEntry packs one query's cached values in a single slice:
-// rep1 | rep2 | pp1 | pp2 (lengths h, h, 2h, 2h).
-type repEntry struct {
-	data []float64
-}
+// sightSeed keys the sighting filter's hash of canonical query keys.
+var sightSeed = maphash.MakeSeed()
 
 // residentSnap is one immutable view of the resident tier. Rows live in
-// fixed-size blocks, each row packed like a repEntry (rep1 | rep2 | pp1 |
-// pp2), and are only ever appended: a writer fills row n behind the
-// published count, then publishes a view with n+1, so a reader — who never
-// looks past the n of the view it loaded — needs no lock, and a row ID stays
-// valid in every later view of the same storage. The key→row index is an
-// immutable base map plus a small delta that shadows it (a negative row is
-// a tombstone); a writer copies only the delta, and folds it into a new
-// base once it outgrows a fixed fraction of it. Eviction tombstones the key
-// and leaves the row dead in place; when dead rows pass a quarter of the
-// storage, the next promotion compacts the live ones into fresh storage —
-// the only event short of a flush that renumbers rows, and the memo is
-// remapped with them.
+// fixed-size blocks, each row packing one query's values (rep1 | rep2 | pp1 |
+// pp2, of lengths h, h, 2h, 2h), and are only ever appended: a writer fills
+// row n behind the published count, then publishes a view with n+1, so a
+// reader — who never looks past the n of the view it loaded — needs no lock,
+// and a row ID stays valid in every later view of the same storage. The
+// key→row index is an immutable base map plus a small delta that shadows it
+// (a negative row is a tombstone); a writer copies only the delta, and folds
+// it into a new base once it outgrows a fixed fraction of it. Eviction
+// tombstones the key and leaves the row dead in place; when dead rows pass a
+// quarter of the storage, the next promotion compacts the live ones into
+// fresh storage — the only event short of a flush that renumbers rows, and
+// the memo is remapped with them.
 type residentSnap struct {
 	blocks      [][]float64 // residentBlock rows of 6h floats each
 	n, h        int         // published rows (dead included); hidden width
@@ -172,37 +159,21 @@ func (s *residentSnap) data(i int) []float64 {
 // DefaultRepCacheSize is the default entry bound of a serving cache.
 const DefaultRepCacheSize = 8192
 
-// NewRepCache creates a cache bounded to capacity entries per tier
+// NewRepCache creates a cache bounded to capacity resident entries
 // (capacity <= 0 uses DefaultRepCacheSize).
 func NewRepCache(capacity int) *RepCache {
 	if capacity <= 0 {
 		capacity = DefaultRepCacheSize
 	}
 	c := &RepCache{cap: capacity}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]repEntry)
-	}
+	c.sightings.Store(newRateMemo(capacity * sightingsPerRow))
 	return c
 }
 
-// fnv1a hashes a key for shard selection.
-func fnv1a(key string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return h
-}
-
-// shard selects the lock stripe for a key (FNV-1a over the canonical key,
-// masked to the power-of-two stripe count).
-func (c *RepCache) shard(key string) *repShard {
-	return &c.shards[fnv1a(key)&(repShards-1)]
+// sighted reports whether key was computed before since the last flush,
+// recording the sighting if it was not.
+func (c *RepCache) sighted(key string) bool {
+	return c.sightings.Load().sight(maphash.String(sightSeed, key) | 1)
 }
 
 // Validate flushes the cache if the observed pool version advances past
@@ -234,11 +205,11 @@ func (c *RepCache) Validate(version uint64) {
 
 // PoolMutated implements pool.MutationListener: it absorbs one pool
 // mutation surgically instead of waiting for Validate's wholesale flush.
-// An eviction drops the evicted query's cached rows from both tiers (an
-// insert requires nothing — cached entries depend only on their own query
-// text and the frozen weights), then the seen version is raised so the
-// next Validate recognizes the mutation as handled. Called under the
-// pool's write lock, so it must not call back into the pool.
+// An eviction drops the evicted query's resident row (an insert requires
+// nothing — cached entries depend only on their own query text and the
+// frozen weights), then the seen version is raised so the next Validate
+// recognizes the mutation as handled. Called under the pool's write lock,
+// so it must not call back into the pool.
 func (c *RepCache) PoolMutated(version uint64, evictedKey string) {
 	if c == nil {
 		return
@@ -254,19 +225,12 @@ func (c *RepCache) PoolMutated(version uint64, evictedKey string) {
 	c.flushMu.Unlock()
 }
 
-// remove drops one key from both tiers: a sharded-tier delete, and a
-// resident view whose delta tombstones the key (the row stays in storage,
-// dead, until a compaction; its memo entries die with it because no lookup
-// yields its ID again). Unknown keys are a no-op.
+// remove drops one key from the resident tier: a view whose delta
+// tombstones the key (the row stays in storage, dead, until a compaction;
+// its memo entries die with it because no lookup yields its ID again).
+// Unknown keys are a no-op. The key's sighting stays, so its next
+// computation promotes it again.
 func (c *RepCache) remove(key string) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if _, ok := s.entries[key]; ok {
-		delete(s.entries, key)
-		c.size.Add(-1)
-	}
-	s.mu.Unlock()
-
 	c.promoteMu.Lock()
 	defer c.promoteMu.Unlock()
 	old := c.resident.Load()
@@ -311,7 +275,7 @@ func (s *residentSnap) cloneDelta(extra int) {
 	}
 }
 
-// Invalidate unconditionally discards every cached entry in both tiers.
+// Invalidate unconditionally discards every cached entry and sighting.
 func (c *RepCache) Invalidate() {
 	if c == nil {
 		return
@@ -321,34 +285,26 @@ func (c *RepCache) Invalidate() {
 	c.flushMu.Unlock()
 }
 
-// flush clears both tiers. Callers hold flushMu. The generation bump
-// happens first, under promoteMu, and each shard is cleared under its own
-// lock: a writeback that captured the old generation either observes the
-// bump and drops itself, or completes before the corresponding clear and
-// is wiped by it — stale values cannot survive a flush either way.
+// flush clears the resident tier and the sighting filter. Callers hold
+// flushMu. The generation bump happens under promoteMu, so a promotion that
+// captured the old generation observes the bump and drops itself: stale
+// values cannot survive a flush. A sighting holds no value, so a request
+// straddling the flush may record one in the new filter harmlessly.
 func (c *RepCache) flush() {
 	c.promoteMu.Lock()
 	c.gen.Add(1)
 	c.resident.Store(nil)
+	c.sightings.Store(newRateMemo(c.cap * sightingsPerRow))
 	c.promoteMu.Unlock()
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		c.size.Add(-int64(len(s.entries)))
-		s.entries = make(map[string]repEntry)
-		s.mu.Unlock()
-	}
 }
 
 // RepCacheStats is a point-in-time snapshot of cache effectiveness.
 type RepCacheStats struct {
-	Hits     uint64 `json:"hits"`
-	Misses   uint64 `json:"misses"`
-	Size     int    `json:"size"`     // entries across both tiers
+	Hits     uint64 `json:"hits"`     // queries resolved to a resident row
+	Misses   uint64 `json:"misses"`   // queries computed
 	Resident int    `json:"resident"` // entries in the zero-copy resident tier
 	Promoted uint64 `json:"promoted"` // lifetime promotions into the resident tier
 	Capacity int    `json:"capacity"`
-	Shards   int    `json:"shards"`
 	// Pair-rate memo: lookups (attempted only for pairs of two resident
 	// rows) by result, and pairs currently memoized.
 	MemoHits    uint64 `json:"memo_hits"`
@@ -356,8 +312,8 @@ type RepCacheStats struct {
 	MemoEntries int    `json:"memo_entries"`
 }
 
-// Stats returns hit/miss counters and tier occupancy. Safe on a nil cache
-// (estimators without representation caching report zeros).
+// Stats returns hit/miss counters and resident occupancy. Safe on a nil
+// cache (estimators without representation caching report zeros).
 func (c *RepCache) Stats() RepCacheStats {
 	if c == nil {
 		return RepCacheStats{}
@@ -367,7 +323,6 @@ func (c *RepCache) Stats() RepCacheStats {
 		Misses:   c.misses.Load(),
 		Promoted: c.promoted.Load(),
 		Capacity: c.cap,
-		Shards:   repShards,
 
 		MemoHits:   c.memoHits.Load(),
 		MemoMisses: c.memoMisses.Load(),
@@ -376,100 +331,14 @@ func (c *RepCache) Stats() RepCacheStats {
 		st.Resident = snap.n - snap.dead
 		st.MemoEntries = int(snap.memo.entries.Load())
 	}
-	st.Size = st.Resident
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		st.Size += len(s.entries)
-		s.mu.RUnlock()
-	}
 	return st
 }
 
-// lookup copies the sharded-tier entry for key into the four destination
-// rows and reports whether it hit. The caller resolves the resident tier
-// first (via resident.Load); a sharded hit means the entry recurred and is
-// a promotion candidate. Destination lengths must match the entry layout
-// (h, h, 2h, 2h for the model's hidden width).
-func (c *RepCache) lookup(key string, rep1, rep2, pp1, pp2 []float64) bool {
-	s := c.shard(key)
-	s.mu.RLock()
-	e, ok := s.entries[key]
-	if ok && len(e.data) == len(rep1)+len(rep2)+len(pp1)+len(pp2) {
-		off := 0
-		off += copy(rep1, e.data[off:])
-		off += copy(rep2, e.data[off:])
-		off += copy(pp1, e.data[off:])
-		copy(pp2, e.data[off:])
-	} else {
-		ok = false
-	}
-	s.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return ok
-}
-
-// hitResident records n resident-tier hits (the lookups themselves are the
-// caller's reads of the view it loaded).
-func (c *RepCache) hitResident(n int) { c.hits.Add(uint64(n)) }
-
-// insert stores a first-seen entry in the sharded tier, cloning all four
-// slices into one packed buffer. gen is the generation the caller captured
-// before computing the entry: if a flush intervened, the entry reflects
-// pre-flush state and is dropped. When the tier is at capacity, roughly an
-// eighth of the entries is evicted first (walking shards from the target
-// one), so sustained unique-probe traffic cannot grow the tier unboundedly.
-func (c *RepCache) insert(gen uint64, key string, rep1, rep2, pp1, pp2 []float64) {
-	buf := make([]float64, 0, len(rep1)+len(rep2)+len(pp1)+len(pp2))
-	buf = append(buf, rep1...)
-	buf = append(buf, rep2...)
-	buf = append(buf, pp1...)
-	buf = append(buf, pp2...)
-	s := c.shard(key)
-	s.mu.Lock()
-	if c.gen.Load() != gen {
-		// Flushed since the caller read the cache; see flush for why this
-		// check under the shard lock cannot race with the shard clear.
-		s.mu.Unlock()
-		return
-	}
-	_, exists := s.entries[key]
-	s.entries[key] = repEntry{data: buf}
-	if !exists && int(c.size.Add(1)) > c.cap {
-		s.mu.Unlock()
-		c.evict(key)
-		return
-	}
-	s.mu.Unlock()
-}
-
-// evict removes about an eighth of the capacity from the sharded tier
-// (always at least enough to return under the bound), sparing keep — the
-// entry whose insertion triggered the eviction.
-func (c *RepCache) evict(keep string) {
-	target := int64(c.cap) - int64(c.cap)/8
-	if target < 0 {
-		target = 0
-	}
-	start := int(fnv1a(keep) & (repShards - 1))
-	for i := 0; i < repShards && c.size.Load() > target; i++ {
-		s := &c.shards[(start+i)%repShards]
-		s.mu.Lock()
-		for k := range s.entries {
-			if k == keep {
-				continue
-			}
-			delete(s.entries, k)
-			if c.size.Add(-1) <= target {
-				break
-			}
-		}
-		s.mu.Unlock()
-	}
+// count records one request's resident hits and computed misses (the
+// lookups themselves are the caller's reads of the view it loaded).
+func (c *RepCache) count(hits, misses int) {
+	c.hits.Add(uint64(hits))
+	c.misses.Add(uint64(misses))
 }
 
 // promotion is one entry to move into the resident tier; the row slices
@@ -485,15 +354,15 @@ type promotion struct {
 // stale rows cannot resurrect into a freshly flushed tier. Keys already
 // resident — promoted concurrently by another request — and keys duplicated
 // within the batch are skipped, as is everything beyond the capacity bound.
-// Promoted keys are removed from the sharded tier. The cost is O(entries +
-// delta), never O(resident rows), except when it first compacts.
+// The cost is O(entries + delta), never O(resident rows), except when it
+// first compacts.
 func (c *RepCache) promote(gen uint64, promos []promotion) {
 	if len(promos) == 0 {
 		return
 	}
 	c.promoteMu.Lock()
+	defer c.promoteMu.Unlock()
 	if c.gen.Load() != gen {
-		c.promoteMu.Unlock()
 		return
 	}
 	h := len(promos[0].rep1)
@@ -505,14 +374,13 @@ func (c *RepCache) promote(gen uint64, promos []promotion) {
 	case old.h != h:
 		// Layout changed underneath a stale view (model swap without
 		// Invalidate): refuse to mix row widths.
-		c.promoteMu.Unlock()
 		return
 	case old.dead > old.n/4:
 		old, compacted = old.compact(), true
 	}
 	next := *old
 	next.cloneDelta(len(promos))
-	fresh := promos[:0]
+	first := next.n
 	for _, p := range promos {
 		if _, ok := next.row(p.key); ok {
 			continue
@@ -534,23 +402,11 @@ func (c *RepCache) promote(gen uint64, promos []promotion) {
 		// A tombstone this replaces is already counted in overrides.
 		next.delta[p.key] = next.n
 		next.n++
-		fresh = append(fresh, p)
 	}
-	if len(fresh) > 0 || compacted {
+	if next.n > first || compacted {
 		c.resident.Store(&next)
 	}
-	c.promoted.Add(uint64(len(fresh)))
-	c.promoteMu.Unlock()
-
-	for _, p := range fresh {
-		s := c.shard(p.key)
-		s.mu.Lock()
-		if _, ok := s.entries[p.key]; ok {
-			delete(s.entries, p.key)
-			c.size.Add(-1)
-		}
-		s.mu.Unlock()
-	}
+	c.promoted.Add(uint64(next.n - first))
 }
 
 // compact returns an unpublished view of fresh storage holding only the

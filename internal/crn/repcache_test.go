@@ -16,11 +16,11 @@ func cacheRow(v float64) ([]float64, []float64, []float64, []float64) {
 	return []float64{v}, []float64{v + 1}, []float64{v + 2, v + 3}, []float64{v + 4, v + 5}
 }
 
-func lookupRow(c *RepCache, key string) (bool, [6]float64) {
-	r1, r2 := make([]float64, 1), make([]float64, 1)
-	p1, p2 := make([]float64, 2), make([]float64, 2)
-	ok := c.lookup(key, r1, r2, p1, p2)
-	return ok, [6]float64{r1[0], r2[0], p1[0], p1[1], p2[0], p2[1]}
+// promoteRow promotes key with cacheRow(v)'s values at the current
+// generation.
+func promoteRow(c *RepCache, key string, v float64) {
+	r1, r2, p1, p2 := cacheRow(v)
+	c.promote(c.gen.Load(), []promotion{{key: key, rep1: r1, rep2: r2, pp1: p1, pp2: p2}})
 }
 
 // residentRow reads a key's packed resident row (rep1 | rep2 | pp1 | pp2)
@@ -34,59 +34,35 @@ func residentRow(c *RepCache, key string) ([]float64, bool) {
 	return snap.data(ri), true
 }
 
-func TestRepCacheLookupInsertStats(t *testing.T) {
-	c := NewRepCache(64)
-	if ok, _ := lookupRow(c, "a"); ok {
-		t.Fatal("empty cache should miss")
-	}
-	r1, r2, p1, p2 := cacheRow(10)
-	c.insert(c.gen.Load(), "a", r1, r2, p1, p2)
-	ok, got := lookupRow(c, "a")
-	if !ok {
-		t.Fatal("inserted key should hit")
-	}
-	if got != [6]float64{10, 11, 12, 13, 14, 15} {
-		t.Fatalf("lookup copied %v", got)
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Size != 1 || st.Capacity != 64 || st.Shards != repShards {
-		t.Fatalf("stats = %+v", st)
-	}
-	// Inserted slices are clones: mutating the source must not leak in.
-	s1, s2, s3, s4 := cacheRow(20)
-	c.insert(c.gen.Load(), "b", s1, s2, s3, s4)
-	s1[0], s3[1] = -1, -1
-	if _, got := lookupRow(c, "b"); got[0] != 20 || got[3] != 23 {
-		t.Errorf("insert must clone its inputs: %v", got)
-	}
-	// A stale-layout entry (different widths than the caller expects) is a
-	// miss, never a partial copy.
-	wide := make([]float64, 3)
-	if c.lookup("a", wide, wide, wide, wide) {
-		t.Error("layout-mismatched lookup must miss")
-	}
-}
-
 func TestRepCacheInvalidateAndValidate(t *testing.T) {
 	c := NewRepCache(8)
-	a1, a2, a3, a4 := cacheRow(1)
-	c.insert(c.gen.Load(), "a", a1, a2, a3, a4)
-	c.Invalidate()
-	if c.Stats().Size != 0 {
-		t.Fatal("Invalidate should clear")
+	promoteRow(c, "a", 1)
+	if c.sighted("s") {
+		t.Fatal("an unseen key must not count as sighted")
 	}
-	c.insert(c.gen.Load(), "a", a1, a2, a3, a4)
+	c.Invalidate()
+	if c.Stats().Resident != 0 || c.sighted("s") {
+		t.Fatal("Invalidate should clear the rows and the sightings")
+	}
+	promoteRow(c, "a", 1)
 	c.Validate(3) // first observation adopts without flushing
-	if c.Stats().Size != 1 {
+	if c.Stats().Resident != 1 || !c.sighted("s") {
 		t.Fatal("first Validate must not flush")
 	}
 	c.Validate(3) // same version: no flush
-	if c.Stats().Size != 1 {
+	if c.Stats().Resident != 1 || !c.sighted("s") {
 		t.Fatal("same-version Validate must not flush")
 	}
 	c.Validate(4) // version bump: flush
-	if c.Stats().Size != 0 {
-		t.Fatal("version change must flush")
+	if c.Stats().Resident != 0 || c.sighted("s") {
+		t.Fatal("version change must flush rows and sightings")
+	}
+	// Nil cache is inert.
+	var nc *RepCache
+	nc.Invalidate()
+	nc.Validate(1)
+	if st := nc.Stats(); st != (RepCacheStats{}) {
+		t.Fatalf("nil stats = %+v", st)
 	}
 }
 
@@ -125,13 +101,9 @@ func TestRepCachePromotion(t *testing.T) {
 	if ri, ok := snap.row("a"); !ok || &snap.data(ri)[0] != &rowA[0] {
 		t.Error("appending moved an existing row")
 	}
-	// Promotion removes the entry from the sharded tier.
-	y1, y2, y3, y4 := cacheRow(30)
-	c.insert(c.gen.Load(), "c", y1, y2, y3, y4)
-	x1, x2, x3, x4 := cacheRow(30)
-	c.promote(c.gen.Load(), []promotion{{key: "c", rep1: x1, rep2: x2, pp1: x3, pp2: x4}})
+	promoteRow(c, "c", 30)
 	st := c.Stats()
-	if st.Resident != 3 || st.Size != 3 || st.Promoted != 3 {
+	if st.Resident != 3 || st.Promoted != 3 {
 		t.Fatalf("post-promotion stats = %+v", st)
 	}
 	// Invalidate drops the resident tier too.
@@ -142,23 +114,21 @@ func TestRepCachePromotion(t *testing.T) {
 }
 
 // TestRepCacheStaleWritebacksDropped is the regression gate for the
-// flush-vs-writeback race: inserts and promotions whose values were
-// computed before a flush (pool mutation, model swap) must not re-enter
-// the freshly flushed cache.
+// flush-vs-writeback race: promotions whose values were computed before a
+// flush (pool mutation, model swap) must not re-enter the freshly flushed
+// cache.
 func TestRepCacheStaleWritebacksDropped(t *testing.T) {
 	c := NewRepCache(8)
 	gen := c.gen.Load() // a request captures the generation, then computes
 	c.Invalidate()      // ... a flush lands mid-request ...
 	r1, r2, p1, p2 := cacheRow(7)
-	c.insert(gen, "a", r1, r2, p1, p2) // ... and the writebacks must drop
 	c.promote(gen, []promotion{{key: "b", rep1: r1, rep2: r2, pp1: p1, pp2: p2}})
-	if st := c.Stats(); st.Size != 0 || st.Resident != 0 {
+	if st := c.Stats(); st.Resident != 0 || st.Promoted != 0 {
 		t.Fatalf("stale writeback survived the flush: %+v", st)
 	}
 	// Current-generation writebacks still land.
-	c.insert(c.gen.Load(), "a", r1, r2, p1, p2)
 	c.promote(c.gen.Load(), []promotion{{key: "b", rep1: r1, rep2: r2, pp1: p1, pp2: p2}})
-	if st := c.Stats(); st.Size != 2 || st.Resident != 1 {
+	if st := c.Stats(); st.Resident != 1 || st.Promoted != 1 {
 		t.Fatalf("fresh writeback dropped: %+v", st)
 	}
 }
@@ -191,56 +161,108 @@ func TestRepCachePromotionRespectsCapacity(t *testing.T) {
 	}
 }
 
-func TestRepCacheCapacityBound(t *testing.T) {
-	c := NewRepCache(32) // 2 entries per shard
-	for i := 0; i < 300; i++ {
-		r1, r2, p1, p2 := cacheRow(float64(i))
-		c.insert(c.gen.Load(), fmt.Sprintf("k%d", i), r1, r2, p1, p2)
+// TestRepCacheSightingPromotes pins the admission rule through the rate
+// path: a key's first computation leaves only a sighting, its second
+// promotes it, and Invalidate forgets sightings — with every rate equal to
+// the cache-less adapter's bits throughout.
+func TestRepCacheSightingPromotes(t *testing.T) {
+	ctx := context.Background()
+	plain, cached, qs, idx := memoFixture(t, 64)
+	want, err := plain.EstimateRatesIndexed(ctx, qs, idx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s := c.Stats().Size; s > 32+repShards {
-		t.Fatalf("cache exceeded capacity: %d", s)
-	}
-	// Re-inserting an existing key at capacity must not evict others.
-	before := c.Stats().Size
-	for k := 0; k < 3; k++ {
-		z1, z2, z3, z4 := cacheRow(1)
-		c.insert(c.gen.Load(), "k299", z1, z2, z3, z4)
-	}
-	if after := c.Stats().Size; after < before {
-		t.Fatalf("overwrite shrank cache: %d -> %d", before, after)
-	}
-	// Nil cache is inert.
-	var nc *RepCache
-	nc.Invalidate()
-	nc.Validate(1)
-	if st := nc.Stats(); st != (RepCacheStats{}) {
-		t.Fatalf("nil stats = %+v", st)
-	}
-}
-
-// TestRepCacheShardSpread sanity-checks that the key hash actually stripes:
-// a few hundred distinct keys must not all land in one shard.
-func TestRepCacheShardSpread(t *testing.T) {
-	c := NewRepCache(10000)
-	for i := 0; i < 256; i++ {
-		r1, r2, p1, p2 := cacheRow(float64(i))
-		c.insert(c.gen.Load(), fmt.Sprintf("SELECT * FROM t WHERE t.a > %d", i), r1, r2, p1, p2)
-	}
-	max := 0
-	for i := range c.shards {
-		if n := len(c.shards[i].entries); n > max {
-			max = n
+	c := cached.Cache
+	step := func(label string, wantResident int) {
+		t.Helper()
+		got, err := cached.EstimateRatesIndexed(ctx, qs, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: pair %d: cached %v, uncached %v", label, i, got[i], want[i])
+			}
+		}
+		if st := c.Stats(); st.Resident != wantResident {
+			t.Fatalf("%s: %d resident, want %d (%+v)", label, st.Resident, wantResident, st)
 		}
 	}
-	if max == 256 {
-		t.Fatal("all keys hashed to one shard")
+	step("first sighting", 0)
+	if st := c.Stats(); st.Misses != uint64(len(qs)) || st.Promoted != 0 {
+		t.Fatalf("first sighting: %+v", st)
+	}
+	step("second sighting", len(qs))
+	if st := c.Stats(); st.Misses != 2*uint64(len(qs)) || st.Promoted != uint64(len(qs)) {
+		t.Fatalf("second sighting: %+v", st)
+	}
+	step("resident", len(qs))
+	if st := c.Stats(); st.Hits != uint64(len(qs)) || st.Misses != 2*uint64(len(qs)) {
+		t.Fatalf("resident pass must be all hits: %+v", st)
+	}
+	c.Invalidate()
+	step("first sighting after Invalidate", 0)
+	step("second sighting after Invalidate", len(qs))
+}
+
+// TestRepCacheColdStreamRetainsNothing: a stream of keys each computed once
+// — the never-repeating probes of a top-K workload — promotes nothing and
+// holds the sighting filter to its bound, and the filter keeps admitting
+// after it resets: a key computed twice at the end still promotes.
+func TestRepCacheColdStreamRetainsNothing(t *testing.T) {
+	ctx := context.Background()
+	const capacity = 256
+	plain, s := ratesFixture(t)
+	cached := &Rates{M: plain.M, Enc: plain.Enc, Cache: NewRepCache(capacity)}
+	c := cached.Cache
+	run := func(qs []query.Query) {
+		t.Helper()
+		idx := make([][2]int, len(qs))
+		for i := range idx {
+			idx[i] = [2]int{i, i}
+		}
+		want, err := plain.EstimateRatesIndexed(ctx, qs, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cached.EstimateRatesIndexed(ctx, qs, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("pair %d: cached %v, uncached %v", i, got[i], want[i])
+			}
+		}
+	}
+	cold := func(i int) query.Query {
+		return sqlparse.MustParse(s, fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d", i))
+	}
+	for lo := 0; lo < 3*capacity; lo += 64 {
+		var qs []query.Query
+		for i := lo; i < lo+64; i++ {
+			qs = append(qs, cold(i))
+		}
+		run(qs)
+	}
+	if st := c.Stats(); st.Resident != 0 || st.Promoted != 0 || st.Misses != 3*capacity {
+		t.Fatalf("cold stream retained rows: %+v", st)
+	}
+	again := []query.Query{cold(-1)}
+	run(again)
+	run(again)
+	if st := c.Stats(); st.Resident != 1 || st.Promoted != 1 {
+		t.Fatalf("a recurring key after the cold stream was not promoted: %+v", st)
+	}
+	if slots := len(c.sightings.Load().tab.Load().slots); slots > capacity*sightingsPerRow {
+		t.Fatalf("sighting filter grew to %d slots, bound %d", slots, capacity*sightingsPerRow)
 	}
 }
 
 // TestRatesCachedMatchesUncached is the core cache-equivalence gate:
-// estimates through a cached Rates — cold, warm (sharded-tier hits),
-// resident (pool-resident precompute hits), and after invalidation — are
-// bit-identical to the uncached adapter.
+// estimates through a cached Rates — cold (first sightings), warm
+// (promoting second sightings), resident (pool-resident precompute hits),
+// and after invalidation — are bit-identical to the uncached adapter.
 func TestRatesCachedMatchesUncached(t *testing.T) {
 	r, s := ratesFixture(t)
 	cached := &Rates{M: r.M, Enc: r.Enc, Cache: NewRepCache(64)}
@@ -290,8 +312,8 @@ func TestRatesCachedMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestRepCacheConcurrentUse hammers lookup/insert/promote/invalidate from
-// many goroutines; run under -race this is the cache's thread-safety gate.
+// TestRepCacheConcurrentUse hammers sighting/promote/invalidate from many
+// goroutines; run under -race this is the cache's thread-safety gate.
 func TestRepCacheConcurrentUse(t *testing.T) {
 	c := NewRepCache(64)
 	var wg sync.WaitGroup
@@ -299,20 +321,16 @@ func TestRepCacheConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			r1, r2 := make([]float64, 1), make([]float64, 1)
-			p1, p2 := make([]float64, 2), make([]float64, 2)
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", (w*7+i)%40)
 				if row, ok := residentRow(c, key); ok {
 					_ = row[0]
-					c.hitResident(1)
+					c.count(1, 0)
 					continue
 				}
-				if c.lookup(key, r1, r2, p1, p2) {
-					c.promote(c.gen.Load(), []promotion{{key: key, rep1: r1, rep2: r2, pp1: p1, pp2: p2}})
-				} else {
-					a, b, d, e := cacheRow(float64(i))
-					c.insert(c.gen.Load(), key, a, b, d, e)
+				c.count(0, 1)
+				if c.sighted(key) {
+					promoteRow(c, key, float64(i))
 				}
 				switch i % 50 {
 				case 17:
@@ -327,31 +345,29 @@ func TestRepCacheConcurrentUse(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRepCacheSurgicalRemove pins the PR 5 surgical-invalidation path: a
-// pool eviction delivered through PoolMutated drops exactly the evicted
-// key's rows from both tiers, leaves every other entry warm, raises the
-// absorbed version so the next Validate does not flush, and — dead rows
-// being more than a quarter of the storage here — the next promotion
-// compacts them away.
+// TestRepCacheSurgicalRemove pins the surgical-invalidation path: a pool
+// eviction delivered through PoolMutated drops exactly the evicted key's
+// resident row, leaves every other entry warm, raises the absorbed version
+// so the next Validate does not flush, and — dead rows being more than a
+// quarter of the storage here — the next promotion compacts them away.
 func TestRepCacheSurgicalRemove(t *testing.T) {
 	c := NewRepCache(8)
 	c.Validate(1)
 	a1, a2, a3, a4 := cacheRow(1)
 	b1, b2, b3, b4 := cacheRow(2)
-	s1, s2, s3, s4 := cacheRow(3)
 	c.promote(c.gen.Load(), []promotion{
 		{key: "a", rep1: a1, rep2: a2, pp1: a3, pp2: a4},
 		{key: "b", rep1: b1, rep2: b2, pp1: b3, pp2: b4},
 	})
-	c.insert(c.gen.Load(), "s", s1, s2, s3, s4)
+	c.sighted("s")
 
 	// Insert-only mutation: nothing is dropped, version is absorbed.
 	c.PoolMutated(2, "")
-	if st := c.Stats(); st.Resident != 2 || st.Size != 3 {
+	if st := c.Stats(); st.Resident != 2 {
 		t.Fatalf("insert mutation must not drop anything: %+v", st)
 	}
 	c.Validate(2)
-	if st := c.Stats(); st.Size != 3 {
+	if st := c.Stats(); st.Resident != 2 || !c.sighted("s") {
 		t.Fatalf("absorbed version must not flush on Validate: %+v", st)
 	}
 
@@ -360,29 +376,22 @@ func TestRepCacheSurgicalRemove(t *testing.T) {
 	if _, ok := residentRow(c, "a"); ok {
 		t.Fatal("evicted key must leave the resident index")
 	}
-	if st := c.Stats(); st.Resident != 1 || st.Size != 2 {
+	if st := c.Stats(); st.Resident != 1 {
 		t.Fatalf("stats after resident eviction = %+v", st)
 	}
 	if row, ok := residentRow(c, "b"); !ok || row[0] != 2 {
 		t.Fatal("surviving resident row corrupted")
 	}
-
-	// Evict a sharded-tier key.
-	c.PoolMutated(4, "s")
-	if ok, _ := lookupRow(c, "s"); ok {
-		t.Fatal("evicted sharded entry must miss")
-	}
 	// Unknown keys are a no-op.
 	c.PoolMutated(5, "never-seen")
 	c.Validate(5)
-	if st := c.Stats(); st.Size != 1 || st.Resident != 1 {
+	if st := c.Stats(); st.Resident != 1 || !c.sighted("s") {
 		t.Fatalf("post-absorption stats = %+v", st)
 	}
 
 	// The next promotion compacts the tombstone away: two live keys, two
 	// rows, values intact.
-	d1, d2, d3, d4 := cacheRow(9)
-	c.promote(c.gen.Load(), []promotion{{key: "d", rep1: d1, rep2: d2, pp1: d3, pp2: d4}})
+	promoteRow(c, "d", 9)
 	snap := c.resident.Load()
 	if snap.rows() != 2 || snap.dead != 0 {
 		t.Fatalf("promotion should compact tombstones: rows=%d dead=%d", snap.rows(), snap.dead)
@@ -401,15 +410,14 @@ func TestRepCacheSurgicalRemove(t *testing.T) {
 func TestRepCacheValidateMonotone(t *testing.T) {
 	c := NewRepCache(8)
 	c.Validate(7)
-	a1, a2, a3, a4 := cacheRow(1)
-	c.insert(c.gen.Load(), "a", a1, a2, a3, a4)
+	promoteRow(c, "a", 1)
 	c.PoolMutated(9, "") // listener absorbed version 9
 	c.Validate(8)        // stale observer
-	if c.Stats().Size != 1 {
+	if c.Stats().Resident != 1 {
 		t.Fatal("older-version Validate after absorption must not flush")
 	}
 	c.Validate(10) // genuinely unabsorbed mutation: flush
-	if c.Stats().Size != 0 {
+	if c.Stats().Resident != 0 {
 		t.Fatal("unabsorbed newer version must flush")
 	}
 }

@@ -8,9 +8,9 @@ package crn
 //
 // BenchmarkEstimateCardinalityParallel serves through the concurrent
 // serving configuration (request coalescing on, pool-resident head
-// precompute and the sharded representation cache enabled by default);
+// precompute and the representation cache enabled by default);
 // BenchmarkEstimateCardinalityParallelNoCoalesce measures the same traffic
-// with coalescing disabled, isolating the precompute and sharding wins.
+// with coalescing disabled, isolating the precompute win.
 // ns/op is per single-query request, so baseline/new is the per-request
 // throughput ratio.
 
