@@ -493,11 +493,12 @@ func (e *AdaptiveEstimator) DurabilityStats() *DurabilityStats {
 	}
 }
 
-// Close stops the background trainer (waiting for an in-flight cycle),
-// cancels its labeling work and releases the pool subscription. A durable
-// estimator then writes a final checkpoint of the current generation —
-// staged-but-untrained feedback stays in the WAL beyond the checkpoint's
-// applied LSN, so the next boot re-stages it — syncs and closes the store.
+// Close stops the background trainer (an in-flight cycle is cancelled at
+// its next labeled record or training epoch, and waited for) and releases
+// the pool subscription. A durable estimator then writes a final
+// checkpoint of the current generation — staged-but-untrained feedback
+// stays in the WAL beyond the checkpoint's applied LSN, so the next boot
+// re-stages it — syncs and closes the store.
 // The estimator still answers estimates afterwards — on its last promoted
 // generation — but no longer adapts. Idempotent.
 func (e *AdaptiveEstimator) Close() {

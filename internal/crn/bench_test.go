@@ -11,6 +11,7 @@ package crn
 // `make bench-smoke` runs the whole suite once.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -51,7 +52,7 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Train(train, nil, nil); err != nil {
+		if _, err := m.Train(context.Background(), train, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,7 +18,9 @@
 // heads, so we implement the elementwise product.
 //
 // Training minimizes the mean q-error of predicted containment rates with
-// Adam and early stopping on a validation split (§3.2.4, §3.3).
+// Adam and early stopping on a validation split (§3.2.4, §3.3); the epoch
+// loop is nn.Fit, shared with the MSCN baseline, and this package supplies
+// the per-batch forward/backward step, the loss and the validation metric.
 //
 // Performance: the training loop and every serving entry point run on
 // nn.Workspace scratch arenas — one warmed buffer set per batch shape, so
@@ -39,7 +41,6 @@ import (
 	"math"
 	"math/rand"
 	"sync/atomic"
-	"time"
 
 	"crn/internal/metrics"
 	"crn/internal/nn"
@@ -102,14 +103,8 @@ type Sample struct {
 	Rate   float64
 }
 
-// EpochStats records one training epoch for the convergence and
-// hyperparameter experiments (Figures 3 and 4).
-type EpochStats struct {
-	Epoch     int
-	TrainLoss float64
-	ValQError float64 // mean q-error on the validation set
-	Duration  time.Duration
-}
+// EpochStats records one training epoch (Figures 3 and 4).
+type EpochStats = nn.EpochStats
 
 // Model is a trained (or initialized) CRN.
 type Model struct {
@@ -199,43 +194,11 @@ func (m *Model) NumParams() int { return nn.NumParams(m.Params()) }
 // loop reuses one buffer set per batch shape.
 type forwardCache struct {
 	b1, b2           nn.SetBatch
-	h1, h2           *nn.Matrix // per-element hidden activations
-	q1, q2           *nn.Matrix // pooled representative vectors
-	expanded         *nn.Matrix // n×4H
-	a1               *nn.Matrix // ReLU(out1) activations
+	h1, h2           [1]*nn.Matrix // per-element hidden activations of MLP1, MLP2
+	q1, q2           *nn.Matrix    // pooled representative vectors
+	expanded         *nn.Matrix    // n×4H
+	a1               *nn.Matrix    // ReLU(out1) activations
 	preSig, sigmoids *nn.Matrix
-}
-
-// buildSideBatch concatenates one side of the pairs straight into a
-// workspace-backed SetBatch, with no intermediate [][][]float64 staging.
-func buildSideBatch(ws *nn.Workspace, pairs []Sample, second bool, dim int) nn.SetBatch {
-	side := func(p Sample) [][]float64 {
-		if second {
-			return p.V2
-		}
-		return p.V1
-	}
-	total := 0
-	for _, p := range pairs {
-		total += len(side(p))
-	}
-	x := ws.Take(total, dim)
-	offsets := ws.TakeInts(len(pairs) + 1)
-	row := 0
-	for i, p := range pairs {
-		offsets[i] = row
-		for _, v := range side(p) {
-			dst := x.Row(row)
-			// Zero-pad short vectors so recycled storage cannot leak a
-			// previous batch's values into the tail.
-			for n := copy(dst, v); n < len(dst); n++ {
-				dst[n] = 0
-			}
-			row++
-		}
-	}
-	offsets[len(pairs)] = row
-	return nn.SetBatch{X: x, Offsets: offsets}
 }
 
 // forward runs the three CRN stages over a batch of pairs, writing every
@@ -245,10 +208,10 @@ func (m *Model) forward(ws *nn.Workspace, pairs []Sample, c *forwardCache) *forw
 		c = &forwardCache{}
 	}
 	n := len(pairs)
-	c.b1 = buildSideBatch(ws, pairs, false, m.dim)
-	c.b2 = buildSideBatch(ws, pairs, true, m.dim)
-	c.q1, c.h1 = m.enc1.ForwardWS(ws, c.b1)
-	c.q2, c.h2 = m.enc2.ForwardWS(ws, c.b2)
+	c.b1 = nn.BuildSetBatch(ws, n, m.dim, func(i int) [][]float64 { return pairs[i].V1 })
+	c.b2 = nn.BuildSetBatch(ws, n, m.dim, func(i int) [][]float64 { return pairs[i].V2 })
+	c.q1 = m.enc1.Forward(ws, c.b1, c.h1[:])
+	c.q2 = m.enc2.Forward(ws, c.b2, c.h2[:])
 
 	h := m.cfg.Hidden
 	c.expanded = ws.Take(n, 4*h)
@@ -263,8 +226,8 @@ func (m *Model) forward(ws *nn.Workspace, pairs []Sample, c *forwardCache) *forw
 		}
 	}
 	c.a1 = m.out1.ForwardReLU(ws, c.expanded)
-	c.preSig = m.out2.ForwardWS(ws, c.a1)
-	c.sigmoids = nn.SigmoidForwardWS(ws, c.preSig)
+	c.preSig = m.out2.Forward(ws, c.a1)
+	c.sigmoids = nn.SigmoidForward(ws, c.preSig)
 	return c
 }
 
@@ -272,8 +235,8 @@ func (m *Model) forward(ws *nn.Workspace, pairs []Sample, c *forwardCache) *forw
 // outputs) and accumulates parameter gradients. The set encoders are the
 // first layer, so no input gradients are materialized anywhere.
 func (m *Model) backward(ws *nn.Workspace, c *forwardCache, dOut *nn.Matrix) {
-	dPre := nn.SigmoidBackwardWS(ws, dOut, c.sigmoids)
-	dA1 := m.out2.BackwardWS(ws, c.a1, dPre, true)
+	dPre := nn.SigmoidBackward(ws, dOut, c.sigmoids)
+	dA1 := m.out2.Backward(ws, c.a1, dPre, true)
 	dExp := m.out1.BackwardReLU(ws, c.expanded, c.a1, dA1, true)
 
 	h := m.cfg.Hidden
@@ -295,8 +258,8 @@ func (m *Model) backward(ws *nn.Workspace, c *forwardCache, dOut *nn.Matrix) {
 			d2[j] = src[h+j] - sign*src[2*h+j] + r1[j]*src[3*h+j]
 		}
 	}
-	m.enc1.BackwardWS(ws, c.b1, c.h1, dQ1)
-	m.enc2.BackwardWS(ws, c.b2, c.h2, dQ2)
+	m.enc1.Backward(ws, c.b1, c.h1[:], dQ1)
+	m.enc2.Backward(ws, c.b2, c.h2[:], dQ2)
 }
 
 // Predict estimates the containment rate of one encoded pair in [0,1].
@@ -338,10 +301,8 @@ func (m *Model) EncodeSets(sets [][][]float64) (reps1, reps2 *nn.Matrix) {
 // EncodeSetsWS is EncodeSets with workspace-backed storage: the returned
 // matrices live in ws and are valid until its next Reset.
 func (m *Model) EncodeSetsWS(ws *nn.Workspace, sets [][][]float64) (reps1, reps2 *nn.Matrix) {
-	b := nn.BuildSetBatchWS(ws, sets, m.dim)
-	reps1, _ = m.enc1.ForwardWS(ws, b)
-	reps2, _ = m.enc2.ForwardWS(ws, b)
-	return reps1, reps2
+	b := nn.BuildSetBatch(ws, len(sets), m.dim, func(i int) [][]float64 { return sets[i] })
+	return m.enc1.Forward(ws, b, nil), m.enc2.Forward(ws, b, nil)
 }
 
 // headFold is the pair-head weight layout precomputed for serving: MLPout's
@@ -546,16 +507,33 @@ func (p *PairPredictor) PredictInto(dst []float64, pairs [][2]int, ws *nn.Worksp
 
 // Train fits the model on train, early-stopping on val, and returns the
 // per-epoch statistics. progress, if non-nil, is invoked after every epoch.
-func (m *Model) Train(train, val []Sample, progress func(EpochStats)) ([]EpochStats, error) {
-	return m.TrainCtx(context.Background(), train, val, progress)
+// The context is checked before every epoch: cancellation returns its
+// error and the statistics so far, and an aborted run is an error, not a
+// usable model (the best weights are not restored).
+func (m *Model) Train(ctx context.Context, train, val []Sample, progress func(EpochStats)) ([]EpochStats, error) {
+	return m.fit(ctx, train, val, m.cfg.Epochs, m.cfg.LR, progress)
 }
 
-// TrainCtx is Train with cancellation: the context is checked before every
-// epoch, so cancel/deadline aborts between epochs with the context's error
-// (and the per-epoch statistics accumulated so far). The best weights seen
-// before cancellation are NOT restored — an aborted training is an error,
-// not a usable model.
-func (m *Model) TrainCtx(ctx context.Context, train, val []Sample, progress func(EpochStats)) ([]EpochStats, error) {
+// ContinueTraining applies epochs more training epochs at learning rate lr,
+// starting from the model's current weights — the paper's §9 "Database
+// updates" second approach ("incrementally train the model starting from
+// its current state, by applying new updated training samples, instead of
+// re-training from scratch"). The optimizer restarts but the learned
+// weights persist, so a modest number of epochs adapts the model to a
+// drifted database. The model's configuration is not touched.
+//
+// Fine-tuning on a small adaptation set usually wants a rate 4-10x below
+// Config().LR: the full training rate lets a few hundred fresh samples
+// drag well-fit weights far from the bulk of what the model knows.
+func (m *Model) ContinueTraining(ctx context.Context, train, val []Sample, epochs int, lr float64, progress func(EpochStats)) ([]EpochStats, error) {
+	if epochs <= 0 {
+		return nil, fmt.Errorf("crn: epochs must be positive")
+	}
+	return m.fit(ctx, train, val, epochs, lr, progress)
+}
+
+// fit runs nn.Fit over the model with the given epoch budget and rate.
+func (m *Model) fit(ctx context.Context, train, val []Sample, epochs int, lr float64, progress func(EpochStats)) ([]EpochStats, error) {
 	if len(train) == 0 {
 		return nil, fmt.Errorf("crn: empty training set")
 	}
@@ -565,115 +543,37 @@ func (m *Model) TrainCtx(ctx context.Context, train, val []Sample, progress func
 	m.invalidateHeadFold()
 	defer m.invalidateHeadFold()
 	loss := m.lossFn()
-	opt := nn.NewAdam(m.cfg.LR)
-	rng := rand.New(rand.NewSource(m.cfg.Seed + 1))
-	stopper := &nn.EarlyStopper{Patience: m.cfg.Patience}
 
 	// One workspace and one staging buffer set serve every batch of the
-	// run: after the first epoch the inner loop is allocation-free apart
-	// from the loss gradient. The workspace comes from the model's free
-	// list, so repeated training runs (and the interleaved validation
+	// run: after the first epoch the step is allocation-free apart from
+	// the loss gradient. The workspace comes from the model's free list,
+	// so repeated training runs (and the interleaved validation
 	// predictions) reuse the same warmed arenas.
 	ws := m.getWS()
 	defer m.putWS(ws)
 	var fc forwardCache
 	batch := make([]Sample, 0, m.cfg.BatchSize)
 	targets := make([]float64, 0, m.cfg.BatchSize)
-
-	best := snapshotParams(m.Params())
-	bestVal := math.Inf(1)
-	badStreak := 0
-	var stats []EpochStats
-	for epoch := 1; epoch <= m.cfg.Epochs; epoch++ {
-		if err := ctx.Err(); err != nil {
-			return stats, err
+	step := func(idx []int) float64 {
+		batch, targets = batch[:0], targets[:0]
+		for _, j := range idx {
+			batch = append(batch, train[j])
+			targets = append(targets, train[j].Rate)
 		}
-		start := time.Now()
-		perm := nn.Shuffle(rng, len(train))
-		var totalLoss float64
-		var batches int
-		for _, idx := range nn.Batches(perm, m.cfg.BatchSize) {
-			batch = batch[:0]
-			targets = targets[:0]
-			for _, j := range idx {
-				batch = append(batch, train[j])
-				targets = append(targets, train[j].Rate)
-			}
-			ws.Reset()
-			c := m.forward(ws, batch, &fc)
-			l, grad := loss.Eval(c.sigmoids.Data, targets)
-			totalLoss += l
-			batches++
-			dOut := &nn.Matrix{Rows: len(batch), Cols: 1, Data: grad}
-			m.backward(ws, c, dOut)
-			opt.Step(m.Params())
-		}
-		valErr := m.ValidationQError(val)
-		st := EpochStats{
-			Epoch:     epoch,
-			TrainLoss: totalLoss / float64(batches),
-			ValQError: valErr,
-			Duration:  time.Since(start),
-		}
-		stats = append(stats, st)
-		if progress != nil {
-			progress(st)
-		}
-		if len(val) > 0 && m.cfg.Patience > 0 {
-			if valErr < bestVal {
-				bestVal = valErr
-				best = snapshotParamsInto(best, m.Params())
-				badStreak = 0
-			} else {
-				badStreak++
-				if m.cfg.LRDecay > 0 && m.cfg.LRDecay < 1 && badStreak == m.cfg.Patience/2 {
-					opt.LR *= m.cfg.LRDecay
-				}
-			}
-			if stopper.Observe(epoch, valErr) {
-				break
-			}
-		}
+		ws.Reset()
+		c := m.forward(ws, batch, &fc)
+		l, grad := loss.Eval(c.sigmoids.Data, targets)
+		m.backward(ws, c, &nn.Matrix{Rows: len(batch), Cols: 1, Data: grad})
+		return l
 	}
-	if len(val) > 0 && m.cfg.Patience > 0 {
-		if err := restoreParams(m.Params(), best); err != nil {
-			return stats, err
-		}
+	var validate func() float64
+	if len(val) > 0 {
+		validate = func() float64 { return m.ValidationQError(val) }
 	}
-	return stats, nil
+	s := nn.Schedule{LR: lr, BatchSize: m.cfg.BatchSize, Epochs: epochs,
+		Patience: m.cfg.Patience, Seed: m.cfg.Seed, LRDecay: m.cfg.LRDecay}
+	return nn.Fit(ctx, m.Params(), len(train), s, step, validate, progress)
 }
-
-// ContinueTraining applies additional training epochs starting from the
-// model's current weights — the paper's §9 "Database updates" second
-// approach ("incrementally train the model starting from its current state,
-// by applying new updated training samples, instead of re-training from
-// scratch"). The optimizer restarts but the learned weights persist, so a
-// modest number of epochs adapts the model to a drifted database.
-//
-// Fine-tuning on a small adaptation set usually wants a reduced learning
-// rate (SetLR): the full training rate lets a few hundred fresh samples
-// drag well-fit weights far from the bulk of what the model knows.
-func (m *Model) ContinueTraining(train, val []Sample, epochs int, progress func(EpochStats)) ([]EpochStats, error) {
-	if epochs <= 0 {
-		return nil, fmt.Errorf("crn: epochs must be positive")
-	}
-	saved := m.cfg
-	m.cfg.Epochs = epochs
-	defer func() { m.cfg = saved }()
-	return m.Train(train, val, progress)
-}
-
-// SetLR overrides the learning rate used by subsequent training runs
-// (non-positive values are ignored). Incremental fine-tuning typically
-// scales the original rate down by 4-10x.
-func (m *Model) SetLR(lr float64) {
-	if lr > 0 {
-		m.cfg.LR = lr
-	}
-}
-
-// LR returns the configured learning rate.
-func (m *Model) LR() float64 { return m.cfg.LR }
 
 // ValidationQError computes the mean q-error of predictions over a sample
 // set, the validation metric of §3.3 (Figures 3 and 4). It runs once per
@@ -719,34 +619,6 @@ func (m *Model) lossFn() nn.Loss {
 	default:
 		return nn.QErrorLoss{Floor: m.rateFloor()}
 	}
-}
-
-func snapshotParams(params []*nn.Param) []nn.ParamSnapshot {
-	return snapshotParamsInto(nil, params)
-}
-
-// snapshotParamsInto reuses a previous snapshot's buffers, so tracking the
-// best weights across epochs allocates only on the first improvement.
-func snapshotParamsInto(snaps []nn.ParamSnapshot, params []*nn.Param) []nn.ParamSnapshot {
-	if len(snaps) != len(params) {
-		snaps = make([]nn.ParamSnapshot, len(params))
-	}
-	for i, p := range params {
-		snaps[i] = p.SnapshotInto(snaps[i])
-	}
-	return snaps
-}
-
-func restoreParams(params []*nn.Param, snaps []nn.ParamSnapshot) error {
-	if len(params) != len(snaps) {
-		return fmt.Errorf("crn: snapshot mismatch")
-	}
-	for i, p := range params {
-		if err := p.Restore(snaps[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // modelBlob is the gob wire format of a serialized model.

@@ -1,6 +1,9 @@
 package crn
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -137,7 +140,7 @@ func TestTrainLearnsSyntheticRule(t *testing.T) {
 	cfg.Epochs = 40
 	cfg.Patience = 40
 	m := NewModel(cfg, dim)
-	stats, err := m.Train(train, val, nil)
+	stats, err := m.Train(context.Background(), train, val, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +159,7 @@ func TestTrainLearnsSyntheticRule(t *testing.T) {
 
 func TestTrainEmptySetFails(t *testing.T) {
 	m := NewModel(DefaultConfig(), 4)
-	if _, err := m.Train(nil, nil, nil); err == nil {
+	if _, err := m.Train(context.Background(), nil, nil, nil); err == nil {
 		t.Error("empty training set should fail")
 	}
 }
@@ -179,7 +182,7 @@ func TestEarlyStoppingTriggers(t *testing.T) {
 	cfg.Epochs = 100
 	cfg.Patience = 3
 	m := NewModel(cfg, dim)
-	stats, err := m.Train(train, val, nil)
+	stats, err := m.Train(context.Background(), train, val, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +205,7 @@ func TestProgressCallback(t *testing.T) {
 	cfg.Patience = 0
 	m := NewModel(cfg, dim)
 	var calls int
-	if _, err := m.Train(train, nil, func(EpochStats) { calls++ }); err != nil {
+	if _, err := m.Train(context.Background(), train, nil, func(EpochStats) { calls++ }); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 3 {
@@ -293,23 +296,64 @@ func TestContinueTrainingAdaptsToDrift(t *testing.T) {
 	cfg.Epochs = 25
 	cfg.Patience = 25
 	m := NewModel(cfg, dim)
-	if _, err := m.Train(oldTrain, nil, nil); err != nil {
+	if _, err := m.Train(context.Background(), oldTrain, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := m.ValidationQError(newVal)
-	if _, err := m.ContinueTraining(newTrain, newVal, 25, nil); err != nil {
+	if _, err := m.ContinueTraining(context.Background(), newTrain, newVal, 25, cfg.LR, nil); err != nil {
 		t.Fatal(err)
 	}
 	after := m.ValidationQError(newVal)
 	if after >= before {
 		t.Errorf("incremental training did not adapt: %v -> %v", before, after)
 	}
-	if _, err := m.ContinueTraining(newTrain, newVal, 0, nil); err == nil {
+	if _, err := m.ContinueTraining(context.Background(), newTrain, newVal, 0, cfg.LR, nil); err == nil {
 		t.Error("zero epochs should fail")
 	}
-	// Config restored after continuation.
-	if m.Config().Epochs != cfg.Epochs {
-		t.Errorf("config not restored: %d", m.Config().Epochs)
+	// Continuation takes its epochs and rate as arguments; the
+	// configuration is never touched.
+	if m.Config() != cfg {
+		t.Errorf("config changed by continuation: %+v", m.Config())
+	}
+}
+
+// TestTrainCancelledContext pins both training entry points to the
+// per-epoch context check: an already-cancelled context returns its error
+// before the first epoch and leaves every weight bit as it was.
+func TestTrainCancelledContext(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const dim = 5
+	var train []Sample
+	for i := 0; i < 20; i++ {
+		train = append(train, Sample{V1: randSet(rng, dim, 1), V2: randSet(rng, dim, 2), Rate: rng.Float64()})
+	}
+	cfg := DefaultConfig()
+	cfg.Hidden = 4
+	m := NewModel(cfg, dim)
+	before, err := m.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	progress := func(EpochStats) { t.Error("an epoch ran under a cancelled context") }
+	for name, run := range map[string]func() ([]EpochStats, error){
+		"Train": func() ([]EpochStats, error) { return m.Train(ctx, train, train, progress) },
+		"ContinueTraining": func() ([]EpochStats, error) {
+			return m.ContinueTraining(ctx, train, train, 3, cfg.LR, progress)
+		},
+	} {
+		stats, err := run()
+		if !errors.Is(err, context.Canceled) || len(stats) != 0 {
+			t.Errorf("%s: err %v after %d epochs, want context.Canceled before any", name, err, len(stats))
+		}
+		after, err := m.Save()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Errorf("%s moved the weights under a cancelled context", name)
+		}
 	}
 }
 

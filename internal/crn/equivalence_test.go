@@ -1,6 +1,7 @@
 package crn
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,7 +18,7 @@ func referenceForward(m *Model, pairs []Sample) []float64 {
 
 	encode := func(enc *nn.SetEncoder, pick func(Sample) [][]float64) *nn.Matrix {
 		pooled := nn.NewMatrix(n, h)
-		w := &nn.Matrix{Rows: m.dim, Cols: h, Data: enc.Dense.W.W}
+		w := &nn.Matrix{Rows: m.dim, Cols: h, Data: enc.Layers[0].W.W}
 		for i, p := range pairs {
 			set := pick(p)
 			x := nn.NewMatrix(len(set), m.dim)
@@ -30,7 +31,7 @@ func referenceForward(m *Model, pairs []Sample) []float64 {
 			for r := 0; r < len(set); r++ {
 				row := pre.Row(r)
 				for j := range row {
-					if v := row[j] + enc.Dense.B.W[j]; v > 0 {
+					if v := row[j] + enc.Layers[0].B.W[j]; v > 0 {
 						out[j] += v
 					}
 				}
@@ -132,11 +133,11 @@ func TestTrainingMatchesAcrossWorkspaceReuse(t *testing.T) {
 		return m, samples
 	}
 	mA, samples := mk()
-	if _, err := mA.Train(samples, nil, nil); err != nil {
+	if _, err := mA.Train(context.Background(), samples, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	mB, _ := mk()
-	if _, err := mB.Train(samples, nil, nil); err != nil {
+	if _, err := mB.Train(context.Background(), samples, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	pa, pb := mA.Params(), mB.Params()

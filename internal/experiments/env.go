@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -349,7 +350,7 @@ func trainCRN(env *Env, cfg crn.Config, log Logf) (*crn.Model, []crn.EpochStats,
 		return nil, nil, err
 	}
 	m := crn.NewModel(cfg, env.Enc.Dim())
-	stats, err := m.Train(trainS, valS, func(st crn.EpochStats) {
+	stats, err := m.Train(context.TODO(), trainS, valS, func(st crn.EpochStats) {
 		log.logf("  crn epoch %d: train loss %.3f, val q-error %.3f (%v)",
 			st.Epoch, st.TrainLoss, st.ValQError, st.Duration.Round(time.Millisecond))
 	})

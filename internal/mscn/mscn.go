@@ -9,6 +9,11 @@
 // two-layer output network whose sigmoid output encodes the cardinality on a
 // normalized log scale.
 //
+// MSCN shares CRN's layers: its set modules are nn.SetEncoder at depth 2
+// (CRN's are depth 1), every pass runs on nn.Workspace arenas, and training
+// runs through nn.Fit, the loop CRN trains with — so the baseline and the
+// paper's model differ in architecture and loss, not in how they train.
+//
 // The optional per-table materialized sample bitmaps of the original paper
 // (1000 rows per base table; "MSCN1000" in the containment paper's §6.6) are
 // supported through Config.NumSamples.
@@ -16,11 +21,11 @@ package mscn
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"crn/internal/db"
 	"crn/internal/metrics"
@@ -205,19 +210,14 @@ func (f *Featurizer) EncodeSample(q query.Query, card float64) (Sample, error) {
 }
 
 // EpochStats records one training epoch.
-type EpochStats struct {
-	Epoch     int
-	TrainLoss float64
-	ValQError float64
-	Duration  time.Duration
-}
+type EpochStats = nn.EpochStats
 
 // Model is the MSCN network.
 type Model struct {
 	cfg              Config
 	dimT, dimJ, dimP int
 
-	encT, encJ, encP *nn.DeepSetEncoder
+	encT, encJ, encP *nn.SetEncoder
 	out1, out2       *nn.Dense
 
 	logScale float64 // ln(maxCard+1) normalization, fixed at training time
@@ -233,9 +233,9 @@ func NewModel(cfg Config, dimT, dimJ, dimP int) *Model {
 	return &Model{
 		cfg:  cfg,
 		dimT: dimT, dimJ: dimJ, dimP: dimP,
-		encT: nn.NewDeepSetEncoder(rng, dimT, h, h),
-		encJ: nn.NewDeepSetEncoder(rng, dimJ, h, h),
-		encP: nn.NewDeepSetEncoder(rng, dimP, h, h),
+		encT: nn.NewSetEncoder(rng, dimT, h, h),
+		encJ: nn.NewSetEncoder(rng, dimJ, h, h),
+		encP: nn.NewSetEncoder(rng, dimP, h, h),
 		out1: nn.NewDense(rng, 3*h, h),
 		out2: nn.NewDense(rng, h, 1),
 	}
@@ -261,65 +261,59 @@ func (m *Model) Params() []*nn.Param {
 // NumParams returns the scalar parameter count.
 func (m *Model) NumParams() int { return nn.NumParams(m.Params()) }
 
+// forwardCache holds one forward pass's intermediates for backprop, all
+// workspace-backed when a workspace is supplied.
 type forwardCache struct {
 	bT, bJ, bP nn.SetBatch
-	cT, cJ, cP *nn.DeepSetCache
-	pooled     *nn.Matrix // n×3H concatenation
+	aT, aJ, aP [2]*nn.Matrix // per-layer set-module activations
+	pooled     *nn.Matrix    // n×3H concatenation
 	a1         *nn.Matrix
 	sigmoids   *nn.Matrix
 }
 
-func (m *Model) forward(samples []Sample) *forwardCache {
+// forward runs the three set modules and the output network over a batch,
+// writing every intermediate into ws (nil ws allocates).
+func (m *Model) forward(ws *nn.Workspace, samples []Sample, c *forwardCache) *forwardCache {
 	n := len(samples)
-	ts := make([][][]float64, n)
-	js := make([][][]float64, n)
-	ps := make([][][]float64, n)
-	for i, s := range samples {
-		ts[i], js[i], ps[i] = s.T, s.J, s.P
-	}
-	c := &forwardCache{
-		bT: nn.BuildSetBatch(ts, m.dimT),
-		bJ: nn.BuildSetBatch(js, m.dimJ),
-		bP: nn.BuildSetBatch(ps, m.dimP),
-	}
-	var pT, pJ, pP *nn.Matrix
-	pT, c.cT = m.encT.Forward(c.bT)
-	pJ, c.cJ = m.encJ.Forward(c.bJ)
-	pP, c.cP = m.encP.Forward(c.bP)
+	c.bT = nn.BuildSetBatch(ws, n, m.dimT, func(i int) [][]float64 { return samples[i].T })
+	c.bJ = nn.BuildSetBatch(ws, n, m.dimJ, func(i int) [][]float64 { return samples[i].J })
+	c.bP = nn.BuildSetBatch(ws, n, m.dimP, func(i int) [][]float64 { return samples[i].P })
+	pT := m.encT.Forward(ws, c.bT, c.aT[:])
+	pJ := m.encJ.Forward(ws, c.bJ, c.aJ[:])
+	pP := m.encP.Forward(ws, c.bP, c.aP[:])
 
 	h := m.cfg.Hidden
-	c.pooled = nn.NewMatrix(n, 3*h)
+	c.pooled = ws.Take(n, 3*h)
 	for i := 0; i < n; i++ {
 		dst := c.pooled.Row(i)
 		copy(dst[:h], pT.Row(i))
 		copy(dst[h:2*h], pJ.Row(i))
 		copy(dst[2*h:], pP.Row(i))
 	}
-	c.a1 = nn.ReLUForward(m.out1.Forward(c.pooled))
-	c.sigmoids = nn.SigmoidForward(m.out2.Forward(c.a1))
+	c.a1 = m.out1.ForwardReLU(ws, c.pooled)
+	c.sigmoids = nn.SigmoidForward(ws, m.out2.Forward(ws, c.a1))
 	return c
 }
 
-func (m *Model) backward(c *forwardCache, dOut *nn.Matrix) {
-	dPre := nn.SigmoidBackward(dOut, c.sigmoids)
-	dA1 := m.out2.Backward(c.a1, dPre)
-	dZ1 := nn.ReLUBackward(dA1, c.a1)
-	dPooled := m.out1.Backward(c.pooled, dZ1)
+func (m *Model) backward(ws *nn.Workspace, c *forwardCache, dOut *nn.Matrix) {
+	dPre := nn.SigmoidBackward(ws, dOut, c.sigmoids)
+	dA1 := m.out2.Backward(ws, c.a1, dPre, true)
+	dPooled := m.out1.BackwardReLU(ws, c.pooled, c.a1, dA1, true)
 
 	h := m.cfg.Hidden
 	n := dPooled.Rows
-	dT := nn.NewMatrix(n, h)
-	dJ := nn.NewMatrix(n, h)
-	dP := nn.NewMatrix(n, h)
+	dT := ws.Take(n, h)
+	dJ := ws.Take(n, h)
+	dP := ws.Take(n, h)
 	for i := 0; i < n; i++ {
 		src := dPooled.Row(i)
 		copy(dT.Row(i), src[:h])
 		copy(dJ.Row(i), src[h:2*h])
 		copy(dP.Row(i), src[2*h:])
 	}
-	m.encT.Backward(c.cT, dT)
-	m.encJ.Backward(c.cJ, dJ)
-	m.encP.Backward(c.cP, dP)
+	m.encT.Backward(ws, c.bT, c.aT[:], dT)
+	m.encJ.Backward(ws, c.bJ, c.aJ[:], dJ)
+	m.encP.Backward(ws, c.bP, c.aP[:], dP)
 }
 
 // normalize maps a cardinality to the model's [0,1] log scale.
@@ -337,13 +331,15 @@ func (m *Model) denormalize(s float64) float64 {
 
 // EstimateCard predicts the cardinality of one encoded sample.
 func (m *Model) EstimateCard(s Sample) float64 {
-	c := m.forward([]Sample{s})
-	return m.denormalize(c.sigmoids.Data[0])
+	return m.EstimateCardBatch([]Sample{s})[0]
 }
 
 // EstimateCardBatch predicts cardinalities for a batch of encoded samples.
 func (m *Model) EstimateCardBatch(samples []Sample) []float64 {
-	c := m.forward(samples)
+	ws := nn.GetWorkspace()
+	defer nn.PutWorkspace(ws)
+	var c forwardCache
+	m.forward(ws, samples, &c)
 	out := make([]float64, len(samples))
 	for i, s := range c.sigmoids.Data {
 		out[i] = m.denormalize(s)
@@ -363,70 +359,32 @@ func (m *Model) Train(train, val []Sample, progress func(EpochStats)) ([]EpochSt
 		}
 	}
 	m.logScale = math.Log(maxCard + 1)
-
 	loss := nn.LogQErrorLoss{Scale: m.logScale}
-	opt := nn.NewAdam(m.cfg.LR)
-	rng := rand.New(rand.NewSource(m.cfg.Seed + 1))
-	stopper := &nn.EarlyStopper{Patience: m.cfg.Patience}
 
-	best := paramSnapshots(m.Params())
-	bestVal := math.Inf(1)
-	badStreak := 0
-	var stats []EpochStats
-	for epoch := 1; epoch <= m.cfg.Epochs; epoch++ {
-		start := time.Now()
-		perm := nn.Shuffle(rng, len(train))
-		var totalLoss float64
-		var batches int
-		for _, idx := range nn.Batches(perm, m.cfg.BatchSize) {
-			batch := make([]Sample, len(idx))
-			targets := make([]float64, len(idx))
-			for i, j := range idx {
-				batch[i] = train[j]
-				targets[i] = m.normalize(train[j].Card)
-			}
-			c := m.forward(batch)
-			l, grad := loss.Eval(c.sigmoids.Data, targets)
-			totalLoss += l
-			batches++
-			m.backward(c, &nn.Matrix{Rows: len(batch), Cols: 1, Data: grad})
-			opt.Step(m.Params())
+	// One workspace serves every batch of the run.
+	ws := nn.NewWorkspace()
+	var fc forwardCache
+	batch := make([]Sample, 0, m.cfg.BatchSize)
+	targets := make([]float64, 0, m.cfg.BatchSize)
+	step := func(idx []int) float64 {
+		batch, targets = batch[:0], targets[:0]
+		for _, j := range idx {
+			batch = append(batch, train[j])
+			targets = append(targets, m.normalize(train[j].Card))
 		}
-		valErr := m.ValidationQError(val)
-		st := EpochStats{
-			Epoch:     epoch,
-			TrainLoss: totalLoss / float64(batches),
-			ValQError: valErr,
-			Duration:  time.Since(start),
-		}
-		stats = append(stats, st)
-		if progress != nil {
-			progress(st)
-		}
-		if len(val) > 0 && m.cfg.Patience > 0 {
-			if valErr < bestVal {
-				bestVal = valErr
-				best = paramSnapshots(m.Params())
-				badStreak = 0
-			} else {
-				badStreak++
-				if m.cfg.LRDecay > 0 && m.cfg.LRDecay < 1 && badStreak == m.cfg.Patience/2 {
-					opt.LR *= m.cfg.LRDecay
-				}
-			}
-			if stopper.Observe(epoch, valErr) {
-				break
-			}
-		}
+		ws.Reset()
+		c := m.forward(ws, batch, &fc)
+		l, grad := loss.Eval(c.sigmoids.Data, targets)
+		m.backward(ws, c, &nn.Matrix{Rows: len(batch), Cols: 1, Data: grad})
+		return l
 	}
-	if len(val) > 0 && m.cfg.Patience > 0 {
-		for i, p := range m.Params() {
-			if err := p.Restore(best[i]); err != nil {
-				return stats, err
-			}
-		}
+	var validate func() float64
+	if len(val) > 0 {
+		validate = func() float64 { return m.ValidationQError(val) }
 	}
-	return stats, nil
+	s := nn.Schedule{LR: m.cfg.LR, BatchSize: m.cfg.BatchSize, Epochs: m.cfg.Epochs,
+		Patience: m.cfg.Patience, Seed: m.cfg.Seed, LRDecay: m.cfg.LRDecay}
+	return nn.Fit(context.TODO(), m.Params(), len(train), s, step, validate, progress)
 }
 
 // ValidationQError computes the mean cardinality q-error over a sample set.
@@ -447,14 +405,6 @@ func (m *Model) ValidationQError(val []Sample) float64 {
 		}
 	}
 	return sum / float64(len(val))
-}
-
-func paramSnapshots(params []*nn.Param) []nn.ParamSnapshot {
-	out := make([]nn.ParamSnapshot, len(params))
-	for i, p := range params {
-		out[i] = p.Snapshot()
-	}
-	return out
 }
 
 // Estimator pairs a featurizer with a trained model to implement the

@@ -151,16 +151,16 @@ func TestModelGradCheck(t *testing.T) {
 	targets := []float64{m.normalize(50), m.normalize(500)}
 	loss := nn.MSELoss{}
 	forward := func() float64 {
-		c := m.forward(samples)
+		c := m.forward(nil, samples, &forwardCache{})
 		l, _ := loss.Eval(c.sigmoids.Data, targets)
 		return l
 	}
-	c := m.forward(samples)
+	c := m.forward(nil, samples, &forwardCache{})
 	_, grad := loss.Eval(c.sigmoids.Data, targets)
 	for _, p := range m.Params() {
 		p.ZeroGrad()
 	}
-	m.backward(c, &nn.Matrix{Rows: len(samples), Cols: 1, Data: grad})
+	m.backward(nil, c, &nn.Matrix{Rows: len(samples), Cols: 1, Data: grad})
 	const h = 1e-6
 	for pi, p := range m.Params() {
 		for i := range p.W {
@@ -285,6 +285,61 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := Load([]byte("nope")); err == nil {
 		t.Error("corrupt blob should fail")
+	}
+}
+
+// TestTrainingDeterministic pins training to its seed: two runs on one
+// sample set — each on its own reused workspace, through the shared epoch
+// loop with early stopping and plateau decay live — learn bit-identical
+// weights and report bit-identical losses.
+func TestTrainingDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	set := func(dim, n int) [][]float64 {
+		out := make([][]float64, n)
+		for i := range out {
+			out[i] = make([]float64, dim)
+			for j := range out[i] {
+				out[i][j] = rng.Float64()
+			}
+		}
+		return out
+	}
+	samples := make([]Sample, 80)
+	for i := range samples {
+		samples[i] = Sample{T: set(3, 1+i%2), J: set(2, 1), P: set(4, 1+i%3), Card: float64(rng.Intn(5000))}
+	}
+	train, val := samples[:64], samples[64:]
+	run := func() (*Model, []EpochStats) {
+		cfg := DefaultConfig()
+		cfg.Hidden = 8
+		cfg.Epochs = 6
+		cfg.Patience = 2
+		cfg.LRDecay = 0.5
+		cfg.BatchSize = 16
+		m := NewModel(cfg, 3, 2, 4)
+		stats, err := m.Train(train, val, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, stats
+	}
+	mA, statsA := run()
+	mB, statsB := run()
+	if len(statsA) != len(statsB) {
+		t.Fatalf("epochs %d vs %d", len(statsA), len(statsB))
+	}
+	for i := range statsA {
+		if statsA[i].TrainLoss != statsB[i].TrainLoss || statsA[i].ValQError != statsB[i].ValQError {
+			t.Fatalf("epoch %d: %+v vs %+v", i+1, statsA[i], statsB[i])
+		}
+	}
+	pa, pb := mA.Params(), mB.Params()
+	for p := range pa {
+		for i := range pa[p].W {
+			if pa[p].W[i] != pb[p].W[i] {
+				t.Fatalf("param %d[%d] diverged: %v vs %v", p, i, pa[p].W[i], pb[p].W[i])
+			}
+		}
 	}
 }
 

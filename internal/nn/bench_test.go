@@ -46,8 +46,8 @@ func BenchmarkDenseForwardBackward(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		y := d.Forward(x)
-		d.Backward(x, y)
+		y := d.Forward(nil, x)
+		d.Backward(nil, x, y, true)
 	}
 }
 
@@ -66,10 +66,10 @@ func BenchmarkSetEncoderForward(b *testing.B) {
 		}
 		samples[i] = set
 	}
-	batch := BuildSetBatch(samples, 70)
+	batch := batchOf(nil, samples, 70)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc.Forward(batch)
+		enc.Forward(nil, batch, nil)
 	}
 }
 

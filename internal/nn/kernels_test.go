@@ -140,7 +140,7 @@ func TestFusedDenseReLUMatchesUnfused(t *testing.T) {
 	x := NewMatrix(13, 9)
 	fillRandom(rng, x, 0.4)
 	fused := d.ForwardReLU(nil, x)
-	unfused := ReLUForward(d.Forward(x))
+	unfused := ReLUForward(nil, d.Forward(nil, x))
 	for i := range fused.Data {
 		if fused.Data[i] != unfused.Data[i] {
 			t.Fatalf("fused[%d] = %v, two-pass = %v", i, fused.Data[i], unfused.Data[i])
@@ -200,40 +200,50 @@ func TestFusedDenseReLUGradCheck(t *testing.T) {
 	}
 }
 
-// TestSetEncoderWSMatchesPlain pins the fused workspace encoder pass —
-// forward values and parameter gradients — to the plain allocation path.
+// TestSetEncoderWSMatchesPlain pins the encoder pass on a reused workspace
+// — forward values and parameter gradients — to the nil-workspace
+// allocating path, at depths 1 and 2.
 func TestSetEncoderWSMatchesPlain(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	const l, h = 6, 5
-	samples := [][][]float64{
-		{randVec(rng, l), randVec(rng, l)},
-		{randVec(rng, l)},
-		{randVec(rng, l), randVec(rng, l), randVec(rng, l)},
-	}
-	batch := BuildSetBatch(samples, l)
-
-	encA := NewSetEncoder(rand.New(rand.NewSource(3)), l, h)
-	encB := NewSetEncoder(rand.New(rand.NewSource(3)), l, h)
-
-	ws := NewWorkspace()
-	pooledA, hiddenA := encA.ForwardWS(ws, batch)
-	pooledB, hiddenB := encB.Forward(batch)
-	for i := range pooledB.Data {
-		if pooledA.Data[i] != pooledB.Data[i] {
-			t.Fatalf("pooled[%d] differs: %v vs %v", i, pooledA.Data[i], pooledB.Data[i])
+	for _, dims := range [][]int{{6, 5}, {6, 5, 4}} {
+		rng := rand.New(rand.NewSource(17))
+		l := dims[0]
+		samples := [][][]float64{
+			{randVec(rng, l), randVec(rng, l)},
+			{randVec(rng, l)},
+			{randVec(rng, l), randVec(rng, l), randVec(rng, l)},
 		}
-	}
-	dPooled := NewMatrix(pooledB.Rows, pooledB.Cols)
-	for i := range dPooled.Data {
-		dPooled.Data[i] = float64(i%5) - 2
-	}
-	encA.BackwardWS(ws, batch, hiddenA, dPooled)
-	encB.Backward(batch, hiddenB, dPooled)
-	for p := range encA.Params() {
-		ga, gb := encA.Params()[p].Grad, encB.Params()[p].Grad
-		for i := range ga {
-			if math.Abs(ga[i]-gb[i]) > 1e-12 {
-				t.Fatalf("param %d grad[%d]: ws %v plain %v", p, i, ga[i], gb[i])
+		encA := NewSetEncoder(rand.New(rand.NewSource(3)), dims...)
+		encB := NewSetEncoder(rand.New(rand.NewSource(3)), dims...)
+
+		ws := NewWorkspace()
+		dirty := ws.Take(64, 64) // recycled storage must not leak into results
+		for i := range dirty.Data {
+			dirty.Data[i] = 99
+		}
+		ws.Reset()
+		batchA := batchOf(ws, samples, l)
+		batchB := batchOf(nil, samples, l)
+		actsA := make([]*Matrix, len(dims)-1)
+		actsB := make([]*Matrix, len(dims)-1)
+		pooledA := encA.Forward(ws, batchA, actsA)
+		pooledB := encB.Forward(nil, batchB, actsB)
+		for i := range pooledB.Data {
+			if pooledA.Data[i] != pooledB.Data[i] {
+				t.Fatalf("depth %d pooled[%d] differs: %v vs %v", len(actsA), i, pooledA.Data[i], pooledB.Data[i])
+			}
+		}
+		dPooled := NewMatrix(pooledB.Rows, pooledB.Cols)
+		for i := range dPooled.Data {
+			dPooled.Data[i] = float64(i%5) - 2
+		}
+		encA.Backward(ws, batchA, actsA, dPooled)
+		encB.Backward(nil, batchB, actsB, dPooled)
+		for p := range encA.Params() {
+			ga, gb := encA.Params()[p].Grad, encB.Params()[p].Grad
+			for i := range ga {
+				if ga[i] != gb[i] {
+					t.Fatalf("depth %d param %d grad[%d]: ws %v plain %v", len(actsA), p, i, ga[i], gb[i])
+				}
 			}
 		}
 	}

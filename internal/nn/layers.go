@@ -69,11 +69,9 @@ func (d *Dense) weights() *Matrix { return &d.wView }
 // gradW returns the weight gradient as a matrix view (shared storage).
 func (d *Dense) gradW() *Matrix { return &d.gView }
 
-// Forward computes y = x·W + b for a batch x (n×In) and returns y (n×Out).
-func (d *Dense) Forward(x *Matrix) *Matrix { return d.ForwardWS(nil, x) }
-
-// ForwardWS is Forward writing into a workspace buffer.
-func (d *Dense) ForwardWS(ws *Workspace, x *Matrix) *Matrix {
+// Forward computes y = x·W + b for a batch x (n×In) into a workspace
+// buffer and returns y (n×Out).
+func (d *Dense) Forward(ws *Workspace, x *Matrix) *Matrix {
 	y := ws.Take(x.Rows, d.Out)
 	MatMul(y, x, d.weights())
 	bias := d.B.W
@@ -89,7 +87,7 @@ func (d *Dense) ForwardWS(ws *Workspace, x *Matrix) *Matrix {
 // ForwardReLU computes y = max(0, x·W + b) in one fused pass: the bias add
 // and the activation run over the matmul output while it is still hot in
 // cache, and no intermediate pre-activation matrix is materialized. The
-// output values are bit-identical to ReLUForward(Forward(x)).
+// output values are bit-identical to ReLUForward(ws, Forward(ws, x)).
 func (d *Dense) ForwardReLU(ws *Workspace, x *Matrix) *Matrix {
 	y := ws.Take(x.Rows, d.Out)
 	MatMul(y, x, d.weights())
@@ -101,14 +99,11 @@ func (d *Dense) ForwardReLU(ws *Workspace, x *Matrix) *Matrix {
 }
 
 // Backward accumulates dW += xᵀ·dy and db += Σ dy, and returns
-// dx = dy·Wᵀ. x must be the input that produced dy's forward pass.
-func (d *Dense) Backward(x, dy *Matrix) *Matrix { return d.BackwardWS(nil, x, dy, true) }
-
-// BackwardWS is Backward with workspace-backed scratch. dW accumulates
-// straight into W.Grad (no intermediate gradient matrix); when needDX is
-// false the input gradient — dead weight for a first layer — is skipped
-// entirely and nil is returned.
-func (d *Dense) BackwardWS(ws *Workspace, x, dy *Matrix, needDX bool) *Matrix {
+// dx = dy·Wᵀ. x must be the input that produced dy's forward pass. dW
+// accumulates straight into W.Grad (no intermediate gradient matrix); when
+// needDX is false the input gradient — dead weight for a first layer — is
+// skipped entirely and nil is returned.
+func (d *Dense) Backward(ws *Workspace, x, dy *Matrix, needDX bool) *Matrix {
 	MatMulTransAAcc(d.gradW(), x, dy)
 	db := d.B.Grad
 	for i := 0; i < dy.Rows; i++ {
@@ -128,8 +123,7 @@ func (d *Dense) BackwardWS(ws *Workspace, x, dy *Matrix, needDX bool) *Matrix {
 // fused output, dy the gradient w.r.t. y. The ReLU mask is applied into a
 // scratch buffer (dy is left untouched) and the dense backward follows.
 func (d *Dense) BackwardReLU(ws *Workspace, x, y, dy *Matrix, needDX bool) *Matrix {
-	dPre := ReLUBackwardWS(ws, dy, y)
-	return d.BackwardWS(ws, x, dPre, needDX)
+	return d.Backward(ws, x, ReLUBackward(ws, dy, y), needDX)
 }
 
 // Params returns the layer's trainable tensors.
@@ -138,11 +132,8 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 // NumParams returns the number of scalar parameters.
 func (d *Dense) NumParams() int { return d.In*d.Out + d.Out }
 
-// ReLUForward applies max(0,x) elementwise, returning a new matrix.
-func ReLUForward(x *Matrix) *Matrix { return ReLUForwardWS(nil, x) }
-
-// ReLUForwardWS is ReLUForward writing into a workspace buffer.
-func ReLUForwardWS(ws *Workspace, x *Matrix) *Matrix {
+// ReLUForward applies max(0,x) elementwise into a workspace buffer.
+func ReLUForward(ws *Workspace, x *Matrix) *Matrix {
 	y := ws.Take(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		if v > 0 {
@@ -155,20 +146,14 @@ func ReLUForwardWS(ws *Workspace, x *Matrix) *Matrix {
 }
 
 // ReLUBackward masks dy by the activation pattern of the forward output y.
-func ReLUBackward(dy, y *Matrix) *Matrix { return ReLUBackwardWS(nil, dy, y) }
-
-// ReLUBackwardWS is ReLUBackward writing into a workspace buffer.
-func ReLUBackwardWS(ws *Workspace, dy, y *Matrix) *Matrix {
+func ReLUBackward(ws *Workspace, dy, y *Matrix) *Matrix {
 	dx := ws.Take(dy.Rows, dy.Cols)
 	reluMask(dx.Data, dy.Data, y.Data)
 	return dx
 }
 
-// SigmoidForward applies 1/(1+e^-x) elementwise, returning a new matrix.
-func SigmoidForward(x *Matrix) *Matrix { return SigmoidForwardWS(nil, x) }
-
-// SigmoidForwardWS is SigmoidForward writing into a workspace buffer.
-func SigmoidForwardWS(ws *Workspace, x *Matrix) *Matrix {
+// SigmoidForward applies 1/(1+e^-x) elementwise into a workspace buffer.
+func SigmoidForward(ws *Workspace, x *Matrix) *Matrix {
 	y := ws.Take(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		y.Data[i] = 1 / (1 + math.Exp(-v))
@@ -177,10 +162,7 @@ func SigmoidForwardWS(ws *Workspace, x *Matrix) *Matrix {
 }
 
 // SigmoidBackward computes dx = dy ⊙ y(1-y) from the forward output y.
-func SigmoidBackward(dy, y *Matrix) *Matrix { return SigmoidBackwardWS(nil, dy, y) }
-
-// SigmoidBackwardWS is SigmoidBackward writing into a workspace buffer.
-func SigmoidBackwardWS(ws *Workspace, dy, y *Matrix) *Matrix {
+func SigmoidBackward(ws *Workspace, dy, y *Matrix) *Matrix {
 	dx := ws.Take(dy.Rows, dy.Cols)
 	yd := y.Data[:len(dx.Data)]
 	dyd := dy.Data[:len(dx.Data)]
@@ -203,62 +185,70 @@ type SetBatch struct {
 // NumSamples returns the number of sets in the batch.
 func (b SetBatch) NumSamples() int { return len(b.Offsets) - 1 }
 
-// BuildSetBatch concatenates per-sample element vectors into a SetBatch.
-// All vectors must have length dim.
-func BuildSetBatch(samples [][][]float64, dim int) SetBatch {
-	return BuildSetBatchWS(nil, samples, dim)
-}
-
-// BuildSetBatchWS is BuildSetBatch writing into workspace buffers.
-func BuildSetBatchWS(ws *Workspace, samples [][][]float64, dim int) SetBatch {
+// BuildSetBatch concatenates the element vectors of n sets — set(i) is
+// sample i's — into a SetBatch backed by workspace buffers. Vectors shorter
+// than dim are zero-padded.
+func BuildSetBatch(ws *Workspace, n, dim int, set func(i int) [][]float64) SetBatch {
 	total := 0
-	for _, s := range samples {
-		total += len(s)
+	for i := 0; i < n; i++ {
+		total += len(set(i))
 	}
 	x := ws.Take(total, dim)
-	offsets := ws.TakeInts(len(samples) + 1)
+	offsets := ws.TakeInts(n + 1)
 	row := 0
-	for i, s := range samples {
+	for i := 0; i < n; i++ {
 		offsets[i] = row
-		for _, v := range s {
+		for _, v := range set(i) {
 			dst := x.Row(row)
 			// Zero-pad short vectors: recycled storage would otherwise
 			// leak a previous batch's values into the tail.
-			for n := copy(dst, v); n < len(dst); n++ {
-				dst[n] = 0
+			for k := copy(dst, v); k < len(dst); k++ {
+				dst[k] = 0
 			}
 			row++
 		}
 	}
-	offsets[len(samples)] = row
+	offsets[n] = row
 	return SetBatch{X: x, Offsets: offsets}
 }
 
-// SetEncoder is the paper's per-set module MLPi (§3.2.2): one dense layer
-// with ReLU applied to every element vector, followed by average pooling
-// over the set: Qvec = 1/|V| Σ ReLU(v·U + b).
+// SetEncoder is a per-set module with average pooling: every element
+// vector passes through a stack of Dense+ReLU layers, and the last layer's
+// outputs are averaged over the set. At depth 1 it is the paper's MLPi
+// (§3.2.2), Qvec = 1/|V| Σ ReLU(v·U + b); MSCN's set modules are depth 2
+// (Kipf et al. §4).
 type SetEncoder struct {
-	Dense *Dense
+	Layers []*Dense
 }
 
-// NewSetEncoder creates a set encoder mapping dim-L element vectors to
-// dim-H pooled representations.
-func NewSetEncoder(rng *rand.Rand, l, h int) *SetEncoder {
-	return &SetEncoder{Dense: NewDense(rng, l, h)}
+// NewSetEncoder builds an encoder with the given layer widths: dims[0] is
+// the element dimension, dims[len-1] the pooled output width, and every
+// adjacent pair is one layer.
+func NewSetEncoder(rng *rand.Rand, dims ...int) *SetEncoder {
+	if len(dims) < 2 {
+		panic("nn: SetEncoder needs at least input and output dims")
+	}
+	e := &SetEncoder{}
+	for i := 0; i+1 < len(dims); i++ {
+		e.Layers = append(e.Layers, NewDense(rng, dims[i], dims[i+1]))
+	}
+	return e
 }
 
-// Forward returns the pooled per-sample representations (n×H) and the
-// per-element hidden activations needed for Backward.
-func (e *SetEncoder) Forward(b SetBatch) (pooled, hidden *Matrix) {
-	return e.ForwardWS(nil, b)
-}
-
-// ForwardWS is Forward with the dense layer and ReLU fused and both outputs
-// taken from the workspace.
-func (e *SetEncoder) ForwardWS(ws *Workspace, b SetBatch) (pooled, hidden *Matrix) {
-	hidden = e.Dense.ForwardReLU(ws, b.X)
+// Forward returns the pooled per-sample representations (n×Out), with
+// every layer's dense product and ReLU fused and all outputs taken from the
+// workspace. acts, when non-nil, must have one slot per layer and receives
+// each layer's per-element activations, the intermediates Backward needs.
+func (e *SetEncoder) Forward(ws *Workspace, b SetBatch, acts []*Matrix) (pooled *Matrix) {
+	x := b.X
+	for i, l := range e.Layers {
+		x = l.ForwardReLU(ws, x)
+		if acts != nil {
+			acts[i] = x
+		}
+	}
 	n := b.NumSamples()
-	pooled = ws.Take(n, e.Dense.Out)
+	pooled = ws.Take(n, x.Cols)
 	for i := 0; i < n; i++ {
 		lo, hi := b.Offsets[i], b.Offsets[i+1]
 		out := pooled.Row(i)
@@ -268,30 +258,27 @@ func (e *SetEncoder) ForwardWS(ws *Workspace, b SetBatch) (pooled, hidden *Matri
 			}
 			continue
 		}
-		copy(out, hidden.Row(lo))
+		copy(out, x.Row(lo))
 		for r := lo + 1; r < hi; r++ {
-			axpy(out, 1, hidden.Row(r)) // multiplier 1: bit-identical to +=
+			axpy(out, 1, x.Row(r)) // multiplier 1: bit-identical to +=
 		}
 		inv := 1 / float64(hi-lo)
 		for j := range out {
 			out[j] *= inv
 		}
 	}
-	return pooled, hidden
+	return pooled
 }
 
-// Backward propagates dPooled (n×H) through the pooling and dense layer,
-// accumulating parameter gradients. hidden must come from Forward on the
-// same batch.
-func (e *SetEncoder) Backward(b SetBatch, hidden, dPooled *Matrix) {
-	e.BackwardWS(nil, b, hidden, dPooled)
-}
-
-// BackwardWS is Backward with workspace-backed scratch. The pooling spread
-// and the ReLU mask are fused into one pass, and the input gradient — the
-// encoder is the first layer, so nothing consumes it — is never computed.
-func (e *SetEncoder) BackwardWS(ws *Workspace, b SetBatch, hidden, dPooled *Matrix) {
-	dPre := ws.Take(hidden.Rows, hidden.Cols)
+// Backward propagates dPooled (n×Out) through the pooling and every layer,
+// accumulating parameter gradients. acts must come from Forward on the same
+// batch. The pooling spread and the last ReLU mask are fused into one pass,
+// and the input gradient — the encoder is the first layer, so nothing
+// consumes it — is never computed.
+func (e *SetEncoder) Backward(ws *Workspace, b SetBatch, acts []*Matrix, dPooled *Matrix) {
+	last := len(e.Layers) - 1
+	top := acts[last]
+	dPre := ws.Take(top.Rows, top.Cols)
 	for i := 0; i < b.NumSamples(); i++ {
 		lo, hi := b.Offsets[i], b.Offsets[i+1]
 		if hi == lo {
@@ -300,7 +287,7 @@ func (e *SetEncoder) BackwardWS(ws *Workspace, b SetBatch, hidden, dPooled *Matr
 		inv := 1 / float64(hi-lo)
 		src := dPooled.Row(i)
 		for r := lo; r < hi; r++ {
-			act := hidden.Row(r)[:len(src)]
+			act := top.Row(r)[:len(src)]
 			dst := dPre.Row(r)[:len(src)]
 			for j, v := range src {
 				if act[j] > 0 {
@@ -311,8 +298,23 @@ func (e *SetEncoder) BackwardWS(ws *Workspace, b SetBatch, hidden, dPooled *Matr
 			}
 		}
 	}
-	e.Dense.BackwardWS(ws, b.X, dPre, false)
+	input := func(i int) *Matrix {
+		if i == 0 {
+			return b.X
+		}
+		return acts[i-1]
+	}
+	d := e.Layers[last].Backward(ws, input(last), dPre, last > 0)
+	for i := last - 1; i >= 0; i-- {
+		d = e.Layers[i].BackwardReLU(ws, input(i), acts[i], d, i > 0)
+	}
 }
 
-// Params returns the encoder's trainable tensors.
-func (e *SetEncoder) Params() []*Param { return e.Dense.Params() }
+// Params returns the trainable tensors of all layers.
+func (e *SetEncoder) Params() []*Param {
+	var out []*Param
+	for _, l := range e.Layers {
+		out = append(out, l.Params()...)
+	}
+	return out
+}

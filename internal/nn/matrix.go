@@ -1,10 +1,18 @@
 // Package nn is the from-scratch neural-network substrate of the
 // reproduction: row-major float64 matrices, dense layers, ReLU/Sigmoid
-// activations, mean-pooled set encoders (the building block of both CRN and
-// MSCN), the Adam optimizer and the paper's q-error training loss. The
+// activations, one mean-pooled set encoder of configurable depth
+// (SetEncoder: depth 1 is CRN's MLPi, depth 2 MSCN's set modules), the
+// Adam optimizer, the paper's q-error training loss and Fit, the one
+// training loop both models run (shuffled mini-batches, Adam, per-epoch
+// validation, plateau decay, early stopping with best-weight restore). The
 // original system trains with TensorFlow (§3.3); this package replaces it
 // with a deterministic, dependency-free implementation verified by numeric
 // gradient checks.
+//
+// Every layer operation is one function that takes a *Workspace; a nil
+// workspace allocates its outputs (see Workspace), so the training loops
+// and serving paths run on recycled arenas and tests can call the same
+// functions without one.
 //
 // The matrix kernels come in two tiers: the optimized kernels below
 // (register-blocked inner loops, sparsity-aware row dispatch, a parallel

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -81,14 +83,14 @@ func TestMatMulPanicsOnShapeMismatch(t *testing.T) {
 
 func TestActivations(t *testing.T) {
 	x := &Matrix{Rows: 1, Cols: 4, Data: []float64{-2, -0.5, 0.5, 2}}
-	y := ReLUForward(x)
+	y := ReLUForward(nil, x)
 	want := []float64{0, 0, 0.5, 2}
 	for i := range want {
 		if y.Data[i] != want[i] {
 			t.Fatalf("ReLU[%d] = %v", i, y.Data[i])
 		}
 	}
-	s := SigmoidForward(x)
+	s := SigmoidForward(nil, x)
 	for i, v := range x.Data {
 		wantS := 1 / (1 + math.Exp(-v))
 		if !almostEqual(s.Data[i], wantS, 1e-12) {
@@ -123,7 +125,7 @@ func TestDenseGradCheck(t *testing.T) {
 
 	// Scalar objective: MSE between summed outputs and target.
 	forward := func() float64 {
-		y := d.Forward(x)
+		y := d.Forward(nil, x)
 		var loss float64
 		for i := 0; i < y.Rows; i++ {
 			var s float64
@@ -136,7 +138,7 @@ func TestDenseGradCheck(t *testing.T) {
 		return loss
 	}
 	// Analytic gradient.
-	y := d.Forward(x)
+	y := d.Forward(nil, x)
 	dy := NewMatrix(y.Rows, y.Cols)
 	for i := 0; i < y.Rows; i++ {
 		var s float64
@@ -150,7 +152,7 @@ func TestDenseGradCheck(t *testing.T) {
 	}
 	d.W.ZeroGrad()
 	d.B.ZeroGrad()
-	dx := d.Backward(x, dy)
+	dx := d.Backward(nil, x, dy, true)
 
 	for i := range d.W.W {
 		num := numericGrad(forward, d.W.W, i)
@@ -172,49 +174,57 @@ func TestDenseGradCheck(t *testing.T) {
 	}
 }
 
+// TestSetEncoderGradCheck verifies the encoder's gradients numerically at
+// CRN's depth 1 and MSCN's depth 2.
 func TestSetEncoderGradCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const l, h = 4, 3
-	enc := NewSetEncoder(rng, l, h)
-	samples := [][][]float64{
-		{randVec(rng, l), randVec(rng, l), randVec(rng, l)},
-		{randVec(rng, l)},
-		{randVec(rng, l), randVec(rng, l)},
-	}
-	batch := BuildSetBatch(samples, l)
+	for _, dims := range [][]int{{4, 3}, {4, 3, 3}} {
+		rng := rand.New(rand.NewSource(7))
+		l := dims[0]
+		enc := NewSetEncoder(rng, dims...)
+		for _, d := range enc.Layers {
+			// Off-zero biases: with zero ones an all-dead element row puts
+			// the next layer exactly on the ReLU kink.
+			copy(d.B.W, randVec(rng, d.Out))
+		}
+		samples := [][][]float64{
+			{randVec(rng, l), randVec(rng, l), randVec(rng, l)},
+			{randVec(rng, l)},
+			{randVec(rng, l), randVec(rng, l)},
+		}
+		batch := batchOf(nil, samples, l)
 
-	forward := func() float64 {
-		pooled, _ := enc.Forward(batch)
-		var loss float64
-		for _, v := range pooled.Data {
-			loss += v * v
+		forward := func() float64 {
+			var loss float64
+			for _, v := range enc.Forward(nil, batch, nil).Data {
+				loss += v * v
+			}
+			return loss
 		}
-		return loss
-	}
-	pooled, hidden := enc.Forward(batch)
-	dPooled := NewMatrix(pooled.Rows, pooled.Cols)
-	for i, v := range pooled.Data {
-		dPooled.Data[i] = 2 * v
-	}
-	for _, p := range enc.Params() {
-		p.ZeroGrad()
-	}
-	enc.Backward(batch, hidden, dPooled)
+		acts := make([]*Matrix, len(enc.Layers))
+		pooled := enc.Forward(nil, batch, acts)
+		dPooled := NewMatrix(pooled.Rows, pooled.Cols)
+		for i, v := range pooled.Data {
+			dPooled.Data[i] = 2 * v
+		}
+		for _, p := range enc.Params() {
+			p.ZeroGrad()
+		}
+		enc.Backward(nil, batch, acts, dPooled)
 
-	w := enc.Dense.W
-	for i := range w.W {
-		num := numericGrad(forward, w.W, i)
-		if !almostEqual(num, w.Grad[i], 1e-4*(1+math.Abs(num))) {
-			t.Fatalf("encoder dW[%d]: analytic %v numeric %v", i, w.Grad[i], num)
+		for pi, p := range enc.Params() {
+			for i := range p.W {
+				num := numericGrad(forward, p.W, i)
+				if !almostEqual(num, p.Grad[i], 1e-4*(1+math.Abs(num))) {
+					t.Fatalf("depth %d param %d[%d]: analytic %v numeric %v", len(enc.Layers), pi, i, p.Grad[i], num)
+				}
+			}
 		}
 	}
-	b := enc.Dense.B
-	for i := range b.W {
-		num := numericGrad(forward, b.W, i)
-		if !almostEqual(num, b.Grad[i], 1e-4*(1+math.Abs(num))) {
-			t.Fatalf("encoder dB[%d]: analytic %v numeric %v", i, b.Grad[i], num)
-		}
-	}
+}
+
+// batchOf is BuildSetBatch over a slice of sets.
+func batchOf(ws *Workspace, samples [][][]float64, dim int) SetBatch {
+	return BuildSetBatch(ws, len(samples), dim, func(i int) [][]float64 { return samples[i] })
 }
 
 func randVec(rng *rand.Rand, n int) []float64 {
@@ -229,9 +239,9 @@ func TestSetEncoderPoolingIsAverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	enc := NewSetEncoder(rng, 2, 2)
 	v1, v2 := []float64{1, 0}, []float64{0, 1}
-	single1, _ := enc.Forward(BuildSetBatch([][][]float64{{v1}}, 2))
-	single2, _ := enc.Forward(BuildSetBatch([][][]float64{{v2}}, 2))
-	both, _ := enc.Forward(BuildSetBatch([][][]float64{{v1, v2}}, 2))
+	single1 := enc.Forward(nil, batchOf(nil, [][][]float64{{v1}}, 2), nil)
+	single2 := enc.Forward(nil, batchOf(nil, [][][]float64{{v2}}, 2), nil)
+	both := enc.Forward(nil, batchOf(nil, [][][]float64{{v1, v2}}, 2), nil)
 	for j := 0; j < 2; j++ {
 		want := (single1.At(0, j) + single2.At(0, j)) / 2
 		if !almostEqual(both.At(0, j), want, 1e-12) {
@@ -243,19 +253,19 @@ func TestSetEncoderPoolingIsAverage(t *testing.T) {
 func TestSigmoidBackwardMatchesNumeric(t *testing.T) {
 	x := &Matrix{Rows: 1, Cols: 3, Data: []float64{-1, 0.2, 2}}
 	forward := func() float64 {
-		y := SigmoidForward(x)
+		y := SigmoidForward(nil, x)
 		var s float64
 		for _, v := range y.Data {
 			s += v * v
 		}
 		return s
 	}
-	y := SigmoidForward(x)
+	y := SigmoidForward(nil, x)
 	dy := NewMatrix(1, 3)
 	for i, v := range y.Data {
 		dy.Data[i] = 2 * v
 	}
-	dx := SigmoidBackward(dy, y)
+	dx := SigmoidBackward(nil, dy, y)
 	for i := range x.Data {
 		num := numericGrad(forward, x.Data, i)
 		if !almostEqual(num, dx.Data[i], 1e-6) {
@@ -404,6 +414,34 @@ func TestEarlyStopper(t *testing.T) {
 	if best != 3 || epoch != 2 {
 		t.Errorf("best = %v at %d", best, epoch)
 	}
+
+	// Stale counts the epochs since the last improvement: Fit snapshots the
+	// weights at 0 and decays the rate at Patience/2. An unordered metric
+	// is never an improvement, even as the first observation.
+	s = &EarlyStopper{Patience: 3}
+	var stale []int
+	for i, m := range []float64{math.NaN(), 4, 5, 4, 2, math.NaN()} {
+		s.Observe(i, m)
+		stale = append(stale, s.Stale())
+	}
+	if want := []int{1, 0, 1, 2, 0, 1}; !equalInts(stale, want) {
+		t.Errorf("stale = %v, want %v", stale, want)
+	}
+	if best, epoch := s.Best(); best != 2 || epoch != 4 {
+		t.Errorf("best = %v at %d, want 2 at 4", best, epoch)
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestSerializationRoundTrip(t *testing.T) {
@@ -492,7 +530,7 @@ func TestBuildSetBatchLayout(t *testing.T) {
 		{{1, 2}, {3, 4}},
 		{{5, 6}},
 	}
-	b := BuildSetBatch(samples, 2)
+	b := BuildSetBatch(nil, len(samples), 2, func(i int) [][]float64 { return samples[i] })
 	if b.NumSamples() != 2 {
 		t.Fatalf("NumSamples = %d", b.NumSamples())
 	}
@@ -504,5 +542,91 @@ func TestBuildSetBatchLayout(t *testing.T) {
 	}
 	if b.X.At(2, 0) != 5 {
 		t.Fatalf("row content wrong")
+	}
+}
+
+// TestFitSchedule drives Fit with a constant unit gradient, under which
+// every Adam step moves the weight down by the learning rate, and a
+// scripted validation metric: the rate halves once the metric has stalled
+// for Patience/2 epochs, training stops after Patience stale epochs, and
+// the best epoch's weights come back.
+func TestFitSchedule(t *testing.T) {
+	p := NewParam(1, 1)
+	metric := []float64{3, 2, 2.5, 2.6, 2.7, 2.8, 1}
+	var atEpoch []float64 // weight after each epoch
+	steps := 0
+	step := func(batch []int) float64 {
+		if len(batch) != 2 {
+			t.Fatalf("batch of %d, want 2", len(batch))
+		}
+		steps++
+		p.Grad[0] = 1
+		return float64(steps)
+	}
+	validate := func() float64 {
+		atEpoch = append(atEpoch, p.W[0])
+		return metric[len(atEpoch)-1]
+	}
+	s := Schedule{LR: 0.01, BatchSize: 2, Epochs: len(metric), Patience: 4, Seed: 1, LRDecay: 0.5}
+	stats, err := Fit(context.Background(), []*Param{p}, 4, s, step, validate, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats) != 6 || steps != 12 {
+		t.Fatalf("ran %d epochs and %d steps, want early stop after 6 epochs, 12 steps", len(stats), steps)
+	}
+	for i, st := range stats {
+		if st.Epoch != i+1 || st.ValQError != metric[i] || st.TrainLoss != float64(4*i+3)/2 {
+			t.Errorf("epoch %d stats = %+v", i+1, st)
+		}
+	}
+	if p.W[0] != atEpoch[1] {
+		t.Errorf("weight %v, want epoch 2's %v restored", p.W[0], atEpoch[1])
+	}
+	full := atEpoch[2] - atEpoch[3] // epoch 4, the second stale one, at the full rate
+	decayed := atEpoch[3] - atEpoch[4]
+	if !almostEqual(full, 2*s.LR, 1e-6) || !almostEqual(decayed, s.LR, 1e-6) {
+		t.Errorf("epoch steps %v then %v, want %v then %v", full, decayed, 2*s.LR, s.LR)
+	}
+
+	// Without a validation set nothing stops, decays or restores early.
+	p, steps = NewParam(1, 1), 0
+	stats, err = Fit(context.Background(), []*Param{p}, 4, s, step, nil, nil)
+	if err != nil || len(stats) != len(metric) || !math.IsNaN(stats[0].ValQError) {
+		t.Fatalf("no-validation run: %d epochs, err %v, val %v", len(stats), err, stats[0].ValQError)
+	}
+	if !almostEqual(p.W[0], -float64(steps)*s.LR, 1e-6) {
+		t.Errorf("weight %v after %d full-rate steps", p.W[0], steps)
+	}
+}
+
+// TestFitCancelled pins the per-epoch context check: a cancelled context
+// runs no epoch, and a cancellation mid-run stops before the next epoch
+// without restoring the best weights.
+func TestFitCancelled(t *testing.T) {
+	p := NewParam(1, 1)
+	step := func([]int) float64 { p.Grad[0] = 1; return 0 }
+	s := Schedule{LR: 0.01, BatchSize: 2, Epochs: 5, Patience: 5, Seed: 1}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	stats, err := Fit(ctx, []*Param{p}, 4, s, step, func() float64 { return 1 }, nil)
+	if !errors.Is(err, context.Canceled) || len(stats) != 0 || p.W[0] != 0 {
+		t.Fatalf("cancelled before start: err %v, %d epochs, weight %v", err, len(stats), p.W[0])
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	epochs := 0
+	progress := func(EpochStats) {
+		if epochs++; epochs == 2 {
+			cancel()
+		}
+	}
+	stats, err = Fit(ctx, []*Param{p}, 4, s, step, func() float64 { return float64(epochs) }, progress)
+	if !errors.Is(err, context.Canceled) || len(stats) != 2 {
+		t.Fatalf("cancelled mid-run: err %v, %d epochs", err, len(stats))
+	}
+	if !almostEqual(p.W[0], -4*s.LR, 1e-6) {
+		t.Errorf("weight %v: a cancelled run must keep its last epoch, not restore the best", p.W[0])
 	}
 }

@@ -122,7 +122,7 @@ func TestBuildSetBatchWSZeroPadsShortVectors(t *testing.T) {
 		dirty.Data[i] = 99
 	}
 	ws.Reset()
-	b := BuildSetBatchWS(ws, [][][]float64{{{1, 2}}, {{3}}}, 4)
+	b := batchOf(ws, [][][]float64{{{1, 2}}, {{3}}}, 4)
 	want := []float64{1, 2, 0, 0, 3, 0, 0, 0}
 	for i, v := range want {
 		if b.X.Data[i] != v {

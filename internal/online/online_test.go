@@ -244,6 +244,60 @@ func TestRetrainNowPromotesThroughGate(t *testing.T) {
 	}
 }
 
+// TestRetrainNowKeepsConfiguredLR pins the fine-tuning rate: every cycle
+// scales the live model's configured rate once, so across promotions the
+// served model — and the blob a checkpoint would write — keeps the rate it
+// was configured with instead of compounding the scale per generation.
+func TestRetrainNowKeepsConfiguredLR(t *testing.T) {
+	ex, enc, m, qp := fixture(t)
+	want := m.Config().LR
+	box := NewModelBox(m, enc, 64, qp, 1)
+	defer box.Close()
+	col := NewCollector(qp, 64)
+	cfg := Config{Epochs: 1, Tolerance: 10, PairsPerRecord: 4, Interval: -1}
+	tr := NewTrainer(cfg, box, col, qp, ex, nil)
+	defer tr.Stop()
+	var saved []float64
+	tr.SetOnPromote(func(g *Generation) {
+		blob, err := g.Model.Save()
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := icrn.Load(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved = append(saved, loaded.Config().LR)
+	})
+
+	for cycle := 0; cycle < 3; cycle++ {
+		for i := 0; i < 4; i++ {
+			q := mustParse(t, fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d", 1900+20*cycle+3*i))
+			card, err := ex.Cardinality(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := col.Offer(q, card, time.Now()); !ok || err != nil {
+				t.Fatalf("cycle %d offer %d: ok=%v err=%v", cycle, i, ok, err)
+			}
+		}
+		if promoted, err := tr.RetrainNow(context.Background()); !promoted || err != nil {
+			t.Fatalf("cycle %d: promoted=%v err=%v stats=%+v", cycle, promoted, err, tr.Stats())
+		}
+		if got := box.Current().Model.Config().LR; got != want {
+			t.Fatalf("after promotion %d the live model's LR = %v, want %v", cycle+1, got, want)
+		}
+	}
+	if len(saved) != 3 {
+		t.Fatalf("%d promotions saved, want 3", len(saved))
+	}
+	for i, lr := range saved {
+		if lr != want {
+			t.Errorf("promotion %d saved LR %v, want %v", i+1, lr, want)
+		}
+	}
+}
+
 func TestRetrainNowRejectsOnStrictGate(t *testing.T) {
 	ex, enc, m, qp := fixture(t)
 	box := NewModelBox(m, enc, 64, qp, 1)

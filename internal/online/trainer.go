@@ -43,7 +43,7 @@ type Trainer struct {
 	valN   atomic.Int64
 
 	// ctx is cancelled by Stop: it ends the loop and aborts a scheduled
-	// cycle's labeling.
+	// cycle's labeling and fine-tuning.
 	ctx     context.Context
 	stop    context.CancelFunc
 	kick    chan struct{}
@@ -109,8 +109,9 @@ func (t *Trainer) Start() {
 	}()
 }
 
-// Stop terminates the background loop and waits for an in-flight retrain
-// cycle to finish. Idempotent; safe on a never-started trainer.
+// Stop terminates the background loop and cancels an in-flight retrain
+// cycle, waiting for it to end: labeling stops between records, training
+// between epochs. Idempotent; safe on a never-started trainer.
 func (t *Trainer) Stop() {
 	t.stop()
 	if t.started.Load() {
@@ -247,9 +248,14 @@ func (t *Trainer) RetrainNow(ctx context.Context) (promoted bool, err error) {
 	// weights never move, so in-flight estimates stay consistent without
 	// any synchronization beyond the box's pointer. Fine-tuning runs at a
 	// reduced learning rate so the small adaptation set nudges the weights
-	// instead of dragging them off the bulk distribution.
-	clone.SetLR(clone.LR() * lrScale)
-	if _, err := clone.ContinueTraining(train, tuneVal, t.cfg.Epochs, nil); err != nil {
+	// instead of dragging them off the bulk distribution; the scale applies
+	// once per cycle to the configured rate, which the promoted clone keeps.
+	// Stop's cancellation ends the fine-tune between epochs.
+	lr := live.Model.Config().LR * lrScale
+	if _, err := clone.ContinueTraining(ctx, train, tuneVal, t.cfg.Epochs, lr, nil); err != nil {
+		if ctx.Err() != nil {
+			return false, err
+		}
 		t.trainErrors.Add(1)
 		return false, fmt.Errorf("online: continue training: %w", err)
 	}

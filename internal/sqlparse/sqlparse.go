@@ -36,7 +36,7 @@ import (
 var ErrDialect = errors.New("unsupported SQL dialect")
 
 // StringInterner resolves string literals to the integer codes stored in
-// the database (the §9 strings extension); implemented by dict.Dictionary.
+// the database (the §9 strings extension); the caller owns the dictionary.
 type StringInterner interface {
 	Code(col schema.ColumnRef, literal string) (int64, bool)
 }

@@ -72,7 +72,7 @@ func (s *System) TrainContainmentModel(ctx context.Context, opts ...TrainOption)
 		return nil, err
 	}
 	m := icrn.NewModel(mcfg, s.enc.Dim())
-	if _, err := m.TrainCtx(ctx, trainS, valS, func(st icrn.EpochStats) {
+	if _, err := m.Train(ctx, trainS, valS, func(st icrn.EpochStats) {
 		if cfg.Progress != nil {
 			cfg.Progress(st.Epoch, st.ValQError)
 		}
