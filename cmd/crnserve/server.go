@@ -48,9 +48,13 @@ type server struct {
 	// exhaust the server even while /estimate is protected. Nil: unlimited.
 	ingestGate *guard.Gate
 
+	// bufPool recycles the byte buffers of both codecs: request bodies read
+	// in, response bodies encoded out.
 	bufPool wire.BufferPool
-	// queryBufs recycles estimateBatchSQL's parsed-query slice (*[]crn.Query).
-	queryBufs sync.Pool
+	// sqlBufs recycles a JSON batch's decoded texts, queryBufs
+	// estimateBatchSQL's parsed queries.
+	sqlBufs   slicePool[string]
+	queryBufs slicePool[crn.Query]
 
 	// tel is the telemetry bundle est records into: GET /metrics serves its
 	// registry and /healthz renders its latency, stage and accuracy sections
@@ -76,8 +80,7 @@ type server struct {
 // newServer builds the front end over est and registers the server-level
 // families on tel, the bundle est records into.
 func newServer(sys *crn.System, pool *crn.QueriesPool, est *crn.AdaptiveEstimator, tel *crn.Telemetry, logger *log.Logger) *server {
-	s := &server{sys: sys, pool: pool, est: est, tel: tel, started: time.Now(), logger: logger, metricsOnMain: true,
-		queryBufs: sync.Pool{New: func() any { return new([]crn.Query) }}}
+	s := &server{sys: sys, pool: pool, est: est, tel: tel, started: time.Now(), logger: logger, metricsOnMain: true}
 	s.registerMetrics()
 	return s
 }
@@ -190,7 +193,8 @@ func (c *codecCounters) snapshot() wireCodecSnapshot {
 }
 
 // wireSnapshot is the "wire" section of /healthz: per-codec batch traffic
-// plus the pooled-buffer reuse rate of the binary path.
+// plus the reuse rate of the body buffers every estimate request reads into
+// and encodes out of, whatever its codec.
 type wireSnapshot struct {
 	JSON            wireCodecSnapshot `json:"json"`
 	Binary          wireCodecSnapshot `json:"binary"`
@@ -213,30 +217,6 @@ func (s *server) wireSnapshot() wireSnapshot {
 		snap.BufferReuseRate = float64(gets-misses) / float64(gets)
 	}
 	return snap
-}
-
-// countingReader counts body bytes actually read on the JSON batch path.
-type countingReader struct {
-	io.ReadCloser
-	n uint64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.ReadCloser.Read(p)
-	c.n += uint64(n)
-	return n, err
-}
-
-// countingWriter counts response bytes written on the JSON batch path.
-type countingWriter struct {
-	http.ResponseWriter
-	n uint64
-}
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	n, err := w.ResponseWriter.Write(p)
-	w.n += uint64(n)
-	return n, err
 }
 
 // readAllInto reads r to EOF appending into buf (typically pooled), like
@@ -334,8 +314,8 @@ type healthzResponse struct {
 	EstimateLatency latencySnapshot    `json:"estimate_latency"`
 	BatchLatency    latencySnapshot    `json:"batch_latency"`
 	// Wire reports /estimate/batch traffic per codec (json vs the
-	// application/x-crn-batch binary protocol) and the binary path's
-	// pooled-buffer reuse rate.
+	// application/x-crn-batch binary protocol) and the reuse rate of the
+	// pooled body buffers.
 	Wire wireSnapshot `json:"wire"`
 	// Online reports the adaptation loop: live model generation, feedback
 	// ingestion, background retraining and drift monitoring.
@@ -366,8 +346,8 @@ type errorResponse struct {
 // --- Handlers ---------------------------------------------------------------
 
 func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	var req estimateRequest
-	if err := decodeJSON(r, &req); err != nil {
+	req, err := s.decodeEstimate(r)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -385,7 +365,13 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, statusFor(err), err)
 			return
 		}
-		s.writeJSON(w, http.StatusOK, estimateResponse{Cardinality: &card})
+		out, ok := wire.AppendJSONCardinality(s.bufPool.Get(), card)
+		if ok {
+			s.writeBody(w, http.StatusOK, out)
+		} else {
+			s.writeJSON(w, http.StatusOK, estimateResponse{Cardinality: &card})
+		}
+		s.bufPool.Put(out)
 	case req.Query == "" && req.Q1 != "" && req.Q2 != "":
 		parseStart := time.Now()
 		q1, err := s.sys.ParseQuery(req.Q1)
@@ -417,30 +403,50 @@ func (s *server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.jsonIO.requests.Inc()
-	cr := &countingReader{ReadCloser: r.Body}
-	r.Body = cr
-	cw := &countingWriter{ResponseWriter: w}
-	defer func() {
-		s.jsonIO.bytesIn.Add(cr.n)
-		s.jsonIO.bytesOut.Add(cw.n)
-		s.jsonIO.reqBytes.Observe(float64(cr.n))
-		s.jsonIO.respBytes.Observe(float64(cw.n))
-	}()
-	var req batchRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(cw, http.StatusBadRequest, err)
-		return
+	in, out := s.serveJSONBatch(w, r)
+	s.jsonIO.bytesIn.Add(uint64(in))
+	s.jsonIO.bytesOut.Add(uint64(out))
+	s.jsonIO.reqBytes.Observe(float64(in))
+	s.jsonIO.respBytes.Observe(float64(out))
+}
+
+// serveJSONBatch answers a JSON /estimate/batch request and returns the
+// request and response body sizes. A canonical body is decoded by the
+// strict reader into one arena and answered by append; any other goes
+// through encoding/json (see replayReader).
+func (s *server) serveJSONBatch(w http.ResponseWriter, r *http.Request) (in, out int) {
+	sqls := s.sqlBufs.get()
+	defer s.sqlBufs.put(sqls)
+	body, err := s.readBody(r)
+	in = len(body)
+	ok := false
+	if err == nil {
+		*sqls, ok = wire.AppendJSONQueries(*sqls, body)
 	}
-	if len(req.Queries) == 0 {
-		s.writeError(cw, http.StatusBadRequest, errors.New(`"queries" must be non-empty`))
-		return
+	if !ok {
+		var req batchRequest
+		err = decodeJSON(&replayReader{body: body, err: err}, &req)
+		*sqls = append(*sqls, req.Queries...)
 	}
-	cards, status, err := s.estimateBatchSQL(r.Context(), req.Queries)
+	s.bufPool.Put(body) // decoded strings live in their own memory, not body
 	if err != nil {
-		s.writeError(cw, status, err)
-		return
+		return in, s.writeError(w, http.StatusBadRequest, err)
 	}
-	s.writeJSON(cw, http.StatusOK, batchResponse{Cardinalities: cards, Count: len(cards)})
+	if len(*sqls) == 0 {
+		return in, s.writeError(w, http.StatusBadRequest, errors.New(`"queries" must be non-empty`))
+	}
+	cards, status, err := s.estimateBatchSQL(r.Context(), *sqls)
+	if err != nil {
+		return in, s.writeError(w, status, err)
+	}
+	resp, ok := wire.AppendJSONCardinalities(s.bufPool.Get(), cards)
+	if ok {
+		out = s.writeBody(w, http.StatusOK, resp)
+	} else {
+		out = s.writeJSON(w, http.StatusOK, batchResponse{Cardinalities: cards, Count: len(cards)})
+	}
+	s.bufPool.Put(resp)
+	return in, out
 }
 
 // estimateBatchSQL is the codec-independent core of /estimate/batch: parse
@@ -448,17 +454,10 @@ func (s *server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 // funnel through it, so JSON and binary responses are bit-identical for the
 // same queries.
 func (s *server) estimateBatchSQL(ctx context.Context, sqls []string) ([]float64, int, error) {
-	buf := s.queryBufs.Get().(*[]crn.Query)
-	queries := slices.Grow((*buf)[:0], len(sqls))[:len(sqls)]
-	defer func() {
-		// Cleared, so a parked buffer pins no query; dropped when a rare
-		// large frame grew it (maxBatchQueries of them are ~7 MB).
-		clear(queries)
-		if cap(queries) <= maxPooledQueries {
-			*buf = queries
-			s.queryBufs.Put(buf)
-		}
-	}()
+	buf := s.queryBufs.get()
+	defer s.queryBufs.put(buf)
+	*buf = slices.Grow(*buf, len(sqls))[:len(sqls)]
+	queries := *buf
 	parseStart := time.Now()
 	for i, sql := range sqls {
 		q, err := s.sys.ParseQuery(sql)
@@ -476,9 +475,31 @@ func (s *server) estimateBatchSQL(ctx context.Context, sqls []string) ([]float64
 	return cards, http.StatusOK, nil
 }
 
-// maxPooledQueries is the largest parsed-query buffer estimateBatchSQL keeps
-// between requests (~450 KB).
-const maxPooledQueries = 4096
+// slicePool recycles the per-request slices of the batch path.
+type slicePool[T any] struct{ pool sync.Pool }
+
+// get returns a recycled slice of length 0, behind the pointer put takes
+// back.
+func (p *slicePool[T]) get() *[]T {
+	if b, ok := p.pool.Get().(*[]T); ok {
+		return b
+	}
+	return new([]T)
+}
+
+// put clears *b, so a parked slice pins nothing, and recycles it unless a
+// rare large request grew it past maxPooledSlice.
+func (p *slicePool[T]) put(b *[]T) {
+	clear(*b)
+	if cap(*b) <= maxPooledSlice {
+		*b = (*b)[:0]
+		p.pool.Put(b)
+	}
+}
+
+// maxPooledSlice is the longest per-request slice a slicePool keeps between
+// requests (4096 parsed queries are ~450 KB; maxBatchQueries of them ~7 MB).
+const maxPooledSlice = 4096
 
 // maxBatchQueries bounds a binary batch's declared query count before any
 // per-query work happens (the JSON path is equivalently bounded by
@@ -493,7 +514,7 @@ const maxBatchQueries = 1 << 16
 // that speaks the protocol can always read them.
 func (s *server) handleEstimateBatchBinary(w http.ResponseWriter, r *http.Request) {
 	s.binaryIO.requests.Inc()
-	body, err := readAllInto(s.bufPool.Get(), http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := s.readBody(r)
 	if err != nil {
 		s.bufPool.Put(body)
 		status := http.StatusBadRequest
@@ -544,7 +565,7 @@ func (s *server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.ingestGate.Release()
 	var req recordRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(http.MaxBytesReader(nil, r.Body, maxBodyBytes), &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -583,7 +604,7 @@ func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.ingestGate.Release()
 	var req feedbackRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(http.MaxBytesReader(nil, r.Body, maxBodyBytes), &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -674,13 +695,63 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 const maxBodyBytes = 1 << 20 // 1 MiB of JSON is far beyond any sane request
 
-func decodeJSON(r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+// decodeJSON decodes the first JSON value of body into dst, refusing
+// unknown fields. Every JSON body goes through it, except the canonical
+// estimate bodies the strict reader answers (see replayReader).
+func decodeJSON(body io.Reader, dst any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("invalid JSON body: %w", err)
 	}
 	return nil
+}
+
+// readBody reads an estimate request's body, up to maxBodyBytes, into a
+// pooled buffer the caller puts back; err is the read error that ended it
+// (nil at EOF).
+func (s *server) readBody(r *http.Request) ([]byte, error) {
+	return readAllInto(s.bufPool.Get(), http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+}
+
+// replayReader reads back a body readBody already read, then the error
+// that ended the read (io.EOF when it ended cleanly). Only a completely
+// read JSON body goes to the strict reader (wire.DecodeJSONQuery,
+// wire.AppendJSONQueries); anything it refuses, and any body whose read
+// failed, goes to decodeJSON over a replayReader: the very bytes and error
+// the reflective decoder would have read from the request itself, so it
+// answers with the same status and error text.
+type replayReader struct {
+	body []byte
+	err  error
+}
+
+func (r *replayReader) Read(p []byte) (int, error) {
+	if len(r.body) == 0 {
+		if r.err == nil {
+			return 0, io.EOF
+		}
+		return 0, r.err
+	}
+	n := copy(p, r.body)
+	r.body = r.body[n:]
+	return n, nil
+}
+
+// decodeEstimate decodes an /estimate body: the strict reader answers
+// {"query":"…"}, decodeJSON everything else (containment requests
+// included).
+func (s *server) decodeEstimate(r *http.Request) (estimateRequest, error) {
+	body, err := s.readBody(r)
+	defer s.bufPool.Put(body)
+	if err == nil {
+		if q, ok := wire.DecodeJSONQuery(body); ok {
+			return estimateRequest{Query: q}, nil
+		}
+	}
+	var req estimateRequest
+	err = decodeJSON(&replayReader{body: body, err: err}, &req)
+	return req, err
 }
 
 // statusFor maps the facade's typed sentinel errors to HTTP status codes —
@@ -702,15 +773,36 @@ func statusFor(err error) int {
 	}
 }
 
-func (s *server) writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(body); err != nil && s.logger != nil {
-		s.logger.Printf("write response: %v", err)
+// writeJSON writes body as json.Encoder renders it and returns the bytes
+// written. A body encoding/json refuses (a NaN or infinite estimate) still
+// sends the status, with an empty body.
+func (s *server) writeJSON(w http.ResponseWriter, status int, body any) int {
+	out, err := json.Marshal(body)
+	if err != nil {
+		if s.logger != nil {
+			s.logger.Printf("write response: %v", err)
+		}
+		out = nil
+	} else {
+		out = append(out, '\n')
 	}
+	return s.writeBody(w, status, out)
 }
 
-func (s *server) writeError(w http.ResponseWriter, status int, err error) {
+// writeBody writes an encoded JSON body and returns the bytes written.
+func (s *server) writeBody(w http.ResponseWriter, status int, body []byte) int {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	n, err := w.Write(body)
+	if err != nil && s.logger != nil {
+		s.logger.Printf("write response: %v", err)
+	}
+	return n
+}
+
+// writeError writes err as the JSON error body and returns the bytes
+// written.
+func (s *server) writeError(w http.ResponseWriter, status int, err error) int {
 	if s.logger != nil && status >= 500 {
 		s.logger.Printf("request failed: %v", err)
 	}
@@ -719,5 +811,5 @@ func (s *server) writeError(w http.ResponseWriter, status int, err error) {
 		// after a short pause rather than backing off for long.
 		w.Header().Set("Retry-After", "1")
 	}
-	s.writeJSON(w, status, errorResponse{Error: err.Error()})
+	return s.writeJSON(w, status, errorResponse{Error: err.Error()})
 }

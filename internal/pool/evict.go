@@ -81,7 +81,10 @@ func (p *Pool) heapPop() {
 
 // evictLRULocked removes the entry with the oldest last-match tick, lazily
 // repairing heap records whose entries were re-stamped since they were
-// pushed. Callers hold the write lock.
+// pushed. Every live entry of a bounded pool has exactly one record (the
+// randomized eviction tests check it after every mutation), so an empty
+// heap is an empty pool and there is nothing to evict. Callers hold the
+// write lock.
 func (p *Pool) evictLRULocked() {
 	for len(p.evictQ) > 0 {
 		rec := p.evictQ[0]
@@ -108,31 +111,6 @@ func (p *Pool) evictLRULocked() {
 		p.removeEntryLocked(rec.from, idx, pos)
 		return
 	}
-	// Defensive fallback: a bounded pool whose heap lost sync (cannot happen
-	// through the exported API) falls back to the pre-heap linear scan.
-	p.evictScanLocked()
-}
-
-// evictScanLocked is the pre-heap victim search: a full scan for the oldest
-// stamp. Kept only as the defensive fallback of evictLRULocked.
-func (p *Pool) evictScanLocked() {
-	var victimIdx *fromIndex
-	victimFrom := ""
-	victimPos := -1
-	victimTick := int64(0)
-	for from, idx := range p.byFrom {
-		for i := range idx.entries {
-			t := atomic.LoadInt64(&idx.lastHit[i])
-			if victimPos < 0 || t < victimTick ||
-				(t == victimTick && idx.entries[i].ID < victimIdx.entries[victimPos].ID) {
-				victimIdx, victimFrom, victimPos, victimTick = idx, from, i, t
-			}
-		}
-	}
-	if victimPos < 0 {
-		return
-	}
-	p.removeEntryLocked(victimFrom, victimIdx, victimPos)
 }
 
 // removeEntryLocked deletes the entry at pos from its FROM index by

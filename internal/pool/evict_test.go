@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
+	"crn/internal/query"
 	"crn/internal/sqlparse"
 )
 
@@ -52,44 +54,90 @@ func TestHeapEvictionHonorsStaleTouches(t *testing.T) {
 	}
 }
 
+// linearVictim is the pre-heap victim search, kept as the reference the
+// heap is held to: a full scan for the oldest (tick, ID) stamp. It returns
+// the victim's query.
+func linearVictim(p *Pool) query.Query {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	var victim *Entry
+	var victimTick int64
+	for _, idx := range p.byFrom {
+		for i := range idx.entries {
+			t := atomic.LoadInt64(&idx.lastHit[i])
+			if victim == nil || t < victimTick || (t == victimTick && idx.entries[i].ID < victim.ID) {
+				victim, victimTick = &idx.entries[i], t
+			}
+		}
+	}
+	return victim.Q
+}
+
+// checkEvictionHeap asserts the invariant evictLRULocked relies on: on a
+// bounded pool every live entry has exactly one heap record, under its own
+// FROM key.
+func checkEvictionHeap(t testing.TB, p *Pool) {
+	t.Helper()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if p.cap <= 0 {
+		return
+	}
+	recs := make(map[int64]string, len(p.evictQ))
+	for _, r := range p.evictQ {
+		if _, dup := recs[r.id]; dup {
+			t.Fatalf("entry %d has two heap records", r.id)
+		}
+		recs[r.id] = r.from
+	}
+	live := 0
+	for from, idx := range p.byFrom {
+		for _, e := range idx.entries {
+			live++
+			if f, ok := recs[e.ID]; !ok || f != from {
+				t.Fatalf("live entry %d (%s) has no heap record", e.ID, from)
+			}
+		}
+	}
+	if len(recs) != live {
+		t.Fatalf("%d heap records for %d live entries", len(recs), live)
+	}
+}
+
 // TestHeapEvictionMatchesLinearScan cross-checks the heap victim search
-// against the pre-heap linear scan over a randomized-ish workload: after
-// every saturated insert both must agree on pool membership.
+// against the pre-heap linear scan over a randomized-ish workload: every
+// saturated insert must evict exactly the entry the scan picks, and the
+// heap must cover every live entry after each mutation.
 func TestHeapEvictionMatchesLinearScan(t *testing.T) {
 	const capacity = 16
-	heapPool := New(WithCap(capacity))
-	scanPool := New(WithCap(capacity))
-	// scanPool uses the same Add path; force it through the fallback scan by
-	// draining its heap after every insert.
-	drain := func(p *Pool) {
-		p.mu.Lock()
-		p.evictQ = p.evictQ[:0]
-		p.mu.Unlock()
-	}
+	p := New(WithCap(capacity))
 	sql := func(i int) string {
 		return fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d", i)
 	}
 	probe := sqlparse.MustParse(s, "SELECT * FROM title WHERE title.production_year > 0")
 	for i := 0; i < 4*capacity; i++ {
 		q := sqlparse.MustParse(s, sql(i))
-		heapPool.Add(q, int64(i+1))
-		scanPool.Add(q, int64(i+1))
-		drain(scanPool)
-		if i%5 == 0 {
-			// Identical touch traffic on both pools.
-			heapPool.TopK(probe, 4)
-			scanPool.TopK(probe, 4)
+		var victim query.Query
+		saturated := p.Len() == capacity
+		if saturated {
+			victim = linearVictim(p)
 		}
-		if heapPool.Len() != scanPool.Len() {
-			t.Fatalf("step %d: len %d != %d", i, heapPool.Len(), scanPool.Len())
+		if !p.Add(q, int64(i+1)) {
+			t.Fatalf("step %d: insert refused", i)
+		}
+		checkEvictionHeap(t, p)
+		if saturated && p.Contains(victim) {
+			t.Fatalf("step %d: the heap kept %s, the oldest stamp", i, victim.SQL())
+		}
+		if got, want := p.Len(), min(i+1, capacity); got != want {
+			t.Fatalf("step %d: len %d, want %d", i, got, want)
+		}
+		if i%5 == 0 {
+			p.TopK(probe, 4) // re-stamps four entries: their records go stale
 		}
 	}
-	for i := 0; i < 4*capacity; i++ {
-		q := sqlparse.MustParse(s, sql(i))
-		if heapPool.Contains(q) != scanPool.Contains(q) {
-			t.Fatalf("membership diverged at %d: heap=%v scan=%v",
-				i, heapPool.Contains(q), scanPool.Contains(q))
-		}
+	if got := p.Stats().Evictions; got != 3*capacity {
+		t.Fatalf("evictions = %d, want %d", got, 3*capacity)
 	}
 }
 

@@ -153,6 +153,8 @@ func TestIndexCoherenceUnderMutation(t *testing.T) {
 			mustTopKEqual(t, fmt.Sprintf("step %d k=%d (%s)", step, k, probe.SQL()),
 				idxPool.TopK(probe, k), linPool.TopK(probe, k))
 		}
+		checkEvictionHeap(t, idxPool)
+		checkEvictionHeap(t, linPool)
 	}
 	if idxPool.Len() != linPool.Len() {
 		t.Fatalf("pool sizes diverged: %d vs %d", idxPool.Len(), linPool.Len())
@@ -423,6 +425,8 @@ func FuzzSignatureIndex(f *testing.F) {
 					}
 				}
 			}
+			checkEvictionHeap(t, idxPool)
+			checkEvictionHeap(t, linPool)
 		}
 		// Persistence round-trip: the rebuilt index must agree with a linear
 		// load of the same bytes.

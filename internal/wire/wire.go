@@ -1,5 +1,8 @@
-// Package wire implements the zero-copy binary batch protocol negotiated on
-// /estimate/batch via Content-Type: application/x-crn-batch.
+// Package wire implements the request and response bodies of crnserve's
+// estimate endpoints without reflection: the zero-copy binary batch
+// protocol negotiated on /estimate/batch via Content-Type:
+// application/x-crn-batch, and (json.go) a strict reader and appending
+// encoders for the canonical JSON bodies of /estimate and /estimate/batch.
 //
 // Frame format (all integers little-endian, version byte first):
 //
