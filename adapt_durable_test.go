@@ -3,11 +3,14 @@ package crn
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"time"
 
 	"crn/internal/durable"
+	"crn/internal/workload"
 )
 
 // TestDurableKillAndRestart is the acceptance test of the durability
@@ -127,6 +130,81 @@ func TestDurableKillAndRestart(t *testing.T) {
 	}
 	if got := ae2.ModelGeneration(); got != gen+1 {
 		t.Fatalf("post-restart promotion reached generation %d, want %d", got, gen+1)
+	}
+}
+
+// TestDurableRestartBoundedSelection pins the restart invariant on the
+// bounded serving configuration: a capacity-bounded pool with top-K
+// candidate selection answers with the same estimate bits after Close and a
+// reopen of the data directory. Half-bounded year ranges all score alike, so
+// most top-32 selections tie at the cut and depend on the restored pool
+// keeping its entries' relative ID order.
+func TestDurableRestartBoundedSelection(t *testing.T) {
+	ctx := context.Background()
+	sys, model, _ := adaptFixture(t)
+	dir := t.TempDir()
+	const capacity = 200
+	open := func(m *ContainmentModel, p *QueriesPool) *AdaptiveEstimator {
+		t.Helper()
+		return openAdaptive(t, sys, m, p,
+			WithRetrainInterval(-1), WithDataDir(dir), WithMaxCandidates(32))
+	}
+
+	var qs []Query
+	for i := 0; len(qs) < 2*capacity && i < 1000; i++ {
+		sql := fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d", 1880+i%130)
+		switch i % 4 {
+		case 1:
+			sql = fmt.Sprintf("SELECT * FROM title WHERE title.production_year < %d", 1890+i%120)
+		case 2:
+			sql += fmt.Sprintf(" AND title.kind_id = %d", 1+i%7)
+		case 3:
+			sql = fmt.Sprintf("SELECT * FROM title WHERE title.production_year < %d AND title.kind_id > %d", 1900+i%110, i%5)
+		}
+		q, err := sys.ParseQuery(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs = append(qs, q)
+	}
+	labeled, err := workload.LabelQueries(sys.exec, qs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sys.NewQueriesPool(WithPoolCap(capacity))
+	for _, lq := range labeled {
+		if lq.Card > 0 {
+			p.Add(lq.Q, lq.Card)
+		}
+	}
+	if p.Len() != capacity {
+		t.Fatalf("fixture pool holds %d entries, want %d", p.Len(), capacity)
+	}
+
+	probes := driftedWorkload(t, sys, 2, 24)
+	ae := open(model, p)
+	before := make([]float64, len(probes))
+	for i, lq := range probes {
+		if before[i], err = ae.EstimateCardinality(ctx, lq.Q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ae.Close()
+
+	p2 := sys.NewQueriesPool(WithPoolCap(capacity))
+	ae2 := open(nil, p2)
+	defer ae2.Close()
+	if p2.Len() != capacity {
+		t.Fatalf("restored pool holds %d entries, want %d", p2.Len(), capacity)
+	}
+	for i, lq := range probes {
+		after, err := ae2.EstimateCardinality(ctx, lq.Q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(after) != math.Float64bits(before[i]) {
+			t.Errorf("probe %d: estimate %v after restart, %v before — must be bit-identical", i, after, before[i])
+		}
 	}
 }
 

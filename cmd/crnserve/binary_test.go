@@ -87,8 +87,11 @@ func TestBinaryBatchErrors(t *testing.T) {
 	}
 }
 
+// TestHealthzWireSection: /estimate/batch traffic per codec and the pooled
+// body buffers' reuse are counted by the crn_wire_* families of /metrics,
+// their only surface (/healthz has no "wire" section; see TestHealthzKeySet).
 func TestHealthzWireSection(t *testing.T) {
-	ts := httptest.NewServer(testServer(t).handler())
+	ts := httptest.NewServer(newTestServer(t, seededPool(t)).handler())
 	defer ts.Close()
 
 	queries := []string{"SELECT * FROM title WHERE title.production_year > 1985"}
@@ -100,33 +103,25 @@ func TestHealthzWireSection(t *testing.T) {
 	}
 	postJSON(t, ts.URL+"/estimate/batch", map[string]any{"queries": queries})
 
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	fams := scrape(t, ts.URL)
+	codec := func(family, name string) float64 { return sampleOf(t, fams, family, "codec", name) }
+	if b, j := codec("crn_wire_requests_total", "binary"), codec("crn_wire_requests_total", "json"); b < 3 || j < 1 {
+		t.Errorf("request counts: binary=%v json=%v", b, j)
 	}
-	defer resp.Body.Close()
-	var hz struct {
-		Wire wireSnapshot `json:"wire"`
+	if in, out := codec("crn_wire_in_bytes_total", "binary"), codec("crn_wire_out_bytes_total", "binary"); in < float64(3*len(frame)) || out == 0 {
+		t.Errorf("binary bytes: in=%v out=%v", in, out)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
-		t.Fatal(err)
-	}
-	w := hz.Wire
-	if w.Binary.Requests < 3 || w.JSON.Requests < 1 {
-		t.Errorf("request counts: binary=%d json=%d", w.Binary.Requests, w.JSON.Requests)
-	}
-	if w.Binary.BytesIn < uint64(3*len(frame)) || w.Binary.BytesOut == 0 {
-		t.Errorf("binary bytes: in=%d out=%d", w.Binary.BytesIn, w.Binary.BytesOut)
-	}
-	if w.JSON.BytesIn == 0 || w.JSON.BytesOut == 0 {
-		t.Errorf("json bytes: in=%d out=%d", w.JSON.BytesIn, w.JSON.BytesOut)
+	if in, out := codec("crn_wire_in_bytes_total", "json"), codec("crn_wire_out_bytes_total", "json"); in == 0 || out == 0 {
+		t.Errorf("json bytes: in=%v out=%v", in, out)
 	}
 	// Three binary requests = six buffer gets (body + response each); after
 	// the first request warmed the pool the rest must reuse.
-	if w.BufferGets < 6 {
-		t.Errorf("buffer gets = %d, want >= 6", w.BufferGets)
+	gets := sampleOf(t, fams, "crn_wire_buffer_ops_total", "op", "get")
+	misses := sampleOf(t, fams, "crn_wire_buffer_ops_total", "op", "miss")
+	if gets < 6 {
+		t.Errorf("buffer gets = %v, want >= 6", gets)
 	}
-	if w.BufferReuseRate <= 0 {
-		t.Errorf("buffer reuse rate = %v, want > 0", w.BufferReuseRate)
+	if misses >= gets {
+		t.Errorf("buffer misses = %v of %v gets, want some reuse", misses, gets)
 	}
 }

@@ -61,7 +61,8 @@ func TestLivezReadyzLifecycle(t *testing.T) {
 
 // TestOverloadMapsTo429 floods a 1-slot server: overflow must come back as
 // 429 with a Retry-After header, admitted requests as 200, and the guard
-// plus per-endpoint counters on /healthz must account for the shed.
+// counters on /healthz and the route counters on /metrics must account
+// for the shed.
 func TestOverloadMapsTo429(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
 	base := testServer(t)
@@ -139,9 +140,11 @@ func TestOverloadMapsTo429(t *testing.T) {
 	if hr.Guard.Gate.MaxInflight != 1 || hr.Guard.Gate.Shed < uint64(shed) {
 		t.Errorf("guard gate counters = %+v, want ceiling 1 and >= %d shed", hr.Guard.Gate, shed)
 	}
-	ep := hr.Endpoints["estimate"]
-	if ep.Requests < workers || ep.Shed < uint64(shed) {
-		t.Errorf("endpoint counters = %+v, want >= %d requests and >= %d shed", ep, workers, shed)
+	fams := scrape(t, ts.URL)
+	requests := sampleOf(t, fams, "crn_http_requests_total", "route", "estimate")
+	shedCount := sampleOf(t, fams, "crn_http_shed_total", "route", "estimate")
+	if requests < workers || shedCount < float64(shed) {
+		t.Errorf("estimate route: %v requests, %v shed, want >= %d and >= %d", requests, shedCount, workers, shed)
 	}
 }
 

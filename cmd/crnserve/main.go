@@ -31,8 +31,8 @@
 // application/x-crn-batch — a length-prefixed little-endian binary frame
 // protocol (format spec in the README and internal/wire) that skips JSON
 // reflection entirely and runs on pooled buffers; cardinalities are
-// bit-identical to the JSON path. JSON stays the default. /healthz reports
-// per-codec traffic and the buffer reuse rate under "wire".
+// bit-identical to the JSON path. JSON stays the default. /metrics reports
+// per-codec traffic and body-buffer reuse (crn_wire_*).
 //
 // Every estimate — /estimate is a batch of one — runs the estimator's one
 // pipeline: admission gate, deadline, breaker, cache revalidation, the
@@ -40,8 +40,8 @@
 // single-query /estimate is the coalescer: concurrent requests are coalesced
 // into shared batched passes (bit-identical results, one pool scan per batch
 // instead of one per request); tune with -coalesce-batch / -coalesce-wait,
-// observe on /healthz ("coalescer", "estimate_latency", "batch_latency",
-// "rep_cache"). A coalesced request that disconnects abandons its slot
+// observe on /healthz ("coalescer", "rep_cache") and the latency histograms
+// on /metrics. A coalesced request that disconnects abandons its slot
 // immediately, but the shared batch — work other callers still need — runs
 // to completion (disable coalescing with -coalesce-batch 1 to get strict
 // per-request cancellation back).
@@ -74,16 +74,17 @@
 // path is failing or slow, with half-open probing after -breaker-cooldown.
 // /livez answers process liveness (always 200 while serving); /readyz turns
 // 503 during startup, shutdown drain, or while the breaker is open. /healthz
-// reports guard and per-endpoint counters ("guard", "ingest_gate",
-// "endpoints").
+// reports the guard counters ("guard", "ingest_gate"); /metrics counts each
+// route's requests, sheds and failures (crn_http_*).
 //
 // Telemetry (always on): the serving stack records per-stage latency
 // histograms (admission → coalesce-wait → cache-lookup → candidate-selection
 // → NN-forward → finalize), request outcomes, subsystem counters, and live
 // per-arm q-error (feedback truths joined against recent estimates), all
 // exposed on GET /metrics in Prometheus text format with no external
-// dependency. /healthz renders its latency, stage, accuracy, endpoint and
-// wire sections from the same registry instruments.
+// dependency. /metrics is the only surface of those instruments; /healthz
+// carries the subsystem snapshots (pool, caches, coalescer, online loop,
+// durability, guards).
 // -metrics-addr moves /metrics onto a separate listener and serves
 // /debug/pprof there — the only place profiling is served — so operational
 // endpoints stay off the public serving port. `crndiag -watch` renders a

@@ -150,35 +150,33 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestHealthzTelemetrySection: /healthz carries the registry-snapshot
-// section — request outcomes, stage quantiles, q-error arms — and its
-// latency snapshots come from the same histograms /metrics serves.
+// TestHealthzTelemetrySection: the estimate telemetry — request outcomes,
+// stage latencies, per-arm q-error, end-to-end latency — is served by
+// /metrics, its only surface (/healthz has no "telemetry" section; see
+// TestHealthzKeySet).
 func TestHealthzTelemetrySection(t *testing.T) {
-	ts := httptest.NewServer(testServer(t).handler())
+	srv := newTestServer(t, seededPool(t))
+	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 	drive(t, ts.URL)
+	// Stage spans are sampled: post until nn_forward has recorded one.
+	for i := 0; i < 500 && srv.tel.Stages.NNForward.Snapshot().Total() == 0; i++ {
+		postJSON(t, ts.URL+"/estimate", map[string]string{"query": "SELECT * FROM title WHERE title.kind_id = 1"})
+	}
 
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	fams := scrape(t, ts.URL)
+	if v := sampleOf(t, fams, "crn_estimate_requests_total", "outcome", telemetry.OutcomeOK); v < 3 {
+		t.Errorf("crn_estimate_requests_total{outcome=ok} = %v, want >= 3", v)
 	}
-	defer resp.Body.Close()
-	var hr healthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
+	st := fams["crn_estimate_stage_duration_seconds"].Hist("stage", telemetry.StageNNForward)
+	if st == nil || st.Count == 0 || st.Quantile(0.99) < st.Quantile(0.50) {
+		t.Errorf("nn_forward stage histogram wrong: %+v", st)
 	}
-	if hr.Telemetry.Requests["ok"] < 3 {
-		t.Errorf("telemetry.requests.ok = %d, want >= 3", hr.Telemetry.Requests["ok"])
+	if fams["crn_accuracy_qerror"].Hist("arm", telemetry.ArmCRN.String()) == nil {
+		t.Errorf("crn_accuracy_qerror{arm=crn} missing")
 	}
-	st, ok := hr.Telemetry.Stages[telemetry.StageNNForward]
-	if !ok || st.Count == 0 || st.P99Micros < st.P50Micros {
-		t.Errorf("nn_forward stage quantiles wrong: %+v (ok=%v)", st, ok)
-	}
-	if _, ok := hr.Telemetry.QError["crn"]; !ok {
-		t.Errorf("qerror arms missing: %+v", hr.Telemetry.QError)
-	}
-	if hr.EstimateLatency.Count < 3 || hr.EstimateLatency.AvgMicros <= 0 {
-		t.Errorf("snapshot-derived estimate latency wrong: %+v", hr.EstimateLatency)
+	if h := fams["crn_estimate_duration_seconds"].Hist("", ""); h == nil || h.Count < 3 || h.Sum <= 0 {
+		t.Errorf("crn_estimate_duration_seconds = %+v, want >= 3 observations", h)
 	}
 }
 
@@ -217,10 +215,11 @@ func TestMetricsAddrSplit(t *testing.T) {
 	}
 }
 
-// TestHealthzMatchesMetrics: /healthz "endpoints", "wire" and "recorded"
-// read the very counters /metrics exposes, so after traffic over every
-// counted route — single estimates, a JSON and a binary batch, /record,
-// /feedback and one 400 — the two agree exactly.
+// TestHealthzMatchesMetrics: after traffic over every counted route —
+// single estimates, a JSON and a binary batch, /record, /feedback and one
+// 400 — the server's own crn_http_*, crn_wire_* and recorded counters
+// (served by /metrics only) read exactly what was sent, and the /healthz
+// sections that /metrics also exports agree with it.
 func TestHealthzMatchesMetrics(t *testing.T) {
 	fb, err := testServer(t).sys.AnalyzeBaseline()
 	if err != nil {
@@ -244,6 +243,43 @@ func TestHealthzMatchesMetrics(t *testing.T) {
 		t.Fatalf("empty estimate: status %d err %v, want 400", status, err)
 	}
 
+	fams := scrape(t, ts.URL)
+	type routeCounts struct{ Requests, Shed, Failed float64 }
+	want := map[string]routeCounts{
+		"estimate":       {Requests: 4, Failed: 1},
+		"estimate_batch": {Requests: 2},
+		"record":         {Requests: 1},
+		"feedback":       {Requests: 1},
+	}
+	for route, w := range want {
+		got := routeCounts{
+			Requests: sampleOf(t, fams, "crn_http_requests_total", "route", route),
+			Shed:     sampleOf(t, fams, "crn_http_shed_total", "route", route),
+			Failed:   sampleOf(t, fams, "crn_http_failures_total", "route", route),
+		}
+		if got != w {
+			t.Errorf("route %s: metrics %+v, want %+v", route, got, w)
+		}
+	}
+	if n := len(fams["crn_http_requests_total"].Samples); n != len(want) {
+		t.Errorf("crn_http_requests_total has %d routes, want the %d counted routes", n, len(want))
+	}
+	for _, codec := range []string{"json", "binary"} {
+		requests := sampleOf(t, fams, "crn_wire_requests_total", "codec", codec)
+		in := sampleOf(t, fams, "crn_wire_in_bytes_total", "codec", codec)
+		out := sampleOf(t, fams, "crn_wire_out_bytes_total", "codec", codec)
+		if requests != 1 || in == 0 || out == 0 {
+			t.Errorf("wire %s: requests %v, bytes in %v out %v, want one request with bytes both ways",
+				codec, requests, in, out)
+		}
+	}
+	if got := sampleOf(t, fams, "crn_wire_buffer_ops_total", "op", "get"); got == 0 {
+		t.Errorf("buffer gets = %v, want > 0", got)
+	}
+	if got := sampleOf(t, fams, "crn_recorded_queries_total", "", ""); got != 1 {
+		t.Errorf("crn_recorded_queries_total = %v, want 1", got)
+	}
+
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -254,61 +290,45 @@ func TestHealthzMatchesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fams, err := telemetry.ParseText(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sample := func(family, key, value string) uint64 {
-		t.Helper()
-		f := fams[family]
-		if f == nil {
-			t.Fatalf("family %s missing from /metrics", family)
+	for _, c := range []struct {
+		name     string
+		healthz  uint64
+		family   string
+		key, val string
+	}{
+		{"pool.entries", uint64(hr.Pool.Entries), "crn_pool_entries", "", ""},
+		{"stmt_cache.hits", hr.StmtCache.Hits, "crn_stmtcache_lookups_total", "result", "hit"},
+		{"stmt_cache.misses", hr.StmtCache.Misses, "crn_stmtcache_lookups_total", "result", "miss"},
+		{"ingest_gate.admitted", hr.IngestGate.Admitted, "crn_ingest_requests_total", "decision", "admitted"},
+	} {
+		if got := sampleOf(t, fams, c.family, c.key, c.val); got != float64(c.healthz) {
+			t.Errorf("healthz %s = %d, metrics %s = %v", c.name, c.healthz, c.family, got)
 		}
-		v, ok := f.Sample(key, value)
-		if !ok {
-			t.Fatalf("%s{%s=%q} missing from /metrics", family, key, value)
-		}
-		return uint64(v)
 	}
+}
 
-	want := map[string]endpointSnapshot{
-		"estimate":       {Requests: 4, Failed: 1},
-		"estimate_batch": {Requests: 2},
-		"record":         {Requests: 1},
-		"feedback":       {Requests: 1},
+// scrape fetches and parses the /metrics exposition served at url.
+func scrape(t *testing.T, url string) map[string]*telemetry.ParsedFamily {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for route, ep := range hr.Endpoints {
-		scraped := endpointSnapshot{
-			Requests: sample("crn_http_requests_total", "route", route),
-			Shed:     sample("crn_http_shed_total", "route", route),
-			Failed:   sample("crn_http_failures_total", "route", route),
-		}
-		if ep != scraped || ep != want[route] {
-			t.Errorf("endpoints[%s]: healthz %+v, metrics %+v, want %+v", route, ep, scraped, want[route])
-		}
+	defer resp.Body.Close()
+	fams, err := telemetry.ParseText(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(hr.Endpoints) != len(want) {
-		t.Errorf("healthz endpoints = %v, want the %d counted routes", hr.Endpoints, len(want))
+	return fams
+}
+
+// sampleOf returns the sample of family labelled key=value (key "": the
+// unlabelled one), failing the test when it is missing.
+func sampleOf(t *testing.T, fams map[string]*telemetry.ParsedFamily, family, key, value string) float64 {
+	t.Helper()
+	v, ok := fams[family].Sample(key, value)
+	if !ok {
+		t.Fatalf("%s{%s=%q} missing from /metrics", family, key, value)
 	}
-	for codec, c := range map[string]wireCodecSnapshot{"json": hr.Wire.JSON, "binary": hr.Wire.Binary} {
-		scraped := wireCodecSnapshot{
-			Requests: sample("crn_wire_requests_total", "codec", codec),
-			BytesIn:  sample("crn_wire_in_bytes_total", "codec", codec),
-			BytesOut: sample("crn_wire_out_bytes_total", "codec", codec),
-		}
-		if c != scraped || c.Requests != 1 || c.BytesIn == 0 || c.BytesOut == 0 {
-			t.Errorf("wire.%s: healthz %+v, metrics %+v, want one request with bytes both ways", codec, c, scraped)
-		}
-	}
-	if got := sample("crn_wire_buffer_ops_total", "op", "get"); got != hr.Wire.BufferGets || got == 0 {
-		t.Errorf("buffer gets: healthz %d, metrics %d", hr.Wire.BufferGets, got)
-	}
-	if got := sample("crn_recorded_queries_total", "", ""); got != hr.Recorded {
-		t.Errorf("recorded: healthz %d, metrics %d", hr.Recorded, got)
-	}
+	return v
 }

@@ -57,10 +57,9 @@ type server struct {
 	queryBufs slicePool[crn.Query]
 
 	// tel is the telemetry bundle est records into: GET /metrics serves its
-	// registry and /healthz renders its latency, stage and accuracy sections
-	// from one snapshot of it. The server's own instruments below are
-	// registered on the same registry (see registerMetrics), so /healthz
-	// and /metrics read one source.
+	// registry. The server's own instruments below are registered on the
+	// same registry (see registerMetrics), and /metrics is their only
+	// surface.
 	tel           *crn.Telemetry
 	metricsOnMain bool // mount /metrics on the public mux (no -metrics-addr)
 	// parseDur is the time each /estimate or /estimate/batch request spent
@@ -108,14 +107,6 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-// latencySnapshot is a request-latency summary in /healthz, rendered from
-// the estimator's end-to-end histogram (see latencyFromHist).
-type latencySnapshot struct {
-	Count     int64   `json:"count"`
-	AvgMicros float64 `json:"avg_micros"`
-	MaxMicros float64 `json:"max_micros"`
-}
-
 // --- Per-endpoint accounting ------------------------------------------------
 
 // endpointCounters are one route's children of the crn_http_* families:
@@ -123,21 +114,6 @@ type latencySnapshot struct {
 // failures.
 type endpointCounters struct {
 	requests, shed, failed *telemetry.Counter
-}
-
-// endpointSnapshot is the wire form of endpointCounters.
-type endpointSnapshot struct {
-	Requests uint64 `json:"requests"`
-	Shed     uint64 `json:"shed"`
-	Failed   uint64 `json:"failed"`
-}
-
-func (c *endpointCounters) snapshot() endpointSnapshot {
-	return endpointSnapshot{
-		Requests: c.requests.Load(),
-		Shed:     c.shed.Load(),
-		Failed:   c.failed.Load(),
-	}
 }
 
 // statusWriter captures the response status so counted can classify the
@@ -170,53 +146,11 @@ func (s *server) counted(ep *endpointCounters, h http.HandlerFunc) http.HandlerF
 // --- Batch wire accounting ---------------------------------------------------
 
 // codecCounters are one codec's /estimate/batch instruments, children of
-// the crn_wire_* families: request and byte totals (rendered under "wire"
-// on /healthz) plus frame-size histograms.
+// the crn_wire_* families: request and byte totals plus frame-size
+// histograms.
 type codecCounters struct {
 	requests, bytesIn, bytesOut *telemetry.Counter
 	reqBytes, respBytes         *telemetry.Histogram
-}
-
-// wireCodecSnapshot is one codec's traffic counters.
-type wireCodecSnapshot struct {
-	Requests uint64 `json:"requests"`
-	BytesIn  uint64 `json:"bytes_in"`
-	BytesOut uint64 `json:"bytes_out"`
-}
-
-func (c *codecCounters) snapshot() wireCodecSnapshot {
-	return wireCodecSnapshot{
-		Requests: c.requests.Load(),
-		BytesIn:  c.bytesIn.Load(),
-		BytesOut: c.bytesOut.Load(),
-	}
-}
-
-// wireSnapshot is the "wire" section of /healthz: per-codec batch traffic
-// plus the reuse rate of the body buffers every estimate request reads into
-// and encodes out of, whatever its codec.
-type wireSnapshot struct {
-	JSON            wireCodecSnapshot `json:"json"`
-	Binary          wireCodecSnapshot `json:"binary"`
-	BufferGets      uint64            `json:"buffer_gets"`
-	BufferMisses    uint64            `json:"buffer_misses"`
-	BufferDrops     uint64            `json:"buffer_drops"` // oversize, not pooled
-	BufferReuseRate float64           `json:"buffer_reuse_rate"`
-}
-
-func (s *server) wireSnapshot() wireSnapshot {
-	gets, misses, drops := s.bufPool.Stats()
-	snap := wireSnapshot{
-		JSON:         s.jsonIO.snapshot(),
-		Binary:       s.binaryIO.snapshot(),
-		BufferGets:   gets,
-		BufferMisses: misses,
-		BufferDrops:  drops,
-	}
-	if gets > 0 {
-		snap.BufferReuseRate = float64(gets-misses) / float64(gets)
-	}
-	return snap
 }
 
 // readAllInto reads r to EOF appending into buf (typically pooled), like
@@ -291,10 +225,8 @@ type feedbackResponse struct {
 }
 
 type healthzResponse struct {
-	Status        string  `json:"status"`
-	PoolSize      int     `json:"pool_size"`
-	Recorded      uint64  `json:"recorded"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
+	Status   string `json:"status"`
+	PoolSize int    `json:"pool_size"`
 	// Pool reports the candidate index and capacity bound: entries and FROM
 	// keys, configured capacity (0: unbounded), LRU evictions, bounded
 	// (top-K) selections, the candidates they scanned/truncated, and the
@@ -310,13 +242,7 @@ type healthzResponse struct {
 	// Coalescer reports request-coalescing effectiveness: calls vs batch
 	// executions, average and max batch size (batched_items / batches),
 	// dedup hits, and abandons. All zeros when -coalesce-batch < 2.
-	Coalescer       crn.CoalescerStats `json:"coalescer"`
-	EstimateLatency latencySnapshot    `json:"estimate_latency"`
-	BatchLatency    latencySnapshot    `json:"batch_latency"`
-	// Wire reports /estimate/batch traffic per codec (json vs the
-	// application/x-crn-batch binary protocol) and the reuse rate of the
-	// pooled body buffers.
-	Wire wireSnapshot `json:"wire"`
+	Coalescer crn.CoalescerStats `json:"coalescer"`
 	// Online reports the adaptation loop: live model generation, feedback
 	// ingestion, background retraining and drift monitoring.
 	Online crn.AdaptationStats `json:"online"`
@@ -331,12 +257,6 @@ type healthzResponse struct {
 	// IngestGate reports the server-level admission gate over /record and
 	// /feedback (the endpoints that execute the truth oracle).
 	IngestGate crn.GateStats `json:"ingest_gate"`
-	// Endpoints reports per-route request/shed/failure counters.
-	Endpoints map[string]endpointSnapshot `json:"endpoints"`
-	// Telemetry reports the serving telemetry bundle — request outcomes,
-	// per-stage latency quantiles, live per-arm q-error — rendered from one
-	// registry gather shared with /metrics.
-	Telemetry telemetrySummary `json:"telemetry"`
 }
 
 type errorResponse struct {
@@ -636,31 +556,17 @@ func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := healthzResponse{
-		Status:        "ok",
-		PoolSize:      s.pool.Len(),
-		Recorded:      s.recorded.Load(),
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		Pool:          s.pool.Stats(),
-		RepCache:      s.est.CacheStats(),
-		StmtCache:     s.sys.StatementCacheStats(),
-		Coalescer:     s.est.CoalescerStats(),
-		Wire:          s.wireSnapshot(),
-		Guard:         s.est.GuardStats(),
-		IngestGate:    s.ingestGate.Stats(),
-		Online:        s.est.AdaptationStats(),
-		Durable:       s.est.DurabilityStats(),
-		Endpoints: map[string]endpointSnapshot{
-			"estimate":       s.epEstimate.snapshot(),
-			"estimate_batch": s.epBatch.snapshot(),
-			"record":         s.epRecord.snapshot(),
-			"feedback":       s.epFeedback.snapshot(),
-		},
+		Status:     "ok",
+		PoolSize:   s.pool.Len(),
+		Pool:       s.pool.Stats(),
+		RepCache:   s.est.CacheStats(),
+		StmtCache:  s.sys.StatementCacheStats(),
+		Coalescer:  s.est.CoalescerStats(),
+		Guard:      s.est.GuardStats(),
+		IngestGate: s.ingestGate.Stats(),
+		Online:     s.est.AdaptationStats(),
+		Durable:    s.est.DurabilityStats(),
 	}
-	// One coherent gather: every telemetry-backed section — the latency
-	// snapshots included — comes from a single pass over the registry's
-	// histograms and counters (the same instruments /metrics exposes)
-	// instead of field-by-field reads interleaved with the render.
-	resp.Telemetry, resp.EstimateLatency, resp.BatchLatency = s.telemetrySnapshot()
 	s.writeJSON(w, http.StatusOK, resp)
 }
 

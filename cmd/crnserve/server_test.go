@@ -5,12 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
 	"crn"
+	"crn/internal/telemetry"
 )
 
 var (
@@ -239,9 +243,57 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestHealthzServingStats checks the serving counters added for the
-// high-concurrency pipeline: /healthz must expose coalescer stats and
-// estimate/batch latency counters that move under traffic.
+// TestHealthzKeySet pins the /healthz JSON contract: the exact top-level
+// keys, and the numbers crnbench reads (rep_cache.resident,
+// rep_cache.promoted, and with a data dir durable.replayed_records).
+// Counters that live on the metrics registry are served by /metrics only.
+func TestHealthzKeySet(t *testing.T) {
+	keys := []string{"status", "pool_size", "pool", "rep_cache", "stmt_cache",
+		"coalescer", "online", "guard", "ingest_gate"}
+	for _, tc := range []struct {
+		name string
+		srv  *server
+		keys []string
+	}{
+		{"memory", testServer(t), keys},
+		{"data-dir", newTestServer(t, seededPool(t), crn.WithDataDir(t.TempDir())), append(keys, "durable")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(tc.srv.handler())
+			defer ts.Close()
+			resp, err := http.Get(ts.URL + "/healthz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var hz map[string]any
+			if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
+				t.Fatal(err)
+			}
+			got := slices.Sorted(maps.Keys(hz))
+			if want := slices.Sorted(slices.Values(tc.keys)); !slices.Equal(got, want) {
+				t.Errorf("healthz keys = %v, want %v", got, want)
+			}
+			number := func(section, key string) {
+				t.Helper()
+				m, _ := hz[section].(map[string]any)
+				if _, ok := m[key].(float64); !ok {
+					t.Errorf("healthz %s.%s = %v, want a number", section, key, m[key])
+				}
+			}
+			number("rep_cache", "resident")
+			number("rep_cache", "promoted")
+			if slices.Contains(tc.keys, "durable") {
+				number("durable", "replayed_records")
+			}
+		})
+	}
+}
+
+// TestHealthzServingStats checks the serving counters of the
+// high-concurrency pipeline: /healthz exposes the coalescer stats and
+// /metrics the estimate/batch latency histograms, and both move under
+// traffic.
 func TestHealthzServingStats(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).handler())
 	defer ts.Close()
@@ -275,12 +327,26 @@ func TestHealthzServingStats(t *testing.T) {
 	if hr.Coalescer.BatchedItems < hr.Coalescer.Batches {
 		t.Errorf("inconsistent coalescer stats: %+v", hr.Coalescer)
 	}
-	if hr.EstimateLatency.Count < 3 || hr.EstimateLatency.AvgMicros <= 0 || hr.EstimateLatency.MaxMicros < hr.EstimateLatency.AvgMicros {
-		t.Errorf("estimate latency counters wrong: %+v", hr.EstimateLatency)
+	// The request latencies live on /metrics only.
+	fams := scrape(t, ts.URL)
+	e2e := fams["crn_estimate_duration_seconds"].Hist("", "")
+	if e2e == nil || e2e.Count < 3 || e2e.Sum <= 0 || histMax(e2e) < e2e.Sum/float64(e2e.Count) {
+		t.Errorf("estimate latency histogram wrong: %+v", e2e)
 	}
-	if hr.BatchLatency.Count < 1 || hr.BatchLatency.AvgMicros <= 0 {
-		t.Errorf("batch latency counters wrong: %+v", hr.BatchLatency)
+	if h := fams["crn_estimate_batch_duration_seconds"].Hist("", ""); h == nil || h.Count < 1 || h.Sum <= 0 {
+		t.Errorf("batch latency histogram wrong: %+v", h)
 	}
+}
+
+// histMax is the upper bound of the lowest bucket holding every
+// observation of h.
+func histMax(h *telemetry.ParsedHist) float64 {
+	for _, b := range h.Buckets {
+		if b.Cum == h.Count {
+			return b.LE
+		}
+	}
+	return math.Inf(1)
 }
 
 // TestConcurrentRecordAndEstimate is the serving scenario of §5.2 under the
@@ -336,16 +402,7 @@ func TestConcurrentRecordAndEstimate(t *testing.T) {
 	}
 
 	// The pool grew during the hammering.
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var hr healthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
-	}
-	if hr.Recorded == 0 {
+	if sampleOf(t, scrape(t, ts.URL), "crn_recorded_queries_total", "", "") == 0 {
 		t.Error("no queries were recorded")
 	}
 }

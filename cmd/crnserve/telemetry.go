@@ -1,7 +1,6 @@
 package main
 
 import (
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"time"
@@ -13,16 +12,14 @@ import (
 // This file wires the serving telemetry bundle into the HTTP front end:
 // GET /metrics (Prometheus text exposition over the estimator's registry),
 // the server-level families (HTTP routes, ingest gate, wire codec traffic
-// and frame sizes), the separate operational listener (-metrics-addr), and
-// the registry-snapshot rendering of the /healthz latency, stage and
-// accuracy sections.
+// and frame sizes), and the separate operational listener (-metrics-addr).
 
 // registerMetrics registers the server-level families on the bundle's
 // registry: per-request SQL parse time, statement-cache lookups, per-route
 // HTTP outcomes, the ingest gate, /estimate/batch codec traffic with
 // frame-size histograms, recorded queries, and process uptime. The counters
-// the handlers bump are the registry's own children, so /healthz and
-// /metrics read one source.
+// the handlers bump are the registry's own children; /metrics is their only
+// surface.
 func (s *server) registerMetrics() {
 	reg := s.tel.Registry()
 
@@ -129,104 +126,4 @@ func (s *server) metricsHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// --- /healthz telemetry rendering -------------------------------------------
-
-// stageQuantiles is one stage's latency summary in the /healthz
-// "telemetry" section.
-type stageQuantiles struct {
-	Count     uint64  `json:"count"`
-	P50Micros float64 `json:"p50_micros"`
-	P99Micros float64 `json:"p99_micros"`
-}
-
-// qerrorQuantiles is one estimator arm's live-accuracy summary.
-type qerrorQuantiles struct {
-	Count uint64  `json:"count"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-}
-
-// telemetrySummary is the "telemetry" section of /healthz, rendered from
-// one registry gather: request outcomes, per-stage latency quantiles, and
-// the per-arm live q-error distributions.
-type telemetrySummary struct {
-	// Requests counts estimate outcomes (ok, error, shed, fallback).
-	Requests map[string]uint64 `json:"requests"`
-	// Stages maps stage name -> count and p50/p99 latency.
-	Stages map[string]stageQuantiles `json:"stages"`
-	// QError maps estimator arm (crn, fallback) -> live q-error quantiles
-	// from feedback truths joined against recent estimates.
-	QError map[string]qerrorQuantiles `json:"qerror"`
-	// AccuracyJoined/Unmatched count feedback truths that did / did not
-	// find their estimate in the recent-estimate ring.
-	AccuracyJoined    uint64 `json:"accuracy_joined"`
-	AccuracyUnmatched uint64 `json:"accuracy_unmatched"`
-}
-
-// latencyFromHist renders the legacy latency snapshot shape from a
-// histogram snapshot: the average from the approximate sum, the max as the
-// upper edge of the highest occupied bucket (clamped to the histogram
-// ceiling when the overflow bucket is occupied).
-func latencyFromHist(snap telemetry.HistSnapshot) latencySnapshot {
-	n := snap.Total()
-	out := latencySnapshot{Count: int64(n)}
-	if n == 0 {
-		return out
-	}
-	out.AvgMicros = snap.ApproxSum() / float64(n) * 1e6
-	max := snap.Max()
-	if math.IsInf(max, 1) {
-		max = math.Ldexp(1, snap.Opts.MaxExp)
-	}
-	out.MaxMicros = max * 1e6
-	return out
-}
-
-// telemetrySnapshot gathers every telemetry-backed /healthz value in one
-// pass — each histogram snapshotted exactly once, counters read once — so
-// related values in the response come from a single coherent gather
-// instead of field-by-field reads spread across the render. Returns the
-// summary section plus the estimate/batch latency snapshots derived from
-// the same end-to-end histograms /metrics exposes.
-func (s *server) telemetrySnapshot() (telemetrySummary, latencySnapshot, latencySnapshot) {
-	t := s.tel
-	stageHists := map[string]*telemetry.Histogram{
-		telemetry.StageAdmission:          t.Stages.Admission,
-		telemetry.StageCoalesceWait:       t.Stages.CoalesceWait,
-		telemetry.StageCacheLookup:        t.Stages.CacheLookup,
-		telemetry.StageCandidateSelection: t.Stages.CandidateSelection,
-		telemetry.StageNNForward:          t.Stages.NNForward,
-		telemetry.StageFinalize:           t.Stages.Finalize,
-	}
-	sum := telemetrySummary{
-		Requests: map[string]uint64{
-			telemetry.OutcomeOK:       t.ReqOK.Load(),
-			telemetry.OutcomeError:    t.ReqError.Load(),
-			telemetry.OutcomeShed:     t.ReqShed.Load(),
-			telemetry.OutcomeFallback: t.ReqFallback.Load(),
-		},
-		Stages: make(map[string]stageQuantiles, len(stageHists)),
-		QError: make(map[string]qerrorQuantiles, 2),
-	}
-	for name, h := range stageHists {
-		snap := h.Snapshot()
-		sum.Stages[name] = stageQuantiles{
-			Count:     snap.Total(),
-			P50Micros: snap.Quantile(0.50) * 1e6,
-			P99Micros: snap.Quantile(0.99) * 1e6,
-		}
-	}
-	for _, arm := range []telemetry.Arm{telemetry.ArmCRN, telemetry.ArmFallback} {
-		snap := t.Accuracy.Hist(arm).Snapshot()
-		sum.QError[arm.String()] = qerrorQuantiles{
-			Count: snap.Total(),
-			P50:   snap.Quantile(0.50),
-			P95:   snap.Quantile(0.95),
-		}
-	}
-	sum.AccuracyJoined = t.Accuracy.Joined()
-	sum.AccuracyUnmatched = t.Accuracy.Unmatched()
-	return sum, latencyFromHist(t.E2E.Snapshot()), latencyFromHist(t.BatchE2E.Snapshot())
 }

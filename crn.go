@@ -192,7 +192,10 @@ func (o ctxOracle) ContainmentRate(q1, q2 query.Query) (float64, error) {
 
 // QueriesPool is the paper's §5.2 pool of executed queries with known
 // cardinalities. It is safe for concurrent use: the serving deployment
-// appends every executed query while estimators read concurrently.
+// appends every executed query while estimators read concurrently. A pool
+// restored from Save's bytes, with the same generation, answers with the
+// same estimate bits: the restore keeps the saved pool's candidate order,
+// recency order and eviction order (checkpoint recovery relies on it).
 type QueriesPool = pool.Pool
 
 // NewQueriesPool creates an empty pool. Options bound it (WithPoolCap);

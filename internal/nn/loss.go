@@ -136,19 +136,6 @@ func (MAELoss) Eval(pred, target []float64) (float64, []float64) {
 	return total / n, grad
 }
 
-// LossByName resolves a loss by its Name; it defaults to q-error for
-// unknown names (the paper's chosen objective).
-func LossByName(name string) Loss {
-	switch name {
-	case "mse":
-		return MSELoss{}
-	case "mae":
-		return MAELoss{}
-	default:
-		return QErrorLoss{}
-	}
-}
-
 func clip(g, lim float64) float64 {
 	if g > lim {
 		return lim

@@ -355,18 +355,6 @@ func TestMSEAndMAELoss(t *testing.T) {
 	}
 }
 
-func TestLossByName(t *testing.T) {
-	if LossByName("mse").Name() != "mse" {
-		t.Error("mse lookup failed")
-	}
-	if LossByName("mae").Name() != "mae" {
-		t.Error("mae lookup failed")
-	}
-	if LossByName("anything").Name() != "q-error" {
-		t.Error("default should be q-error")
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w-3)^2 with Adam.
 	p := NewParam(1, 1)
@@ -470,24 +458,6 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 	if err := DecodeParams([]byte("garbage"), d2.Params()); err == nil {
 		t.Error("corrupt payload should fail")
-	}
-}
-
-func TestCopyWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := NewDense(rng, 3, 3)
-	b := NewDense(rng, 3, 3)
-	if err := CopyWeights(b.Params(), a.Params()); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.W.W {
-		if a.W.W[i] != b.W.W[i] {
-			t.Fatal("weights not copied")
-		}
-	}
-	c := NewDense(rng, 2, 2)
-	if err := CopyWeights(c.Params(), a.Params()); err == nil {
-		t.Error("mismatched shapes should fail")
 	}
 }
 

@@ -73,21 +73,6 @@ func DecodeParams(data []byte, params []*Param) error {
 	return nil
 }
 
-// CopyWeights copies current weights between two models' parameter lists of
-// identical shapes (used to retain the best-epoch weights under early
-// stopping).
-func CopyWeights(dst, src []*Param) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("nn: parameter count mismatch %d vs %d", len(dst), len(src))
-	}
-	for i := range dst {
-		if err := dst[i].Restore(src[i].Snapshot()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // NumParams sums the scalar parameter counts of a parameter list.
 func NumParams(params []*Param) int {
 	n := 0

@@ -9,7 +9,7 @@ import "sync"
 // has grown to the largest batch shape seen.
 //
 // The contract: matrices returned by Take are valid until the next Reset,
-// may contain garbage (callers must fully overwrite, or use TakeZero), and
+// may contain garbage (callers must fully overwrite them), and
 // must not be retained across Reset. A Workspace is NOT safe for concurrent
 // use — give each goroutine its own (GetWorkspace/PutWorkspace pool them).
 //
@@ -55,15 +55,6 @@ func (w *Workspace) Take(rows, cols int) *Matrix {
 		m.Data = make([]float64, n)
 	}
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
-	return m
-}
-
-// TakeZero is Take with the returned matrix zeroed.
-func (w *Workspace) TakeZero(rows, cols int) *Matrix {
-	m := w.Take(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
 	return m
 }
 

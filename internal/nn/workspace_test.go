@@ -26,19 +26,6 @@ func TestWorkspaceReuseAndGrowth(t *testing.T) {
 	if len(d.Data) != 10000 {
 		t.Fatalf("grown take len %d", len(d.Data))
 	}
-	// TakeZero returns cleared storage even from a dirty slot.
-	ws.Reset()
-	dirty := ws.Take(10, 10)
-	for i := range dirty.Data {
-		dirty.Data[i] = 1
-	}
-	ws.Reset()
-	z := ws.TakeZero(10, 10)
-	for i, v := range z.Data {
-		if v != 0 {
-			t.Fatalf("TakeZero[%d] = %v", i, v)
-		}
-	}
 }
 
 func TestWorkspaceTakeInts(t *testing.T) {

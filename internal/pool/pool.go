@@ -19,7 +19,6 @@ package pool
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -168,6 +167,15 @@ func (p *Pool) Add(q query.Query, card int64) bool {
 	if p.cap > 0 && p.entries >= p.cap {
 		p.evictLRULocked()
 	}
+	p.insertLocked(q, key, sig, card)
+	return true
+}
+
+// insertLocked appends a query not yet pooled, stamps it as most recently
+// matched and returns its ID. It never evicts: Add makes room first, and a
+// snapshot restore evicts down to the cap only once every entry carries its
+// restored stamp. Callers hold the write lock.
+func (p *Pool) insertLocked(q query.Query, key string, sig query.Signature, card int64) int64 {
 	from := q.FROMKey()
 	idx := p.byFrom[from]
 	if idx == nil {
@@ -196,7 +204,7 @@ func (p *Pool) Add(q query.Query, card int64) bool {
 	p.entries++
 	p.version++
 	p.notifyLocked("")
-	return true
+	return id
 }
 
 // MutationListener observes pool mutations. Listeners are invoked
@@ -390,9 +398,13 @@ func (p *Pool) UpdateCard(q query.Query, card int64) bool {
 	if card < 0 {
 		return false
 	}
-	key := q.Key()
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.updateCardLocked(q, q.Key(), card)
+}
+
+// updateCardLocked is UpdateCard under the caller's write lock.
+func (p *Pool) updateCardLocked(q query.Query, key string, card int64) bool {
 	id, ok := p.byKey[key]
 	if !ok {
 		return false
@@ -593,17 +605,3 @@ func Mean(results []float64) float64 { return metrics.Mean(results) }
 // TrimmedMean removes 12.5% of each tail ("the 25% outliers", §5.3.1)
 // before averaging.
 func TrimmedMean(results []float64) float64 { return metrics.TrimmedMean(results, 0.125) }
-
-// FinalByName resolves a final function by name ("median", "mean",
-// "trimmed"); unknown names default to Median.
-func FinalByName(name string) (FinalFunc, error) {
-	switch name {
-	case "", "median":
-		return Median, nil
-	case "mean":
-		return Mean, nil
-	case "trimmed":
-		return TrimmedMean, nil
-	}
-	return nil, fmt.Errorf("pool: unknown final function %q", name)
-}

@@ -131,18 +131,6 @@ func TestFinalFunctions(t *testing.T) {
 	}
 }
 
-func TestFinalByName(t *testing.T) {
-	for _, name := range []string{"", "median", "mean", "trimmed"} {
-		f, err := FinalByName(name)
-		if err != nil || f == nil {
-			t.Errorf("FinalByName(%q) failed: %v", name, err)
-		}
-	}
-	if _, err := FinalByName("mode"); err == nil {
-		t.Error("unknown final function should fail")
-	}
-}
-
 func TestConcurrentAddAndMatch(t *testing.T) {
 	p := New()
 	var wg sync.WaitGroup

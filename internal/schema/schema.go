@@ -450,9 +450,6 @@ func foldEq(ident, name string) bool {
 	return true
 }
 
-// EdgesOf returns the join edges incident to the named table.
-func (s *Schema) EdgesOf(table string) []JoinEdge { return s.adjacency[table] }
-
 // OperatorID returns the one-hot ordinal of a predicate operator.
 func (s *Schema) OperatorID(op string) (int, bool) {
 	switch op {

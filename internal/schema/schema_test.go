@@ -205,19 +205,6 @@ func TestNewPanicsOnUnknownJoinColumn(t *testing.T) {
 	)
 }
 
-func TestEdgesOf(t *testing.T) {
-	s := IMDB()
-	if got := len(s.EdgesOf(Title)); got != 5 {
-		t.Errorf("EdgesOf(title) = %d, want 5", got)
-	}
-	if got := len(s.EdgesOf(CastInfo)); got != 1 {
-		t.Errorf("EdgesOf(cast_info) = %d, want 1", got)
-	}
-	if got := s.EdgesOf("nope"); got != nil {
-		t.Errorf("EdgesOf(unknown) = %v, want nil", got)
-	}
-}
-
 func sortedUnique(xs []string) bool {
 	for i := 1; i < len(xs); i++ {
 		if xs[i-1] >= xs[i] {

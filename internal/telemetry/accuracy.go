@@ -3,6 +3,8 @@ package telemetry
 import (
 	"hash/maphash"
 	"sync"
+
+	"crn/internal/metrics"
 )
 
 // Arm identifies which estimator answered a query: the learned CRN path or
@@ -132,23 +134,7 @@ func (a *Accuracy) Truth(key string, card float64) {
 	if e.arm == ArmFallback {
 		h = a.fallback
 	}
-	h.Observe(QError(e.est, card))
-}
-
-// Joined returns how many truths matched a ringed estimate. Nil-safe.
-func (a *Accuracy) Joined() uint64 { return a.counter(true) }
-
-// Unmatched returns how many truths found no recent estimate. Nil-safe.
-func (a *Accuracy) Unmatched() uint64 { return a.counter(false) }
-
-func (a *Accuracy) counter(joined bool) uint64 {
-	if a == nil {
-		return 0
-	}
-	if joined {
-		return a.joined.Load()
-	}
-	return a.unmatched.Load()
+	h.Observe(metrics.CardQError(card, e.est))
 }
 
 // Hist returns the q-error histogram for an arm (nil on a nil tracker).
@@ -160,20 +146,4 @@ func (a *Accuracy) Hist(arm Arm) *Histogram {
 		return a.fallback
 	}
 	return a.crn
-}
-
-// QError is the symmetric ratio error max(est/true, true/est) with both
-// sides clamped to ≥1 (cardinalities; a perfect estimate scores 1).
-// Defined locally because telemetry is dependency-free by design.
-func QError(est, truth float64) float64 {
-	if est < 1 {
-		est = 1
-	}
-	if truth < 1 {
-		truth = 1
-	}
-	if est > truth {
-		return est / truth
-	}
-	return truth / est
 }

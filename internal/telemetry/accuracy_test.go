@@ -69,6 +69,8 @@ func TestAccuracyOverwriteAndEviction(t *testing.T) {
 	}
 }
 
+// TestQError: Truth observes the cardinality q-error (metrics.CardQError),
+// with both sides clamped to one row.
 func TestQError(t *testing.T) {
 	cases := []struct {
 		est, truth, want float64
@@ -81,8 +83,12 @@ func TestQError(t *testing.T) {
 		{0, 0, 1},
 	}
 	for _, c := range cases {
-		if got := QError(c.est, c.truth); got != c.want {
-			t.Errorf("QError(%v,%v) = %v, want %v", c.est, c.truth, got, c.want)
+		a := New().Accuracy
+		a.Note("k", c.est, ArmCRN)
+		a.Truth("k", c.truth)
+		snap := a.Hist(ArmCRN).Snapshot()
+		if q := snap.Quantile(0.5); snap.Total() != 1 || q < c.want/1.25 || q > c.want*1.25 {
+			t.Errorf("Truth(est %v, truth %v) observed %v (%d samples), want ≈%v", c.est, c.truth, q, snap.Total(), c.want)
 		}
 	}
 	var a *Accuracy

@@ -11,8 +11,10 @@
 // add (histograms bucket by float bit pattern, counters are one
 // atomic.Uint64); everything is nil-safe so disabled telemetry is a nil
 // check, with nanosecond clock reads only on the enabled path; and the
-// package imports nothing beyond the standard library — subsystems hand
-// it values, it never reaches into them.
+// package imports nothing beyond the standard library and
+// internal/metrics (itself standard-library only), whose q-error the
+// accuracy tracker shares with the evaluation and the drift monitor —
+// subsystems hand it values, it never reaches into them.
 package telemetry
 
 // Outcome label values of crn_estimate_requests_total.

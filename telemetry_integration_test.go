@@ -82,6 +82,24 @@ func TestStageSpansSumToE2E(t *testing.T) {
 	}
 }
 
+// accuracyJoined reads crn_accuracy_joined_total from tel's exposition.
+func accuracyJoined(t *testing.T, tel *Telemetry) float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := tel.Registry().WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := telemetry.ParseText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := fams["crn_accuracy_joined_total"].Sample("", "")
+	if !ok {
+		t.Fatal("crn_accuracy_joined_total missing from the exposition")
+	}
+	return v
+}
+
 // TestAccuracyJoinsFeedback drives the live-accuracy loop end to end on an
 // adaptive estimator: estimates ring their values by query key, feedback
 // truths join against the ring, and the per-arm q-error family fills in —
@@ -109,8 +127,8 @@ func TestAccuracyJoinsFeedback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tel.Accuracy.Joined() != 0 {
-		t.Fatalf("joins before any feedback: %d", tel.Accuracy.Joined())
+	if joined := accuracyJoined(t, tel); joined != 0 {
+		t.Fatalf("joins before any feedback: %v", joined)
 	}
 	for _, lq := range probes {
 		if _, err := ae.RecordFeedbackQuery(ctx, lq.Q, lq.Card); err != nil {
@@ -118,7 +136,7 @@ func TestAccuracyJoinsFeedback(t *testing.T) {
 		}
 	}
 
-	if joined := tel.Accuracy.Joined(); joined == 0 {
+	if joined := accuracyJoined(t, tel); joined == 0 {
 		t.Fatal("no feedback truth joined a ringed estimate")
 	}
 	crnN := tel.Accuracy.Hist(telemetry.ArmCRN).Snapshot().Total()
