@@ -53,7 +53,7 @@ func labeledWorkload(t *testing.T, sys *System, seed int64, n int) []workload.La
 	t.Helper()
 	gen := workload.NewGenerator(sys.Schema(), sys.DB(), seed)
 	per := n / 3
-	qs, err := gen.QueriesWithJoinDistribution(map[int]int{0: n - 2*per, 1: per, 2: per})
+	qs, err := gen.Queries(map[int]int{0: n - 2*per, 1: per, 2: per})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func batchBenchEnv(b *testing.B) (*CardinalityEstimator, []Query) {
 
 		// A mixed 0-2 join workload, the distribution the pool covers.
 		gen := workload.NewGenerator(sys.Schema(), sys.DB(), 17)
-		qs, err := gen.QueriesWithJoinDistribution(map[int]int{0: 22, 1: 21, 2: 21})
+		qs, err := gen.Queries(map[int]int{0: 22, 1: 21, 2: 21})
 		if err != nil {
 			batchErr = err
 			return

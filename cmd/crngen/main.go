@@ -65,7 +65,7 @@ func main() {
 	defer w.Flush()
 	switch *kind {
 	case "pairs":
-		pairs, err := gen.PairsWithJoinDistribution(distMap)
+		pairs, err := gen.Pairs(distMap)
 		if err != nil {
 			fail("generate pairs: %v", err)
 		}
@@ -83,7 +83,7 @@ func main() {
 			fmt.Fprintf(w, "%s\t%s\t%.6f\n", lp.Q1.SQL(), lp.Q2.SQL(), lp.Rate)
 		}
 	case "queries":
-		qs, err := gen.QueriesWithJoinDistribution(distMap)
+		qs, err := gen.Queries(distMap)
 		if err != nil {
 			fail("generate queries: %v", err)
 		}

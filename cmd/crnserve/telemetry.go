@@ -87,9 +87,9 @@ func (s *server) registerMetrics() {
 
 	// Ingest gate: the server-level admission bound over /record and
 	// /feedback (the endpoints that execute the truth oracle).
-	reg.CollectGauge("crn_ingest_inflight",
-		"Concurrently admitted /record + /feedback requests.", "", func(emit telemetry.Emit) {
-			emit(float64(s.ingestGate.Stats().Inflight), "")
+	reg.GaugeFunc("crn_ingest_inflight",
+		"Concurrently admitted /record + /feedback requests.", func() float64 {
+			return float64(s.ingestGate.Stats().Inflight)
 		})
 	reg.CollectCounter("crn_ingest_requests_total",
 		"Ingest-gate decisions over /record + /feedback (admitted, shed).",

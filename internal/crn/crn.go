@@ -63,7 +63,7 @@ type Config struct {
 	Epochs    int     // maximum epochs; early stopping may end sooner
 	Patience  int     // early-stopping patience in epochs (0 disables)
 	Seed      int64   // weight init and batch shuffling seed
-	Loss      string  // "q-error" (paper default), "mse" or "mae"
+	Loss      string  // "q-error" (paper default, also ""), "mse" or "mae"; training rejects any other
 	RateFloor float64 // clamp for rates inside the q-error loss
 	// LRDecay, when in (0,1), multiplies the learning rate once validation
 	// has not improved for Patience/2 epochs (reduce-on-plateau), helping
@@ -537,12 +537,15 @@ func (m *Model) fit(ctx context.Context, train, val []Sample, epochs int, lr flo
 	if len(train) == 0 {
 		return nil, fmt.Errorf("crn: empty training set")
 	}
+	loss, err := m.lossFn()
+	if err != nil {
+		return nil, err
+	}
 	// Weights are about to mutate: drop the serving-side weight fold now and
 	// again on exit, so predictors built after training refold from the
 	// final (possibly restored-best) weights.
 	m.invalidateHeadFold()
 	defer m.invalidateHeadFold()
-	loss := m.lossFn()
 
 	// One workspace and one staging buffer set serve every batch of the
 	// run: after the first epoch the step is allocation-free apart from
@@ -610,15 +613,18 @@ func (m *Model) rateFloor() float64 {
 	return 1e-3
 }
 
-func (m *Model) lossFn() nn.Loss {
+// lossFn maps Config.Loss to its loss; "" (model blobs that predate the
+// field) means q-error, and any other unknown name is an error.
+func (m *Model) lossFn() (nn.Loss, error) {
 	switch m.cfg.Loss {
+	case "", "q-error":
+		return nn.QErrorLoss{Floor: m.rateFloor()}, nil
 	case "mse":
-		return nn.MSELoss{}
+		return nn.MSELoss{}, nil
 	case "mae":
-		return nn.MAELoss{}
-	default:
-		return nn.QErrorLoss{Floor: m.rateFloor()}
+		return nn.MAELoss{}, nil
 	}
+	return nil, fmt.Errorf("crn: unknown loss %q (want q-error, mse or mae)", m.cfg.Loss)
 }
 
 // modelBlob is the gob wire format of a serialized model.

@@ -249,14 +249,38 @@ func TestValidationQErrorEmpty(t *testing.T) {
 	}
 }
 
+// TestLossSelection: every known loss name maps to its loss ("" is q-error,
+// for model blobs that predate the field), and an unknown name fails
+// training before any weight moves instead of silently meaning q-error.
 func TestLossSelection(t *testing.T) {
-	for _, name := range []string{"q-error", "mse", "mae"} {
+	for name, want := range map[string]nn.Loss{
+		"":        nn.QErrorLoss{Floor: 1e-3},
+		"q-error": nn.QErrorLoss{Floor: 1e-3},
+		"mse":     nn.MSELoss{},
+		"mae":     nn.MAELoss{},
+	} {
 		cfg := DefaultConfig()
 		cfg.Loss = name
-		m := NewModel(cfg, 4)
-		if m.lossFn() == nil {
-			t.Fatalf("no loss for %q", name)
+		got, err := NewModel(cfg, 4).lossFn()
+		if err != nil || got != want {
+			t.Fatalf("loss %q = %#v, %v; want %#v", name, got, err, want)
 		}
+	}
+	cfg := DefaultConfig()
+	cfg.Loss = "bogus"
+	m := NewModel(cfg, 4)
+	before, err := m.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	train := []Sample{{V1: randSet(rng, 4, 2), V2: randSet(rng, 4, 2), Rate: 0.5}}
+	_, err = m.Train(context.Background(), train, nil, nil)
+	if err == nil || err.Error() != `crn: unknown loss "bogus" (want q-error, mse or mae)` {
+		t.Fatalf("training with loss %q: err = %v", cfg.Loss, err)
+	}
+	if after, _ := m.Save(); !bytes.Equal(before, after) {
+		t.Fatal("a rejected loss moved the weights")
 	}
 }
 

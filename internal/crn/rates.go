@@ -70,6 +70,26 @@ func EncodePairs(enc *feature.Encoder, pairs []workload.LabeledPair) ([]Sample, 
 	return out, nil
 }
 
+// TrainOnPairs encodes labeled training and validation pairs with enc and
+// trains a fresh model with cfg on them: the one offline training path.
+// progress, if non-nil, is invoked after every epoch.
+func TrainOnPairs(ctx context.Context, cfg Config, enc *feature.Encoder, train, val []workload.LabeledPair, progress func(EpochStats)) (*Model, []EpochStats, error) {
+	trainS, err := EncodePairs(enc, train)
+	if err != nil {
+		return nil, nil, err
+	}
+	valS, err := EncodePairs(enc, val)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := NewModel(cfg, enc.Dim())
+	stats, err := m.Train(ctx, trainS, valS, progress)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, stats, nil
+}
+
 // EstimateRate estimates the single rate q1 ⊂% q2.
 func (r *Rates) EstimateRate(q1, q2 query.Query) (float64, error) {
 	return contain.Rate(context.Background(), r, q1, q2)

@@ -8,7 +8,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"crn/internal/card"
@@ -239,18 +238,10 @@ func Build(cfg Config, log Logf) (*Env, error) {
 	// Training pairs: 0-2 joins, labeled with true containment rates.
 	log.logf("generating and labeling %d training pairs...", cfg.TrainPairs)
 	gen := workload.NewGenerator(s, d, cfg.Seed+100)
-	pairs, err := gen.TrainingPairs(cfg.TrainPairs)
+	env.TrainPairs, env.ValPairs, err = gen.TrainingSet(ex, cfg.TrainPairs, cfg.Workers, cfg.Seed+101)
 	if err != nil {
 		return nil, err
 	}
-	labeled, err := workload.LabelPairs(ex, pairs, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	rand.New(rand.NewSource(cfg.Seed+101)).Shuffle(len(labeled), func(i, j int) {
-		labeled[i], labeled[j] = labeled[j], labeled[i]
-	})
-	env.TrainPairs, env.ValPairs = workload.SplitPairs(labeled, 0.8)
 
 	// CRN.
 	log.logf("training CRN (H=%d, up to %d epochs)...", cfg.CRN.Hidden, cfg.CRN.Epochs)
@@ -294,14 +285,14 @@ func Build(cfg Config, log Logf) (*Env, error) {
 	// Test workloads (different seeds than training, §4.2/§6.1).
 	log.logf("generating test workloads...")
 	tGen := workload.NewGenerator(s, d, cfg.Seed+300)
-	cnt1, err := tGen.PairsWithJoinDistribution(workload.CntTest1Dist(cfg.CntTest1Size))
+	cnt1, err := tGen.Pairs(workload.CntTest1Dist(cfg.CntTest1Size))
 	if err != nil {
 		return nil, err
 	}
 	if env.CntTest1, err = workload.LabelPairs(ex, cnt1, cfg.Workers); err != nil {
 		return nil, err
 	}
-	cnt2, err := tGen.PairsWithJoinDistribution(workload.CntTest2Dist(cfg.CntTest2Size))
+	cnt2, err := tGen.Pairs(workload.CntTest2Dist(cfg.CntTest2Size))
 	if err != nil {
 		return nil, err
 	}
@@ -310,26 +301,14 @@ func Build(cfg Config, log Logf) (*Env, error) {
 	}
 	// Cardinality workloads keep only non-empty queries (the MSCN
 	// generator convention the paper's crd/scale workloads inherit).
-	crd1, err := tGen.NonEmptyQueriesWithJoinDistribution(ex, workload.CrdTest1Dist(cfg.CrdTest1Size))
-	if err != nil {
+	if env.CrdTest1, err = tGen.NonEmptyQueries(ex, workload.CrdTest1Dist(cfg.CrdTest1Size)); err != nil {
 		return nil, err
 	}
-	if env.CrdTest1, err = workload.LabelQueries(ex, crd1, cfg.Workers); err != nil {
-		return nil, err
-	}
-	crd2, err := tGen.NonEmptyQueriesWithJoinDistribution(ex, workload.CrdTest2Dist(cfg.CrdTest2Size))
-	if err != nil {
-		return nil, err
-	}
-	if env.CrdTest2, err = workload.LabelQueries(ex, crd2, cfg.Workers); err != nil {
+	if env.CrdTest2, err = tGen.NonEmptyQueries(ex, workload.CrdTest2Dist(cfg.CrdTest2Size)); err != nil {
 		return nil, err
 	}
 	sGen := workload.NewScaleGenerator(s, d, cfg.Seed+400)
-	scaleQs, err := sGen.NonEmptyQueriesWithJoinDistribution(ex, workload.ScaleDist(cfg.ScaleSize))
-	if err != nil {
-		return nil, err
-	}
-	if env.ScaleWL, err = workload.LabelQueries(ex, scaleQs, cfg.Workers); err != nil {
+	if env.ScaleWL, err = sGen.NonEmptyQueries(ex, workload.ScaleDist(cfg.ScaleSize)); err != nil {
 		return nil, err
 	}
 
@@ -341,23 +320,10 @@ func Build(cfg Config, log Logf) (*Env, error) {
 // trainCRN trains a CRN with the given config on the environment's training
 // pairs; the Figure 3 sweep and the loss ablation retrain through it too.
 func trainCRN(env *Env, cfg crn.Config, log Logf) (*crn.Model, []crn.EpochStats, error) {
-	trainS, err := crn.EncodePairs(env.Enc, env.TrainPairs)
-	if err != nil {
-		return nil, nil, err
-	}
-	valS, err := crn.EncodePairs(env.Enc, env.ValPairs)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := crn.NewModel(cfg, env.Enc.Dim())
-	stats, err := m.Train(context.TODO(), trainS, valS, func(st crn.EpochStats) {
+	return crn.TrainOnPairs(context.TODO(), cfg, env.Enc, env.TrainPairs, env.ValPairs, func(st crn.EpochStats) {
 		log.logf("  crn epoch %d: train loss %.3f, val q-error %.3f (%v)",
 			st.Epoch, st.TrainLoss, st.ValQError, st.Duration.Round(time.Millisecond))
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, stats, nil
 }
 
 // trainMSCNFromPairs builds the MSCN training set from the CRN training
@@ -429,11 +395,7 @@ func trainMSCN1000(env *Env, log Logf) (*mscn.Estimator, error) {
 	dist := workload.ScaleDist(n)
 	// The scale workload has no 5-join queries; neither does this set.
 	// Non-empty only, like every MSCN-generator workload.
-	queries, err := gen.NonEmptyQueriesWithJoinDistribution(env.Exec, dist)
-	if err != nil {
-		return nil, err
-	}
-	labeled, err := workload.LabelQueries(env.Exec, queries, env.Cfg.Workers)
+	labeled, err := gen.NonEmptyQueries(env.Exec, dist)
 	if err != nil {
 		return nil, err
 	}

@@ -139,7 +139,7 @@ func generated(t testing.TB, perJoin int) []string {
 	g := workload.NewGenerator(s, d, 11)
 	var out []string
 	for joins := 0; joins <= 2; joins++ {
-		qs, err := g.Queries(perJoin, joins)
+		qs, err := g.Queries(map[int]int{joins: perJoin})
 		if err != nil {
 			t.Fatal(err)
 		}

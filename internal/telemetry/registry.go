@@ -36,34 +36,6 @@ func (c *Counter) Load() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomic integer gauge (breaker state, inflight, generation).
-// Float-valued gauges register a GaugeFunc instead.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add adds delta.
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
-}
-
-// Load returns the current value (0 on nil).
-func (g *Gauge) Load() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // MaxSeriesPerFamily bounds how many distinct label values a labeled
 // family materializes. Labels past the bound share one overflow series
 // (label value "_other") and bump crn_telemetry_dropped_series_total, so a
@@ -90,8 +62,8 @@ type sample struct {
 	value float64
 }
 
-// family is one registered metric family: either owned instruments
-// (counters/gauges/histograms the hot path writes) or a collector callback
+// family is one registered metric family: owned instruments (counters or
+// histograms the hot path writes), a GaugeFunc, or a collector callback
 // gathered at exposition time (the migration path for subsystems that
 // already keep their own atomic stats — /healthz and /metrics then render
 // from the same underlying source).
@@ -106,7 +78,6 @@ type family struct {
 	order    []string        // label values in registration order
 	members  map[string]bool // membership index over order
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 
 	collect func(Emit)     // collector family: invoked per gather
@@ -208,15 +179,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// Gauge registers and returns an unlabeled integer gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	f := &family{name: name, help: help, typ: typeGauge,
-		gauges: map[string]*Gauge{"": g}, order: []string{""}}
-	r.register(f)
-	return g
-}
-
 // GaugeFunc registers a gauge whose value is read by fn at gather time —
 // the zero-cost way to expose a value an existing subsystem already
 // maintains.
@@ -315,13 +277,6 @@ func (r *Registry) CollectCounter(name, help, labelKey string, fn func(Emit)) {
 		labelKey: labelKey, collect: fn})
 }
 
-// CollectGauge registers a gauge family gathered from fn (see
-// CollectCounter).
-func (r *Registry) CollectGauge(name, help, labelKey string, fn func(Emit)) {
-	r.register(&family{name: name, help: help, typ: typeGauge,
-		labelKey: labelKey, collect: fn})
-}
-
 // families returns the registered families sorted by name.
 func (r *Registry) families() []*family {
 	r.mu.Lock()
@@ -351,15 +306,8 @@ func (f *family) gatherSamples() []sample {
 	defer f.mu.Unlock()
 	out := make([]sample, 0, len(f.order))
 	for _, lv := range f.order {
-		switch f.typ {
-		case typeCounter:
-			if c := f.counters[lv]; c != nil {
-				out = append(out, sample{label: lv, value: float64(c.Load())})
-			}
-		case typeGauge:
-			if g := f.gauges[lv]; g != nil {
-				out = append(out, sample{label: lv, value: float64(g.Load())})
-			}
+		if c := f.counters[lv]; c != nil {
+			out = append(out, sample{label: lv, value: float64(c.Load())})
 		}
 	}
 	return out

@@ -15,17 +15,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if c.Load() != 5 {
 		t.Fatalf("counter %d, want 5", c.Load())
 	}
-	g := r.Gauge("g", "a gauge")
-	g.Set(7)
-	g.Add(-2)
-	if g.Load() != 5 {
-		t.Fatalf("gauge %d, want 5", g.Load())
-	}
 	var nc *Counter
-	var ng *Gauge
 	nc.Inc()
-	ng.Set(3)
-	if nc.Load() != 0 || ng.Load() != 0 {
+	if nc.Load() != 0 {
 		t.Fatal("nil instruments must be inert")
 	}
 }
@@ -33,7 +25,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 func TestRegistryNamingEnforcement(t *testing.T) {
 	r := NewRegistry()
 	mustPanic(t, "counter without _total", func() { r.Counter("bad_name", "h") })
-	mustPanic(t, "invalid name", func() { r.Gauge("1bad", "h") })
+	mustPanic(t, "invalid name", func() { r.GaugeFunc("1bad", "h", func() float64 { return 0 }) })
 	mustPanic(t, "seconds histogram without _seconds", func() {
 		r.Histogram("lat_total_ms", "h", DurationOpts)
 	})
@@ -135,7 +127,7 @@ func TestExpositionLintClean(t *testing.T) {
 	tel.WALFsync.Observe(2e-3)
 	tel.Accuracy.Note("q1", 100, ArmCRN)
 	tel.Accuracy.Truth("q1", 150)
-	tel.Registry().CollectGauge("breaker_state", "h", "", func(e Emit) { e(1, "") })
+	tel.Registry().GaugeFunc("breaker_state", "h", func() float64 { return 1 })
 	var buf bytes.Buffer
 	if err := tel.Registry().WriteText(&buf); err != nil {
 		t.Fatal(err)

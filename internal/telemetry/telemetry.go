@@ -1,11 +1,12 @@
 // Package telemetry is the dependency-free production telemetry layer: a
-// lock-free metrics registry (atomic counters and gauges, log-bucketed
-// mergeable histograms with ~2^(1/4) bucket growth), a per-request stage
-// timer decomposing estimates into admission → coalesce-wait →
-// cache-lookup → candidate-selection → NN-forward → finalize spans, a
-// hand-rolled Prometheus text exposition writer (plus the matching parser
-// and linter), and a live accuracy tracker joining execution feedback
-// against recent estimates into per-arm q-error histograms.
+// lock-free metrics registry (atomic counters, gauges read at gather time,
+// log-bucketed mergeable histograms with ~2^(1/4) bucket growth), a
+// per-request stage timer decomposing estimates into admission →
+// coalesce-wait → cache-lookup → candidate-selection → NN-forward →
+// finalize spans, a hand-rolled Prometheus text exposition writer (plus
+// the matching parser and linter), and a live accuracy tracker joining
+// execution feedback against recent estimates into per-arm q-error
+// histograms.
 //
 // Design rules, in order: recording on the hot path is a single atomic
 // add (histograms bucket by float bit pattern, counters are one

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
-	"math/rand"
 	"testing"
 
 	"crn/internal/exec"
@@ -30,7 +29,7 @@ func TestWorkloadDigest(t *testing.T) {
 	h := sha256.New()
 
 	g := NewGenerator(s, d, 31)
-	pairs, err := g.PairsWithJoinDistribution(CntTest2Dist(60))
+	pairs, err := g.Pairs(CntTest2Dist(60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +39,7 @@ func TestWorkloadDigest(t *testing.T) {
 	}
 	hashPairs(h, "cnt_test2", labeled)
 
-	qs, err := g.QueriesWithJoinDistribution(CrdTest1Dist(30))
+	qs, err := g.Queries(CrdTest1Dist(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +52,7 @@ func TestWorkloadDigest(t *testing.T) {
 		name string
 		g    *Generator
 	}{{"crd_test2", g}, {"scale", NewScaleGenerator(s, d, 32)}} {
-		qs, err := gen.g.NonEmptyQueriesWithJoinDistribution(ex, CrdTest2Dist(30))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lqs, err := LabelQueries(ex, qs, 2)
+		lqs, err := gen.g.NonEmptyQueries(ex, CrdTest2Dist(30))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,16 +65,10 @@ func TestWorkloadDigest(t *testing.T) {
 	}
 	hashQueries(h, "pool", poolQs)
 
-	tp, err := NewGenerator(s, d, 34).TrainingPairs(200)
+	train, val, err := NewGenerator(s, d, 34).TrainingSet(ex, 200, 2, 35)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl, err := LabelPairs(ex, tp, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rand.New(rand.NewSource(35)).Shuffle(len(tl), func(i, j int) { tl[i], tl[j] = tl[j], tl[i] })
-	train, val := SplitPairs(tl, 0.8)
 	hashPairs(h, "train", train)
 	hashPairs(h, "val", val)
 

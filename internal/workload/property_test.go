@@ -37,7 +37,7 @@ func TestScaleGeneratorQueriesExecutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := g.Queries(50, 2)
+	qs, err := g.Queries(map[int]int{2: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestLabelConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := g.Pairs(40, 1)
+	pairs, err := g.Pairs(map[int]int{1: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,13 @@
 //     paper's "hard" dataset);
 //  3. pairs: combine queries from both steps that share a FROM clause.
 //
+// Three drawers run it, each over a per-join-count histogram such as
+// CntTest1Dist: Pairs (all three steps), Queries (steps 1 and 2, the
+// cardinality workloads of §6.1) and NonEmptyQueries (Queries keeping only
+// non-empty results, labeled with their cardinalities). TrainingSet is the
+// one builder of the CRN's training data: training pairs, labeled,
+// shuffled and split 80/20.
+//
 // A second, deliberately different generator produces the `scale`-style
 // workload (§6.1) used to test generalization across generators, and a pool
 // generator produces the queries pool QP of §6.2 (equally distributed over
@@ -214,159 +221,115 @@ func (g *Generator) Variant(q query.Query) query.Query {
 	return canon
 }
 
-// Pairs runs all three steps to produce `count` unique pairs whose queries
-// have exactly `numJoins` joins.
-func (g *Generator) Pairs(count, numJoins int) ([]Pair, error) {
+// draw is the one attempt loop behind every drawer. For each join count of
+// dist, ascending, it draws step-1 queries with that many joins and hands
+// each to try, which draws the attempt's step-2 variants and reports
+// whether it kept an item, until dist[j] items are kept or budget attempts
+// per wanted item are spent.
+func (g *Generator) draw(dist map[int]int, budget int, what string, try func(initial query.Query) (bool, error)) error {
+	joins := make([]int, 0, len(dist))
+	for j := range dist {
+		joins = append(joins, j)
+	}
+	sort.Ints(joins)
+	for _, j := range joins {
+		kept := 0
+		for attempts := 0; kept < dist[j] && attempts < dist[j]*budget; attempts++ {
+			initial, err := g.InitialQuery(j)
+			if err != nil {
+				return err
+			}
+			ok, err := try(initial)
+			if err != nil {
+				return err
+			}
+			if ok {
+				kept++
+			}
+		}
+		if kept < dist[j] {
+			return fmt.Errorf("workload: exhausted attempts at %d/%d %s with %d joins", kept, dist[j], what, j)
+		}
+	}
+	return nil
+}
+
+// Pairs runs all three steps to produce unique pairs according to a
+// per-join-count histogram, e.g. {0: 400, 1: 400, 2: 400} for cnt_test1
+// (paper Table 2): each attempt draws an initial query and three variants
+// of it, and pairs two distinct members of that family (identical FROM
+// clauses).
+func (g *Generator) Pairs(dist map[int]int) ([]Pair, error) {
 	seen := make(map[string]bool)
 	var out []Pair
-	for attempts := 0; len(out) < count && attempts < count*200; attempts++ {
-		initial, err := g.InitialQuery(numJoins)
-		if err != nil {
-			return nil, err
-		}
-		// A small family of variants of this initial query.
+	err := g.draw(dist, 200, "pairs", func(initial query.Query) (bool, error) {
 		family := []query.Query{initial}
 		for i := 0; i < 3; i++ {
 			family = append(family, g.Variant(initial))
 		}
-		// Step 3: form pairs within the family (identical FROM clauses).
-		for len(out) < count {
-			i, j := g.rng.Intn(len(family)), g.rng.Intn(len(family))
-			if i == j {
-				break
-			}
-			p := Pair{Q1: family[i], Q2: family[j]}
-			key := p.Q1.Key() + "|" + p.Q2.Key()
-			if seen[key] {
-				break
-			}
-			seen[key] = true
-			out = append(out, p)
-			break
+		i, j := g.rng.Intn(len(family)), g.rng.Intn(len(family))
+		if i == j {
+			return false, nil
 		}
-	}
-	if len(out) < count {
-		return nil, fmt.Errorf("workload: exhausted attempts at %d/%d pairs", len(out), count)
-	}
-	return out, nil
+		p := Pair{Q1: family[i], Q2: family[j]}
+		key := p.Q1.Key() + "|" + p.Q2.Key()
+		if seen[key] {
+			return false, nil
+		}
+		seen[key] = true
+		out = append(out, p)
+		return true, nil
+	})
+	return out, err
 }
 
-// PairsWithJoinDistribution produces pairs according to a per-join-count
-// histogram, e.g. {0: 400, 1: 400, 2: 400} for cnt_test1 (paper Table 2).
-func (g *Generator) PairsWithJoinDistribution(dist map[int]int) ([]Pair, error) {
-	joins := make([]int, 0, len(dist))
-	for j := range dist {
-		joins = append(joins, j)
-	}
-	sort.Ints(joins)
-	var out []Pair
-	for _, j := range joins {
-		ps, err := g.Pairs(dist[j], j)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ps...)
-	}
-	return out, nil
-}
-
-// Queries produces `count` unique step-1/2 queries with exactly numJoins
-// joins — the cardinality-test construction of §6.1 ("we only run the first
-// two steps of the generator").
-func (g *Generator) Queries(count, numJoins int) ([]query.Query, error) {
-	seen := make(map[string]bool)
+// Queries produces unique step-1/2 queries according to a per-join-count
+// histogram, e.g. {0: 150, 1: 150, 2: 150} for crd_test1 (paper Table 5) —
+// the cardinality-test construction of §6.1 ("we only run the first two
+// steps of the generator").
+func (g *Generator) Queries(dist map[int]int) ([]query.Query, error) {
 	var out []query.Query
-	for attempts := 0; len(out) < count && attempts < count*200; attempts++ {
-		q, err := g.InitialQuery(numJoins)
-		if err != nil {
-			return nil, err
-		}
-		if g.rng.Intn(2) == 1 {
-			q = g.Variant(q)
-		}
-		if seen[q.Key()] {
-			continue
-		}
-		seen[q.Key()] = true
+	err := g.drawQueries(dist, 200, "queries", func(q query.Query) (bool, error) {
 		out = append(out, q)
-	}
-	if len(out) < count {
-		return nil, fmt.Errorf("workload: exhausted attempts at %d/%d queries", len(out), count)
-	}
-	return out, nil
+		return true, nil
+	})
+	return out, err
 }
 
-// QueriesWithJoinDistribution produces queries according to a per-join-count
-// histogram, e.g. {0: 150, 1: 150, 2: 150} for crd_test1 (paper Table 5).
-func (g *Generator) QueriesWithJoinDistribution(dist map[int]int) ([]query.Query, error) {
-	joins := make([]int, 0, len(dist))
-	for j := range dist {
-		joins = append(joins, j)
-	}
-	sort.Ints(joins)
-	var out []query.Query
-	for _, j := range joins {
-		qs, err := g.Queries(dist[j], j)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, qs...)
-	}
-	return out, nil
-}
-
-// NonEmptyQueries draws `count` unique queries with exactly numJoins joins
-// whose results are non-empty on the database. The MSCN generator the
-// paper's cardinality workloads derive from keeps only queries with
-// non-zero cardinality; at our reduced database scale rejection sampling is
-// required to match that convention.
-func (g *Generator) NonEmptyQueries(ex Oracle, count, numJoins int) ([]query.Query, error) {
-	seen := make(map[string]bool)
-	var out []query.Query
-	for attempts := 0; len(out) < count && attempts < count*500; attempts++ {
-		q, err := g.InitialQuery(numJoins)
-		if err != nil {
-			return nil, err
-		}
-		if g.rng.Intn(2) == 1 {
-			q = g.Variant(q)
-		}
-		if seen[q.Key()] {
-			continue
-		}
-		seen[q.Key()] = true
+// NonEmptyQueries is Queries restricted to queries whose results are
+// non-empty on the database, each labeled with the cardinality its
+// rejection test computed. The MSCN generator the paper's cardinality
+// workloads derive from keeps only queries with non-zero cardinality; at
+// our reduced database scale rejection sampling is required to match that
+// convention.
+func (g *Generator) NonEmptyQueries(ex Oracle, dist map[int]int) ([]LabeledQuery, error) {
+	var out []LabeledQuery
+	err := g.drawQueries(dist, 500, "non-empty queries", func(q query.Query) (bool, error) {
 		card, err := ex.Cardinality(q)
-		if err != nil {
-			return nil, err
+		if err != nil || card == 0 {
+			return false, err
 		}
-		if card == 0 {
-			continue
-		}
-		out = append(out, q)
-	}
-	if len(out) < count {
-		return nil, fmt.Errorf("workload: exhausted attempts at %d/%d non-empty queries", len(out), count)
-	}
-	return out, nil
+		out = append(out, LabeledQuery{Q: q, Card: card})
+		return true, nil
+	})
+	return out, err
 }
 
-// NonEmptyQueriesWithJoinDistribution is QueriesWithJoinDistribution
-// restricted to non-empty results.
-func (g *Generator) NonEmptyQueriesWithJoinDistribution(ex Oracle, dist map[int]int) ([]query.Query, error) {
-	joins := make([]int, 0, len(dist))
-	for j := range dist {
-		joins = append(joins, j)
-	}
-	sort.Ints(joins)
-	var out []query.Query
-	for _, j := range joins {
-		qs, err := g.NonEmptyQueries(ex, dist[j], j)
-		if err != nil {
-			return nil, err
+// drawQueries is draw for single queries: each attempt's initial query is
+// replaced by a variant of itself half the time, and keep sees only query
+// keys not drawn before.
+func (g *Generator) drawQueries(dist map[int]int, budget int, what string, keep func(q query.Query) (bool, error)) error {
+	seen := make(map[string]bool)
+	return g.draw(dist, budget, what, func(q query.Query) (bool, error) {
+		if g.rng.Intn(2) == 1 {
+			q = g.Variant(q)
 		}
-		out = append(out, qs...)
-	}
-	return out, nil
+		if seen[q.Key()] {
+			return false, nil
+		}
+		seen[q.Key()] = true
+		return keep(q)
+	})
 }
 
 // PoolQueries builds the queries pool QP of §6.2: n queries equally
@@ -543,11 +506,25 @@ func ScaleDist(total int) map[int]int {
 	return out
 }
 
-// TrainingPairs draws n step-3 pairs with zero to two joins — the paper's
-// training regime ("we force the queries generator to create queries with
-// up to two joins and let the model generalize", §3.1.2).
-func (g *Generator) TrainingPairs(n int) ([]Pair, error) {
-	return g.PairsWithJoinDistribution(CntTest1Dist(n))
+// TrainingSet builds the CRN's training data: n step-3 pairs with zero to
+// two joins — the paper's training regime ("we force the queries generator
+// to create queries with up to two joins and let the model generalize",
+// §3.1.2) — labeled through ex on `workers` goroutines, shuffled with
+// shuffleSeed and split 80/20 into training and validation pairs.
+func (g *Generator) TrainingSet(ex Oracle, n, workers int, shuffleSeed int64) (train, val []LabeledPair, err error) {
+	pairs, err := g.Pairs(CntTest1Dist(n))
+	if err != nil {
+		return nil, nil, err
+	}
+	labeled, err := LabelPairs(ex, pairs, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	rand.New(rand.NewSource(shuffleSeed)).Shuffle(len(labeled), func(i, j int) {
+		labeled[i], labeled[j] = labeled[j], labeled[i]
+	})
+	train, val = SplitPairs(labeled, 0.8)
+	return train, val, nil
 }
 
 // --- Labeling ------------------------------------------------------------

@@ -105,7 +105,7 @@ func TestVariantsDiffer(t *testing.T) {
 
 func TestPairsUniqueAndComparable(t *testing.T) {
 	g := NewGenerator(s, testDB(t), 5)
-	pairs, err := g.Pairs(60, 1)
+	pairs, err := g.Pairs(map[int]int{1: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestPairsUniqueAndComparable(t *testing.T) {
 func TestPairsWithJoinDistribution(t *testing.T) {
 	g := NewGenerator(s, testDB(t), 6)
 	dist := map[int]int{0: 10, 1: 8, 2: 6}
-	pairs, err := g.PairsWithJoinDistribution(dist)
+	pairs, err := g.Pairs(dist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestPairsWithJoinDistribution(t *testing.T) {
 func TestQueriesWithJoinDistribution(t *testing.T) {
 	g := NewGenerator(s, testDB(t), 7)
 	dist := map[int]int{0: 12, 2: 5, 4: 3}
-	qs, err := g.QueriesWithJoinDistribution(dist)
+	qs, err := g.Queries(dist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestLabelPairsMatchesExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := g.Pairs(20, 1)
+	pairs, err := g.Pairs(map[int]int{1: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestLabelQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := g.Queries(15, 0)
+	qs, err := g.Queries(map[int]int{0: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,11 +340,11 @@ func TestGeneratorDeterminism(t *testing.T) {
 	d := testDB(t)
 	g1 := NewGenerator(s, d, 42)
 	g2 := NewGenerator(s, d, 42)
-	p1, err := g1.Pairs(10, 1)
+	p1, err := g1.Pairs(map[int]int{1: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := g2.Pairs(10, 1)
+	p2, err := g2.Pairs(map[int]int{1: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 		}
 	}
 	g3 := NewGenerator(s, d, 43)
-	p3, err := g3.Pairs(10, 1)
+	p3, err := g3.Pairs(map[int]int{1: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,48 +370,51 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
+// TestNonEmptyQueries: every drawn query is non-empty, has the wanted join
+// count and comes labeled with the cardinality its rejection test
+// computed, executed once per distinct drawn query and never again.
 func TestNonEmptyQueries(t *testing.T) {
 	d := testDB(t)
-	g := NewGenerator(s, d, 21)
 	ex, err := exec.New(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, joins := range []int{0, 2, 4} {
-		qs, err := g.NonEmptyQueries(ex, 12, joins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(qs) != 12 {
-			t.Fatalf("joins=%d: got %d queries", joins, len(qs))
-		}
-		for _, q := range qs {
-			card, err := ex.Cardinality(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if card == 0 {
-				t.Fatalf("empty query slipped through: %s", q)
-			}
-			if q.NumJoins() != joins {
-				t.Fatalf("wrong join count %d", q.NumJoins())
-			}
-		}
-	}
-	dist := map[int]int{0: 5, 3: 5}
-	qs, err := g.NonEmptyQueriesWithJoinDistribution(ex, dist)
+	o := countingOracle{Executor: ex, calls: make(map[string]int)}
+	dist := map[int]int{0: 12, 2: 12, 3: 5, 4: 12}
+	lqs, err := NewGenerator(s, d, 21).NonEmptyQueries(o, dist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(qs) != 10 {
-		t.Fatalf("dist queries = %d", len(qs))
+	hist := make(map[int]int)
+	for _, lq := range lqs {
+		hist[lq.Q.NumJoins()]++
+		if o.calls[lq.Q.Key()] != 1 {
+			t.Fatalf("%s executed %d times, want once", lq.Q, o.calls[lq.Q.Key()])
+		}
+		want, err := ex.Cardinality(lq.Q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lq.Card != want || want == 0 {
+			t.Fatalf("%s: label %d, executor %d", lq.Q, lq.Card, want)
+		}
+	}
+	for j, n := range dist {
+		if hist[j] != n {
+			t.Errorf("join %d: %d queries, want %d", j, hist[j], n)
+		}
+	}
+	for key, n := range o.calls {
+		if n != 1 {
+			t.Fatalf("%s executed %d times", key, n)
+		}
 	}
 }
 
 func TestScaleGeneratorDiffers(t *testing.T) {
 	d := testDB(t)
 	g := NewScaleGenerator(s, d, 1)
-	qs, err := g.Queries(40, 1)
+	qs, err := g.Queries(map[int]int{1: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +441,7 @@ func TestHardPairsHaveVariedRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := g.PairsWithJoinDistribution(map[int]int{0: 40, 1: 30, 2: 20})
+	pairs, err := g.Pairs(map[int]int{0: 40, 1: 30, 2: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package crn
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"crn/internal/contain"
 	icrn "crn/internal/crn"
@@ -51,32 +50,16 @@ func (s *System) TrainContainmentModel(ctx context.Context, opts ...TrainOption)
 		mcfg = icrn.DefaultConfig()
 	}
 	gen := workload.NewGenerator(s.schema, s.db, seed)
-	pairs, err := gen.TrainingPairs(n)
+	train, val, err := gen.TrainingSet(ctxOracle{ctx: ctx, ex: s.exec}, n, 0, seed+1)
 	if err != nil {
 		return nil, err
 	}
-	labeled, err := workload.LabelPairs(ctxOracle{ctx: ctx, ex: s.exec}, pairs, 0)
-	if err != nil {
-		return nil, err
-	}
-	rand.New(rand.NewSource(seed+1)).Shuffle(len(labeled), func(i, j int) {
-		labeled[i], labeled[j] = labeled[j], labeled[i]
-	})
-	train, val := workload.SplitPairs(labeled, 0.8)
-	trainS, err := icrn.EncodePairs(s.enc, train)
-	if err != nil {
-		return nil, err
-	}
-	valS, err := icrn.EncodePairs(s.enc, val)
-	if err != nil {
-		return nil, err
-	}
-	m := icrn.NewModel(mcfg, s.enc.Dim())
-	if _, err := m.Train(ctx, trainS, valS, func(st icrn.EpochStats) {
+	m, _, err := icrn.TrainOnPairs(ctx, mcfg, s.enc, train, val, func(st icrn.EpochStats) {
 		if cfg.Progress != nil {
 			cfg.Progress(st.Epoch, st.ValQError)
 		}
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &ContainmentModel{rates: icrn.NewRates(m, s.enc), model: m}, nil
