@@ -2,12 +2,15 @@ package workload
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"math"
 	"testing"
 
 	"crn/internal/exec"
+	"crn/internal/query"
 )
 
 // workloadDigest is the sha256 TestWorkloadDigest computes. A change that
@@ -74,6 +77,48 @@ func TestWorkloadDigest(t *testing.T) {
 
 	if got := hex.EncodeToString(h.Sum(nil)); got != workloadDigest {
 		t.Fatalf("offline workload digest = %s, want %s", got, workloadDigest)
+	}
+}
+
+// signatureDigest is the sha256 TestSignatureDigest computes. A change that
+// deliberately alters how a query's signature is built or scored updates it
+// in the same diff; any other change must leave it alone.
+const signatureDigest = "b3219c847bfc3ac9a39126b7ab67f324569a3c77b2c245b20072ea47813e93ae"
+
+// TestSignatureDigest pins top-K candidate ranking bit for bit on drawn
+// workloads: the PatternKey and ValueKey of every query of a non-empty pool
+// and a non-empty crd_test2 probe set, then Similarity's bits for every
+// ordered pair of those queries (probe first), hashed in that order.
+func TestSignatureDigest(t *testing.T) {
+	d := testDB(t)
+	ex, err := exec.New(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poolQs, err := NewGenerator(s, d, 33).NonEmptyPoolQueries(ex, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes, err := NewGenerator(s, d, 31).NonEmptyQueries(ex, CrdTest2Dist(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var sigs []query.Signature
+	for _, lq := range append(poolQs, probes...) {
+		sig := lq.Q.Signature()
+		fmt.Fprintf(h, "%x\t%x\n", sig.PatternKey(), sig.ValueKey())
+		sigs = append(sigs, sig)
+	}
+	var bits [8]byte
+	for _, probe := range sigs {
+		for _, old := range sigs {
+			binary.BigEndian.PutUint64(bits[:], math.Float64bits(probe.Similarity(old)))
+			h.Write(bits[:])
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != signatureDigest {
+		t.Fatalf("signature digest = %s, want %s", got, signatureDigest)
 	}
 }
 
