@@ -18,11 +18,12 @@
 // columns up by schema ordinal:
 //
 //   - Selection. A table's predicates merge into one closed value interval per
-//     column. The narrowest interval on a column with a sorted row permutation
-//     drives: binary search finds its rows as one slice of the permutation
-//     (`<` a prefix, `>` a suffix, `=` a run), and the other intervals filter
-//     only that slice. A table whose selection is empty makes the count 0
-//     before any join work.
+//     column, the intersection of their query.Predicate.Interval — the rule
+//     the top-K signature's ranges are built on too. The narrowest interval
+//     on a column with a sorted row permutation drives: binary search finds
+//     its rows as one slice of the permutation (`<` a prefix, `>` a suffix,
+//     `=` a run), and the other intervals filter only that slice. A table
+//     whose selection is empty makes the count 0 before any join work.
 //   - Join. Every join-edge column carries a dense int32 code per row from one
 //     dictionary over all join-key values, so a subtree's weights are an
 //     []int64 over the code domain indexed by code, not a hash map.
@@ -40,7 +41,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -160,15 +160,6 @@ func (e *Executor) ContainmentRateCtx(ctx context.Context, q1, q2 query.Query) (
 	}
 	return float64(ci) / float64(c1), nil
 }
-
-// Truth is the subset of Executor used as an oracle by other packages;
-// satisfied by *Executor.
-type Truth interface {
-	Cardinality(q query.Query) (int64, error)
-	ContainmentRate(q1, q2 query.Query) (float64, error)
-}
-
-var _ Truth = (*Executor)(nil)
 
 // SelectivityOn computes the fraction of rows of `table` passing the
 // query's predicates on that table; used by sampling-based featurizations
@@ -395,13 +386,14 @@ func (e *Executor) joinCodes(ref schema.ColumnRef) ([]int32, error) {
 	return codes, nil
 }
 
-// addCond intersects predicate p, on column ref, into t's conditions.
+// addCond intersects predicate p's interval, on column ref, into t's
+// conditions.
 func (e *Executor) addCond(t *tableSel, ref schema.ColumnRef, p query.Predicate) error {
 	id, ok := e.db.Schema.ColumnID(ref)
 	if !ok {
 		return fmt.Errorf("exec: unknown column %v", p.Col)
 	}
-	lo, hi := interval(p)
+	lo, hi := p.Interval()
 	for i := range t.conds {
 		if c := &t.conds[i]; c.id == id {
 			c.lo, c.hi = max(c.lo, lo), min(c.hi, hi)
@@ -410,25 +402,6 @@ func (e *Executor) addCond(t *tableSel, ref schema.ColumnRef, p query.Predicate)
 	}
 	t.conds = append(t.conds, cond{id: id, col: e.db.ColumnByID(id), sorted: e.db.SortedRows(id), lo: lo, hi: hi})
 	return nil
-}
-
-// interval returns the closed value interval p accepts; empty is lo > hi.
-func interval(p query.Predicate) (lo, hi db.Value) {
-	switch p.Op {
-	case schema.OpLT:
-		if p.Val != math.MinInt64 {
-			return math.MinInt64, p.Val - 1
-		}
-	case schema.OpEQ:
-		return p.Val, p.Val
-	case schema.OpGT:
-		if p.Val != math.MaxInt64 {
-			return p.Val + 1, math.MaxInt64
-		}
-	}
-	// Nothing lies below MinInt64 or above MaxInt64, and an unknown operator
-	// matches nothing, as in query.Predicate.Matches.
-	return 1, 0
 }
 
 // selectRows returns the rows of t's table satisfying all its conditions.

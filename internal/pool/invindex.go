@@ -196,9 +196,13 @@ func (p *Pool) selectIndexedLocked(idx *fromIndex, probe query.Signature, k int)
 			break
 		}
 		if cr.flat {
-			visited += p.offerClassFlat(heap, idx, cr.c, probe)
-		} else {
-			visited += p.offerClassBuckets(heap, idx, cr.c, probe)
+			visited += offerRun(heap, idx, cr.c.all, probe)
+			continue
+		}
+		// Bucket visit order is irrelevant: the heap's kept set is
+		// order-independent.
+		for _, b := range cr.c.buckets {
+			visited += offerRun(heap, idx, b.ids, probe)
 		}
 	}
 	p.indexHits.Add(1)
@@ -206,17 +210,17 @@ func (p *Pool) selectIndexedLocked(idx *fromIndex, probe query.Signature, k int)
 	return heap.sorted(), idx.nPos, visited
 }
 
-// offerClassFlat offers a flat class's members: every member scores
-// bit-identically (the probe's walk hits no value-dependent affinity case),
-// so one Similarity call covers the class, and iteration stops at the first
-// rejected member — within the uniform-score run, IDs ascend, so every later
-// member loses the same comparison. Returns the number of candidates
-// visited (the scanned-counter contribution).
-func (p *Pool) offerClassFlat(heap *topKHeap, idx *fromIndex, c *sigClass, probe query.Signature) uint64 {
+// offerRun offers one uniform-score run of member IDs: a flat class's whole
+// list (no matched column's affinity reads member values) or one bucket of a
+// non-flat class (members share their full signature). One Similarity call
+// covers the run, and iteration stops at the first rejected member — IDs
+// ascend, so every later member loses the same comparison. Returns the
+// number of candidates visited (the scanned-counter contribution).
+func offerRun(heap *topKHeap, idx *fromIndex, ids []int64, probe query.Signature) uint64 {
 	var visited uint64
 	scored := false
 	var score float64
-	for _, id := range c.all {
+	for _, id := range ids {
 		pos, present := idx.byID[id]
 		if !present {
 			continue // tombstone: evicted, not yet compacted
@@ -234,38 +238,6 @@ func (p *Pool) offerClassFlat(heap *topKHeap, idx *fromIndex, c *sigClass, probe
 			break
 		}
 		heap.offer(r)
-	}
-	return visited
-}
-
-// offerClassBuckets offers a non-flat class bucket by bucket: one bucket's
-// members share their full signature, so one Similarity call covers the
-// bucket with the same uniform-score early break as the flat case. Bucket
-// visit order is irrelevant (the heap's kept set is order-independent).
-func (p *Pool) offerClassBuckets(heap *topKHeap, idx *fromIndex, c *sigClass, probe query.Signature) uint64 {
-	var visited uint64
-	for _, b := range c.buckets {
-		scored := false
-		var score float64
-		for _, id := range b.ids {
-			pos, present := idx.byID[id]
-			if !present {
-				continue
-			}
-			if idx.entries[pos].Card <= 0 {
-				continue
-			}
-			visited++
-			if !scored {
-				score = probe.Similarity(idx.sigs[pos])
-				scored = true
-			}
-			r := scoredRef{score: score, idx: pos, id: id}
-			if heap.full() && !r.better(heap.refs[0]) {
-				break
-			}
-			heap.offer(r)
-		}
 	}
 	return visited
 }

@@ -3,6 +3,7 @@ package pool
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -372,13 +373,27 @@ func TestConcurrentIndexedTopKEvictionUpdate(t *testing.T) {
 // driven against an indexed bounded pool and a linear twin: inserts,
 // cardinality updates and bounded selections, with a Save/Load round-trip
 // at the end. The index must never panic, never select an entry the linear
-// scan would not, and survive persistence.
+// scan would not, and survive persistence. Literals are mostly small, so
+// ranges overlap and collide, but byte values from 0xd0 up pick an int64
+// edge or ±5e18, whose predicates admit nothing or whose spans overflow
+// int64.
 func FuzzSignatureIndex(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x17, 0x80, 0x02, 0x99})
 	f.Add([]byte("add-update-select"))
 	f.Add(bytes.Repeat([]byte{0x07, 0xe1}, 40))
+	// season ranges wider than int64 beside narrow ones, then narrow probes.
+	f.Add([]byte{0, 10, 216, 0, 10, 96, 0, 10, 36, 0, 10, 72, 0, 22, 9, 0, 10, 228, 2, 10, 96, 2, 10, 36, 2, 22, 213})
+	// < MinInt64 and > MaxInt64 (empty), = at both edges, and probes on them.
+	f.Add([]byte{0, 0, 0xd2, 0, 9, 0xd7, 0, 6, 0xd2, 0, 6, 0xd7, 0, 0, 0xd7, 0, 9, 0xd2, 2, 0, 5, 2, 6, 0xd2, 2, 9, 0xd7})
 	cols := []string{"title.kind_id", "title.production_year", "title.season_nr", "title.episode_nr"}
 	ops := []string{"<", "=", ">"}
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -5e18, 5e18, math.MaxInt64 - 1, math.MaxInt64}
+	literal := func(b byte) int64 {
+		if b >= 0xd0 {
+			return edges[int(b)%len(edges)]
+		}
+		return int64(b) % 32
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		idxPool := New(WithCap(48))
 		linPool := New(WithCap(48), WithIndexedSelection(false))
@@ -388,7 +403,7 @@ func FuzzSignatureIndex(f *testing.F) {
 			for i := 0; i < 1+int(b1%3); i++ {
 				sel := int(b1)>>uint(2*i) + int(b2)*i
 				preds = append(preds, fmt.Sprintf("%s %s %d",
-					cols[sel%len(cols)], ops[(sel/4)%len(ops)], int(b2)%32))
+					cols[sel%len(cols)], ops[(sel/4)%len(ops)], literal(b2+byte(i)*0x35)))
 			}
 			return sqlparse.MustParse(s, "SELECT * FROM title WHERE "+strings.Join(preds, " AND "))
 		}

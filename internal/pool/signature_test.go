@@ -61,6 +61,33 @@ func TestSignatureRangeConflict(t *testing.T) {
 	}
 }
 
+// TestTopKWideRangeRanksBelowNarrow pins interval similarity on a range
+// wider than int64 can count: against a narrow probe its narrow twin scores
+// Jaccard 1 and the wide range almost 0, so the twin is selected although
+// the wide entry is older and would win a tie — on the indexed path and on
+// the linear scan alike. Disjoint members of the same signature class make
+// the clause dense enough for the index to be taken.
+func TestTopKWideRangeRanksBelowNarrow(t *testing.T) {
+	wide := sqlparse.MustParse(s, "SELECT * FROM title WHERE title.production_year > -5000000000000000000 AND title.production_year < 5000000000000000000")
+	narrow := sqlparse.MustParse(s, "SELECT * FROM title WHERE title.production_year > 1990 AND title.production_year < 2000")
+	for _, indexed := range []bool{true, false} {
+		p := New(WithIndexedSelection(indexed))
+		p.Add(wide, 10)
+		p.Add(narrow, 10)
+		for i := 0; i < 6; i++ {
+			p.Add(sqlparse.MustParse(s, fmt.Sprintf(
+				"SELECT * FROM title WHERE title.production_year > %d AND title.production_year < %d", 3000+10*i, 3010+10*i)), 10)
+		}
+		got := p.TopK(narrow, 1)
+		if len(got) != 1 || got[0].Q.Key() != narrow.Key() {
+			t.Errorf("indexed=%v: TopK(narrow, 1) = %v, want the narrow entry", indexed, got)
+		}
+		if hits := p.Stats().IndexHits; indexed != (hits > 0) {
+			t.Errorf("indexed=%v: %d index hits", indexed, hits)
+		}
+	}
+}
+
 func TestSignatureJoins(t *testing.T) {
 	probe := sig(t, "SELECT * FROM title, cast_info WHERE title.id = cast_info.movie_id")
 	sameJoin := sig(t, "SELECT * FROM title, cast_info WHERE title.id = cast_info.movie_id AND cast_info.role_id = 2")

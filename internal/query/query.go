@@ -4,10 +4,15 @@
 // canonical keys (pairs of queries are only comparable when their SELECT and
 // FROM clauses are identical, §2), the intersection query Q1∩Q2 used by the
 // Crd2Cnt transformation (§4.1.1), and a SQL renderer.
+//
+// Predicate.Interval is the one rule that maps an operator to the values it
+// admits: ground truth (the executor) and top-K ranking (Signature) both
+// intersect it, so the two cannot disagree at the int64 edges.
 package query
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"strconv"
@@ -56,6 +61,29 @@ func (p Predicate) Matches(v int64) bool {
 		return v > p.Val
 	}
 	return false
+}
+
+// Interval returns the closed interval [lo, hi] of values the predicate
+// admits, saturated at MinInt64 and MaxInt64; it is empty (lo > hi) when
+// nothing does. It is the one rule, beside Matches, that maps an operator to
+// values: the executor's selections and the signature's per-column ranges
+// both intersect it.
+func (p Predicate) Interval() (lo, hi int64) {
+	switch p.Op {
+	case schema.OpLT:
+		if p.Val != math.MinInt64 {
+			return math.MinInt64, p.Val - 1
+		}
+	case schema.OpEQ:
+		return p.Val, p.Val
+	case schema.OpGT:
+		if p.Val != math.MaxInt64 {
+			return p.Val + 1, math.MaxInt64
+		}
+	}
+	// Nothing lies below MinInt64 or above MaxInt64, and an unknown operator
+	// matches nothing, as in Matches.
+	return 1, 0
 }
 
 // Query is a conjunctive SELECT * query. The zero value is an empty query;

@@ -2,6 +2,7 @@ package query
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
 
 	"crn/internal/schema"
@@ -46,8 +47,10 @@ type Signature struct {
 const NumOpClass = 3
 
 // ColRange is the value interval a conjunction of predicates pins one
-// column to. Unbounded sides are marked rather than saturated so interval
-// similarity can treat "no constraint" distinctly from "huge range".
+// column to: the intersection of their Predicate.Interval. Unbounded sides
+// (left at MinInt64 or MaxInt64 by every interval) are marked rather than
+// saturated so interval similarity can treat "no constraint" distinctly
+// from "huge range".
 type ColRange struct {
 	Col      uint64 // column hash (identity for merging, bit source for masks)
 	Lo, Hi   int64
@@ -100,10 +103,12 @@ func computeSignature(q Query) Signature {
 func (sig *Signature) addJoin(edge uint64) { sig.Joins |= 1 << (edge & 63) }
 
 // addPred records predicate p, col being the hash of its qualified column
-// name: the column and operator-class masks, and p intersected into the
-// interval of its column (a fresh interval for a first-seen column).
-// Predicates arrive in canonical order (sorted by column string), so ranges
-// stay grouped by column; the final slice is re-sorted by hash before use.
+// name: the column and operator-class masks, and p's Interval intersected
+// into the range of its column (a fresh range for a first-seen column). A
+// side the interval leaves saturated stays unset; an empty intersection
+// marks the range Conflict. Predicates arrive in canonical order (sorted by
+// column string), so ranges stay grouped by column; the final slice is
+// re-sorted by hash before use.
 func (sig *Signature) addPred(col uint64, p Predicate) {
 	bit := uint64(1) << (col & 63)
 	sig.Cols |= bit
@@ -119,22 +124,12 @@ func (sig *Signature) addPred(col uint64, p Predicate) {
 		sig.Ranges = append(sig.Ranges, ColRange{Col: col})
 		r = &sig.Ranges[len(sig.Ranges)-1]
 	}
-	switch p.Op {
-	case schema.OpLT: // col < v  =>  hi = min(hi, v-1)
-		if !r.HasHi || p.Val-1 < r.Hi {
-			r.Hi, r.HasHi = p.Val-1, true
-		}
-	case schema.OpGT: // col > v  =>  lo = max(lo, v+1)
-		if !r.HasLo || p.Val+1 > r.Lo {
-			r.Lo, r.HasLo = p.Val+1, true
-		}
-	case schema.OpEQ:
-		if !r.HasLo || p.Val > r.Lo {
-			r.Lo, r.HasLo = p.Val, true
-		}
-		if !r.HasHi || p.Val < r.Hi {
-			r.Hi, r.HasHi = p.Val, true
-		}
+	lo, hi := p.Interval()
+	if lo != math.MinInt64 && (!r.HasLo || lo > r.Lo) {
+		r.Lo, r.HasLo = lo, true
+	}
+	if hi != math.MaxInt64 && (!r.HasHi || hi < r.Hi) {
+		r.Hi, r.HasHi = hi, true
 	}
 	if r.HasLo && r.HasHi && r.Lo > r.Hi {
 		r.Conflict = true
@@ -292,41 +287,23 @@ func rangeAffinity(a, b ColRange) float64 {
 	if !a.HasLo && !a.HasHi || !b.HasLo && !b.HasHi {
 		return 0
 	}
-	// Jaccard on bounded intervals below; a half-bounded pair that overlaps
-	// falls through to a flat weak-signal score (its overlap has no
-	// measurable fraction).
-	aw, awOK := width(a)
-	bw, bwOK := width(b)
-	if awOK && bwOK {
-		lo := a.Lo
-		if b.Lo > lo {
-			lo = b.Lo
-		}
-		hi := a.Hi
-		if b.Hi < hi {
-			hi = b.Hi
-		}
-		inter := float64(hi-lo) + 1
-		if inter < 0 {
-			inter = 0
-		}
-		union := aw + bw - inter
-		if union <= 0 {
-			return 1
-		}
-		return inter / union
+	// Jaccard on bounded intervals; a half-bounded pair that overlaps has no
+	// measurable fraction and scores a flat weak signal. The overlap is
+	// nonempty here, and rounding spans wider than 2^53 is monotone, so the
+	// fraction cannot pass 1; the cap states the bound rangeAffinityBound's
+	// maximum relies on in the code rather than in that argument.
+	if !a.HasLo || !a.HasHi || !b.HasLo || !b.HasHi {
+		return 0.5
 	}
-	// One side half-bounded: overlapping but not measurable — weak signal.
-	return 0.5
+	inter := span(max(a.Lo, b.Lo), min(a.Hi, b.Hi))
+	return min(inter/(span(a.Lo, a.Hi)+span(b.Lo, b.Hi)-inter), 1)
 }
 
-// width returns the element count of a bounded interval.
-func width(r ColRange) (float64, bool) {
-	if !r.HasLo || !r.HasHi {
-		return 0, false
-	}
-	return float64(r.Hi-r.Lo) + 1, true
-}
+// span returns the element count of [lo, hi], lo ≤ hi. The difference is
+// taken in uint64, where it cannot wrap: a span wider than int64 counts
+// right, and every other span rounds to float64 exactly as its int64
+// difference would.
+func span(lo, hi int64) float64 { return float64(uint64(hi)-uint64(lo)) + 1 }
 
 // popcount narrows bits.OnesCount64 (a compiler intrinsic — a single POPCNT
 // on amd64) at the scoring loop's call sites.

@@ -11,6 +11,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -436,22 +437,25 @@ func oracleTightenRange(ranges []query.ColRange, col uint64, p query.Predicate) 
 		ranges = append(ranges, query.ColRange{Col: col})
 		r = &ranges[len(ranges)-1]
 	}
-	switch p.Op {
-	case schema.OpLT: // col < v  =>  hi = min(hi, v-1)
-		if !r.HasHi || p.Val-1 < r.Hi {
-			r.Hi, r.HasHi = p.Val-1, true
-		}
-	case schema.OpGT: // col > v  =>  lo = max(lo, v+1)
-		if !r.HasLo || p.Val+1 > r.Lo {
-			r.Lo, r.HasLo = p.Val+1, true
-		}
-	case schema.OpEQ:
-		if !r.HasLo || p.Val > r.Lo {
-			r.Lo, r.HasLo = p.Val, true
-		}
-		if !r.HasHi || p.Val < r.Hi {
-			r.Hi, r.HasHi = p.Val, true
-		}
+	// The values p admits, lo..hi: a side at an int64 limit bounds nothing
+	// and stays unset, and a literal that leaves nothing (< MinInt64,
+	// > MaxInt64) contributes the empty 1..0.
+	var lo, hi int64
+	switch {
+	case p.Op == schema.OpLT && p.Val == math.MinInt64, p.Op == schema.OpGT && p.Val == math.MaxInt64:
+		lo, hi = 1, 0
+	case p.Op == schema.OpLT:
+		lo, hi = math.MinInt64, p.Val-1
+	case p.Op == schema.OpGT:
+		lo, hi = p.Val+1, math.MaxInt64
+	default:
+		lo, hi = p.Val, p.Val
+	}
+	if lo != math.MinInt64 && (!r.HasLo || lo > r.Lo) {
+		r.Lo, r.HasLo = lo, true
+	}
+	if hi != math.MaxInt64 && (!r.HasHi || hi < r.Hi) {
+		r.Hi, r.HasHi = hi, true
 	}
 	if r.HasLo && r.HasHi && r.Lo > r.Hi {
 		r.Conflict = true
