@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -77,8 +78,19 @@ func TestHealthzReportsRepCache(t *testing.T) {
 	defer ts.Close()
 
 	// Identical batch estimates: the second hits the cache, promotes the rows
-	// and memoizes their rates, the third is answered by the memo.
-	for i := 0; i < 3; i++ {
+	// and memoizes their rates, the third is answered by the pair-rate memo.
+	// A /record on the probe's FROM clause before each of them changes its
+	// candidates, so the estimate memo answers none of the three; the fourth,
+	// with no /record before it, is the estimate memo's.
+	for i := 0; i < 4; i++ {
+		if i < 3 {
+			status, body, err := postJSONErr(ts.URL+"/record", map[string]string{
+				"query": fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d", 1981+i),
+			})
+			if err != nil || status != http.StatusOK {
+				t.Fatalf("record %d: status %d err %v body %s", i, status, err, body)
+			}
+		}
 		status, body, err := postJSONErr(ts.URL+"/estimate/batch", map[string]any{"queries": []string{
 			"SELECT * FROM title WHERE title.production_year > 1980",
 		}})
@@ -106,6 +118,9 @@ func TestHealthzReportsRepCache(t *testing.T) {
 	}
 	if hr.RepCache.MemoHits == 0 || hr.RepCache.MemoMisses == 0 || hr.RepCache.MemoEntries == 0 {
 		t.Errorf("rep_cache memo counters: %+v", hr.RepCache)
+	}
+	if hr.RepCache.EstimateHits == 0 || hr.RepCache.EstimateMisses < 3 || hr.RepCache.EstimateEntries == 0 {
+		t.Errorf("rep_cache estimate memo counters: %+v", hr.RepCache)
 	}
 }
 

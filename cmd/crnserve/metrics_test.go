@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -52,13 +53,15 @@ func TestMetricsExposition(t *testing.T) {
 	parsed := uint64(4) // drive posts three singles and one batch of two
 	// Stage spans are sampled — each pass independently, 1 in
 	// telemetry.SampleRate — so a handful of requests may record none: post
-	// more until every per-pass stage has (P(500 misses) ≈ 1e-29).
+	// more until every per-pass stage has (P(500 misses) ≈ 1e-29). Each is a
+	// probe not posted before, which the estimate memo cannot answer, so its
+	// pass reaches the rate model's cache_lookup and nn_forward stages.
 	st := srv.tel.Stages
 	for i := 0; i < 500 && (st.Admission.Snapshot().Total() == 0 || st.CacheLookup.Snapshot().Total() == 0 ||
 		st.CandidateSelection.Snapshot().Total() == 0 || st.NNForward.Snapshot().Total() == 0 ||
 		st.Finalize.Snapshot().Total() == 0); i++ {
 		status, body, err := postJSONErr(ts.URL+"/estimate",
-			map[string]string{"query": "SELECT * FROM title WHERE title.production_year > 1975"})
+			map[string]string{"query": fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d", 1400+i)})
 		if err != nil || status != http.StatusOK {
 			t.Fatalf("estimate: status %d err %v body %s", status, err, body)
 		}
@@ -105,6 +108,8 @@ func TestMetricsExposition(t *testing.T) {
 		"crn_repcache_lookups_total",
 		"crn_ratememo_lookups_total",
 		"crn_ratememo_entries",
+		"crn_estimate_memo_lookups_total",
+		"crn_estimate_memo_entries",
 		"crn_accuracy_qerror",
 		"crn_wire_requests_total",
 		"crn_http_requests_total",
@@ -137,6 +142,14 @@ func TestMetricsExposition(t *testing.T) {
 	if v, ok := fams["crn_stmtcache_entries"].Sample("", ""); !ok || v < 1 {
 		t.Errorf("crn_stmtcache_entries = %v (ok=%v), want >= 1", v, ok)
 	}
+	// drive posts one estimate text three times: its repeats are the
+	// estimate memo's.
+	if v, ok := fams["crn_estimate_memo_lookups_total"].Sample("result", "hit"); !ok || v < 2 {
+		t.Errorf("crn_estimate_memo_lookups_total{result=hit} = %v (ok=%v), want >= 2", v, ok)
+	}
+	if v, ok := fams["crn_estimate_memo_entries"].Sample("", ""); !ok || v < 1 {
+		t.Errorf("crn_estimate_memo_entries = %v (ok=%v), want >= 1", v, ok)
+	}
 	// The stage decomposition: the per-pass stages must have recorded at
 	// least one span each by now.
 	for _, stage := range []string{
@@ -159,9 +172,12 @@ func TestHealthzTelemetrySection(t *testing.T) {
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 	drive(t, ts.URL)
-	// Stage spans are sampled: post until nn_forward has recorded one.
+	// Stage spans are sampled: post until nn_forward has recorded one. Each
+	// probe is new, so the estimate memo cannot answer it and its pass runs
+	// the rate model.
 	for i := 0; i < 500 && srv.tel.Stages.NNForward.Snapshot().Total() == 0; i++ {
-		postJSON(t, ts.URL+"/estimate", map[string]string{"query": "SELECT * FROM title WHERE title.kind_id = 1"})
+		postJSON(t, ts.URL+"/estimate", map[string]string{
+			"query": fmt.Sprintf("SELECT * FROM title WHERE title.kind_id = 1 AND title.production_year > %d", 1400+i)})
 	}
 
 	fams := scrape(t, ts.URL)
@@ -299,6 +315,9 @@ func TestHealthzMatchesMetrics(t *testing.T) {
 		{"pool.entries", uint64(hr.Pool.Entries), "crn_pool_entries", "", ""},
 		{"stmt_cache.hits", hr.StmtCache.Hits, "crn_stmtcache_lookups_total", "result", "hit"},
 		{"stmt_cache.misses", hr.StmtCache.Misses, "crn_stmtcache_lookups_total", "result", "miss"},
+		{"rep_cache.estimate_hits", hr.RepCache.EstimateHits, "crn_estimate_memo_lookups_total", "result", "hit"},
+		{"rep_cache.estimate_misses", hr.RepCache.EstimateMisses, "crn_estimate_memo_lookups_total", "result", "miss"},
+		{"rep_cache.estimate_entries", uint64(hr.RepCache.EstimateEntries), "crn_estimate_memo_entries", "", ""},
 		{"ingest_gate.admitted", hr.IngestGate.Admitted, "crn_ingest_requests_total", "decision", "admitted"},
 	} {
 		if got := sampleOf(t, fams, c.family, c.key, c.val); got != float64(c.healthz) {

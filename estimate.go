@@ -41,8 +41,16 @@ import (
 // eviction drops exactly the evicted entry's rows (and with them its
 // memoized rates). Revalidation against the pool's version counter before
 // every estimate is the safety net — it flushes only on a mutation the cache
-// did not witness — and InvalidateRepresentations flushes explicitly;
-// estimates with and without the cache are bit-identical.
+// did not witness.
+//
+// In front of the cache sits the estimate memo (card.Memo, as large as the
+// cache): candidate selection still runs for every estimate, and a probe
+// whose selected candidates — entry IDs and cardinalities, in order — and
+// model generation match a memoized pass is answered with that pass's
+// estimate, skipping the Figure 8 loop after selection. Pool mutations on
+// the probe's FROM clause change its candidates and so miss by construction.
+// InvalidateRepresentations flushes cache and memo alike; estimates with and
+// without them (WithRepCacheSize(0)) are bit-identical.
 type CardinalityEstimator struct {
 	est  *card.Estimator
 	pool *QueriesPool
@@ -83,6 +91,9 @@ func newEstimator(est *card.Estimator, p *QueriesPool, box *online.ModelBox, set
 	e := &CardinalityEstimator{est: est, pool: p, box: box}
 	if box != nil {
 		est.Rates = box
+		if set.cacheSize > 0 {
+			est.Memo = card.NewMemo(set.cacheSize)
+		}
 	}
 	if set.coalesceBatch >= 2 {
 		// Shared batches run under the background context the coalescer
@@ -170,6 +181,15 @@ func (e *CardinalityEstimator) registerCollectors() {
 		})
 	r.GaugeFunc("crn_ratememo_entries", "Containment rates memoized by resident row pair.",
 		func() float64 { return float64(e.CacheStats().MemoEntries) })
+	r.CollectCounter("crn_estimate_memo_lookups_total",
+		"Estimate-memo lookups after candidate selection by result (probes with candidates only).",
+		"result", func(emit telemetry.Emit) {
+			cs := e.CacheStats()
+			emit(float64(cs.EstimateHits), "hit")
+			emit(float64(cs.EstimateMisses), "miss")
+		})
+	r.GaugeFunc("crn_estimate_memo_entries", "Probes whose estimate is memoized.",
+		func() float64 { return float64(e.CacheStats().EstimateEntries) })
 
 	// Request coalescer.
 	r.CollectCounter("crn_coalesce_calls_total",
@@ -453,20 +473,25 @@ func (e *CardinalityEstimator) EstimateCardinalityBatch(ctx context.Context, que
 }
 
 // InvalidateRepresentations explicitly discards every cached set-module
-// representation. Pool mutations are detected automatically via the pool's
-// version counter; call this after swapping the model or encoder underneath
-// a long-lived estimator, or from a serving write path that wants the flush
-// to happen eagerly rather than on the next estimate.
+// representation and every memoized estimate. Pool mutations are detected
+// automatically via the pool's version counter; call this after swapping the
+// model or encoder underneath a long-lived estimator, or from a serving
+// write path that wants the flush to happen eagerly rather than on the next
+// estimate.
 func (e *CardinalityEstimator) InvalidateRepresentations() {
 	e.box.Cache().Invalidate()
+	e.est.Memo.Flush()
 }
 
-// CacheStats reports representation-cache hits, misses and resident occupancy.
-// Estimators without a cache — ImproveBaseline always, CardinalityEstimator
-// under WithRepCacheSize(0) — report all zeros (the nil cache's Stats is a
-// guarded no-op, so this is safe to call unconditionally).
+// CacheStats reports representation-cache hits, misses and resident
+// occupancy, and the estimate memo's lookups and entries. Estimators without
+// a cache — ImproveBaseline always, CardinalityEstimator under
+// WithRepCacheSize(0) — report all zeros (the nil cache's and nil memo's
+// Stats are guarded no-ops, so this is safe to call unconditionally).
 func (e *CardinalityEstimator) CacheStats() RepCacheStats {
-	return e.box.Cache().Stats()
+	st := e.box.Cache().Stats()
+	st.EstimateHits, st.EstimateMisses, st.EstimateEntries = e.est.Memo.Stats()
+	return st
 }
 
 // CoalescerStats reports request-coalescing counters; all zeros for an

@@ -32,20 +32,47 @@ func repCacheFixture(t *testing.T) (*System, *ContainmentModel, *QueriesPool, Qu
 	return sys, model, p, probe
 }
 
+// cardBumper returns a function that raises the cardinality of one pooled
+// entry on q's FROM clause by one per call, without allocating. Each call
+// changes the candidates q selects, so the estimate memo cannot answer q's
+// next estimate, while the representation cache and the pair-rate memo keep
+// every row and rate (neither depends on a cardinality): tests reach the
+// state only repeated rate passes reach by calling it between estimates.
+func cardBumper(t testing.TB, p *QueriesPool, q Query) func() {
+	t.Helper()
+	for _, e := range p.Entries() {
+		if e.Q.FROMKey() == q.FROMKey() && e.Card > 0 {
+			c := e.Card
+			return func() {
+				c++
+				if !p.UpdateCard(e.Q, c) {
+					t.Fatalf("UpdateCard(%s, %d) changed nothing", e.Q.Key(), c)
+				}
+			}
+		}
+	}
+	t.Fatalf("no usable pooled entry on FROM %s", q.FROMKey())
+	return nil
+}
+
 // TestRepCacheEquivalence pins cached estimation — cold, warm, batch and
-// single — to the uncached estimator bit-for-bit.
+// single — to the uncached estimator bit-for-bit. A cardinality update
+// between the passes keeps the estimate memo from answering them, so they
+// reach the cache; the last repeat, with no update, is the memo's.
 func TestRepCacheEquivalence(t *testing.T) {
 	ctx := context.Background()
 	sys, model, p, probe := repCacheFixture(t)
 
 	cached := sys.CardinalityEstimator(model, p)
 	uncached := sys.CardinalityEstimator(model, p, WithRepCacheSize(0))
+	bump := cardBumper(t, p, probe)
 
-	want, err := uncached.EstimateCardinality(ctx, probe)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var want float64
 	for _, label := range []string{"cold", "warm"} {
+		var err error
+		if want, err = uncached.EstimateCardinality(ctx, probe); err != nil {
+			t.Fatal(err)
+		}
 		got, err := cached.EstimateCardinality(ctx, probe)
 		if err != nil {
 			t.Fatal(err)
@@ -53,6 +80,11 @@ func TestRepCacheEquivalence(t *testing.T) {
 		if got != want {
 			t.Fatalf("%s cached estimate %v != uncached %v", label, got, want)
 		}
+		bump()
+	}
+	want, err := uncached.EstimateCardinality(ctx, probe)
+	if err != nil {
+		t.Fatal(err)
 	}
 	batch, err := cached.EstimateCardinalityBatch(ctx, []Query{probe, probe})
 	if err != nil {
@@ -64,6 +96,12 @@ func TestRepCacheEquivalence(t *testing.T) {
 	st := cached.CacheStats()
 	if st.Hits == 0 {
 		t.Errorf("warm estimates should hit the cache: %+v", st)
+	}
+	if got, err := cached.EstimateCardinality(ctx, probe); err != nil || got != want {
+		t.Fatalf("memoized repeat %v (%v) != uncached %v", got, err, want)
+	}
+	if st := cached.CacheStats(); st.EstimateHits == 0 {
+		t.Errorf("an unchanged repeat should be the estimate memo's: %+v", st)
 	}
 	if us := uncached.CacheStats(); us != (RepCacheStats{}) {
 		t.Errorf("uncached estimator reports cache stats %+v", us)
@@ -223,11 +261,14 @@ func TestPoolEvictionInvalidatesRepCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Warm to steady state: insert, promote, read resident.
+	// Warm to steady state: insert, promote, read resident. A cardinality
+	// update between the passes keeps the estimate memo from answering them.
+	bump := cardBumper(t, p, probe)
 	for i := 0; i < 3; i++ {
 		if _, err := cached.EstimateCardinality(ctx, probe); err != nil {
 			t.Fatal(err)
 		}
+		bump()
 	}
 	warm := cached.CacheStats()
 	if warm.Resident == 0 {
@@ -306,7 +347,9 @@ func memoProbes(t *testing.T, sys *System) []Query {
 // WithRepCacheSize(0) estimator answers, single and batch, while the memo goes
 // from cold to hit, through pool evictions (surgical removes, dead rows,
 // compaction), after InvalidateRepresentations and across a model
-// generation swap — and the memo does serve the repeats.
+// generation swap — and the memo does serve the repeats. Every estimate
+// follows a cardinality update on the probes' FROM clause, so the estimate
+// memo answers none of them and each repeat reaches the pair-rate memo.
 func TestRateMemoEquivalence(t *testing.T) {
 	ctx := context.Background()
 	sys := testSystem(t)
@@ -327,6 +370,7 @@ func TestRateMemoEquivalence(t *testing.T) {
 		t.Helper()
 		for round := 0; round < 3; round++ { // cold, promoted and memoized, hit
 			for _, q := range probes {
+				cardBumper(t, p, q)()
 				want, err := reference.EstimateCardinality(ctx, q)
 				if err != nil {
 					t.Fatal(err)
@@ -339,6 +383,7 @@ func TestRateMemoEquivalence(t *testing.T) {
 					t.Fatalf("%s round %d: cached %v, uncached %v", label, round, got, want)
 				}
 			}
+			cardBumper(t, p, probes[0])()
 			want, err := reference.EstimateCardinalityBatch(ctx, probes)
 			if err != nil {
 				t.Fatal(err)
@@ -377,8 +422,9 @@ func TestRateMemoEquivalence(t *testing.T) {
 	}
 
 	cached.InvalidateRepresentations()
-	if st := cached.CacheStats(); st.MemoEntries != 0 {
-		t.Fatalf("InvalidateRepresentations left %d memo entries", st.MemoEntries)
+	if st := cached.CacheStats(); st.MemoEntries != 0 || st.EstimateEntries != 0 {
+		t.Fatalf("InvalidateRepresentations left %d pair-rate and %d estimate memo entries",
+			st.MemoEntries, st.EstimateEntries)
 	}
 	check("after invalidate", uncached)
 
@@ -501,8 +547,10 @@ func TestRateMemoConcurrentChurn(t *testing.T) {
 
 // TestRateMemoUntouchedByFailedPass: an estimate that fails before or
 // inside the rate pass — the armed EstimateCards failpoint, a cancelled
-// context — leaves the memo exactly as it was, and the next healthy
-// estimate is still bit-identical to the uncached one.
+// context — leaves the pair-rate memo and the estimate memo exactly as they
+// were, and the next healthy estimate is still bit-identical to the
+// uncached one. A cardinality update before each healthy estimate keeps the
+// estimate memo from answering it, so it reaches the pair-rate memo.
 func TestRateMemoUntouchedByFailedPass(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
 	ctx := context.Background()
@@ -533,12 +581,17 @@ func TestRateMemoUntouchedByFailedPass(t *testing.T) {
 	if st := cached.CacheStats(); st.MemoEntries != 0 || st.MemoHits != 0 || st.MemoMisses != 0 {
 		t.Fatalf("failed passes touched the memo: %+v", st)
 	}
-
-	want, err := uncached.EstimateCardinality(ctx, probe)
-	if err != nil {
-		t.Fatal(err)
+	if st := cached.CacheStats(); st.EstimateEntries != 1 || st.EstimateHits != 0 || st.EstimateMisses != 1 {
+		t.Fatalf("failed passes touched the estimate memo: %+v", st)
 	}
+
+	bump := cardBumper(t, p, probe)
 	for i := 0; i < 2; i++ { // promoting and memoizing pass, then memo hit
+		bump()
+		want, err := uncached.EstimateCardinality(ctx, probe)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got, err := cached.EstimateCardinality(ctx, probe); err != nil || got != want {
 			t.Fatalf("healthy estimate %d after failures: %v (%v), want %v", i, got, err, want)
 		}
@@ -549,11 +602,13 @@ func TestRateMemoUntouchedByFailedPass(t *testing.T) {
 }
 
 // TestHotEstimateAllocs pins the allocation count of the steady-state
-// single-query estimate (every rate a memo hit): 5 — the coalescer's solo
+// single-query rate pass (every rate a memo hit): 5 — the coalescer's solo
 // call, the result, the rate slice, the rate pass's key list and its pair
 // predictor — now that card.Estimator's working memory is pooled scratch (it
-// was 11; crnbench's facade.estimate_allocs reads the same path over a
-// 300-entry pool).
+// was 11). A cardinality update before each estimate keeps the estimate memo
+// from answering it; without one, the estimate memo answers with 2 (the
+// solo call and the result), the path crnbench's facade.estimate_allocs
+// reads over a 300-entry pool.
 func TestHotEstimateAllocs(t *testing.T) {
 	ctx := context.Background()
 	sys, model, p, probe := repCacheFixture(t)
@@ -562,10 +617,15 @@ func TestHotEstimateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := sys.CardinalityEstimator(model, p, WithFallback(base), WithCoalescing(64, 0), WithTelemetry(NewTelemetry()))
-	run := func() {
+	estimate := func() {
 		if _, err := est.EstimateCardinality(ctx, probe); err != nil {
 			t.Fatal(err)
 		}
+	}
+	bump := cardBumper(t, p, probe)
+	run := func() {
+		bump()
+		estimate()
 	}
 	for i := 0; i < 4; i++ {
 		run()
@@ -575,5 +635,12 @@ func TestHotEstimateAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, run); n > 5 && !raceEnabled {
 		t.Errorf("hot single estimate: %v allocs, want <= 5", n)
+	}
+	hits := est.CacheStats().EstimateHits
+	if n := testing.AllocsPerRun(100, estimate); n > 2 && !raceEnabled {
+		t.Errorf("memoized single estimate: %v allocs, want <= 2", n)
+	}
+	if st := est.CacheStats(); st.EstimateHits < hits+100 {
+		t.Errorf("unchanged repeats missed the estimate memo: %+v", st)
 	}
 }

@@ -64,10 +64,13 @@ func TestParseQueryRecognisesRepeats(t *testing.T) {
 	}
 }
 
-// TestHotBatchAllocs pins the steady-state 64-probe batch through the
+// TestHotBatchAllocs pins the steady-state 64-probe rate pass through the
 // serving configuration at what it measures once the estimator's working
 // memory is pooled: 4 allocations — the result, the rate slice, the rate
-// pass's key list and its pair predictor — none of them per probe.
+// pass's key list and its pair predictor — none of them per probe. A
+// cardinality update on each of the probes' FROM clauses before every batch
+// keeps the estimate memo from answering it; without them, the memo answers
+// the whole batch with 1 allocation, the result.
 func TestHotBatchAllocs(t *testing.T) {
 	ctx := context.Background()
 	sys, model, p, _ := repCacheFixture(t)
@@ -77,10 +80,17 @@ func TestHotBatchAllocs(t *testing.T) {
 	}
 	est := sys.CardinalityEstimator(model, p, WithFallback(base), WithCoalescing(64, 0), WithTelemetry(NewTelemetry()))
 	probes := hotProbes(t, sys, 64)
-	run := func() {
+	estimate := func() {
 		if _, err := est.EstimateCardinalityBatch(ctx, probes); err != nil {
 			t.Fatal(err)
 		}
+	}
+	bumps := []func(){cardBumper(t, p, probes[0]), cardBumper(t, p, probes[1]), cardBumper(t, p, probes[2])}
+	run := func() {
+		for _, bump := range bumps {
+			bump()
+		}
+		estimate()
 	}
 	for i := 0; i < 4; i++ {
 		run()
@@ -90,6 +100,13 @@ func TestHotBatchAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, run); n > 4 && !raceEnabled {
 		t.Errorf("hot 64-probe batch: %v allocs, want <= 4", n)
+	}
+	hits := est.CacheStats().EstimateHits
+	if n := testing.AllocsPerRun(100, estimate); n > 1 && !raceEnabled {
+		t.Errorf("memoized 64-probe batch: %v allocs, want <= 1", n)
+	}
+	if st := est.CacheStats(); st.EstimateHits < hits+100*64 {
+		t.Errorf("unchanged repeats missed the estimate memo: %+v", st)
 	}
 }
 

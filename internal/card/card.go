@@ -78,12 +78,21 @@ type Estimator struct {
 	// (CRN vs fallback) into the live accuracy ring. Set before serving;
 	// nil keeps the path free of clock reads.
 	Tel *telemetry.Telemetry
+	// Memo, when non-nil, answers a recurring probe whose selected
+	// candidates have not changed (see Memo). It engages only when Rates
+	// reports a generation (a Generation() uint64 method). Set before
+	// serving.
+	Memo *Memo
 }
 
 // span locates one query of a batch in the scratch: its usable candidates
-// arena[lo:hi], whose rate pairs sit at 2*lo through 2*hi in the flat rate
-// list.
-type span struct{ lo, hi int }
+// arena[lo:hi], whose rate pairs start at pair (rates 2*pair, 2*pair+1) in
+// the flat rate list; pair is -1 when the memo answered the query. fresh
+// marks an answer the loop computed from the rates, for the memo to keep.
+type span struct {
+	lo, hi, pair int
+	fresh        bool
+}
 
 // scratch is the working memory of one EstimateCards call. It is pooled at
 // package level — an Estimator built as a struct literal gets it too — and
@@ -177,7 +186,9 @@ func (e *Estimator) EstimateCardCtx(ctx context.Context, qnew query.Query) (floa
 // overhead — and, for the CRN, the set-module encodings of recurring pool
 // entries — is paid once per batch instead of once per query. Results are
 // identical to per-query EstimateCard calls. The call fails as a whole on
-// the first query that has no usable pool match and no Fallback.
+// the first query that has no usable pool match and no Fallback. With a
+// Memo, selection still runs for every query, and the loop after it is
+// skipped for a query whose inputs match a memoized pass.
 func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([]float64, error) {
 	if e.Rates == nil || e.Pool == nil {
 		return nil, fmt.Errorf("card: estimator needs a rate model and a queries pool")
@@ -196,6 +207,7 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 	if final == nil {
 		final = pool.Median
 	}
+	memo, gen := e.memoGen()
 	var st telemetry.StageTimer
 	var acc *telemetry.Accuracy
 	if e.Tel != nil {
@@ -242,12 +254,21 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 	if e.Tel != nil {
 		st.Mark(e.Tel.Stages.CandidateSelection)
 	}
+	out := make([]float64, len(queries))
+	if memo != nil {
+		memo.lookup(gen, queries, spans, arena, out)
+	}
 
-	// Each probe enters the shared query list once, each pool entry once per
-	// batch (recognized by its stable ID when several probes share a FROM
-	// clause); pairs are index tuples, so no canonical key is rendered here.
+	// Each probe the memo did not answer enters the shared query list once,
+	// each pool entry once per batch (recognized by its stable ID when
+	// several probes share a FROM clause); pairs are index tuples, so no
+	// canonical key is rendered here.
 	list, idx, seen := s.list, s.idx, s.seen
 	for i, qnew := range queries {
+		if spans[i].pair < 0 {
+			continue
+		}
+		spans[i].pair = len(idx) / 2
 		qi := len(list)
 		list = append(list, qnew)
 		for k := spans[i].lo; k < spans[i].hi; k++ {
@@ -262,20 +283,30 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 		}
 	}
 	s.list, s.idx = list, idx
-	rates, err := e.Rates.EstimateRatesIndexed(ctx, list, idx)
-	// The rate model times its own cache-lookup and forward spans (see
-	// crn.Rates.Stages); Touch excludes that interval from finalize.
-	st.Touch()
-	if err != nil {
-		return nil, err
+	var rates []float64
+	if len(list) > 0 {
+		var err error
+		rates, err = e.Rates.EstimateRatesIndexed(ctx, list, idx)
+		// The rate model times its own cache-lookup and forward spans (see
+		// crn.Rates.Stages); Touch excludes that interval from finalize.
+		st.Touch()
+		if err != nil {
+			return nil, err
+		}
 	}
 
-	out := make([]float64, len(queries))
+	fresh := 0
 	for i, qnew := range queries {
+		sp := &spans[i]
+		if sp.pair < 0 { // the memo's answer
+			acc.Note(qnew.Key(), out[i], telemetry.ArmCRN)
+			continue
+		}
 		results := s.results[:0] // reused across queries; final() must not retain it
-		for k := spans[i].lo; k < spans[i].hi; k++ {
-			xRate := rates[2*k]   // Qold ⊂% Qnew
-			yRate := rates[2*k+1] // Qnew ⊂% Qold
+		for k := sp.lo; k < sp.hi; k++ {
+			r := 2 * (sp.pair + k - sp.lo)
+			xRate := rates[r]   // Qold ⊂% Qnew
+			yRate := rates[r+1] // Qnew ⊂% Qold
 			if yRate <= eps {
 				continue
 			}
@@ -290,13 +321,27 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 			out[i] = est
 			continue
 		}
-		out[i] = final(results)
+		out[i], sp.fresh = final(results), true
+		fresh++
 		acc.Note(qnew.Key(), out[i], telemetry.ArmCRN)
+	}
+	if memo != nil && fresh > 0 {
+		memo.store(gen, queries, spans, arena, out)
 	}
 	if e.Tel != nil {
 		st.Mark(e.Tel.Stages.Finalize)
 	}
 	return out, nil
+}
+
+// memoGen returns the memo and the rate model's generation, read before the
+// pass, when the estimator has a memo and its rate model reports one.
+func (e *Estimator) memoGen() (*Memo, uint64) {
+	g, ok := e.Rates.(interface{ Generation() uint64 })
+	if e.Memo == nil || !ok {
+		return nil, 0
+	}
+	return e.Memo, g.Generation()
 }
 
 // FallbackCard answers qnew from the Fallback estimator alone — the answer

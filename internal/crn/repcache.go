@@ -310,6 +310,11 @@ type RepCacheStats struct {
 	MemoHits    uint64 `json:"memo_hits"`
 	MemoMisses  uint64 `json:"memo_misses"`
 	MemoEntries int    `json:"memo_entries"`
+	// Estimate memo (card.Memo, filled in by the facade): whole-probe
+	// lookups after selection by result, and probes memoized.
+	EstimateHits    uint64 `json:"estimate_hits"`
+	EstimateMisses  uint64 `json:"estimate_misses"`
+	EstimateEntries int    `json:"estimate_entries"`
 }
 
 // Stats returns hit/miss counters and resident occupancy. Safe on a nil

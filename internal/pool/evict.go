@@ -144,7 +144,6 @@ func (p *Pool) removeEntryLocked(from string, idx *fromIndex, pos int) {
 		delete(p.byFrom, from)
 	}
 	p.entries--
-	p.version++
 	p.evictions.Add(1)
 	p.notifyLocked(key)
 }

@@ -70,9 +70,9 @@ type Pool struct {
 	byKey   map[string]int64 // canonical key -> stable entry ID
 	entries int
 	nextID  int64
-	version uint64
-	cap     int  // 0: unbounded
-	indexOn bool // maintain + consult the inverted signature-class index
+	version atomic.Uint64 // bumped under mu, read without it (see notifyLocked)
+	cap     int           // 0: unbounded
+	indexOn bool          // maintain + consult the inverted signature-class index
 
 	// tick is the logical clock of candidate selection: every Matching/TopK
 	// call stamps the entries it returns, and eviction removes the entry
@@ -202,7 +202,6 @@ func (p *Pool) insertLocked(q query.Query, key string, sig query.Signature, card
 	}
 	p.nextID++
 	p.entries++
-	p.version++
 	p.notifyLocked("")
 	return id
 }
@@ -250,23 +249,23 @@ func (p *Pool) Unsubscribe(l MutationListener) {
 	}
 }
 
-// notifyLocked fans one mutation out to the listeners. Callers hold the
-// write lock and have already bumped the version.
+// notifyLocked bumps the version for one mutation and fans it out to the
+// listeners. Callers hold the write lock. The bump is published after the
+// listeners ran, so a Version read without the lock never runs ahead of
+// what a subscribed cache has absorbed.
 func (p *Pool) notifyLocked(evictedKey string) {
+	v := p.version.Load() + 1
 	for _, l := range p.listeners {
-		l.PoolMutated(p.version, evictedKey)
+		l.PoolMutated(v, evictedKey)
 	}
+	p.version.Store(v)
 }
 
 // Version returns a counter that increases with every successful mutation
 // (inserts and evictions alike). Caches keyed on pool contents (the
 // serving-side representation cache) compare versions to detect that the
 // pool changed underneath them.
-func (p *Pool) Version() uint64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.version
-}
+func (p *Pool) Version() uint64 { return p.version.Load() }
 
 // Matching returns the pooled entries whose FROM clause equals the query's
 // FROM clause — the candidates for the Cnt2Crd technique. The returned
@@ -425,7 +424,6 @@ func (p *Pool) updateCardLocked(q query.Query, key string, card int64) bool {
 		}
 	}
 	idx.entries[pos].Card = card
-	p.version++
 	p.notifyLocked("")
 	return true
 }

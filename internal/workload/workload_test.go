@@ -128,7 +128,7 @@ func TestPairsUniqueAndComparable(t *testing.T) {
 	}
 }
 
-func TestPairsWithJoinDistribution(t *testing.T) {
+func TestPairsJoinHistogram(t *testing.T) {
 	g := NewGenerator(s, testDB(t), 6)
 	dist := map[int]int{0: 10, 1: 8, 2: 6}
 	pairs, err := g.Pairs(dist)
@@ -143,7 +143,7 @@ func TestPairsWithJoinDistribution(t *testing.T) {
 	}
 }
 
-func TestQueriesWithJoinDistribution(t *testing.T) {
+func TestQueriesJoinHistogram(t *testing.T) {
 	g := NewGenerator(s, testDB(t), 7)
 	dist := map[int]int{0: 12, 2: 5, 4: 3}
 	qs, err := g.Queries(dist)

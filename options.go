@@ -182,9 +182,10 @@ func WithMaxCandidates(k int) EstimatorOption {
 }
 
 // WithRepCacheSize bounds the representation cache of a CRN-backed
-// estimator to n entries (default icrn.DefaultRepCacheSize; n <= 0
-// disables the cache). The cache memoizes set-module encodings of the
-// stable pool entries across requests; see CardinalityEstimator.
+// estimator to n entries, and its estimate memo to n probes (default
+// icrn.DefaultRepCacheSize; n <= 0 disables both). The cache memoizes
+// set-module encodings of the stable pool entries across requests, the memo
+// whole estimates of recurring probes; see CardinalityEstimator.
 func WithRepCacheSize(n int) EstimatorOption {
 	return func(s *estimatorSettings) { s.cacheSize = n }
 }
