@@ -41,6 +41,12 @@ type AdaptiveEstimator struct {
 	drift   *online.DriftMonitor
 	cancel  context.CancelFunc
 
+	// scorer is the drift re-estimate's estimator: the served one without
+	// telemetry, sharing its rates, memo, fallback and candidate bound, so
+	// an estimate nobody was served never enters the accuracy ring or the
+	// stage spans.
+	scorer *card.Estimator
+
 	// store is the durability layer (nil without WithDataDir).
 	store         *durable.Store
 	ckptErrs      atomic.Uint64
@@ -183,6 +189,9 @@ func (s *System) OpenAdaptiveEstimator(m *ContainmentModel, p *QueriesPool, opts
 		drift:                drift,
 		store:                store,
 	}
+	scorer := *est
+	scorer.Tel = nil
+	ae.scorer = &scorer
 	if ck != nil {
 		ae.drift.Restore(ck.Drift)
 		ae.col.SetAppliedLSN(ck.AppliedLSN)
@@ -401,7 +410,7 @@ func (e *AdaptiveEstimator) RecordFeedbackQuery(ctx context.Context, q Query, ca
 	// Queries the estimator cannot answer (no pool match, no fallback) are
 	// skipped — there is no estimate to score.
 	e.revalidate()
-	if est, err := e.est.EstimateCardCtx(ctx, q); err == nil {
+	if est, err := e.scorer.EstimateCardCtx(ctx, q); err == nil {
 		if e.drift.Observe(est, float64(card)) {
 			e.trainer.Kick()
 		}

@@ -211,7 +211,7 @@ func TestImproveBaseline(t *testing.T) {
 	if err := sys.SeedPool(ctx, p, 40, 13); err != nil {
 		t.Fatal(err)
 	}
-	improved := sys.ImproveBaseline(base, p, WithFinal(TrimmedMean))
+	improved := sys.ImproveBaseline(base, p)
 	q, _ := sys.ParseQuery("SELECT * FROM title WHERE title.production_year > 1970")
 	got, err := improved.EstimateCardinality(ctx, q)
 	if err != nil {

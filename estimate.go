@@ -276,8 +276,8 @@ type CoalescerStats = serve.Stats
 
 // CardinalityEstimator builds the paper's Cnt2Crd(CRN) estimator from a
 // trained containment model and a queries pool: generation 1 of a model
-// box nobody promotes. Options tune the Figure 8 algorithm (WithFinal,
-// WithFallback, WithMaxCandidates), the serving-side representation cache
+// box nobody promotes. Options tune the Figure 8 algorithm (WithFallback,
+// WithMaxCandidates), the serving-side representation cache
 // (WithRepCacheSize), coalescing, the guards and telemetry.
 func (s *System) CardinalityEstimator(m *ContainmentModel, p *QueriesPool, opts ...EstimatorOption) *CardinalityEstimator {
 	est := card.New(nil, p)

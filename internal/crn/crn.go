@@ -382,16 +382,18 @@ func (m *Model) invalidateHeadFold() { m.foldCache.Store(nil) }
 //
 // Rows come from up to two sources: an optional resident view (the cache's
 // pool-resident precompute: row IDs [0, res.n), packed rows addressed in
-// place in the cache's block storage, valid for as long as the view is held)
-// and the request-local extra matrices (rows from res.n up). The optional
-// rowOf table translates pair indices first, letting the serving path
-// address cached rows in place with no per-request copying — and, since a
-// resident row ID names one query for the life of its storage, letting
-// Rates key its pair-rate memo by the translated pair.
+// place in the cache's block storage — rows are only appended, and a flush
+// or compaction replaces the store without rewriting one, so the view reads
+// them without a lock for as long as it is held) and the request-local
+// extra matrices (rows from res.n up). The optional rowOf table translates
+// pair indices first, letting the serving path address cached rows in place
+// with no per-request copying — and, since a resident row ID names one
+// query for the life of its store, letting Rates key its pair-rate memo by
+// the translated pair.
 type PairPredictor struct {
 	f *headFold
-	// res, when non-nil, is the resident view rows below res.n resolve in.
-	res *residentSnap
+	// res is the resident view rows below res.n resolve in (none when zero).
+	res residentView
 	// request-local rows.
 	reps1, reps2 *nn.Matrix
 	p1, p2       *nn.Matrix // reps1·(W1+W3), reps2·(W2+W3)
@@ -424,7 +426,7 @@ func (m *Model) NewPairPredictorWS(ws *nn.Workspace, reps1, reps2 *nn.Matrix) *P
 
 // rows1 resolves row i of the MLP1 side against the resident/extra split.
 func (p *PairPredictor) rows1(i int) (rep, pp []float64) {
-	if n := p.res.rows(); i >= n {
+	if n := p.res.n; i >= n {
 		return p.reps1.Row(i - n), p.p1.Row(i - n)
 	}
 	h, d := p.f.h, p.res.data(i)
@@ -433,7 +435,7 @@ func (p *PairPredictor) rows1(i int) (rep, pp []float64) {
 
 // rows2 resolves row i of the MLP2 side against the resident/extra split.
 func (p *PairPredictor) rows2(i int) (rep, pp []float64) {
-	if n := p.res.rows(); i >= n {
+	if n := p.res.n; i >= n {
 		return p.reps2.Row(i - n), p.p2.Row(i - n)
 	}
 	h, d := p.f.h, p.res.data(i)

@@ -208,19 +208,20 @@ func splitPredictor(rng *rand.Rand, m *Model, nRes, nExtra int) *PairPredictor {
 	res1, res2 := encode(nRes)
 	clear(res1.Row(0))
 	resPP := m.NewPairPredictor(res1, res2)
-	snap := &residentSnap{h: h, n: nRes}
+	var res residentView
+	res.h, res.n = h, nRes
 	for i := 0; i < nRes; i++ {
 		if i%residentBlock == 0 {
-			snap.blocks = append(snap.blocks, make([]float64, residentBlock*6*h))
+			res.blocks = append(res.blocks, make([]float64, residentBlock*6*h))
 		}
-		row := snap.data(i)
+		row := res.data(i)
 		copy(row, res1.Row(i))
 		copy(row[h:], res2.Row(i))
 		copy(row[2*h:], resPP.p1.Row(i))
 		copy(row[4*h:], resPP.p2.Row(i))
 	}
 	p := m.NewPairPredictor(encode(nExtra))
-	p.res = snap
+	p.res = res
 	p.rowOf = rng.Perm(nRes + nExtra)
 	return p
 }

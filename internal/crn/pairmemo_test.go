@@ -3,7 +3,9 @@ package crn
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -20,73 +22,185 @@ func identity(n int) []int {
 	return rowOf
 }
 
-// TestRateMemoTable pins the table mechanics: a stored pair reads back its
-// exact bits, pairs with a non-resident side are never stored, growth keeps
-// every entry, the bound restarts the table empty, and remap carries over
-// exactly the pairs whose two rows survive.
-func TestRateMemoTable(t *testing.T) {
-	m := newRateMemo(4 * memoMinSlots)
-	tab := func() *memoTable { return m.tab.Load() }
-	if _, ok := tab().get(pairKey(0, 0)); ok {
-		t.Fatal("empty memo must miss")
+// memoGet reads the current store's memoized rate of the row pair (r1, r2).
+func memoGet(c *RepCache, r1, r2 int) (float64, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	rate, ok := c.store.memo[pairKey(r1, r2)]
+	return rate, ok
+}
+
+// TestRepCacheMemo pins the pair-rate memo at the cache level: a memoized
+// pair reads back its exact bits, a pair with a request-local side is never
+// stored or looked up, the memo empties at its bound, and compaction
+// carries over exactly the pairs whose two rows survive, under their new
+// IDs.
+func TestRepCacheMemo(t *testing.T) {
+	const capacity = 64
+	c := NewRepCache(capacity)
+	for i := 0; i < capacity; i++ {
+		promoteRow(c, fmt.Sprint("k", i), float64(i))
 	}
-	// Rows 0..2 are resident, row 3 is a request-local extra.
-	m.put([][2]int{{0, 0}, {1, 2}, {2, 3}, {3, 1}}, identity(4), 3, []float64{0, 0.25, 0.5, 0.75})
-	if v, ok := tab().get(pairKey(0, 0)); !ok || v != 0 {
-		t.Fatalf("rate 0 of pair (0,0) must be a hit: %v %v", v, ok)
+	v := current(c)
+	if v.n != capacity {
+		t.Fatalf("%d rows resident, want %d", v.n, capacity)
 	}
-	if v, ok := tab().get(pairKey(1, 2)); !ok || v != 0.25 {
-		t.Fatalf("(1,2) = %v %v", v, ok)
+	// Rows 0..63 are resident, row 64 is a request-local extra.
+	odd := math.Float64frombits(0x3fd5555555555557)
+	c.memoize(v, [][2]int{{0, 0}, {1, 2}, {2, 64}, {64, 1}}, identity(65), []float64{0, odd, 0.5, 0.75})
+	if rate, ok := memoGet(c, 0, 0); !ok || rate != 0 {
+		t.Fatalf("rate 0 of pair (0,0) must be memoized: %v %v", rate, ok)
 	}
-	if _, ok := tab().get(pairKey(2, 1)); ok {
+	if rate, ok := memoGet(c, 1, 2); !ok || math.Float64bits(rate) != math.Float64bits(odd) {
+		t.Fatalf("(1,2) = %v %v, want the bits of %v", rate, ok, odd)
+	}
+	if _, ok := memoGet(c, 2, 1); ok {
 		t.Fatal("pairs are ordered: (2,1) was never stored")
 	}
-	if _, ok := tab().get(pairKey(2, 3)); ok || m.entries.Load() != 2 {
-		t.Fatalf("a pair with a non-resident side was stored (entries %d)", m.entries.Load())
+	if st := c.Stats(); st.MemoEntries != 2 {
+		t.Fatalf("a pair with a request-local side was stored (%d entries)", st.MemoEntries)
+	}
+	out := make([]float64, 4)
+	miss, looked := c.recall(v, identity(65), [][2]int{{1, 2}, {0, 0}, {2, 1}, {2, 64}}, out, nil)
+	if looked != 3 || len(miss) != 2 || miss[0] != 2 || miss[1] != 3 || math.Float64bits(out[0]) != math.Float64bits(odd) {
+		t.Fatalf("recall: looked %d, miss %v, out %v", looked, miss, out)
 	}
 
-	// Growth: well past the first table's fill bound, everything is kept.
-	const n = 2 * memoMinSlots
-	pairs, vals := make([][2]int, n), make([]float64, n)
-	for i := range pairs {
-		pairs[i], vals[i] = [2]int{i, i + 7}, float64(i)
-	}
-	m.put(pairs, identity(n+7), n+7, vals)
-	if len(tab().slots) <= memoMinSlots || int(m.entries.Load()) != n+2 {
-		t.Fatalf("table did not grow: %d slots, %d entries", len(tab().slots), m.entries.Load())
-	}
-	for i := range pairs {
-		if v, ok := tab().get(pairKey(i, i+7)); !ok || v != float64(i) {
-			t.Fatalf("pair %d lost in growth: %v %v", i, v, ok)
+	// The bound: every ordered pair of the 64 rows is 4096 pairs, past the
+	// bound of memoPerRow per unit of capacity, so the memo empties once,
+	// exactly when it holds the bound, and keeps the pairs stored after.
+	var pairs [][2]int
+	var rates []float64
+	for i := 0; i < capacity; i++ {
+		for j := 0; j < capacity; j++ {
+			pairs = append(pairs, [2]int{i, j})
+			rates = append(rates, float64(len(rates)))
 		}
 	}
-
-	// Remap: rows below 100 survive at new IDs, the rest die.
-	newRow := make([]int, n+7)
-	for i := range newRow {
-		newRow[i] = -1
-		if i < 100 {
-			newRow[i] = 99 - i
+	c.memoize(v, pairs, identity(capacity), rates)
+	bound := memoPerRow * capacity
+	if st := c.Stats(); st.MemoEntries != len(pairs)-bound {
+		t.Fatalf("memo holds %d pairs after %d puts, want %d (emptied at %d)", st.MemoEntries, len(pairs), len(pairs)-bound, bound)
+	}
+	if _, ok := memoGet(c, 0, 0); ok {
+		t.Fatal("a pair stored before the bound survived the emptying")
+	}
+	for _, k := range []int{bound, len(pairs) - 1} {
+		if rate, ok := memoGet(c, pairs[k][0], pairs[k][1]); !ok || rate != rates[k] {
+			t.Fatalf("pair %v stored after the emptying: %v %v", pairs[k], rate, ok)
 		}
 	}
-	re := m.remap(newRow)
-	if v, ok := re.tab.Load().get(pairKey(99-5, 99-12)); !ok || v != 5 {
-		t.Fatalf("surviving pair (5,12) not remapped: %v %v", v, ok)
-	}
-	if got := re.entries.Load(); got != 93+2 { // (i,i+7) for i<93, plus (0,0) and (1,2)
-		t.Fatalf("remap kept %d entries", got)
-	}
+}
 
-	// The bound: filling past three quarters of the largest table starts over.
-	for i := range pairs {
-		pairs[i] = [2]int{i + n, i}
+// TestRepCacheCompactionRemapsMemo: a compaction carries over exactly the
+// memoized pairs of two surviving rows, each under its rows' new IDs with
+// its exact bits, and nothing of an evicted row.
+func TestRepCacheCompactionRemapsMemo(t *testing.T) {
+	c := NewRepCache(64)
+	const n = 8
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprint("k", i)
+		promoteRow(c, keys[i], float64(i))
 	}
-	m.put(pairs, identity(2*n), 2*n, vals)
-	if len(tab().slots) > 4*memoMinSlots || int(m.entries.Load()) >= 4*memoMinSlots/4*3 {
-		t.Fatalf("memo exceeded its bound: %d slots, %d entries", len(tab().slots), m.entries.Load())
+	rates := make(map[[2]string]float64)
+	var pairs [][2]int
+	var vals []float64
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			pairs = append(pairs, [2]int{i, j})
+			vals = append(vals, 1/float64(3+i*n+j))
+			rates[[2]string{keys[i], keys[j]}] = vals[len(vals)-1]
+		}
 	}
-	if v, ok := tab().get(pairKey(2*n-1, n-1)); !ok || v != vals[n-1] {
-		t.Fatal("the pair stored last must be served after a restart")
+	c.memoize(current(c), pairs, identity(n), vals)
+	for _, k := range []string{"k1", "k3", "k5"} {
+		c.PoolMutated(1, k)
+	}
+	if s := currentStore(c); s.dead <= s.n/4 {
+		t.Fatalf("fixture should be due for compaction: %d dead of %d", s.dead, s.n)
+	}
+	promoteRow(c, "k8", 8)
+	if s := currentStore(c); s.dead != 0 || s.n != n-3+1 {
+		t.Fatalf("promotion did not compact: %d rows, %d dead", s.n, s.dead)
+	}
+	live := []string{"k0", "k2", "k4", "k6", "k7"}
+	rowOf := make([]int, len(live))
+	c.resolve(live, rowOf)
+	if st := c.Stats(); st.MemoEntries != len(live)*len(live) {
+		t.Fatalf("compaction kept %d memo pairs, want %d", st.MemoEntries, len(live)*len(live))
+	}
+	for i, a := range live {
+		for j, b := range live {
+			rate, ok := memoGet(c, rowOf[i], rowOf[j])
+			if want := rates[[2]string{a, b}]; !ok || math.Float64bits(rate) != math.Float64bits(want) {
+				t.Fatalf("pair (%s,%s) at rows (%d,%d): %v %v, want %v", a, b, rowOf[i], rowOf[j], rate, ok, want)
+			}
+		}
+	}
+}
+
+// TestRepCacheReplacedStoreWritesNothing: a pass whose store is flushed or
+// compacted away between resolving its rows and writing back promotes
+// nothing, sights nothing and memoizes nothing into the successor, and the
+// view it holds still reads its rows bit for bit.
+func TestRepCacheReplacedStoreWritesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		replace func(c *RepCache)
+	}{
+		{"flush", func(c *RepCache) { c.Invalidate() }},
+		{"compaction", func(c *RepCache) {
+			c.PoolMutated(1, "k1")
+			c.PoolMutated(2, "k2")
+			promoteRow(c, "other", 9)
+		}},
+	} {
+		c := NewRepCache(8)
+		keys := []string{"k0", "k1", "k2", "k3"}
+		for i, k := range keys {
+			promoteRow(c, k, float64(10*i))
+		}
+		c.memoize(current(c), [][2]int{{0, 1}}, identity(4), []float64{0.125})
+		rowOf := make([]int, len(keys))
+		held := c.resolve(keys, rowOf) // a pass resolves its rows ...
+		want := make([][]float64, len(keys))
+		for i, r := range rowOf {
+			want[i] = slices.Clone(held.data(r))
+		}
+		tc.replace(c) // ... and its store is replaced before it writes back
+		successor, before := currentStore(c), c.Stats()
+		if successor == held.store {
+			t.Fatalf("%s: the store was not replaced", tc.name)
+		}
+
+		r1, r2, p1, p2 := cacheRow(99)
+		if into := c.promote(held, []promotion{{key: "late", rep1: r1, rep2: r2, pp1: p1, pp2: p2}}, true); into != nil {
+			t.Fatalf("%s: a stale promotion landed", tc.name)
+		}
+		c.promote(held, []promotion{{key: "sighted", rep1: r1, rep2: r2, pp1: p1, pp2: p2}}, false)
+		c.memoize(held, [][2]int{{0, 3}, {3, 0}, {0, 0}}, identity(4), []float64{0.25, 0.5, 0.75})
+
+		if currentStore(c) != successor {
+			t.Fatalf("%s: the stale pass replaced the store", tc.name)
+		}
+		if st := c.Stats(); st.Resident != before.Resident || st.Promoted != before.Promoted || st.MemoEntries != before.MemoEntries {
+			t.Fatalf("%s: the stale pass wrote into the successor: %+v -> %+v", tc.name, before, st)
+		}
+		if _, ok := residentRow(c, "late"); ok {
+			t.Fatalf("%s: a stale row is resident", tc.name)
+		}
+		if sighted(c, "sighted") {
+			t.Fatalf("%s: the stale pass left a sighting", tc.name)
+		}
+		for i, r := range rowOf {
+			got := held.data(r)
+			for j := range got {
+				if math.Float64bits(got[j]) != math.Float64bits(want[i][j]) {
+					t.Fatalf("%s: held row of %s changed: %v, want %v", tc.name, keys[i], got, want[i])
+				}
+			}
+		}
 	}
 }
 
@@ -148,7 +262,7 @@ func TestRatesMemoMatchesUncached(t *testing.T) {
 	}
 
 	// Surgical remove of one partner: its two pairs lose their resident
-	// side, the rest keep hitting. The key is still in the sighting filter,
+	// side, the rest keep hitting. The key is still in the sighting set,
 	// so the same pass re-promotes it under a NEW row ID: its pairs miss
 	// once and hit again.
 	c.PoolMutated(1, qs[1].Key())
@@ -160,12 +274,12 @@ func TestRatesMemoMatchesUncached(t *testing.T) {
 	// them, the re-promoted partners' pairs are new.
 	c.PoolMutated(2, qs[1].Key())
 	c.PoolMutated(3, qs[2].Key())
-	if snap := c.resident.Load(); snap.dead <= snap.n/4 {
-		t.Fatalf("fixture should be due for compaction: %d dead of %d", snap.dead, snap.n)
+	if s := currentStore(c); s.dead <= s.n/4 {
+		t.Fatalf("fixture should be due for compaction: %d dead of %d", s.dead, s.n)
 	}
 	step("after two removes, re-promotion compacts, survivors remapped", n-4, 4)
-	if snap := c.resident.Load(); snap.dead != 0 || snap.n != len(qs) {
-		t.Fatalf("promotion did not compact: %d rows, %d dead", snap.n, snap.dead)
+	if s := currentStore(c); s.dead != 0 || s.n != len(qs) {
+		t.Fatalf("promotion did not compact: %d rows, %d dead", s.n, s.dead)
 	}
 	step("memo hit after compaction", n, 0)
 
@@ -251,12 +365,13 @@ func TestRatesHotPathAllocs(t *testing.T) {
 	}
 	// A pass the memo answers only in part: the miss list and the compacted
 	// pair list come from the workspace, so the count stays the same. Each
-	// run empties the memo (one table: two allocations), memoizes the first
-	// two pairs, then asks for all of them.
-	memo := cached.Cache.resident.Load().memo
+	// run empties the memo (in place: no allocation), memoizes the first two
+	// pairs, then asks for all of them: two passes of three allocations.
 	mixed := func() {
-		memo.tab.Store(newMemoTable(memoMinSlots))
-		memo.entries.Store(0)
+		c := cached.Cache
+		c.mu.Lock()
+		clear(c.store.memo)
+		c.mu.Unlock()
 		if _, err := cached.EstimateRatesIndexed(ctx, qs, idx[:2]); err != nil {
 			t.Fatal(err)
 		}
@@ -269,18 +384,15 @@ func TestRatesHotPathAllocs(t *testing.T) {
 		}
 	}
 	mixed()
-	if n := testing.AllocsPerRun(50, mixed); n > 2+3+3 {
-		t.Errorf("memo reset + miss pass + partial pass: %v allocs, want <= 8", n)
+	if n := testing.AllocsPerRun(50, mixed); n > 3+3 {
+		t.Errorf("memo reset + miss pass + partial pass: %v allocs, want <= 6", n)
 	}
 }
 
 // TestPromotionCostLinear: promoting keys one at a time costs O(rows added)
-// per promotion — an append behind the published count plus a copy of the
-// small delta — so the bytes allocated in total stay within a small multiple
-// of what the tier finally holds, and doubling the key count roughly
-// doubles them. (The copy-on-write tier this replaced republished every
-// resident row per promotion: 4096 keys allocated ~2000 times the final
-// size.)
+// per promotion — an append behind the row count plus an index insert — so
+// the bytes allocated in total stay within a small multiple of what the
+// tier finally holds, and doubling the key count roughly doubles them.
 func TestPromotionCostLinear(t *testing.T) {
 	const h = 64 // the serving model's hidden width: 6h floats per row
 	row := make([]float64, 2*h)
@@ -294,7 +406,7 @@ func TestPromotionCostLinear(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		for _, key := range keys {
-			c.promote(c.gen.Load(), []promotion{{key: key, rep1: row[:h], rep2: row[:h], pp1: row, pp2: row}})
+			c.promote(current(c), []promotion{{key: key, rep1: row[:h], rep2: row[:h], pp1: row, pp2: row}}, true)
 		}
 		runtime.ReadMemStats(&after)
 		if st := c.Stats(); st.Resident != n {

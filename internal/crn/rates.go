@@ -101,16 +101,17 @@ func (r *Rates) EstimateRate(q1, q2 query.Query) (float64, error) {
 // resident tier:
 //
 //   - Resident hits (the stable pool entries, in steady state) cost a map
-//     read — their representation and partial-product rows are referenced
-//     in place in the view the request loaded, no lock, no copy, no
-//     arithmetic. This is the pool-resident head precompute: a
-//     single-query estimate computes only its own probe side.
+//     read under the cache's read lock — their representation and
+//     partial-product rows are then referenced in place through the view
+//     the pass took, no lock, no copy, no arithmetic. This is the
+//     pool-resident head precompute: a single-query estimate computes only
+//     its own probe side.
 //   - Misses are feature-encoded and pushed through the set modules in one
 //     batched pass, their partial products computed in two small matmuls;
 //     those outputs are the request's extra rows as they stand. A miss the
-//     sighting filter has seen before (or, with warm set, every miss) is
-//     then promoted into the resident tier; a first sighting only leaves
-//     its key's hash in the filter.
+//     sighting set has seen before (or, with warm set, every miss) is then
+//     promoted into the resident tier; a first sighting only leaves its
+//     key's hash in the set.
 //
 // Every resolved row is bit-identical with and without the cache because
 // each row depends only on its own query and the frozen weights, and no
@@ -129,70 +130,68 @@ func (r *Rates) pairPredictor(ws *nn.Workspace, queries []query.Query, warm bool
 		return r.M.NewPairPredictorWS(ws, reps1, reps2), nil
 	}
 
-	n := len(queries)
-	// Capture the flush generation before any cache read: values computed
-	// in this request are written back only if no flush intervenes.
-	gen := r.Cache.gen.Load()
-	snap := r.Cache.resident.Load()
-	base := snap.rows()
-
 	// Resolve resident rows; each miss is encoded and addressed as the
 	// extra row past the view's rows that its set-module output will fill.
+	n := len(queries)
 	rowOf := ws.TakeInts(n)
 	keys := make([]string, n)
+	for i := range queries {
+		keys[i] = queries[i].Key()
+	}
+	view := r.Cache.resolve(keys, rowOf)
 	var missSets [][][]float64
 	var missQ []int // query positions of the misses
 	for i := range queries {
-		keys[i] = queries[i].Key()
-		if ri, ok := snap.row(keys[i]); ok {
-			rowOf[i] = ri
+		if rowOf[i] >= 0 {
 			continue
 		}
 		v, err := r.Enc.EncodeQuery(queries[i])
 		if err != nil {
 			return nil, err
 		}
-		rowOf[i] = base + len(missQ)
+		rowOf[i] = view.n + len(missQ)
 		missSets = append(missSets, v)
 		missQ = append(missQ, i)
 	}
 	r.Cache.count(n-len(missQ), len(missQ))
 	if len(missQ) == 0 {
-		return &PairPredictor{f: r.M.headFold(), res: snap, rowOf: rowOf}, nil
+		return &PairPredictor{f: r.M.headFold(), res: view, rowOf: rowOf}, nil
 	}
 	reps1, reps2 := r.M.EncodeSetsWS(ws, missSets)
 	pred := r.M.NewPairPredictorWS(ws, reps1, reps2)
-	pred.res, pred.rowOf = snap, rowOf
+	pred.res, pred.rowOf = view, rowOf
 
-	var promos []promotion
+	promos := make([]promotion, len(missQ))
 	for k, i := range missQ {
-		if warm || r.Cache.sighted(keys[i]) {
-			promos = append(promos, promotion{
-				key:  keys[i],
-				rep1: reps1.Row(k), rep2: reps2.Row(k),
-				pp1: pred.p1.Row(k), pp2: pred.p2.Row(k),
-			})
+		promos[k] = promotion{
+			key:  keys[i],
+			rep1: reps1.Row(k), rep2: reps2.Row(k),
+			pp1: pred.p1.Row(k), pp2: pred.p2.Row(k),
 		}
 	}
-	r.Cache.promote(gen, promos)
-	if next := r.Cache.resident.Load(); len(promos) > 0 && !warm && next != nil && r.Cache.gen.Load() == gen {
-		// Adopt the view that includes the rows just promoted, so this very
-		// pass memoizes their rates and the next sighting is a memo hit.
-		// Every key must resolve in it — a row it lost to a concurrent
-		// eviction exists in snap only — or the pass stays on snap.
-		moved, ok := ws.TakeInts(n), true
-		for i := 0; i < n && ok; i++ {
-			if ri, resident := next.row(keys[i]); resident {
-				moved[i] = ri
-			} else {
-				moved[i] = next.n + rowOf[i] - base
-				ok = rowOf[i] >= base
+	into := r.Cache.promote(view, promos, warm)
+	if into == nil || warm {
+		return pred, nil
+	}
+	// Adopt the store that now holds the rows just promoted, so this very
+	// pass memoizes their rates and the next computation is a memo hit.
+	// It must still be that store, and every key must resolve in it or be
+	// one of this pass's extras — a row lost to a concurrent eviction
+	// exists in view only — or the pass stays on view.
+	moved := ws.TakeInts(n)
+	next := r.Cache.resolve(keys, moved)
+	if next.store != into {
+		return pred, nil
+	}
+	for i, ri := range moved {
+		if ri < 0 {
+			if rowOf[i] < view.n {
+				return pred, nil
 			}
-		}
-		if ok {
-			pred.res, pred.rowOf = next, moved
+			moved[i] = next.n + rowOf[i] - view.n
 		}
 	}
+	pred.res, pred.rowOf = next, moved
 	return pred, nil
 }
 
@@ -314,7 +313,7 @@ func (r *Rates) EstimateRatesIndexed(ctx context.Context, queries []query.Query,
 		}
 	}
 	if unmemoized > 0 {
-		pred.res.memo.put(pairs, pred.rowOf, pred.res.n, dst)
+		r.Cache.memoize(pred.res, pairs, pred.rowOf, dst)
 	}
 	return out, nil
 }
@@ -324,25 +323,14 @@ func (r *Rates) EstimateRatesIndexed(ctx context.Context, queries []query.Query,
 // destination dst — idx and out themselves, or, when the memo answered
 // some, the missing pairs compacted into workspace scratch, dst[j]
 // belonging at out[miss[j]] — and how many of them were looked up and not
-// found, i.e. what this pass will add to the memo.
+// found, i.e. what this pass will add to the memo. Only pairs of two rows
+// of the pass's resident view are looked up, under the cache's read lock
+// (see RepCache.recall).
 func (r *Rates) fromMemo(ws *nn.Workspace, pred *PairPredictor, idx [][2]int, out []float64) (pairs [][2]int, dst []float64, miss []int, unmemoized int) {
-	res := pred.res
-	if res == nil {
+	if pred.res.n == 0 {
 		return idx, out, nil, 0
 	}
-	miss = ws.TakeInts(len(idx))[:0]
-	memo, looked := res.memo.tab.Load(), 0
-	for i, p := range idx {
-		// A pair with a request-local side was never memoized: no lookup.
-		if r1, r2 := pred.rowOf[p[0]], pred.rowOf[p[1]]; r1 < res.n && r2 < res.n {
-			looked++
-			if v, ok := memo.get(pairKey(r1, r2)); ok {
-				out[i] = v
-				continue
-			}
-		}
-		miss = append(miss, i)
-	}
+	miss, looked := r.Cache.recall(pred.res, pred.rowOf, idx, out, ws.TakeInts(len(idx))[:0])
 	hits := len(idx) - len(miss)
 	unmemoized = looked - hits
 	r.Cache.memoHits.Add(uint64(hits))

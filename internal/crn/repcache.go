@@ -10,27 +10,32 @@ import (
 // query (by canonical key), everything the pair head needs that does not
 // depend on the partner query — the set-module representations (the
 // EncodeSets outputs) AND the per-representation partial products of the
-// factorized head (see PairPredictor). The queries pool is stable between
-// executions, so without a cache those values are recomputed endlessly:
-// every estimate pays O(pool·dim) re-encoding and re-multiplying for
-// entries that have not changed. With the cache, a pool entry is computed
-// once per pool version and a single-query estimate computes only its own
-// probe side.
+// factorized head (see PairPredictor) — plus the pair head's outputs by row
+// pair. The queries pool is stable between executions, so without a cache
+// those values are recomputed endlessly: every estimate pays O(pool·dim)
+// re-encoding and re-multiplying for entries that have not changed. With
+// the cache, a pool entry is computed once per pool version and a
+// single-query estimate computes only its own probe side.
 //
-// The cache has one tier of values, the resident tier: append-only row
-// storage, a key→row index and the pair-rate memo, published as immutable
-// residentSnap views. The serving hot path reads it with one atomic load
-// and references rows in place: no lock, no copy, O(1) per query. A row ID
-// stays valid for as long as its storage lives, which is what lets rates be
-// memoized by (row1, row2) — see residentSnap, rateMemo.
+// The cache has one tier of values, the resident tier: one residentStore of
+// append-only rows, a key→row index and the pair-rate memo. One RWMutex
+// guards the store, the sighting set and their replacement. A rate pass
+// resolves its keys under the read lock and takes a residentView (the
+// block table, the row count and the store), then reads its rows in place
+// without the lock: rows are only ever appended, and a flush or compaction
+// replaces the store instead of rewriting a row. A row ID therefore names
+// one query for the life of its store, which is what lets rates be
+// memoized by (row1, row2). Memo lookups take the read lock; promotions,
+// memo writes, evictions, compactions and flushes take the write lock, and
+// a pass's promotions and memo writes are dropped once its store is no
+// longer the current one.
 //
 // Admission follows a sighting rule. The first computation of a
-// non-resident key stores only a hash of the key, in a bounded sighting
-// filter (a rateMemo table of sightingsPerRow slots per unit of capacity,
-// 16 bytes a slot: 512 KiB at DefaultRepCacheSize, emptied when three
-// quarters full). The next computation of a sighted key has recurred and
-// promotes it into the resident tier, so a stream of never-repeating probes
-// costs filter slots, not rows. Rates.Warm promotes without the rule.
+// non-resident key stores only a hash of the key in a bounded sighting set
+// (at most sightingsPerRow hashes per unit of capacity, emptied when full).
+// The next computation of a sighted key has recurred and promotes it into
+// the resident tier, so a stream of never-repeating probes costs hashes,
+// not rows. Rates.Warm promotes without the rule.
 //
 // Correctness model: a cached entry depends only on the query's canonical
 // text, the feature encoder's statistics and the frozen model weights.
@@ -53,108 +58,100 @@ import (
 //     therefore stays warm instead of re-encoding after every mutation.
 //   - Invalidate() clears unconditionally, for model or encoder swaps.
 //
-// A flush empties the resident tier and the sighting filter together.
-// Capacity bounds the resident tier (promotion stops at it) and its memo
-// (memoPerRow slots per unit of it); the serving working set is orders of
-// magnitude below any sensible capacity. All methods are safe for
-// concurrent use, and cached values are bit-identical to recomputation
-// because every kernel's per-row result is independent of batch
-// composition (see package nn) and a memoized rate is the float64 the head
-// produced for that very pair.
+// A flush replaces the store and empties the sighting set together.
+// Capacity bounds the resident rows (promotion stops at it), the memo
+// (memoPerRow pairs per unit of it) and the sighting set; the serving
+// working set is orders of magnitude below any sensible capacity. All
+// methods are safe for concurrent use, and cached values are bit-identical
+// to recomputation because every kernel's per-row result is independent of
+// batch composition (see package nn) and a memoized rate is the float64 the
+// head produced for that very pair.
 type RepCache struct {
-	resident  atomic.Pointer[residentSnap]
-	sightings atomic.Pointer[rateMemo]
+	mu        sync.RWMutex
+	store     *residentStore
+	sightings map[uint64]struct{} // hashes of keys computed once
 
-	// flushMu serializes version transitions and full flushes; the
-	// unchanged-version fast path never takes it.
-	flushMu sync.Mutex
-	// promoteMu serializes resident-tier writers: appends, tombstones,
-	// compactions and the flush's reset.
-	promoteMu sync.Mutex
-
+	// version and started keep Validate's caught-up path off the lock;
+	// both are written under mu.
 	version atomic.Uint64
 	started atomic.Bool // version observed at least once
 	cap     int
-	// gen counts flushes. Requests capture it before reading the cache and
-	// hand it back with their promotions; a mismatch means a flush (pool
-	// mutation, model swap) happened mid-request, and values computed
-	// against the pre-flush state must not re-enter the cache.
-	gen atomic.Uint64
 
 	hits, misses, promoted atomic.Uint64
 	memoHits, memoMisses   atomic.Uint64
 }
 
-// sightingsPerRow sizes the sighting filter per unit of cache capacity. The
-// filter empties at three quarters full, so it remembers up to three times
-// the capacity's worth of keys seen once.
-const sightingsPerRow = 4
-
-// sightSeed keys the sighting filter's hash of canonical query keys.
-var sightSeed = maphash.MakeSeed()
-
-// residentSnap is one immutable view of the resident tier. Rows live in
-// fixed-size blocks, each row packing one query's values (rep1 | rep2 | pp1 |
-// pp2, of lengths h, h, 2h, 2h), and are only ever appended: a writer fills
-// row n behind the published count, then publishes a view with n+1, so a
-// reader — who never looks past the n of the view it loaded — needs no lock,
-// and a row ID stays valid in every later view of the same storage. The
-// key→row index is an immutable base map plus a small delta that shadows it
-// (a negative row is a tombstone); a writer copies only the delta, and folds
-// it into a new base once it outgrows a fixed fraction of it. Eviction
-// tombstones the key and leaves the row dead in place; when dead rows pass a
-// quarter of the storage, the next promotion compacts the live ones into
-// fresh storage — the only event short of a flush that renumbers rows, and
-// the memo is remapped with them.
-type residentSnap struct {
-	blocks      [][]float64 // residentBlock rows of 6h floats each
-	n, h        int         // published rows (dead included); hidden width
-	base, delta map[string]int
-	overrides   int // delta keys that shadow a base key
-	dead        int // rows no key reaches any more
-	memo        *rateMemo
-}
-
 const (
+	// sightingsPerRow bounds the sighting set per unit of cache capacity:
+	// it remembers up to three times the capacity's worth of keys seen once.
+	sightingsPerRow = 3
+	// memoPerRow bounds the pair-rate memo per unit of cache capacity: room
+	// for a few dozen partners per resident row, the shape a pool scan
+	// produces.
+	memoPerRow = 48
 	// residentBlock is the row count of one storage block.
 	residentBlock = 128
-	// The delta is folded into the base when it exceeds residentDeltaMin
-	// plus 1/residentDeltaShare of the base: at the capacities served
-	// (thousands of rows) this balances the per-publication delta copy
-	// against the per-fold base copy.
-	residentDeltaMin   = 32
-	residentDeltaShare = 32
 )
 
-// rows returns the number of published rows (live and dead alike): the
-// offset request-local extras are addressed past.
-func (s *residentSnap) rows() int {
-	if s == nil {
-		return 0
-	}
-	return s.n
-}
+// sightSeed keys the sighting set's hash of canonical query keys.
+var sightSeed = maphash.MakeSeed()
 
-// row resolves a key to its resident row ID.
-func (s *residentSnap) row(key string) (int, bool) {
-	if s == nil {
-		return 0, false
-	}
-	r, ok := s.base[key]
-	if !ok || s.overrides > 0 {
-		if d, shadowed := s.delta[key]; shadowed {
-			return d, d >= 0
-		}
-	}
-	return r, ok
+// residentRows is append-only row storage: fixed-size blocks, each row
+// packing one query's values (rep1 | rep2 | pp1 | pp2, of lengths h, h, 2h,
+// 2h). A copy taken under the lock reads its first n rows without it: a
+// writer only fills rows past n and only appends blocks past the copy's
+// block table.
+type residentRows struct {
+	blocks [][]float64 // residentBlock rows of 6h floats each
+	n, h   int         // rows (dead included); hidden width
 }
 
 // data returns row i's packed storage.
-func (s *residentSnap) data(i int) []float64 {
-	w := 6 * s.h
+func (r *residentRows) data(i int) []float64 {
+	w := 6 * r.h
 	off := i % residentBlock * w
-	return s.blocks[i/residentBlock][off : off+w : off+w]
+	return r.blocks[i/residentBlock][off : off+w : off+w]
 }
+
+// residentStore is the resident tier between two replacements: the rows,
+// the key→row index, the pair-rate memo keyed by row pair, and the count of
+// dead rows (evicted keys whose rows stay in place). When dead rows pass a
+// quarter of the store, the next promotion compacts the live ones into a
+// successor store — the only event short of a flush that renumbers rows,
+// and the memo is remapped with them. Guarded by RepCache.mu.
+type residentStore struct {
+	residentRows
+	index map[string]int
+	memo  map[uint64]float64
+	dead  int
+}
+
+// residentView is what a rate pass holds of the resident tier: the rows
+// that existed when it resolved its keys, read in place without the lock,
+// and the store they belong to, against which the pass's promotions and
+// memo writes are checked. The zero view has no rows.
+type residentView struct {
+	residentRows
+	store *residentStore
+}
+
+func newResidentStore(h int) *residentStore {
+	return &residentStore{residentRows: residentRows{h: h}, index: map[string]int{}, memo: map[uint64]float64{}}
+}
+
+// grow appends a row for key and returns its storage to fill. Appending a
+// block writes past the block table's length in every view taken earlier.
+func (s *residentStore) grow(key string) []float64 {
+	if s.n == len(s.blocks)*residentBlock {
+		s.blocks = append(s.blocks, make([]float64, residentBlock*6*s.h))
+	}
+	s.index[key] = s.n
+	s.n++
+	return s.data(s.n - 1)
+}
+
+// pairKey packs two resident row IDs into a memo key.
+func pairKey(r1, r2 int) uint64 { return uint64(r1)<<32 | uint64(r2) }
 
 // DefaultRepCacheSize is the default entry bound of a serving cache.
 const DefaultRepCacheSize = 8192
@@ -165,15 +162,21 @@ func NewRepCache(capacity int) *RepCache {
 	if capacity <= 0 {
 		capacity = DefaultRepCacheSize
 	}
-	c := &RepCache{cap: capacity}
-	c.sightings.Store(newRateMemo(capacity * sightingsPerRow))
-	return c
+	return &RepCache{cap: capacity, store: newResidentStore(0), sightings: map[uint64]struct{}{}}
 }
 
-// sighted reports whether key was computed before since the last flush,
-// recording the sighting if it was not.
-func (c *RepCache) sighted(key string) bool {
-	return c.sightings.Load().sight(maphash.String(sightSeed, key) | 1)
+// sight reports whether key was computed before since the last flush,
+// recording the sighting if it was not. Callers hold mu for writing.
+func (c *RepCache) sight(key string) bool {
+	h := maphash.String(sightSeed, key)
+	if _, ok := c.sightings[h]; ok {
+		return true
+	}
+	if len(c.sightings) >= sightingsPerRow*c.cap {
+		clear(c.sightings)
+	}
+	c.sightings[h] = struct{}{}
+	return false
 }
 
 // Validate flushes the cache if the observed pool version advances past
@@ -182,8 +185,8 @@ func (c *RepCache) sighted(key string) bool {
 // flushing. The comparison is monotone — pool versions only grow — so an
 // estimate that loaded the pool version just before a concurrent, already
 // absorbed mutation cannot trigger a spurious flush. The caught-up case —
-// every estimate in steady-state serving — is a lock-free pair of atomic
-// loads, so concurrent estimates do not contend here.
+// every estimate in steady-state serving — is a pair of atomic loads and
+// takes no lock, so concurrent estimates do not contend here.
 func (c *RepCache) Validate(version uint64) {
 	if c == nil {
 		return
@@ -191,7 +194,7 @@ func (c *RepCache) Validate(version uint64) {
 	if c.started.Load() && version <= c.version.Load() {
 		return
 	}
-	c.flushMu.Lock()
+	c.mu.Lock()
 	switch {
 	case !c.started.Load():
 		c.started.Store(true)
@@ -200,7 +203,7 @@ func (c *RepCache) Validate(version uint64) {
 		c.flush()
 		c.version.Store(version)
 	}
-	c.flushMu.Unlock()
+	c.mu.Unlock()
 }
 
 // PoolMutated implements pool.MutationListener: it absorbs one pool
@@ -210,69 +213,25 @@ func (c *RepCache) Validate(version uint64) {
 // frozen weights), then the seen version is raised so the next Validate
 // recognizes the mutation as handled. Called under the pool's write lock,
 // so it must not call back into the pool.
+//
+// The evicted key leaves the index; its row stays in storage, dead, until a
+// compaction, and its memo pairs die with it because no lookup yields its
+// row ID again. Its sighting stays, so its next computation promotes it
+// again.
 func (c *RepCache) PoolMutated(version uint64, evictedKey string) {
 	if c == nil {
 		return
 	}
-	if evictedKey != "" {
-		c.remove(evictedKey)
+	c.mu.Lock()
+	if _, ok := c.store.index[evictedKey]; ok {
+		delete(c.store.index, evictedKey)
+		c.store.dead++
 	}
-	c.flushMu.Lock()
 	c.started.Store(true)
 	if version > c.version.Load() {
 		c.version.Store(version)
 	}
-	c.flushMu.Unlock()
-}
-
-// remove drops one key from the resident tier: a view whose delta
-// tombstones the key (the row stays in storage, dead, until a compaction;
-// its memo entries die with it because no lookup yields its ID again).
-// Unknown keys are a no-op. The key's sighting stays, so its next
-// computation promotes it again.
-func (c *RepCache) remove(key string) {
-	c.promoteMu.Lock()
-	defer c.promoteMu.Unlock()
-	old := c.resident.Load()
-	if _, ok := old.row(key); !ok {
-		return
-	}
-	next := *old
-	next.cloneDelta(1)
-	next.dead++
-	if _, inBase := next.base[key]; !inBase {
-		delete(next.delta, key)
-	} else {
-		if _, shadowed := next.delta[key]; !shadowed {
-			next.overrides++
-		}
-		next.delta[key] = -1
-	}
-	c.resident.Store(&next)
-}
-
-// cloneDelta gives a view under construction its own delta with room for
-// extra more keys, folding it into a new base first once it outgrows a
-// fixed fraction of the base: a writer copies O(delta) per publication and
-// O(base) once per base/residentDeltaShare publications.
-func (s *residentSnap) cloneDelta(extra int) {
-	old := s.delta
-	if len(old) > residentDeltaMin+len(s.base)/residentDeltaShare {
-		base := make(map[string]int, len(s.base)+len(old)+extra)
-		for k, r := range s.base {
-			base[k] = r
-		}
-		for k, r := range old {
-			if base[k] = r; r < 0 {
-				delete(base, k)
-			}
-		}
-		s.base, old, s.overrides = base, nil, 0
-	}
-	s.delta = make(map[string]int, len(old)+extra)
-	for k, r := range old {
-		s.delta[k] = r
-	}
+	c.mu.Unlock()
 }
 
 // Invalidate unconditionally discards every cached entry and sighting.
@@ -280,22 +239,18 @@ func (c *RepCache) Invalidate() {
 	if c == nil {
 		return
 	}
-	c.flushMu.Lock()
+	c.mu.Lock()
 	c.flush()
-	c.flushMu.Unlock()
+	c.mu.Unlock()
 }
 
-// flush clears the resident tier and the sighting filter. Callers hold
-// flushMu. The generation bump happens under promoteMu, so a promotion that
-// captured the old generation observes the bump and drops itself: stale
-// values cannot survive a flush. A sighting holds no value, so a request
-// straddling the flush may record one in the new filter harmlessly.
+// flush replaces the store and empties the sighting set. Callers hold mu
+// for writing. A pass still holding a view of the old store keeps reading
+// its rows, but its promotions and memo writes no longer land: stale values
+// cannot survive a flush.
 func (c *RepCache) flush() {
-	c.promoteMu.Lock()
-	c.gen.Add(1)
-	c.resident.Store(nil)
-	c.sightings.Store(newRateMemo(c.cap * sightingsPerRow))
-	c.promoteMu.Unlock()
+	c.store = newResidentStore(0)
+	clear(c.sightings)
 }
 
 // RepCacheStats is a point-in-time snapshot of cache effectiveness.
@@ -332,18 +287,32 @@ func (c *RepCache) Stats() RepCacheStats {
 		MemoHits:   c.memoHits.Load(),
 		MemoMisses: c.memoMisses.Load(),
 	}
-	if snap := c.resident.Load(); snap != nil {
-		st.Resident = snap.n - snap.dead
-		st.MemoEntries = int(snap.memo.entries.Load())
-	}
+	c.mu.RLock()
+	st.Resident = c.store.n - c.store.dead
+	st.MemoEntries = len(c.store.memo)
+	c.mu.RUnlock()
 	return st
 }
 
-// count records one request's resident hits and computed misses (the
-// lookups themselves are the caller's reads of the view it loaded).
+// count records one request's resident hits and computed misses.
 func (c *RepCache) count(hits, misses int) {
 	c.hits.Add(uint64(hits))
 	c.misses.Add(uint64(misses))
+}
+
+// resolve writes each key's resident row to rowOf (-1 for a key not
+// resident) and returns the view those rows are read through.
+func (c *RepCache) resolve(keys []string, rowOf []int) residentView {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for i, key := range keys {
+		r, ok := c.store.index[key]
+		if !ok {
+			r = -1
+		}
+		rowOf[i] = r
+	}
+	return residentView{c.store.residentRows, c.store}
 }
 
 // promotion is one entry to move into the resident tier; the row slices
@@ -353,95 +322,115 @@ type promotion struct {
 	rep1, rep2, pp1, pp2 []float64
 }
 
-// promote appends the given entries to the resident tier and publishes the
-// view that includes them. gen is the generation the caller captured before
-// reading the cache: promotions gathered before a flush are discarded, so
-// stale rows cannot resurrect into a freshly flushed tier. Keys already
-// resident — promoted concurrently by another request — and keys duplicated
-// within the batch are skipped, as is everything beyond the capacity bound.
-// The cost is O(entries + delta), never O(resident rows), except when it
-// first compacts.
-func (c *RepCache) promote(gen uint64, promos []promotion) {
+// promote appends a pass's computed entries to the store the pass resolved
+// against, v.store: with warm set all of them, otherwise those the sighting
+// set has seen before (the others are sighted now). It returns the store it
+// appended to, or nil if it appended nothing. A pass whose store was
+// replaced since it resolved writes nothing, not even a sighting: its
+// values may predate a model swap. Keys already resident — promoted
+// concurrently by another pass — and keys duplicated within the batch are
+// skipped, as is everything beyond the capacity bound. The first row
+// appended compacts the store first when dead rows are more than a quarter
+// of it.
+func (c *RepCache) promote(v residentView, promos []promotion, warm bool) *residentStore {
 	if len(promos) == 0 {
-		return
+		return nil
 	}
-	c.promoteMu.Lock()
-	defer c.promoteMu.Unlock()
-	if c.gen.Load() != gen {
-		return
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.store
 	h := len(promos[0].rep1)
-	old := c.resident.Load()
-	compacted := false
-	switch {
-	case old == nil:
-		old = &residentSnap{h: h, memo: newRateMemo(c.cap * memoPerRow)}
-	case old.h != h:
-		// Layout changed underneath a stale view (model swap without
-		// Invalidate): refuse to mix row widths.
-		return
-	case old.dead > old.n/4:
-		old, compacted = old.compact(), true
+	if s != v.store || s.n > 0 && s.h != h {
+		// Replaced, or a layout change under a stale store (model swap
+		// without Invalidate): refuse to mix row widths.
+		return nil
 	}
-	next := *old
-	next.cloneDelta(len(promos))
-	first := next.n
+	s.h = h
+	first := s.n
 	for _, p := range promos {
-		if _, ok := next.row(p.key); ok {
+		if !warm && !c.sight(p.key) {
 			continue
 		}
-		if next.n-next.dead >= c.cap {
-			break
+		if _, ok := s.index[p.key]; ok || s.n-s.dead >= c.cap {
+			continue
 		}
-		if next.n == len(next.blocks)*residentBlock {
-			// Appending writes past the block table's published length, so
-			// a backing array shared with earlier views never changes under
-			// their readers.
-			next.blocks = append(next.blocks, make([]float64, residentBlock*6*h))
+		if s.n == first && s.dead > s.n/4 {
+			s = s.compact()
+			c.store, first = s, s.n
 		}
-		row := next.data(next.n)
+		row := s.grow(p.key)
 		copy(row, p.rep1)
 		copy(row[h:], p.rep2)
 		copy(row[2*h:], p.pp1)
 		copy(row[4*h:], p.pp2)
-		// A tombstone this replaces is already counted in overrides.
-		next.delta[p.key] = next.n
-		next.n++
 	}
-	if next.n > first || compacted {
-		c.resident.Store(&next)
+	c.promoted.Add(uint64(s.n - first))
+	if s.n == first {
+		return nil
 	}
-	c.promoted.Add(uint64(next.n - first))
+	return s
 }
 
-// compact returns an unpublished view of fresh storage holding only the
-// live rows, renumbered densely under a single base map, with the memo's
-// surviving pairs carried over under their new IDs.
-func (s *residentSnap) compact() *residentSnap {
-	live := s.n - s.dead
-	next := &residentSnap{h: s.h, base: make(map[string]int, live)}
+// compact returns the successor of s holding only the live rows, renumbered
+// densely, with the memo's pairs of two surviving rows carried over under
+// their new IDs. s itself is left as it is for the passes still reading it.
+func (s *residentStore) compact() *residentStore {
+	next := newResidentStore(s.h)
 	newRow := make([]int, s.n)
 	for i := range newRow {
 		newRow[i] = -1
 	}
-	add := func(key string, r int) {
-		if next.n%residentBlock == 0 {
-			next.blocks = append(next.blocks, make([]float64, residentBlock*6*s.h))
-		}
-		copy(next.data(next.n), s.data(r))
-		next.base[key], newRow[r] = next.n, next.n
-		next.n++
+	for key, r := range s.index {
+		newRow[r] = next.n
+		copy(next.grow(key), s.data(r))
 	}
-	for key, r := range s.delta {
-		if r >= 0 {
-			add(key, r)
+	for k, rate := range s.memo {
+		if r1, r2 := newRow[k>>32], newRow[uint32(k)]; r1 >= 0 && r2 >= 0 {
+			next.memo[pairKey(r1, r2)] = rate
 		}
 	}
-	for key, r := range s.base {
-		if _, shadowed := s.delta[key]; !shadowed {
-			add(key, r)
-		}
-	}
-	next.memo = s.memo.remap(newRow)
 	return next
+}
+
+// recall answers from v's memo every pair of idx whose two sides
+// (translated through rowOf) are rows of v, into out, appends the position
+// of every other pair to miss, and returns miss with the number of pairs
+// it looked up. Only the write lock writes a memo, so the read lock covers
+// a replaced store's memo as well.
+func (c *RepCache) recall(v residentView, rowOf []int, idx [][2]int, out []float64, miss []int) ([]int, int) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	looked := 0
+	for i, p := range idx {
+		// A pair with a request-local side was never memoized: no lookup.
+		if r1, r2 := rowOf[p[0]], rowOf[p[1]]; r1 < v.n && r2 < v.n {
+			looked++
+			if rate, ok := v.store.memo[pairKey(r1, r2)]; ok {
+				out[i] = rate
+				continue
+			}
+		}
+		miss = append(miss, i)
+	}
+	return miss, looked
+}
+
+// memoize records rates[i] as the rate of pairs[i] for every pair whose two
+// sides (translated through rowOf) are rows of v, unless v's store has been
+// replaced since. A memo at its bound is emptied before the next pair.
+func (c *RepCache) memoize(v residentView, pairs [][2]int, rowOf []int, rates []float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.store
+	if s != v.store {
+		return
+	}
+	for i, p := range pairs {
+		if r1, r2 := rowOf[p[0]], rowOf[p[1]]; r1 < v.n && r2 < v.n {
+			if len(s.memo) >= memoPerRow*c.cap {
+				clear(s.memo)
+			}
+			s.memo[pairKey(r1, r2)] = rates[i]
+		}
+	}
 }

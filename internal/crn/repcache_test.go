@@ -16,45 +16,59 @@ func cacheRow(v float64) ([]float64, []float64, []float64, []float64) {
 	return []float64{v}, []float64{v + 1}, []float64{v + 2, v + 3}, []float64{v + 4, v + 5}
 }
 
-// promoteRow promotes key with cacheRow(v)'s values at the current
-// generation.
+// current returns the cache's current view, as a pass that resolved no
+// keys would hold it.
+func current(c *RepCache) residentView { return c.resolve(nil, nil) }
+
+// currentStore returns the cache's current store.
+func currentStore(c *RepCache) *residentStore { return current(c).store }
+
+// promoteRow promotes key with cacheRow(v)'s values into the current store,
+// bypassing the sighting rule.
 func promoteRow(c *RepCache, key string, v float64) {
 	r1, r2, p1, p2 := cacheRow(v)
-	c.promote(c.gen.Load(), []promotion{{key: key, rep1: r1, rep2: r2, pp1: p1, pp2: p2}})
+	c.promote(current(c), []promotion{{key: key, rep1: r1, rep2: r2, pp1: p1, pp2: p2}}, true)
 }
 
 // residentRow reads a key's packed resident row (rep1 | rep2 | pp1 | pp2)
-// through the currently published view.
+// through a freshly resolved view.
 func residentRow(c *RepCache, key string) ([]float64, bool) {
-	snap := c.resident.Load()
-	ri, ok := snap.row(key)
-	if !ok {
+	rowOf := []int{0}
+	v := c.resolve([]string{key}, rowOf)
+	if rowOf[0] < 0 {
 		return nil, false
 	}
-	return snap.data(ri), true
+	return v.data(rowOf[0]), true
+}
+
+// sighted applies the sighting rule to key, as a promotion does.
+func sighted(c *RepCache, key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sight(key)
 }
 
 func TestRepCacheInvalidateAndValidate(t *testing.T) {
 	c := NewRepCache(8)
 	promoteRow(c, "a", 1)
-	if c.sighted("s") {
+	if sighted(c, "s") {
 		t.Fatal("an unseen key must not count as sighted")
 	}
 	c.Invalidate()
-	if c.Stats().Resident != 0 || c.sighted("s") {
+	if c.Stats().Resident != 0 || sighted(c, "s") {
 		t.Fatal("Invalidate should clear the rows and the sightings")
 	}
 	promoteRow(c, "a", 1)
 	c.Validate(3) // first observation adopts without flushing
-	if c.Stats().Resident != 1 || !c.sighted("s") {
+	if c.Stats().Resident != 1 || !sighted(c, "s") {
 		t.Fatal("first Validate must not flush")
 	}
 	c.Validate(3) // same version: no flush
-	if c.Stats().Resident != 1 || !c.sighted("s") {
+	if c.Stats().Resident != 1 || !sighted(c, "s") {
 		t.Fatal("same-version Validate must not flush")
 	}
 	c.Validate(4) // version bump: flush
-	if c.Stats().Resident != 0 || c.sighted("s") {
+	if c.Stats().Resident != 0 || sighted(c, "s") {
 		t.Fatal("version change must flush rows and sightings")
 	}
 	// Nil cache is inert.
@@ -69,10 +83,11 @@ func TestRepCacheInvalidateAndValidate(t *testing.T) {
 func TestRepCachePromotion(t *testing.T) {
 	c := NewRepCache(8)
 	r1, r2, p1, p2 := cacheRow(7)
-	c.promote(c.gen.Load(), []promotion{{key: "a", rep1: r1, rep2: r2, pp1: p1, pp2: p2}})
-	snap := c.resident.Load()
-	if snap == nil || snap.rows() != 1 {
-		t.Fatalf("promotion did not publish: %+v", snap)
+	c.promote(current(c), []promotion{{key: "a", rep1: r1, rep2: r2, pp1: p1, pp2: p2}}, true)
+	rowOf := []int{0}
+	held := c.resolve([]string{"a"}, rowOf)
+	if held.n != 1 || rowOf[0] != 0 {
+		t.Fatalf("promotion did not append: %d rows, row %d", held.n, rowOf[0])
 	}
 	row, ok := residentRow(c, "a")
 	if !ok || row[0] != 7 || row[5] != 12 {
@@ -84,21 +99,21 @@ func TestRepCachePromotion(t *testing.T) {
 		t.Error("promote must copy its inputs")
 	}
 	// Promoting a resident key again is a no-op (no duplicate rows).
-	c.promote(c.gen.Load(), []promotion{{key: "a", rep1: r1, rep2: r2, pp1: p1, pp2: p2}})
-	if got := c.resident.Load().rows(); got != 1 {
+	c.promote(current(c), []promotion{{key: "a", rep1: r1, rep2: r2, pp1: p1, pp2: p2}}, true)
+	if got := current(c).n; got != 1 {
 		t.Fatalf("duplicate promotion grew resident tier to %d", got)
 	}
 	// A second key appends while the first row's values survive.
 	q1, q2, q3, q4 := cacheRow(20)
-	c.promote(c.gen.Load(), []promotion{{key: "b", rep1: q1, rep2: q2, pp1: q3, pp2: q4}})
+	c.promote(current(c), []promotion{{key: "b", rep1: q1, rep2: q2, pp1: q3, pp2: q4}}, true)
 	rowA, _ := residentRow(c, "a")
 	rowB, _ := residentRow(c, "b")
-	if c.resident.Load().rows() != 2 || rowA[0] != 7 || rowB[0] != 20 {
+	if current(c).n != 2 || rowA[0] != 7 || rowB[0] != 20 {
 		t.Fatalf("append lost rows: a=%v b=%v", rowA, rowB)
 	}
-	// Row IDs are stable: the view loaded before the append still resolves
-	// "a" to the same storage.
-	if ri, ok := snap.row("a"); !ok || &snap.data(ri)[0] != &rowA[0] {
+	// Row IDs are stable: the view taken before the append still reads "a"
+	// from the same storage.
+	if &held.data(rowOf[0])[0] != &rowA[0] {
 		t.Error("appending moved an existing row")
 	}
 	promoteRow(c, "c", 30)
@@ -108,8 +123,8 @@ func TestRepCachePromotion(t *testing.T) {
 	}
 	// Invalidate drops the resident tier too.
 	c.Invalidate()
-	if c.resident.Load() != nil || c.Stats().Resident != 0 {
-		t.Fatal("Invalidate must drop the resident snapshot")
+	if current(c).n != 0 || c.Stats().Resident != 0 {
+		t.Fatal("Invalidate must drop the resident store")
 	}
 }
 
@@ -119,15 +134,15 @@ func TestRepCachePromotion(t *testing.T) {
 // cache.
 func TestRepCacheStaleWritebacksDropped(t *testing.T) {
 	c := NewRepCache(8)
-	gen := c.gen.Load() // a request captures the generation, then computes
-	c.Invalidate()      // ... a flush lands mid-request ...
+	v := current(c) // a request resolves against the store, then computes
+	c.Invalidate()  // ... a flush lands mid-request ...
 	r1, r2, p1, p2 := cacheRow(7)
-	c.promote(gen, []promotion{{key: "b", rep1: r1, rep2: r2, pp1: p1, pp2: p2}})
+	c.promote(v, []promotion{{key: "b", rep1: r1, rep2: r2, pp1: p1, pp2: p2}}, true)
 	if st := c.Stats(); st.Resident != 0 || st.Promoted != 0 {
 		t.Fatalf("stale writeback survived the flush: %+v", st)
 	}
-	// Current-generation writebacks still land.
-	c.promote(c.gen.Load(), []promotion{{key: "b", rep1: r1, rep2: r2, pp1: p1, pp2: p2}})
+	// Writebacks into the current store still land.
+	c.promote(current(c), []promotion{{key: "b", rep1: r1, rep2: r2, pp1: p1, pp2: p2}}, true)
 	if st := c.Stats(); st.Resident != 1 || st.Promoted != 1 {
 		t.Fatalf("fresh writeback dropped: %+v", st)
 	}
@@ -139,12 +154,12 @@ func TestRepCacheStaleWritebacksDropped(t *testing.T) {
 func TestRepCachePromotionDedupsWithinBatch(t *testing.T) {
 	c := NewRepCache(8)
 	r1, r2, p1, p2 := cacheRow(7)
-	c.promote(c.gen.Load(), []promotion{
+	c.promote(current(c), []promotion{
 		{key: "a", rep1: r1, rep2: r2, pp1: p1, pp2: p2},
 		{key: "a", rep1: r1, rep2: r2, pp1: p1, pp2: p2},
-	})
-	if st := c.Stats(); c.resident.Load().rows() != 1 || st.Resident != 1 || st.Promoted != 1 {
-		t.Fatalf("duplicate promotion created %d rows: %+v", c.resident.Load().rows(), st)
+	}, true)
+	if st := c.Stats(); current(c).n != 1 || st.Resident != 1 || st.Promoted != 1 {
+		t.Fatalf("duplicate promotion created %d rows: %+v", current(c).n, st)
 	}
 }
 
@@ -155,8 +170,8 @@ func TestRepCachePromotionRespectsCapacity(t *testing.T) {
 		r1, r2, p1, p2 := cacheRow(float64(i))
 		promos = append(promos, promotion{key: fmt.Sprintf("k%d", i), rep1: r1, rep2: r2, pp1: p1, pp2: p2})
 	}
-	c.promote(c.gen.Load(), promos)
-	if got := c.resident.Load().rows(); got > 4 {
+	c.promote(current(c), promos, true)
+	if got := current(c).n; got > 4 {
 		t.Fatalf("resident tier exceeded capacity: %d", got)
 	}
 }
@@ -207,7 +222,7 @@ func TestRepCacheSightingPromotes(t *testing.T) {
 
 // TestRepCacheColdStreamRetainsNothing: a stream of keys each computed once
 // — the never-repeating probes of a top-K workload — promotes nothing and
-// holds the sighting filter to its bound, and the filter keeps admitting
+// holds the sighting set to its bound, and the set keeps admitting
 // after it resets: a key computed twice at the end still promotes.
 func TestRepCacheColdStreamRetainsNothing(t *testing.T) {
 	ctx := context.Background()
@@ -245,18 +260,26 @@ func TestRepCacheColdStreamRetainsNothing(t *testing.T) {
 		}
 		run(qs)
 	}
+	checkSightingBound := func() {
+		t.Helper()
+		c.mu.RLock()
+		n := len(c.sightings)
+		c.mu.RUnlock()
+		if n > capacity*sightingsPerRow {
+			t.Fatalf("sighting set grew to %d keys, bound %d", n, capacity*sightingsPerRow)
+		}
+	}
 	if st := c.Stats(); st.Resident != 0 || st.Promoted != 0 || st.Misses != 3*capacity {
 		t.Fatalf("cold stream retained rows: %+v", st)
 	}
+	checkSightingBound()
 	again := []query.Query{cold(-1)}
 	run(again)
 	run(again)
 	if st := c.Stats(); st.Resident != 1 || st.Promoted != 1 {
 		t.Fatalf("a recurring key after the cold stream was not promoted: %+v", st)
 	}
-	if slots := len(c.sightings.Load().tab.Load().slots); slots > capacity*sightingsPerRow {
-		t.Fatalf("sighting filter grew to %d slots, bound %d", slots, capacity*sightingsPerRow)
-	}
+	checkSightingBound()
 }
 
 // TestRatesCachedMatchesUncached is the core cache-equivalence gate:
@@ -329,7 +352,7 @@ func TestRepCacheConcurrentUse(t *testing.T) {
 					continue
 				}
 				c.count(0, 1)
-				if c.sighted(key) {
+				if sighted(c, key) {
 					promoteRow(c, key, float64(i))
 				}
 				switch i % 50 {
@@ -355,11 +378,11 @@ func TestRepCacheSurgicalRemove(t *testing.T) {
 	c.Validate(1)
 	a1, a2, a3, a4 := cacheRow(1)
 	b1, b2, b3, b4 := cacheRow(2)
-	c.promote(c.gen.Load(), []promotion{
+	c.promote(current(c), []promotion{
 		{key: "a", rep1: a1, rep2: a2, pp1: a3, pp2: a4},
 		{key: "b", rep1: b1, rep2: b2, pp1: b3, pp2: b4},
-	})
-	c.sighted("s")
+	}, true)
+	sighted(c, "s")
 
 	// Insert-only mutation: nothing is dropped, version is absorbed.
 	c.PoolMutated(2, "")
@@ -367,11 +390,11 @@ func TestRepCacheSurgicalRemove(t *testing.T) {
 		t.Fatalf("insert mutation must not drop anything: %+v", st)
 	}
 	c.Validate(2)
-	if st := c.Stats(); st.Resident != 2 || !c.sighted("s") {
+	if st := c.Stats(); st.Resident != 2 || !sighted(c, "s") {
 		t.Fatalf("absorbed version must not flush on Validate: %+v", st)
 	}
 
-	// Evict a resident key: one tombstone, the other row stays readable.
+	// Evict a resident key: one dead row, the other row stays readable.
 	c.PoolMutated(3, "a")
 	if _, ok := residentRow(c, "a"); ok {
 		t.Fatal("evicted key must leave the resident index")
@@ -385,16 +408,15 @@ func TestRepCacheSurgicalRemove(t *testing.T) {
 	// Unknown keys are a no-op.
 	c.PoolMutated(5, "never-seen")
 	c.Validate(5)
-	if st := c.Stats(); st.Resident != 1 || !c.sighted("s") {
+	if st := c.Stats(); st.Resident != 1 || !sighted(c, "s") {
 		t.Fatalf("post-absorption stats = %+v", st)
 	}
 
-	// The next promotion compacts the tombstone away: two live keys, two
+	// The next promotion compacts the dead row away: two live keys, two
 	// rows, values intact.
 	promoteRow(c, "d", 9)
-	snap := c.resident.Load()
-	if snap.rows() != 2 || snap.dead != 0 {
-		t.Fatalf("promotion should compact tombstones: rows=%d dead=%d", snap.rows(), snap.dead)
+	if s := currentStore(c); s.n != 2 || s.dead != 0 {
+		t.Fatalf("promotion should compact dead rows: rows=%d dead=%d", s.n, s.dead)
 	}
 	rowB, _ := residentRow(c, "b")
 	rowD, _ := residentRow(c, "d")

@@ -102,18 +102,6 @@ type PoolStats = pool.Stats
 
 // --- Cardinality estimation -------------------------------------------------
 
-// FinalFunc collapses the per-old-query cardinality estimates into the
-// final estimate (the function F of §5.3).
-type FinalFunc = pool.FinalFunc
-
-// Final functions of §5.3.1, for WithFinal. The paper found Median best and
-// uses it everywhere.
-var (
-	Median      FinalFunc = pool.Median
-	Mean        FinalFunc = pool.Mean
-	TrimmedMean FinalFunc = pool.TrimmedMean
-)
-
 // estimatorSettings collects everything EstimatorOption values can tune:
 // the Figure 8 algorithm knobs on the underlying estimator plus the
 // serving-side representation cache, request coalescing, and — for
@@ -144,12 +132,6 @@ func newSettings(est *card.Estimator, opts []EstimatorOption) estimatorSettings 
 		o(&set)
 	}
 	return set
-}
-
-// WithFinal sets the final function F collapsing per-old-query estimates
-// (default Median, the paper's choice).
-func WithFinal(f FinalFunc) EstimatorOption {
-	return func(s *estimatorSettings) { s.est.Final = f }
 }
 
 // WithFallback sets a fallback estimator for queries without a usable pool

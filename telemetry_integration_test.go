@@ -100,6 +100,49 @@ func accuracyJoined(t *testing.T, tel *Telemetry) float64 {
 	return v
 }
 
+// TestDriftEstimateNotServed: RecordFeedbackQuery re-estimates the query to
+// score drift, and nobody is served that estimate, so it must not enter the
+// accuracy ring. Each probe is estimated once and gets its truth twice: the
+// first round joins the served estimates, the second finds nothing to join.
+func TestDriftEstimateNotServed(t *testing.T) {
+	ctx := context.Background()
+	sys, model, pool := adaptFixture(t)
+	base, err := sys.AnalyzeBaseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := NewTelemetry()
+	ae := openAdaptive(t, sys, model, pool,
+		WithFallback(base),
+		WithTelemetry(tel),
+		WithRetrainInterval(-1),
+	)
+	defer ae.Close()
+
+	probes := labeledWorkload(t, sys, 24, 8)
+	for _, lq := range probes {
+		if _, err := ae.EstimateCardinality(ctx, lq.Q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	truths := func() float64 {
+		t.Helper()
+		for _, lq := range probes {
+			if _, err := ae.RecordFeedbackQuery(ctx, lq.Q, lq.Card); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return accuracyJoined(t, tel)
+	}
+	first := truths()
+	if first == 0 {
+		t.Fatal("no truth joined a served estimate")
+	}
+	if second := truths(); second != first {
+		t.Fatalf("joins went %v -> %v: the second truths joined estimates nobody was served", first, second)
+	}
+}
+
 // TestAccuracyJoinsFeedback drives the live-accuracy loop end to end on an
 // adaptive estimator: estimates ring their values by query key, feedback
 // truths join against the ring, and the per-arm q-error family fills in —
