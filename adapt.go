@@ -42,9 +42,9 @@ type AdaptiveEstimator struct {
 	cancel  context.CancelFunc
 
 	// scorer is the drift re-estimate's estimator: the served one without
-	// telemetry, sharing its rates, memo, fallback and candidate bound, so
-	// an estimate nobody was served never enters the accuracy ring or the
-	// stage spans.
+	// telemetry and with the box's untimed view for its rates, sharing its
+	// model, caches, memo, fallback and candidate bound, so an estimate
+	// nobody was served never enters the accuracy ring or the stage spans.
 	scorer *card.Estimator
 
 	// store is the durability layer (nil without WithDataDir).
@@ -191,6 +191,7 @@ func (s *System) OpenAdaptiveEstimator(m *ContainmentModel, p *QueriesPool, opts
 	}
 	scorer := *est
 	scorer.Tel = nil
+	scorer.Rates = box.Untimed()
 	ae.scorer = &scorer
 	if ck != nil {
 		ae.drift.Restore(ck.Drift)
@@ -404,7 +405,7 @@ func (e *AdaptiveEstimator) RecordFeedbackQuery(ctx context.Context, q Query, ca
 	// computes a fresh estimate below — the q-error per arm should score
 	// what was actually served, not a post-hoc recomputation.
 	if e.tel != nil {
-		e.tel.Accuracy.Truth(q.Key(), float64(card))
+		e.tel.Accuracy.Truth(q.Key(), q.KeyHash(), float64(card))
 	}
 	// Drift accounting: how wrong was the live model about this truth?
 	// Queries the estimator cannot answer (no pool match, no fallback) are

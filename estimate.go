@@ -43,12 +43,15 @@ import (
 // every estimate is the safety net — it flushes only on a mutation the cache
 // did not witness.
 //
-// In front of the cache sits the estimate memo (card.Memo, as large as the
-// cache): candidate selection still runs for every estimate, and a probe
-// whose selected candidates — entry IDs and cardinalities, in order — and
-// model generation match a memoized pass is answered with that pass's
-// estimate, skipping the Figure 8 loop after selection. Pool mutations on
-// the probe's FROM clause change its candidates and so miss by construction.
+// In front of candidate selection sits the estimate memo (card.Memo, as
+// large as the cache): a probe whose memoized pass ran under the current
+// model generation while its FROM clause was at the clause's current
+// mutation stamp is answered with that pass's estimate before selection, so
+// neither selection nor the Figure 8 loop runs; the recency stamping the
+// selection would have done is replayed, so a bounded pool evicts the same
+// victims. Every insert, eviction and cardinality change on the probe's FROM
+// clause moves its stamp, and the next estimate misses. A mutation on
+// another clause leaves the memo's answer valid.
 // InvalidateRepresentations flushes cache and memo alike; estimates with and
 // without them (WithRepCacheSize(0)) are bit-identical.
 type CardinalityEstimator struct {
@@ -182,7 +185,7 @@ func (e *CardinalityEstimator) registerCollectors() {
 	r.GaugeFunc("crn_ratememo_entries", "Containment rates memoized by resident row pair.",
 		func() float64 { return float64(e.CacheStats().MemoEntries) })
 	r.CollectCounter("crn_estimate_memo_lookups_total",
-		"Estimate-memo lookups after candidate selection by result (probes with candidates only).",
+		"Estimate-memo lookups by result: a hit is answered before candidate selection, a miss is counted only for a probe selection found a usable candidate.",
 		"result", func(emit telemetry.Emit) {
 			cs := e.CacheStats()
 			emit(float64(cs.EstimateHits), "hit")
@@ -211,7 +214,7 @@ func (e *CardinalityEstimator) registerCollectors() {
 		r.CollectCounter("crn_pool_evictions_total", "Entries evicted by the capacity bound.",
 			"", func(emit telemetry.Emit) { emit(float64(e.pool.Stats().Evictions), "") })
 		r.CollectCounter("crn_pool_selections_total",
-			"Bounded top-K selections by serving path (signature-class index vs linear scan).",
+			"Bounded top-K selections that ran, by serving path (signature-class index vs linear scan); a probe the estimate memo answers runs none.",
 			"path", func(emit telemetry.Emit) {
 				ps := e.pool.Stats()
 				emit(float64(ps.IndexHits), "indexed")

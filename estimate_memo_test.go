@@ -1,9 +1,10 @@
 package crn
 
-// Gates for the estimate memo (card.Memo): a recurring probe whose selected
-// candidates and model generation have not changed is answered with the
-// estimate of the pass that computed them, and that answer carries the bits
-// a WithRepCacheSize(0) estimator computes.
+// Gates for the estimate memo (card.Memo): a recurring probe whose FROM
+// clause has not mutated and whose model generation has not changed is
+// answered, before selection, with the estimate of the pass that computed
+// it, and that answer carries the bits a WithRepCacheSize(0) estimator
+// computes.
 
 import (
 	"cmp"
@@ -78,9 +79,19 @@ func sameBits(t *testing.T, what string, got, want float64) {
 // promotion, an estimator with the memo answers every call with the bits of
 // a WithRepCacheSize(0) estimator fed the same operations on a twin pool —
 // fallback answers included — and the two pools evict the same victims,
-// because selection, and with it the recency stamping eviction reads, runs
-// for memoized answers too.
-func TestEstimateMemoInterleavings(t *testing.T) {
+// because a memoized answer replays the recency stamping eviction reads.
+func TestEstimateMemoInterleavings(t *testing.T) { memoInterleavings(t) }
+
+// TestEstimateMemoInterleavingsBounded is TestEstimateMemoInterleavings with
+// both estimators bounded to the top 3 candidates: the title clause's
+// selections are bounded, so a memoized answer there re-stamps exactly the
+// entries its selection chose, while the smaller cast_info clause takes the
+// whole-clause path.
+func TestEstimateMemoInterleavingsBounded(t *testing.T) { memoInterleavings(t, WithMaxCandidates(3)) }
+
+// memoInterleavings runs the interleaving property with opts applied to
+// both estimators.
+func memoInterleavings(t *testing.T, opts ...EstimatorOption) {
 	ctx := context.Background()
 	sys, first, second, base := memoFixture(t)
 	const capacity = 10
@@ -94,9 +105,9 @@ func TestEstimateMemoInterleavings(t *testing.T) {
 			}
 		}
 	}
-	memo := openAdaptive(t, sys, first, pools[0], WithFallback(base), WithRetrainInterval(-1))
+	memo := openAdaptive(t, sys, first, pools[0], slices.Concat(opts, []EstimatorOption{WithFallback(base), WithRetrainInterval(-1)})...)
 	defer memo.Close()
-	ref := openAdaptive(t, sys, first, pools[1], WithFallback(base), WithRetrainInterval(-1), WithRepCacheSize(0))
+	ref := openAdaptive(t, sys, first, pools[1], slices.Concat(opts, []EstimatorOption{WithFallback(base), WithRetrainInterval(-1), WithRepCacheSize(0)})...)
 	defer ref.Close()
 
 	probes := parseAll(t, sys,
@@ -306,8 +317,8 @@ func TestEstimateMemoSkipsFallbackAnswers(t *testing.T) {
 
 // TestEstimateMemoTellsEntriesApart: an eviction that replaces a candidate
 // with another query of the same cardinality leaves the probe's candidate
-// cardinalities as they were, and the entry IDs tell the two apart, so the
-// estimate is computed again, over the new candidate.
+// cardinalities as they were, and the clause's stamp tells the two apart, so
+// the estimate is computed again, over the new candidate.
 func TestEstimateMemoTellsEntriesApart(t *testing.T) {
 	ctx := context.Background()
 	sys, model, _, _ := memoFixture(t)
@@ -507,4 +518,65 @@ func TestEstimateMemoConcurrentChurn(t *testing.T) {
 	if st := est.CacheStats(); st.EstimateHits <= hits {
 		t.Fatalf("the settled estimator never answered from its memo: %+v", st)
 	}
+}
+
+// poolSelections reads crn_pool_selections_total, summed over its paths.
+func poolSelections(t *testing.T, tel *Telemetry) float64 {
+	t.Helper()
+	fam := scrape(t, tel)["crn_pool_selections_total"]
+	indexed, _ := fam.Sample("path", "indexed")
+	fallback, _ := fam.Sample("path", "fallback")
+	return indexed + fallback
+}
+
+// TestEstimateMemoSkipsSelection: a probe the memo answers runs no
+// selection. Repeated estimates of one probe on an unchanged pool select
+// once; a mutation on another FROM clause leaves the memo's answer valid,
+// and one on the probe's clause costs one more selection. Every answer
+// carries the bits of a WithRepCacheSize(0) estimator.
+func TestEstimateMemoSkipsSelection(t *testing.T) {
+	ctx := context.Background()
+	sys, model, _, _ := memoFixture(t)
+	pools := [2]*QueriesPool{sys.NewQueriesPool(), sys.NewQueriesPool()} // the memo's, the reference's
+	for _, p := range pools {
+		for i := 0; i < 8; i++ {
+			recordSQL(t, sys, p, fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d", 1900+10*i))
+		}
+		recordSQL(t, sys, p, "SELECT * FROM title, cast_info WHERE title.id = cast_info.movie_id AND cast_info.role_id < 3")
+	}
+	qs := parseAll(t, sys,
+		"SELECT * FROM title WHERE title.production_year > 1955",
+		"SELECT * FROM title, cast_info WHERE title.id = cast_info.movie_id AND cast_info.role_id < 5",
+		"SELECT * FROM title WHERE title.production_year > 1999",
+	)
+	probe, other, same := qs[0], qs[1], qs[2]
+	tel := NewTelemetry()
+	est := sys.CardinalityEstimator(model, pools[0], WithMaxCandidates(3), WithTelemetry(tel))
+	ref := sys.CardinalityEstimator(model, pools[1], WithMaxCandidates(3), WithRepCacheSize(0))
+	estimate := func(what string, n int, selections float64) {
+		t.Helper()
+		want, err := ref.EstimateCardinality(ctx, probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			got, err := est.EstimateCardinality(ctx, probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, fmt.Sprintf("%s, estimate %d", what, i), got, want)
+		}
+		if got := poolSelections(t, tel); got != selections {
+			t.Fatalf("%s: crn_pool_selections_total %v, want %v", what, got, selections)
+		}
+	}
+	estimate("unchanged pool", 10, 1)
+	for _, p := range pools {
+		p.Add(other, 7)
+	}
+	estimate("after an insert on another clause", 5, 1)
+	for _, p := range pools {
+		p.Add(same, 7)
+	}
+	estimate("after an insert on the probe's clause", 5, 2)
 }

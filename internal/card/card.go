@@ -87,10 +87,12 @@ type Estimator struct {
 
 // span locates one query of a batch in the scratch: its usable candidates
 // arena[lo:hi], whose rate pairs start at pair (rates 2*pair, 2*pair+1) in
-// the flat rate list; pair is -1 when the memo answered the query. fresh
-// marks an answer the loop computed from the rates, for the memo to keep.
+// the flat rate list, and the stamp of its FROM clause at selection; pair is
+// -1 when the memo answered the query. fresh marks an answer the loop
+// computed from the rates, for the memo to keep.
 type span struct {
 	lo, hi, pair int
+	stamp        uint64
 	fresh        bool
 }
 
@@ -187,8 +189,10 @@ func (e *Estimator) EstimateCardCtx(ctx context.Context, qnew query.Query) (floa
 // entries — is paid once per batch instead of once per query. Results are
 // identical to per-query EstimateCard calls. The call fails as a whole on
 // the first query that has no usable pool match and no Fallback. With a
-// Memo, selection still runs for every query, and the loop after it is
-// skipped for a query whose inputs match a memoized pass.
+// Memo, every query is looked up first: one whose memoized pass ran under the
+// current generation over its FROM clause's current stamp is answered with
+// no selection (its recency stamping replayed) and no loop; every other
+// query is selected and runs the loop.
 func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([]float64, error) {
 	if e.Rates == nil || e.Pool == nil {
 		return nil, fmt.Errorf("card: estimator needs a rate model and a queries pool")
@@ -218,22 +222,30 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 		acc = e.Tel.Accuracy
 	}
 
-	// Gather every query's pool candidates into one arena and lay their
-	// rate pairs out in one flat list: (Qold, Qnew) then (Qnew, Qold) per
-	// candidate. Under request coalescing this path runs for every
-	// single-query estimate, so all of its working memory is pooled scratch:
-	// the call allocates its result and nothing else.
+	// Under request coalescing this path runs for every single-query
+	// estimate, so all of its working memory is pooled scratch: the call
+	// allocates its result and nothing else.
 	s := scratchPool.Get().(*scratch)
 	defer s.release()
+	out := make([]float64, len(queries))
 	spans := slices.Grow(s.spans, len(queries))[:len(queries)]
+
+	// Answer every query the memo holds, and gather every other query's pool
+	// candidates into one arena, in query order: a bounded pool's recency
+	// stamps, which eviction reads, then follow the order selection would.
+	// The candidates' rate pairs are laid out in one flat list below:
+	// (Qold, Qnew) then (Qnew, Qold) per candidate.
 	arena := s.arena
+	var hits, misses uint64
 	for i, qnew := range queries {
-		lo := len(arena)
-		if e.MaxCandidates > 0 {
-			arena = e.Pool.AppendTopK(arena, qnew, e.MaxCandidates)
-		} else {
-			arena = e.Pool.AppendMatching(arena, qnew)
+		if est, ok := memo.recall(gen, e.Pool, e.MaxCandidates, qnew); ok {
+			out[i], spans[i] = est, span{pair: -1}
+			hits++
+			continue
 		}
+		lo := len(arena)
+		var stamp uint64
+		arena, stamp = e.Pool.AppendSelection(arena, qnew, e.MaxCandidates)
 		// Old queries with empty results carry no information: the
 		// containment rate of an empty query is 0 by definition (§2), so
 		// x_rate/y_rate·0 degenerates to 0 regardless of the rates.
@@ -248,16 +260,16 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 		}
 		clear(arena[w:]) // the scratch must not pin what the scan dropped
 		arena = arena[:w]
-		spans[i] = span{lo: lo, hi: w}
+		spans[i] = span{lo: lo, hi: w, stamp: stamp}
+		if w > lo {
+			misses++
+		}
 	}
 	s.spans, s.arena = spans, arena
 	if e.Tel != nil {
 		st.Mark(e.Tel.Stages.CandidateSelection)
 	}
-	out := make([]float64, len(queries))
-	if memo != nil {
-		memo.lookup(gen, queries, spans, arena, out)
-	}
+	memo.count(hits, misses)
 
 	// Each probe the memo did not answer enters the shared query list once,
 	// each pool entry once per batch (recognized by its stable ID when
@@ -272,7 +284,7 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 		qi := len(list)
 		list = append(list, qnew)
 		for k := spans[i].lo; k < spans[i].hi; k++ {
-			m := &arena[k] // an Entry is 128 bytes: no per-candidate copy
+			m := &arena[k] // an Entry is 136 bytes: no per-candidate copy
 			mi, ok := seen[m.ID]
 			if !ok {
 				mi = len(list)
@@ -299,7 +311,7 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 	for i, qnew := range queries {
 		sp := &spans[i]
 		if sp.pair < 0 { // the memo's answer
-			acc.Note(qnew.Key(), out[i], telemetry.ArmCRN)
+			acc.Note(qnew.Key(), qnew.KeyHash(), out[i], telemetry.ArmCRN)
 			continue
 		}
 		results := s.results[:0] // reused across queries; final() must not retain it
@@ -323,10 +335,12 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 		}
 		out[i], sp.fresh = final(results), true
 		fresh++
-		acc.Note(qnew.Key(), out[i], telemetry.ArmCRN)
+		acc.Note(qnew.Key(), qnew.KeyHash(), out[i], telemetry.ArmCRN)
 	}
 	if memo != nil && fresh > 0 {
-		memo.store(gen, queries, spans, arena, out)
+		// A replay re-stamps the selected entries only on a bounded
+		// selection of a capacity-bounded pool.
+		memo.store(gen, queries, spans, arena, out, e.MaxCandidates > 0 && e.Pool.Cap() > 0)
 	}
 	if e.Tel != nil {
 		st.Mark(e.Tel.Stages.Finalize)
@@ -361,7 +375,7 @@ func (e *Estimator) FallbackCard(ctx context.Context, qnew query.Query) (float64
 		return 0, err
 	}
 	if e.Tel != nil {
-		e.Tel.Accuracy.Note(qnew.Key(), est, telemetry.ArmFallback)
+		e.Tel.Accuracy.Note(qnew.Key(), qnew.KeyHash(), est, telemetry.ArmFallback)
 	}
 	return est, nil
 }

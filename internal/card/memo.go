@@ -8,21 +8,24 @@ import (
 	"crn/internal/query"
 )
 
-// Memo holds the output of the Figure 8 loop per probe, checked against the
-// exact inputs that produced it: the probe's canonical key, its usable
-// candidates in selection order as (entry ID, cardinality) pairs, and the
-// generation of the rate model. A recurring probe whose candidates match is
-// answered from the memo after selection, skipping the rate pass and the
-// final function; selection itself, with its recency stamping, still runs.
+// Memo holds the output of the Figure 8 loop per probe, checked against what
+// produced it: the probe's canonical key, the generation of the rate model
+// and the stamp of the probe's FROM clause at selection (see
+// pool.AppendSelection). A recurring probe whose entry matches the current
+// generation and whose clause is still at the stamp is answered from the
+// memo before selection, skipping selection, the rate pass and the final
+// function; the recency stamping its selection would have done is replayed
+// (pool.ReplaySelection), so a bounded pool evicts what it would have
+// without the memo.
 //
-// No pool mutation needs to reach the memo. Entry IDs are never reused
-// within a pool and an entry's query never changes, so an insert, eviction,
-// re-rank or cardinality update on the probe's FROM clause changes the
-// candidate list and misses by construction, while a mutation on another
-// clause leaves the entry valid. A new generation misses by its tag. Only
-// answers of the rate arm are kept, and only from passes that succeeded as a
-// whole. The memo holds at most its capacity of probes and is cleared when
-// full. Its methods are safe for concurrent use and on a nil *Memo.
+// No pool mutation needs to reach the memo. Selection over a clause reads
+// only that clause's entries, and every insert, eviction or cardinality
+// change there gives the clause a newer stamp, so the entry misses, while a
+// mutation on another clause leaves it valid. A new generation misses by its
+// tag. Only answers of the rate arm are kept, and only from passes that
+// succeeded as a whole. The memo holds at most its capacity of probes and is
+// cleared when full. Its methods are safe for concurrent use and on a nil
+// *Memo.
 type Memo struct {
 	mu           sync.RWMutex
 	cap          int
@@ -30,11 +33,14 @@ type Memo struct {
 	hits, misses atomic.Uint64
 }
 
-// memoEntry is one probe's answer with the inputs it was computed from.
+// memoEntry is one probe's answer with what it was computed from. ids lists
+// the selected entries only where a replay must re-stamp them: a bounded
+// selection on a capacity-bounded pool.
 type memoEntry struct {
 	gen   uint64
-	cands [][2]int64 // entry ID, cardinality
+	stamp uint64
 	est   float64
+	ids   []int64
 }
 
 // NewMemo creates a memo of at most capacity probes (at least one).
@@ -63,60 +69,57 @@ func (m *Memo) Stats() (hits, misses uint64, entries int) {
 	return m.hits.Load(), m.misses.Load(), entries
 }
 
-// matches reports whether the entry was computed under generation gen from
-// exactly the candidates cands, in that order.
-func (e *memoEntry) matches(gen uint64, cands []pool.Entry) bool {
-	if e.gen != gen || len(e.cands) != len(cands) {
-		return false
+// recall returns q's memoized estimate when its entry was computed under
+// generation gen over its clause's current stamp on p, replaying the
+// recency stamping of the entry's selection (k is the selection's bound).
+// The caller counts the lookup (see count): a miss only once selection found
+// the probe a usable candidate, since a probe without one is the fallback's.
+func (m *Memo) recall(gen uint64, p *pool.Pool, k int, q query.Query) (float64, bool) {
+	if m == nil {
+		return 0, false
 	}
-	for i := range cands {
-		if e.cands[i] != [2]int64{cands[i].ID, cands[i].Card} {
-			return false
-		}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	// The read lock spans the replay: store reuses an entry's ids in place.
+	e, ok := m.entries[q.Key()]
+	if !ok || e.gen != gen || !p.ReplaySelection(q, k, e.stamp, e.ids) {
+		return 0, false
 	}
-	return true
+	return e.est, true
 }
 
-// lookup answers into out every probe whose entry matches its selected
-// candidates and marks its span as answered. A probe without candidates is
-// the fallback's, so it is not looked up.
-func (m *Memo) lookup(gen uint64, queries []query.Query, spans []span, arena []pool.Entry, out []float64) {
-	var hits, misses uint64
-	m.mu.RLock()
-	for i, q := range queries {
-		sp := &spans[i]
-		if sp.lo == sp.hi {
-			continue
-		}
-		if e, ok := m.entries[q.Key()]; ok && e.matches(gen, arena[sp.lo:sp.hi]) {
-			out[i], sp.pair = e.est, -1
-			hits++
-		} else {
-			misses++
-		}
+// count adds one call's lookups by result.
+func (m *Memo) count(hits, misses uint64) {
+	if m == nil {
+		return
 	}
-	m.mu.RUnlock()
 	m.hits.Add(hits)
 	m.misses.Add(misses)
 }
 
 // store keeps every answer the loop computed from the rate arm, tagged with
-// the generation read before the pass: a tag can be older than the model
-// that computed the value, never newer.
-func (m *Memo) store(gen uint64, queries []query.Query, spans []span, arena []pool.Entry, out []float64) {
+// the generation read before the pass and the clause stamp read under its
+// selection: either tag can be older than what the value was computed from,
+// never newer. withIDs keeps the selected entry IDs for the replay.
+func (m *Memo) store(gen uint64, queries []query.Query, spans []span, arena []pool.Entry, out []float64, withIDs bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, q := range queries {
-		if sp := spans[i]; sp.fresh {
-			old, ok := m.entries[q.Key()]
-			if !ok && len(m.entries) >= m.cap {
-				m.entries = make(map[string]memoEntry)
-			}
-			cands := old.cands[:0] // readers hold the read lock: reuse is safe
-			for _, c := range arena[sp.lo:sp.hi] {
-				cands = append(cands, [2]int64{c.ID, c.Card})
-			}
-			m.entries[q.Key()] = memoEntry{gen: gen, cands: cands, est: out[i]}
+		sp := spans[i]
+		if !sp.fresh {
+			continue
 		}
+		old, ok := m.entries[q.Key()]
+		if !ok && len(m.entries) >= m.cap {
+			m.entries = make(map[string]memoEntry)
+		}
+		var ids []int64
+		if withIDs {
+			ids = old.ids[:0] // readers hold the read lock: reuse is safe
+			for _, c := range arena[sp.lo:sp.hi] {
+				ids = append(ids, c.ID)
+			}
+		}
+		m.entries[q.Key()] = memoEntry{gen: gen, stamp: sp.stamp, est: out[i], ids: ids}
 	}
 }

@@ -266,7 +266,8 @@ type RepCacheStats struct {
 	MemoMisses  uint64 `json:"memo_misses"`
 	MemoEntries int    `json:"memo_entries"`
 	// Estimate memo (card.Memo, filled in by the facade): whole-probe
-	// lookups after selection by result, and probes memoized.
+	// lookups by result (a hit skips selection; a miss counts only for a
+	// probe with a usable candidate), and probes memoized.
 	EstimateHits    uint64 `json:"estimate_hits"`
 	EstimateMisses  uint64 `json:"estimate_misses"`
 	EstimateEntries int    `json:"estimate_entries"`

@@ -152,4 +152,22 @@ func (b *ModelBox) EstimateRatesIndexed(ctx context.Context, queries []query.Que
 	return b.cur.Load().Rates.EstimateRatesIndexed(ctx, queries, idx)
 }
 
+// Untimed returns a view of the box that estimates rates on the live
+// generation like the box itself but records no stage span: the view for a
+// pass nobody is served (the drift re-estimate of execution feedback), whose
+// cache lookups and forwards must not enter the serving stage histograms.
+// It reports the box's generation, so an estimate memo engages through it.
+func (b *ModelBox) Untimed() contain.RateEstimator { return untimedBox{b} }
+
+// untimedBox is the view Untimed returns.
+type untimedBox struct{ b *ModelBox }
+
+func (u untimedBox) EstimateRatesIndexed(ctx context.Context, queries []query.Query, idx [][2]int) ([]float64, error) {
+	r := *u.b.cur.Load().Rates // same model and cache, no stage set
+	r.Stages = nil
+	return r.EstimateRatesIndexed(ctx, queries, idx)
+}
+
+func (u untimedBox) Generation() uint64 { return u.b.Generation() }
+
 var _ contain.RateEstimator = (*ModelBox)(nil)

@@ -145,5 +145,7 @@ func (p *Pool) removeEntryLocked(from string, idx *fromIndex, pos int) {
 	}
 	p.entries--
 	p.evictions.Add(1)
-	p.notifyLocked(key)
+	// An emptied clause is gone from byFrom; one that comes back is a new
+	// index whose first insert stamps it with a newer version.
+	idx.stamp = p.notifyLocked(key)
 }

@@ -52,6 +52,12 @@ type fromIndex struct {
 	lastHit []int64
 	byID    map[int64]int
 
+	// stamp is the pool version of the clause's last mutation (insert,
+	// eviction, cardinality change), set under the write lock. Selection over
+	// the clause is a function of its entries alone, so while the stamp holds
+	// every selection returns what the last one did (see ReplaySelection).
+	stamp uint64
+
 	// classes is the inverted signature-class index over the clause's
 	// entries (see invindex.go); nil when indexed selection is disabled.
 	// nPos counts entries with Card > 0 — the linear scan's "usable"
@@ -202,7 +208,7 @@ func (p *Pool) insertLocked(q query.Query, key string, sig query.Signature, card
 	}
 	p.nextID++
 	p.entries++
-	p.notifyLocked("")
+	idx.stamp = p.notifyLocked("")
 	return id
 }
 
@@ -249,16 +255,18 @@ func (p *Pool) Unsubscribe(l MutationListener) {
 	}
 }
 
-// notifyLocked bumps the version for one mutation and fans it out to the
-// listeners. Callers hold the write lock. The bump is published after the
-// listeners ran, so a Version read without the lock never runs ahead of
-// what a subscribed cache has absorbed.
-func (p *Pool) notifyLocked(evictedKey string) {
+// notifyLocked bumps the version for one mutation, fans it out to the
+// listeners and returns it (the mutated clause's new stamp). Callers hold the
+// write lock. The bump is published after the listeners ran, so a Version
+// read without the lock never runs ahead of what a subscribed cache has
+// absorbed.
+func (p *Pool) notifyLocked(evictedKey string) uint64 {
 	v := p.version.Load() + 1
 	for _, l := range p.listeners {
 		l.PoolMutated(v, evictedKey)
 	}
 	p.version.Store(v)
+	return v
 }
 
 // Version returns a counter that increases with every successful mutation
@@ -278,14 +286,8 @@ func (p *Pool) Matching(q query.Query) []Entry {
 // returns the extended slice — the allocation-amortizing form of Matching
 // for batch estimators that reuse one arena across many probes.
 func (p *Pool) AppendMatching(dst []Entry, q query.Query) []Entry {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	idx := p.byFrom[q.FROMKey()]
-	if idx == nil {
-		return dst
-	}
-	p.touchAllLocked(idx)
-	return append(dst, idx.entries...)
+	dst, _ = p.AppendSelection(dst, q, 0)
+	return dst
 }
 
 // TopK returns the k most containment-comparable pooled candidates for q,
@@ -303,16 +305,28 @@ func (p *Pool) TopK(q query.Query, k int) []Entry {
 // information — the estimator drops them anyway) and the k best-scoring
 // survivors are appended best-first, ties broken by insertion ID.
 func (p *Pool) AppendTopK(dst []Entry, q query.Query, k int) []Entry {
-	probe := q.Signature() // outside the lock: pure function of q
+	dst, _ = p.AppendSelection(dst, q, k)
+	return dst
+}
+
+// AppendSelection is AppendTopK (AppendMatching for k <= 0) that also
+// returns the stamp of q's FROM clause, read under the selection's lock (0
+// when no entry shares the clause). While ReplaySelection accepts that stamp,
+// the same call would append the same entries in the same order.
+func (p *Pool) AppendSelection(dst []Entry, q query.Query, k int) ([]Entry, uint64) {
+	var probe query.Signature
+	if k > 0 {
+		probe = q.Signature() // outside the lock: pure function of q
+	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	idx := p.byFrom[q.FROMKey()]
 	if idx == nil {
-		return dst
+		return dst, 0
 	}
 	if k <= 0 || k >= len(idx.entries) {
 		p.touchAllLocked(idx)
-		return append(dst, idx.entries...)
+		return append(dst, idx.entries...), idx.stamp
 	}
 	p.topKCalls.Add(1)
 	var refs []scoredRef
@@ -348,7 +362,32 @@ func (p *Pool) AppendTopK(dst []Entry, q query.Query, k int) []Entry {
 	for _, r := range refs {
 		dst = append(dst, idx.entries[r.idx])
 	}
-	return dst
+	return dst, idx.stamp
+}
+
+// ReplaySelection reports whether q's FROM clause is still at stamp, as
+// returned by an AppendSelection(dst, q, k) that selected the entries ids,
+// and, when it is, stamps recency exactly as that call would now: every
+// entry of the clause when k <= 0 or k is at least its size, else the
+// entries ids, under one fresh tick — on a bounded pool only, like the
+// selection. It moves no selection counter or histogram: no selection ran.
+// ids is read only on the bounded path of a bounded pool.
+func (p *Pool) ReplaySelection(q query.Query, k int, stamp uint64, ids []int64) bool {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	idx := p.byFrom[q.FROMKey()]
+	if idx == nil || idx.stamp != stamp {
+		return false
+	}
+	if k <= 0 || k >= len(idx.entries) {
+		p.touchAllLocked(idx)
+	} else if p.cap > 0 {
+		now := p.tick.Add(1)
+		for _, id := range ids {
+			atomic.StoreInt64(&idx.lastHit[idx.byID[id]], now)
+		}
+	}
+	return true
 }
 
 // selectLinearLocked is the PR 4 selection path: score every candidate of
@@ -424,7 +463,7 @@ func (p *Pool) updateCardLocked(q query.Query, key string, card int64) bool {
 		}
 	}
 	idx.entries[pos].Card = card
-	p.notifyLocked("")
+	idx.stamp = p.notifyLocked("")
 	return true
 }
 

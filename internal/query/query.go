@@ -12,6 +12,7 @@ package query
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/bits"
 	"sort"
@@ -96,10 +97,12 @@ type Query struct {
 	// key is the canonical SQL rendering and fromKey the canonical FROM key,
 	// precomputed by New so the serving hot path (cache lookups, pool dedup,
 	// per-selection FROM matching) never re-renders them; they share one
-	// backing string. Literal-built values leave them empty and fall back to
-	// rendering on demand.
+	// backing string. keyHash is key's hash (see KeyHash), precomputed with
+	// them. Literal-built values leave all three empty and fall back to
+	// rendering and hashing on demand.
 	key     string
 	fromKey string
+	keyHash uint64
 
 	// sig is the predicate signature, precomputed like key so the pool's
 	// candidate selection never recomputes it per probe. Immutable once set;
@@ -294,6 +297,20 @@ func (q Query) FROMKey() string {
 // for deduplication and label caching.
 func (q Query) Key() string { return q.SQL() }
 
+// keySeed seeds KeyHash. One process-wide seed: every hash of one key agrees
+// within a process, which is all its users (the live-accuracy ring) need.
+var keySeed = maphash.MakeSeed()
+
+// KeyHash returns a 64-bit hash of Key, stable within a process: precomputed
+// for queries built by New or Intersect, so a per-request consumer keyed by
+// the query does not hash its canonical text again.
+func (q Query) KeyHash() uint64 {
+	if q.key != "" {
+		return q.keyHash
+	}
+	return maphash.String(keySeed, q.render())
+}
+
 // SQL returns the query as a SQL string in canonical order (precomputed for
 // queries built by New or Intersect).
 func (q Query) SQL() string {
@@ -310,7 +327,7 @@ func (q Query) render() string {
 }
 
 // renderKeys renders the canonical SQL and the FROM key into one string and
-// pins both.
+// pins both, with the SQL's hash.
 func (q *Query) renderKeys() {
 	var buf [512]byte
 	b := q.appendSQL(buf[:0])
@@ -323,6 +340,7 @@ func (q *Query) renderKeys() {
 	}
 	both := string(b)
 	q.key, q.fromKey = both[:n], both[n:]
+	q.keyHash = maphash.String(keySeed, q.key)
 }
 
 func (q Query) appendSQL(b []byte) []byte {
@@ -421,6 +439,7 @@ func (q Query) Clone() Query {
 		Preds:   append([]Predicate(nil), q.Preds...),
 		key:     q.key,
 		fromKey: q.fromKey,
+		keyHash: q.keyHash,
 		sig:     q.sig,
 	}
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"hash/maphash"
 	"sync"
 
 	"crn/internal/metrics"
@@ -29,8 +28,8 @@ func (a Arm) String() string {
 // accuracySlots bounds the recent-estimate ring. The ring is direct-mapped
 // (slot = hash(key) mod size): a colliding estimate overwrites, a truth
 // arriving after its estimate was overwritten counts unmatched. That keeps
-// Note at one hash plus one short critical section — no map, no eviction
-// bookkeeping — which is what lets the estimate hot path afford noting
+// Note at one short critical section — no map, no eviction bookkeeping —
+// which is what lets the estimate hot path afford noting
 // every request; the price is a statistical (not LRU) retention policy,
 // which a quantile tracker is indifferent to.
 const accuracySlots = 4096
@@ -84,40 +83,36 @@ func newAccuracy(r *Registry) *Accuracy {
 	return a
 }
 
-// accSeed keys the ring's hash. One process-wide seed: Note and Truth must
-// agree on slot placement, and the ring is not an adversarial surface.
-var accSeed = maphash.MakeSeed()
-
-// locate hashes key to its shard and slot. maphash uses the runtime's
-// hardware-accelerated string hash — on canonical SQL keys (tens to
-// hundreds of bytes) it is several times cheaper than a byte-at-a-time
-// FNV, and Note sits on the per-request estimate path.
-func (a *Accuracy) locate(key string) (*accShard, int) {
-	h := maphash.String(accSeed, key)
+// locate maps a key's hash to its shard and slot. The caller hashes: the
+// estimate path notes every served probe, and a query carries its key's hash
+// precomputed (query.Query.KeyHash), so Note hashes nothing.
+func (a *Accuracy) locate(h uint64) (*accShard, int) {
 	s := &a.shards[h%accuracyShards]
 	return s, int((h >> 4) % uint64(len(s.slots)))
 }
 
-// Note records a served estimate for key (the query's canonical form),
-// overwriting whatever occupied its slot. Nil-safe.
-func (a *Accuracy) Note(key string, est float64, arm Arm) {
+// Note records a served estimate for key (the query's canonical form) with
+// the key's hash h, overwriting whatever occupied its slot. Note and Truth
+// must be given the same hash for one key. Nil-safe.
+func (a *Accuracy) Note(key string, h uint64, est float64, arm Arm) {
 	if a == nil {
 		return
 	}
-	s, slot := a.locate(key)
+	s, slot := a.locate(h)
 	s.mu.Lock()
 	s.slots[slot] = accEntry{key: key, est: est, arm: arm}
 	s.mu.Unlock()
 }
 
-// Truth joins an arriving execution truth against the ring and, on a
-// match, observes the q-error under the estimate's arm. The matched entry
-// is consumed (one truth judges one estimate). Nil-safe.
-func (a *Accuracy) Truth(key string, card float64) {
+// Truth joins an arriving execution truth for key (hashed to h, as for
+// Note) against the ring and, on a match, observes the q-error under the
+// estimate's arm. The matched entry is consumed (one truth judges one
+// estimate). Nil-safe.
+func (a *Accuracy) Truth(key string, h uint64, card float64) {
 	if a == nil {
 		return
 	}
-	s, slot := a.locate(key)
+	s, slot := a.locate(h)
 	s.mu.Lock()
 	e := s.slots[slot]
 	ok := e.key == key
@@ -130,11 +125,11 @@ func (a *Accuracy) Truth(key string, card float64) {
 		return
 	}
 	a.joined.Inc()
-	h := a.crn
+	hist := a.crn
 	if e.arm == ArmFallback {
-		h = a.fallback
+		hist = a.fallback
 	}
-	h.Observe(metrics.CardQError(card, e.est))
+	hist.Observe(metrics.CardQError(card, e.est))
 }
 
 // Hist returns the q-error histogram for an arm (nil on a nil tracker).

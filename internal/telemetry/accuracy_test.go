@@ -2,17 +2,24 @@ package telemetry
 
 import (
 	"fmt"
+	"hash/maphash"
 	"testing"
 )
+
+var testSeed = maphash.MakeSeed()
+
+// hashOf is the key hash Note and Truth take (query.Query.KeyHash in the
+// estimator).
+func hashOf(key string) uint64 { return maphash.String(testSeed, key) }
 
 func TestAccuracyJoinAndArms(t *testing.T) {
 	tel := New()
 	a := tel.Accuracy
-	a.Note("q1", 100, ArmCRN)
-	a.Note("q2", 10, ArmFallback)
-	a.Truth("q1", 200)   // q-error 2 on the CRN arm
-	a.Truth("q2", 1000)  // q-error 100 on the fallback arm
-	a.Truth("q-gone", 5) // no recent estimate
+	a.Note("q1", hashOf("q1"), 100, ArmCRN)
+	a.Note("q2", hashOf("q2"), 10, ArmFallback)
+	a.Truth("q1", hashOf("q1"), 200)       // q-error 2 on the CRN arm
+	a.Truth("q2", hashOf("q2"), 1000)      // q-error 100 on the fallback arm
+	a.Truth("q-gone", hashOf("q-gone"), 5) // no recent estimate
 	if j := a.joined.Load(); j != 2 {
 		t.Fatalf("joined %d, want 2", j)
 	}
@@ -31,7 +38,7 @@ func TestAccuracyJoinAndArms(t *testing.T) {
 		t.Fatalf("fallback arm q-error %v, want ≈100", q)
 	}
 	// A truth is consumed: the second arrival is unmatched.
-	a.Truth("q1", 200)
+	a.Truth("q1", hashOf("q1"), 200)
 	if u := a.unmatched.Load(); u != 2 {
 		t.Fatalf("unmatched after re-truth %d, want 2", u)
 	}
@@ -41,9 +48,9 @@ func TestAccuracyOverwriteAndEviction(t *testing.T) {
 	tel := New()
 	a := tel.Accuracy
 	// Overwrite: the join sees the newest estimate for a key.
-	a.Note("q", 10, ArmCRN)
-	a.Note("q", 1000, ArmFallback)
-	a.Truth("q", 1000)
+	a.Note("q", hashOf("q"), 10, ArmCRN)
+	a.Note("q", hashOf("q"), 1000, ArmFallback)
+	a.Truth("q", hashOf("q"), 1000)
 	if fb := a.Hist(ArmFallback).Snapshot().Total(); fb != 1 {
 		t.Fatalf("overwritten estimate not joined on newest arm (fb=%d)", fb)
 	}
@@ -55,10 +62,12 @@ func TestAccuracyOverwriteAndEviction(t *testing.T) {
 	joinedBefore := a.joined.Load()
 	const flood = accuracySlots * 2
 	for i := 0; i < flood; i++ {
-		a.Note(fmt.Sprintf("flood-%d", i), 1, ArmCRN)
+		k := fmt.Sprintf("flood-%d", i)
+		a.Note(k, hashOf(k), 1, ArmCRN)
 	}
 	for i := 0; i < flood; i++ {
-		a.Truth(fmt.Sprintf("flood-%d", i), 1)
+		k := fmt.Sprintf("flood-%d", i)
+		a.Truth(k, hashOf(k), 1)
 	}
 	joined := a.joined.Load() - joinedBefore
 	if joined > accuracySlots {
@@ -84,16 +93,16 @@ func TestQError(t *testing.T) {
 	}
 	for _, c := range cases {
 		a := New().Accuracy
-		a.Note("k", c.est, ArmCRN)
-		a.Truth("k", c.truth)
+		a.Note("k", hashOf("k"), c.est, ArmCRN)
+		a.Truth("k", hashOf("k"), c.truth)
 		snap := a.Hist(ArmCRN).Snapshot()
 		if q := snap.Quantile(0.5); snap.Total() != 1 || q < c.want/1.25 || q > c.want*1.25 {
 			t.Errorf("Truth(est %v, truth %v) observed %v (%d samples), want ≈%v", c.est, c.truth, q, snap.Total(), c.want)
 		}
 	}
 	var a *Accuracy
-	a.Note("k", 1, ArmCRN) // nil-safe
-	a.Truth("k", 1)
+	a.Note("k", hashOf("k"), 1, ArmCRN) // nil-safe
+	a.Truth("k", hashOf("k"), 1)
 	if a.Hist(ArmCRN) != nil {
 		t.Fatal("nil tracker must hand out nil histograms")
 	}

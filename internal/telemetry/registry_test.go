@@ -125,8 +125,8 @@ func TestExpositionLintClean(t *testing.T) {
 	tel.CoalesceBatch.Observe(17)
 	tel.TopKScanned.Observe(120)
 	tel.WALFsync.Observe(2e-3)
-	tel.Accuracy.Note("q1", 100, ArmCRN)
-	tel.Accuracy.Truth("q1", 150)
+	tel.Accuracy.Note("q1", 1, 100, ArmCRN)
+	tel.Accuracy.Truth("q1", 1, 150)
 	tel.Registry().GaugeFunc("breaker_state", "h", func() float64 { return 1 })
 	var buf bytes.Buffer
 	if err := tel.Registry().WriteText(&buf); err != nil {

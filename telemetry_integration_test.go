@@ -82,8 +82,8 @@ func TestStageSpansSumToE2E(t *testing.T) {
 	}
 }
 
-// accuracyJoined reads crn_accuracy_joined_total from tel's exposition.
-func accuracyJoined(t *testing.T, tel *Telemetry) float64 {
+// scrape parses tel's exposition.
+func scrape(t *testing.T, tel *Telemetry) map[string]*telemetry.ParsedFamily {
 	t.Helper()
 	var b strings.Builder
 	if err := tel.Registry().WriteText(&b); err != nil {
@@ -93,7 +93,23 @@ func accuracyJoined(t *testing.T, tel *Telemetry) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok := fams["crn_accuracy_joined_total"].Sample("", "")
+	return fams
+}
+
+// stageCount reads a stage's crn_estimate_stage_duration_seconds count from
+// tel's exposition.
+func stageCount(t *testing.T, tel *Telemetry, stage string) uint64 {
+	t.Helper()
+	if h := scrape(t, tel)["crn_estimate_stage_duration_seconds"].Hist("stage", stage); h != nil {
+		return h.Count
+	}
+	return 0
+}
+
+// accuracyJoined reads crn_accuracy_joined_total from tel's exposition.
+func accuracyJoined(t *testing.T, tel *Telemetry) float64 {
+	t.Helper()
+	v, ok := scrape(t, tel)["crn_accuracy_joined_total"].Sample("", "")
 	if !ok {
 		t.Fatal("crn_accuracy_joined_total missing from the exposition")
 	}
@@ -102,8 +118,10 @@ func accuracyJoined(t *testing.T, tel *Telemetry) float64 {
 
 // TestDriftEstimateNotServed: RecordFeedbackQuery re-estimates the query to
 // score drift, and nobody is served that estimate, so it must not enter the
-// accuracy ring. Each probe is estimated once and gets its truth twice: the
-// first round joins the served estimates, the second finds nothing to join.
+// stage spans or the accuracy ring. Feedback before any estimate records no
+// cache-lookup or forward span. Then each probe is estimated once and gets
+// its truth twice: the first round joins the served estimates, the second
+// finds nothing to join.
 func TestDriftEstimateNotServed(t *testing.T) {
 	ctx := context.Background()
 	sys, model, pool := adaptFixture(t)
@@ -118,6 +136,17 @@ func TestDriftEstimateNotServed(t *testing.T) {
 		WithRetrainInterval(-1),
 	)
 	defer ae.Close()
+
+	for _, lq := range labeledWorkload(t, sys, 25, 200) {
+		if _, err := ae.RecordFeedbackQuery(ctx, lq.Q, lq.Card); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, stage := range []string{telemetry.StageCacheLookup, telemetry.StageNNForward} {
+		if n := stageCount(t, tel, stage); n != 0 {
+			t.Fatalf("%d %s spans after 200 feedbacks and no estimate", n, stage)
+		}
+	}
 
 	probes := labeledWorkload(t, sys, 24, 8)
 	for _, lq := range probes {
