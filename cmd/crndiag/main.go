@@ -10,8 +10,8 @@
 //	crndiag [-titles 2000] [-pairs 6000] [-worst 8] [-entries 5]
 //
 // With -kernels it instead prints the inner-loop kernel set package nn
-// selected for this host ("avx2+fma" or "generic") and exits — used by
-// the CI SIMD kernel gate to decide whether it applies.
+// selected for this host ("avx512f+avx2+fma", "avx2+fma" or "generic") and
+// exits — used by the CI SIMD kernel gate to decide whether it applies.
 //
 // With -watch it instead becomes a terminal dashboard over a running
 // crnserve: it polls the server's /metrics exposition (-metrics URL) every

@@ -16,12 +16,22 @@
 // keeps executing queries, so the estimator is batch-first: EstimateCards
 // runs one amortized rate pass over the pool pairs of every query in the
 // batch, and all entry points accept a context for cancellation.
+//
+// The rate pass computes only the rates the predicates leave open. Over one
+// FROM clause, query.Facts proves from the join lists and per-column value
+// ranges alone that a candidate is disjoint from Qnew (both rates 0: it
+// casts no vote), contains it (y_rate = 1) or is contained in it
+// (x_rate = 1). A contradictory Qnew is answered 0, and a Qnew with an
+// equivalent candidate that candidate's |Qold|, with no rate at all; every
+// other answer is clamped between the largest |Qold| Qnew contains and the
+// smallest one containing it. Improved M goes through the same loop.
 package card
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -86,14 +96,42 @@ type Estimator struct {
 }
 
 // span locates one query of a batch in the scratch: its usable candidates
-// arena[lo:hi], whose rate pairs start at pair (rates 2*pair, 2*pair+1) in
-// the flat rate list, and the stamp of its FROM clause at selection; pair is
-// -1 when the memo answered the query. fresh marks an answer the loop
-// computed from the rates, for the memo to keep.
+// arena[lo:hi] with their facts, the stamp of its FROM clause at selection,
+// and the bounds the facts put on |Qnew|: floor, the largest |Qold| of a
+// candidate it contains, and ceil, the smallest |Qold| of one containing it.
+// rate indexes the query's first rate in the flat rate list; it is -1 when
+// the query was answered without the rate pass — by the memo, or exactly by
+// its facts. fresh marks an answer this call computed and the memo keeps.
 type span struct {
-	lo, hi, pair int
+	lo, hi, rate int
 	stamp        uint64
+	floor, ceil  float64
 	fresh        bool
+}
+
+// fact is what the predicates prove about one (Qnew, Qold) pair (see
+// query.Facts), and so which of its two rates the rate model must estimate.
+type fact uint8
+
+const (
+	unknown  fact = iota // both rates
+	implied              // Qnew ⇒ Qold: y_rate = 1, only x_rate is estimated
+	reverse              // Qold ⇒ Qnew: x_rate = 1, only y_rate is estimated
+	disjoint             // no common row: both rates are 0, no vote
+)
+
+// clamp bounds an estimate by the span's facts. A bound only ever moves an
+// estimate toward the true cardinality, which lies between them; an unset
+// bound (floor 0, ceil +Inf) leaves every value, NaN and -0 included, as
+// it is.
+func (sp *span) clamp(v float64) float64 {
+	if v < sp.floor {
+		v = sp.floor
+	}
+	if v > sp.ceil {
+		v = sp.ceil
+	}
+	return v
 }
 
 // scratch is the working memory of one EstimateCards call. It is pooled at
@@ -103,6 +141,7 @@ type span struct {
 type scratch struct {
 	spans   []span
 	arena   []pool.Entry  // every query's candidates, back to back
+	facts   []fact        // the fact of each arena candidate
 	list    []query.Query // probes and distinct candidates
 	idx     [][2]int      // rate pairs as indices into list
 	seen    map[int64]int // entry ID -> index in list
@@ -131,8 +170,8 @@ var scratchPool = sync.Pool{New: func() any {
 // retain.
 func (s *scratch) oversize() bool {
 	return cap(s.spans) > maxScratchEntries || cap(s.arena) > maxScratchEntries ||
-		cap(s.list) > maxScratchEntries || cap(s.idx) > 2*maxScratchEntries ||
-		cap(s.results) > maxScratchEntries
+		cap(s.facts) > maxScratchEntries || cap(s.list) > maxScratchEntries ||
+		cap(s.idx) > 2*maxScratchEntries || cap(s.results) > maxScratchEntries
 }
 
 // reset empties the scratch for its next call: every element a call wrote is
@@ -148,7 +187,7 @@ func (s *scratch) reset() {
 	} else {
 		clear(s.seen)
 	}
-	s.spans, s.arena, s.list = s.spans[:0], s.arena[:0], s.list[:0]
+	s.spans, s.arena, s.facts, s.list = s.spans[:0], s.arena[:0], s.facts[:0], s.list[:0]
 	s.idx, s.results = s.idx[:0], s.results[:0]
 }
 
@@ -193,6 +232,15 @@ func (e *Estimator) EstimateCardCtx(ctx context.Context, qnew query.Query) (floa
 // current generation over its FROM clause's current stamp is answered with
 // no selection (its recency stamping replayed) and no loop; every other
 // query is selected and runs the loop.
+//
+// The pass estimates only the rates the predicates leave open (see
+// query.Facts): a disjoint candidate adds no pair and no vote; an implied
+// one (Qnew ⇒ Qold) takes y_rate = 1 and a reverse-implied one x_rate = 1,
+// so only the other rate is estimated. A contradictory probe is answered 0
+// and a probe with an equivalent candidate that candidate's cardinality,
+// with no rate pass. Every other answer, the fallback's included, is
+// clamped into its span's [floor, ceil]: the true cardinality is at least
+// every reverse-implied |Qold| and at most every implied one.
 func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([]float64, error) {
 	if e.Rates == nil || e.Pool == nil {
 		return nil, fmt.Errorf("card: estimator needs a rate model and a queries pool")
@@ -233,13 +281,12 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 	// Answer every query the memo holds, and gather every other query's pool
 	// candidates into one arena, in query order: a bounded pool's recency
 	// stamps, which eviction reads, then follow the order selection would.
-	// The candidates' rate pairs are laid out in one flat list below:
-	// (Qold, Qnew) then (Qnew, Qold) per candidate.
-	arena := s.arena
+	// Each candidate's fact is decided here, beside it.
+	arena, facts := s.arena, s.facts
 	var hits, misses uint64
 	for i, qnew := range queries {
 		if est, ok := memo.recall(gen, e.Pool, e.MaxCandidates, qnew); ok {
-			out[i], spans[i] = est, span{pair: -1}
+			out[i], spans[i] = est, span{rate: -1}
 			hits++
 			continue
 		}
@@ -260,30 +307,45 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 		}
 		clear(arena[w:]) // the scratch must not pin what the scan dropped
 		arena = arena[:w]
-		spans[i] = span{lo: lo, hi: w, stamp: stamp}
+		spans[i] = span{lo: lo, hi: w, stamp: stamp, ceil: math.Inf(1)}
 		if w > lo {
 			misses++
 		}
+		var est float64
+		var exact bool
+		facts, est, exact = decide(facts, qnew, arena[lo:w], &spans[i])
+		if exact {
+			out[i], spans[i].rate, spans[i].fresh = est, -1, true
+		}
 	}
-	s.spans, s.arena = spans, arena
+	s.spans, s.arena, s.facts = spans, arena, facts
 	if e.Tel != nil {
 		st.Mark(e.Tel.Stages.CandidateSelection)
 	}
 	memo.count(hits, misses)
 
-	// Each probe the memo did not answer enters the shared query list once,
-	// each pool entry once per batch (recognized by its stable ID when
+	// Each probe with a rate left to estimate enters the shared query list
+	// once, each pool entry once per batch (recognized by its stable ID when
 	// several probes share a FROM clause); pairs are index tuples, so no
-	// canonical key is rendered here.
+	// canonical key is rendered here. A candidate contributes (Qold, Qnew)
+	// unless reverse-implied and (Qnew, Qold) unless implied, in that order.
 	list, idx, seen := s.list, s.idx, s.seen
 	for i, qnew := range queries {
-		if spans[i].pair < 0 {
+		sp := &spans[i]
+		if sp.rate < 0 {
 			continue
 		}
-		spans[i].pair = len(idx) / 2
-		qi := len(list)
-		list = append(list, qnew)
-		for k := spans[i].lo; k < spans[i].hi; k++ {
+		sp.rate = len(idx)
+		qi := -1
+		for k := sp.lo; k < sp.hi; k++ {
+			f := facts[k]
+			if f == disjoint {
+				continue
+			}
+			if qi < 0 {
+				qi = len(list)
+				list = append(list, qnew)
+			}
 			m := &arena[k] // an Entry is 136 bytes: no per-candidate copy
 			mi, ok := seen[m.ID]
 			if !ok {
@@ -291,12 +353,17 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 				list = append(list, m.Q)
 				seen[m.ID] = mi
 			}
-			idx = append(idx, [2]int{mi, qi}, [2]int{qi, mi})
+			if f != reverse {
+				idx = append(idx, [2]int{mi, qi})
+			}
+			if f != implied {
+				idx = append(idx, [2]int{qi, mi})
+			}
 		}
 	}
 	s.list, s.idx = list, idx
 	var rates []float64
-	if len(list) > 0 {
+	if len(idx) > 0 {
 		var err error
 		rates, err = e.Rates.EstimateRatesIndexed(ctx, list, idx)
 		// The rate model times its own cache-lookup and forward spans (see
@@ -310,15 +377,30 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 	fresh := 0
 	for i, qnew := range queries {
 		sp := &spans[i]
-		if sp.pair < 0 { // the memo's answer
+		if sp.rate < 0 { // the memo's or the facts' answer
+			if sp.fresh {
+				fresh++
+			}
 			acc.Note(qnew.Key(), qnew.KeyHash(), out[i], telemetry.ArmCRN)
 			continue
 		}
 		results := s.results[:0] // reused across queries; final() must not retain it
+		r := sp.rate
 		for k := sp.lo; k < sp.hi; k++ {
-			r := 2 * (sp.pair + k - sp.lo)
-			xRate := rates[r]   // Qold ⊂% Qnew
-			yRate := rates[r+1] // Qnew ⊂% Qold
+			xRate, yRate := 1.0, 1.0 // Qold ⊂% Qnew, Qnew ⊂% Qold
+			switch facts[k] {
+			case disjoint:
+				continue
+			case implied:
+				xRate = rates[r]
+				r++
+			case reverse:
+				yRate = rates[r]
+				r++
+			default:
+				xRate, yRate = rates[r], rates[r+1]
+				r += 2
+			}
 			if yRate <= eps {
 				continue
 			}
@@ -326,14 +408,15 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 		}
 		s.results = results
 		if len(results) == 0 {
-			est, err := e.FallbackCard(ctx, qnew)
+			est, err := e.fallback(ctx, qnew)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = est
+			out[i] = sp.clamp(est)
+			acc.Note(qnew.Key(), qnew.KeyHash(), out[i], telemetry.ArmFallback)
 			continue
 		}
-		out[i], sp.fresh = final(results), true
+		out[i], sp.fresh = sp.clamp(final(results)), true
 		fresh++
 		acc.Note(qnew.Key(), qnew.KeyHash(), out[i], telemetry.ArmCRN)
 	}
@@ -348,6 +431,33 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 	return out, nil
 }
 
+// decide appends to facts the fact of each of qnew's candidates cands and
+// narrows sp's bounds with them. It reports an exact answer instead when the
+// predicates fix |Qnew|: 0 for a contradictory probe, |Qold| for a
+// candidate implied both ways; the facts appended are then unread.
+func decide(facts []fact, qnew query.Query, cands []pool.Entry, sp *span) ([]fact, float64, bool) {
+	if qnew.Contradictory() {
+		return append(facts, make([]fact, len(cands))...), 0, true
+	}
+	for k := range cands {
+		in, contains, dis := query.Facts(qnew, cands[k].Q)
+		c := float64(cands[k].Card)
+		f := unknown
+		switch {
+		case dis:
+			f = disjoint
+		case in && contains:
+			return append(facts, make([]fact, len(cands)-k)...), c, true
+		case in:
+			f, sp.ceil = implied, min(sp.ceil, c)
+		case contains:
+			f, sp.floor = reverse, max(sp.floor, c)
+		}
+		facts = append(facts, f)
+	}
+	return facts, 0, false
+}
+
 // memoGen returns the memo and the rate model's generation, read before the
 // pass, when the estimator has a memo and its rate model reports one.
 func (e *Estimator) memoGen() (*Memo, uint64) {
@@ -359,18 +469,11 @@ func (e *Estimator) memoGen() (*Memo, uint64) {
 }
 
 // FallbackCard answers qnew from the Fallback estimator alone — the answer
-// EstimateCards gives a query without a usable pool match, and the one a
-// serving layer gives when it diverts the learned path — and notes it in the
-// fallback arm of the live accuracy ring. Without a Fallback it fails with
-// ErrNoPoolMatch.
+// a serving layer gives when it diverts the learned path — and notes it in
+// the fallback arm of the live accuracy ring. Without a Fallback it fails
+// with ErrNoPoolMatch.
 func (e *Estimator) FallbackCard(ctx context.Context, qnew query.Query) (float64, error) {
-	if e.Fallback == nil {
-		return 0, fmt.Errorf("%w for FROM %q", ErrNoPoolMatch, qnew.FROMKey())
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	est, err := e.Fallback.EstimateCard(qnew)
+	est, err := e.fallback(ctx, qnew)
 	if err != nil {
 		return 0, err
 	}
@@ -378,6 +481,18 @@ func (e *Estimator) FallbackCard(ctx context.Context, qnew query.Query) (float64
 		e.Tel.Accuracy.Note(qnew.Key(), qnew.KeyHash(), est, telemetry.ArmFallback)
 	}
 	return est, nil
+}
+
+// fallback is FallbackCard without the note: EstimateCards notes the answer
+// it serves, clamped by the query's facts.
+func (e *Estimator) fallback(ctx context.Context, qnew query.Query) (float64, error) {
+	if e.Fallback == nil {
+		return 0, fmt.Errorf("%w for FROM %q", ErrNoPoolMatch, qnew.FROMKey())
+	}
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return e.Fallback.EstimateCard(qnew)
 }
 
 // Cnt2Crd is the transformation of §5.1 as a function: it converts a

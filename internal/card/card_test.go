@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"crn/internal/contain"
@@ -155,9 +156,92 @@ func TestErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	bad := contain.RateFunc(func(q1, q2 query.Query) (float64, error) { return 0, boom })
 	est := New(bad, qp)
-	q := sqlparse.MustParse(s, "SELECT * FROM title")
+	// The pool holds no query equivalent to the probe, so its facts leave
+	// rates to the failing model: `SELECT * FROM title` itself would be
+	// answered exactly, with no rate pass.
+	q := sqlparse.MustParse(s, "SELECT * FROM title WHERE title.kind_id > 2")
 	if _, err := est.EstimateCard(q); !errors.Is(err, boom) {
 		t.Errorf("expected boom, got %v", err)
+	}
+}
+
+// recordingRates answers every rate with rate and records each pair it was
+// asked for as "Q1 ⊂% Q2" by canonical key.
+type recordingRates struct {
+	rate  float64
+	pairs []string
+}
+
+func (r *recordingRates) EstimateRatesIndexed(_ context.Context, qs []query.Query, idx [][2]int) ([]float64, error) {
+	out := make([]float64, len(idx))
+	for i, p := range idx {
+		r.pairs = append(r.pairs, qs[p[0]].Key()+" ⊂% "+qs[p[1]].Key())
+		out[i] = r.rate
+	}
+	return out, nil
+}
+
+// TestFactsDecideRates: the rate pass receives only the rates the
+// predicates leave open — none of a disjoint candidate, x_rate alone of an
+// implied one, y_rate alone of a reverse-implied one — a probe with an
+// equivalent candidate or contradictory predicates is answered exactly with
+// no rate at all (the contradictory one even without a pool match), and
+// every other answer is clamped between the cardinalities of the candidates
+// it contains and those containing it.
+func TestFactsDecideRates(t *testing.T) {
+	_, qp := fixture(t)
+	cards := map[string]float64{}
+	for _, e := range qp.Entries() {
+		cards[e.Q.Key()] = float64(e.Card)
+	}
+	key := func(sql string) string { return sqlparse.MustParse(s, sql).Key() }
+	all := key("SELECT * FROM title")
+	y1950 := key("SELECT * FROM title WHERE title.production_year > 1950")
+	kind5 := key("SELECT * FROM title WHERE title.kind_id < 5")
+	for _, tc := range []struct {
+		probe       string
+		pairs       []string // Qold ⊂% Qnew is x_rate, Qnew ⊂% Qold is y_rate
+		floor, ceil float64  // bounds the answer must respect
+		exact       float64  // the answer, when no pair is expected
+	}{
+		{ // implied by every candidate: x_rate alone, at most the smallest |Qold|
+			probe: "SELECT * FROM title WHERE title.kind_id < 5 AND title.production_year > 1960",
+			pairs: []string{all + " ⊂% %s", y1950 + " ⊂% %s", kind5 + " ⊂% %s"},
+			ceil:  min(cards[all], cards[y1950], cards[kind5]),
+		},
+		{ // implied by title, containing y > 1950, undecided against kind < 5
+			probe: "SELECT * FROM title WHERE title.production_year > 1940",
+			pairs: []string{all + " ⊂% %s", "%s ⊂% " + y1950, kind5 + " ⊂% %s", "%s ⊂% " + kind5},
+			floor: cards[y1950], ceil: cards[all],
+		},
+		{ // disjoint from y > 1950: no pair of it
+			probe: "SELECT * FROM title WHERE title.production_year < 1900",
+			pairs: []string{all + " ⊂% %s", kind5 + " ⊂% %s", "%s ⊂% " + kind5},
+			ceil:  cards[all],
+		},
+		{probe: "SELECT * FROM title WHERE title.kind_id < 5", exact: cards[kind5]},
+		{probe: "SELECT * FROM title WHERE title.kind_id = 1 AND title.kind_id = 2", exact: 0},
+		{probe: "SELECT * FROM movie_keyword WHERE movie_keyword.keyword_id > 5 AND movie_keyword.keyword_id < 3", exact: 0},
+	} {
+		rates := &recordingRates{rate: 0.5}
+		q := sqlparse.MustParse(s, tc.probe)
+		got, err := New(rates, qp).EstimateCard(q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.probe, err)
+		}
+		var want []string
+		for _, p := range tc.pairs {
+			want = append(want, strings.ReplaceAll(p, "%s", q.Key()))
+		}
+		if !reflect.DeepEqual(rates.pairs, want) {
+			t.Errorf("%s: rate pairs\n%q\nwant\n%q", tc.probe, rates.pairs, want)
+		}
+		switch {
+		case len(want) == 0 && got != tc.exact:
+			t.Errorf("%s = %v, want exactly %v", tc.probe, got, tc.exact)
+		case len(want) > 0 && (got < tc.floor || tc.ceil > 0 && got > tc.ceil):
+			t.Errorf("%s = %v outside [%v, %v]", tc.probe, got, tc.floor, tc.ceil)
+		}
 	}
 }
 
@@ -257,7 +341,7 @@ func TestScratchPinsNothingBetweenCalls(t *testing.T) {
 			t.Fatalf("list[%d] still holds %v", i, q)
 		}
 	}
-	if len(sc.seen) != 0 || len(sc.arena)+len(sc.list)+len(sc.idx)+len(sc.spans)+len(sc.results) != 0 {
+	if len(sc.seen) != 0 || len(sc.arena)+len(sc.facts)+len(sc.list)+len(sc.idx)+len(sc.spans)+len(sc.results) != 0 {
 		t.Fatalf("released scratch is not empty: %d seen", len(sc.seen))
 	}
 }

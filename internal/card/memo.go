@@ -22,8 +22,11 @@ import (
 // only that clause's entries, and every insert, eviction or cardinality
 // change there gives the clause a newer stamp, so the entry misses, while a
 // mutation on another clause leaves it valid. A new generation misses by its
-// tag. Only answers of the rate arm are kept, and only from passes that
-// succeeded as a whole. The memo holds at most its capacity of probes and is
+// tag. The learned path's answers are kept — the rate arm's, clamped by the
+// predicate facts, and the exact ones the facts give alone — and only from
+// passes that succeeded as a whole; the facts read nothing but the probe and
+// its clause's entries, so the same witness covers them. A fallback answer
+// is not kept. The memo holds at most its capacity of probes and is
 // cleared when full. Its methods are safe for concurrent use and on a nil
 // *Memo.
 type Memo struct {
@@ -97,7 +100,7 @@ func (m *Memo) count(hits, misses uint64) {
 	m.misses.Add(misses)
 }
 
-// store keeps every answer the loop computed from the rate arm, tagged with
+// store keeps every answer the loop computed on the learned path, tagged with
 // the generation read before the pass and the clause stamp read under its
 // selection: either tag can be older than what the value was computed from,
 // never newer. withIDs keeps the selected entry IDs for the replay.

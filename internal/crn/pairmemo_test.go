@@ -347,6 +347,37 @@ func TestRatesWarmPromotesInOnePass(t *testing.T) {
 	}
 }
 
+// TestRatesWarmParksOneChunk: a Warm over many queries leaves on the model's
+// free list no workspace bigger than a one-chunk Warm leaves, since the free
+// list keeps what it parks for the model's lifetime.
+func TestRatesWarmParksOneChunk(t *testing.T) {
+	plain, s := ratesFixture(t)
+	var qs []query.Query
+	for y := 1900; len(qs) < 10*warmChunk; y++ {
+		qs = append(qs, sqlparse.MustParse(s, fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d", y)))
+	}
+	parked := func(n int) int {
+		t.Helper()
+		m := NewModel(plain.M.Config(), plain.M.Dim()) // its own free list
+		r := &Rates{M: m, Enc: plain.Enc, Cache: NewRepCache(len(qs))}
+		if err := r.Warm(qs[:n]); err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Cache.Stats(); st.Resident != n {
+			t.Fatalf("Warm of %d queries left %d resident", n, st.Resident)
+		}
+		most := 0
+		for len(m.wsFree) > 0 {
+			most = max(most, (<-m.wsFree).Footprint())
+		}
+		return most
+	}
+	one, all := parked(warmChunk), parked(len(qs))
+	if one == 0 || all > one {
+		t.Fatalf("Warm of %d queries parks %d elements, of one chunk %d", len(qs), all, one)
+	}
+}
+
 // TestRatesHotPathAllocs pins the steady-state allocation count of the rate
 // call — the out slice, the key list and the predictor — memo hit or not.
 func TestRatesHotPathAllocs(t *testing.T) {

@@ -195,21 +195,33 @@ func (r *Rates) pairPredictor(ws *nn.Workspace, queries []query.Query, warm bool
 	return pred, nil
 }
 
+// warmChunk is the number of queries one Warm pass resolves: the workspace
+// a pass grows is parked on the model's free list for its lifetime (see
+// Model.wsFree), so a warm must size it like a serving request, not like the
+// whole pool.
+const warmChunk = 32
+
 // Warm precomputes the serving-side state for the given queries — set-module
 // representations and factorized-head partial products — and promotes it
 // straight into the zero-copy resident tier, skipping the sighting rule the
-// serving path applies. A freshly promoted model generation warms its
-// cache with the pool's working set off the hot path, so the first
-// estimates after a hot-swap already run at steady-state cost instead of
-// re-encoding the whole pool. A Rates without a cache is a no-op.
+// serving path applies. A model generation warms its cache with the pool's
+// working set before it serves, off the hot path, so its first estimates
+// already run at steady-state cost instead of re-encoding the whole pool.
+// The queries go through in chunks of warmChunk. A Rates without a cache is
+// a no-op.
 func (r *Rates) Warm(queries []query.Query) error {
 	if r.Cache == nil || len(queries) == 0 {
 		return nil
 	}
 	ws := r.M.getWS()
 	defer r.M.putWS(ws)
-	_, err := r.pairPredictor(ws, queries, true)
-	return err
+	for lo := 0; lo < len(queries); lo += warmChunk {
+		ws.Reset()
+		if _, err := r.pairPredictor(ws, queries[lo:min(lo+warmChunk, len(queries))], true); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // EstimateRatesIndexed implements contain.RateEstimator: one

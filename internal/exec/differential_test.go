@@ -79,6 +79,17 @@ func genQuery(t testing.TB, rng *rand.Rand, d *db.Database, cartesian bool) quer
 			}
 		}
 	}
+	q, err := query.New(imdb, tables, joins, genPreds(rng, d, tables))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// genPreds draws 0–2 predicates per table of tables, on any column, with
+// values from the data, from boundaryValues or just outside the column's
+// range.
+func genPreds(rng *rand.Rand, d *db.Database, tables []string) []query.Predicate {
 	var preds []query.Predicate
 	for _, tb := range tables {
 		td, _ := imdb.Table(tb)
@@ -98,11 +109,7 @@ func genQuery(t testing.TB, rng *rand.Rand, d *db.Database, cartesian bool) quer
 			preds = append(preds, query.Predicate{Col: ref(tb, c.Name), Op: schema.Operators()[rng.Intn(3)], Val: v})
 		}
 	}
-	q, err := query.New(imdb, tables, joins, preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q
+	return preds
 }
 
 // TestCardinalityDifferential holds the executor to bruteForce and to the
@@ -285,36 +292,9 @@ func FuzzCardinality(f *testing.F) {
 	d := edgeDB(f)
 	e := newExec(f, d)
 	f.Fuzz(func(t *testing.T, tables, joins uint8, raw []byte) {
-		var from []string
-		for i, td := range imdb.Tables {
-			if tables&(1<<i) != 0 {
-				from = append(from, td.Name)
-			}
-		}
-		if len(from) == 0 {
+		q, ok := fuzzQuery(t, tables, joins, raw)
+		if !ok {
 			return
-		}
-		var js []query.Join
-		if _, ok := indexOf(from, schema.Title); ok {
-			for i, je := range imdb.Joins {
-				if _, ok := indexOf(from, je.Right.Table); ok && joins&(1<<i) != 0 {
-					js = append(js, query.Join{Left: je.Left, Right: je.Right})
-				}
-			}
-		}
-		var preds []query.Predicate
-		for k := 0; k+4 <= len(raw) && k < 4*8; k += 4 {
-			td, _ := imdb.Table(from[int(raw[k])%len(from)])
-			c := td.Columns[int(raw[k+1])%len(td.Columns)]
-			preds = append(preds, query.Predicate{
-				Col: ref(td.Name, c.Name),
-				Op:  schema.Operators()[int(raw[k+2])%schema.NumOperators],
-				Val: boundaryValues[int(raw[k+3])%len(boundaryValues)],
-			})
-		}
-		q, err := query.New(imdb, from, js, preds)
-		if err != nil {
-			t.Fatal(err)
 		}
 		got, err := e.Cardinality(q)
 		if err != nil {
@@ -324,4 +304,64 @@ func FuzzCardinality(f *testing.F) {
 			t.Fatalf("%s: executor=%d brute=%d", q, got, want)
 		}
 	})
+}
+
+// FuzzFacts holds query.Facts to the executor on edgeDB: two queries over one
+// fuzzer-chosen FROM clause, each with its own join subset and predicates
+// (rawA and rawB, decoded as in FuzzCardinality, literals at the int64
+// edges), must relate as checkFacts demands.
+func FuzzFacts(f *testing.F) {
+	f.Add(uint8(0b000001), uint8(0), uint8(0), []byte{0, 1, 2, 3}, []byte{0, 1, 2, 5})
+	f.Add(uint8(0b100010), uint8(0b11111), uint8(0), []byte{1, 1, 0, 4}, []byte{1, 1, 0, 6, 0, 2, 1, 0})
+	f.Add(uint8(0b100100), uint8(0b11111), uint8(0b11111), []byte{0, 0, 1, 3, 0, 0, 1, 3}, []byte{0, 0, 1, 3})
+	f.Add(uint8(0b000001), uint8(0), uint8(0), []byte{0, 1, 0, 0, 0, 1, 2, 8}, []byte{0, 1, 1, 2})
+	d := edgeDB(f)
+	e := newExec(f, d)
+	f.Fuzz(func(t *testing.T, tables, joinsA, joinsB uint8, rawA, rawB []byte) {
+		a, ok := fuzzQuery(t, tables, joinsA, rawA)
+		if !ok {
+			return
+		}
+		b, _ := fuzzQuery(t, tables, joinsB, rawB)
+		checkFacts(t, e, a, b)
+	})
+}
+
+// fuzzQuery decodes a query over edgeDB's schema: the tables of the mask
+// tables, the joins of the mask joins that the FROM clause reaches, and one
+// predicate per 4 bytes of raw (at most 8). It reports false for an empty
+// FROM clause.
+func fuzzQuery(t *testing.T, tables, joins uint8, raw []byte) (query.Query, bool) {
+	var from []string
+	for i, td := range imdb.Tables {
+		if tables&(1<<i) != 0 {
+			from = append(from, td.Name)
+		}
+	}
+	if len(from) == 0 {
+		return query.Query{}, false
+	}
+	var js []query.Join
+	if _, ok := indexOf(from, schema.Title); ok {
+		for i, je := range imdb.Joins {
+			if _, ok := indexOf(from, je.Right.Table); ok && joins&(1<<i) != 0 {
+				js = append(js, query.Join{Left: je.Left, Right: je.Right})
+			}
+		}
+	}
+	var preds []query.Predicate
+	for k := 0; k+4 <= len(raw) && k < 4*8; k += 4 {
+		td, _ := imdb.Table(from[int(raw[k])%len(from)])
+		c := td.Columns[int(raw[k+1])%len(td.Columns)]
+		preds = append(preds, query.Predicate{
+			Col: ref(td.Name, c.Name),
+			Op:  schema.Operators()[int(raw[k+2])%schema.NumOperators],
+			Val: boundaryValues[int(raw[k+3])%len(boundaryValues)],
+		})
+	}
+	q, err := query.New(imdb, from, js, preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q, true
 }

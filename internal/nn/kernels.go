@@ -3,8 +3,9 @@ package nn
 // Kernel dispatch. The matrix kernels in matrix.go and the fused dense/ReLU
 // row loops in layers.go funnel every inner loop through the function
 // variables below. At package init exactly one implementation set is
-// selected — hand-written AVX2+FMA assembly when the CPU supports it (amd64
-// builds without the noasm tag; see kernels_amd64.go), the portable Go
+// selected — hand-written AVX2+FMA assembly when the CPU supports it, with
+// an AVX-512F pair head on hosts that have it (amd64 builds without the
+// noasm tag; see kernels_amd64.go), the portable Go
 // fallbacks in this file otherwise — and the choice never changes for the
 // life of the process. Every call site shares the one dispatched set, so
 // coalesced, cached, resident and plain serving paths stay mutually
@@ -75,8 +76,9 @@ var (
 )
 
 // KernelISA reports which inner-loop kernel set package init selected:
-// "avx2+fma" on amd64 hosts with AVX2 and FMA3 (unless built with -tags
-// noasm or run with CRN_NOSIMD set), "generic" otherwise.
+// "avx512f+avx2+fma" on amd64 hosts that also have AVX-512F (the pair head
+// runs at that width), "avx2+fma" on those with AVX2 and FMA3 only (unless
+// built with -tags noasm or run with CRN_NOSIMD set), "generic" otherwise.
 func KernelISA() string { return kernelISA }
 
 // Axpy2 computes dst[j] += a0·b0[j] + a1·b1[j] through the dispatched

@@ -4,13 +4,18 @@ package nn
 
 import "os"
 
-// Runtime dispatch for the AVX2+FMA kernel set in kernels_amd64.s. The
-// selection runs once, before any kernel can be called: main-package inits
-// and test setup both happen after package nn's init, so no caller ever
-// observes a mid-flight switch. Build with -tags noasm to compile this file
-// (and the assembly) out entirely, or set CRN_NOSIMD=1 to keep the generic
-// kernels at runtime on a capable host — the operational kill switch for
-// comparing or excluding the vector paths without a rebuild.
+// Runtime dispatch for the AVX2+FMA kernel set in kernels_amd64.s, and for
+// its one AVX-512F member: on a host that also has AVX-512F with ZMM state
+// enabled, pairHead — the CRN head's hot loop — runs pairHeadAVX512 on every
+// shape whose column count is a multiple of 32 and pairHeadAVX2 on the rest.
+// The two are bit-identical (the same FMAs per element, in the same order),
+// so the choice never shows in a result. The selection runs once, before any
+// kernel can be called: main-package inits and test setup both happen after
+// package nn's init, so no caller ever observes a mid-flight switch. Build
+// with -tags noasm to compile this file (and the assembly) out entirely, or
+// set CRN_NOSIMD=1 to keep the generic kernels at runtime on a capable host
+// — the operational kill switch for comparing or excluding the vector paths
+// without a rebuild.
 
 // cpuid executes CPUID with the given leaf/subleaf (implemented in
 // kernels_amd64.s).
@@ -28,6 +33,9 @@ func axpy2AVX2(dst, b0, b1 []float64, a0, a1 float64)
 
 //go:noescape
 func pairHeadAVX2(z, coef, w3, w4 []float64)
+
+//go:noescape
+func pairHeadAVX512(z, coef, w3, w4 []float64)
 
 //go:noescape
 func axpy4AVX2(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64)
@@ -65,6 +73,31 @@ func init() {
 	reluMask = reluMaskAVX2
 	biasReLUDot = biasReLUDotAVX2
 	kernelISA = "avx2+fma"
+	if hasAVX512F() {
+		pairHead = pairHeadWide
+		kernelISA = "avx512f+avx2+fma"
+	}
+}
+
+// pairHeadWide runs pairHeadAVX512 on the shapes it tiles — 32 columns per
+// register tile — and pairHeadAVX2 on the rest.
+func pairHeadWide(z, coef, w3, w4 []float64) {
+	if len(z)/PairHeadRows%32 == 0 {
+		pairHeadAVX512(z, coef, w3, w4)
+		return
+	}
+	pairHeadAVX2(z, coef, w3, w4)
+}
+
+// hasAVX512F reports whether the host CPU supports AVX-512F and the OS has
+// enabled the opmask and full ZMM state (XCR0 bits 5–7 beside SSE and AVX).
+// Only called once hasAVX2FMA has held, so CPUID leaf 7 and XGETBV exist.
+func hasAVX512F() bool {
+	if lo, _ := xgetbv(); lo&0xe6 != 0xe6 {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	return ebx7&(1<<16) != 0
 }
 
 // hasAVX2FMA reports whether the host CPU supports the vector kernel set

@@ -2,7 +2,8 @@
 
 #include "textflag.h"
 
-// AVX2+FMA inner-loop kernels. Conventions shared by every routine:
+// AVX2+FMA inner-loop kernels, and pairHeadAVX512, the pair head at
+// AVX-512F width (see kernels_amd64.go). Conventions shared by every routine:
 //
 //   - Lengths come from the FIRST slice argument (the destination for the
 //     in-place kernels, the probe row for the dot kernels); the Go wrappers
@@ -920,5 +921,136 @@ ph_store1:
 	JMP  ph_cols1
 
 ph_done:
+	VZEROUPPER
+	RET
+
+// func pairHeadAVX512(z, coef, w3, w4 []float64)
+//
+// pairHeadAVX2 at AVX-512F width, for cols a multiple of 32 (the Go
+// dispatcher sends every other shape to pairHeadAVX2): one register tile of
+// 4 rows × 32 columns, row r in Z(16+4r)..Z(19+4r), stays live across the
+// whole k loop; every 64-byte weight vector loaded serves four rows. Per
+// element and per k the operations are axpy2AVX2's — an FMA with the W3
+// term, then an FMA with the W4 term — so the result equals pairHeadAVX2's
+// bit for bit. cols = len(z)/4 and h = len(coef)/8; z and the weight
+// matrices share the row stride cols·8 bytes.
+TEXT ·pairHeadAVX512(SB), NOSPLIT, $0-96
+	MOVQ z_base+0(FP), DI
+	MOVQ z_len+8(FP), CX
+	SHRQ $2, CX          // cols
+	MOVQ coef_base+24(FP), SI
+	MOVQ coef_len+32(FP), BX
+	SHRQ $3, BX          // h
+	MOVQ w3_base+48(FP), R8
+	MOVQ w4_base+72(FP), R9
+	MOVQ CX, R10
+	SHLQ $3, R10         // row stride in bytes
+
+p5_chunk:
+	TESTQ CX, CX
+	JEQ   p5_done
+	LEAQ  (DI)(R10*2), R11
+	VMOVUPD (DI), Z16
+	VMOVUPD 64(DI), Z17
+	VMOVUPD 128(DI), Z18
+	VMOVUPD 192(DI), Z19
+	VMOVUPD (DI)(R10*1), Z20
+	VMOVUPD 64(DI)(R10*1), Z21
+	VMOVUPD 128(DI)(R10*1), Z22
+	VMOVUPD 192(DI)(R10*1), Z23
+	VMOVUPD (R11), Z24
+	VMOVUPD 64(R11), Z25
+	VMOVUPD 128(R11), Z26
+	VMOVUPD 192(R11), Z27
+	VMOVUPD (R11)(R10*1), Z28
+	VMOVUPD 64(R11)(R10*1), Z29
+	VMOVUPD 128(R11)(R10*1), Z30
+	VMOVUPD 192(R11)(R10*1), Z31
+	MOVQ R8, R12
+	MOVQ R9, R13
+	MOVQ SI, DX
+	MOVQ BX, AX
+
+p5_k:
+	TESTQ AX, AX
+	JEQ   p5_store
+	VMOVUPD (R12), Z0
+	VMOVUPD 64(R12), Z1
+	VMOVUPD 128(R12), Z2
+	VMOVUPD 192(R12), Z3
+	VBROADCASTSD (DX), Z4
+	VBROADCASTSD 8(DX), Z5
+	VBROADCASTSD 16(DX), Z6
+	VBROADCASTSD 24(DX), Z7
+	VFMADD231PD Z0, Z4, Z16
+	VFMADD231PD Z1, Z4, Z17
+	VFMADD231PD Z2, Z4, Z18
+	VFMADD231PD Z3, Z4, Z19
+	VFMADD231PD Z0, Z5, Z20
+	VFMADD231PD Z1, Z5, Z21
+	VFMADD231PD Z2, Z5, Z22
+	VFMADD231PD Z3, Z5, Z23
+	VFMADD231PD Z0, Z6, Z24
+	VFMADD231PD Z1, Z6, Z25
+	VFMADD231PD Z2, Z6, Z26
+	VFMADD231PD Z3, Z6, Z27
+	VFMADD231PD Z0, Z7, Z28
+	VFMADD231PD Z1, Z7, Z29
+	VFMADD231PD Z2, Z7, Z30
+	VFMADD231PD Z3, Z7, Z31
+	VMOVUPD (R13), Z0
+	VMOVUPD 64(R13), Z1
+	VMOVUPD 128(R13), Z2
+	VMOVUPD 192(R13), Z3
+	VBROADCASTSD 32(DX), Z4
+	VBROADCASTSD 40(DX), Z5
+	VBROADCASTSD 48(DX), Z6
+	VBROADCASTSD 56(DX), Z7
+	VFMADD231PD Z0, Z4, Z16
+	VFMADD231PD Z1, Z4, Z17
+	VFMADD231PD Z2, Z4, Z18
+	VFMADD231PD Z3, Z4, Z19
+	VFMADD231PD Z0, Z5, Z20
+	VFMADD231PD Z1, Z5, Z21
+	VFMADD231PD Z2, Z5, Z22
+	VFMADD231PD Z3, Z5, Z23
+	VFMADD231PD Z0, Z6, Z24
+	VFMADD231PD Z1, Z6, Z25
+	VFMADD231PD Z2, Z6, Z26
+	VFMADD231PD Z3, Z6, Z27
+	VFMADD231PD Z0, Z7, Z28
+	VFMADD231PD Z1, Z7, Z29
+	VFMADD231PD Z2, Z7, Z30
+	VFMADD231PD Z3, Z7, Z31
+	ADDQ R10, R12
+	ADDQ R10, R13
+	ADDQ $64, DX
+	DECQ AX
+	JMP  p5_k
+
+p5_store:
+	VMOVUPD Z16, (DI)
+	VMOVUPD Z17, 64(DI)
+	VMOVUPD Z18, 128(DI)
+	VMOVUPD Z19, 192(DI)
+	VMOVUPD Z20, (DI)(R10*1)
+	VMOVUPD Z21, 64(DI)(R10*1)
+	VMOVUPD Z22, 128(DI)(R10*1)
+	VMOVUPD Z23, 192(DI)(R10*1)
+	VMOVUPD Z24, (R11)
+	VMOVUPD Z25, 64(R11)
+	VMOVUPD Z26, 128(R11)
+	VMOVUPD Z27, 192(R11)
+	VMOVUPD Z28, (R11)(R10*1)
+	VMOVUPD Z29, 64(R11)(R10*1)
+	VMOVUPD Z30, 128(R11)(R10*1)
+	VMOVUPD Z31, 192(R11)(R10*1)
+	ADDQ $256, DI
+	ADDQ $256, R8
+	ADDQ $256, R9
+	SUBQ $32, CX
+	JMP  p5_chunk
+
+p5_done:
 	VZEROUPPER
 	RET

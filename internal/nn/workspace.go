@@ -36,6 +36,19 @@ func (w *Workspace) Reset() {
 	w.nextInts = 0
 }
 
+// Footprint returns the number of float64 and int elements the workspace
+// retains across Reset: what a parked workspace keeps alive.
+func (w *Workspace) Footprint() int {
+	n := 0
+	for _, m := range w.mats {
+		n += cap(m.Data)
+	}
+	for _, s := range w.ints {
+		n += cap(s)
+	}
+	return n
+}
+
 // Take returns a rows×cols matrix backed by recycled storage. Contents are
 // unspecified; callers must overwrite every element they read.
 func (w *Workspace) Take(rows, cols int) *Matrix {

@@ -56,11 +56,34 @@ type ModelBox struct {
 // across restarts. cacheSize > 0 equips every generation with its own
 // representation cache of that capacity; p, when non-nil, gets each
 // generation's cache subscribed for surgical invalidation (and the previous
-// one unsubscribed on promotion).
+// one unsubscribed on promotion). The first generation is warmed from p
+// before it is published, like every successor a trainer promotes (see
+// Warm), so frozen and adaptive estimators start alike.
 func NewModelBox(m *icrn.Model, enc *feature.Encoder, cacheSize int, p *pool.Pool, gen uint64) *ModelBox {
 	b := &ModelBox{enc: enc, cacheSize: cacheSize, pool: p}
-	b.cur.Store(b.newGeneration(m, gen))
+	g := b.newGeneration(m, gen)
+	// Non-fatal: a query the warm cannot encode is encoded, and fails, on
+	// the hot path, where the estimate reports it.
+	_ = b.Warm(g)
+	b.cur.Store(g)
 	return b
+}
+
+// Warm precomputes the pool's working set into an unpublished generation's
+// cache (see Rates.Warm): the most recently matched entries, up to the
+// cache's capacity, so a warm covers what estimates are actually selecting
+// and fills no more than the cache holds. A box without a pool or a cache
+// warms nothing.
+func (b *ModelBox) Warm(g *Generation) error {
+	if b.pool == nil || g.Rates.Cache == nil {
+		return nil
+	}
+	entries := b.pool.HotEntries(b.cacheSize)
+	queries := make([]query.Query, len(entries))
+	for i, e := range entries {
+		queries[i] = e.Q
+	}
+	return g.Rates.Warm(queries)
 }
 
 // SetStages attaches the stage-span set every generation's rate adapter

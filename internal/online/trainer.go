@@ -11,7 +11,6 @@ import (
 	icrn "crn/internal/crn"
 	"crn/internal/guard/failpoint"
 	"crn/internal/pool"
-	"crn/internal/query"
 	"crn/internal/workload"
 )
 
@@ -277,7 +276,10 @@ func (t *Trainer) RetrainNow(ctx context.Context) (promoted bool, err error) {
 	// cold cache. Warming failure is not fatal — publish anyway and let the
 	// hot path warm lazily.
 	next := t.box.Prepare(clone)
-	t.warm(next)
+	if err := t.box.Warm(next); err != nil {
+		// Counted apart from training failures so the stats stay readable.
+		t.warmErrors.Add(1)
+	}
 	t.box.Publish(next)
 	t.promotions.Add(1)
 	if t.drift != nil {
@@ -288,28 +290,6 @@ func (t *Trainer) RetrainNow(ctx context.Context) (promoted bool, err error) {
 		t.onPromote(next)
 	}
 	return true, nil
-}
-
-// warmCap bounds how many pool entries a promotion pre-warms into the
-// successor generation's cache; beyond it the tail warms lazily on the
-// hot path (matching the cache's own default capacity).
-const warmCap = 4096
-
-// warm precomputes the pool working set's representations in an
-// unpublished generation's cache (see Rates.Warm). The warm set is the
-// most-recently-matched entries, so a bounded warm covers what estimates
-// are actually selecting, not an arbitrary map-order subset.
-func (t *Trainer) warm(g *Generation) {
-	entries := t.pool.HotEntries(warmCap)
-	queries := make([]query.Query, len(entries))
-	for i, e := range entries {
-		queries[i] = e.Q
-	}
-	if err := g.Rates.Warm(queries); err != nil {
-		// Non-fatal (the hot path warms lazily), and counted apart from
-		// training failures so the stats stay readable.
-		t.warmErrors.Add(1)
-	}
 }
 
 // labelRecords turns drained feedback into encoded training samples: each

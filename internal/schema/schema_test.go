@@ -69,6 +69,27 @@ func TestColumnOrdinalsAreDenseAndUnique(t *testing.T) {
 	}
 }
 
+// TestColumnHashesAreDistinct: query signatures merge per-column value
+// ranges by the 64-bit column hash, and the estimator's predicate facts read
+// those ranges, so two columns sharing a hash would merge their predicates
+// and could prove a false implication or disjointness. The precomputed hash
+// must also be the hash of the qualified name.
+func TestColumnHashesAreDistinct(t *testing.T) {
+	s := IMDB()
+	seen := make(map[uint64]string)
+	for id := 0; id < s.NumColumns(); id++ {
+		ci := s.ColumnInfo(id)
+		name := ci.Ref.String()
+		if ci.Hash != Hash(name) {
+			t.Fatalf("%s: precomputed hash %x, Hash gives %x", name, ci.Hash, Hash(name))
+		}
+		if other, ok := seen[ci.Hash]; ok {
+			t.Fatalf("%s and %s share column hash %x", other, name, ci.Hash)
+		}
+		seen[ci.Hash] = name
+	}
+}
+
 func TestNonKeyColumns(t *testing.T) {
 	s := IMDB()
 	tab, ok := s.Table(Title)
