@@ -1,9 +1,11 @@
 // Command crndiag explains pool-based cardinality estimates: it builds a
 // reduced experiment environment, evaluates Cnt2Crd(CRN) on the crd_test2
-// workload, and for the worst-estimated queries prints the per-pool-entry
-// contributions — estimated vs true x_rate and y_rate, the old query's
-// cardinality, and the resulting per-entry estimate. Use it to attribute
-// tail errors to specific containment predictions.
+// workload, and for the worst-estimated queries prints the votes the
+// estimator casts — per non-empty old query its cardinality, its query.Relate
+// relation, the x_rate and y_rate the vote uses (fixed by the relation, else
+// the CRN's) against the true ones, and the vote — and the bounds the answer
+// is clamped into. Use it to attribute tail errors to specific containment
+// predictions.
 //
 // Usage:
 //
@@ -25,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"time"
@@ -33,6 +36,7 @@ import (
 	"crn/internal/experiments"
 	"crn/internal/metrics"
 	"crn/internal/nn"
+	"crn/internal/pool"
 	"crn/internal/query"
 )
 
@@ -79,10 +83,7 @@ func main() {
 	}
 	var all []scored
 	for i, lq := range env.CrdTest2 {
-		e, err := est.EstimateCard(lq.Q)
-		if err != nil {
-			fail("estimate: %v", err)
-		}
+		e := must(est.EstimateCard(lq.Q))
 		all = append(all, scored{i, metrics.CardQError(float64(lq.Card), e), e})
 	}
 	sort.Slice(all, func(a, b int) bool { return all[a].qerr > all[b].qerr })
@@ -94,39 +95,63 @@ func main() {
 			rank+1, metrics.FormatQ(s.qerr), lq.Card, s.est, lq.Q.NumJoins(), lq.Q.SQL())
 		matches := env.Pool.Matching(lq.Q)
 		fmt.Printf("  pool matches: %d\n", len(matches))
-		for mi, m := range matches {
-			if mi >= *entries {
-				fmt.Printf("  ... %d more\n", len(matches)-mi)
+		floor, ceil, shown := 0.0, math.Inf(1), 0
+		for _, m := range matches {
+			if m.Card <= 0 {
+				continue // the estimator drops empty-result entries unread
+			}
+			rel := query.Relate(lq.Q, m.Q)
+			if shown++; shown <= *entries {
+				dumpEntry(env, lq.Q, m, rel)
+			}
+			if rel == query.Equivalent {
+				floor, ceil = float64(m.Card), float64(m.Card) // answered exactly
 				break
 			}
-			dumpEntry(env, lq.Q, m.Q, m.Card)
+			switch rel {
+			case query.Subset:
+				ceil = min(ceil, float64(m.Card))
+			case query.Superset:
+				floor = max(floor, float64(m.Card))
+			}
 		}
+		fmt.Printf("  answer clamped into [%.0f, %.0f]\n", floor, ceil)
 	}
 }
 
-func dumpEntry(env *experiments.Env, qnew, qold query.Query, oldCard int64) {
-	xHat, err := env.CRNRates.EstimateRate(qold, qnew)
+// dumpEntry prints the vote old casts for qnew: none when they are disjoint
+// (both rates 0) or equivalent (both 1: the entry answers exactly), else
+// x/y·|Qold| with the rate the relation fixes at 1 and the other from the
+// CRN, skipped when y ≤ ε.
+func dumpEntry(env *experiments.Env, qnew query.Query, old pool.Entry, rel query.Relation) {
+	xTrue := must(env.Exec.ContainmentRate(old.Q, qnew))
+	yTrue := must(env.Exec.ContainmentRate(qnew, old.Q))
+	x, y, vote := 1.0, 1.0, "no vote"
+	switch rel {
+	case query.Disjoint:
+		x, y = 0, 0
+	case query.Subset, query.Superset, query.Undecided:
+		if rel != query.Superset {
+			x = must(env.CRNRates.EstimateRate(old.Q, qnew))
+		}
+		if rel != query.Subset {
+			y = must(env.CRNRates.EstimateRate(qnew, old.Q))
+		}
+		vote = "skipped (y<=eps)"
+		if y > card.DefaultEpsilon {
+			vote = fmt.Sprintf("%.1f", x/y*float64(old.Card))
+		}
+	}
+	fmt.Printf("    |Qold|=%-8d %-10s x=%.4f (true %.4f)  y=%.4f (true %.4f)  -> %s\n",
+		old.Card, rel, x, xTrue, y, yTrue, vote)
+}
+
+// must returns v, or exits with err.
+func must(v float64, err error) float64 {
 	if err != nil {
-		fail("rate: %v", err)
+		fail("%v", err)
 	}
-	yHat, err := env.CRNRates.EstimateRate(qnew, qold)
-	if err != nil {
-		fail("rate: %v", err)
-	}
-	xTrue, err := env.Exec.ContainmentRate(qold, qnew)
-	if err != nil {
-		fail("truth: %v", err)
-	}
-	yTrue, err := env.Exec.ContainmentRate(qnew, qold)
-	if err != nil {
-		fail("truth: %v", err)
-	}
-	contrib := "skipped (y<=eps)"
-	if yHat > card.DefaultEpsilon {
-		contrib = fmt.Sprintf("%.1f", xHat/yHat*float64(oldCard))
-	}
-	fmt.Printf("    |Qold|=%-8d x̂=%.4f (true %.4f)  ŷ=%.4f (true %.4f)  -> %s\n",
-		oldCard, xHat, xTrue, yHat, yTrue, contrib)
+	return v
 }
 
 func fail(format string, args ...any) {

@@ -18,9 +18,9 @@
 // batch, and all entry points accept a context for cancellation.
 //
 // The rate pass computes only the rates the predicates leave open. Over one
-// FROM clause, query.Facts proves from the join lists and per-column value
-// ranges alone that a candidate is disjoint from Qnew (both rates 0: it
-// casts no vote), contains it (y_rate = 1) or is contained in it
+// FROM clause, query.Relate proves from the join lists and per-column value
+// ranges alone that Qnew is disjoint from a candidate (both rates 0: it
+// casts no vote), a subset of it (y_rate = 1) or a superset of it
 // (x_rate = 1). A contradictory Qnew is answered 0, and a Qnew with an
 // equivalent candidate that candidate's |Qold|, with no rate at all; every
 // other answer is clamped between the largest |Qold| Qnew contains and the
@@ -96,12 +96,12 @@ type Estimator struct {
 }
 
 // span locates one query of a batch in the scratch: its usable candidates
-// arena[lo:hi] with their facts, the stamp of its FROM clause at selection,
-// and the bounds the facts put on |Qnew|: floor, the largest |Qold| of a
-// candidate it contains, and ceil, the smallest |Qold| of one containing it.
-// rate indexes the query's first rate in the flat rate list; it is -1 when
-// the query was answered without the rate pass — by the memo, or exactly by
-// its facts. fresh marks an answer this call computed and the memo keeps.
+// arena[lo:hi] with their relations, the stamp of its FROM clause at
+// selection, and the bounds the relations put on |Qnew|: floor, the largest
+// |Qold| of a candidate it contains, and ceil, the smallest |Qold| of one
+// containing it. rate indexes the query's first rate in the flat rate list;
+// it is -1 when the query was answered without the rate pass — by the memo,
+// or exactly by its relations. fresh marks an answer this call computed and the memo keeps.
 type span struct {
 	lo, hi, rate int
 	stamp        uint64
@@ -109,18 +109,7 @@ type span struct {
 	fresh        bool
 }
 
-// fact is what the predicates prove about one (Qnew, Qold) pair (see
-// query.Facts), and so which of its two rates the rate model must estimate.
-type fact uint8
-
-const (
-	unknown  fact = iota // both rates
-	implied              // Qnew ⇒ Qold: y_rate = 1, only x_rate is estimated
-	reverse              // Qold ⇒ Qnew: x_rate = 1, only y_rate is estimated
-	disjoint             // no common row: both rates are 0, no vote
-)
-
-// clamp bounds an estimate by the span's facts. A bound only ever moves an
+// clamp bounds an estimate by the span's relations. A bound only ever moves an
 // estimate toward the true cardinality, which lies between them; an unset
 // bound (floor 0, ceil +Inf) leaves every value, NaN and -0 included, as
 // it is.
@@ -140,12 +129,12 @@ func (sp *span) clamp(v float64) float64 {
 // call wrote before the scratch goes back.
 type scratch struct {
 	spans   []span
-	arena   []pool.Entry  // every query's candidates, back to back
-	facts   []fact        // the fact of each arena candidate
-	list    []query.Query // probes and distinct candidates
-	idx     [][2]int      // rate pairs as indices into list
-	seen    map[int64]int // entry ID -> index in list
-	results []float64     // one query's per-candidate estimates
+	arena   []pool.Entry     // every query's candidates, back to back
+	rels    []query.Relation // Qnew's relation to each arena candidate
+	list    []query.Query    // probes and distinct candidates
+	idx     [][2]int         // rate pairs as indices into list
+	seen    map[int64]int    // entry ID -> index in list
+	results []float64        // one query's per-candidate estimates
 }
 
 // maxScratchEntries bounds what a pooled scratch may retain, per slice (the
@@ -170,7 +159,7 @@ var scratchPool = sync.Pool{New: func() any {
 // retain.
 func (s *scratch) oversize() bool {
 	return cap(s.spans) > maxScratchEntries || cap(s.arena) > maxScratchEntries ||
-		cap(s.facts) > maxScratchEntries || cap(s.list) > maxScratchEntries ||
+		cap(s.rels) > maxScratchEntries || cap(s.list) > maxScratchEntries ||
 		cap(s.idx) > 2*maxScratchEntries || cap(s.results) > maxScratchEntries
 }
 
@@ -187,7 +176,7 @@ func (s *scratch) reset() {
 	} else {
 		clear(s.seen)
 	}
-	s.spans, s.arena, s.facts, s.list = s.spans[:0], s.arena[:0], s.facts[:0], s.list[:0]
+	s.spans, s.arena, s.rels, s.list = s.spans[:0], s.arena[:0], s.rels[:0], s.list[:0]
 	s.idx, s.results = s.idx[:0], s.results[:0]
 }
 
@@ -234,13 +223,13 @@ func (e *Estimator) EstimateCardCtx(ctx context.Context, qnew query.Query) (floa
 // query is selected and runs the loop.
 //
 // The pass estimates only the rates the predicates leave open (see
-// query.Facts): a disjoint candidate adds no pair and no vote; an implied
-// one (Qnew ⇒ Qold) takes y_rate = 1 and a reverse-implied one x_rate = 1,
-// so only the other rate is estimated. A contradictory probe is answered 0
+// query.Relate): a disjoint candidate adds no pair and no vote; one Qnew is
+// a subset of takes y_rate = 1 and one it is a superset of x_rate = 1, so
+// only the other rate is estimated. A contradictory probe is answered 0
 // and a probe with an equivalent candidate that candidate's cardinality,
 // with no rate pass. Every other answer, the fallback's included, is
-// clamped into its span's [floor, ceil]: the true cardinality is at least
-// every reverse-implied |Qold| and at most every implied one.
+// clamped into its span's [floor, ceil]: |Qnew| is at least every |Qold|
+// of a subset of Qnew and at most every |Qold| of a superset.
 func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([]float64, error) {
 	if e.Rates == nil || e.Pool == nil {
 		return nil, fmt.Errorf("card: estimator needs a rate model and a queries pool")
@@ -281,8 +270,8 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 	// Answer every query the memo holds, and gather every other query's pool
 	// candidates into one arena, in query order: a bounded pool's recency
 	// stamps, which eviction reads, then follow the order selection would.
-	// Each candidate's fact is decided here, beside it.
-	arena, facts := s.arena, s.facts
+	// Each candidate's relation is decided here, beside it.
+	arena, rels := s.arena, s.rels
 	var hits, misses uint64
 	for i, qnew := range queries {
 		if est, ok := memo.recall(gen, e.Pool, e.MaxCandidates, qnew); ok {
@@ -313,12 +302,12 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 		}
 		var est float64
 		var exact bool
-		facts, est, exact = decide(facts, qnew, arena[lo:w], &spans[i])
+		rels, est, exact = decide(rels, qnew, arena[lo:w], &spans[i])
 		if exact {
 			out[i], spans[i].rate, spans[i].fresh = est, -1, true
 		}
 	}
-	s.spans, s.arena, s.facts = spans, arena, facts
+	s.spans, s.arena, s.rels = spans, arena, rels
 	if e.Tel != nil {
 		st.Mark(e.Tel.Stages.CandidateSelection)
 	}
@@ -328,7 +317,8 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 	// once, each pool entry once per batch (recognized by its stable ID when
 	// several probes share a FROM clause); pairs are index tuples, so no
 	// canonical key is rendered here. A candidate contributes (Qold, Qnew)
-	// unless reverse-implied and (Qnew, Qold) unless implied, in that order.
+	// unless Qnew is its superset and (Qnew, Qold) unless its subset, in
+	// that order.
 	list, idx, seen := s.list, s.idx, s.seen
 	for i, qnew := range queries {
 		sp := &spans[i]
@@ -338,8 +328,8 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 		sp.rate = len(idx)
 		qi := -1
 		for k := sp.lo; k < sp.hi; k++ {
-			f := facts[k]
-			if f == disjoint {
+			rel := rels[k]
+			if rel == query.Disjoint {
 				continue
 			}
 			if qi < 0 {
@@ -353,10 +343,10 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 				list = append(list, m.Q)
 				seen[m.ID] = mi
 			}
-			if f != reverse {
+			if rel != query.Superset {
 				idx = append(idx, [2]int{mi, qi})
 			}
-			if f != implied {
+			if rel != query.Subset {
 				idx = append(idx, [2]int{qi, mi})
 			}
 		}
@@ -377,7 +367,7 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 	fresh := 0
 	for i, qnew := range queries {
 		sp := &spans[i]
-		if sp.rate < 0 { // the memo's or the facts' answer
+		if sp.rate < 0 { // the memo's or the relations' answer
 			if sp.fresh {
 				fresh++
 			}
@@ -388,13 +378,13 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 		r := sp.rate
 		for k := sp.lo; k < sp.hi; k++ {
 			xRate, yRate := 1.0, 1.0 // Qold ⊂% Qnew, Qnew ⊂% Qold
-			switch facts[k] {
-			case disjoint:
+			switch rels[k] {
+			case query.Disjoint:
 				continue
-			case implied:
+			case query.Subset:
 				xRate = rates[r]
 				r++
-			case reverse:
+			case query.Superset:
 				yRate = rates[r]
 				r++
 			default:
@@ -431,31 +421,27 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 	return out, nil
 }
 
-// decide appends to facts the fact of each of qnew's candidates cands and
-// narrows sp's bounds with them. It reports an exact answer instead when the
-// predicates fix |Qnew|: 0 for a contradictory probe, |Qold| for a
-// candidate implied both ways; the facts appended are then unread.
-func decide(facts []fact, qnew query.Query, cands []pool.Entry, sp *span) ([]fact, float64, bool) {
+// decide appends to rels qnew's relation to each of its candidates cands
+// and narrows sp's bounds with them. It reports an exact answer instead when
+// the predicates fix |Qnew|: 0 for a contradictory probe, |Qold| for an
+// equivalent candidate; the relations appended are then unread.
+func decide(rels []query.Relation, qnew query.Query, cands []pool.Entry, sp *span) ([]query.Relation, float64, bool) {
 	if qnew.Contradictory() {
-		return append(facts, make([]fact, len(cands))...), 0, true
+		return append(rels, make([]query.Relation, len(cands))...), 0, true
 	}
 	for k := range cands {
-		in, contains, dis := query.Facts(qnew, cands[k].Q)
-		c := float64(cands[k].Card)
-		f := unknown
-		switch {
-		case dis:
-			f = disjoint
-		case in && contains:
-			return append(facts, make([]fact, len(cands)-k)...), c, true
-		case in:
-			f, sp.ceil = implied, min(sp.ceil, c)
-		case contains:
-			f, sp.floor = reverse, max(sp.floor, c)
+		rel, c := query.Relate(qnew, cands[k].Q), float64(cands[k].Card)
+		switch rel {
+		case query.Equivalent:
+			return append(rels, make([]query.Relation, len(cands)-k)...), c, true
+		case query.Subset:
+			sp.ceil = min(sp.ceil, c)
+		case query.Superset:
+			sp.floor = max(sp.floor, c)
 		}
-		facts = append(facts, f)
+		rels = append(rels, rel)
 	}
-	return facts, 0, false
+	return rels, 0, false
 }
 
 // memoGen returns the memo and the rate model's generation, read before the
@@ -484,7 +470,7 @@ func (e *Estimator) FallbackCard(ctx context.Context, qnew query.Query) (float64
 }
 
 // fallback is FallbackCard without the note: EstimateCards notes the answer
-// it serves, clamped by the query's facts.
+// it serves, clamped by the query's relations.
 func (e *Estimator) fallback(ctx context.Context, qnew query.Query) (float64, error) {
 	if e.Fallback == nil {
 		return 0, fmt.Errorf("%w for FROM %q", ErrNoPoolMatch, qnew.FROMKey())

@@ -341,7 +341,7 @@ func TestScratchPinsNothingBetweenCalls(t *testing.T) {
 			t.Fatalf("list[%d] still holds %v", i, q)
 		}
 	}
-	if len(sc.seen) != 0 || len(sc.arena)+len(sc.facts)+len(sc.list)+len(sc.idx)+len(sc.spans)+len(sc.results) != 0 {
+	if len(sc.seen) != 0 || len(sc.arena)+len(sc.rels)+len(sc.list)+len(sc.idx)+len(sc.spans)+len(sc.results) != 0 {
 		t.Fatalf("released scratch is not empty: %d seen", len(sc.seen))
 	}
 }

@@ -23,9 +23,9 @@ import (
 // change there gives the clause a newer stamp, so the entry misses, while a
 // mutation on another clause leaves it valid. A new generation misses by its
 // tag. The learned path's answers are kept — the rate arm's, clamped by the
-// predicate facts, and the exact ones the facts give alone — and only from
-// passes that succeeded as a whole; the facts read nothing but the probe and
-// its clause's entries, so the same witness covers them. A fallback answer
+// predicate relations, and the exact ones the relations give alone — and
+// only from passes that succeeded as a whole; the relations read nothing but
+// the probe and its clause's entries, so the same witness covers them. A fallback answer
 // is not kept. The memo holds at most its capacity of probes and is
 // cleared when full. Its methods are safe for concurrent use and on a nil
 // *Memo.

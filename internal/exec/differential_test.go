@@ -306,7 +306,7 @@ func FuzzCardinality(f *testing.F) {
 	})
 }
 
-// FuzzFacts holds query.Facts to the executor on edgeDB: two queries over one
+// FuzzFacts holds query.Relate to the executor on edgeDB: two queries over one
 // fuzzer-chosen FROM clause, each with its own join subset and predicates
 // (rawA and rawB, decoded as in FuzzCardinality, literals at the int64
 // edges), must relate as checkFacts demands.

@@ -8,18 +8,29 @@ import (
 	"crn/internal/query"
 )
 
-// checkFacts holds query.Facts on a and b, which share a FROM clause, to the
-// executor and returns them: an implication x ⇒ y gives |x ∩ y| = |x| — so
-// y_rate x ⊂% y = 1 whenever x is non-empty — and a disjoint pair an empty
-// intersection. Implies and Disjoint must agree with Facts, Disjoint in both
-// argument orders.
-func checkFacts(t testing.TB, e *Executor, a, b query.Query) (aInB, bInA, disjoint bool) {
-	t.Helper()
-	aInB, bInA, disjoint = query.Facts(a, b)
-	if aInB != query.Implies(a, b) || bInA != query.Implies(b, a) ||
-		disjoint != query.Disjoint(a, b) || disjoint != query.Disjoint(b, a) {
-		t.Fatalf("%s vs %s: Facts disagrees with Implies/Disjoint", a, b)
+// mirror is the relation of b to a given that of a to b.
+func mirror(r query.Relation) query.Relation {
+	switch r {
+	case query.Subset:
+		return query.Superset
+	case query.Superset:
+		return query.Subset
 	}
+	return r
+}
+
+// checkFacts holds query.Relate on a and b, which share a FROM clause, to
+// the executor and returns it: a subset x of y gives |x ∩ y| = |x| — so
+// y_rate x ⊂% y = 1 whenever x is non-empty — and a disjoint pair an empty
+// intersection. Relate(b, a) must be Relate(a, b) seen from b's side.
+func checkFacts(t testing.TB, e *Executor, a, b query.Query) query.Relation {
+	t.Helper()
+	rel := query.Relate(a, b)
+	if back := query.Relate(b, a); back != mirror(rel) {
+		t.Fatalf("Relate(%s, %s) = %v, but Relate back = %v", a, b, rel, back)
+	}
+	aInB := rel == query.Subset || rel == query.Equivalent
+	bInA := rel == query.Superset || rel == query.Equivalent
 	ab, err := a.Intersect(b)
 	if err != nil {
 		t.Fatal(err)
@@ -33,17 +44,17 @@ func checkFacts(t testing.TB, e *Executor, a, b query.Query) (aInB, bInA, disjoi
 	}
 	inter, ca, cb := count(ab), count(a), count(b)
 	switch {
-	case disjoint && inter != 0:
-		t.Fatalf("Disjoint(%s, %s), but they share %d rows", a, b, inter)
+	case rel == query.Disjoint && inter != 0:
+		t.Fatalf("%s and %s are disjoint, but they share %d rows", a, b, inter)
 	case aInB && inter != ca:
-		t.Fatalf("Implies(%s, %s), but |a ∩ b| = %d of |a| = %d", a, b, inter, ca)
+		t.Fatalf("%s is a subset of %s, but |a ∩ b| = %d of |a| = %d", a, b, inter, ca)
 	case bInA && inter != cb:
-		t.Fatalf("Implies(%s, %s), but |a ∩ b| = %d of |b| = %d", b, a, inter, cb)
+		t.Fatalf("%s is a subset of %s, but |a ∩ b| = %d of |b| = %d", b, a, inter, cb)
 	}
 	if a.Contradictory() && ca != 0 {
 		t.Fatalf("%s is contradictory, but selects %d rows", a, ca)
 	}
-	return aInB, bInA, disjoint
+	return rel
 }
 
 // genPair draws a query with genQuery and a partner over its FROM clause: a
@@ -88,7 +99,7 @@ func genPair(t testing.TB, rng *rand.Rand, d *db.Database, cartesian bool) (a, b
 // TestFactsAgreeWithExecutor is the property behind the estimator's use of
 // predicate facts: on random pairs over one FROM clause — 0–5 joins,
 // boundary literals, cartesian FROM clauses — every implication and every
-// disjointness query.Facts proves holds on the data (see checkFacts), over
+// disjointness query.Relate proves holds on the data (see checkFacts), over
 // generated data and over edgeDB. The draw must reach each fact often.
 func TestFactsAgreeWithExecutor(t *testing.T) {
 	for _, fx := range []struct {
@@ -102,13 +113,12 @@ func TestFactsAgreeWithExecutor(t *testing.T) {
 			var in, both, dis int
 			for i := 0; i < fx.n; i++ {
 				a, b := genPair(t, rng, fx.d, fx.name == "edge" && i%4 == 0)
-				aInB, bInA, disjoint := checkFacts(t, e, a, b)
-				switch {
-				case disjoint:
+				switch checkFacts(t, e, a, b) {
+				case query.Disjoint:
 					dis++
-				case aInB && bInA:
+				case query.Equivalent:
 					both++
-				case aInB || bInA:
+				case query.Subset, query.Superset:
 					in++
 				}
 			}

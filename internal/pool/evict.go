@@ -120,7 +120,6 @@ func (p *Pool) evictLRULocked() {
 // the evicted key. Callers hold the write lock.
 func (p *Pool) removeEntryLocked(from string, idx *fromIndex, pos int) {
 	e := idx.entries[pos]
-	sig := idx.sigs[pos]
 	key := e.Q.Key()
 	delete(p.byKey, key)
 	delete(idx.byID, e.ID)
@@ -129,16 +128,14 @@ func (p *Pool) removeEntryLocked(from string, idx *fromIndex, pos int) {
 	}
 	// After the byID delete: indexRemove's compaction decides liveness by
 	// byID membership.
-	idx.indexRemove(sig, e.ID)
+	idx.indexRemove(e.Q.Signature(), e.ID)
 	last := len(idx.entries) - 1
 	if pos != last {
 		idx.entries[pos] = idx.entries[last]
-		idx.sigs[pos] = idx.sigs[last]
 		atomic.StoreInt64(&idx.lastHit[pos], atomic.LoadInt64(&idx.lastHit[last]))
 		idx.byID[idx.entries[pos].ID] = pos
 	}
 	idx.entries = idx.entries[:last]
-	idx.sigs = idx.sigs[:last]
 	idx.lastHit = idx.lastHit[:last]
 	if len(idx.entries) == 0 {
 		delete(p.byFrom, from)

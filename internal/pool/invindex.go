@@ -10,7 +10,7 @@
 //
 // Each fromIndex partitions its entries into signature CLASSES keyed by the
 // signature's value-free pattern (column/op/join bitmasks plus each range's
-// column hash and boundedness/conflict flags — query.Signature.PatternKey).
+// column hash, bounded sides and emptiness — query.Signature.PatternKey).
 // Real workloads are template-driven: thousands of entries collapse into a
 // handful of classes (the inverted-index posting lists, one per distinct
 // column-mask bit pattern). Within a class, members are grouped into BUCKETS
@@ -230,7 +230,7 @@ func offerRun(heap *topKHeap, idx *fromIndex, ids []int64, probe query.Signature
 		}
 		visited++
 		if !scored {
-			score = probe.Similarity(idx.sigs[pos])
+			score = probe.Similarity(idx.entries[pos].Q.Signature())
 			scored = true
 		}
 		r := scoredRef{score: score, idx: pos, id: id}

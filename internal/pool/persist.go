@@ -152,7 +152,7 @@ func (p *Pool) restore(entries []persistEntry, qs []query.Query) int {
 		key := q.Key()
 		id, ok := p.byKey[key]
 		if !ok {
-			id = p.insertLocked(q, key, q.Signature(), card)
+			id = p.insertLocked(q, key, card)
 			applied++
 		} else if p.updateCardLocked(q, key, card) {
 			applied++

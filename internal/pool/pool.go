@@ -6,11 +6,11 @@
 // the Cnt2Crd technique can use for a new query.
 //
 // A production pool grows with the workload, so the package also bounds the
-// estimator's per-probe cost: every entry carries a predicate signature
-// (query.Signature) read once at Add, and TopK ranks a FROM clause's
-// candidates by signature similarity to return only the K most
-// containment-comparable old queries. WithCap additionally bounds the pool itself,
-// evicting the least-recently-matched entry once full.
+// estimator's per-probe cost: every entry's query carries its predicate
+// signature (query.Signature, precomputed by query.New), and TopK ranks a
+// FROM clause's candidates by signature similarity to return only the K
+// most containment-comparable old queries. WithCap additionally bounds the
+// pool itself, evicting the least-recently-matched entry once full.
 //
 // The package also provides the final functions F of §5.3.1 (Median, Mean,
 // TrimmedMean) that collapse the per-old-query estimates into one value —
@@ -40,15 +40,14 @@ type Entry struct {
 }
 
 // fromIndex is the per-FROM-clause candidate index: the entries themselves
-// plus, position-aligned, their precomputed signatures (what TopK scans)
-// and last-match ticks (what eviction consults), and a position lookup by
-// stable entry ID (what the eviction heap resolves records through). sigs
-// and lastHit are mutated only under the pool's write lock; lastHit
-// elements are touched with atomics because candidate selection updates
-// them under the read lock.
+// (TopK scans each one's precomputed Q.Signature) plus, position-aligned,
+// their last-match ticks (what eviction consults), and a position lookup by
+// stable entry ID (what the eviction heap resolves records through).
+// lastHit is mutated only under the pool's write lock; its elements are
+// touched with atomics because candidate selection updates them under the
+// read lock.
 type fromIndex struct {
 	entries []Entry
-	sigs    []query.Signature
 	lastHit []int64
 	byID    map[int64]int
 
@@ -164,7 +163,6 @@ func (p *Pool) Add(q query.Query, card int64) bool {
 		return false
 	}
 	key := q.Key()
-	sig := q.Signature() // outside the lock: pure function of q
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, ok := p.byKey[key]; ok {
@@ -173,7 +171,7 @@ func (p *Pool) Add(q query.Query, card int64) bool {
 	if p.cap > 0 && p.entries >= p.cap {
 		p.evictLRULocked()
 	}
-	p.insertLocked(q, key, sig, card)
+	p.insertLocked(q, key, card)
 	return true
 }
 
@@ -181,7 +179,7 @@ func (p *Pool) Add(q query.Query, card int64) bool {
 // matched and returns its ID. It never evicts: Add makes room first, and a
 // snapshot restore evicts down to the cap only once every entry carries its
 // restored stamp. Callers hold the write lock.
-func (p *Pool) insertLocked(q query.Query, key string, sig query.Signature, card int64) int64 {
+func (p *Pool) insertLocked(q query.Query, key string, card int64) int64 {
 	from := q.FROMKey()
 	idx := p.byFrom[from]
 	if idx == nil {
@@ -192,12 +190,11 @@ func (p *Pool) insertLocked(q query.Query, key string, sig query.Signature, card
 	p.byKey[key] = id
 	idx.byID[id] = len(idx.entries)
 	idx.entries = append(idx.entries, Entry{Q: q, Card: card, ID: id})
-	idx.sigs = append(idx.sigs, sig)
 	if card > 0 {
 		idx.nPos++
 	}
 	if p.indexOn {
-		idx.indexAdd(sig, id)
+		idx.indexAdd(q.Signature(), id)
 	}
 	// A fresh entry starts as most-recently matched: it must survive long
 	// enough for estimates to have a chance to select it.
@@ -314,10 +311,7 @@ func (p *Pool) AppendTopK(dst []Entry, q query.Query, k int) []Entry {
 // when no entry shares the clause). While ReplaySelection accepts that stamp,
 // the same call would append the same entries in the same order.
 func (p *Pool) AppendSelection(dst []Entry, q query.Query, k int) ([]Entry, uint64) {
-	var probe query.Signature
-	if k > 0 {
-		probe = q.Signature() // outside the lock: pure function of q
-	}
+	probe := q.Signature() // outside the lock: a copy of what query.New computed
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	idx := p.byFrom[q.FROMKey()]
@@ -405,7 +399,7 @@ func (p *Pool) selectLinearLocked(idx *fromIndex, probe query.Signature, k int) 
 			continue
 		}
 		usable++
-		heap.offer(scoredRef{score: probe.Similarity(idx.sigs[i]), idx: i, id: idx.entries[i].ID})
+		heap.offer(scoredRef{score: probe.Similarity(idx.entries[i].Q.Signature()), idx: i, id: idx.entries[i].ID})
 	}
 	return heap.sorted(), usable
 }

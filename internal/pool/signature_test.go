@@ -10,7 +10,8 @@ import (
 
 func sig(t *testing.T, sql string) query.Signature {
 	t.Helper()
-	return sqlparse.MustParse(s, sql).Signature()
+	q := sqlparse.MustParse(s, sql)
+	return q.Signature()
 }
 
 func TestSignatureDeterministic(t *testing.T) {

@@ -1,5 +1,7 @@
 package query
 
+import "math"
+
 // Predicate facts. Two queries over one FROM clause select rows of the same
 // cartesian product, so their predicates alone can prove how their results
 // relate: a query that applies every join and, per column, a value interval
@@ -13,69 +15,73 @@ package query
 // equality — but never invented. Ranges are merged by 64-bit column hash;
 // the schema's columns must hash apart, which its tests pin.
 
-// Implies reports whether every row a selects is provably a row b selects:
-// a applies every join b applies and, on every column b constrains, pins an
-// interval within b's. a and b must share a FROM clause (see Comparable).
-func Implies(a, b Query) bool {
-	in, _, _ := Facts(a, b)
-	return in
+// Relation is what the predicates prove about how two queries over one FROM
+// clause relate, read from the first query's side (see Relate).
+type Relation uint8
+
+const (
+	Undecided  Relation = iota // nothing proven
+	Subset                     // every row a selects, b selects
+	Superset                   // every row b selects, a selects
+	Equivalent                 // Subset | Superset: a and b select the same rows
+	Disjoint                   // a and b select no common row
+)
+
+func (r Relation) String() string {
+	return [...]string{"undecided", "subset", "superset", "equivalent", "disjoint"}[r]
 }
 
-// Disjoint reports whether a and b provably select no common row: one of
-// them contradicts itself on some column, or their intervals on a column
-// both constrain do not meet. a and b must share a FROM clause.
-func Disjoint(a, b Query) bool {
-	_, _, dis := Facts(a, b)
-	return dis
+// Relate returns how a's rows relate to b's, from one merge over the two
+// queries' ranges. a and b must share a FROM clause (see Comparable).
+// Disjoint takes precedence: a contradictory query is disjoint from
+// everything, whatever else its ranges pass. a is a Subset of b when it
+// applies every join b applies and, on every column, pins an interval
+// within b's; two queries are disjoint when their intervals on some column
+// do not meet. A column only one side constrains is, on the other, the
+// full range [MinInt64, MaxInt64].
+func Relate(a, b Query) Relation {
+	aInB, bInA := joinsCover(a.Joins, b.Joins), joinsCover(b.Joins, a.Joins)
+	ra, rb := a.Signature().Ranges, b.Signature().Ranges
+	all := ColRange{Lo: math.MinInt64, Hi: math.MaxInt64}
+	for i, j := 0, 0; i < len(ra) || j < len(rb); {
+		x, y := &all, &all
+		switch {
+		case j == len(rb) || i < len(ra) && ra[i].Col < rb[j].Col:
+			x, i = &ra[i], i+1
+		case i == len(ra) || rb[j].Col < ra[i].Col:
+			y, j = &rb[j], j+1
+		default:
+			x, y, i, j = &ra[i], &rb[j], i+1, j+1
+		}
+		if !x.meet(y) {
+			return Disjoint
+		}
+		aInB = aInB && x.within(y)
+		bInA = bInA && y.within(x)
+	}
+	var rel Relation
+	if aInB {
+		rel |= Subset
+	}
+	if bInA {
+		rel |= Superset
+	}
+	return rel
 }
 
 // Contradictory reports whether q's predicates contradict each other on
 // some column (e.g. x = 1 AND x = 2): its result is provably empty.
 func (q Query) Contradictory() bool {
-	for _, r := range q.ranges() {
-		if r.Conflict {
+	for _, r := range q.Signature().Ranges {
+		if r.Lo > r.Hi {
 			return true
 		}
 	}
 	return false
 }
 
-// Facts returns Implies(a, b), Implies(b, a) and Disjoint(a, b) from one
-// merge over the two queries' ranges. a and b must share a FROM clause.
-func Facts(a, b Query) (aInB, bInA, disjoint bool) {
-	aInB, bInA = joinsCover(a.Joins, b.Joins), joinsCover(b.Joins, a.Joins)
-	ra, rb := a.ranges(), b.ranges()
-	i, j := 0, 0
-	for i < len(ra) || j < len(rb) {
-		switch {
-		case j == len(rb) || i < len(ra) && ra[i].Col < rb[j].Col:
-			// Only a constrains this column: b's rows are not all a's.
-			disjoint = disjoint || ra[i].Conflict
-			bInA = false
-			i++
-		case i == len(ra) || rb[j].Col < ra[i].Col:
-			disjoint = disjoint || rb[j].Conflict
-			aInB = false
-			j++
-		default:
-			x, y := &ra[i], &rb[j]
-			disjoint = disjoint || x.Conflict || y.Conflict ||
-				x.HasLo && y.HasHi && x.Lo > y.Hi || y.HasLo && x.HasHi && y.Lo > x.Hi
-			aInB = aInB && x.within(y)
-			bInA = bInA && y.within(x)
-			i++
-			j++
-		}
-	}
-	return aInB, bInA, disjoint
-}
-
-// within reports whether r's interval lies inside o's. Either side may be a
-// Conflict range: an empty r lies inside anything, and a non-empty r never
-// passes both bound checks against an empty o.
-func (r *ColRange) within(o *ColRange) bool {
-	return (!o.HasLo || r.HasLo && r.Lo >= o.Lo) && (!o.HasHi || r.HasHi && r.Hi <= o.Hi)
-}
+// within reports whether r's interval lies inside o's; both are non-empty.
+func (r *ColRange) within(o *ColRange) bool { return r.Lo >= o.Lo && r.Hi <= o.Hi }
 
 // joinsCover reports whether every join of sub is one of super's. Join lists
 // are short (a few edges), so a nested scan beats any index; a literal-built
@@ -94,13 +100,4 @@ outer:
 		return false
 	}
 	return true
-}
-
-// ranges returns q's per-column intervals, sorted by column hash: the cached
-// signature's for queries built by New, computed for literal-built values.
-func (q Query) ranges() []ColRange {
-	if q.sig != nil {
-		return q.sig.Ranges
-	}
-	return computeSignature(q).Ranges
 }

@@ -28,9 +28,6 @@ import (
 // Hash collisions (two columns sharing a mask bit) only blur the ranking —
 // selection stays a strict subset of the FROM-clause candidates, so they
 // can never make an incomparable pair comparable.
-//
-// Signature lived in internal/pool through PR 7; it moved here so a Query
-// can carry its signature precomputed (the pool package aliases the name).
 type Signature struct {
 	Cols  uint64             // mask of predicate columns
 	Joins uint64             // mask of join edges
@@ -46,17 +43,43 @@ type Signature struct {
 // NumOpClass is the number of predicate operator classes (<, =, >).
 const NumOpClass = 3
 
-// ColRange is the value interval a conjunction of predicates pins one
-// column to: the intersection of their Predicate.Interval. Unbounded sides
-// (left at MinInt64 or MaxInt64 by every interval) are marked rather than
-// saturated so interval similarity can treat "no constraint" distinctly
-// from "huge range".
+// ColRange is the closed value interval [Lo, Hi] a conjunction of
+// predicates pins one column to: the intersection of their
+// Predicate.Interval. A side no predicate bounds stays at MinInt64 or
+// MaxInt64, which interval similarity reads as "no constraint" rather than
+// "huge range"; Lo > Hi marks a contradictory conjunction (e.g. =1 AND =2),
+// an empty range.
 type ColRange struct {
-	Col      uint64 // column hash (identity for merging, bit source for masks)
-	Lo, Hi   int64
-	HasLo    bool
-	HasHi    bool
-	Conflict bool // contradictory conjunction (e.g. =1 AND =2): empty range
+	Col    uint64 // column hash (identity for merging, bit source for masks)
+	Lo, Hi int64
+}
+
+// meet reports whether r and o admit a common value; an empty side meets
+// nothing.
+func (r *ColRange) meet(o *ColRange) bool { return max(r.Lo, o.Lo) <= min(r.Hi, o.Hi) }
+
+// Range shapes: which sides of a range some predicate bounds, and whether
+// it is empty — the value-free part of a range that PatternKey records and
+// Similarity's case analysis reads.
+const (
+	shapeLo    = 1
+	shapeHi    = 2
+	shapeBoth  = shapeLo | shapeHi
+	shapeEmpty = 4
+)
+
+func (r *ColRange) shape() byte {
+	var f byte
+	if r.Lo != math.MinInt64 {
+		f |= shapeLo
+	}
+	if r.Hi != math.MaxInt64 {
+		f |= shapeHi
+	}
+	if r.Lo > r.Hi {
+		f |= shapeEmpty
+	}
+	return f
 }
 
 // opClass maps a predicate operator to its class ordinal.
@@ -73,13 +96,14 @@ func opClass(op string) int {
 
 // Signature returns the query's predicate signature: precomputed for
 // queries built by New, Intersect or WithPredicate (the serving hot path
-// never recomputes it — one pointer read per TopK probe), computed on
-// demand for literal-built values.
-func (q Query) Signature() Signature {
+// never recomputes it — one pointer read per pooled candidate scored),
+// computed on demand for literal-built values. The pointer receiver keeps
+// the read from copying the whole Query.
+func (q *Query) Signature() Signature {
 	if q.sig != nil {
 		return *q.sig
 	}
-	return computeSignature(q)
+	return computeSignature(*q)
 }
 
 // computeSignature summarizes q from its strings. It is pure and
@@ -104,9 +128,8 @@ func (sig *Signature) addJoin(edge uint64) { sig.Joins |= 1 << (edge & 63) }
 
 // addPred records predicate p, col being the hash of its qualified column
 // name: the column and operator-class masks, and p's Interval intersected
-// into the range of its column (a fresh range for a first-seen column). A
-// side the interval leaves saturated stays unset; an empty intersection
-// marks the range Conflict. Predicates arrive in canonical order (sorted by
+// into the range of its column (a fresh range, [MinInt64, MaxInt64], for a
+// first-seen column). Predicates arrive in canonical order (sorted by
 // column string), so ranges stay grouped by column; the final slice is
 // re-sorted by hash before use.
 func (sig *Signature) addPred(col uint64, p Predicate) {
@@ -121,19 +144,11 @@ func (sig *Signature) addPred(col uint64, p Predicate) {
 		}
 	}
 	if r == nil {
-		sig.Ranges = append(sig.Ranges, ColRange{Col: col})
+		sig.Ranges = append(sig.Ranges, ColRange{Col: col, Lo: math.MinInt64, Hi: math.MaxInt64})
 		r = &sig.Ranges[len(sig.Ranges)-1]
 	}
 	lo, hi := p.Interval()
-	if lo != math.MinInt64 && (!r.HasLo || lo > r.Lo) {
-		r.Lo, r.HasLo = lo, true
-	}
-	if hi != math.MaxInt64 && (!r.HasHi || hi < r.Hi) {
-		r.Hi, r.HasHi = hi, true
-	}
-	if r.HasLo && r.HasHi && r.Lo > r.Hi {
-		r.Conflict = true
-	}
+	r.Lo, r.Hi = max(r.Lo, lo), min(r.Hi, hi)
 }
 
 // sortRanges orders a signature's intervals by column hash (insertion sort:
@@ -211,7 +226,7 @@ func (probe Signature) MaskSimilarity(old Signature) float64 {
 // SimilarityBound bounds Similarity over a signature CLASS: given a pattern
 // signature (masks plus range shapes; the range VALUES are ignored), it
 // returns an upper bound on Similarity(probe, m) over every signature m
-// sharing the pattern's masks and per-column boundedness/conflict shape,
+// sharing the pattern's masks and per-column boundedness/emptiness shape,
 // and reports whether the score is flat — the same, bit for bit, for every
 // such m (no matched column's affinity depends on the member's bound
 // values). The bound accumulates in Similarity's exact operation order with
@@ -229,7 +244,7 @@ func (probe Signature) SimilarityBound(pattern Signature) (ub float64, flat bool
 		case a.Col > b.Col:
 			j++
 		default:
-			maxAff, constant := rangeAffinityBound(*a, *b)
+			maxAff, constant := rangeAffinityBound(a.shape(), b.shape())
 			ub += wRange * maxAff
 			flat = flat && constant
 			i++
@@ -240,30 +255,26 @@ func (probe Signature) SimilarityBound(pattern Signature) (ub float64, flat bool
 }
 
 // rangeAffinityBound is the per-column case analysis behind SimilarityBound:
-// the maximum rangeAffinity(a, b') over all b' sharing b's column and
-// boundedness/conflict flags, and whether the affinity is the same constant
-// for every such b'. The cases mirror rangeAffinity exactly:
+// given the shapes of a and b, the maximum rangeAffinity(a, b') over all b'
+// sharing b's column and shape, and whether the affinity is the same
+// constant for every such b'. The cases mirror rangeAffinity exactly:
 //
-//   - either side conflicted: always -1;
+//   - either side empty: always -1;
 //   - both sides half-bounded on the SAME side (lo,lo or hi,hi): never
 //     provably disjoint, never measurable — always 0.5;
 //   - both sides fully bounded: Jaccard in [0,1] or disjoint, max 1;
 //   - any other mix (opposing half-bounds, or half against full): disjoint
 //     or the flat half-bounded overlap score, max 0.5.
-func rangeAffinityBound(a, b ColRange) (maxAff float64, constant bool) {
-	if a.Conflict || b.Conflict {
+func rangeAffinityBound(sa, sb byte) (maxAff float64, constant bool) {
+	switch {
+	case (sa|sb)&shapeEmpty != 0:
 		return -1, true
-	}
-	if (!a.HasLo && !a.HasHi) || (!b.HasLo && !b.HasHi) {
+	case sa == 0 || sb == 0:
 		// Defensive: computed signatures never carry a fully unbounded range.
 		return 0, true
-	}
-	aBoth := a.HasLo && a.HasHi
-	bBoth := b.HasLo && b.HasHi
-	switch {
-	case !aBoth && !bBoth && a.HasLo == b.HasLo:
+	case sa == sb && sa != shapeBoth:
 		return 0.5, true
-	case aBoth && bBoth:
+	case sa == shapeBoth && sb == shapeBoth:
 		return 1, false
 	default:
 		return 0.5, false
@@ -274,25 +285,20 @@ func rangeAffinityBound(a, b ColRange) (maxAff float64, constant bool) {
 // [-1, 1]: 1 for identical bounded ranges, a Jaccard-style fraction for
 // partial overlap, 0 when one side is effectively unbounded, and -1 for
 // provably disjoint ranges (the pair's rates are pinned at 0, the candidate
-// is dead weight).
+// is dead weight) — an empty range is disjoint from everything.
 func rangeAffinity(a, b ColRange) float64 {
-	if a.Conflict || b.Conflict {
+	if !a.meet(&b) {
 		return -1
-	}
-	// Disjointness is decidable whenever one side's lower bound exceeds the
-	// other's upper bound.
-	if (a.HasLo && b.HasHi && a.Lo > b.Hi) || (b.HasLo && a.HasHi && b.Lo > a.Hi) {
-		return -1
-	}
-	if !a.HasLo && !a.HasHi || !b.HasLo && !b.HasHi {
-		return 0
 	}
 	// Jaccard on bounded intervals; a half-bounded pair that overlaps has no
 	// measurable fraction and scores a flat weak signal. The overlap is
 	// nonempty here, and rounding spans wider than 2^53 is monotone, so the
 	// fraction cannot pass 1; the cap states the bound rangeAffinityBound's
 	// maximum relies on in the code rather than in that argument.
-	if !a.HasLo || !a.HasHi || !b.HasLo || !b.HasHi {
+	switch sa, sb := a.shape(), b.shape(); {
+	case sa == 0 || sb == 0:
+		return 0
+	case sa != shapeBoth || sb != shapeBoth:
 		return 0.5
 	}
 	inter := span(max(a.Lo, b.Lo), min(a.Hi, b.Hi))
@@ -310,9 +316,9 @@ func span(lo, hi int64) float64 { return float64(uint64(hi)-uint64(lo)) + 1 }
 func popcount(x uint64) int { return bits.OnesCount64(x) }
 
 // PatternKey returns a value-free binary encoding of the signature: the
-// three mask sets plus, per range, the column hash and its boundedness and
-// conflict flags — but not the bound values. Two signatures share a
-// PatternKey exactly when every probe's Similarity walk hits the same case
+// three mask sets plus, per range, the column hash, which sides are bounded
+// and whether it is empty — but not the bound values. Two signatures share
+// a PatternKey exactly when every probe's Similarity walk hits the same case
 // structure against both, differing only where rangeAffinity reads bound
 // values; the pool's inverted index partitions each FROM clause's entries
 // into such classes.
@@ -323,29 +329,18 @@ func (s Signature) PatternKey() string {
 	for _, m := range s.Ops {
 		buf = binary.BigEndian.AppendUint64(buf, m)
 	}
-	for _, r := range s.Ranges {
-		buf = binary.BigEndian.AppendUint64(buf, r.Col)
-		var f byte
-		if r.HasLo {
-			f |= 1
-		}
-		if r.HasHi {
-			f |= 2
-		}
-		if r.Conflict {
-			f |= 4
-		}
-		buf = append(buf, f)
+	for i := range s.Ranges {
+		buf = binary.BigEndian.AppendUint64(buf, s.Ranges[i].Col)
+		buf = append(buf, s.Ranges[i].shape())
 	}
 	return string(buf)
 }
 
-// ValueKey returns a binary encoding of the signature's range bound values
-// (unset sides encode as zero — the flags distinguishing them live in
-// PatternKey). Within one PatternKey class, signatures are fully identical
-// exactly when their ValueKeys are equal; the pool's index groups class
-// members into such buckets so each distinct signature is scored once per
-// probe.
+// ValueKey returns a binary encoding of the signature's range bounds, an
+// unbounded side as its MinInt64 or MaxInt64. Within one PatternKey class,
+// signatures are fully identical exactly when their ValueKeys are equal;
+// the pool's index groups class members into such buckets so each distinct
+// signature is scored once per probe.
 func (s Signature) ValueKey() string {
 	buf := make([]byte, 0, len(s.Ranges)*16)
 	for _, r := range s.Ranges {

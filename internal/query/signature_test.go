@@ -34,7 +34,7 @@ func TestIntervalAgreesWithMatches(t *testing.T) {
 
 // TestEmptyIntervalConflicts pins the signature of a predicate no value
 // satisfies: < MinInt64 and > MaxInt64 admit nothing (the executor counts 0
-// rows), so their column's range is a Conflict, as a contradictory
+// rows), so their column's range is empty (Lo > Hi), as a contradictory
 // conjunction's is, whether New or computeSignature builds it.
 func TestEmptyIntervalConflicts(t *testing.T) {
 	for _, p := range []Predicate{
@@ -43,8 +43,8 @@ func TestEmptyIntervalConflicts(t *testing.T) {
 	} {
 		q := mustQuery(t, []string{schema.Title}, nil, []Predicate{p})
 		for name, sig := range map[string]Signature{"New": q.Signature(), "computeSignature": computeSignature(q)} {
-			if len(sig.Ranges) != 1 || !sig.Ranges[0].Conflict {
-				t.Errorf("%s: %s ranges %+v, want one Conflict range", p, name, sig.Ranges)
+			if len(sig.Ranges) != 1 || sig.Ranges[0].Lo <= sig.Ranges[0].Hi {
+				t.Errorf("%s: %s ranges %+v, want one empty range", p, name, sig.Ranges)
 			}
 		}
 	}

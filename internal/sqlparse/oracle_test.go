@@ -434,12 +434,12 @@ func oracleTightenRange(ranges []query.ColRange, col uint64, p query.Predicate) 
 		}
 	}
 	if r == nil {
-		ranges = append(ranges, query.ColRange{Col: col})
+		ranges = append(ranges, query.ColRange{Col: col, Lo: math.MinInt64, Hi: math.MaxInt64})
 		r = &ranges[len(ranges)-1]
 	}
-	// The values p admits, lo..hi: a side at an int64 limit bounds nothing
-	// and stays unset, and a literal that leaves nothing (< MinInt64,
-	// > MaxInt64) contributes the empty 1..0.
+	// The values p admits, lo..hi: a side at an int64 limit bounds nothing,
+	// and a literal that leaves nothing (< MinInt64, > MaxInt64) contributes
+	// the empty 1..0.
 	var lo, hi int64
 	switch {
 	case p.Op == schema.OpLT && p.Val == math.MinInt64, p.Op == schema.OpGT && p.Val == math.MaxInt64:
@@ -451,14 +451,11 @@ func oracleTightenRange(ranges []query.ColRange, col uint64, p query.Predicate) 
 	default:
 		lo, hi = p.Val, p.Val
 	}
-	if lo != math.MinInt64 && (!r.HasLo || lo > r.Lo) {
-		r.Lo, r.HasLo = lo, true
+	if lo > r.Lo {
+		r.Lo = lo
 	}
-	if hi != math.MaxInt64 && (!r.HasHi || hi < r.Hi) {
-		r.Hi, r.HasHi = hi, true
-	}
-	if r.HasLo && r.HasHi && r.Lo > r.Hi {
-		r.Conflict = true
+	if hi < r.Hi {
+		r.Hi = hi
 	}
 	return ranges
 }

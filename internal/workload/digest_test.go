@@ -83,7 +83,7 @@ func TestWorkloadDigest(t *testing.T) {
 // signatureDigest is the sha256 TestSignatureDigest computes. A change that
 // deliberately alters how a query's signature is built or scored updates it
 // in the same diff; any other change must leave it alone.
-const signatureDigest = "b3219c847bfc3ac9a39126b7ab67f324569a3c77b2c245b20072ea47813e93ae"
+const signatureDigest = "1459d60f1ea959554da2def0f6dc02117427680058d9072fe356c0b5c0462506"
 
 // TestSignatureDigest pins top-K candidate ranking bit for bit on drawn
 // workloads: the PatternKey and ValueKey of every query of a non-empty pool
