@@ -88,10 +88,10 @@ type Estimator struct {
 	// (CRN vs fallback) into the live accuracy ring. Set before serving;
 	// nil keeps the path free of clock reads.
 	Tel *telemetry.Telemetry
-	// Memo, when non-nil, answers a recurring probe whose selected
-	// candidates have not changed (see Memo). It engages only when Rates
-	// reports a generation (a Generation() uint64 method). Set before
-	// serving.
+	// Memo, when non-nil, answers a recurring probe whose FROM clause is
+	// still at the stamp its memoized pass selected under, on the same
+	// model generation (see Memo). It engages only when Rates reports a
+	// generation (a Generation() uint64 method). Set before serving.
 	Memo *Memo
 }
 

@@ -128,7 +128,7 @@ func (p *Pool) removeEntryLocked(from string, idx *fromIndex, pos int) {
 	}
 	// After the byID delete: indexRemove's compaction decides liveness by
 	// byID membership.
-	idx.indexRemove(e.Q.Signature(), e.ID)
+	idx.indexRemove(e.Q.Signature())
 	last := len(idx.entries) - 1
 	if pos != last {
 		idx.entries[pos] = idx.entries[last]

@@ -278,3 +278,33 @@ func TestLoadLegacyFormat(t *testing.T) {
 		t.Errorf("legacy cards not preserved: %+v", m)
 	}
 }
+
+// TestAddSaturatedAllocs pins the cost of one insert into a full capped
+// pool, the record-heavy steady state: every Add evicts the least recently
+// matched entry, then indexes the new one under its signature class. The
+// single FROM clause and distinct constants mirror BenchmarkAddSaturated.
+func TestAddSaturatedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are pinned on the plain build only")
+	}
+	const size, runs = 1000, 200
+	qs := make([]query.Query, size+runs+1)
+	for i := range qs {
+		qs[i] = sqlparse.MustParse(s, fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d", i))
+	}
+	p := New(WithCap(size))
+	for _, q := range qs[:size] {
+		p.Add(q, 1)
+	}
+	next := size
+	allocs := testing.AllocsPerRun(runs, func() {
+		p.Add(qs[next], 1)
+		next++
+	})
+	if p.Len() != size {
+		t.Fatalf("pool size = %d, want the cap %d", p.Len(), size)
+	}
+	if allocs > 4 {
+		t.Fatalf("saturated Add allocates %v times, want at most 4", allocs)
+	}
+}

@@ -1,10 +1,10 @@
-// Inverted signature index: sublinear bounded candidate selection.
+// Signature-class index: sublinear bounded candidate selection.
 //
-// PR 4's TopK bounded the estimator's PAIR count at K but still scored every
-// FROM-clause signature per probe — the last O(pool) term on the serving hot
-// path (~1.9 ms at 50k entries). This file removes it without changing a
-// single selected candidate: selection through the index is bit-identical to
-// the linear scan, for every probe, every k, and every mutation history.
+// Bounded selection keeps the k candidates of a FROM clause that score best
+// against the probe's signature. Scoring every entry makes its cost linear
+// in the clause's size; this file prunes that walk without changing a
+// single selected candidate: selection through the index is bit-identical
+// to the linear scan, for every probe, every k, and every mutation history.
 //
 // # Structure
 //
@@ -13,44 +13,40 @@
 // column hash, bounded sides and emptiness — query.Signature.PatternKey).
 // Real workloads are template-driven: thousands of entries collapse into a
 // handful of classes (the inverted-index posting lists, one per distinct
-// column-mask bit pattern). Within a class, members are grouped into BUCKETS
-// of fully identical signatures (equal range values too — ValueKey), and the
-// class also keeps a flat ascending list of all member IDs.
+// column-mask bit pattern). A class keeps the ascending list of its member
+// IDs.
 //
 // # Why scoring whole classes at once is exact
 //
 // Similarity(probe, m) reads m's masks and range SHAPE everywhere except
 // rangeAffinity's value comparisons, so over one class the probe's scoring
-// walk is structurally fixed. Two consequences:
-//
-//   - SimilarityBound gives a true per-class upper bound (accumulated in
-//     Similarity's exact operation order with pointwise-≥ addends, so
-//     floating-point monotonicity applies) and detects FLAT classes, where
-//     no matched column's affinity depends on member values: every member
-//     scores bit-identically, one Similarity call covers the class.
-//   - In a non-flat class, members of one bucket share their entire
-//     signature, so one Similarity call covers the bucket.
+// walk is structurally fixed. SimilarityBound therefore gives a true
+// per-class upper bound (accumulated in Similarity's exact operation order
+// with pointwise-≥ addends, so floating-point monotonicity applies) and
+// detects FLAT classes, where no matched column's affinity depends on member
+// values: every member scores bit-identically, and one Similarity call
+// covers the class. A non-flat class is scored member by member.
 //
 // Classes are visited in descending upper-bound order; once the heap holds k
 // candidates and the next class's bound is strictly below the worst kept
 // score, no remaining member can be selected (it would lose the heap
-// comparison anyway) and the walk stops. Within a uniform-score run (flat
-// class, or one bucket) IDs ascend, so the first rejected member proves all
-// later ones rejected too. Every skipped candidate is thus one the heap
-// itself would have rejected — and the heap's kept set is order-independent
-// (better-ness is a strict total order) — so the selected set, scores and
-// output order equal the linear scan's exactly.
+// comparison anyway) and the walk stops. Within a flat class IDs ascend, so
+// the first rejected member proves all later ones rejected too. Every
+// skipped candidate is thus one the heap itself would have rejected — and
+// the heap's kept set is order-independent (better-ness is a strict total
+// order) — so the selected set, scores and output order equal the linear
+// scan's exactly.
 //
 // # Coherence and cost
 //
 // The index mutates only under the pool's write lock, alongside the
-// structures it mirrors: Add appends to class/bucket lists, eviction leaves
-// a tombstone (membership is "still present in byID") plus a dead counter,
-// and lists compact when tombstones outnumber live members — O(1) amortized
-// per mutation, no rebuild, no extra Version() semantics (the PR 3 rep-cache
-// interplay is untouched). Selection pays for itself only where classes
-// recur: each class costs a bound computation and a place in the bound sort,
-// so with nearly one class per entry the index does the scan's work twice.
+// structures it mirrors: Add appends to a class list, eviction leaves a
+// tombstone (membership is "still present in byID") plus a dead counter,
+// and a list compacts when its tombstones outnumber its live members — O(1)
+// amortized per mutation, no rebuild, and the clause stamp moves exactly as
+// without the index. Selection pays for itself only where classes recur:
+// each class costs a bound computation and a place in the bound sort, so
+// with nearly one class per entry the index does the scan's work twice.
 // Past a density threshold — more than one class per classDensityDiv
 // entries, on a FROM clause of any size — TopK takes the linear scan instead
 // and reports it in Stats.IndexFallbacks. Both paths select bit-identically,
@@ -70,24 +66,12 @@ import (
 // pay for ranking the classes, so selection falls back to the linear scan.
 const classDensityDiv = 4
 
-// sigBucket groups the members of one signature class whose signatures are
-// fully identical (equal range values). ids is ascending and append-only
-// (entry IDs are unique and monotonic); evicted members stay as tombstones —
-// an ID no longer present in the FROM index's byID map — counted by dead and
-// filtered out on scan, until compaction rewrites the list.
-type sigBucket struct {
-	ids  []int64
-	dead int
-}
-
 // sigClass is one value-free signature pattern (see PatternKey): members
 // share every mask and range shape, differing only in range bound values.
 type sigClass struct {
-	pat     query.Signature // representative member signature; pattern part read
-	all     []int64         // every member ID, ascending, tombstones included
-	dead    int             // tombstones in all
-	live    int             // live members
-	buckets map[string]*sigBucket
+	pat  query.Signature // representative member signature; pattern part read
+	all  []int64         // every member ID, ascending, tombstones included
+	dead int             // tombstones in all
 }
 
 // indexAdd registers a just-appended entry with the class index. The caller
@@ -99,23 +83,15 @@ func (idx *fromIndex) indexAdd(sig query.Signature, id int64) {
 	ck := sig.PatternKey()
 	c := idx.classes[ck]
 	if c == nil {
-		c = &sigClass{pat: sig, buckets: make(map[string]*sigBucket)}
+		c = &sigClass{pat: sig}
 		idx.classes[ck] = c
 	}
 	c.all = append(c.all, id)
-	c.live++
-	vk := sig.ValueKey()
-	b := c.buckets[vk]
-	if b == nil {
-		b = &sigBucket{}
-		c.buckets[vk] = b
-	}
-	b.ids = append(b.ids, id)
 }
 
 // indexRemove records an entry's eviction. The caller holds the write lock
 // and has already deleted the entry from byID (compaction relies on that).
-func (idx *fromIndex) indexRemove(sig query.Signature, id int64) {
+func (idx *fromIndex) indexRemove(sig query.Signature) {
 	if idx.classes == nil {
 		return
 	}
@@ -124,23 +100,11 @@ func (idx *fromIndex) indexRemove(sig query.Signature, id int64) {
 	if c == nil {
 		return
 	}
-	c.live--
 	c.dead++
-	if c.live <= 0 {
+	switch live := len(c.all) - c.dead; {
+	case live == 0:
 		delete(idx.classes, ck)
-		return
-	}
-	vk := sig.ValueKey()
-	if b := c.buckets[vk]; b != nil {
-		b.dead++
-		if b.dead >= len(b.ids) {
-			delete(c.buckets, vk)
-		} else if b.dead > len(b.ids)-b.dead {
-			b.ids = compactIDs(b.ids, idx.byID)
-			b.dead = 0
-		}
-	}
-	if c.dead > c.live {
+	case c.dead > live:
 		c.all = compactIDs(c.all, idx.byID)
 		c.dead = 0
 	}
@@ -195,30 +159,23 @@ func (p *Pool) selectIndexedLocked(idx *fromIndex, probe query.Signature, k int)
 			// rejected. Strict <: a member tying the root can still win on ID.
 			break
 		}
-		if cr.flat {
-			visited += offerRun(heap, idx, cr.c.all, probe)
-			continue
-		}
-		// Bucket visit order is irrelevant: the heap's kept set is
-		// order-independent.
-		for _, b := range cr.c.buckets {
-			visited += offerRun(heap, idx, b.ids, probe)
-		}
+		visited += offerClass(heap, idx, cr.c.all, cr.flat, probe)
 	}
 	p.indexHits.Add(1)
 	p.scannedIdx.Add(visited)
 	return heap.sorted(), idx.nPos, visited
 }
 
-// offerRun offers one uniform-score run of member IDs: a flat class's whole
-// list (no matched column's affinity reads member values) or one bucket of a
-// non-flat class (members share their full signature). One Similarity call
-// covers the run, and iteration stops at the first rejected member — IDs
-// ascend, so every later member loses the same comparison. Returns the
-// number of candidates visited (the scanned-counter contribution).
-func offerRun(heap *topKHeap, idx *fromIndex, ids []int64, probe query.Signature) uint64 {
+// offerClass offers one class's members in ascending ID order, skipping
+// tombstones and empty-result entries exactly like the scan. In a flat class
+// (no matched column's affinity reads member values) every member scores
+// alike: one Similarity call covers the class, and the walk stops at the
+// first rejected member — IDs ascend, so every later member loses the same
+// comparison. A non-flat class's members are scored one by one and all
+// offered. Returns the number of candidates visited (the scanned-counter
+// contribution).
+func offerClass(heap *topKHeap, idx *fromIndex, ids []int64, flat bool, probe query.Signature) uint64 {
 	var visited uint64
-	scored := false
 	var score float64
 	for _, id := range ids {
 		pos, present := idx.byID[id]
@@ -229,12 +186,11 @@ func offerRun(heap *topKHeap, idx *fromIndex, ids []int64, probe query.Signature
 			continue // empty-result entries are skipped exactly like the scan
 		}
 		visited++
-		if !scored {
+		if visited == 1 || !flat {
 			score = probe.Similarity(idx.entries[pos].Q.Signature())
-			scored = true
 		}
 		r := scoredRef{score: score, idx: pos, id: id}
-		if heap.full() && !r.better(heap.refs[0]) {
+		if flat && heap.full() && !r.better(heap.refs[0]) {
 			break
 		}
 		heap.offer(r)

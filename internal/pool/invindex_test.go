@@ -34,8 +34,9 @@ func randIndexShape(r *rand.Rand) string {
 }
 
 // fillShape instantiates a shape with constants from a tight range, so one
-// shape recurs with equal values (buckets), distinct values and conflicting
-// ranges — the full case surface of the inverted index.
+// shape recurs with equal values (class members with identical signatures),
+// distinct values and conflicting ranges — the full case surface of the
+// inverted index.
 func fillShape(r *rand.Rand, shape string) string {
 	args := make([]any, strings.Count(shape, "%d"))
 	for i := range args {

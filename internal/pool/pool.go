@@ -498,11 +498,14 @@ func (p *Pool) Entries() []Entry {
 	return out
 }
 
-// HotEntries returns up to n entries ordered by last-match recency, most
-// recent first (ties broken by insertion ID, newest first) — the working
-// set candidate selection is actually using. Cache warming uses it so a
-// bounded warm covers the hot entries instead of an arbitrary subset.
-// n <= 0 or n >= Len returns every entry (still recency-ordered).
+// HotEntries returns up to n entries ordered by their recency stamp, most
+// recent first (ties broken by insertion ID, newest first). On a
+// capacity-bounded pool selection re-stamps what it returns, so the order is
+// last-match recency — the working set candidate selection is actually
+// using; on an unbounded pool nothing re-stamps, and the order is newest
+// inserted first. Cache warming uses it so a bounded warm covers the hot
+// entries instead of an arbitrary subset. n <= 0 or n >= Len returns every
+// entry (still in that order).
 func (p *Pool) HotEntries(n int) []Entry {
 	type stamped struct {
 		e    Entry

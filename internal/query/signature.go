@@ -335,17 +335,3 @@ func (s Signature) PatternKey() string {
 	}
 	return string(buf)
 }
-
-// ValueKey returns a binary encoding of the signature's range bounds, an
-// unbounded side as its MinInt64 or MaxInt64. Within one PatternKey class,
-// signatures are fully identical exactly when their ValueKeys are equal;
-// the pool's index groups class members into such buckets so each distinct
-// signature is scored once per probe.
-func (s Signature) ValueKey() string {
-	buf := make([]byte, 0, len(s.Ranges)*16)
-	for _, r := range s.Ranges {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Lo))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Hi))
-	}
-	return string(buf)
-}

@@ -86,9 +86,10 @@ func TestWorkloadDigest(t *testing.T) {
 const signatureDigest = "1459d60f1ea959554da2def0f6dc02117427680058d9072fe356c0b5c0462506"
 
 // TestSignatureDigest pins top-K candidate ranking bit for bit on drawn
-// workloads: the PatternKey and ValueKey of every query of a non-empty pool
-// and a non-empty crd_test2 probe set, then Similarity's bits for every
-// ordered pair of those queries (probe first), hashed in that order.
+// workloads: the PatternKey and the big-endian range bounds (Lo, Hi per
+// range) of every query of a non-empty pool and a non-empty crd_test2 probe
+// set, then Similarity's bits for every ordered pair of those queries (probe
+// first), hashed in that order.
 func TestSignatureDigest(t *testing.T) {
 	d := testDB(t)
 	ex, err := exec.New(d)
@@ -107,7 +108,12 @@ func TestSignatureDigest(t *testing.T) {
 	var sigs []query.Signature
 	for _, lq := range append(poolQs, probes...) {
 		sig := lq.Q.Signature()
-		fmt.Fprintf(h, "%x\t%x\n", sig.PatternKey(), sig.ValueKey())
+		var bounds []byte
+		for _, r := range sig.Ranges {
+			bounds = binary.BigEndian.AppendUint64(bounds, uint64(r.Lo))
+			bounds = binary.BigEndian.AppendUint64(bounds, uint64(r.Hi))
+		}
+		fmt.Fprintf(h, "%x\t%x\n", sig.PatternKey(), bounds)
 		sigs = append(sigs, sig)
 	}
 	var bits [8]byte

@@ -12,9 +12,12 @@ package crn
 //
 // ns/op is one single-query request; full/k=64 at a given size is the
 // candidate-bound speedup, and k=64 across sizes shows the bounded path's
-// latency staying flat as the pool grows. Pool entries carry synthetic
-// cardinalities (the arithmetic is identical; only accuracy would need true
-// labels, and the accuracy gate lives in internal/experiments).
+// latency staying flat as the pool grows. Every timed estimate asks a probe
+// no estimator has seen, so it misses the estimate memo and runs selection
+// and the rate pass; a recurring probe would time a memo lookup instead,
+// and the benches fail if one is answered from the memo. Pool entries carry
+// synthetic cardinalities (the arithmetic is identical; only accuracy would
+// need true labels, and the accuracy gate lives in internal/experiments).
 
 import (
 	"context"
@@ -29,17 +32,39 @@ import (
 var largePoolSizes = []int{1000, 10000, 50000}
 
 type largePoolEnv struct {
-	full   *CardinalityEstimator // unbounded scan
-	topK   *CardinalityEstimator // MaxCandidates = 64, indexed selection
-	noIdx  *CardinalityEstimator // MaxCandidates = 64, pool.WithIndexedSelection(false)
-	pool   *QueriesPool
-	probes []Query
+	full  *CardinalityEstimator // unbounded scan
+	topK  *CardinalityEstimator // MaxCandidates = 64, indexed selection
+	noIdx *CardinalityEstimator // MaxCandidates = 64, pool.WithIndexedSelection(false)
+	pool  *QueriesPool
 }
 
 var (
 	largeMu   sync.Mutex
 	largeEnvs = map[int]*largePoolEnv{}
+
+	// freshProbeSeq numbers the probes freshProbes parses. The estimators
+	// and their memos outlive one benchmark run, so a probe must not recur
+	// across sub-benchmarks or -count repeats either.
+	freshProbeSeq int
 )
+
+// freshProbes parses n probes on the "title" FROM clause that no estimator
+// has answered before.
+func freshProbes(b *testing.B, n int) []Query {
+	b.Helper()
+	probes := make([]Query, n)
+	for i := range probes {
+		freshProbeSeq++
+		q, err := batchSys.ParseQuery(fmt.Sprintf(
+			"SELECT * FROM title WHERE title.production_year > %d AND title.kind_id = %d",
+			1900+freshProbeSeq, freshProbeSeq%7))
+		if err != nil {
+			b.Fatal(err)
+		}
+		probes[i] = q
+	}
+	return probes
+}
 
 // largePoolBenchEnv builds (once per size) a pool with n distinct entries
 // on the "title" FROM clause over the shared trained system, plus full-scan
@@ -80,17 +105,6 @@ func largePoolBenchEnv(b *testing.B, n int) *largePoolEnv {
 	// baseline, kept in the grid so the speedup is measured in-run.
 	lin := rebuildPool(sys, p, pool.WithIndexedSelection(false))
 
-	probes := make([]Query, 0, 8)
-	for i := 0; i < 8; i++ {
-		q, err := sys.ParseQuery(fmt.Sprintf(
-			"SELECT * FROM title WHERE title.production_year > %d AND title.kind_id = %d",
-			1900+13*i, i%7))
-		if err != nil {
-			b.Fatal(err)
-		}
-		probes = append(probes, q)
-	}
-
 	// Cache capacity above pool size so steady state measures the head
 	// pass, not cache churn; fallback covers ε-guard misses on the
 	// synthetic pool.
@@ -105,11 +119,11 @@ func largePoolBenchEnv(b *testing.B, n int) *largePoolEnv {
 			WithFallback(base), WithRepCacheSize(2*n+1024), WithMaxCandidates(64)),
 		noIdx: sys.CardinalityEstimator(model, lin,
 			WithFallback(base), WithRepCacheSize(2*n+1024), WithMaxCandidates(64)),
-		pool:   p,
-		probes: probes,
+		pool: p,
 	}
-	// Warm each estimator to resident steady state: sighting, promotion,
-	// resident read.
+	// Warm each estimator to resident steady state: three passes over the
+	// same probes sight, promote and read the candidates they select.
+	probes := freshProbes(b, 8)
 	for _, est := range []*CardinalityEstimator{env.full, env.topK, env.noIdx} {
 		for pass := 0; pass < 3; pass++ {
 			for _, q := range probes {
@@ -143,29 +157,44 @@ func BenchmarkEstimateCardinalityLargePool(b *testing.B) {
 					est = env.noIdx
 				}
 				ctx := context.Background()
+				probes := freshProbes(b, b.N)
+				hits := est.CacheStats().EstimateHits
 				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := est.EstimateCardinality(ctx, env.probes[i%len(env.probes)]); err != nil {
+				for _, q := range probes {
+					if _, err := est.EstimateCardinality(ctx, q); err != nil {
 						b.Fatal(err)
 					}
+				}
+				b.StopTimer()
+				if est.CacheStats().EstimateHits != hits {
+					b.Fatal("a timed probe was answered from the estimate memo")
 				}
 			})
 		}
 	}
 }
 
-// BenchmarkEstimateCardinalityLargePoolBatch measures an 8-probe batch
-// against the 50k-entry pool with top-64 selection. ns/op is the whole
-// batch.
+// BenchmarkEstimateCardinalityLargePoolBatch measures an 8-probe batch of
+// fresh probes against the 50k-entry pool with top-64 selection. ns/op is
+// the whole batch.
 func BenchmarkEstimateCardinalityLargePoolBatch(b *testing.B) {
 	b.Run("entries=50000", func(b *testing.B) {
 		env := largePoolBenchEnv(b, 50000)
 		ctx := context.Background()
+		batches := make([][]Query, b.N)
+		for i := range batches {
+			batches[i] = freshProbes(b, 8)
+		}
+		hits := env.topK.CacheStats().EstimateHits
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := env.topK.EstimateCardinalityBatch(ctx, env.probes); err != nil {
+		for _, batch := range batches {
+			if _, err := env.topK.EstimateCardinalityBatch(ctx, batch); err != nil {
 				b.Fatal(err)
 			}
+		}
+		b.StopTimer()
+		if env.topK.CacheStats().EstimateHits != hits {
+			b.Fatal("a timed probe was answered from the estimate memo")
 		}
 	})
 }

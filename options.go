@@ -89,11 +89,10 @@ type PoolOption = pool.Option
 
 // WithPoolCap bounds the queries pool to n entries: once full, recording a
 // new executed query evicts the least-recently-matched entry (the pooled
-// query estimates have gone longest without selecting). Eviction bumps the
-// pool's Version, so the serving representation cache — including its
-// pool-resident snapshot — drops stale rows on the next estimate. n <= 0
-// leaves the pool unbounded (the default; the paper's §5.2 pool grows with
-// the workload).
+// query estimates have gone longest without selecting). The estimator's
+// representation cache subscribes to the pool and drops the evicted query's
+// resident row at the eviction itself. n <= 0 leaves the pool unbounded (the
+// default; the paper's §5.2 pool grows with the workload).
 func WithPoolCap(n int) PoolOption { return pool.WithCap(n) }
 
 // PoolStats reports pool occupancy plus candidate-index and eviction
