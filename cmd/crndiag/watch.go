@@ -15,7 +15,7 @@ import (
 // Prometheus text exposition with the telemetry package's own reader, and
 // render one compact frame per tick — QPS and outcome mix, per-request SQL
 // parse time and per-stage latency quantiles, statement-cache, rep-cache,
-// memo and index hit rates, breaker state, and the live per-arm q-error
+// estimate-memo and index hit rates, breaker state, and the live per-arm q-error
 // distributions. Rates and stage quantiles are windowed between consecutive
 // polls (the first frame shows cumulative values); q-error is cumulative,
 // since feedback joins arrive sparsely.
@@ -169,14 +169,14 @@ func renderFrame(cur, prev map[string]*telemetry.ParsedFamily, elapsed time.Dura
 	}
 	b.WriteByte('\n')
 
-	fmt.Fprintf(&b, "  cache stmt %s hit  rep %s hit  memo %s hit (%.0f pairs)  index %s indexed  coalesce %s avg batch\n",
+	fmt.Fprintf(&b, "  cache stmt %s hit  rep %s hit  memo %s hit (%.0f probes)  index %s indexed  coalesce %s avg batch\n",
 		rate(counterDelta(cur, prev, "crn_stmtcache_lookups_total", "result", "hit"),
 			counterDelta(cur, prev, "crn_stmtcache_lookups_total", "result", "miss")),
 		rate(counterDelta(cur, prev, "crn_repcache_lookups_total", "result", "hit"),
 			counterDelta(cur, prev, "crn_repcache_lookups_total", "result", "miss")),
-		rate(counterDelta(cur, prev, "crn_ratememo_lookups_total", "result", "hit"),
-			counterDelta(cur, prev, "crn_ratememo_lookups_total", "result", "miss")),
-		sampleOr(cur, "crn_ratememo_entries", "", ""),
+		rate(counterDelta(cur, prev, "crn_estimate_memo_lookups_total", "result", "hit"),
+			counterDelta(cur, prev, "crn_estimate_memo_lookups_total", "result", "miss")),
+		sampleOr(cur, "crn_estimate_memo_entries", "", ""),
 		rate(counterDelta(cur, prev, "crn_pool_selections_total", "path", "indexed"),
 			counterDelta(cur, prev, "crn_pool_selections_total", "path", "fallback")),
 		avgBatch(cur, prev))

@@ -35,9 +35,9 @@ func fakeExposition(n uint64) string {
 	fmt.Fprintf(&b, "crn_stmtcache_lookups_total{result=\"hit\"} %d\ncrn_stmtcache_lookups_total{result=\"miss\"} %d\n", 99*n, n)
 	fmt.Fprintf(&b, "# HELP crn_repcache_lookups_total Cache lookups.\n# TYPE crn_repcache_lookups_total counter\n")
 	fmt.Fprintf(&b, "crn_repcache_lookups_total{result=\"hit\"} %d\ncrn_repcache_lookups_total{result=\"miss\"} %d\n", 75*n, 25*n)
-	fmt.Fprintf(&b, "# HELP crn_ratememo_lookups_total Memo lookups.\n# TYPE crn_ratememo_lookups_total counter\n")
-	fmt.Fprintf(&b, "crn_ratememo_lookups_total{result=\"hit\"} %d\ncrn_ratememo_lookups_total{result=\"miss\"} %d\n", 90*n, 10*n)
-	fmt.Fprintf(&b, "# HELP crn_ratememo_entries Memoized pairs.\n# TYPE crn_ratememo_entries gauge\ncrn_ratememo_entries %d\n", 640*n)
+	fmt.Fprintf(&b, "# HELP crn_estimate_memo_lookups_total Estimate-memo lookups.\n# TYPE crn_estimate_memo_lookups_total counter\n")
+	fmt.Fprintf(&b, "crn_estimate_memo_lookups_total{result=\"hit\"} %d\ncrn_estimate_memo_lookups_total{result=\"miss\"} %d\n", 90*n, 10*n)
+	fmt.Fprintf(&b, "# HELP crn_estimate_memo_entries Memoized probes.\n# TYPE crn_estimate_memo_entries gauge\ncrn_estimate_memo_entries %d\n", 640*n)
 	fmt.Fprintf(&b, "# HELP crn_accuracy_qerror Live q-error.\n# TYPE crn_accuracy_qerror histogram\n")
 	fmt.Fprintf(&b, "crn_accuracy_qerror_bucket{arm=\"crn\",le=\"2\"} %d\n", 8*n)
 	fmt.Fprintf(&b, "crn_accuracy_qerror_bucket{arm=\"crn\",le=\"+Inf\"} %d\n", 10*n)
@@ -71,7 +71,7 @@ func TestWatchLoopFrames(t *testing.T) {
 	if !strings.Contains(frames[1], "window)") || !strings.Contains(frames[1], "qps ") {
 		t.Errorf("second frame not windowed:\n%s", frames[1])
 	}
-	for _, want := range []string{"breaker closed", "ok 100", "parse p50", "nn_forward p50", "stmt 99.0% hit", "rep 75.0% hit", "memo 90.0% hit (1280 pairs)", "crn p50"} {
+	for _, want := range []string{"breaker closed", "ok 100", "parse p50", "nn_forward p50", "stmt 99.0% hit", "rep 75.0% hit", "memo 90.0% hit (1280 probes)", "crn p50"} {
 		if !strings.Contains(frames[1], want) {
 			t.Errorf("second frame missing %q:\n%s", want, frames[1])
 		}

@@ -77,11 +77,12 @@ func TestHealthzReportsRepCache(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).handler())
 	defer ts.Close()
 
-	// Identical batch estimates: the second hits the cache, promotes the rows
-	// and memoizes their rates, the third is answered by the pair-rate memo.
-	// A /record on the probe's FROM clause before each of them changes its
-	// candidates, so the estimate memo answers none of the three; the fourth,
-	// with no /record before it, is the estimate memo's.
+	// Identical batch estimates: the second hits the cache and promotes the
+	// probe's row, and the estimate memo keeps its candidates' rates, so the
+	// third computes only the pairs of the entry recorded before it. A
+	// /record on the probe's FROM clause before each of them changes its
+	// candidates, so the estimate memo answers none of the three outright;
+	// the fourth, with no /record before it, is the estimate memo's.
 	for i := 0; i < 4; i++ {
 		if i < 3 {
 			status, body, err := postJSONErr(ts.URL+"/record", map[string]string{
@@ -115,9 +116,6 @@ func TestHealthzReportsRepCache(t *testing.T) {
 	}
 	if hr.RepCache.Hits+hr.RepCache.Misses == 0 {
 		t.Errorf("rep_cache counters never moved: %+v", hr.RepCache)
-	}
-	if hr.RepCache.MemoHits == 0 || hr.RepCache.MemoMisses == 0 || hr.RepCache.MemoEntries == 0 {
-		t.Errorf("rep_cache memo counters: %+v", hr.RepCache)
 	}
 	if hr.RepCache.EstimateHits == 0 || hr.RepCache.EstimateMisses < 3 || hr.RepCache.EstimateEntries == 0 {
 		t.Errorf("rep_cache estimate memo counters: %+v", hr.RepCache)

@@ -106,8 +106,6 @@ func TestMetricsExposition(t *testing.T) {
 		"crn_coalesce_batches_total",
 		"crn_pool_entries",
 		"crn_repcache_lookups_total",
-		"crn_ratememo_lookups_total",
-		"crn_ratememo_entries",
 		"crn_estimate_memo_lookups_total",
 		"crn_estimate_memo_entries",
 		"crn_accuracy_qerror",

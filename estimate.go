@@ -34,14 +34,11 @@ import (
 // recurring probe) the set-module encodings AND the precomputed pair-head
 // partial products are memoized by canonical query key across requests, the
 // recurring working set held in a zero-copy resident tier — so in steady
-// state a single-query estimate computes only its own probe side — and the
-// containment rate of two resident queries is memoized by their row pair, so
-// a recurring probe does not run the pair head at all. The cache subscribes
-// to its pool and absorbs mutations surgically: an insert drops nothing, an
-// eviction drops exactly the evicted entry's rows (and with them its
-// memoized rates). Revalidation against the pool's version counter before
-// every estimate is the safety net — it flushes only on a mutation the cache
-// did not witness.
+// state a single-query estimate computes only its own probe side. The cache
+// subscribes to its pool and absorbs mutations surgically: an insert drops
+// nothing, an eviction drops exactly the evicted entry's rows.
+// Revalidation against the pool's version counter before every estimate is
+// the safety net — it flushes only on a mutation the cache did not witness.
 //
 // In front of candidate selection sits the estimate memo (card.Memo, as
 // large as the cache): a probe whose memoized pass ran under the current
@@ -51,9 +48,13 @@ import (
 // selection would have done is replayed, so a bounded pool evicts the same
 // victims. Every insert, eviction and cardinality change on the probe's FROM
 // clause moves its stamp, and the next estimate misses. A mutation on
-// another clause leaves the memo's answer valid.
-// InvalidateRepresentations flushes cache and memo alike; estimates with and
-// without them (WithRepCacheSize(0)) are bit-identical.
+// another clause leaves the memo's answer valid. A probe that recurs across
+// such a mutation also keeps its candidates' containment rates, by pool
+// entry, from its second pass on: after a cardinality update or an eviction
+// on its clause its next pass runs no rate model, and after an insert only
+// the new entry's pairs. InvalidateRepresentations flushes cache and memo
+// alike; estimates with and without them (WithRepCacheSize(0)) are
+// bit-identical.
 type CardinalityEstimator struct {
 	est  *card.Estimator
 	pool *QueriesPool
@@ -175,15 +176,6 @@ func (e *CardinalityEstimator) registerCollectors() {
 		})
 	r.GaugeFunc("crn_repcache_resident", "Representations in the zero-copy resident tier.",
 		func() float64 { return float64(e.CacheStats().Resident) })
-	r.CollectCounter("crn_ratememo_lookups_total",
-		"Pair-rate memo lookups by result (attempted only for pairs of two resident rows).",
-		"result", func(emit telemetry.Emit) {
-			cs := e.CacheStats()
-			emit(float64(cs.MemoHits), "hit")
-			emit(float64(cs.MemoMisses), "miss")
-		})
-	r.GaugeFunc("crn_ratememo_entries", "Containment rates memoized by resident row pair.",
-		func() float64 { return float64(e.CacheStats().MemoEntries) })
 	r.CollectCounter("crn_estimate_memo_lookups_total",
 		"Estimate-memo lookups by result: a hit is answered before candidate selection, a miss is counted only for a probe selection found a usable candidate.",
 		"result", func(emit telemetry.Emit) {

@@ -34,10 +34,11 @@ func repCacheFixture(t *testing.T) (*System, *ContainmentModel, *QueriesPool, Qu
 
 // cardBumper returns a function that raises the cardinality of one pooled
 // entry on q's FROM clause by one per call, without allocating. Each call
-// changes the candidates q selects, so the estimate memo cannot answer q's
-// next estimate, while the representation cache and the pair-rate memo keep
-// every row and rate (neither depends on a cardinality): tests reach the
-// state only repeated rate passes reach by calling it between estimates.
+// moves the clause's stamp, so the estimate memo cannot answer q's next
+// estimate, while the representation cache keeps every row and the memo
+// every rate it kept for q (neither depends on a cardinality): tests reach
+// the state of a probe recurring across mutations by calling it between
+// estimates.
 func cardBumper(t testing.TB, p *QueriesPool, q Query) func() {
 	t.Helper()
 	for _, e := range p.Entries() {
@@ -342,14 +343,23 @@ func memoProbes(t *testing.T, sys *System) []Query {
 	return out
 }
 
-// TestRateMemoEquivalence is the facade-level gate of the pair-rate memo:
-// an estimator with the cache (and so the memo) answers bit for bit what a
-// WithRepCacheSize(0) estimator answers, single and batch, while the memo goes
-// from cold to hit, through pool evictions (surgical removes, dead rows,
-// compaction), after InvalidateRepresentations and across a model
-// generation swap — and the memo does serve the repeats. Every estimate
-// follows a cardinality update on the probes' FROM clause, so the estimate
-// memo answers none of them and each repeat reaches the pair-rate memo.
+// repLookups is the estimator's representation-cache lookup count: a rate
+// pass resolves every query it lists, so a pass that leaves it unchanged ran
+// no rate model.
+func repLookups(e interface{ CacheStats() RepCacheStats }) uint64 {
+	st := e.CacheStats()
+	return st.Hits + st.Misses
+}
+
+// TestRateMemoEquivalence is the facade-level gate of the rates the estimate
+// memo keeps for a recurring probe: an estimator with the memo answers bit
+// for bit what a WithRepCacheSize(0) estimator answers, single and batch,
+// while the probes go from their first pass to reusing every kept rate,
+// through pool evictions at the cap, after InvalidateRepresentations and
+// across a model generation swap. Every estimate follows a cardinality
+// update on the probes' FROM clause, so the memo answers none of them
+// outright; once a probe has been stored twice, the pass after an update
+// runs no rate model.
 func TestRateMemoEquivalence(t *testing.T) {
 	ctx := context.Background()
 	sys := testSystem(t)
@@ -362,13 +372,20 @@ func TestRateMemoEquivalence(t *testing.T) {
 	for i := 0; i < capacity; i++ {
 		recordSQL(t, sys, p, fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d", 1900+7*i))
 	}
-	probes := memoProbes(t, sys)
+	// Two columns against the pool's one: most candidates overlap the
+	// probes, so their answers depend on every rate, not only on the
+	// bounds the relations prove.
+	probes := parseAll(t, sys,
+		"SELECT * FROM title WHERE title.production_year > 1950 AND title.kind_id < 3",
+		"SELECT * FROM title WHERE title.production_year > 1960 AND title.kind_id > 1",
+		"SELECT * FROM title WHERE title.production_year > 1975 AND title.kind_id = 2",
+	)
 	cached := openAdaptive(t, sys, model, p, WithRetrainInterval(-1))
 	defer cached.Close()
 
 	check := func(label string, reference *CardinalityEstimator) {
 		t.Helper()
-		for round := 0; round < 3; round++ { // cold, promoted and memoized, hit
+		for round := 0; round < 3; round++ { // first store, rates kept, rates reused
 			for _, q := range probes {
 				cardBumper(t, p, q)()
 				want, err := reference.EstimateCardinality(ctx, q)
@@ -398,50 +415,59 @@ func TestRateMemoEquivalence(t *testing.T) {
 				}
 			}
 		}
+		// Every probe has been stored at least twice since its rates were
+		// last dropped: the pass after an update reuses them all.
+		before := repLookups(cached)
+		cardBumper(t, p, probes[0])()
+		want, err := reference.EstimateCardinalityBatch(ctx, probes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cached.EstimateCardinalityBatch(ctx, probes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s reuse batch[%d]: cached %v, uncached %v", label, i, got[i], want[i])
+			}
+		}
+		if after := repLookups(cached); after != before {
+			t.Fatalf("%s: the pass after an update ran a rate pass (%d lookups)", label, after-before)
+		}
 	}
-	hits := func() uint64 { return cached.CacheStats().MemoHits }
 	uncached := sys.CardinalityEstimator(model, p, WithRepCacheSize(0))
 
 	check("warm-up", uncached)
-	if hits() == 0 || cached.CacheStats().MemoEntries == 0 {
-		t.Fatalf("repeated probes never hit the memo: %+v", cached.CacheStats())
-	}
 
-	// Evictions at the pool's capacity: each drops one resident row, and
-	// enough of them force a compaction that renumbers the survivors.
+	// Evictions at the pool's capacity: each removes a candidate of every
+	// probe and inserts a new one, whose pairs alone the next pass computes.
 	for i := 0; i < capacity/2; i++ {
 		recordSQL(t, sys, p, fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d", 1903+7*i))
-		before := hits()
 		check(fmt.Sprintf("after eviction %d", i), uncached)
-		if hits() == before {
-			t.Fatalf("memo stopped answering after eviction %d: %+v", i, cached.CacheStats())
-		}
 	}
 	if st := p.Stats(); st.Evictions != capacity/2 {
 		t.Fatalf("evictions = %d, want %d", st.Evictions, capacity/2)
 	}
 
 	cached.InvalidateRepresentations()
-	if st := cached.CacheStats(); st.MemoEntries != 0 || st.EstimateEntries != 0 {
-		t.Fatalf("InvalidateRepresentations left %d pair-rate and %d estimate memo entries",
-			st.MemoEntries, st.EstimateEntries)
+	if st := cached.CacheStats(); st.EstimateEntries != 0 || st.Resident != 0 {
+		t.Fatalf("InvalidateRepresentations left %d estimate memo entries and %d rows", st.EstimateEntries, st.Resident)
 	}
 	check("after invalidate", uncached)
 
-	// Generation swap: the new generation has its own cache and memo, so no
-	// rate of the old weights can be served.
+	// Generation swap: the memo's entries are of the old generation, so no
+	// rate of the old weights can be served and the first pass lists every
+	// pair.
 	second, err := sys.TrainContainmentModel(ctx, append(tinyTrainOptions(), WithSeed(4))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cached.box.Publish(cached.box.Prepare(second.model))
-	if st := cached.CacheStats(); st.MemoEntries != 0 || st.Resident != 0 {
+	if st := cached.CacheStats(); st.Resident != 0 {
 		t.Fatalf("a fresh generation must start with an empty cache: %+v", st)
 	}
 	check("after generation swap", sys.CardinalityEstimator(second, p, WithRepCacheSize(0)))
-	if cached.CacheStats().MemoHits == 0 {
-		t.Fatal("the new generation's memo never answered")
-	}
 }
 
 // recordSQL parses and records one executed query into the pool.
@@ -546,26 +572,28 @@ func TestRateMemoConcurrentChurn(t *testing.T) {
 }
 
 // TestRateMemoUntouchedByFailedPass: an estimate that fails before or
-// inside the rate pass — the armed EstimateCards failpoint, a cancelled
-// context — leaves the pair-rate memo and the estimate memo exactly as they
-// were, and the next healthy estimate is still bit-identical to the
-// uncached one. A cardinality update before each healthy estimate keeps the
-// estimate memo from answering it, so it reaches the pair-rate memo.
+// inside the rate pass — the armed EstimateCards failpoint, a context
+// cancelled before or during the pass — leaves the estimate memo exactly as
+// it was and keeps no rates: the probe's second healthy pass after an update
+// still runs the rate model (its first store was the only one), and only the
+// third reuses every rate, bit-identical to the uncached estimator.
 func TestRateMemoUntouchedByFailedPass(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
 	ctx := context.Background()
 	sys, model, p, probe := repCacheFixture(t)
 	cached := sys.CardinalityEstimator(model, p)
 	uncached := sys.CardinalityEstimator(model, p, WithRepCacheSize(0))
-	// First sighting: the probe computed, nothing resident but the pool the
-	// generation was warmed with, nothing memoized yet.
+	// First store: the probe computed, nothing resident but the pool the
+	// generation was warmed with.
 	if _, err := cached.EstimateCardinality(ctx, probe); err != nil {
 		t.Fatal(err)
 	}
-	if st := cached.CacheStats(); st.Misses == 0 || st.Resident != p.Len() || st.MemoEntries != 0 {
+	if st := cached.CacheStats(); st.Misses == 0 || st.Resident != p.Len() {
 		t.Fatalf("fixture: %+v", st)
 	}
 
+	bump := cardBumper(t, p, probe)
+	bump() // every failure below misses the memo and reaches selection
 	failpoint.EnableError(failpoint.EstimateCards, errors.New("injected estimate-path failure"))
 	if _, err := cached.EstimateCardinality(ctx, probe); err == nil {
 		t.Fatal("armed failpoint must fail the estimate")
@@ -579,37 +607,39 @@ func TestRateMemoUntouchedByFailedPass(t *testing.T) {
 	if _, err := cached.EstimateCardinalityBatch(cancelled, []Query{probe, probe}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch: %v", err)
 	}
-	if st := cached.CacheStats(); st.MemoEntries != 0 || st.MemoHits != 0 || st.MemoMisses != 0 {
-		t.Fatalf("failed passes touched the memo: %+v", st)
+	if _, err := cached.EstimateCardinality(&flakyCtx{Context: ctx}, probe); !errors.Is(err, context.Canceled) {
+		t.Fatalf("estimate cancelled during the pass: %v", err)
 	}
-	if st := cached.CacheStats(); st.EstimateEntries != 1 || st.EstimateHits != 0 || st.EstimateMisses != 1 {
+	if st := cached.CacheStats(); st.EstimateEntries != 1 || st.EstimateHits != 0 {
 		t.Fatalf("failed passes touched the estimate memo: %+v", st)
 	}
 
-	bump := cardBumper(t, p, probe)
-	for i := 0; i < 2; i++ { // promoting and memoizing pass, then memo hit
-		bump()
+	for i, wantPass := range []bool{true, false} { // rates kept, then reused
+		if i > 0 {
+			bump()
+		}
 		want, err := uncached.EstimateCardinality(ctx, probe)
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := repLookups(cached)
 		if got, err := cached.EstimateCardinality(ctx, probe); err != nil || got != want {
 			t.Fatalf("healthy estimate %d after failures: %v (%v), want %v", i, got, err, want)
 		}
-	}
-	if st := cached.CacheStats(); st.MemoEntries == 0 || st.MemoHits == 0 {
-		t.Fatalf("memo never recovered: %+v", st)
+		if ran := repLookups(cached) != before; ran != wantPass {
+			t.Fatalf("healthy estimate %d after failures: rate pass %v, want %v", i, ran, wantPass)
+		}
 	}
 }
 
 // TestHotEstimateAllocs pins the allocation count of the steady-state
-// single-query rate pass (every rate a memo hit): 5 — the coalescer's solo
-// call, the result, the rate slice, the rate pass's key list and its pair
-// predictor — now that card.Estimator's working memory is pooled scratch (it
-// was 11). A cardinality update before each estimate keeps the estimate memo
-// from answering it; without one, the estimate memo answers with 2 (the
-// solo call and the result), the path crnbench's facade.estimate_allocs
-// reads over a 300-entry pool.
+// single estimate after a cardinality update on its clause: the estimate
+// memo misses, but it kept every candidate's rates, so the pass runs
+// selection and the vote and no rate pass — no rep-cache lookup — at 2
+// allocations, the coalescer's solo call and the result (it was 5 while the
+// pass still reached the rate model). Without an update, the memo answers
+// with the same 2, the path crnbench's facade.estimate_allocs reads over a
+// 300-entry pool.
 func TestHotEstimateAllocs(t *testing.T) {
 	ctx := context.Background()
 	sys, model, p, probe := repCacheFixture(t)
@@ -631,11 +661,12 @@ func TestHotEstimateAllocs(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		run()
 	}
-	if st := est.CacheStats(); st.MemoHits == 0 {
-		t.Fatalf("fixture never reached the memo-hit state: %+v", st)
+	lookups := repLookups(est)
+	if n := testing.AllocsPerRun(100, run); n > 2 && !raceEnabled {
+		t.Errorf("hot single estimate: %v allocs, want <= 2", n)
 	}
-	if n := testing.AllocsPerRun(100, run); n > 5 && !raceEnabled {
-		t.Errorf("hot single estimate: %v allocs, want <= 5", n)
+	if got := repLookups(est); got != lookups {
+		t.Errorf("the passes after an update ran the rate model: %d rep-cache lookups", got-lookups)
 	}
 	hits := est.CacheStats().EstimateHits
 	if n := testing.AllocsPerRun(100, estimate); n > 2 && !raceEnabled {

@@ -90,23 +90,25 @@ type Estimator struct {
 	Tel *telemetry.Telemetry
 	// Memo, when non-nil, answers a recurring probe whose FROM clause is
 	// still at the stamp its memoized pass selected under, on the same
-	// model generation (see Memo). It engages only when Rates reports a
-	// generation (a Generation() uint64 method). Set before serving.
+	// model generation, and lends a probe that recurred across a mutation
+	// its candidates' kept rates (see Memo). It engages only when Rates
+	// reports a generation (a Generation() uint64 method). Set before
+	// serving.
 	Memo *Memo
 }
 
 // span locates one query of a batch in the scratch: its usable candidates
-// arena[lo:hi] with their relations, the stamp of its FROM clause at
-// selection, and the bounds the relations put on |Qnew|: floor, the largest
-// |Qold| of a candidate it contains, and ceil, the smallest |Qold| of one
-// containing it. rate indexes the query's first rate in the flat rate list;
-// it is -1 when the query was answered without the rate pass — by the memo,
-// or exactly by its relations. fresh marks an answer this call computed and the memo keeps.
+// arena[lo:hi] with their relations and rates, the stamp of its FROM clause
+// at selection, and the bounds the relations put on |Qnew|: floor, the
+// largest |Qold| of a candidate it contains, and ceil, the smallest |Qold| of
+// one containing it. done marks a query answered without the vote — by the
+// memo, or exactly by its relations; fresh an answer this call computed and
+// the memo keeps.
 type span struct {
-	lo, hi, rate int
-	stamp        uint64
-	floor, ceil  float64
-	fresh        bool
+	lo, hi      int
+	stamp       uint64
+	floor, ceil float64
+	done, fresh bool
 }
 
 // clamp bounds an estimate by the span's relations. A bound only ever moves an
@@ -131,8 +133,11 @@ type scratch struct {
 	spans   []span
 	arena   []pool.Entry     // every query's candidates, back to back
 	rels    []query.Relation // Qnew's relation to each arena candidate
+	rates   [][2]float64     // each arena candidate's (x_rate, y_rate)
+	kept    []keptRate       // one probe's rates the memo kept
 	list    []query.Query    // probes and distinct candidates
 	idx     [][2]int         // rate pairs as indices into list
+	slot    []int            // each pair's rate: 2·arena index + side
 	seen    map[int64]int    // entry ID -> index in list
 	results []float64        // one query's per-candidate estimates
 }
@@ -159,8 +164,10 @@ var scratchPool = sync.Pool{New: func() any {
 // retain.
 func (s *scratch) oversize() bool {
 	return cap(s.spans) > maxScratchEntries || cap(s.arena) > maxScratchEntries ||
-		cap(s.rels) > maxScratchEntries || cap(s.list) > maxScratchEntries ||
-		cap(s.idx) > 2*maxScratchEntries || cap(s.results) > maxScratchEntries
+		cap(s.rels) > maxScratchEntries || cap(s.rates) > maxScratchEntries ||
+		cap(s.kept) > maxScratchEntries || cap(s.list) > maxScratchEntries ||
+		cap(s.idx) > 2*maxScratchEntries || cap(s.slot) > 2*maxScratchEntries ||
+		cap(s.results) > maxScratchEntries
 }
 
 // reset empties the scratch for its next call: every element a call wrote is
@@ -176,8 +183,8 @@ func (s *scratch) reset() {
 	} else {
 		clear(s.seen)
 	}
-	s.spans, s.arena, s.rels, s.list = s.spans[:0], s.arena[:0], s.rels[:0], s.list[:0]
-	s.idx, s.results = s.idx[:0], s.results[:0]
+	s.spans, s.arena, s.rels, s.rates, s.list = s.spans[:0], s.arena[:0], s.rels[:0], s.rates[:0], s.list[:0]
+	s.idx, s.slot, s.results = s.idx[:0], s.slot[:0], s.results[:0]
 }
 
 // release resets the scratch and returns it to the pool, or drops it when
@@ -220,7 +227,8 @@ func (e *Estimator) EstimateCardCtx(ctx context.Context, qnew query.Query) (floa
 // Memo, every query is looked up first: one whose memoized pass ran under the
 // current generation over its FROM clause's current stamp is answered with
 // no selection (its recency stamping replayed) and no loop; every other
-// query is selected and runs the loop.
+// query is selected and runs the loop, taking the rates the memo kept for
+// it (see Memo) by candidate entry ID and estimating only the rest.
 //
 // The pass estimates only the rates the predicates leave open (see
 // query.Relate): a disjoint candidate adds no pair and no vote; one Qnew is
@@ -270,12 +278,24 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 	// Answer every query the memo holds, and gather every other query's pool
 	// candidates into one arena, in query order: a bounded pool's recency
 	// stamps, which eviction reads, then follow the order selection would.
-	// Each candidate's relation is decided here, beside it.
-	arena, rels := s.arena, s.rels
+	// Each candidate's relation is decided here, beside it, and with it its
+	// rates: a disjoint candidate's are 0, so it casts no vote; the side a
+	// relation fixes is 1; a candidate whose rates the memo kept for the
+	// probe takes them by ID; every side still open becomes a pair of the
+	// rate pass. Each probe with a pair enters the shared query list once,
+	// each pool entry once per batch (recognized by its stable ID when
+	// several probes share a FROM clause); pairs are index tuples, so no
+	// canonical key is rendered here. A candidate contributes (Qold, Qnew)
+	// unless Qnew is its superset and (Qnew, Qold) unless its subset, in
+	// that order.
+	arena, rels, rates := s.arena, s.rels, s.rates
+	list, idx, slot, seen := s.list, s.idx, s.slot, s.seen
 	var hits, misses uint64
 	for i, qnew := range queries {
-		if est, ok := memo.recall(gen, e.Pool, e.MaxCandidates, qnew); ok {
-			out[i], spans[i] = est, span{rate: -1}
+		est, hit, kept := memo.recall(gen, e.Pool, e.MaxCandidates, qnew, s.kept[:0])
+		s.kept = kept
+		if hit {
+			out[i], spans[i] = est, span{done: true}
 			hits++
 			continue
 		}
@@ -300,74 +320,67 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 		if w > lo {
 			misses++
 		}
-		var est float64
 		var exact bool
 		rels, est, exact = decide(rels, qnew, arena[lo:w], &spans[i])
 		if exact {
-			out[i], spans[i].rate, spans[i].fresh = est, -1, true
+			out[i], spans[i].done, spans[i].fresh = est, true, true
+			rates = append(rates, make([][2]float64, w-lo)...)
+			continue
+		}
+		qi := -1
+		for k := lo; k < w; k++ {
+			var r [2]float64
+			if rel := rels[k]; rel != query.Disjoint {
+				r = [2]float64{1, 1}
+				if j, ok := slices.BinarySearchFunc(kept, arena[k].ID, byID); ok {
+					r = kept[j].rate
+				} else {
+					if qi < 0 {
+						qi = len(list)
+						list = append(list, qnew)
+					}
+					m := &arena[k] // an Entry is 136 bytes: no per-candidate copy
+					mi, ok := seen[m.ID]
+					if !ok {
+						mi = len(list)
+						list = append(list, m.Q)
+						seen[m.ID] = mi
+					}
+					if rel != query.Superset {
+						idx, slot = append(idx, [2]int{mi, qi}), append(slot, 2*k)
+					}
+					if rel != query.Subset {
+						idx, slot = append(idx, [2]int{qi, mi}), append(slot, 2*k+1)
+					}
+				}
+			}
+			rates = append(rates, r)
 		}
 	}
-	s.spans, s.arena, s.rels = spans, arena, rels
+	s.spans, s.arena, s.rels, s.rates = spans, arena, rels, rates
+	s.list, s.idx, s.slot = list, idx, slot
 	if e.Tel != nil {
 		st.Mark(e.Tel.Stages.CandidateSelection)
 	}
 	memo.count(hits, misses)
 
-	// Each probe with a rate left to estimate enters the shared query list
-	// once, each pool entry once per batch (recognized by its stable ID when
-	// several probes share a FROM clause); pairs are index tuples, so no
-	// canonical key is rendered here. A candidate contributes (Qold, Qnew)
-	// unless Qnew is its superset and (Qnew, Qold) unless its subset, in
-	// that order.
-	list, idx, seen := s.list, s.idx, s.seen
-	for i, qnew := range queries {
-		sp := &spans[i]
-		if sp.rate < 0 {
-			continue
-		}
-		sp.rate = len(idx)
-		qi := -1
-		for k := sp.lo; k < sp.hi; k++ {
-			rel := rels[k]
-			if rel == query.Disjoint {
-				continue
-			}
-			if qi < 0 {
-				qi = len(list)
-				list = append(list, qnew)
-			}
-			m := &arena[k] // an Entry is 136 bytes: no per-candidate copy
-			mi, ok := seen[m.ID]
-			if !ok {
-				mi = len(list)
-				list = append(list, m.Q)
-				seen[m.ID] = mi
-			}
-			if rel != query.Superset {
-				idx = append(idx, [2]int{mi, qi})
-			}
-			if rel != query.Subset {
-				idx = append(idx, [2]int{qi, mi})
-			}
-		}
-	}
-	s.list, s.idx = list, idx
-	var rates []float64
 	if len(idx) > 0 {
-		var err error
-		rates, err = e.Rates.EstimateRatesIndexed(ctx, list, idx)
+		got, err := e.Rates.EstimateRatesIndexed(ctx, list, idx)
 		// The rate model times its own cache-lookup and forward spans (see
 		// crn.Rates.Stages); Touch excludes that interval from finalize.
 		st.Touch()
 		if err != nil {
 			return nil, err
 		}
+		for j, at := range slot {
+			rates[at/2][at%2] = got[j]
+		}
 	}
 
 	fresh := 0
 	for i, qnew := range queries {
 		sp := &spans[i]
-		if sp.rate < 0 { // the memo's or the relations' answer
+		if sp.done { // the memo's or the relations' answer
 			if sp.fresh {
 				fresh++
 			}
@@ -375,22 +388,8 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 			continue
 		}
 		results := s.results[:0] // reused across queries; final() must not retain it
-		r := sp.rate
 		for k := sp.lo; k < sp.hi; k++ {
-			xRate, yRate := 1.0, 1.0 // Qold ⊂% Qnew, Qnew ⊂% Qold
-			switch rels[k] {
-			case query.Disjoint:
-				continue
-			case query.Subset:
-				xRate = rates[r]
-				r++
-			case query.Superset:
-				yRate = rates[r]
-				r++
-			default:
-				xRate, yRate = rates[r], rates[r+1]
-				r += 2
-			}
+			xRate, yRate := rates[k][0], rates[k][1] // Qold ⊂% Qnew, Qnew ⊂% Qold
 			if yRate <= eps {
 				continue
 			}
@@ -413,7 +412,7 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 	if memo != nil && fresh > 0 {
 		// A replay re-stamps the selected entries only on a bounded
 		// selection of a capacity-bounded pool.
-		memo.store(gen, queries, spans, arena, out, e.MaxCandidates > 0 && e.Pool.Cap() > 0)
+		memo.store(gen, queries, s, out, e.MaxCandidates > 0 && e.Pool.Cap() > 0)
 	}
 	if e.Tel != nil {
 		st.Mark(e.Tel.Stages.Finalize)

@@ -1,6 +1,8 @@
 package card
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,26 +27,56 @@ import (
 // tag. The learned path's answers are kept — the rate arm's, clamped by the
 // predicate relations, and the exact ones the relations give alone — and
 // only from passes that succeeded as a whole; the relations read nothing but
-// the probe and its clause's entries, so the same witness covers them. A fallback answer
-// is not kept. The memo holds at most its capacity of probes and is
-// cleared when full. Its methods are safe for concurrent use and on a nil
+// the probe and its clause's entries, so the same witness covers them. A
+// fallback answer is not kept.
+//
+// A probe that recurs across a stamp keeps its candidates' rates too. A
+// containment rate depends only on its two queries and the rate model, and a
+// pool entry ID names one query for the life of the pool, so from a probe's
+// second store on (the store of a key that already has an entry) its entry
+// also holds each voting candidate's ID with the (x_rate, y_rate) its vote
+// used. A stamp miss under the entry's generation then reuses them by ID:
+// after a cardinality update or an eviction on the clause the pass runs no
+// rate model at all, and after an insert only the new entry's pairs. A
+// never-repeating probe stream keeps no rates.
+//
+// The memo holds at most its capacity of probes and ratesPerProbe kept
+// candidates per unit of it, and is cleared, entries and rates together,
+// when either is full. Its methods are safe for concurrent use and on a nil
 // *Memo.
 type Memo struct {
 	mu           sync.RWMutex
 	cap          int
 	entries      map[string]memoEntry
+	rates        int // kept candidates across entries
 	hits, misses atomic.Uint64
 }
 
+// ratesPerProbe bounds the kept candidates per unit of memo capacity: room
+// for a few dozen candidates per probe, the shape a pool scan produces.
+const ratesPerProbe = 48
+
 // memoEntry is one probe's answer with what it was computed from. ids lists
 // the selected entries only where a replay must re-stamp them: a bounded
-// selection on a capacity-bounded pool.
+// selection on a capacity-bounded pool. rates holds the voting candidates'
+// rates, by ascending ID, once the probe has recurred.
 type memoEntry struct {
 	gen   uint64
 	stamp uint64
 	est   float64
 	ids   []int64
+	rates []keptRate
 }
+
+// keptRate is one candidate's rates as its vote used them: x_rate =
+// Qold ⊂% Qnew and y_rate = Qnew ⊂% Qold, the side a relation fixes
+// included.
+type keptRate struct {
+	id   int64
+	rate [2]float64
+}
+
+func byID(c keptRate, id int64) int { return cmp.Compare(c.id, id) }
 
 // NewMemo creates a memo of at most capacity probes (at least one).
 func NewMemo(capacity int) *Memo {
@@ -57,8 +89,14 @@ func (m *Memo) Flush() {
 		return
 	}
 	m.mu.Lock()
-	m.entries = make(map[string]memoEntry)
+	m.clear()
 	m.mu.Unlock()
+}
+
+// clear discards every entry and kept rate. Callers hold mu for writing.
+func (m *Memo) clear() {
+	m.entries = make(map[string]memoEntry)
+	m.rates = 0
 }
 
 // Stats returns the lookups by result and the number of probes held.
@@ -75,20 +113,26 @@ func (m *Memo) Stats() (hits, misses uint64, entries int) {
 // recall returns q's memoized estimate when its entry was computed under
 // generation gen over its clause's current stamp on p, replaying the
 // recency stamping of the entry's selection (k is the selection's bound).
+// When the entry is of generation gen but its stamp is stale, the rates it
+// kept are appended to kept instead, by ascending ID, for the pass to reuse.
 // The caller counts the lookup (see count): a miss only once selection found
 // the probe a usable candidate, since a probe without one is the fallback's.
-func (m *Memo) recall(gen uint64, p *pool.Pool, k int, q query.Query) (float64, bool) {
+func (m *Memo) recall(gen uint64, p *pool.Pool, k int, q query.Query, kept []keptRate) (float64, bool, []keptRate) {
 	if m == nil {
-		return 0, false
+		return 0, false, kept
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	// The read lock spans the replay: store reuses an entry's ids in place.
+	// The read lock spans the replay and the copy: store reuses an entry's
+	// ids and rates in place.
 	e, ok := m.entries[q.Key()]
-	if !ok || e.gen != gen || !p.ReplaySelection(q, k, e.stamp, e.ids) {
-		return 0, false
+	if !ok || e.gen != gen {
+		return 0, false, kept
 	}
-	return e.est, true
+	if p.ReplaySelection(q, k, e.stamp, e.ids) {
+		return e.est, true, kept
+	}
+	return 0, false, append(kept, e.rates...)
 }
 
 // count adds one call's lookups by result.
@@ -100,29 +144,43 @@ func (m *Memo) count(hits, misses uint64) {
 	m.misses.Add(misses)
 }
 
-// store keeps every answer the loop computed on the learned path, tagged with
-// the generation read before the pass and the clause stamp read under its
-// selection: either tag can be older than what the value was computed from,
-// never newer. withIDs keeps the selected entry IDs for the replay.
-func (m *Memo) store(gen uint64, queries []query.Query, spans []span, arena []pool.Entry, out []float64, withIDs bool) {
+// store keeps every answer the call computed on the learned path, tagged
+// with the generation read before the pass and the clause stamp read under
+// its selection: either tag can be older than what the value was computed
+// from, never newer. withIDs keeps the selected entry IDs for the replay.
+// A probe that already has an entry also keeps its voting candidates' rates.
+func (m *Memo) store(gen uint64, queries []query.Query, s *scratch, out []float64, withIDs bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, q := range queries {
-		sp := spans[i]
+		sp := &s.spans[i]
 		if !sp.fresh {
 			continue
 		}
-		old, ok := m.entries[q.Key()]
+		key := q.Key()
+		old, ok := m.entries[key]
 		if !ok && len(m.entries) >= m.cap {
-			m.entries = make(map[string]memoEntry)
+			m.clear()
 		}
-		var ids []int64
+		// Readers hold the read lock: reusing old's slices is safe.
+		e := memoEntry{gen: gen, stamp: sp.stamp, est: out[i], ids: old.ids[:0], rates: old.rates[:0]}
 		if withIDs {
-			ids = old.ids[:0] // readers hold the read lock: reuse is safe
-			for _, c := range arena[sp.lo:sp.hi] {
-				ids = append(ids, c.ID)
+			for _, c := range s.arena[sp.lo:sp.hi] {
+				e.ids = append(e.ids, c.ID)
 			}
 		}
-		m.entries[q.Key()] = memoEntry{gen: gen, stamp: sp.stamp, est: out[i], ids: ids}
+		if ok && !sp.done {
+			for k := sp.lo; k < sp.hi; k++ {
+				if s.rels[k] != query.Disjoint {
+					e.rates = append(e.rates, keptRate{s.arena[k].ID, s.rates[k]})
+				}
+			}
+			slices.SortFunc(e.rates, func(a, b keptRate) int { return byID(a, b.id) })
+		}
+		if m.rates += len(e.rates) - len(old.rates); m.rates > ratesPerProbe*m.cap {
+			m.clear()
+			e.rates = e.rates[:0]
+		}
+		m.entries[key] = e
 	}
 }

@@ -387,9 +387,7 @@ func (m *Model) invalidateHeadFold() { m.foldCache.Store(nil) }
 // them without a lock for as long as it is held) and the request-local
 // extra matrices (rows from res.n up). The optional rowOf table translates
 // pair indices first, letting the serving path address cached rows in place
-// with no per-request copying — and, since a resident row ID names one
-// query for the life of its store, letting Rates key its pair-rate memo by
-// the translated pair.
+// with no per-request copying.
 type PairPredictor struct {
 	f *headFold
 	// res is the resident view rows below res.n resolve in (none when zero).

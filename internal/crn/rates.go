@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"unsafe"
 
 	"crn/internal/contain"
 	"crn/internal/feature"
@@ -169,29 +168,7 @@ func (r *Rates) pairPredictor(ws *nn.Workspace, queries []query.Query, warm bool
 			pp1: pred.p1.Row(k), pp2: pred.p2.Row(k),
 		}
 	}
-	into := r.Cache.promote(view, promos, warm)
-	if into == nil || warm {
-		return pred, nil
-	}
-	// Adopt the store that now holds the rows just promoted, so this very
-	// pass memoizes their rates and the next computation is a memo hit.
-	// It must still be that store, and every key must resolve in it or be
-	// one of this pass's extras — a row lost to a concurrent eviction
-	// exists in view only — or the pass stays on view.
-	moved := ws.TakeInts(n)
-	next := r.Cache.resolve(keys, moved)
-	if next.store != into {
-		return pred, nil
-	}
-	for i, ri := range moved {
-		if ri < 0 {
-			if rowOf[i] < view.n {
-				return pred, nil
-			}
-			moved[i] = next.n + rowOf[i] - view.n
-		}
-	}
-	pred.res, pred.rowOf = next, moved
+	r.Cache.promote(view, promos, warm)
 	return pred, nil
 }
 
@@ -226,15 +203,12 @@ func (r *Rates) Warm(queries []query.Query) error {
 
 // EstimateRatesIndexed implements contain.RateEstimator: one
 // set-module pass over the cache-missing queries (resident cache hits cost
-// a map read, see pairPredictor), then the pair-rate memo answers every
-// pair of two resident rows it has seen, and only the rest goes through the
-// head, in chunks of headChunk pairs, parallelized over GOMAXPROCS
-// goroutines and checking ctx before every chunk. All request-local scratch
-// — encoded sets, extra representation rows, the memo's miss list,
-// per-chunk accumulators — lives in pooled workspaces, so a steady-state
-// pass over a recurring working set is a few hundred lookups, and a pass
-// the memo cannot help spends its time in the pair-head math, not in the
-// allocator or the precompute.
+// a map read, see pairPredictor), then the head over every pair, in chunks
+// of headChunk pairs, parallelized over GOMAXPROCS goroutines and checking
+// ctx before every chunk. All request-local scratch — encoded sets, extra
+// representation rows, per-chunk accumulators — lives in pooled
+// workspaces, so a pass over a resident working set spends its time in the
+// pair-head math, not in the allocator or the precompute.
 func (r *Rates) EstimateRatesIndexed(ctx context.Context, queries []query.Query, idx [][2]int) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -263,23 +237,18 @@ func (r *Rates) EstimateRatesIndexed(ctx context.Context, queries []query.Query,
 	}
 
 	out := make([]float64, len(idx))
-	pairs, dst, miss, unmemoized := r.fromMemo(ws, pred, idx, out)
-
-	nChunks := (len(pairs) + headChunk - 1) / headChunk
+	nChunks := (len(idx) + headChunk - 1) / headChunk
 	workers := runtime.GOMAXPROCS(0)
 	if workers > nChunks {
 		workers = nChunks
 	}
 	if workers <= 1 {
-		for lo := 0; lo < len(pairs); lo += headChunk {
+		for lo := 0; lo < len(idx); lo += headChunk {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			hi := lo + headChunk
-			if hi > len(pairs) {
-				hi = len(pairs)
-			}
-			pred.PredictInto(dst[lo:hi], pairs[lo:hi], ws)
+			hi := min(lo+headChunk, len(idx))
+			pred.PredictInto(out[lo:hi], idx[lo:hi], ws)
 		}
 	} else {
 		// The head pass only reads trained weights, so chunks evaluate
@@ -297,15 +266,12 @@ func (r *Rates) EstimateRatesIndexed(ctx context.Context, queries []query.Query,
 					if ctx.Err() != nil {
 						continue
 					}
-					hi := lo + headChunk
-					if hi > len(pairs) {
-						hi = len(pairs)
-					}
-					pred.PredictInto(dst[lo:hi], pairs[lo:hi], cws)
+					hi := min(lo+headChunk, len(idx))
+					pred.PredictInto(out[lo:hi], idx[lo:hi], cws)
 				}
 			}()
 		}
-		for lo := 0; lo < len(pairs); lo += headChunk {
+		for lo := 0; lo < len(idx); lo += headChunk {
 			next <- lo
 		}
 		close(next)
@@ -317,51 +283,5 @@ func (r *Rates) EstimateRatesIndexed(ctx context.Context, queries []query.Query,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Every pair was computed: only now may results enter the memo, and
-	// only into the one the row IDs were issued for.
-	if len(pairs) < len(idx) {
-		for j, i := range miss {
-			out[i] = dst[j]
-		}
-	}
-	if unmemoized > 0 {
-		r.Cache.memoize(pred.res, pairs, pred.rowOf, dst)
-	}
 	return out, nil
-}
-
-// fromMemo answers from the pair-rate memo every pair of idx it can, into
-// out, and returns what the head still has to compute: pairs with their
-// destination dst — idx and out themselves, or, when the memo answered
-// some, the missing pairs compacted into workspace scratch, dst[j]
-// belonging at out[miss[j]] — and how many of them were looked up and not
-// found, i.e. what this pass will add to the memo. Only pairs of two rows
-// of the pass's resident view are looked up, under the cache's read lock
-// (see RepCache.recall).
-func (r *Rates) fromMemo(ws *nn.Workspace, pred *PairPredictor, idx [][2]int, out []float64) (pairs [][2]int, dst []float64, miss []int, unmemoized int) {
-	if pred.res.n == 0 {
-		return idx, out, nil, 0
-	}
-	miss, looked := r.Cache.recall(pred.res, pred.rowOf, idx, out, ws.TakeInts(len(idx))[:0])
-	hits := len(idx) - len(miss)
-	unmemoized = looked - hits
-	r.Cache.memoHits.Add(uint64(hits))
-	r.Cache.memoMisses.Add(uint64(unmemoized))
-	if hits == 0 {
-		return idx, out, miss, unmemoized
-	}
-	pairs, dst = takePairs(ws, len(miss)), ws.Take(1, len(miss)).Data
-	for j, i := range miss {
-		pairs[j] = idx[i]
-	}
-	return pairs, dst, miss, unmemoized
-}
-
-// takePairs returns a recycled pair list of length n (contents
-// unspecified), carved out of the workspace's int scratch.
-func takePairs(ws *nn.Workspace, n int) [][2]int {
-	if n == 0 {
-		return nil
-	}
-	return unsafe.Slice((*[2]int)(unsafe.Pointer(unsafe.SliceData(ws.TakeInts(2*n)))), n)
 }

@@ -10,25 +10,24 @@ import (
 // query (by canonical key), everything the pair head needs that does not
 // depend on the partner query — the set-module representations (the
 // EncodeSets outputs) AND the per-representation partial products of the
-// factorized head (see PairPredictor) — plus the pair head's outputs by row
-// pair. The queries pool is stable between executions, so without a cache
-// those values are recomputed endlessly: every estimate pays O(pool·dim)
-// re-encoding and re-multiplying for entries that have not changed. With
-// the cache, a pool entry is computed once per pool version and a
-// single-query estimate computes only its own probe side.
+// factorized head (see PairPredictor). The queries pool is stable between
+// executions, so without a cache those values are recomputed endlessly:
+// every estimate pays O(pool·dim) re-encoding and re-multiplying for
+// entries that have not changed. With the cache, a pool entry is computed
+// once per pool version and a single-query estimate computes only its own
+// probe side. Rates themselves are not cached here: the estimate memo keeps
+// a recurring probe's rates by pool entry (see card.Memo).
 //
 // The cache has one tier of values, the resident tier: one residentStore of
-// append-only rows, a key→row index and the pair-rate memo. One RWMutex
-// guards the store, the sighting set and their replacement. A rate pass
-// resolves its keys under the read lock and takes a residentView (the
-// block table, the row count and the store), then reads its rows in place
-// without the lock: rows are only ever appended, and a flush or compaction
-// replaces the store instead of rewriting a row. A row ID therefore names
-// one query for the life of its store, which is what lets rates be
-// memoized by (row1, row2). Memo lookups take the read lock; promotions,
-// memo writes, evictions, compactions and flushes take the write lock, and
-// a pass's promotions and memo writes are dropped once its store is no
-// longer the current one.
+// append-only rows and a key→row index. One RWMutex guards the store, the
+// sighting set and their replacement. A rate pass resolves its keys under
+// the read lock and takes a residentView (the block table, the row count
+// and the store), then reads its rows in place without the lock: rows are
+// only ever appended, and a flush or compaction replaces the store instead
+// of rewriting a row, so a row ID names one query for the life of its
+// store. Promotions, evictions, compactions and flushes take the write
+// lock, and a pass's promotions are dropped once its store is no longer the
+// current one.
 //
 // Admission follows a sighting rule. The first computation of a
 // non-resident key stores only a hash of the key in a bounded sighting set
@@ -59,13 +58,11 @@ import (
 //   - Invalidate() clears unconditionally, for model or encoder swaps.
 //
 // A flush replaces the store and empties the sighting set together.
-// Capacity bounds the resident rows (promotion stops at it), the memo
-// (memoPerRow pairs per unit of it) and the sighting set; the serving
-// working set is orders of magnitude below any sensible capacity. All
-// methods are safe for concurrent use, and cached values are bit-identical
-// to recomputation because every kernel's per-row result is independent of
-// batch composition (see package nn) and a memoized rate is the float64 the
-// head produced for that very pair.
+// Capacity bounds the resident rows (promotion stops at it) and the
+// sighting set; the serving working set is orders of magnitude below any
+// sensible capacity. All methods are safe for concurrent use, and cached
+// values are bit-identical to recomputation because every kernel's per-row
+// result is independent of batch composition (see package nn).
 type RepCache struct {
 	mu        sync.RWMutex
 	store     *residentStore
@@ -78,17 +75,12 @@ type RepCache struct {
 	cap     int
 
 	hits, misses, promoted atomic.Uint64
-	memoHits, memoMisses   atomic.Uint64
 }
 
 const (
 	// sightingsPerRow bounds the sighting set per unit of cache capacity:
 	// it remembers up to three times the capacity's worth of keys seen once.
 	sightingsPerRow = 3
-	// memoPerRow bounds the pair-rate memo per unit of cache capacity: room
-	// for a few dozen partners per resident row, the shape a pool scan
-	// produces.
-	memoPerRow = 48
 	// residentBlock is the row count of one storage block.
 	residentBlock = 128
 )
@@ -114,29 +106,27 @@ func (r *residentRows) data(i int) []float64 {
 }
 
 // residentStore is the resident tier between two replacements: the rows,
-// the key→row index, the pair-rate memo keyed by row pair, and the count of
-// dead rows (evicted keys whose rows stay in place). When dead rows pass a
-// quarter of the store, the next promotion compacts the live ones into a
-// successor store — the only event short of a flush that renumbers rows,
-// and the memo is remapped with them. Guarded by RepCache.mu.
+// the key→row index and the count of dead rows (evicted keys whose rows
+// stay in place). When dead rows pass a quarter of the store, the next
+// promotion compacts the live ones into a successor store — the only event
+// short of a flush that renumbers rows. Guarded by RepCache.mu.
 type residentStore struct {
 	residentRows
 	index map[string]int
-	memo  map[uint64]float64
 	dead  int
 }
 
 // residentView is what a rate pass holds of the resident tier: the rows
 // that existed when it resolved its keys, read in place without the lock,
-// and the store they belong to, against which the pass's promotions and
-// memo writes are checked. The zero view has no rows.
+// and the store they belong to, against which the pass's promotions are
+// checked. The zero view has no rows.
 type residentView struct {
 	residentRows
 	store *residentStore
 }
 
 func newResidentStore(h int) *residentStore {
-	return &residentStore{residentRows: residentRows{h: h}, index: map[string]int{}, memo: map[uint64]float64{}}
+	return &residentStore{residentRows: residentRows{h: h}, index: map[string]int{}}
 }
 
 // grow appends a row for key and returns its storage to fill. Appending a
@@ -149,9 +139,6 @@ func (s *residentStore) grow(key string) []float64 {
 	s.n++
 	return s.data(s.n - 1)
 }
-
-// pairKey packs two resident row IDs into a memo key.
-func pairKey(r1, r2 int) uint64 { return uint64(r1)<<32 | uint64(r2) }
 
 // DefaultRepCacheSize is the default entry bound of a serving cache.
 const DefaultRepCacheSize = 8192
@@ -215,8 +202,7 @@ func (c *RepCache) Validate(version uint64) {
 // so it must not call back into the pool.
 //
 // The evicted key leaves the index; its row stays in storage, dead, until a
-// compaction, and its memo pairs die with it because no lookup yields its
-// row ID again. Its sighting stays, so its next computation promotes it
+// compaction. Its sighting stays, so its next computation promotes it
 // again.
 func (c *RepCache) PoolMutated(version uint64, evictedKey string) {
 	if c == nil {
@@ -246,8 +232,8 @@ func (c *RepCache) Invalidate() {
 
 // flush replaces the store and empties the sighting set. Callers hold mu
 // for writing. A pass still holding a view of the old store keeps reading
-// its rows, but its promotions and memo writes no longer land: stale values
-// cannot survive a flush.
+// its rows, but its promotions no longer land: stale values cannot survive
+// a flush.
 func (c *RepCache) flush() {
 	c.store = newResidentStore(0)
 	clear(c.sightings)
@@ -260,11 +246,6 @@ type RepCacheStats struct {
 	Resident int    `json:"resident"` // entries in the zero-copy resident tier
 	Promoted uint64 `json:"promoted"` // lifetime promotions into the resident tier
 	Capacity int    `json:"capacity"`
-	// Pair-rate memo: lookups (attempted only for pairs of two resident
-	// rows) by result, and pairs currently memoized.
-	MemoHits    uint64 `json:"memo_hits"`
-	MemoMisses  uint64 `json:"memo_misses"`
-	MemoEntries int    `json:"memo_entries"`
 	// Estimate memo (card.Memo, filled in by the facade): whole-probe
 	// lookups by result (a hit skips selection; a miss counts only for a
 	// probe with a usable candidate), and probes memoized.
@@ -284,13 +265,9 @@ func (c *RepCache) Stats() RepCacheStats {
 		Misses:   c.misses.Load(),
 		Promoted: c.promoted.Load(),
 		Capacity: c.cap,
-
-		MemoHits:   c.memoHits.Load(),
-		MemoMisses: c.memoMisses.Load(),
 	}
 	c.mu.RLock()
 	st.Resident = c.store.n - c.store.dead
-	st.MemoEntries = len(c.store.memo)
 	c.mu.RUnlock()
 	return st
 }
@@ -325,17 +302,16 @@ type promotion struct {
 
 // promote appends a pass's computed entries to the store the pass resolved
 // against, v.store: with warm set all of them, otherwise those the sighting
-// set has seen before (the others are sighted now). It returns the store it
-// appended to, or nil if it appended nothing. A pass whose store was
+// set has seen before (the others are sighted now). A pass whose store was
 // replaced since it resolved writes nothing, not even a sighting: its
 // values may predate a model swap. Keys already resident — promoted
 // concurrently by another pass — and keys duplicated within the batch are
 // skipped, as is everything beyond the capacity bound. The first row
 // appended compacts the store first when dead rows are more than a quarter
 // of it.
-func (c *RepCache) promote(v residentView, promos []promotion, warm bool) *residentStore {
+func (c *RepCache) promote(v residentView, promos []promotion, warm bool) {
 	if len(promos) == 0 {
-		return nil
+		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -344,7 +320,7 @@ func (c *RepCache) promote(v residentView, promos []promotion, warm bool) *resid
 	if s != v.store || s.n > 0 && s.h != h {
 		// Replaced, or a layout change under a stale store (model swap
 		// without Invalidate): refuse to mix row widths.
-		return nil
+		return
 	}
 	s.h = h
 	first := s.n
@@ -366,72 +342,14 @@ func (c *RepCache) promote(v residentView, promos []promotion, warm bool) *resid
 		copy(row[4*h:], p.pp2)
 	}
 	c.promoted.Add(uint64(s.n - first))
-	if s.n == first {
-		return nil
-	}
-	return s
 }
 
 // compact returns the successor of s holding only the live rows, renumbered
-// densely, with the memo's pairs of two surviving rows carried over under
-// their new IDs. s itself is left as it is for the passes still reading it.
+// densely. s itself is left as it is for the passes still reading it.
 func (s *residentStore) compact() *residentStore {
 	next := newResidentStore(s.h)
-	newRow := make([]int, s.n)
-	for i := range newRow {
-		newRow[i] = -1
-	}
 	for key, r := range s.index {
-		newRow[r] = next.n
 		copy(next.grow(key), s.data(r))
 	}
-	for k, rate := range s.memo {
-		if r1, r2 := newRow[k>>32], newRow[uint32(k)]; r1 >= 0 && r2 >= 0 {
-			next.memo[pairKey(r1, r2)] = rate
-		}
-	}
 	return next
-}
-
-// recall answers from v's memo every pair of idx whose two sides
-// (translated through rowOf) are rows of v, into out, appends the position
-// of every other pair to miss, and returns miss with the number of pairs
-// it looked up. Only the write lock writes a memo, so the read lock covers
-// a replaced store's memo as well.
-func (c *RepCache) recall(v residentView, rowOf []int, idx [][2]int, out []float64, miss []int) ([]int, int) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	looked := 0
-	for i, p := range idx {
-		// A pair with a request-local side was never memoized: no lookup.
-		if r1, r2 := rowOf[p[0]], rowOf[p[1]]; r1 < v.n && r2 < v.n {
-			looked++
-			if rate, ok := v.store.memo[pairKey(r1, r2)]; ok {
-				out[i] = rate
-				continue
-			}
-		}
-		miss = append(miss, i)
-	}
-	return miss, looked
-}
-
-// memoize records rates[i] as the rate of pairs[i] for every pair whose two
-// sides (translated through rowOf) are rows of v, unless v's store has been
-// replaced since. A memo at its bound is emptied before the next pair.
-func (c *RepCache) memoize(v residentView, pairs [][2]int, rowOf []int, rates []float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.store
-	if s != v.store {
-		return
-	}
-	for i, p := range pairs {
-		if r1, r2 := rowOf[p[0]], rowOf[p[1]]; r1 < v.n && r2 < v.n {
-			if len(s.memo) >= memoPerRow*c.cap {
-				clear(s.memo)
-			}
-			s.memo[pairKey(r1, r2)] = rates[i]
-		}
-	}
 }

@@ -182,7 +182,7 @@ func TestRepCachePromotionRespectsCapacity(t *testing.T) {
 // the cache-less adapter's bits throughout.
 func TestRepCacheSightingPromotes(t *testing.T) {
 	ctx := context.Background()
-	plain, cached, qs, idx := memoFixture(t, 64)
+	plain, cached, qs, idx := pairsFixture(t, 64)
 	want, err := plain.EstimateRatesIndexed(ctx, qs, idx)
 	if err != nil {
 		t.Fatal(err)
