@@ -41,13 +41,20 @@ import (
 // never-repeating probe stream keeps no rates.
 //
 // The memo holds at most its capacity of probes and ratesPerProbe kept
-// candidates per unit of it, and is cleared, entries and rates together,
-// when either is full. Its methods are safe for concurrent use and on a nil
-// *Memo.
+// candidates per unit of it. When a store finds either bound full, the memo
+// sweeps: it drops every probe no recall has found since the previous sweep
+// (a found probe was answered, or handed its kept rates) and unmarks the
+// rest, so a never-repeating probe stream flows through the memo while the
+// probes that recur stay answered. A sweep that frees less than an eighth
+// of the capacity clears the memo instead, entries and rates together,
+// which keeps a sweep's cost amortized over the stores that follow it.
+// Marking costs a recall one atomic load, and one store on its probe's
+// first find after a sweep. Its methods are safe for concurrent use and on
+// a nil *Memo.
 type Memo struct {
 	mu           sync.RWMutex
 	cap          int
-	entries      map[string]memoEntry
+	entries      map[string]*memoEntry
 	rates        int // kept candidates across entries
 	hits, misses atomic.Uint64
 }
@@ -59,13 +66,16 @@ const ratesPerProbe = 48
 // memoEntry is one probe's answer with what it was computed from. ids lists
 // the selected entries only where a replay must re-stamp them: a bounded
 // selection on a capacity-bounded pool. rates holds the voting candidates'
-// rates, by ascending ID, once the probe has recurred.
+// rates, by ascending ID, once the probe has recurred. found marks an entry
+// a recall has found since the last sweep; recall sets it under the read
+// lock.
 type memoEntry struct {
 	gen   uint64
 	stamp uint64
 	est   float64
 	ids   []int64
 	rates []keptRate
+	found atomic.Bool
 }
 
 // keptRate is one candidate's rates as its vote used them: x_rate =
@@ -80,7 +90,7 @@ func byID(c keptRate, id int64) int { return cmp.Compare(c.id, id) }
 
 // NewMemo creates a memo of at most capacity probes (at least one).
 func NewMemo(capacity int) *Memo {
-	return &Memo{cap: max(capacity, 1), entries: make(map[string]memoEntry)}
+	return &Memo{cap: max(capacity, 1), entries: make(map[string]*memoEntry)}
 }
 
 // Flush discards every entry.
@@ -95,8 +105,29 @@ func (m *Memo) Flush() {
 
 // clear discards every entry and kept rate. Callers hold mu for writing.
 func (m *Memo) clear() {
-	m.entries = make(map[string]memoEntry)
+	m.entries = make(map[string]*memoEntry)
 	m.rates = 0
+}
+
+// sweep drops every entry no recall has found since the previous sweep,
+// except keep's (the one being stored), and unmarks the others; when that
+// frees less than an eighth of the capacity it clears the memo instead.
+// Callers hold mu for writing.
+func (m *Memo) sweep(keep string) {
+	before := len(m.entries)
+	for key, e := range m.entries {
+		switch {
+		case key == keep:
+		case e.found.Load():
+			e.found.Store(false)
+		default:
+			delete(m.entries, key)
+			m.rates -= len(e.rates)
+		}
+	}
+	if before-len(m.entries) < max(m.cap/8, 1) {
+		m.clear()
+	}
 }
 
 // Stats returns the lookups by result and the number of probes held.
@@ -129,6 +160,9 @@ func (m *Memo) recall(gen uint64, p *pool.Pool, k int, q query.Query, kept []kep
 	if !ok || e.gen != gen {
 		return 0, false, kept
 	}
+	if !e.found.Load() {
+		e.found.Store(true)
+	}
 	if p.ReplaySelection(q, k, e.stamp, e.ids) {
 		return e.est, true, kept
 	}
@@ -158,12 +192,17 @@ func (m *Memo) store(gen uint64, queries []query.Query, s *scratch, out []float6
 			continue
 		}
 		key := q.Key()
-		old, ok := m.entries[key]
-		if !ok && len(m.entries) >= m.cap {
-			m.clear()
+		e, ok := m.entries[key]
+		if !ok {
+			if len(m.entries) >= m.cap {
+				m.sweep(key)
+			}
+			e = new(memoEntry)
 		}
-		// Readers hold the read lock: reusing old's slices is safe.
-		e := memoEntry{gen: gen, stamp: sp.stamp, est: out[i], ids: old.ids[:0], rates: old.rates[:0]}
+		// Readers hold the read lock: rewriting e in place is safe.
+		m.rates -= len(e.rates)
+		e.gen, e.stamp, e.est = gen, sp.stamp, out[i]
+		e.ids, e.rates = e.ids[:0], e.rates[:0]
 		if withIDs {
 			for _, c := range s.arena[sp.lo:sp.hi] {
 				e.ids = append(e.ids, c.ID)
@@ -177,10 +216,13 @@ func (m *Memo) store(gen uint64, queries []query.Query, s *scratch, out []float6
 			}
 			slices.SortFunc(e.rates, func(a, b keptRate) int { return byID(a, b.id) })
 		}
-		if m.rates += len(e.rates) - len(old.rates); m.rates > ratesPerProbe*m.cap {
-			m.clear()
-			e.rates = e.rates[:0]
+		if limit := ratesPerProbe * m.cap; m.rates+len(e.rates) > limit {
+			if m.sweep(key); m.rates+len(e.rates) > limit {
+				m.clear()
+				e.rates = e.rates[:0]
+			}
 		}
+		m.rates += len(e.rates)
 		m.entries[key] = e
 	}
 }

@@ -254,7 +254,7 @@ func TestMemoKeptRatesProperties(t *testing.T) {
 			e, ok := env.est.Memo.entries[q.Key()]
 			env.est.Memo.mu.RUnlock()
 			if !ok || len(e.rates) > 0 {
-				t.Fatalf("step %d: a probe seen once is held %v with %d rates", step, ok, len(e.rates))
+				t.Fatalf("step %d: a probe seen once is held %v with kept rates", step, ok)
 			}
 		case op < 12:
 			env.qp.UpdateCard(pooled[rng.Intn(len(pooled))], int64(1+rng.Intn(5000)))
@@ -277,5 +277,45 @@ func TestMemoKeptRatesProperties(t *testing.T) {
 	t.Logf("%d reusing passes, %d overflows of the rate bound, %d never-repeating probes", reused, overflowed, fresh)
 	if reused == 0 || overflowed == 0 || fresh == 0 {
 		t.Fatal("the churn never reached a path under test")
+	}
+}
+
+// TestMemoSweepKeepsAnsweredProbes streams never-repeating probes through a
+// small memo, many times its capacity, between rounds of recurring probes:
+// once warm, every recurring probe stays a hit, because a full memo drops
+// only the probes no recall found since its previous sweep. The memo never
+// holds more than its capacity, and the rate bound keeps its accounting.
+func TestMemoSweepKeepsAnsweredProbes(t *testing.T) {
+	const memoCap = 16
+	env := newReuseEnv(t, 40, memoCap)
+	for i := 0; i < 40; i++ {
+		env.add(fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d AND title.kind_id < %d", 1900+3*i, 2+i%5), int64(50+11*i))
+	}
+	hot := make([]query.Query, 4)
+	for i := range hot {
+		hot[i] = sqlparse.MustParse(s, fmt.Sprintf("SELECT * FROM title WHERE title.production_year > %d AND title.kind_id > %d", 1950+7*i, i))
+	}
+	cold := 0
+	for round := 0; round < 40; round++ {
+		hits, _, _ := env.est.Memo.Stats()
+		for _, q := range hot {
+			env.estimate(q)
+		}
+		if after, _, _ := env.est.Memo.Stats(); round > 0 && after-hits != uint64(len(hot)) {
+			t.Fatalf("round %d: %d of %d recurring probes hit after %d never-repeating ones", round, after-hits, len(hot), cold)
+		}
+		for i := 0; i < 5; i++ {
+			env.estimate(sqlparse.MustParse(s, fmt.Sprintf("SELECT * FROM title WHERE title.production_year < %d", 2100+cold)))
+			cold++
+		}
+		if n, _ := memoHolds(env.est.Memo, hot[0]); n > memoCap {
+			t.Fatalf("round %d: the memo holds %d probes, capacity %d", round, n, memoCap)
+		}
+		if counted, held := keptRates(env.est.Memo); counted != held {
+			t.Fatalf("round %d: %d rates counted, %d held", round, counted, held)
+		}
+	}
+	if cold < 10*memoCap {
+		t.Fatalf("only %d never-repeating probes", cold)
 	}
 }

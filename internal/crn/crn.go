@@ -455,21 +455,24 @@ func (p *PairPredictor) Predict(pairs [][2]int) []float64 {
 //
 // Pairs go through the head nn.PairHeadRows at a time, so W3/W4 — the
 // bulk of the per-pair work — are read once per block instead of once per
-// pair. A coordinate where either representation is zero is not skipped: the
-// representations are finite and non-negative, so its coefficients
-// −2·min(a,b) and a·b are ±0, and with finite weights adding the ±0 products
-// changes at most the sign of a zero pre-activation, which the ReLU epilogue
-// maps to the same +0. Every rate therefore equals the one-pair-at-a-time
-// evaluation that skips those coordinates, bit for bit (pinned by the
-// equivalence tests). Rows of a short last block are padding: zero
-// coefficients, results discarded.
+// pair. Each pair's head input is built by dispatched vector kernels: its
+// row of z, the sum of its two sides' partial products (nn.PairHeadSum),
+// and its coefficient rows −2·min(a,b) and a·b (nn.PairHeadCoef), both
+// bit-identical to their scalar loops. A coordinate where either
+// representation is zero is not skipped: the representations are finite
+// and non-negative, so its coefficients are ±0, and with finite weights
+// adding the ±0 products changes at most the sign of a zero pre-activation,
+// which the ReLU epilogue maps to the same +0. Every rate therefore equals
+// the one-pair-at-a-time evaluation that skips those coordinates, bit for
+// bit (pinned by the equivalence tests). Rows of a short last block are
+// padding: zero coefficients, results discarded.
 func (p *PairPredictor) PredictInto(dst []float64, pairs [][2]int, ws *nn.Workspace) {
 	const R = nn.PairHeadRows
 	h := p.f.h
 	cols := 2 * h
 	out := dst[:len(pairs)]
 	z := ws.Take(R, cols).Data
-	coef := ws.Take(h, 2*R).Data
+	coef := ws.Take(2*R, h).Data // rows mn[0..R) then pr[0..R)
 	for lo := 0; lo < len(pairs); lo += R {
 		block := pairs[lo:min(lo+R, len(pairs))]
 		if len(block) < R {
@@ -477,23 +480,14 @@ func (p *PairPredictor) PredictInto(dst []float64, pairs [][2]int, ws *nn.Worksp
 			clear(coef)
 		}
 		for r, pair := range block {
-			zz := z[r*cols : (r+1)*cols]
 			i1, i2 := pair[0], pair[1]
 			if p.rowOf != nil {
 				i1, i2 = p.rowOf[i1], p.rowOf[i2]
 			}
 			r1, q1 := p.rows1(i1)
 			r2, q2 := p.rows2(i2)
-			q1 = q1[:cols]
-			q2 = q2[:cols]
-			for j := range zz {
-				zz[j] = q1[j] + q2[j]
-			}
-			r2 = r2[:h]
-			for k, a := range r1[:h] {
-				b := r2[k]
-				coef[k*2*R+r], coef[k*2*R+R+r] = -2*min(a, b), a*b
-			}
+			nn.PairHeadSum(z[r*cols:(r+1)*cols], q1[:cols], q2[:cols])
+			nn.PairHeadCoef(coef[r*h:(r+1)*h], coef[(R+r)*h:(R+r+1)*h], r1[:h], r2[:h])
 		}
 		nn.PairHead(z, coef, p.f.w3, p.f.w4)
 		// Bias, ReLU, second layer, sigmoid — scalar output per pair, with

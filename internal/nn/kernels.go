@@ -20,7 +20,9 @@ package nn
 // reassociation (elementwise add, compare, mask) and are pinned
 // bit-identical to the generic loops. pairHead is pinned bit-identical to
 // the same set's axpy2 (TestPairHeadMatchesAxpy2), and through it within
-// tolerance of the generic set.
+// tolerance of the generic set. addVec and pairCoef, the pair head's input
+// kernels, round exactly as their scalar loops do (one add; an exact
+// scaling of a min and one multiply) and are pinned bit-identical too.
 
 var (
 	// axpy computes dst[j] += a·x[j]. len(x) must be ≥ len(dst).
@@ -35,6 +37,16 @@ var (
 	// the PairHeadRows rows of z receives, for k in order, exactly the axpy2
 	// of the same ISA. The caller guarantees the shapes PairHead checks.
 	pairHead func(z, coef, w3, w4 []float64) = pairHeadGeneric
+
+	// addVec computes dst[j] = a[j] + b[j]. Both a and b must be ≥
+	// len(dst). Bit-identical across implementations.
+	addVec func(dst, a, b []float64) = addVecGeneric
+
+	// pairCoef computes mn[k] = −2·min(a[k], b[k]) and pr[k] = a[k]·b[k] —
+	// one pair's PairHead coefficients (see PairHeadCoef). pr, a and b must
+	// be ≥ len(mn). Bit-identical across implementations for every input
+	// but NaN (which yields a NaN, its payload unpinned).
+	pairCoef func(mn, pr, a, b []float64) = pairCoefGeneric
 
 	// axpy4 computes dst[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j] —
 	// the quad-row update of MatMul's dense path and MatMulTransAAcc. Every
@@ -97,13 +109,14 @@ const PairHeadRows = 4
 //
 //	z[r][j] += Σ_k mn[r][k]·w3[k][j] + pr[r][k]·w4[k][j]
 //
-// z is PairHeadRows×cols row-major; coef is h×(2·PairHeadRows) row-major,
-// row k holding mn[0..R) then pr[0..R); w3 and w4 are h×cols row-major
-// (longer slices are cut). Each element of z goes through exactly the
-// operation sequence Axpy2(z[r], w3[k], w4[k], mn[r][k], pr[r][k]) applies
-// for k = 0, 1, …, so the result equals that loop bit for bit on the
-// dispatched kernel set; reading every weight row once per R rows instead of
-// once per row is the whole difference. It panics on inconsistent shapes.
+// z is PairHeadRows×cols row-major; coef is (2·PairHeadRows)×h row-major,
+// rows mn[0..R) then pr[0..R) (row r of each is one pair's, as PairHeadCoef
+// writes them); w3 and w4 are h×cols row-major (longer slices are cut).
+// Each element of z goes through exactly the operation sequence
+// Axpy2(z[r], w3[k], w4[k], mn[r][k], pr[r][k]) applies for k = 0, 1, …, so
+// the result equals that loop bit for bit on the dispatched kernel set;
+// reading every weight row once per R rows instead of once per row is the
+// whole difference. It panics on inconsistent shapes.
 func PairHead(z, coef, w3, w4 []float64) {
 	cols := len(z) / PairHeadRows
 	h := len(coef) / (2 * PairHeadRows)
@@ -112,6 +125,17 @@ func PairHead(z, coef, w3, w4 []float64) {
 	}
 	pairHead(z, coef, w3[:h*cols], w4[:h*cols])
 }
+
+// PairHeadSum writes z[j] = p1[j] + p2[j] through the dispatched kernel set
+// — a pair's head row before PairHead, the sum of its two sides' partial
+// products. p1 and p2 must be at least len(z) long.
+func PairHeadSum(z, p1, p2 []float64) { addVec(z, p1, p2) }
+
+// PairHeadCoef writes one pair's PairHead coefficient rows through the
+// dispatched kernel set: mn[k] = −2·min(a[k], b[k]) and pr[k] = a[k]·b[k]
+// for the pair's representations a and b (see crn.PairPredictor for the
+// factorization they come from). pr, a and b must be at least len(mn) long.
+func PairHeadCoef(mn, pr, a, b []float64) { pairCoef(mn, pr, a, b) }
 
 // BiasReLUDot computes Σ_j max(0, z[j]+bias[j])·w[j] through the dispatched
 // kernel set — the CRN head's fused bias + ReLU + output-layer contraction.
@@ -145,12 +169,30 @@ func axpy2Generic(dst, b0, b1 []float64, a0, a1 float64) {
 // generic axpy2's operation sequence by construction.
 func pairHeadGeneric(z, coef, w3, w4 []float64) {
 	cols := len(z) / PairHeadRows
-	for k := 0; k < len(coef)/(2*PairHeadRows); k++ {
-		c := coef[k*2*PairHeadRows : (k+1)*2*PairHeadRows]
+	h := len(coef) / (2 * PairHeadRows)
+	for k := 0; k < h; k++ {
 		b0, b1 := w3[k*cols:(k+1)*cols], w4[k*cols:(k+1)*cols]
 		for r := 0; r < PairHeadRows; r++ {
-			axpy2Generic(z[r*cols:(r+1)*cols], b0, b1, c[r], c[PairHeadRows+r])
+			axpy2Generic(z[r*cols:(r+1)*cols], b0, b1, coef[r*h+k], coef[(PairHeadRows+r)*h+k])
 		}
+	}
+}
+
+func addVecGeneric(dst, a, b []float64) {
+	a = a[:len(dst)]
+	b = b[:len(dst)]
+	for j := range dst {
+		dst[j] = a[j] + b[j]
+	}
+}
+
+func pairCoefGeneric(mn, pr, a, b []float64) {
+	pr = pr[:len(mn)]
+	a = a[:len(mn)]
+	b = b[:len(mn)]
+	for k, av := range a {
+		bv := b[k]
+		mn[k], pr[k] = -2*min(av, bv), av*bv
 	}
 }
 

@@ -38,6 +38,12 @@ func pairHeadAVX2(z, coef, w3, w4 []float64)
 func pairHeadAVX512(z, coef, w3, w4 []float64)
 
 //go:noescape
+func addVecAVX2(dst, a, b []float64)
+
+//go:noescape
+func pairCoefAVX2(mn, pr, a, b []float64)
+
+//go:noescape
 func axpy4AVX2(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64)
 
 //go:noescape
@@ -65,6 +71,8 @@ func init() {
 	axpy = axpyAVX2
 	axpy2 = axpy2AVX2
 	pairHead = pairHeadAVX2
+	addVec = addVecAVX2
+	pairCoef = pairCoefAVX2
 	axpy4 = axpy4AVX2
 	vecMat = vecMatAVX2
 	dot = dotAVX2

@@ -736,14 +736,19 @@ brdot_done:
 // stored once per tile and every weight vector loaded serves four rows. Per
 // element and per k the operations are axpy2AVX2's: an FMA with the W3 term,
 // then an FMA with the W4 term. cols = len(z)/4 and h = len(coef)/8; z and
-// the weight matrices share the row stride cols·8 bytes.
+// the weight matrices share the row stride cols·8 bytes. coef is 8 rows of
+// h, mn[0..3] then pr[0..3]: DX walks row mn[0] and AX row pr[0] along k,
+// and the other rows are R14 = h·8 bytes apart (R15 = 3·R14).
 TEXT ·pairHeadAVX2(SB), NOSPLIT, $0-96
 	MOVQ z_base+0(FP), DI
 	MOVQ z_len+8(FP), CX
 	SHRQ $2, CX          // cols
 	MOVQ coef_base+24(FP), SI
-	MOVQ coef_len+32(FP), BX
-	SHRQ $3, BX          // h
+	MOVQ coef_len+32(FP), R14
+	SHRQ $3, R14         // h
+	SHLQ $3, R14         // coefficient row stride in bytes
+	LEAQ (R14)(R14*2), R15
+	LEAQ (SI)(R14*1), BX // end of row mn[0]: the k loop's bound
 	MOVQ w3_base+48(FP), R8
 	MOVQ w4_base+72(FP), R9
 	MOVQ CX, R10
@@ -763,18 +768,18 @@ ph_chunk8:
 	VMOVUPD 32(R11)(R10*1), Y15
 	MOVQ R8, R12
 	MOVQ R9, R13
-	MOVQ SI, DX
-	MOVQ BX, AX
+	MOVQ SI, DX          // mn[0][k]
+	LEAQ (SI)(R14*4), AX // pr[0][k]
 
 ph_k8:
-	TESTQ AX, AX
-	JEQ   ph_store8
+	CMPQ DX, BX
+	JEQ  ph_store8
 	VMOVUPD (R12), Y0
 	VMOVUPD 32(R12), Y1
 	VBROADCASTSD (DX), Y2
-	VBROADCASTSD 8(DX), Y3
-	VBROADCASTSD 16(DX), Y4
-	VBROADCASTSD 24(DX), Y5
+	VBROADCASTSD (DX)(R14*1), Y3
+	VBROADCASTSD (DX)(R14*2), Y4
+	VBROADCASTSD (DX)(R15*1), Y5
 	VFMADD231PD Y0, Y2, Y8
 	VFMADD231PD Y1, Y2, Y9
 	VFMADD231PD Y0, Y3, Y10
@@ -785,10 +790,10 @@ ph_k8:
 	VFMADD231PD Y1, Y5, Y15
 	VMOVUPD (R13), Y0
 	VMOVUPD 32(R13), Y1
-	VBROADCASTSD 32(DX), Y2
-	VBROADCASTSD 40(DX), Y3
-	VBROADCASTSD 48(DX), Y4
-	VBROADCASTSD 56(DX), Y5
+	VBROADCASTSD (AX), Y2
+	VBROADCASTSD (AX)(R14*1), Y3
+	VBROADCASTSD (AX)(R14*2), Y4
+	VBROADCASTSD (AX)(R15*1), Y5
 	VFMADD231PD Y0, Y2, Y8
 	VFMADD231PD Y1, Y2, Y9
 	VFMADD231PD Y0, Y3, Y10
@@ -799,8 +804,8 @@ ph_k8:
 	VFMADD231PD Y1, Y5, Y15
 	ADDQ R10, R12
 	ADDQ R10, R13
-	ADDQ $64, DX
-	DECQ AX
+	ADDQ $8, DX
+	ADDQ $8, AX
 	JMP  ph_k8
 
 ph_store8:
@@ -828,34 +833,34 @@ ph_chunk4:
 	VMOVUPD (R11)(R10*1), Y14
 	MOVQ R8, R12
 	MOVQ R9, R13
-	MOVQ SI, DX
-	MOVQ BX, AX
+	MOVQ SI, DX          // mn[0][k]
+	LEAQ (SI)(R14*4), AX // pr[0][k]
 
 ph_k4:
-	TESTQ AX, AX
-	JEQ   ph_store4
+	CMPQ DX, BX
+	JEQ  ph_store4
 	VMOVUPD (R12), Y0
 	VBROADCASTSD (DX), Y2
-	VBROADCASTSD 8(DX), Y3
-	VBROADCASTSD 16(DX), Y4
-	VBROADCASTSD 24(DX), Y5
+	VBROADCASTSD (DX)(R14*1), Y3
+	VBROADCASTSD (DX)(R14*2), Y4
+	VBROADCASTSD (DX)(R15*1), Y5
 	VFMADD231PD Y0, Y2, Y8
 	VFMADD231PD Y0, Y3, Y10
 	VFMADD231PD Y0, Y4, Y12
 	VFMADD231PD Y0, Y5, Y14
 	VMOVUPD (R13), Y1
-	VBROADCASTSD 32(DX), Y2
-	VBROADCASTSD 40(DX), Y3
-	VBROADCASTSD 48(DX), Y4
-	VBROADCASTSD 56(DX), Y5
+	VBROADCASTSD (AX), Y2
+	VBROADCASTSD (AX)(R14*1), Y3
+	VBROADCASTSD (AX)(R14*2), Y4
+	VBROADCASTSD (AX)(R15*1), Y5
 	VFMADD231PD Y1, Y2, Y8
 	VFMADD231PD Y1, Y3, Y10
 	VFMADD231PD Y1, Y4, Y12
 	VFMADD231PD Y1, Y5, Y14
 	ADDQ R10, R12
 	ADDQ R10, R13
-	ADDQ $64, DX
-	DECQ AX
+	ADDQ $8, DX
+	ADDQ $8, AX
 	JMP  ph_k4
 
 ph_store4:
@@ -879,34 +884,34 @@ ph_cols1:
 	VMOVSD (R11)(R10*1), X14
 	MOVQ R8, R12
 	MOVQ R9, R13
-	MOVQ SI, DX
-	MOVQ BX, AX
+	MOVQ SI, DX          // mn[0][k]
+	LEAQ (SI)(R14*4), AX // pr[0][k]
 
 ph_k1:
-	TESTQ AX, AX
-	JEQ   ph_store1
+	CMPQ DX, BX
+	JEQ  ph_store1
 	VMOVSD (R12), X0
 	VMOVSD (DX), X2
-	VMOVSD 8(DX), X3
-	VMOVSD 16(DX), X4
-	VMOVSD 24(DX), X5
+	VMOVSD (DX)(R14*1), X3
+	VMOVSD (DX)(R14*2), X4
+	VMOVSD (DX)(R15*1), X5
 	VFMADD231SD X0, X2, X8
 	VFMADD231SD X0, X3, X10
 	VFMADD231SD X0, X4, X12
 	VFMADD231SD X0, X5, X14
 	VMOVSD (R13), X1
-	VMOVSD 32(DX), X2
-	VMOVSD 40(DX), X3
-	VMOVSD 48(DX), X4
-	VMOVSD 56(DX), X5
+	VMOVSD (AX), X2
+	VMOVSD (AX)(R14*1), X3
+	VMOVSD (AX)(R14*2), X4
+	VMOVSD (AX)(R15*1), X5
 	VFMADD231SD X1, X2, X8
 	VFMADD231SD X1, X3, X10
 	VFMADD231SD X1, X4, X12
 	VFMADD231SD X1, X5, X14
 	ADDQ R10, R12
 	ADDQ R10, R13
-	ADDQ $64, DX
-	DECQ AX
+	ADDQ $8, DX
+	ADDQ $8, AX
 	JMP  ph_k1
 
 ph_store1:
@@ -933,14 +938,18 @@ ph_done:
 // element and per k the operations are axpy2AVX2's — an FMA with the W3
 // term, then an FMA with the W4 term — so the result equals pairHeadAVX2's
 // bit for bit. cols = len(z)/4 and h = len(coef)/8; z and the weight
-// matrices share the row stride cols·8 bytes.
+// matrices share the row stride cols·8 bytes, and the coefficient rows are
+// addressed as in pairHeadAVX2.
 TEXT ·pairHeadAVX512(SB), NOSPLIT, $0-96
 	MOVQ z_base+0(FP), DI
 	MOVQ z_len+8(FP), CX
 	SHRQ $2, CX          // cols
 	MOVQ coef_base+24(FP), SI
-	MOVQ coef_len+32(FP), BX
-	SHRQ $3, BX          // h
+	MOVQ coef_len+32(FP), R14
+	SHRQ $3, R14         // h
+	SHLQ $3, R14         // coefficient row stride in bytes
+	LEAQ (R14)(R14*2), R15
+	LEAQ (SI)(R14*1), BX // end of row mn[0]: the k loop's bound
 	MOVQ w3_base+48(FP), R8
 	MOVQ w4_base+72(FP), R9
 	MOVQ CX, R10
@@ -968,20 +977,20 @@ p5_chunk:
 	VMOVUPD 192(R11)(R10*1), Z31
 	MOVQ R8, R12
 	MOVQ R9, R13
-	MOVQ SI, DX
-	MOVQ BX, AX
+	MOVQ SI, DX          // mn[0][k]
+	LEAQ (SI)(R14*4), AX // pr[0][k]
 
 p5_k:
-	TESTQ AX, AX
-	JEQ   p5_store
+	CMPQ DX, BX
+	JEQ  p5_store
 	VMOVUPD (R12), Z0
 	VMOVUPD 64(R12), Z1
 	VMOVUPD 128(R12), Z2
 	VMOVUPD 192(R12), Z3
 	VBROADCASTSD (DX), Z4
-	VBROADCASTSD 8(DX), Z5
-	VBROADCASTSD 16(DX), Z6
-	VBROADCASTSD 24(DX), Z7
+	VBROADCASTSD (DX)(R14*1), Z5
+	VBROADCASTSD (DX)(R14*2), Z6
+	VBROADCASTSD (DX)(R15*1), Z7
 	VFMADD231PD Z0, Z4, Z16
 	VFMADD231PD Z1, Z4, Z17
 	VFMADD231PD Z2, Z4, Z18
@@ -1002,10 +1011,10 @@ p5_k:
 	VMOVUPD 64(R13), Z1
 	VMOVUPD 128(R13), Z2
 	VMOVUPD 192(R13), Z3
-	VBROADCASTSD 32(DX), Z4
-	VBROADCASTSD 40(DX), Z5
-	VBROADCASTSD 48(DX), Z6
-	VBROADCASTSD 56(DX), Z7
+	VBROADCASTSD (AX), Z4
+	VBROADCASTSD (AX)(R14*1), Z5
+	VBROADCASTSD (AX)(R14*2), Z6
+	VBROADCASTSD (AX)(R15*1), Z7
 	VFMADD231PD Z0, Z4, Z16
 	VFMADD231PD Z1, Z4, Z17
 	VFMADD231PD Z2, Z4, Z18
@@ -1024,8 +1033,8 @@ p5_k:
 	VFMADD231PD Z3, Z7, Z31
 	ADDQ R10, R12
 	ADDQ R10, R13
-	ADDQ $64, DX
-	DECQ AX
+	ADDQ $8, DX
+	ADDQ $8, AX
 	JMP  p5_k
 
 p5_store:
@@ -1052,5 +1061,117 @@ p5_store:
 	JMP  p5_chunk
 
 p5_done:
+	VZEROUPPER
+	RET
+
+// func addVecAVX2(dst, a, b []float64)
+//
+// dst[j] = a[j] + b[j]: one VADDPD per four elements, the scalar tail one
+// VADDSD each — the generic loop's single rounding, so bit-identical.
+TEXT ·addVecAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R8
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-16, DX
+
+add_loop16:
+	CMPQ AX, DX
+	JGE  add_head4
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD 32(SI)(AX*8), Y1
+	VMOVUPD 64(SI)(AX*8), Y2
+	VMOVUPD 96(SI)(AX*8), Y3
+	VADDPD (R8)(AX*8), Y0, Y0
+	VADDPD 32(R8)(AX*8), Y1, Y1
+	VADDPD 64(R8)(AX*8), Y2, Y2
+	VADDPD 96(R8)(AX*8), Y3, Y3
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	VMOVUPD Y2, 64(DI)(AX*8)
+	VMOVUPD Y3, 96(DI)(AX*8)
+	ADDQ $16, AX
+	JMP  add_loop16
+
+add_head4:
+	MOVQ CX, DX
+	ANDQ $-4, DX
+
+add_loop4:
+	CMPQ AX, DX
+	JGE  add_tail
+	VMOVUPD (SI)(AX*8), Y0
+	VADDPD (R8)(AX*8), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  add_loop4
+
+add_tail:
+	CMPQ AX, CX
+	JGE  add_done
+	VMOVSD (SI)(AX*8), X0
+	VADDSD (R8)(AX*8), X0, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ AX
+	JMP  add_tail
+
+add_done:
+	VZEROUPPER
+	RET
+
+// func pairCoefAVX2(mn, pr, a, b []float64)
+//
+// mn[k] = −2·min(a[k], b[k]) and pr[k] = a[k]·b[k]. VMINPD returns its
+// second source on equal operands, so min(+0, −0) would depend on the
+// operand order where Go's min gives −0: the kernel ORs the two orders,
+// which keeps every other result and turns a mixed pair of zeros into −0.
+// The scaling by −2 is exact and the product one VMULPD, so the result is
+// the generic loop's bit for bit on every non-NaN input.
+TEXT ·pairCoefAVX2(SB), NOSPLIT, $0-96
+	MOVQ mn_base+0(FP), DI
+	MOVQ mn_len+8(FP), CX
+	MOVQ pr_base+24(FP), R8
+	MOVQ a_base+48(FP), SI
+	MOVQ b_base+72(FP), R9
+	MOVQ $0xc000000000000000, AX // -2.0
+	MOVQ AX, X7
+	VBROADCASTSD X7, Y7
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-4, DX
+
+coef_loop4:
+	CMPQ AX, DX
+	JGE  coef_tail
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD (R9)(AX*8), Y1
+	VMINPD Y1, Y0, Y2
+	VMINPD Y0, Y1, Y3
+	VORPD  Y3, Y2, Y2
+	VMULPD Y7, Y2, Y2
+	VMULPD Y1, Y0, Y3
+	VMOVUPD Y2, (DI)(AX*8)
+	VMOVUPD Y3, (R8)(AX*8)
+	ADDQ $4, AX
+	JMP  coef_loop4
+
+coef_tail:
+	CMPQ AX, CX
+	JGE  coef_done
+	VMOVSD (SI)(AX*8), X0
+	VMOVSD (R9)(AX*8), X1
+	VMINSD X1, X0, X2
+	VMINSD X0, X1, X3
+	VORPD  X3, X2, X2
+	VMULSD X7, X2, X2
+	VMULSD X1, X0, X3
+	VMOVSD X2, (DI)(AX*8)
+	VMOVSD X3, (R8)(AX*8)
+	INCQ AX
+	JMP  coef_tail
+
+coef_done:
 	VZEROUPPER
 	RET

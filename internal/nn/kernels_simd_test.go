@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -95,6 +96,18 @@ func checkKernelsOnce(t *testing.T, rng *rand.Rand, n int, zeroOut bool) {
 			t.Errorf("pairHead n=%d h=%d: max diff %g", n, h, d)
 		}
 	}
+
+	// addVec and pairCoef, the pair head's input: bit-identical.
+	sumA, sumB := draw(0), draw(0)
+	pa, pb := draw(1), draw(3)
+	addVec(sumA, pa, pb)
+	addVecGeneric(sumB, pa, pb)
+	mustBitsEqual(t, fmt.Sprintf("addVec n=%d", n), sumA, sumB)
+	mnA, prA, mnB, prB := draw(0), draw(2), draw(0), draw(2)
+	pairCoef(mnA, prA, pa, pb)
+	pairCoefGeneric(mnB, prB, pa, pb)
+	mustBitsEqual(t, fmt.Sprintf("pairCoef mn n=%d", n), mnA, mnB)
+	mustBitsEqual(t, fmt.Sprintf("pairCoef pr n=%d", n), prA[:n], prB[:n])
 
 	// axpy4
 	dstA = draw(0)
@@ -202,8 +215,8 @@ func TestPairHeadMatchesAxpy2(t *testing.T) {
 					if rng.Intn(3) == 0 {
 						continue // exact zero coefficients
 					}
-					coef[k*2*PairHeadRows+r] = -2 * math.Abs(rng.NormFloat64())
-					coef[k*2*PairHeadRows+PairHeadRows+r] = math.Abs(rng.NormFloat64())
+					coef[r*h+k] = -2 * math.Abs(rng.NormFloat64())
+					coef[(PairHeadRows+r)*h+k] = math.Abs(rng.NormFloat64())
 				}
 			}
 			z := randSlice(rng, PairHeadRows*cols)
@@ -211,7 +224,7 @@ func TestPairHeadMatchesAxpy2(t *testing.T) {
 			for r := 0; r < PairHeadRows; r++ {
 				for k := 0; k < h; k++ {
 					axpy2(want[r*cols:(r+1)*cols], w3[k*cols:(k+1)*cols], w4[k*cols:(k+1)*cols],
-						coef[k*2*PairHeadRows+r], coef[k*2*PairHeadRows+PairHeadRows+r])
+						coef[r*h+k], coef[(PairHeadRows+r)*h+k])
 				}
 			}
 			PairHead(z, coef, w3, w4)
@@ -220,6 +233,80 @@ func TestPairHeadMatchesAxpy2(t *testing.T) {
 					t.Fatalf("h=%d live=%d: z[%d][%d] = %x, axpy2 gives %x",
 						h, live, i/cols, i%cols, math.Float64bits(z[i]), math.Float64bits(want[i]))
 				}
+			}
+		}
+	}
+}
+
+// mustBitsEqual fails unless got and want hold the same float64 bits, NaNs
+// counting as equal to each other whatever their payloads.
+func mustBitsEqual(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			t.Fatalf("%s: element %d = %x, want %x", what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestPairHeadInputKernels pins the kernels that build a pair's head input.
+// The generic kernels must equal the scalar loops PredictInto ran before
+// they existed — z[j] = q1[j] + q2[j], then −2·min(a, b) and a·b per
+// coordinate — and the dispatched kernels the generic ones, bit for bit.
+// The inputs are the head's (non-negative representations with exact
+// zeros and ties) plus the values a min can get wrong: both signed zeros in
+// either order, negatives, infinities and NaN.
+func TestPairHeadInputKernels(t *testing.T) {
+	t.Logf("kernel ISA: %s", KernelISA())
+	negZero := math.Copysign(0, -1)
+	special := []float64{0, negZero, 1, -1, math.Inf(1), math.Inf(-1), math.NaN(), 1e300, 5e-324}
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range kernelLens {
+		a, b := make([]float64, n), make([]float64, n)
+		for i := range a {
+			switch rng.Intn(4) {
+			case 0:
+				a[i], b[i] = special[rng.Intn(len(special))], special[rng.Intn(len(special))]
+			case 1:
+				a[i] = math.Abs(rng.NormFloat64())
+				b[i] = a[i]
+			default:
+				a[i], b[i] = math.Abs(rng.NormFloat64()), math.Abs(rng.NormFloat64())
+				if rng.Intn(3) == 0 {
+					a[i] = 0
+				}
+			}
+		}
+		sum, mn, pr := make([]float64, n), make([]float64, n), make([]float64, n)
+		for j := range sum {
+			sum[j] = a[j] + b[j]
+		}
+		for k, av := range a {
+			bv := b[k]
+			mn[k], pr[k] = -2*min(av, bv), av*bv
+		}
+		for _, set := range []struct {
+			name string
+			add  func(dst, a, b []float64)
+			coef func(mn, pr, a, b []float64)
+		}{{"generic", addVecGeneric, pairCoefGeneric}, {"dispatched", addVec, pairCoef}} {
+			gotSum, gotMn, gotPr := make([]float64, n), make([]float64, n), make([]float64, n)
+			set.add(gotSum, a, b)
+			set.coef(gotMn, gotPr, a, b)
+			mustBitsEqual(t, fmt.Sprintf("%s sum n=%d", set.name, n), gotSum, sum)
+			mustBitsEqual(t, fmt.Sprintf("%s −2·min n=%d", set.name, n), gotMn, mn)
+			mustBitsEqual(t, fmt.Sprintf("%s product n=%d", set.name, n), gotPr, pr)
+		}
+	}
+	// min(+0, −0) and min(−0, +0) are both −0: the ordering trap of a vector min.
+	for _, pair := range [][2]float64{{0, negZero}, {negZero, 0}} {
+		mn, pr := make([]float64, 5), make([]float64, 5)
+		a := []float64{pair[0], pair[0], pair[0], pair[0], pair[0]}
+		b := []float64{pair[1], pair[1], pair[1], pair[1], pair[1]}
+		pairCoef(mn, pr, a, b)
+		for k := range mn {
+			if math.Float64bits(mn[k]) != math.Float64bits(0) { // −2·(−0) = +0
+				t.Fatalf("min(%v, %v) lane %d: −2·min = %x, want +0", pair[0], pair[1], k, math.Float64bits(mn[k]))
 			}
 		}
 	}

@@ -137,6 +137,7 @@ func (p *Pool) removeEntryLocked(from string, idx *fromIndex, pos int) {
 	}
 	idx.entries = idx.entries[:last]
 	idx.lastHit = idx.lastHit[:last]
+	idx.removeRow(pos)
 	if len(idx.entries) == 0 {
 		delete(p.byFrom, from)
 	}

@@ -138,20 +138,20 @@ func (idx *fromIndex) indexWorthwhile() bool {
 	return idx.classes != nil && len(idx.classes)*classDensityDiv <= len(idx.entries)
 }
 
-// selectIndexedLocked runs bounded selection through the class index.
-// Callers hold at least the read lock and have checked 0 < k < len(entries)
-// and that the index exists. The returned refs and usable count are
-// bit-identical to selectLinearLocked's, and visited reports how many
-// candidates the class walk actually scored (the per-call pruning signal
-// behind the scanned/pruned histograms).
-func (p *Pool) selectIndexedLocked(idx *fromIndex, probe query.Signature, k int) (refs []scoredRef, usable int, visited uint64) {
-	classes := make([]classRef, 0, len(idx.classes))
+// selectIndexedLocked runs bounded selection through the class index into
+// sel's heap. Callers hold at least the read lock and have checked
+// 0 < k < len(entries) and that the index exists. The heap's contents and
+// the usable count are bit-identical to selectLinearLocked's, and visited
+// reports how many candidates the class walk actually scored (the per-call
+// pruning signal behind the scanned/pruned histograms).
+func (p *Pool) selectIndexedLocked(sel *selector, idx *fromIndex, probe *query.Signature) (usable int, visited uint64) {
+	classes := sel.classes[:0]
 	for _, c := range idx.classes {
-		ub, flat := probe.SimilarityBound(c.pat)
+		ub, flat := probe.SimilarityBound(&c.pat)
 		classes = append(classes, classRef{c: c, ub: ub, flat: flat})
 	}
 	slices.SortFunc(classes, func(a, b classRef) int { return cmp.Compare(b.ub, a.ub) })
-	heap := newTopKHeap(k)
+	heap := &sel.heap
 	for _, cr := range classes {
 		if heap.full() && cr.ub < heap.refs[0].score {
 			// Bounds are sorted descending: every remaining class is provably
@@ -161,9 +161,11 @@ func (p *Pool) selectIndexedLocked(idx *fromIndex, probe query.Signature, k int)
 		}
 		visited += offerClass(heap, idx, cr.c.all, cr.flat, probe)
 	}
+	clear(classes) // the pooled selector must not pin classes
+	sel.classes = classes[:0]
 	p.indexHits.Add(1)
 	p.scannedIdx.Add(visited)
-	return heap.sorted(), idx.nPos, visited
+	return idx.nPos, visited
 }
 
 // offerClass offers one class's members in ascending ID order, skipping
@@ -174,7 +176,7 @@ func (p *Pool) selectIndexedLocked(idx *fromIndex, probe query.Signature, k int)
 // comparison. A non-flat class's members are scored one by one and all
 // offered. Returns the number of candidates visited (the scanned-counter
 // contribution).
-func offerClass(heap *topKHeap, idx *fromIndex, ids []int64, flat bool, probe query.Signature) uint64 {
+func offerClass(heap *topKHeap, idx *fromIndex, ids []int64, flat bool, probe *query.Signature) uint64 {
 	var visited uint64
 	var score float64
 	for _, id := range ids {
@@ -182,12 +184,14 @@ func offerClass(heap *topKHeap, idx *fromIndex, ids []int64, flat bool, probe qu
 		if !present {
 			continue // tombstone: evicted, not yet compacted
 		}
-		if idx.entries[pos].Card <= 0 {
+		row := &idx.rows[pos]
+		if row.card <= 0 {
 			continue // empty-result entries are skipped exactly like the scan
 		}
 		visited++
 		if visited == 1 || !flat {
-			score = probe.Similarity(idx.entries[pos].Q.Signature())
+			old := row.signature(idx.ranges)
+			score = probe.Similarity(&old)
 		}
 		r := scoredRef{score: score, idx: pos, id: id}
 		if flat && heap.full() && !r.better(heap.refs[0]) {

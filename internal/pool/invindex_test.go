@@ -122,9 +122,10 @@ func TestIndexedTopKMatchesLinearScan(t *testing.T) {
 // TestIndexCoherenceUnderMutation drives an indexed bounded pool and a
 // linear twin through one identical randomized interleaving of Add (with
 // LRU eviction pressure), UpdateCard (including to/from zero) and TopK, and
-// requires bit-identical selection throughout. Both pools see the same
-// operation sequence, so their tick clocks, IDs and eviction victims
-// coincide; any divergence is index incoherence.
+// requires bit-identical selection throughout, and after every operation
+// both pools' signature rows equal their entries (checkRows). Both pools
+// see the same operation sequence, so their tick clocks, IDs and eviction
+// victims coincide; any divergence is index incoherence.
 func TestIndexCoherenceUnderMutation(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	idxPool := New(WithCap(120))
@@ -157,6 +158,8 @@ func TestIndexCoherenceUnderMutation(t *testing.T) {
 		}
 		checkEvictionHeap(t, idxPool)
 		checkEvictionHeap(t, linPool)
+		checkRows(t, idxPool)
+		checkRows(t, linPool)
 	}
 	if idxPool.Len() != linPool.Len() {
 		t.Fatalf("pool sizes diverged: %d vs %d", idxPool.Len(), linPool.Len())
@@ -273,7 +276,11 @@ func TestIndexDensityFallback(t *testing.T) {
 	for i, probe := range probes {
 		for j, k := range ks {
 			p.mu.RLock()
-			refs, _, _ := p.selectIndexedLocked(idx, probe.Signature(), k)
+			var sel selector
+			sel.heap.reset(k)
+			sig := probe.Signature()
+			p.selectIndexedLocked(&sel, idx, &sig)
+			refs := sel.heap.sorted()
 			indexed := make([]Entry, len(refs))
 			for n, r := range refs {
 				indexed[n] = idx.entries[r.idx]
@@ -341,6 +348,7 @@ func TestConcurrentIndexedTopKEvictionUpdate(t *testing.T) {
 	if p.Len() > capacity {
 		t.Errorf("pool size %d exceeds capacity %d", p.Len(), capacity)
 	}
+	checkRows(t, p)
 	// The pool must still be coherent after the storm: selection equals a
 	// linear rebuild of the surviving entries.
 	lin := New(WithIndexedSelection(false))
@@ -374,7 +382,8 @@ func TestConcurrentIndexedTopKEvictionUpdate(t *testing.T) {
 // driven against an indexed bounded pool and a linear twin: inserts,
 // cardinality updates and bounded selections, with a Save/Load round-trip
 // at the end. The index must never panic, never select an entry the linear
-// scan would not, and survive persistence. Literals are mostly small, so
+// scan would not, keep every signature row equal to its entry after every
+// operation, and survive persistence. Literals are mostly small, so
 // ranges overlap and collide, but byte values from 0xd0 up pick an int64
 // edge or ±5e18, whose predicates admit nothing or whose spans overflow
 // int64.
@@ -443,6 +452,8 @@ func FuzzSignatureIndex(f *testing.F) {
 			}
 			checkEvictionHeap(t, idxPool)
 			checkEvictionHeap(t, linPool)
+			checkRows(t, idxPool)
+			checkRows(t, linPool)
 		}
 		// Persistence round-trip: the rebuilt index must agree with a linear
 		// load of the same bytes.
@@ -461,6 +472,7 @@ func FuzzSignatureIndex(f *testing.F) {
 		if reIdx.Len() != idxPool.Len() {
 			t.Fatalf("round-trip lost entries: %d vs %d", reIdx.Len(), idxPool.Len())
 		}
+		checkRows(t, reIdx)
 		for _, q := range added {
 			got, want := reIdx.TopK(q, 5), reLin.TopK(q, 5)
 			if len(got) != len(want) {

@@ -40,16 +40,21 @@ type Entry struct {
 }
 
 // fromIndex is the per-FROM-clause candidate index: the entries themselves
-// (TopK scans each one's precomputed Q.Signature) plus, position-aligned,
-// their last-match ticks (what eviction consults), and a position lookup by
-// stable entry ID (what the eviction heap resolves records through).
-// lastHit is mutated only under the pool's write lock; its elements are
-// touched with atomics because candidate selection updates them under the
-// read lock.
+// plus, position-aligned, their signature rows (what bounded selection
+// scores, see rows.go) and their last-match ticks (what eviction consults),
+// and a position lookup by stable entry ID (what the eviction heap and the
+// class walk resolve IDs through). The rows' ranges live in one per-clause
+// arena, ranges, of which deadRanges belong to evicted entries. All of it
+// mutates only under the pool's write lock; lastHit's elements are touched
+// with atomics because candidate selection updates them under the read
+// lock.
 type fromIndex struct {
-	entries []Entry
-	lastHit []int64
-	byID    map[int64]int
+	entries    []Entry
+	rows       []sigRow
+	ranges     []query.ColRange
+	deadRanges int
+	lastHit    []int64
+	byID       map[int64]int
 
 	// stamp is the pool version of the clause's last mutation (insert,
 	// eviction, cardinality change), set under the write lock. Selection over
@@ -190,11 +195,13 @@ func (p *Pool) insertLocked(q query.Query, key string, card int64) int64 {
 	p.byKey[key] = id
 	idx.byID[id] = len(idx.entries)
 	idx.entries = append(idx.entries, Entry{Q: q, Card: card, ID: id})
+	sig := q.Signature()
+	idx.appendRow(&sig, card, id)
 	if card > 0 {
 		idx.nPos++
 	}
 	if p.indexOn {
-		idx.indexAdd(q.Signature(), id)
+		idx.indexAdd(sig, id)
 	}
 	// A fresh entry starts as most-recently matched: it must survive long
 	// enough for estimates to have a chance to select it.
@@ -323,19 +330,22 @@ func (p *Pool) AppendSelection(dst []Entry, q query.Query, k int) ([]Entry, uint
 		return append(dst, idx.entries...), idx.stamp
 	}
 	p.topKCalls.Add(1)
-	var refs []scoredRef
+	sel := selectorPool.Get().(*selector)
+	defer selectorPool.Put(sel)
+	sel.heap.reset(k)
 	var usable int
 	var scanned uint64
 	indexed := p.indexOn && idx.indexWorthwhile()
 	if indexed {
-		refs, usable, scanned = p.selectIndexedLocked(idx, probe, k)
+		usable, scanned = p.selectIndexedLocked(sel, idx, &probe)
 	} else {
 		if p.indexOn {
 			p.indexFallbacks.Add(1)
 		}
-		refs, usable = p.selectLinearLocked(idx, probe, k)
+		usable = p.selectLinearLocked(&sel.heap, idx, &probe)
 		scanned = uint64(len(idx.entries))
 	}
+	refs := sel.heap.sorted()
 	if p.scannedHist != nil {
 		p.scannedHist.Observe(float64(scanned))
 		pruned := 0.0
@@ -384,24 +394,35 @@ func (p *Pool) ReplaySelection(q query.Query, k int, stamp uint64, ids []int64) 
 	return true
 }
 
+// selector is one bounded selection's working memory, pooled so that a
+// selection allocates nothing beyond what it appends to its caller's slice.
+type selector struct {
+	heap    topKHeap
+	classes []classRef
+}
+
+var selectorPool = sync.Pool{New: func() any { return new(selector) }}
+
 // selectLinearLocked is the PR 4 selection path: score every candidate of
-// the FROM clause against the probe. Callers hold at least the read lock
-// and have checked 0 < k < len(entries). The second return is the usable
-// (Card > 0) candidate count, the reference for truncation accounting.
-func (p *Pool) selectLinearLocked(idx *fromIndex, probe query.Signature, k int) ([]scoredRef, int) {
-	p.scannedFall.Add(uint64(len(idx.entries)))
-	heap := newTopKHeap(k)
+// the FROM clause against the probe, from the clause's signature rows, into
+// heap. Callers hold at least the read lock and have checked
+// 0 < k < len(entries). It returns the usable (Card > 0) candidate count,
+// the reference for truncation accounting.
+func (p *Pool) selectLinearLocked(heap *topKHeap, idx *fromIndex, probe *query.Signature) int {
+	p.scannedFall.Add(uint64(len(idx.rows)))
 	usable := 0
-	for i := range idx.entries {
-		if idx.entries[i].Card <= 0 {
+	for i := range idx.rows {
+		r := &idx.rows[i]
+		if r.card <= 0 {
 			// Empty-result entries carry no information; the estimator drops
 			// them anyway, so skipping them here is not a truncation.
 			continue
 		}
 		usable++
-		heap.offer(scoredRef{score: probe.Similarity(idx.entries[i].Q.Signature()), idx: i, id: idx.entries[i].ID})
+		old := r.signature(idx.ranges)
+		heap.offer(scoredRef{score: probe.Similarity(&old), idx: i, id: r.id})
 	}
-	return heap.sorted(), usable
+	return usable
 }
 
 // touchAllLocked stamps every entry of an index as just-matched. Callers
@@ -457,6 +478,7 @@ func (p *Pool) updateCardLocked(q query.Query, key string, card int64) bool {
 		}
 	}
 	idx.entries[pos].Card = card
+	idx.rows[pos].card = card
 	idx.stamp = p.notifyLocked("")
 	return true
 }

@@ -1,7 +1,5 @@
 package pool
 
-import "slices"
-
 // scoredRef is one candidate during top-K selection: its index in the FROM
 // index plus its score. Ordering: better = higher score, ties broken by
 // smaller entry ID (older insertion) for determinism.
@@ -31,11 +29,24 @@ type topKHeap struct {
 	k    int
 }
 
-func newTopKHeap(k int) *topKHeap {
-	return &topKHeap{refs: make([]scoredRef, 0, k), k: k}
+// reset empties the heap for a selection of k, keeping its storage.
+func (h *topKHeap) reset(k int) {
+	h.refs = h.refs[:0]
+	h.k = k
 }
 
+// offer keeps r if it is among the k best candidates offered so far. It
+// inlines into the scoring loops, so a candidate that scores below the root
+// costs one comparison and no call.
 func (h *topKHeap) offer(r scoredRef) {
+	if len(h.refs) == h.k && r.score < h.refs[0].score {
+		return
+	}
+	h.keep(r)
+}
+
+// keep inserts r, replacing the root once the heap is full if r is better.
+func (h *topKHeap) keep(r scoredRef) {
 	if len(h.refs) < h.k {
 		h.refs = append(h.refs, r)
 		h.up(len(h.refs) - 1)
@@ -45,7 +56,7 @@ func (h *topKHeap) offer(r scoredRef) {
 		return
 	}
 	h.refs[0] = r
-	h.down(0)
+	h.down(0, len(h.refs))
 }
 
 // full reports whether the heap holds k candidates; h.refs[0] is then the
@@ -53,49 +64,55 @@ func (h *topKHeap) offer(r scoredRef) {
 func (h *topKHeap) full() bool { return len(h.refs) == h.k }
 
 func (h *topKHeap) up(i int) {
+	refs := h.refs
+	r := refs[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		// Invariant: a parent is WORSE than (or equal to) its children, so
-		// the root is the worst kept candidate. Sift up while the parent is
-		// better than the new element.
-		if !h.refs[p].better(h.refs[i]) {
-			return
+		// Invariant: a parent is WORSE than its children, so the root is the
+		// worst kept candidate. Move parents down while they are better than
+		// r, then put r in the hole.
+		if !refs[p].better(r) {
+			break
 		}
-		h.refs[p], h.refs[i] = h.refs[i], h.refs[p]
+		refs[i] = refs[p]
 		i = p
 	}
+	refs[i] = r
 }
 
-func (h *topKHeap) down(i int) {
-	n := len(h.refs)
+// down restores the heap property of refs[:n] downward from position i:
+// children worse than the element there move up, and the element goes into
+// the hole they leave.
+func (h *topKHeap) down(i, n int) {
+	refs := h.refs[:n]
+	r := refs[i]
 	for {
-		worst := i
-		if l := 2*i + 1; l < n && h.refs[worst].better(h.refs[l]) {
-			worst = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r := 2*i + 2; r < n && h.refs[worst].better(h.refs[r]) {
-			worst = r
+		if c+1 < n && refs[c].better(refs[c+1]) {
+			c++ // the worse child
 		}
-		if worst == i {
-			return
+		if !r.better(refs[c]) {
+			break
 		}
-		h.refs[i], h.refs[worst] = h.refs[worst], h.refs[i]
-		i = worst
+		refs[i] = refs[c]
+		i = c
 	}
+	refs[i] = r
 }
 
 // sorted returns the selected candidates best-first (score descending, ID
-// ascending on ties) — the deterministic output order of TopK.
+// ascending on ties) — the deterministic output order of TopK. It sorts in
+// place by popping the heap: each pop moves the worst remaining candidate
+// behind the shrinking heap, so the best ends up first. Better-ness is a
+// strict total order, so this is the one order any sort would produce.
 func (h *topKHeap) sorted() []scoredRef {
 	refs := h.refs
-	slices.SortFunc(refs, func(a, b scoredRef) int {
-		switch {
-		case a.better(b):
-			return -1
-		case b.better(a):
-			return 1
-		}
-		return 0
-	})
+	for end := len(refs) - 1; end > 0; end-- {
+		refs[0], refs[end] = refs[end], refs[0]
+		h.down(0, end)
+	}
 	return refs
 }

@@ -20,8 +20,8 @@ func TestSignatureDeterministic(t *testing.T) {
 	if a.Cols != b.Cols || a.Joins != b.Joins || a.Ops != b.Ops {
 		t.Fatalf("signature masks differ for equivalent queries: %+v vs %+v", a, b)
 	}
-	if got := a.Similarity(b); got != b.Similarity(a) || got != a.Similarity(a) {
-		t.Fatalf("equal queries should score identically: %v vs %v", got, a.Similarity(a))
+	if got := a.Similarity(&b); got != b.Similarity(&a) || got != a.Similarity(&a) {
+		t.Fatalf("equal queries should score identically: %v vs %v", got, a.Similarity(&a))
 	}
 }
 
@@ -40,8 +40,8 @@ func TestSignatureRanking(t *testing.T) {
 	// better than a conflicting constraint.
 	anchor := sig(t, "SELECT * FROM title")
 
-	so, sd, st, sa := probe.Similarity(overlap), probe.Similarity(disjoint),
-		probe.Similarity(other), probe.Similarity(anchor)
+	so, sd, st, sa := probe.Similarity(&overlap), probe.Similarity(&disjoint),
+		probe.Similarity(&other), probe.Similarity(&anchor)
 	if !(so > sd) {
 		t.Errorf("overlapping range (%v) should outrank disjoint range (%v)", so, sd)
 	}
@@ -57,7 +57,7 @@ func TestSignatureRangeConflict(t *testing.T) {
 	probe := sig(t, "SELECT * FROM title WHERE title.kind_id = 2")
 	conflict := sig(t, "SELECT * FROM title WHERE title.kind_id = 1 AND title.kind_id = 3")
 	same := sig(t, "SELECT * FROM title WHERE title.kind_id = 2")
-	if probe.Similarity(conflict) >= probe.Similarity(same) {
+	if probe.Similarity(&conflict) >= probe.Similarity(&same) {
 		t.Errorf("contradictory conjunction should rank below an identical predicate")
 	}
 }
@@ -93,7 +93,7 @@ func TestSignatureJoins(t *testing.T) {
 	probe := sig(t, "SELECT * FROM title, cast_info WHERE title.id = cast_info.movie_id")
 	sameJoin := sig(t, "SELECT * FROM title, cast_info WHERE title.id = cast_info.movie_id AND cast_info.role_id = 2")
 	noJoin := sig(t, "SELECT * FROM title, cast_info")
-	if probe.Similarity(sameJoin) <= probe.Similarity(noJoin) {
+	if probe.Similarity(&sameJoin) <= probe.Similarity(&noJoin) {
 		t.Errorf("shared join edge should improve the score")
 	}
 }
@@ -286,10 +286,12 @@ func TestEvictionPreservesSignatureAlignment(t *testing.T) {
 // TestTopKHeapSelectsTrueTopK pins the selection heap directly: for every k
 // over a score sequence chosen so mid-ranked candidates arrive after the
 // heap is full, the kept set must be exactly the k best by (score, ID).
+// One heap serves every k, as a pooled selector's does.
 func TestTopKHeapSelectsTrueTopK(t *testing.T) {
 	scores := []float64{10, 5, 7, 1, 9, 3, 8, 2, 6, 4}
-	for k := 1; k <= len(scores); k++ {
-		h := newTopKHeap(k)
+	var h topKHeap
+	for k := len(scores); k >= 1; k-- {
+		h.reset(k)
 		for i, s := range scores {
 			h.offer(scoredRef{score: s, idx: i, id: int64(i)})
 		}

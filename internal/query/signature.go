@@ -96,9 +96,10 @@ func opClass(op string) int {
 
 // Signature returns the query's predicate signature: precomputed for
 // queries built by New, Intersect or WithPredicate (the serving hot path
-// never recomputes it — one pointer read per pooled candidate scored),
-// computed on demand for literal-built values. The pointer receiver keeps
-// the read from copying the whole Query.
+// never recomputes it; the pool copies a pooled query's signature into its
+// clause's contiguous signature rows once, at insertion), computed on demand
+// for literal-built values. The pointer receiver keeps the read from
+// copying the whole Query.
 func (q *Query) Signature() Signature {
 	if q.sig != nil {
 		return *q.sig
@@ -182,8 +183,9 @@ const (
 
 // Similarity scores how containment-comparable an old query's signature is
 // to the probe's, higher is better. Deterministic and symmetric in nothing:
-// the probe is the NEW query, old is the pooled one.
-func (probe Signature) Similarity(old Signature) float64 {
+// the probe is the NEW query, old is the pooled one. Both are passed by
+// pointer, so scoring a candidate copies no signature.
+func (probe *Signature) Similarity(old *Signature) float64 {
 	score := probe.MaskSimilarity(old)
 	// Merge-join the per-column intervals of columns both sides constrain.
 	i, j := 0, 0
@@ -210,7 +212,7 @@ func (probe Signature) Similarity(old Signature) float64 {
 // order, so Similarity(probe, old) continues from this value bit for bit;
 // the pool's signature-class index relies on that to score a whole class of
 // range-value-variant signatures with one call.
-func (probe Signature) MaskSimilarity(old Signature) float64 {
+func (probe *Signature) MaskSimilarity(old *Signature) float64 {
 	shared := probe.Cols & old.Cols
 	score := wSharedCol*float64(popcount(shared)) -
 		wExtraOldCol*float64(popcount(old.Cols&^probe.Cols)) -
@@ -232,7 +234,7 @@ func (probe Signature) MaskSimilarity(old Signature) float64 {
 // values). The bound accumulates in Similarity's exact operation order with
 // pointwise-greater-or-equal addends, so floating-point monotonicity makes
 // it a true upper bound of every member's computed score.
-func (probe Signature) SimilarityBound(pattern Signature) (ub float64, flat bool) {
+func (probe *Signature) SimilarityBound(pattern *Signature) (ub float64, flat bool) {
 	ub = probe.MaskSimilarity(pattern)
 	flat = true
 	i, j := 0, 0

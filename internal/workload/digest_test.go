@@ -119,7 +119,7 @@ func TestSignatureDigest(t *testing.T) {
 	var bits [8]byte
 	for _, probe := range sigs {
 		for _, old := range sigs {
-			binary.BigEndian.PutUint64(bits[:], math.Float64bits(probe.Similarity(old)))
+			binary.BigEndian.PutUint64(bits[:], math.Float64bits(probe.Similarity(&old)))
 			h.Write(bits[:])
 		}
 	}
